@@ -1,6 +1,6 @@
 """Semi-episodic learning for robot damage recovery on desk-scale worlds."""
 
-from .acquisition import AcquisitionConfig, CandidateSet, CandidateSource, select_next, ucb_score
+from .acquisition import AcquisitionConfig, CandidateSet, select_next
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file
 from .gp import (
     DistanceKind,
@@ -10,7 +10,6 @@ from .gp import (
     KernelFamily,
     ObservationSet,
     fit,
-    kernel_eval,
     predict,
     predict_batch,
     zero_prior,
@@ -31,15 +30,14 @@ from .mission import (
     Method,
     MissionConfig,
     MissionState,
-    Phase,
     RunRecord,
     baseline_babbling,
     baseline_episodic_ite,
     baseline_uncertainty,
-    detect_drop,
     run_method,
     run_mission,
     sela_adapt,
+    window_error,
 )
 from .reward import (
     PlannerGrid,
@@ -47,7 +45,6 @@ from .reward import (
     UnreachableGoalError,
     astar,
     build_waypoint_reward,
-    displacement_aggregator,
     make_distance_reward,
     select_waypoint,
 )

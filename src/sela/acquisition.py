@@ -10,7 +10,6 @@ candidate index so selection is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -18,17 +17,11 @@ import numpy as np
 from .gp import GpModel, predict_batch
 
 
-class CandidateSource(Enum):
-    DENSE_GRID = "dense_grid"
-    ARCHIVE_ELITES = "archive_elites"
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """Finite, duplicate-free pool of behavior points to select from."""
 
     points: np.ndarray   # (n, behavior_dim)
-    source: CandidateSource
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -54,13 +47,13 @@ class CandidateSet:
             raise ValueError("resolution must be at least 1")
         steps = np.arange(1, resolution + 1)
         thetas = -np.pi + steps * (2.0 * np.pi / resolution)
-        return cls(points=thetas[:, None], source=CandidateSource.DENSE_GRID)
+        return cls(points=thetas[:, None])
 
     @classmethod
     def from_archive(cls, archive) -> "CandidateSet":
         """All elite behaviors of a MAP-Elites archive, in cell order."""
         points = np.array([elite.behavior for elite in archive.elites()])
-        return cls(points=points, source=CandidateSource.ARCHIVE_ELITES)
+        return cls(points=points)
 
 
 @dataclass(frozen=True)
@@ -72,12 +65,6 @@ class AcquisitionConfig:
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-
-
-def ucb_score(reward_of_mean: float, sigma: float, config: AcquisitionConfig) -> float:
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    return reward_of_mean + config.alpha * sigma
 
 
 def select_next(

@@ -8,7 +8,9 @@ world (10 for the point robot, 15 for the walker).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Optional
 
 from .mission import Method
@@ -65,13 +67,6 @@ class ExperimentConfig:
             return self.max_adapt_iterations
         return ADAPT_ITERATIONS_BY_WORLD[self.world]
 
-    def effective_dict(self) -> dict:
-        """Every knob with defaults resolved, for dumping and comparison."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["max_adapt_iterations"] = self.adapt_iterations()
-        out["methods"] = tuple(m.value for m in self.methods)
-        return out
-
 
 def _parse_int(value: str, key: str, line_no: int) -> int:
     try:
@@ -82,9 +77,16 @@ def _parse_int(value: str, key: str, line_no: int) -> int:
 
 def _parse_float(value: str, key: str, line_no: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"line {line_no}: key '{key}' expects a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"line {line_no}: key '{key}' expects a finite number, got {value!r}")
+    return number
+
+
+def _parse_text(value: str, key: str, line_no: int) -> str:
+    return value
 
 
 def _parse_choice(value: str, key: str, line_no: int, choices) -> str:
@@ -95,7 +97,7 @@ def _parse_choice(value: str, key: str, line_no: int, choices) -> str:
     return value
 
 
-def _parse_methods(value: str, line_no: int) -> tuple[Method, ...]:
+def _parse_methods(value: str, key: str, line_no: int) -> tuple[Method, ...]:
     names = [part.strip() for part in value.split(",") if part.strip()]
     if not names:
         raise ConfigError(f"line {line_no}: key 'methods' expects at least one method")
@@ -111,44 +113,27 @@ def _parse_methods(value: str, line_no: int) -> tuple[Method, ...]:
     return tuple(methods)
 
 
-_INT_KEYS = {
-    "replicates",
-    "base_seed",
-    "damage_joint",
-    "max_adapt_iterations",
-    "babble_max",
-    "uncertainty_iterations",
-    "drop_window",
-    "lookahead_cells",
-    "step_cap",
-    "candidate_grid",
-    "archive_budget",
-    "archive_grid",
-    "archive_init_batch",
+# Keys whose value must name one of a fixed set of choices.
+_CHOICES = {"world": WORLDS, "damage": DAMAGE_KINDS, "kernel_family": KERNEL_FAMILIES}
+
+# Value parser per field annotation, for every other key.
+_PARSE_BY_TYPE = {
+    "int": _parse_int,
+    "Optional[int]": _parse_int,
+    "float": _parse_float,
+    "Optional[str]": _parse_text,
+    "tuple[Method, ...]": _parse_methods,
 }
 
-_FLOAT_KEYS = {
-    "damage_offset",
-    "noise_variance",
-    "goal_x",
-    "goal_y",
-    "epsilon_goal",
-    "alpha",
-    "kernel_sigma",
-    "gp_noise",
-    "epsilon_model",
-    "episodic_success_projection",
-    "drop_threshold",
-    "cell_size",
-    "planner_margin",
-    "archive_mutation_sigma",
+# One parser per ExperimentConfig field; the field names are the known keys.
+_PARSERS = {
+    f.name: (
+        partial(_parse_choice, choices=_CHOICES[f.name])
+        if f.name in _CHOICES
+        else _PARSE_BY_TYPE[f.type]
+    )
+    for f in fields(ExperimentConfig)
 }
-
-_KNOWN_KEYS = (
-    {"world", "methods", "damage", "kernel_family", "archive_path"}
-    | _INT_KEYS
-    | _FLOAT_KEYS
-)
 
 # (key, bound, inclusive) checked after parsing.
 _LOWER_BOUNDS = [
@@ -200,27 +185,14 @@ def parse_config(text: str) -> ExperimentConfig:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
         if key in seen_lines:
             raise ConfigError(
                 f"line {line_no}: key '{key}' already set on line {seen_lines[key]}"
             )
         seen_lines[key] = line_no
-        if key == "world":
-            assigned[key] = _parse_choice(value, key, line_no, WORLDS)
-        elif key == "methods":
-            assigned[key] = _parse_methods(value, line_no)
-        elif key == "damage":
-            assigned[key] = _parse_choice(value, key, line_no, DAMAGE_KINDS)
-        elif key == "kernel_family":
-            assigned[key] = _parse_choice(value, key, line_no, KERNEL_FAMILIES)
-        elif key == "archive_path":
-            assigned[key] = value
-        elif key in _INT_KEYS:
-            assigned[key] = _parse_int(value, key, line_no)
-        else:
-            assigned[key] = _parse_float(value, key, line_no)
+        assigned[key] = _PARSERS[key](value, key, line_no)
     if "world" not in assigned:
         raise ConfigError("missing required key 'world'")
     return _validate(ExperimentConfig(**assigned))

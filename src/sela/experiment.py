@@ -5,12 +5,11 @@ requested method over the replicate seeds, and persists results as two CSV
 files. Output bytes are a pure function of (config, base_seed): replicate k
 always uses seed base_seed + k, rows are written in (method, seed) order, and
 floats use shortest round-trip formatting. The wall_ms column is therefore a
-placeholder (always 0); measured durations live on the in-memory records.
+placeholder (always 0).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,18 +196,6 @@ def compute_summary(records: list[RunRecord]) -> list[SummaryRow]:
     return rows
 
 
-def _format_number(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    as_float = float(value)
-    if math.isfinite(as_float) and as_float == int(as_float):
-        # Keep integral floats compact; repr would print 28.0.
-        return repr(as_float)
-    return repr(as_float)
-
-
 def runs_csv_text(records: list[RunRecord], world: str) -> str:
     lines = [RUNS_HEADER]
     for run_id, record in enumerate(records):
@@ -233,18 +220,8 @@ def runs_csv_text(records: list[RunRecord], world: str) -> str:
 def summary_csv_text(summary: list[SummaryRow]) -> str:
     lines = [SUMMARY_HEADER]
     for row in summary:
-        lines.append(
-            ",".join(
-                [
-                    row.method.value,
-                    row.metric,
-                    _format_number(row.q25),
-                    _format_number(row.median),
-                    _format_number(row.q75),
-                    _format_number(row.success_rate),
-                ]
-            )
-        )
+        figures = (row.q25, row.median, row.q75, row.success_rate)
+        lines.append(",".join([row.method.value, row.metric] + [repr(float(v)) for v in figures]))
     return "\n".join(lines) + "\n"
 
 
@@ -281,7 +258,6 @@ def read_runs_csv(path) -> tuple[str, list[RunRecord]]:
                 total_steps=int(parts[6]),
                 reached=parts[7] == "true",
                 seed=int(parts[3]),
-                wall_time=float(parts[8]) / 1000.0,
             )
         )
     return world, records

@@ -90,15 +90,6 @@ def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(-r / kernel.sigma)
 
 
-def kernel_eval(kernel: Kernel, a, b) -> float:
-    """Kernel value between two single behavior points."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError(f"behavior dimension mismatch: {a.shape} vs {b.shape}")
-    return float(kernel_matrix(kernel, a[None, :], b[None, :])[0, 0])
-
-
 @dataclass(frozen=True)
 class ObservationSet:
     """Paired behavior inputs and outcome vectors plus the modeled noise level.
@@ -168,10 +159,6 @@ class GpModel:
     @property
     def behavior_dim(self) -> int:
         return self.observations.inputs.shape[1]
-
-    @property
-    def outcome_dim(self) -> int:
-        return self.observations.outputs.shape[1]
 
 
 def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpModel:

@@ -3,23 +3,26 @@
 The mission runs in two phases. Nominal: greedily chase the waypoint using
 the current model (the prior alone until anything has been learned). When the
 mean prediction error over a sliding window exceeds a threshold, the mission
-switches to Adapting and runs UCB-driven model updates in which every trial
+switches to adapting and runs UCB-driven model updates in which every trial
 is a real task step, so learning time is never lost to resets. Adaptation
 ends when the goal is reached, the error window falls back below the
-threshold, or an iteration budget runs out; the mission then resumes Nominal
-with the updated posterior.
+threshold, or an iteration budget runs out; the mission then resumes nominal
+driving with the updated posterior.
 
-The baselines keep learning and execution episodic: their learning trials
-reset the robot to the start pose and count as pure cost.
+The baselines keep learning and execution episodic: each learning trial
+(`_episodic_trial`) resets the robot to the start pose and counts as pure
+cost, and only then does the robot drive to the goal with what it learned.
+All four methods share the same learning step (`MissionState.learn`), the
+same driving loop (`_drive`) and the same record builder (`_record`).
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -36,11 +39,6 @@ class Method(Enum):
     UNCERTAINTY = "uncertainty"
 
 
-class Phase(Enum):
-    NOMINAL = "nominal"
-    ADAPTING = "adapting"
-
-
 @dataclass(frozen=True)
 class DropDetectorConfig:
     """Sliding-window monitor for performance drops."""
@@ -55,15 +53,11 @@ class DropDetectorConfig:
             raise ValueError("threshold must be positive")
 
 
-def detect_drop(recent, config: DropDetectorConfig) -> bool:
-    """True when the mean prediction error over the last `window` pairs
-    exceeds the threshold. `recent` holds (predicted, observed) outcomes."""
+def window_error(recent, window: int) -> float:
+    """Mean prediction error over the last `window` (predicted, observed)
+    outcome pairs. A drop is detected when it exceeds the drop threshold."""
     if len(recent) == 0:
         raise ValueError("need at least one (predicted, observed) pair")
-    return _mean_error(recent, config.window) > config.threshold
-
-
-def _mean_error(recent, window: int) -> float:
     tail = list(recent)[-window:]
     errors = [float(np.linalg.norm(np.asarray(obs) - np.asarray(pred))) for pred, obs in tail]
     return float(np.mean(errors))
@@ -78,14 +72,17 @@ class MissionState:
     epsilon_goal: float
     observations: ObservationSet
     model: GpModel
-    step_cap: int
     step_count: int = 0
     adapt_iterations: int = 0
-    phase: Phase = Phase.NOMINAL
     recent: deque = field(default_factory=lambda: deque(maxlen=3))
 
     def at_goal(self) -> bool:
         return goal_reached(self.world.pose, self.goal, self.epsilon_goal)
+
+    def learn(self, behavior, observed) -> None:
+        """Add one observation and refit with the model's own kernel and prior."""
+        self.observations = self.observations.with_observation(behavior, observed)
+        self.model = fit(self.observations, self.model.kernel, self.model.prior)
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,6 @@ class RunRecord:
     total_steps: int
     reached: bool
     seed: int
-    wall_time: float
 
     def __post_init__(self):
         if self.total_steps != self.learn_steps + self.exec_steps:
@@ -129,7 +125,6 @@ class MissionConfig:
     epsilon_model: float = 0.01
     uncertainty_iterations: int = 15
     episodic_success_projection: float = 0.09
-    babble_prior: Optional[PriorMean] = None   # None means a zero prior
 
     def behavior_dim(self) -> int:
         return self.candidates.points.shape[1]
@@ -146,13 +141,41 @@ def _fresh_state(config: MissionConfig, prior: PriorMean) -> MissionState:
         epsilon_goal=config.epsilon_goal,
         observations=observations,
         model=fit(observations, config.kernel, prior),
-        step_cap=config.step_cap,
         recent=deque(maxlen=config.drop.window),
     )
 
 
 def _waypoint_reward(config: MissionConfig, pose) -> RewardFunction:
     return build_waypoint_reward(config.grid, pose, config.goal, config.lookahead_cells)
+
+
+def _greedy_behavior(config: MissionConfig, state: MissionState, pose) -> np.ndarray:
+    """Behavior whose predicted outcome best approaches the next waypoint."""
+    reward = _waypoint_reward(config, pose)
+    behavior, _ = select_next(config.candidates, state.model, reward, _GREEDY)
+    return behavior
+
+
+def _drive(config: MissionConfig, choose: Callable[[np.ndarray], np.ndarray], budget: int) -> int:
+    """Execute `choose(pose)` until the goal or the step budget; returns the
+    number of steps taken. Nothing is learned on the way."""
+    steps = 0
+    world = config.world
+    while steps < budget and not goal_reached(world.pose, config.goal, config.epsilon_goal):
+        world.execute(choose(world.pose))
+        steps += 1
+    return steps
+
+
+def _record(method: Method, config: MissionConfig, learn_steps: int, exec_steps: int) -> RunRecord:
+    return RunRecord(
+        method=method,
+        learn_steps=learn_steps,
+        exec_steps=exec_steps,
+        total_steps=learn_steps + exec_steps,
+        reached=goal_reached(config.world.pose, config.goal, config.epsilon_goal),
+        seed=config.seed,
+    )
 
 
 def sela_adapt(
@@ -170,8 +193,6 @@ def sela_adapt(
     observation. Stops on goal, on recovery (window error back under the
     drop threshold), or after max_iterations.
     """
-    if state.phase is not Phase.ADAPTING:
-        raise RuntimeError("sela_adapt requires the mission to be in the Adapting phase")
     for _ in range(max_iterations):
         if state.at_goal():
             break
@@ -179,60 +200,44 @@ def sela_adapt(
         behavior, _ = select_next(candidates, state.model, reward, acquisition)
         predicted, _ = predict(state.model, behavior)
         observed = state.world.execute(behavior)
-        state.observations = state.observations.with_observation(behavior, observed)
-        state.model = fit(state.observations, state.model.kernel, state.model.prior)
+        state.learn(behavior, observed)
         state.step_count += 1
         state.adapt_iterations += 1
         state.recent.append((predicted, observed))
-        if _mean_error(state.recent, drop.window) < drop.threshold:
+        if window_error(state.recent, drop.window) < drop.threshold:
             break
     return state
 
 
 def run_mission(config: MissionConfig) -> RunRecord:
     """Full semi-episodic mission; every executed behavior is a task step."""
-    started = time.perf_counter()
     state = _fresh_state(config, config.prior)
     while state.step_count < config.step_cap and not state.at_goal():
-        reward = _waypoint_reward(config, state.world.pose)
-        behavior, _ = select_next(config.candidates, state.model, reward, _GREEDY)
+        behavior = _greedy_behavior(config, state, state.world.pose)
         predicted, _ = predict(state.model, behavior)
         observed = state.world.execute(behavior)
         state.step_count += 1
         state.recent.append((predicted, observed))
-        if detect_drop(state.recent, config.drop):
-            state.phase = Phase.ADAPTING
-            budget = min(config.max_adapt_iterations, config.step_cap - state.step_count)
+        if window_error(state.recent, config.drop.window) > config.drop.threshold:
             sela_adapt(
                 state,
                 config.candidates,
                 config.acquisition,
                 lambda pose: _waypoint_reward(config, pose),
-                budget,
+                min(config.max_adapt_iterations, config.step_cap - state.step_count),
                 config.drop,
             )
-            state.phase = Phase.NOMINAL
-    return RunRecord(
-        method=Method.SELA,
-        learn_steps=state.adapt_iterations,
-        exec_steps=state.step_count - state.adapt_iterations,
-        total_steps=state.step_count,
-        reached=state.at_goal(),
-        seed=config.seed,
-        wall_time=time.perf_counter() - started,
-    )
+    learn_steps = state.adapt_iterations
+    return _record(Method.SELA, config, learn_steps, state.step_count - learn_steps)
 
 
-def _drive_greedy(config: MissionConfig, model: GpModel, budget: int) -> int:
-    """Chase the goal with a fixed model; returns the number of steps taken."""
-    steps = 0
-    world = config.world
-    while steps < budget and not goal_reached(world.pose, config.goal, config.epsilon_goal):
-        reward = _waypoint_reward(config, world.pose)
-        behavior, _ = select_next(config.candidates, model, reward, _GREEDY)
-        world.execute(behavior)
-        steps += 1
-    return steps
+def _episodic_trial(state: MissionState, behavior, start_pose) -> np.ndarray:
+    """Try a behavior, put the robot back at the start pose, and learn from
+    the observed outcome. The trial makes no task progress."""
+    observed = state.world.execute(behavior)
+    state.world.reset_pose(start_pose)
+    state.learn(behavior, observed)
+    return observed
 
 
 def baseline_babbling(config: MissionConfig) -> RunRecord:
@@ -242,32 +247,19 @@ def baseline_babbling(config: MissionConfig) -> RunRecord:
     early once the mean held-out error of the last few predictions drops
     under epsilon_model, which only happens when the model really fits.
     """
-    started = time.perf_counter()
-    prior = config.babble_prior or zero_prior(2)
-    state = _fresh_state(config, prior)
+    state = _fresh_state(config, zero_prior(2))
     start_pose = config.world.pose
-    recent = deque(maxlen=config.drop.window)
     for _ in range(config.babble_max):
         behavior = config.behavior_sampler(config.rng)
         predicted, _ = predict(state.model, behavior)
-        observed = config.world.execute(behavior)
-        config.world.reset_pose(start_pose)
-        state.observations = state.observations.with_observation(behavior, observed)
-        state.model = fit(state.observations, config.kernel, prior)
-        recent.append((predicted, observed))
-        if _mean_error(recent, config.drop.window) < config.epsilon_model:
+        observed = _episodic_trial(state, behavior, start_pose)
+        state.recent.append((predicted, observed))
+        if window_error(state.recent, config.drop.window) < config.epsilon_model:
             break
     learn_steps = len(state.observations)
-    exec_steps = _drive_greedy(config, state.model, config.step_cap - learn_steps)
-    return RunRecord(
-        method=Method.BABBLING,
-        learn_steps=learn_steps,
-        exec_steps=exec_steps,
-        total_steps=learn_steps + exec_steps,
-        reached=goal_reached(config.world.pose, config.goal, config.epsilon_goal),
-        seed=config.seed,
-        wall_time=time.perf_counter() - started,
-    )
+    greedy = partial(_greedy_behavior, config, state)
+    exec_steps = _drive(config, greedy, config.step_cap - learn_steps)
+    return _record(Method.BABBLING, config, learn_steps, exec_steps)
 
 
 # Cardinal task directions learned by the episodic baseline: up, down,
@@ -287,11 +279,9 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
     Trials score by the observed displacement projected onto the direction;
     an episode ends early once the projection clears the success bar. All
     episodes share one observation set."""
-    started = time.perf_counter()
     state = _fresh_state(config, config.prior)
     start_pose = config.world.pose
-    learn_steps = 0
-    chosen: list[tuple[np.ndarray, np.ndarray]] = []
+    chosen = []
     for direction in EPISODIC_DIRECTIONS:
         reward = RewardFunction(
             eval=lambda outcome, d=direction: float(np.dot(outcome, d)),
@@ -301,69 +291,44 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
         best_behavior = None
         for _ in range(config.max_adapt_iterations):
             behavior, _ = select_next(config.candidates, state.model, reward, config.acquisition)
-            observed = config.world.execute(behavior)
-            config.world.reset_pose(start_pose)
-            learn_steps += 1
-            state.observations = state.observations.with_observation(behavior, observed)
-            state.model = fit(state.observations, config.kernel, config.prior)
+            observed = _episodic_trial(state, behavior, start_pose)
             projection = float(np.dot(observed, direction))
             if projection > best_projection:
                 best_projection = projection
                 best_behavior = behavior
             if best_projection >= config.episodic_success_projection:
                 break
-        chosen.append((best_behavior, direction))
+        chosen.append(best_behavior)
 
     # Fixed repertoire: the posterior mean at each chosen behavior is the
     # outcome the controller believes in from now on.
-    repertoire = [(behavior, predict(state.model, behavior)[0]) for behavior, _ in chosen]
-    exec_steps = 0
-    world = config.world
-    budget = config.step_cap - learn_steps
-    while exec_steps < budget and not goal_reached(world.pose, config.goal, config.epsilon_goal):
+    repertoire = [(behavior, predict(state.model, behavior)[0]) for behavior in chosen]
+
+    def closest_landing(pose) -> np.ndarray:
         landings = [
-            float(np.linalg.norm(world.pose + outcome - config.goal))
-            for _, outcome in repertoire
+            float(np.linalg.norm(pose + outcome - config.goal)) for _, outcome in repertoire
         ]
-        behavior, _ = repertoire[int(np.argmin(landings))]
-        world.execute(behavior)
-        exec_steps += 1
-    return RunRecord(
-        method=Method.EPISODIC_ITE,
-        learn_steps=learn_steps,
-        exec_steps=exec_steps,
-        total_steps=learn_steps + exec_steps,
-        reached=goal_reached(world.pose, config.goal, config.epsilon_goal),
-        seed=config.seed,
-        wall_time=time.perf_counter() - started,
-    )
+        return repertoire[int(np.argmin(landings))][0]
+
+    learn_steps = len(state.observations)
+    exec_steps = _drive(config, closest_landing, config.step_cap - learn_steps)
+    return _record(Method.EPISODIC_ITE, config, learn_steps, exec_steps)
 
 
 def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     """Pure uncertainty sampling: always try the behavior the model knows
     least about, for a fixed number of trials, then go with what was learned.
     Learning trials reset the pose and count as pure cost."""
-    started = time.perf_counter()
     state = _fresh_state(config, config.prior)
     start_pose = config.world.pose
     zero_reward = RewardFunction(eval=lambda _outcome: 0.0, description="uncertainty only")
     for _ in range(config.uncertainty_iterations):
         behavior, _ = select_next(config.candidates, state.model, zero_reward, config.acquisition)
-        observed = config.world.execute(behavior)
-        config.world.reset_pose(start_pose)
-        state.observations = state.observations.with_observation(behavior, observed)
-        state.model = fit(state.observations, config.kernel, config.prior)
-    learn_steps = config.uncertainty_iterations
-    exec_steps = _drive_greedy(config, state.model, config.step_cap - learn_steps)
-    return RunRecord(
-        method=Method.UNCERTAINTY,
-        learn_steps=learn_steps,
-        exec_steps=exec_steps,
-        total_steps=learn_steps + exec_steps,
-        reached=goal_reached(config.world.pose, config.goal, config.epsilon_goal),
-        seed=config.seed,
-        wall_time=time.perf_counter() - started,
-    )
+        _episodic_trial(state, behavior, start_pose)
+    learn_steps = len(state.observations)
+    greedy = partial(_greedy_behavior, config, state)
+    exec_steps = _drive(config, greedy, config.step_cap - learn_steps)
+    return _record(Method.UNCERTAINTY, config, learn_steps, exec_steps)
 
 
 _RUNNERS = {

@@ -32,11 +32,6 @@ class RewardFunction:
         return self.eval(outcome)
 
 
-def displacement_aggregator(pose_before, pose_after) -> np.ndarray:
-    """Generic outcome of one executed behavior: the relative displacement."""
-    return np.asarray(pose_after, dtype=float) - np.asarray(pose_before, dtype=float)
-
-
 @dataclass(frozen=True)
 class PlannerGrid:
     """Axis-aligned occupancy grid for waypoint planning.

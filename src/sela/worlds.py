@@ -130,25 +130,22 @@ class World:
         return true_displacement + noise
 
 
-def _point_robot_dynamics(behavior: np.ndarray) -> np.ndarray:
-    return point_robot_intact(float(behavior[0]))
+def point_robot_prior(x) -> np.ndarray:
+    """Intact point-robot model over 1-d behaviors: the GP prior mean, and
+    the dynamics of the point-robot world once damage has been applied."""
+    return point_robot_intact(float(np.atleast_1d(x)[0]))
 
 
 def make_point_robot_world(
     damage: Damage = None, noise_variance: float = 0.0, seed: int = 0, start=(0.0, 0.0)
 ) -> World:
-    return World(_point_robot_dynamics, damage, noise_variance, seed, start)
+    return World(point_robot_prior, damage, noise_variance, seed, start)
 
 
 def make_segment_walker_world(
     damage: Damage = None, noise_variance: float = 0.0, seed: int = 0, start=(0.0, 0.0)
 ) -> World:
     return World(segment_walker_model, damage, noise_variance, seed, start)
-
-
-def point_robot_prior(x) -> np.ndarray:
-    """Intact point-robot model as a GP prior mean over 1-d behaviors."""
-    return point_robot_intact(float(np.atleast_1d(x)[0]))
 
 
 def walker_descriptor(outcome) -> np.ndarray:

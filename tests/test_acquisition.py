@@ -9,9 +9,7 @@ import pytest
 from sela.acquisition import (
     AcquisitionConfig,
     CandidateSet,
-    CandidateSource,
     select_next,
-    ucb_score,
 )
 from sela.gp import Kernel, ObservationSet, fit, predict_batch, zero_prior
 from sela.reward import RewardFunction
@@ -30,14 +28,29 @@ def fitted_model(rng, t, noise=0.001):
 
 class TestUcbScore:
     def test_weighted_sum(self):
-        assert ucb_score(-0.5, 2.0, AcquisitionConfig(alpha=0.05)) == pytest.approx(-0.4)
+        # candidate 0 sits on the only observation: higher reward, lower
+        # sigma. The choice flips to candidate 1 exactly where
+        # alpha * (sigma_1 - sigma_0) passes reward_0 - reward_1.
+        candidates = CandidateSet(np.array([[0.0], [2.0]]))
+        observations = ObservationSet([[0.0]], [[1.0, 0.0]], 0.001)
+        model = fit(observations, Kernel(sigma=0.5), zero_prior(2))
+        means, variances = predict_batch(model, candidates.points)
+        reward_gap = means[0, 0] - means[1, 0]
+        sigma_gap = math.sqrt(2.0 * variances[1]) - math.sqrt(2.0 * variances[0])
+        reward = RewardFunction(lambda mean: float(mean[0]), "first coordinate")
+        below = AcquisitionConfig(alpha=0.99 * reward_gap / sigma_gap)
+        above = AcquisitionConfig(alpha=1.01 * reward_gap / sigma_gap)
+        assert select_next(candidates, model, reward, below)[1] == 0
+        assert select_next(candidates, model, reward, above)[1] == 1
 
     def test_alpha_zero_ignores_uncertainty(self):
-        assert ucb_score(1.25, 10.0, AcquisitionConfig(alpha=0.0)) == 1.25
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            ucb_score(0.0, -1.0, AcquisitionConfig())
+        rng = np.random.default_rng(4)
+        candidates = grid_candidates()
+        model = fitted_model(rng, 5)
+        reward = RewardFunction(lambda mean: float(mean[0]), "first coordinate")
+        means, _ = predict_batch(model, candidates.points)
+        _, index = select_next(candidates, model, reward, AcquisitionConfig(alpha=0.0))
+        assert index == int(np.argmax(means[:, 0]))
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -49,7 +62,6 @@ class TestCandidateSet:
         grid = CandidateSet.dense_theta_grid(360)
         thetas = grid.points[:, 0]
         assert len(grid) == 360
-        assert grid.source is CandidateSource.DENSE_GRID
         assert thetas.min() > -math.pi
         assert thetas.max() == pytest.approx(math.pi)
         # whole-degree grid: the diagonal and the axes are on it
@@ -58,11 +70,11 @@ class TestCandidateSet:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            CandidateSet(np.zeros((0, 1)), CandidateSource.DENSE_GRID)
+            CandidateSet(np.zeros((0, 1)))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            CandidateSet(np.array([[0.1], [0.1]]), CandidateSource.DENSE_GRID)
+            CandidateSet(np.array([[0.1], [0.1]]))
 
 
 class TestSelectNext:

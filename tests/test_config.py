@@ -54,11 +54,6 @@ class TestDefaults:
         text = "world = point_robot\nmax_adapt_iterations = 25"
         assert parse_config(text).adapt_iterations() == 25
 
-    def test_effective_dict_resolves_world_default(self):
-        effective = parse_config("world = segment_walker").effective_dict()
-        assert effective["max_adapt_iterations"] == 15
-        assert effective["methods"] == ("sela",)
-
 
 class TestParsing:
     def test_comments_and_blank_lines_ignored(self):
@@ -106,6 +101,21 @@ class TestErrors:
     def test_bad_float(self):
         with pytest.raises(ConfigError, match="line 2.*number"):
             parse_config("world = point_robot\nalpha = fast")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("goal_x", "inf"),
+            ("alpha", "inf"),
+            ("kernel_sigma", "inf"),
+            ("noise_variance", "inf"),
+            ("gp_noise", "nan"),
+            ("damage_offset", "-inf"),
+        ],
+    )
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"line 2: key '{key}' expects a finite number"):
+            parse_config(f"world = point_robot\n{key} = {value}")
 
     def test_bad_world_choice(self):
         with pytest.raises(ConfigError, match="line 1"):

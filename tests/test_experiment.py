@@ -27,7 +27,7 @@ from sela.worlds import AngleOffsetDamage, FrozenJointDamage
 
 
 def record(method=Method.SELA, learn=0, execute=28, reached=True, seed=0):
-    return RunRecord(method, learn, execute, learn + execute, reached, seed, 0.5)
+    return RunRecord(method, learn, execute, learn + execute, reached, seed)
 
 
 INTACT = ExperimentConfig(world="point_robot", noise_variance=0.0)
@@ -113,9 +113,9 @@ class TestCsvText:
         assert text.endswith("\n")
 
     def test_wall_ms_is_placeholder_zero(self):
-        # measured time lives on the record; the CSV stays byte-deterministic
-        slow = RunRecord(Method.SELA, 0, 28, 28, True, 0, 12.34)
-        assert runs_csv_text([slow], world="point_robot").splitlines()[1].endswith(",0")
+        # no wall clock reaches the CSV, so it stays byte-deterministic
+        run = RunRecord(Method.SELA, 0, 28, 28, True, 0)
+        assert runs_csv_text([run], world="point_robot").splitlines()[1].endswith(",0")
 
     def test_summary_rows(self):
         row = SummaryRow(Method.SELA, "total_steps", 17.5, 25.0, 32.5, 0.75)

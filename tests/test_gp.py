@@ -13,7 +13,6 @@ from sela.gp import (
     KernelFamily,
     ObservationSet,
     fit,
-    kernel_eval,
     kernel_matrix,
     predict,
     predict_batch,
@@ -47,24 +46,26 @@ class TestKernel:
     def test_self_similarity_is_one(self):
         for family in KernelFamily:
             kernel = Kernel(family, sigma=0.37)
-            assert kernel_eval(kernel, [0.4, -1.2], [0.4, -1.2]) == 1.0
+            assert kernel_matrix(kernel, [[0.4, -1.2]], [[0.4, -1.2]])[0, 0] == 1.0
 
     def test_squared_exponential_known_value(self):
         # r = 0.1 with sigma = 0.1 gives exp(-1/2)
-        assert kernel_eval(SQEXP, 0.0, 0.1) == pytest.approx(0.6065306597126334, rel=1e-12)
+        value = kernel_matrix(SQEXP, [0.0], [0.1])[0, 0]
+        assert value == pytest.approx(0.6065306597126334, rel=1e-12)
 
     def test_exponential_known_value(self):
         kernel = Kernel(KernelFamily.EXPONENTIAL, sigma=0.1)
-        assert kernel_eval(kernel, 0.0, 0.1) == pytest.approx(0.36787944117144233, rel=1e-12)
+        value = kernel_matrix(kernel, [0.0], [0.1])[0, 0]
+        assert value == pytest.approx(0.36787944117144233, rel=1e-12)
 
     def test_wrapped_angular_folds_the_circle(self):
         # 0.1 and 2*pi - 0.1 are 0.2 apart on the circle: exp(-2) under sq-exp
-        value = kernel_eval(WRAPPED, 0.1, 2.0 * math.pi - 0.1)
+        value = kernel_matrix(WRAPPED, [0.1], [2.0 * math.pi - 0.1])[0, 0]
         assert value == pytest.approx(0.1353352832366127, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            kernel_eval(SQEXP, [0.1], [0.1, 0.2])
+            kernel_matrix(SQEXP, [[0.1]], [[0.1, 0.2]])
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -75,11 +76,10 @@ class TestKernel:
         for family in KernelFamily:
             for distance in DistanceKind:
                 kernel = Kernel(family, sigma=0.3, distance=distance)
-                for _ in range(25):
-                    a, b = rng.normal(size=2)
-                    v1 = kernel_eval(kernel, a, b)
-                    assert v1 == kernel_eval(kernel, b, a)
-                    assert 0.0 < v1 <= 1.0
+                a, b = rng.normal(size=(2, 25))
+                values = kernel_matrix(kernel, a, b)
+                assert np.array_equal(values, kernel_matrix(kernel, b, a).T)
+                assert np.all((0.0 < values) & (values <= 1.0))
 
 
 class TestEmptyModel:

@@ -14,15 +14,14 @@ from sela.mission import (
     Method,
     MissionConfig,
     MissionState,
-    Phase,
     RunRecord,
     baseline_babbling,
     baseline_episodic_ite,
     baseline_uncertainty,
-    detect_drop,
     run_method,
     run_mission,
     sela_adapt,
+    window_error,
 )
 from sela.reward import PlannerGrid, build_waypoint_reward
 from sela.worlds import (
@@ -52,7 +51,6 @@ def point_config(
     step_cap=500,
     prior=point_robot_prior,
     adapt_iterations=10,
-    babble_prior=None,
 ):
     return MissionConfig(
         world=make_point_robot_world(damage, noise_variance, seed),
@@ -71,7 +69,6 @@ def point_config(
         seed=seed,
         rng=np.random.default_rng(seed),
         behavior_sampler=sample_point_robot_behavior,
-        babble_prior=babble_prior,
     )
 
 
@@ -80,27 +77,33 @@ def pair(error: float):
     return (np.zeros(2), np.array([error, 0.0]))
 
 
+def drops(recent, config=DropDetectorConfig()):
+    """The mission's drop check: window error strictly above the threshold."""
+    return window_error(recent, config.window) > config.threshold
+
+
 class TestDropDetector:
     def test_sustained_error_trips(self):
         recent = [pair(0.2), pair(0.2), pair(0.2)]
-        assert detect_drop(recent, DropDetectorConfig())
+        assert window_error(recent, 3) == pytest.approx(0.2)
+        assert drops(recent)
 
     def test_single_spike_does_not_trip(self):
         recent = [pair(0.2), pair(0.0), pair(0.0)]  # mean 0.0667
-        assert not detect_drop(recent, DropDetectorConfig())
+        assert not drops(recent)
 
     def test_only_last_window_counts(self):
         recent = [pair(1.0), pair(0.2), pair(0.0), pair(0.0)]
-        assert not detect_drop(recent, DropDetectorConfig(window=3))
-        assert detect_drop(recent, DropDetectorConfig(window=4))
+        assert not drops(recent, DropDetectorConfig(window=3))
+        assert drops(recent, DropDetectorConfig(window=4))
 
     def test_single_pair_window(self):
-        assert detect_drop([pair(0.2)], DropDetectorConfig())
-        assert not detect_drop([pair(0.1)], DropDetectorConfig())
+        assert drops([pair(0.2)])
+        assert not drops([pair(0.1)])
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            detect_drop([], DropDetectorConfig())
+            window_error([], 3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -112,15 +115,34 @@ class TestDropDetector:
 class TestRunRecord:
     def test_totals_must_add_up(self):
         with pytest.raises(ValueError):
-            RunRecord(Method.SELA, 3, 4, 8, True, 0, 0.0)
+            RunRecord(Method.SELA, 3, 4, 8, True, 0)
 
     def test_valid_record(self):
-        record = RunRecord(Method.SELA, 3, 4, 7, True, 0, 0.0)
+        record = RunRecord(Method.SELA, 3, 4, 7, True, 0)
         assert record.total_steps == 7
 
     def test_method_values_round_trip(self):
         for method in Method:
             assert Method(method.value) is method
+
+
+class TestMissionState:
+    def test_learn_refits_with_the_models_kernel_and_prior(self):
+        kernel = Kernel(KernelFamily.EXPONENTIAL, 0.3, DistanceKind.WRAPPED_ANGULAR)
+        observations = ObservationSet.empty(1, 2, 0.001)
+        state = MissionState(
+            world=make_point_robot_world(),
+            goal=np.array(GOAL),
+            epsilon_goal=0.1,
+            observations=observations,
+            model=fit(observations, kernel, damaged_prior),
+        )
+        state.learn([0.5], [0.0, 0.1])
+        assert len(state.observations) == 1
+        assert state.model.kernel is kernel
+        assert state.model.prior is damaged_prior
+        want = fit(state.observations, kernel, damaged_prior)
+        np.testing.assert_array_equal(state.model.prior_correction, want.prior_correction)
 
 
 class TestSelaAdapt:
@@ -133,25 +155,10 @@ class TestSelaAdapt:
             epsilon_goal=0.1,
             observations=observations,
             model=fit(observations, kernel, point_robot_prior),
-            step_cap=500,
-            phase=Phase.ADAPTING,
         )
 
     def reward_builder(self, grid):
         return lambda pose: build_waypoint_reward(grid, pose, np.array(GOAL), 2)
-
-    def test_requires_adapting_phase(self):
-        state = self.adapting_state(make_point_robot_world())
-        state.phase = Phase.NOMINAL
-        with pytest.raises(RuntimeError):
-            sela_adapt(
-                state,
-                CandidateSet.dense_theta_grid(),
-                AcquisitionConfig(0.05),
-                self.reward_builder(PlannerGrid.for_mission((0.0, 0.0), GOAL)),
-                5,
-                DropDetectorConfig(),
-            )
 
     def test_each_iteration_is_a_real_task_step(self):
         world = make_point_robot_world(AngleOffsetDamage(0.5), 0.01, seed=2)
@@ -258,14 +265,6 @@ class TestRunMission:
 
 
 class TestBaselineBabbling:
-    def test_perfect_prior_stops_after_one_babble(self):
-        config = point_config(babble_prior=point_robot_prior)
-        record = baseline_babbling(config)
-        assert record.method is Method.BABBLING
-        assert record.learn_steps == 1
-        assert record.exec_steps == DIRECT_STEPS
-        assert record.reached
-
     def test_babbles_reset_the_pose(self):
         config = point_config(damage=AngleOffsetDamage(0.5), noise_variance=0.01, seed=5)
         resets = []

@@ -10,7 +10,6 @@ from sela.reward import (
     UnreachableGoalError,
     astar,
     build_waypoint_reward,
-    displacement_aggregator,
     make_distance_reward,
     select_waypoint,
 )
@@ -37,18 +36,6 @@ def bfs_path_length(grid, start, goal):
 
 def free_grid(n=20):
     return PlannerGrid(cell_size=0.1, origin=(0.0, 0.0), shape=(n, n))
-
-
-class TestDisplacementAggregator:
-    def test_relative_displacement(self):
-        np.testing.assert_allclose(
-            displacement_aggregator([1.0, 1.0], [1.1, 1.0]), [0.1, 0.0]
-        )
-
-    def test_identical_poses_give_zero(self):
-        np.testing.assert_array_equal(
-            displacement_aggregator([0.3, -0.7], [0.3, -0.7]), [0.0, 0.0]
-        )
 
 
 class TestPlannerGrid:
