@@ -70,15 +70,18 @@ class AcquisitionConfig:
 def select_next(
     candidates: CandidateSet,
     model: GpModel,
-    reward: Callable[[np.ndarray], float],
+    reward: Callable[[np.ndarray], np.ndarray],
     config: AcquisitionConfig,
+    prior_means: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Behavior point and index maximizing the UCB score over the candidates."""
-    means, variances = predict_batch(model, candidates.points)
+    """Behavior point and index maximizing the UCB score over the candidates.
+
+    `reward` scores all posterior means in one call, (n, outcome_dim) ->
+    (n,). `prior_means` is the model's prior at the candidates, if the
+    caller already has it (see `predict_batch`).
+    """
+    means, variances = predict_batch(model, candidates.points, prior_means)
     sigma_agg = np.sqrt(means.shape[1] * variances)
-    scores = np.fromiter(
-        (reward(mean) for mean in means), dtype=float, count=len(means)
-    )
-    scores = scores + config.alpha * sigma_agg
+    scores = reward(means) + config.alpha * sigma_agg
     index = int(np.argmax(scores))
     return candidates.points[index].copy(), index

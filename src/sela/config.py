@@ -3,7 +3,9 @@
 Lines hold one assignment each; `#` starts a comment. Unknown keys are
 rejected with their line number so typos fail fast. Omitted keys fall back
 to the published defaults; the adaptation budget default depends on the
-world (10 for the point robot, 15 for the walker).
+world (10 for the point robot, 15 for the walker). Every float must be
+finite, and the goal must be near enough for a planner grid of at most
+`sela.reward.MAX_PLANNER_CELLS` cells.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from functools import partial
 from typing import Optional
 
 from .mission import Method
+from .reward import PlannerGrid
 
 WORLDS = ("point_robot", "segment_walker")
 DAMAGE_KINDS = ("none", "angle_offset", "frozen_joint")
@@ -77,12 +80,9 @@ def _parse_int(value: str, key: str, line_no: int) -> int:
 
 def _parse_float(value: str, key: str, line_no: int) -> float:
     try:
-        number = float(value)
+        return float(value)
     except ValueError:
         raise ConfigError(f"line {line_no}: key '{key}' expects a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"line {line_no}: key '{key}' expects a finite number, got {value!r}")
-    return number
 
 
 def _parse_text(value: str, key: str, line_no: int) -> str:
@@ -162,7 +162,18 @@ _LOWER_BOUNDS = [
 ]
 
 
-def _validate(config: ExperimentConfig) -> ExperimentConfig:
+def _validate(config: ExperimentConfig, lines: Optional[dict] = None) -> ExperimentConfig:
+    """Check value ranges; `lines` maps the keys set in a config text to their
+    line numbers, which then lead the error message."""
+
+    def fail(key: str, message: str):
+        where = f"line {lines[key]}: " if lines and key in lines else ""
+        raise ConfigError(f"{where}key '{key}' {message}")
+
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            fail(f.name, f"expects a finite number, got {value}")
     for key, bound, inclusive in _LOWER_BOUNDS:
         value = getattr(config, key)
         if value is None:
@@ -170,7 +181,14 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         ok = value >= bound if inclusive else value > bound
         if not ok:
             relation = "at least" if inclusive else "greater than"
-            raise ConfigError(f"key '{key}' must be {relation} {bound}, got {value}")
+            fail(key, f"must be {relation} {bound}, got {value}")
+    try:
+        # every world starts at the origin
+        PlannerGrid.for_mission(
+            (0.0, 0.0), (config.goal_x, config.goal_y), config.cell_size, config.planner_margin
+        )
+    except ValueError as exc:
+        raise ConfigError(f"keys 'goal_x', 'goal_y', 'cell_size', 'planner_margin': {exc}") from None
     return config
 
 
@@ -195,7 +213,7 @@ def parse_config(text: str) -> ExperimentConfig:
         assigned[key] = _PARSERS[key](value, key, line_no)
     if "world" not in assigned:
         raise ConfigError("missing required key 'world'")
-    return _validate(ExperimentConfig(**assigned))
+    return _validate(ExperimentConfig(**assigned), seen_lines)
 
 
 def parse_config_file(path) -> ExperimentConfig:

@@ -165,9 +165,13 @@ def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpMod
     """Factorize the kernel matrix and precompute the prior correction.
 
     Legal with zero observations: predictions then revert to the prior with
-    unit variance. Exact duplicate inputs with zero noise variance are
-    rejected up front because jitter would only mask the singular matrix.
+    unit variance. Non-finite inputs or outputs, and exact duplicate inputs
+    with zero noise variance, are rejected up front: the first would spread
+    NaN through the posterior, and jitter would only mask the second's
+    singular matrix.
     """
+    if not (np.isfinite(observations.inputs).all() and np.isfinite(observations.outputs).all()):
+        raise GpFitError("observation inputs and outputs must be finite")
     t = len(observations)
     if t == 0:
         return GpModel(
@@ -208,20 +212,24 @@ def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpMod
     )
 
 
-def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
+def predict_batch(
+    model: GpModel, points, prior_means: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means (n, outcome_dim) and the per-point variance (n,).
 
     The variance is shared across output dimensions since they use the same
-    inputs and kernel.
+    inputs and kernel. `prior_means`, when given, must equal
+    `prior_values(model.prior, points)`; callers that query a fixed point
+    set pass it to skip re-evaluating the prior.
     """
     pts = _as_points(points)
     if len(model.observations) > 0 and pts.shape[1] != model.behavior_dim:
         raise ValueError(
             f"behavior dimension mismatch: query {pts.shape[1]} vs model {model.behavior_dim}"
         )
-    means = prior_values(model.prior, pts)
+    means = prior_values(model.prior, pts) if prior_means is None else prior_means
     if len(model.observations) == 0:
-        return means, np.ones(len(pts))
+        return means.copy(), np.ones(len(pts))
     cross = kernel_matrix(model.kernel, model.observations.inputs, pts)  # (t, n)
     means = means + cross.T @ model.prior_correction
     half = solve_triangular(model.chol, cross, lower=True, check_finite=False)

@@ -14,6 +14,10 @@ The baselines keep learning and execution episodic: each learning trial
 cost, and only then does the robot drive to the goal with what it learned.
 All four methods share the same learning step (`MissionState.learn`), the
 same driving loop (`_drive`) and the same record builder (`_record`).
+
+The candidate set, planner grid and goal stay fixed for a whole mission, so
+the prior at the candidates is evaluated once per mission and the A*
+waypoint once per start cell (both kept on `MissionState`).
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import gp
 from .acquisition import AcquisitionConfig, CandidateSet, select_next
 from .gp import GpModel, Kernel, ObservationSet, PriorMean, fit, predict, zero_prior
 from .reward import PlannerGrid, RewardFunction, build_waypoint_reward
@@ -75,6 +80,10 @@ class MissionState:
     step_count: int = 0
     adapt_iterations: int = 0
     recent: deque = field(default_factory=lambda: deque(maxlen=3))
+    # The model's prior at the mission's candidates, (n, outcome_dim).
+    candidate_prior: Optional[np.ndarray] = None
+    # Waypoint cell per A* start cell; see build_waypoint_reward.
+    waypoint_cells: dict = field(default_factory=dict)
 
     def at_goal(self) -> bool:
         return goal_reached(self.world.pose, self.goal, self.epsilon_goal)
@@ -142,18 +151,27 @@ def _fresh_state(config: MissionConfig, prior: PriorMean) -> MissionState:
         observations=observations,
         model=fit(observations, config.kernel, prior),
         recent=deque(maxlen=config.drop.window),
+        # through the gp module, so wrappers of gp.prior_values see the call
+        candidate_prior=gp.prior_values(prior, config.candidates.points),
     )
 
 
-def _waypoint_reward(config: MissionConfig, pose) -> RewardFunction:
-    return build_waypoint_reward(config.grid, pose, config.goal, config.lookahead_cells)
+def _waypoint_reward(config: MissionConfig, state: MissionState, pose) -> RewardFunction:
+    return build_waypoint_reward(
+        config.grid, pose, config.goal, config.lookahead_cells, state.waypoint_cells
+    )
+
+
+def _select(config: MissionConfig, state: MissionState, reward, acquisition) -> np.ndarray:
+    behavior, _ = select_next(
+        config.candidates, state.model, reward, acquisition, state.candidate_prior
+    )
+    return behavior
 
 
 def _greedy_behavior(config: MissionConfig, state: MissionState, pose) -> np.ndarray:
     """Behavior whose predicted outcome best approaches the next waypoint."""
-    reward = _waypoint_reward(config, pose)
-    behavior, _ = select_next(config.candidates, state.model, reward, _GREEDY)
-    return behavior
+    return _select(config, state, _waypoint_reward(config, state, pose), _GREEDY)
 
 
 def _drive(config: MissionConfig, choose: Callable[[np.ndarray], np.ndarray], budget: int) -> int:
@@ -185,19 +203,21 @@ def sela_adapt(
     reward_builder: Callable[[np.ndarray], RewardFunction],
     max_iterations: int,
     drop: DropDetectorConfig,
+    prior_means: Optional[np.ndarray] = None,
 ) -> MissionState:
     """Adaptation burst: learn while still making task progress.
 
     Each iteration refreshes the waypoint reward for the current pose, picks
     a behavior by UCB, executes it for real, and refits the model on the new
     observation. Stops on goal, on recovery (window error back under the
-    drop threshold), or after max_iterations.
+    drop threshold), or after max_iterations. `prior_means` is the model's
+    prior at the candidates, if already known.
     """
     for _ in range(max_iterations):
         if state.at_goal():
             break
         reward = reward_builder(state.world.pose)
-        behavior, _ = select_next(candidates, state.model, reward, acquisition)
+        behavior, _ = select_next(candidates, state.model, reward, acquisition, prior_means)
         predicted, _ = predict(state.model, behavior)
         observed = state.world.execute(behavior)
         state.learn(behavior, observed)
@@ -223,9 +243,10 @@ def run_mission(config: MissionConfig) -> RunRecord:
                 state,
                 config.candidates,
                 config.acquisition,
-                lambda pose: _waypoint_reward(config, pose),
+                partial(_waypoint_reward, config, state),
                 min(config.max_adapt_iterations, config.step_cap - state.step_count),
                 config.drop,
+                state.candidate_prior,
             )
     learn_steps = state.adapt_iterations
     return _record(Method.SELA, config, learn_steps, state.step_count - learn_steps)
@@ -284,13 +305,13 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
     chosen = []
     for direction in EPISODIC_DIRECTIONS:
         reward = RewardFunction(
-            eval=lambda outcome, d=direction: float(np.dot(outcome, d)),
+            eval=lambda outcomes, d=direction: np.vecdot(outcomes, d),
             description=f"projection onto direction ({direction[0]:g}, {direction[1]:g})",
         )
         best_projection = -np.inf
         best_behavior = None
         for _ in range(config.max_adapt_iterations):
-            behavior, _ = select_next(config.candidates, state.model, reward, config.acquisition)
+            behavior = _select(config, state, reward, config.acquisition)
             observed = _episodic_trial(state, behavior, start_pose)
             projection = float(np.dot(observed, direction))
             if projection > best_projection:
@@ -321,9 +342,11 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     Learning trials reset the pose and count as pure cost."""
     state = _fresh_state(config, config.prior)
     start_pose = config.world.pose
-    zero_reward = RewardFunction(eval=lambda _outcome: 0.0, description="uncertainty only")
+    zero_reward = RewardFunction(
+        eval=lambda outcomes: np.zeros(len(outcomes)), description="uncertainty only"
+    )
     for _ in range(config.uncertainty_iterations):
-        behavior, _ = select_next(config.candidates, state.model, zero_reward, config.acquisition)
+        behavior = _select(config, state, zero_reward, config.acquisition)
         _episodic_trial(state, behavior, start_pose)
     learn_steps = len(state.observations)
     greedy = partial(_greedy_behavior, config, state)

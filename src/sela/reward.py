@@ -3,8 +3,8 @@
 The mission-level goal is decoupled from the model: the model predicts a
 relative displacement for each behavior, and a per-step reward scores that
 displacement by how close it brings the robot to a waypoint. The waypoint
-comes from an A* path over a coarse occupancy grid, recomputed every step
-from the current pose.
+comes from an A* path over a coarse occupancy grid from the current pose's
+cell. Rewards score a whole batch of outcomes in one call.
 """
 
 from __future__ import annotations
@@ -16,6 +16,10 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+# Largest planner grid, in cells, that `PlannerGrid.for_mission` builds. A*
+# on a free grid of this size takes about 0.1 s per call.
+MAX_PLANNER_CELLS = 250_000
+
 
 class UnreachableGoalError(RuntimeError):
     """No grid path exists from the current pose to the goal."""
@@ -23,13 +27,14 @@ class UnreachableGoalError(RuntimeError):
 
 @dataclass(frozen=True)
 class RewardFunction:
-    """Scalar score over predicted outcomes, with a human-readable label."""
+    """Scores a batch of predicted outcomes, (n, outcome_dim) -> (n,), with a
+    human-readable label."""
 
-    eval: Callable[[np.ndarray], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     description: str
 
-    def __call__(self, outcome) -> float:
-        return self.eval(outcome)
+    def __call__(self, outcomes) -> np.ndarray:
+        return self.eval(outcomes)
 
 
 @dataclass(frozen=True)
@@ -64,14 +69,19 @@ class PlannerGrid:
 
         The origin is snapped so cell centers land on integer multiples of
         cell_size; a start or goal on such a multiple sits exactly on a
-        center.
+        center. Grids of more than MAX_PLANNER_CELLS cells are rejected.
         """
         start = np.asarray(start, dtype=float)
         goal = np.asarray(goal, dtype=float)
         lo = np.minimum(start, goal) - margin
         hi = np.maximum(start, goal) + margin
         origin = (np.floor(lo / cell_size - 0.5) + 0.5) * cell_size
-        shape = np.ceil((hi - origin) / cell_size).astype(int)
+        shape = np.ceil((hi - origin) / cell_size)
+        if not np.prod(shape) <= MAX_PLANNER_CELLS:  # also false for nan
+            raise ValueError(
+                f"planner grid of {shape[0]:g} x {shape[1]:g} cells exceeds the "
+                f"limit of {MAX_PLANNER_CELLS} cells"
+            )
         return cls(
             cell_size=cell_size,
             origin=(float(origin[0]), float(origin[1])),
@@ -186,13 +196,15 @@ def select_waypoint(
 
 
 def make_distance_reward(waypoint, current_pose) -> RewardFunction:
-    """Reward a candidate displacement g by -|| (pose + g) - waypoint ||."""
+    """Reward each candidate displacement g by -|| (pose + g) - waypoint ||."""
     waypoint = np.asarray(waypoint, dtype=float)
     pose = np.asarray(current_pose, dtype=float)
 
-    def score(outcome) -> float:
-        landing = pose + np.asarray(outcome, dtype=float)
-        return -float(np.linalg.norm(landing - waypoint))
+    def score(outcomes) -> np.ndarray:
+        diff = (pose + np.asarray(outcomes, dtype=float)) - waypoint
+        # vecdot runs the BLAS dot that np.linalg.norm uses on one vector, so
+        # each score equals the per-row norm bit for bit and argmax ties hold
+        return -np.sqrt(np.vecdot(diff, diff))
 
     return RewardFunction(
         eval=score,
@@ -205,20 +217,30 @@ def build_waypoint_reward(
     pose,
     goal,
     lookahead_cells: int = 2,
+    waypoint_cells: Optional[dict] = None,
 ) -> RewardFunction:
     """Per-step reward refresh: plan pose -> goal, chase the lookahead waypoint.
 
     When the waypoint lands on the goal cell the exact goal point is used
     instead of the cell center, so the final approach aims at the true goal.
+
+    The path starts at the pose's cell, so the waypoint cell depends only on
+    that start cell once grid, goal and lookahead are fixed. Passing the same
+    `waypoint_cells` dict for all of them (one mission) memoizes it per start
+    cell, and A* runs once per distinct start cell.
     """
     if lookahead_cells < 1:
         raise ValueError("lookahead_cells must be at least 1")
     goal = np.asarray(goal, dtype=float)
     start_cell = grid.cell_of(pose)
     goal_cell = grid.cell_of(goal)
-    path = astar(grid, start_cell, goal_cell)
-    if path is None:
-        raise UnreachableGoalError(f"no grid path from cell {start_cell} to cell {goal_cell}")
-    cell = _waypoint_cell(grid, path, pose, lookahead_cells)
+    if waypoint_cells is None:
+        waypoint_cells = {}
+    cell = waypoint_cells.get(start_cell)
+    if cell is None:
+        path = astar(grid, start_cell, goal_cell)
+        if path is None:
+            raise UnreachableGoalError(f"no grid path from cell {start_cell} to cell {goal_cell}")
+        cell = waypoint_cells[start_cell] = _waypoint_cell(grid, path, pose, lookahead_cells)
     waypoint = goal if cell == goal_cell else grid.center(cell)
     return make_distance_reward(waypoint, pose)

@@ -11,8 +11,9 @@ from sela.acquisition import (
     CandidateSet,
     select_next,
 )
-from sela.gp import Kernel, ObservationSet, fit, predict_batch, zero_prior
-from sela.reward import RewardFunction
+from sela.gp import Kernel, ObservationSet, fit, predict_batch, prior_values, zero_prior
+from sela.reward import RewardFunction, make_distance_reward
+from sela.worlds import point_robot_prior
 
 
 def grid_candidates(n=24):
@@ -37,7 +38,7 @@ class TestUcbScore:
         means, variances = predict_batch(model, candidates.points)
         reward_gap = means[0, 0] - means[1, 0]
         sigma_gap = math.sqrt(2.0 * variances[1]) - math.sqrt(2.0 * variances[0])
-        reward = RewardFunction(lambda mean: float(mean[0]), "first coordinate")
+        reward = RewardFunction(lambda means: means[:, 0], "first coordinate")
         below = AcquisitionConfig(alpha=0.99 * reward_gap / sigma_gap)
         above = AcquisitionConfig(alpha=1.01 * reward_gap / sigma_gap)
         assert select_next(candidates, model, reward, below)[1] == 0
@@ -47,7 +48,7 @@ class TestUcbScore:
         rng = np.random.default_rng(4)
         candidates = grid_candidates()
         model = fitted_model(rng, 5)
-        reward = RewardFunction(lambda mean: float(mean[0]), "first coordinate")
+        reward = RewardFunction(lambda means: means[:, 0], "first coordinate")
         means, _ = predict_batch(model, candidates.points)
         _, index = select_next(candidates, model, reward, AcquisitionConfig(alpha=0.0))
         assert index == int(np.argmax(means[:, 0]))
@@ -83,7 +84,7 @@ class TestSelectNext:
         # uncertainty bonus is constant and the reward decides
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(36)
-        reward = RewardFunction(lambda g: -float(abs(g[0])), "test")
+        reward = RewardFunction(lambda g: -np.abs(g[:, 0]), "test")
         _, idx_ucb = select_next(candidates, model, reward, AcquisitionConfig(0.05))
         _, idx_greedy = select_next(candidates, model, reward, AcquisitionConfig(0.0))
         assert idx_ucb == idx_greedy
@@ -92,8 +93,8 @@ class TestSelectNext:
         rng = np.random.default_rng(21)
         model = fitted_model(rng, 6)
         candidates = grid_candidates(48)
-        base = RewardFunction(lambda g: float(g[0] - 0.3 * g[1]), "base")
-        shifted = RewardFunction(lambda g: float(g[0] - 0.3 * g[1]) + 11.5, "shifted")
+        base = RewardFunction(lambda g: g[:, 0] - 0.3 * g[:, 1], "base")
+        shifted = RewardFunction(lambda g: (g[:, 0] - 0.3 * g[:, 1]) + 11.5, "shifted")
         config = AcquisitionConfig(0.05)
         _, idx_a = select_next(candidates, model, base, config)
         _, idx_b = select_next(candidates, model, shifted, config)
@@ -102,7 +103,7 @@ class TestSelectNext:
     def test_ties_break_to_lowest_index(self):
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(12)
-        flat = RewardFunction(lambda g: 0.0, "flat")
+        flat = RewardFunction(lambda g: np.zeros(len(g)), "flat")
         behavior, index = select_next(candidates, model, flat, AcquisitionConfig(0.05))
         assert index == 0
         assert behavior[0] == candidates.points[0, 0]
@@ -111,7 +112,7 @@ class TestSelectNext:
         rng = np.random.default_rng(3)
         model = fitted_model(rng, 8)
         candidates = grid_candidates(90)
-        reward = RewardFunction(lambda g: float(g[1]), "north")
+        reward = RewardFunction(lambda g: g[:, 1], "north")
         picks = {select_next(candidates, model, reward, AcquisitionConfig(0.05))[1] for _ in range(5)}
         assert len(picks) == 1
 
@@ -121,8 +122,24 @@ class TestSelectNext:
         x_seen = candidates.points[4]
         obs = ObservationSet(x_seen[None, :], np.array([[1.0, 1.0]]), 0.001)
         model = fit(obs, Kernel(sigma=0.5), zero_prior(2))
-        flat = RewardFunction(lambda g: 0.0, "flat")
+        flat = RewardFunction(lambda g: np.zeros(len(g)), "flat")
         _, index = select_next(candidates, model, flat, AcquisitionConfig(alpha=1.0))
         _, variances = predict_batch(model, candidates.points)
         assert variances[index] == pytest.approx(variances.max())
         assert index != 4
+
+    def test_cached_candidate_prior_gives_the_same_choice(self):
+        rng = np.random.default_rng(8)
+        candidates = grid_candidates(360)
+        inputs = rng.uniform(-math.pi, math.pi, size=(12, 1))
+        observations = ObservationSet(inputs, rng.normal(scale=0.1, size=(12, 2)), 0.001)
+        model = fit(observations, Kernel(sigma=0.1), point_robot_prior)
+        cached = prior_values(point_robot_prior, candidates.points)
+        for _ in range(20):
+            reward = make_distance_reward(rng.normal(size=2), rng.normal(size=2))
+            for alpha in (0.0, 0.05):
+                config = AcquisitionConfig(alpha)
+                fresh = select_next(candidates, model, reward, config)
+                reused = select_next(candidates, model, reward, config, cached)
+                assert reused[1] == fresh[1]
+                np.testing.assert_array_equal(reused[0], fresh[0])

@@ -1,5 +1,8 @@
 """Parsing and validation of the flat `key = value` experiment files."""
 
+import math
+import time
+
 import pytest
 
 from sela.config import (
@@ -133,6 +136,24 @@ class TestErrors:
         with pytest.raises(ConfigError, match="cell_size"):
             parse_config("world = point_robot\ncell_size = 0")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["goal_x = 1e6", "goal_y = -1e6", "goal_x = 60\ngoal_y = 60", "cell_size = 1e-4"],
+    )
+    def test_oversized_planner_grid_fails_fast(self, text):
+        started = time.perf_counter()
+        with pytest.raises(ConfigError, match="'goal_x', 'goal_y', 'cell_size'.*exceeds"):
+            parse_config(f"world = point_robot\n{text}")
+        assert time.perf_counter() - started < 1.0
+
+    def test_override_to_a_far_goal_rejected(self):
+        with pytest.raises(ConfigError, match="exceeds"):
+            with_overrides(parse_config("world = segment_walker"), goal_x=1e6)
+
+    def test_planner_grid_limit_leaves_room_for_far_goals(self):
+        config = parse_config("world = point_robot\ngoal_x = 40\ngoal_y = 40")
+        assert (config.goal_x, config.goal_y) == (40.0, 40.0)
+
     def test_zero_replicates_rejected(self):
         with pytest.raises(ConfigError, match="replicates"):
             parse_config("world = point_robot\nreplicates = 0")
@@ -150,6 +171,21 @@ class TestOverrides:
         base = parse_config("world = point_robot")
         with pytest.raises(ConfigError):
             with_overrides(base, replicates=0)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"goal_x": math.inf, "alpha": math.inf},
+            {"alpha": math.inf},
+            {"gp_noise": math.nan},
+            {"damage_offset": -math.inf},
+        ],
+    )
+    def test_override_rejects_non_finite_floats(self, changes):
+        base = parse_config("world = point_robot")
+        key = next(iter(changes))
+        with pytest.raises(ConfigError, match=f"key '{key}' expects a finite number"):
+            with_overrides(base, **changes)
 
     def test_direct_construction_has_same_defaults(self):
         assert ExperimentConfig(world="point_robot") == parse_config("world = point_robot")

@@ -16,6 +16,7 @@ from sela.gp import (
     kernel_matrix,
     predict,
     predict_batch,
+    prior_values,
     zero_prior,
 )
 
@@ -197,11 +198,37 @@ class TestPosteriorProperties:
             assert var == pytest.approx(0.0, abs=1e-6)
 
 
+class TestCachedPrior:
+    @pytest.mark.parametrize("t", [0, 1, 7])
+    def test_passing_the_prior_at_the_points_changes_nothing(self, t):
+        rng = np.random.default_rng(t)
+        prior = lambda x: np.array([np.sin(x[0]), np.cos(x[0])])
+        observations = ObservationSet(rng.uniform(-3, 3, size=(t, 1)), rng.normal(size=(t, 2)), 0.001)
+        model = fit(observations, WRAPPED, prior)
+        points = rng.uniform(-3, 3, size=(50, 1))
+        cached = prior_values(prior, points)
+        fresh = predict_batch(model, points)
+        reused = predict_batch(model, points, cached)
+        np.testing.assert_array_equal(reused[0], fresh[0])
+        np.testing.assert_array_equal(reused[1], fresh[1])
+        reused[0][:] = 0.0   # the caller's cached prior is not handed out
+        assert np.array_equal(cached, prior_values(prior, points))
+
+
 class TestFitErrors:
     def test_duplicate_inputs_without_noise_rejected(self):
         obs = ObservationSet(np.array([[0.5], [0.5]]), np.array([[1.0], [2.0]]), 0.0)
         with pytest.raises(GpFitError, match="duplicate"):
             fit(obs, SQEXP, zero_prior(1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["inputs", "outputs"])
+    def test_non_finite_observations_rejected(self, where, bad):
+        inputs = np.array([[0.1], [0.5], [0.9]])
+        outputs = np.array([[0.1, 0.0], [0.0, 0.1], [0.1, 0.1]])
+        {"inputs": inputs, "outputs": outputs}[where][1, 0] = bad
+        with pytest.raises(GpFitError, match="finite"):
+            fit(ObservationSet(inputs, outputs, 0.001), Kernel(sigma=0.5), zero_prior(2))
 
     def test_duplicates_fine_with_noise(self):
         obs = ObservationSet(np.array([[0.5], [0.5]]), np.array([[1.0], [2.0]]), 0.001)

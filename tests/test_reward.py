@@ -1,11 +1,15 @@
 """Waypoint rewards and grid planning, checked against a BFS oracle."""
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sela.reward import (
+    MAX_PLANNER_CELLS,
     PlannerGrid,
     UnreachableGoalError,
     astar,
@@ -55,6 +59,13 @@ class TestPlannerGrid:
         grid = free_grid(10)
         assert grid.cell_of((-5.0, 0.05)) == (0, 0)
         assert grid.cell_of((99.0, 99.0)) == (9, 9)
+
+    def test_oversized_mission_grid_rejected(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            PlannerGrid.for_mission((0.0, 0.0), (1e6, 0.0))
+        side = math.isqrt(MAX_PLANNER_CELLS) * 0.1 - 2.1   # just fits
+        grid = PlannerGrid.for_mission((0.0, 0.0), (side, side))
+        assert grid.shape[0] * grid.shape[1] <= MAX_PLANNER_CELLS
 
 
 class TestAstar:
@@ -136,11 +147,22 @@ class TestSelectWaypoint:
         np.testing.assert_allclose(waypoint, grid.center((3, 3)))
 
 
+def score(reward, outcome) -> float:
+    """Reward of one outcome through the batch interface."""
+    scores = reward(np.asarray(outcome, dtype=float)[None, :])
+    assert scores.shape == (1,)
+    return float(scores[0])
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+points = st.tuples(finite, finite)
+
+
 class TestDistanceReward:
     def test_known_values(self):
         reward = make_distance_reward([1.0, 0.0], [0.0, 0.0])
-        assert reward(np.array([0.9, 0.0])) == pytest.approx(-0.1)
-        assert reward(np.array([1.0, 0.0])) == 0.0
+        assert score(reward, [0.9, 0.0]) == pytest.approx(-0.1)
+        assert score(reward, [1.0, 0.0]) == 0.0
 
     def test_maximized_by_exact_gap(self):
         rng = np.random.default_rng(31)
@@ -149,9 +171,41 @@ class TestDistanceReward:
             waypoint = rng.normal(size=2)
             reward = make_distance_reward(waypoint, pose)
             exact = waypoint - pose
-            assert reward(exact) == pytest.approx(0.0, abs=1e-12)
-            for _ in range(10):
-                assert reward(exact + rng.normal(scale=0.1, size=2)) <= 1e-12
+            assert score(reward, exact) == pytest.approx(0.0, abs=1e-12)
+            assert np.all(reward(exact + rng.normal(scale=0.1, size=(10, 2))) <= 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(waypoint=points, pose=points, outcomes=st.lists(points, min_size=1, max_size=40))
+    def test_batch_equals_per_row_norm_bit_for_bit(self, waypoint, pose, outcomes):
+        outcomes = np.array(outcomes)
+        scores = make_distance_reward(waypoint, pose)(outcomes)
+        per_row = [
+            -float(np.linalg.norm(np.asarray(pose) + row - np.asarray(waypoint)))
+            for row in outcomes
+        ]
+        np.testing.assert_array_equal(scores, per_row)
+
+    def test_batch_equals_per_row_norm_on_candidate_shaped_outcomes(self):
+        # the shapes a mission scores: unit-step displacements around a pose
+        rng = np.random.default_rng(5)
+        thetas = rng.uniform(-np.pi, np.pi, size=5000)
+        outcomes = 0.1 * np.column_stack([np.cos(thetas), np.sin(thetas)])
+        outcomes += rng.normal(scale=0.01, size=outcomes.shape)
+        pose, waypoint = rng.normal(size=2), rng.normal(size=2)
+        scores = make_distance_reward(waypoint, pose)(outcomes)
+        per_row = [-float(np.linalg.norm(pose + row - waypoint)) for row in outcomes]
+        np.testing.assert_array_equal(scores, per_row)
+
+
+class TestProjectionReward:
+    @settings(max_examples=200, deadline=None)
+    @given(direction=points, outcomes=st.lists(points, min_size=1, max_size=40))
+    def test_vecdot_equals_per_row_dot_bit_for_bit(self, direction, outcomes):
+        # the episodic baseline's reward: projection onto a task direction
+        direction = np.array(direction)
+        outcomes = np.array(outcomes)
+        per_row = [float(np.dot(row, direction)) for row in outcomes]
+        np.testing.assert_array_equal(np.vecdot(outcomes, direction), per_row)
 
 
 class TestBuildWaypointReward:
@@ -160,21 +214,22 @@ class TestBuildWaypointReward:
         reward = build_waypoint_reward(grid, (0.0, 0.0), (2.0, 2.0), lookahead_cells=2)
         # diagonal goal: the best unit step is the diagonal one
         step = 0.1 / np.sqrt(2.0)
-        assert reward(np.array([step, step])) > reward(np.array([0.1, 0.0]))
-        assert reward(np.array([step, step])) > reward(np.array([0.0, 0.1]))
+        diagonal, east, north = reward(np.array([[step, step], [0.1, 0.0], [0.0, 0.1]]))
+        assert diagonal > east
+        assert diagonal > north
 
     def test_goal_cell_uses_exact_goal_point(self):
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
         pose = np.array([1.93, 1.93])
         reward = build_waypoint_reward(grid, pose, (2.0, 2.0), lookahead_cells=2)
         gap = np.array([2.0, 2.0]) - pose
-        assert reward(gap) == 0.0
+        assert score(reward, gap) == 0.0
 
     def test_pose_at_goal_cell_rewards_zero_remainder(self):
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
         pose = np.array([1.98, 2.01])
         reward = build_waypoint_reward(grid, pose, (2.0, 2.0), lookahead_cells=2)
-        assert reward(np.array([0.02, -0.01])) == pytest.approx(0.0, abs=1e-12)
+        assert score(reward, [0.02, -0.01]) == pytest.approx(0.0, abs=1e-12)
 
     def test_blocked_straight_line_detours(self):
         free_grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 0.0))
@@ -185,10 +240,10 @@ class TestBuildWaypointReward:
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 0.0), blocked=blocked)
         free = build_waypoint_reward(free_grid, (0.0, 0.0), (2.0, 0.0), lookahead_cells=2)
         detour = build_waypoint_reward(grid, (0.0, 0.0), (2.0, 0.0), lookahead_cells=2)
-        straight = np.array([0.1, 0.0])
-        climb = np.array([0.0, 0.1])
-        assert free(straight) > free(climb)
-        assert detour(climb) > detour(straight)
+        straight = [0.1, 0.0]
+        climb = [0.0, 0.1]
+        assert score(free, straight) > score(free, climb)
+        assert score(detour, climb) > score(detour, straight)
 
     def test_unreachable_goal_raises(self):
         ring = {(x, y) for x in range(9, 12) for y in range(9, 12)} - {(10, 10)}
@@ -196,3 +251,57 @@ class TestBuildWaypointReward:
         goal = grid.center((10, 10))
         with pytest.raises(UnreachableGoalError):
             build_waypoint_reward(grid, (0.05, 0.05), goal)
+
+    def test_memoized_waypoint_equals_fresh_for_every_start_cell(self):
+        start, goal = (0.0, 0.0), (1.0, 0.6)
+        free = PlannerGrid.for_mission(start, goal, margin=0.5)
+        goal_cell = free.cell_of(goal)
+        # an L-shaped wall across the direct route, and a scatter of blocks
+        blocked = {(goal_cell[0] - 3, y) for y in range(1, free.shape[1])}
+        blocked |= {(x, 2) for x in range(goal_cell[0] - 3, goal_cell[0])}
+        blocked |= {
+            (x, y)
+            for x in range(free.shape[0])
+            for y in range(free.shape[1])
+            if (x * 7 + y * 3) % 11 == 0
+        }
+        blocked -= {free.cell_of(start), goal_cell}
+        grid = PlannerGrid.for_mission(start, goal, margin=0.5, blocked=blocked)
+        # noise keeps the pose inside its cell, so the memo sees new poses
+        rng = np.random.default_rng(2)
+        for lookahead in (1, 2, 5):
+            memo = {}
+            for _ in range(2):   # the second pass is served from the memo
+                for ix in range(grid.shape[0]):
+                    for iy in range(grid.shape[1]):
+                        if (ix, iy) in grid.blocked:
+                            continue
+                        pose = grid.center((ix, iy)) + rng.uniform(-0.04, 0.04, size=2)
+                        try:
+                            fresh = build_waypoint_reward(grid, pose, goal, lookahead)
+                        except UnreachableGoalError:
+                            with pytest.raises(UnreachableGoalError):
+                                build_waypoint_reward(grid, pose, goal, lookahead, memo)
+                            continue
+                        memoized = build_waypoint_reward(grid, pose, goal, lookahead, memo)
+                        assert memoized.description == fresh.description
+                        probes = rng.normal(scale=0.1, size=(8, 2))
+                        np.testing.assert_array_equal(memoized(probes), fresh(probes))
+        assert memo
+
+    def test_astar_runs_once_per_start_cell(self, monkeypatch):
+        import sela.reward
+
+        calls = []
+        real_astar = sela.reward.astar
+
+        def counting_astar(grid, start, goal):
+            calls.append(start)
+            return real_astar(grid, start, goal)
+
+        monkeypatch.setattr(sela.reward, "astar", counting_astar)
+        grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
+        memo = {}
+        for pose in ([0.0, 0.0], [0.01, 0.02], [0.0, 0.0], [0.5, 0.5], [0.52, 0.48]):
+            build_waypoint_reward(grid, pose, (2.0, 2.0), 2, memo)
+        assert calls == [grid.cell_of((0.0, 0.0)), grid.cell_of((0.5, 0.5))]
