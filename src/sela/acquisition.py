@@ -73,14 +73,16 @@ def select_next(
     reward: Callable[[np.ndarray], np.ndarray],
     config: AcquisitionConfig,
     prior_means: np.ndarray | None = None,
+    cross: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Behavior point and index maximizing the UCB score over the candidates.
 
     `reward` scores all posterior means in one call, (n, outcome_dim) ->
-    (n,). `prior_means` is the model's prior at the candidates, if the
-    caller already has it (see `predict_batch`).
+    (n,). `prior_means` is the model's prior at the candidates and `cross`
+    the kernel between its inputs and the candidates, if the caller already
+    has them (see `predict_batch`).
     """
-    means, variances = predict_batch(model, candidates.points, prior_means)
+    means, variances = predict_batch(model, candidates.points, prior_means, cross)
     sigma_agg = np.sqrt(means.shape[1] * variances)
     scores = reward(means) + config.alpha * sigma_agg
     index = int(np.argmax(scores))

@@ -115,7 +115,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (ArchiveFormatError, FileNotFoundError, OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # notes name the failed replicate, see run_experiment
+        print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n  ", file=sys.stderr)
         return 2
 
 

@@ -4,23 +4,29 @@ Lines hold one assignment each; `#` starts a comment. Unknown keys are
 rejected with their line number so typos fail fast. Omitted keys fall back
 to the published defaults; the adaptation budget default depends on the
 world (10 for the point robot, 15 for the walker). Every float must be
-finite, and the goal must be near enough for a planner grid of at most
-`sela.reward.MAX_PLANNER_CELLS` cells.
+finite, each damage kind must suit the world (`angle_offset` the point
+robot, `frozen_joint` the walker), and the goal must be near enough for a
+planner grid of at most `sela.reward.MAX_PLANNER_CELLS` cells. The same
+checks (`validate`) run on configs built directly or through
+`with_overrides`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from typing import Optional
 
 from .mission import Method
 from .reward import PlannerGrid
+from .worlds import WALKER_JOINTS
 
 WORLDS = ("point_robot", "segment_walker")
 DAMAGE_KINDS = ("none", "angle_offset", "frozen_joint")
 KERNEL_FAMILIES = ("squared_exponential", "exponential")
+
+# The one world each damage kind applies to.
+DAMAGE_WORLD = {"angle_offset": "point_robot", "frozen_joint": "segment_walker"}
 
 # World-dependent default for max_adapt_iterations.
 ADAPT_ITERATIONS_BY_WORLD = {"point_robot": 10, "segment_walker": 15}
@@ -89,14 +95,6 @@ def _parse_text(value: str, key: str, line_no: int) -> str:
     return value
 
 
-def _parse_choice(value: str, key: str, line_no: int, choices) -> str:
-    if value not in choices:
-        raise ConfigError(
-            f"line {line_no}: key '{key}' expects one of {', '.join(choices)}, got {value!r}"
-        )
-    return value
-
-
 def _parse_methods(value: str, key: str, line_no: int) -> tuple[Method, ...]:
     names = [part.strip() for part in value.split(",") if part.strip()]
     if not names:
@@ -116,8 +114,9 @@ def _parse_methods(value: str, key: str, line_no: int) -> tuple[Method, ...]:
 # Keys whose value must name one of a fixed set of choices.
 _CHOICES = {"world": WORLDS, "damage": DAMAGE_KINDS, "kernel_family": KERNEL_FAMILIES}
 
-# Value parser per field annotation, for every other key.
+# Value parser per field annotation; the choice keys are checked by validate.
 _PARSE_BY_TYPE = {
+    "str": _parse_text,
     "int": _parse_int,
     "Optional[int]": _parse_int,
     "float": _parse_float,
@@ -126,14 +125,7 @@ _PARSE_BY_TYPE = {
 }
 
 # One parser per ExperimentConfig field; the field names are the known keys.
-_PARSERS = {
-    f.name: (
-        partial(_parse_choice, choices=_CHOICES[f.name])
-        if f.name in _CHOICES
-        else _PARSE_BY_TYPE[f.type]
-    )
-    for f in fields(ExperimentConfig)
-}
+_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
 # (key, bound, inclusive) checked after parsing.
 _LOWER_BOUNDS = [
@@ -162,14 +154,19 @@ _LOWER_BOUNDS = [
 ]
 
 
-def _validate(config: ExperimentConfig, lines: Optional[dict] = None) -> ExperimentConfig:
-    """Check value ranges; `lines` maps the keys set in a config text to their
-    line numbers, which then lead the error message."""
+def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> ExperimentConfig:
+    """Check choices, value ranges and that the damage suits the world;
+    `lines` maps the keys set in a config text to their line numbers, which
+    then lead the error message."""
 
     def fail(key: str, message: str):
         where = f"line {lines[key]}: " if lines and key in lines else ""
         raise ConfigError(f"{where}key '{key}' {message}")
 
+    for key, choices in _CHOICES.items():
+        value = getattr(config, key)
+        if value not in choices:
+            fail(key, f"expects one of {', '.join(choices)}, got {value!r}")
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
@@ -182,6 +179,11 @@ def _validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experim
         if not ok:
             relation = "at least" if inclusive else "greater than"
             fail(key, f"must be {relation} {bound}, got {value}")
+    if config.damage_joint >= WALKER_JOINTS:
+        fail("damage_joint", f"must be below {WALKER_JOINTS}, got {config.damage_joint}")
+    world = DAMAGE_WORLD.get(config.damage, config.world)
+    if world != config.world:
+        fail("damage", f"{config.damage!r} needs world {world!r}, got {config.world!r}")
     try:
         # every world starts at the origin
         PlannerGrid.for_mission(
@@ -213,7 +215,7 @@ def parse_config(text: str) -> ExperimentConfig:
         assigned[key] = _PARSERS[key](value, key, line_no)
     if "world" not in assigned:
         raise ConfigError("missing required key 'world'")
-    return _validate(ExperimentConfig(**assigned), seen_lines)
+    return validate(ExperimentConfig(**assigned), seen_lines)
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -222,4 +224,4 @@ def parse_config_file(path) -> ExperimentConfig:
 
 
 def with_overrides(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    return _validate(replace(config, **changes))
+    return validate(replace(config, **changes))

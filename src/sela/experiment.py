@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import AcquisitionConfig, CandidateSet
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, validate
 from .gp import DistanceKind, Kernel, KernelFamily
 from .map_elites import Archive, ArchivePrior, illuminate, load_archive
 from .mission import (
@@ -153,7 +153,13 @@ def build_mission_config(
 def run_experiment(
     config: ExperimentConfig, out_dir=None, archive: Archive | None = None
 ) -> tuple[list[RunRecord], list[SummaryRow]]:
-    """Run methods x replicates sequentially; optionally persist both CSVs."""
+    """Run methods x replicates sequentially; optionally persist both CSVs.
+
+    The config is validated first, so a directly built one fails here rather
+    than inside a mission. An exception from a replicate propagates with a
+    note naming its method and seed.
+    """
+    validate(config)
     if config.world == "segment_walker" and archive is None:
         if config.archive_path is None:
             raise ConfigError("segment_walker experiments need 'archive_path'")
@@ -162,8 +168,12 @@ def run_experiment(
     for method in config.methods:
         for replicate in range(config.replicates):
             seed = config.base_seed + replicate
-            mission = build_mission_config(config, seed, archive)
-            records.append(run_method(method, mission))
+            try:
+                mission = build_mission_config(config, seed, archive)
+                records.append(run_method(method, mission))
+            except Exception as exc:
+                exc.add_note(f"in the {method.value} replicate with seed {seed}")
+                raise
     summary = compute_summary(records)
     if out_dir is not None:
         write_results(records, summary, out_dir, world=config.world)

@@ -10,6 +10,10 @@ Predictions follow the prior-correction form
 
 where P is the prior mean and K carries the modeled sampling noise on its
 diagonal. With a zero prior this is plain GP regression.
+
+A model keeps k(X, X) and P(X), so refitting after one more observation
+(`fit(..., previous=model)`) evaluates the kernel and the prior only at the
+new input. The factorization itself is redone from scratch each time.
 """
 
 from __future__ import annotations
@@ -155,13 +159,20 @@ class GpModel:
     prior: PriorMean
     chol: np.ndarray                # (t, t) lower Cholesky factor of K
     prior_correction: np.ndarray    # (t, outcome_dim), equals K^-1 (Y - P(X))
+    gram: np.ndarray                # (t, t) k(X, X), K without the noise
+    prior_at_inputs: np.ndarray     # (t, outcome_dim) P(X)
 
     @property
     def behavior_dim(self) -> int:
         return self.observations.inputs.shape[1]
 
 
-def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpModel:
+def fit(
+    observations: ObservationSet,
+    kernel: Kernel,
+    prior: PriorMean,
+    previous: GpModel | None = None,
+) -> GpModel:
     """Factorize the kernel matrix and precompute the prior correction.
 
     Legal with zero observations: predictions then revert to the prior with
@@ -169,8 +180,15 @@ def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpMod
     with zero noise variance, are rejected up front: the first would spread
     NaN through the posterior, and jitter would only mask the second's
     singular matrix.
+
+    `previous`, when given, is a model fitted with the same kernel and prior
+    on a strict prefix of these observations. Its Gram matrix and prior
+    values are reused, so the kernel and the prior are evaluated only at the
+    new inputs. The Cholesky factor and the solve are still computed on the
+    whole matrix, so the result is bit-identical to a fit from scratch.
     """
-    if not (np.isfinite(observations.inputs).all() and np.isfinite(observations.outputs).all()):
+    inputs = observations.inputs
+    if not (np.isfinite(inputs).all() and np.isfinite(observations.outputs).all()):
         raise GpFitError("observation inputs and outputs must be finite")
     t = len(observations)
     if t == 0:
@@ -180,20 +198,44 @@ def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpMod
             prior=prior,
             chol=np.zeros((0, 0)),
             prior_correction=np.zeros((0, observations.outputs.shape[1])),
+            gram=np.zeros((0, 0)),
+            prior_at_inputs=np.zeros((0, observations.outputs.shape[1])),
         )
     if observations.noise_variance == 0.0:
-        _, counts = np.unique(observations.inputs, axis=0, return_counts=True)
+        _, counts = np.unique(inputs, axis=0, return_counts=True)
         if np.any(counts > 1):
             raise GpFitError(
                 "duplicate observation inputs with zero noise variance make "
                 "the kernel matrix singular"
             )
-    gram = kernel_matrix(kernel, observations.inputs, observations.inputs)
-    gram[np.diag_indices_from(gram)] += observations.noise_variance
+    if previous is None:
+        gram = kernel_matrix(kernel, inputs, inputs)
+        prior_at_inputs = prior_values(prior, inputs)
+    else:
+        k = len(previous.observations)
+        if not (
+            k < t
+            and previous.kernel == kernel
+            and previous.prior is prior
+            and np.array_equal(previous.observations.inputs, inputs[:k])
+        ):
+            raise ValueError(
+                "previous model must be fitted with the same kernel and prior "
+                "on a strict prefix of the observations"
+            )
+        new_rows = kernel_matrix(kernel, inputs[k:], inputs)   # (t - k, t)
+        gram = np.empty((t, t))
+        gram[:k, :k] = previous.gram
+        gram[k:] = new_rows
+        gram[:k, k:] = new_rows[:, :k].T
+        new_prior = prior_values(prior, inputs[k:])
+        prior_at_inputs = np.concatenate([previous.prior_at_inputs, new_prior])
+    diagonal = np.diag_indices_from(gram)
+    gram[diagonal] += observations.noise_variance
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        gram[np.diag_indices_from(gram)] += JITTER
+        gram[diagonal] += JITTER
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
@@ -201,7 +243,10 @@ def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpMod
                 f"kernel matrix not positive definite (t={t}, "
                 f"noise_variance={observations.noise_variance}, kernel={kernel})"
             ) from exc
-    residuals = observations.outputs - prior_values(prior, observations.inputs)
+    # back to k(X, X) in place instead of factorizing a copy: k(x, x) is
+    # exactly 1 for every kernel here
+    gram[diagonal] = 1.0
+    residuals = observations.outputs - prior_at_inputs
     correction = cho_solve((chol, True), residuals, check_finite=False)
     return GpModel(
         kernel=kernel,
@@ -209,18 +254,25 @@ def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpMod
         prior=prior,
         chol=chol,
         prior_correction=correction,
+        gram=gram,
+        prior_at_inputs=prior_at_inputs,
     )
 
 
 def predict_batch(
-    model: GpModel, points, prior_means: np.ndarray | None = None
+    model: GpModel,
+    points,
+    prior_means: np.ndarray | None = None,
+    cross: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means (n, outcome_dim) and the per-point variance (n,).
 
     The variance is shared across output dimensions since they use the same
     inputs and kernel. `prior_means`, when given, must equal
-    `prior_values(model.prior, points)`; callers that query a fixed point
-    set pass it to skip re-evaluating the prior.
+    `prior_values(model.prior, points)`, and `cross` must equal
+    `kernel_matrix(model.kernel, model.observations.inputs, points)`;
+    callers that query a fixed point set pass them to skip re-evaluating
+    the prior and the kernel.
     """
     pts = _as_points(points)
     if len(model.observations) > 0 and pts.shape[1] != model.behavior_dim:
@@ -230,7 +282,8 @@ def predict_batch(
     means = prior_values(model.prior, pts) if prior_means is None else prior_means
     if len(model.observations) == 0:
         return means.copy(), np.ones(len(pts))
-    cross = kernel_matrix(model.kernel, model.observations.inputs, pts)  # (t, n)
+    if cross is None:
+        cross = kernel_matrix(model.kernel, model.observations.inputs, pts)  # (t, n)
     means = means + cross.T @ model.prior_correction
     half = solve_triangular(model.chol, cross, lower=True, check_finite=False)
     variances = 1.0 - np.einsum("ij,ij->j", half, half)

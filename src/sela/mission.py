@@ -15,9 +15,11 @@ cost, and only then does the robot drive to the goal with what it learned.
 All four methods share the same learning step (`MissionState.learn`), the
 same driving loop (`_drive`) and the same record builder (`_record`).
 
-The candidate set, planner grid and goal stay fixed for a whole mission, so
-the prior at the candidates is evaluated once per mission and the A*
-waypoint once per start cell (both kept on `MissionState`).
+The candidate set, planner grid and goal stay fixed for a whole mission, and
+the observations only grow. So the prior at the candidates is evaluated once
+per mission, the kernel between the inputs and the candidates gains one row
+per observation, each refit extends the previous model's Gram matrix, and
+the A* waypoint is found once per start cell (all kept on `MissionState`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import gp
 from .acquisition import AcquisitionConfig, CandidateSet, select_next
-from .gp import GpModel, Kernel, ObservationSet, PriorMean, fit, predict, zero_prior
+from .gp import GpModel, Kernel, ObservationSet, PriorMean, fit, kernel_matrix, predict, zero_prior
 from .reward import PlannerGrid, RewardFunction, build_waypoint_reward
 from .worlds import World, goal_reached
 
@@ -80,18 +82,34 @@ class MissionState:
     step_count: int = 0
     adapt_iterations: int = 0
     recent: deque = field(default_factory=lambda: deque(maxlen=3))
-    # The model's prior at the mission's candidates, (n, outcome_dim).
-    candidate_prior: Optional[np.ndarray] = None
+    # The mission's candidates; when set, the two caches below are kept.
+    candidates: Optional[CandidateSet] = None
+    # The model's prior at the candidates, (n, outcome_dim).
+    candidate_prior: Optional[np.ndarray] = field(default=None, init=False)
+    # kernel_matrix(kernel, observations.inputs, candidates), (t, n).
+    candidate_cross: Optional[np.ndarray] = field(default=None, init=False)
     # Waypoint cell per A* start cell; see build_waypoint_reward.
     waypoint_cells: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.candidates is not None:
+            points, model = self.candidates.points, self.model
+            # through the gp module, so wrappers of gp.prior_values see the call
+            self.candidate_prior = gp.prior_values(model.prior, points)
+            self.candidate_cross = kernel_matrix(model.kernel, self.observations.inputs, points)
 
     def at_goal(self) -> bool:
         return goal_reached(self.world.pose, self.goal, self.epsilon_goal)
 
     def learn(self, behavior, observed) -> None:
-        """Add one observation and refit with the model's own kernel and prior."""
+        """Add one observation and refit from the current model, with its own
+        kernel and prior; the cross-kernel at the candidates gains one row."""
         self.observations = self.observations.with_observation(behavior, observed)
-        self.model = fit(self.observations, self.model.kernel, self.model.prior)
+        model = self.model
+        if self.candidates is not None:
+            row = kernel_matrix(model.kernel, self.observations.inputs[-1:], self.candidates.points)
+            self.candidate_cross = np.vstack([self.candidate_cross, row])
+        self.model = fit(self.observations, model.kernel, model.prior, previous=model)
 
 
 @dataclass(frozen=True)
@@ -151,8 +169,7 @@ def _fresh_state(config: MissionConfig, prior: PriorMean) -> MissionState:
         observations=observations,
         model=fit(observations, config.kernel, prior),
         recent=deque(maxlen=config.drop.window),
-        # through the gp module, so wrappers of gp.prior_values see the call
-        candidate_prior=gp.prior_values(prior, config.candidates.points),
+        candidates=config.candidates,
     )
 
 
@@ -162,16 +179,20 @@ def _waypoint_reward(config: MissionConfig, state: MissionState, pose) -> Reward
     )
 
 
-def _select(config: MissionConfig, state: MissionState, reward, acquisition) -> np.ndarray:
-    behavior, _ = select_next(
-        config.candidates, state.model, reward, acquisition, state.candidate_prior
-    )
+def _select(state: MissionState, candidates: CandidateSet, reward, acquisition) -> np.ndarray:
+    """UCB choice over `candidates`, reusing the state's prior and
+    cross-kernel caches when they are the mission's own candidates."""
+    if candidates is state.candidates:
+        caches = (state.candidate_prior, state.candidate_cross)
+    else:
+        caches = (None, None)
+    behavior, _ = select_next(candidates, state.model, reward, acquisition, *caches)
     return behavior
 
 
 def _greedy_behavior(config: MissionConfig, state: MissionState, pose) -> np.ndarray:
     """Behavior whose predicted outcome best approaches the next waypoint."""
-    return _select(config, state, _waypoint_reward(config, state, pose), _GREEDY)
+    return _select(state, config.candidates, _waypoint_reward(config, state, pose), _GREEDY)
 
 
 def _drive(config: MissionConfig, choose: Callable[[np.ndarray], np.ndarray], budget: int) -> int:
@@ -203,21 +224,20 @@ def sela_adapt(
     reward_builder: Callable[[np.ndarray], RewardFunction],
     max_iterations: int,
     drop: DropDetectorConfig,
-    prior_means: Optional[np.ndarray] = None,
 ) -> MissionState:
     """Adaptation burst: learn while still making task progress.
 
     Each iteration refreshes the waypoint reward for the current pose, picks
     a behavior by UCB, executes it for real, and refits the model on the new
     observation. Stops on goal, on recovery (window error back under the
-    drop threshold), or after max_iterations. `prior_means` is the model's
-    prior at the candidates, if already known.
+    drop threshold), or after max_iterations. When `candidates` are the
+    state's own, its per-mission caches are used.
     """
     for _ in range(max_iterations):
         if state.at_goal():
             break
         reward = reward_builder(state.world.pose)
-        behavior, _ = select_next(candidates, state.model, reward, acquisition, prior_means)
+        behavior = _select(state, candidates, reward, acquisition)
         predicted, _ = predict(state.model, behavior)
         observed = state.world.execute(behavior)
         state.learn(behavior, observed)
@@ -246,7 +266,6 @@ def run_mission(config: MissionConfig) -> RunRecord:
                 partial(_waypoint_reward, config, state),
                 min(config.max_adapt_iterations, config.step_cap - state.step_count),
                 config.drop,
-                state.candidate_prior,
             )
     learn_steps = state.adapt_iterations
     return _record(Method.SELA, config, learn_steps, state.step_count - learn_steps)
@@ -311,7 +330,7 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
         best_projection = -np.inf
         best_behavior = None
         for _ in range(config.max_adapt_iterations):
-            behavior = _select(config, state, reward, config.acquisition)
+            behavior = _select(state, config.candidates, reward, config.acquisition)
             observed = _episodic_trial(state, behavior, start_pose)
             projection = float(np.dot(observed, direction))
             if projection > best_projection:
@@ -346,7 +365,7 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
         eval=lambda outcomes: np.zeros(len(outcomes)), description="uncertainty only"
     )
     for _ in range(config.uncertainty_iterations):
-        behavior = _select(config, state, zero_reward, config.acquisition)
+        behavior = _select(state, config.candidates, zero_reward, config.acquisition)
         _episodic_trial(state, behavior, start_pose)
     learn_steps = len(state.observations)
     greedy = partial(_greedy_behavior, config, state)

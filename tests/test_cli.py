@@ -2,8 +2,10 @@
 
 import pytest
 
+from sela import experiment
 from sela.cli import main
 from sela.experiment import RUNS_HEADER, SUMMARY_HEADER
+from sela.reward import UnreachableGoalError
 
 INTACT_CFG = """\
 world = point_robot
@@ -80,6 +82,16 @@ class TestRun:
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "archive_path" in capsys.readouterr().err
+
+    def test_failed_replicate_is_named_in_the_error(self, tmp_path, capsys, monkeypatch):
+        def unreachable(method, mission):
+            raise UnreachableGoalError("no path to the goal")
+
+        monkeypatch.setattr(experiment, "run_method", unreachable)
+        cfg = write_cfg(tmp_path, DAMAGED_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no path to the goal\n  in the sela replicate with seed 0\n"
 
 
 class TestBuildArchive:

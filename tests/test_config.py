@@ -11,6 +11,7 @@ from sela.config import (
     ExperimentConfig,
     parse_config,
     parse_config_file,
+    validate,
     with_overrides,
 )
 from sela.mission import Method
@@ -154,6 +155,24 @@ class TestErrors:
         config = parse_config("world = point_robot\ngoal_x = 40\ngoal_y = 40")
         assert (config.goal_x, config.goal_y) == (40.0, 40.0)
 
+    @pytest.mark.parametrize(
+        "world, damage, needs",
+        [
+            ("point_robot", "frozen_joint", "segment_walker"),
+            ("segment_walker", "angle_offset", "point_robot"),
+        ],
+    )
+    def test_damage_must_suit_the_world(self, world, damage, needs):
+        message = f"line 2: key 'damage' '{damage}' needs world '{needs}'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"world = {world}\ndamage = {damage}")
+
+    def test_damage_joint_must_name_a_walker_joint(self):
+        text = "world = segment_walker\ndamage = frozen_joint\ndamage_joint = {}"
+        with pytest.raises(ConfigError, match="line 3: key 'damage_joint' must be below 4, got 7"):
+            parse_config(text.format(7))
+        assert parse_config(text.format(3)).damage_joint == 3
+
     def test_zero_replicates_rejected(self):
         with pytest.raises(ConfigError, match="replicates"):
             parse_config("world = point_robot\nreplicates = 0")
@@ -186,6 +205,21 @@ class TestOverrides:
         key = next(iter(changes))
         with pytest.raises(ConfigError, match=f"key '{key}' expects a finite number"):
             with_overrides(base, **changes)
+
+    def test_override_to_a_damage_of_another_world_rejected(self):
+        with pytest.raises(ConfigError, match="key 'damage' 'angle_offset' needs world"):
+            with_overrides(parse_config("world = segment_walker"), damage="angle_offset")
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"world": "mars"}, "world"),
+            ({"world": "point_robot", "kernel_family": "matern"}, "kernel_family"),
+        ],
+    )
+    def test_validate_checks_choices_of_direct_construction(self, kwargs, key):
+        with pytest.raises(ConfigError, match=f"^key '{key}' expects one of"):
+            validate(ExperimentConfig(**kwargs))
 
     def test_direct_construction_has_same_defaults(self):
         assert ExperimentConfig(world="point_robot") == parse_config("world = point_robot")

@@ -1,8 +1,11 @@
 """Experiment harness: seeded assembly, CSV persistence, and summaries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sela import experiment
 from sela.config import ConfigError, ExperimentConfig
 from sela.experiment import (
     RUNS_HEADER,
@@ -194,6 +197,38 @@ class TestRunExperiment:
         )
         records, _ = run_experiment(config)
         assert [r.seed for r in records] == [40, 41, 42]
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (ExperimentConfig(world="point_robot", goal_x=float("inf")), "goal_x"),
+            (ExperimentConfig(world="mars"), "world"),
+            (ExperimentConfig(world="point_robot", damage="frozen_joint"), "damage"),
+        ],
+    )
+    def test_direct_construction_is_validated_before_the_first_mission(
+        self, config, key, monkeypatch
+    ):
+        def no_mission(*args):
+            raise AssertionError("a mission was built")
+
+        monkeypatch.setattr(experiment, "build_mission_config", no_mission)
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            run_experiment(config)
+
+    def test_failed_replicate_names_its_method_and_seed(self, monkeypatch):
+        run_method = experiment.run_method
+
+        def failing_on_seed_41(method, mission):
+            if method is Method.BABBLING and mission.seed == 41:
+                raise ZeroDivisionError("boom")
+            return run_method(method, mission)
+
+        monkeypatch.setattr(experiment, "run_method", failing_on_seed_41)
+        config = replace(DAMAGED, methods=(Method.SELA, Method.BABBLING), base_seed=40)
+        with pytest.raises(ZeroDivisionError, match="boom") as caught:
+            run_experiment(config)
+        assert caught.value.__notes__ == ["in the babbling replicate with seed 41"]
 
     def test_walker_needs_archive_path_or_archive(self):
         with pytest.raises(ConfigError, match="archive_path"):

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sela.gp import (
     DistanceKind,
+    JITTER,
     GpFitError,
     Kernel,
     KernelFamily,
@@ -246,3 +249,122 @@ class TestFitErrors:
         model = fit(obs, Kernel(sigma=0.3), zero_prior(2))
         with pytest.raises(ValueError, match="dimension"):
             predict(model, np.zeros(3))
+
+
+def sine_prior(x):
+    return np.array([np.sin(x).sum(), np.cos(2.0 * x).sum()])
+
+
+def grow(observations, kernel, prior):
+    """Models fitted one observation at a time, each from the previous one."""
+    inputs = observations.inputs
+    empty = ObservationSet.empty(inputs.shape[1], 2, observations.noise_variance)
+    model = fit(empty, kernel, prior)
+    models = []
+    for t in range(1, len(observations) + 1):
+        prefix = ObservationSet(inputs[:t], observations.outputs[:t], observations.noise_variance)
+        model = fit(prefix, kernel, prior, previous=model)
+        models.append(model)
+    return models
+
+
+def assert_same_model(grown, scratch):
+    for name in ("chol", "prior_correction", "gram", "prior_at_inputs"):
+        np.testing.assert_array_equal(getattr(grown, name), getattr(scratch, name), err_msg=name)
+
+
+class TestIncrementalFit:
+    """`fit(..., previous=model)` reuses the previous Gram matrix and prior
+    values; every array must equal a fit from scratch bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        behavior_dim=st.sampled_from([1, 4]),
+        family=st.sampled_from(list(KernelFamily)),
+        distance=st.sampled_from(list(DistanceKind)),
+        sigma=st.sampled_from([0.1, 0.45]),
+        with_prior=st.booleans(),
+        noise=st.sampled_from([0.001, 0.05, 0.0]),
+        t=st.integers(1, 14),
+        twin=st.sampled_from([None, 0.0, 1e-12]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_growing_one_observation_at_a_time_matches_scratch(
+        self, behavior_dim, family, distance, sigma, with_prior, noise, t, twin, seed
+    ):
+        # `twin` appends a copy of the first input (rejected without noise)
+        # or a near copy (needs the jitter without noise)
+        rng = np.random.default_rng(seed)
+        kernel = Kernel(family, sigma, distance)
+        prior = sine_prior if with_prior else zero_prior(2)
+        inputs = rng.uniform(-np.pi, np.pi, size=(t, behavior_dim))
+        if twin is not None:
+            inputs = np.vstack([inputs, inputs[0] + twin])
+        observations = ObservationSet(inputs, rng.normal(size=(len(inputs), 2)), noise)
+        points = rng.uniform(-np.pi, np.pi, size=(30, behavior_dim))
+        cross = np.zeros((0, len(points)))
+        model = fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, prior)
+        for end in range(1, len(inputs) + 1):
+            prefix = ObservationSet(inputs[:end], observations.outputs[:end], noise)
+            try:
+                scratch = fit(prefix, kernel, prior)
+            except GpFitError:
+                with pytest.raises(GpFitError):
+                    fit(prefix, kernel, prior, previous=model)
+                return
+            model = fit(prefix, kernel, prior, previous=model)
+            assert_same_model(model, scratch)
+            cross = np.vstack([cross, kernel_matrix(kernel, inputs[end - 1 : end], points)])
+            want = predict_batch(scratch, points)
+            for got in (predict_batch(model, points), predict_batch(model, points, None, cross)):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("behavior_dim", [1, 4])
+    def test_jitter_path_matches_scratch(self, behavior_dim):
+        # two inputs 1e-12 apart: k = 1 exactly, so only the jitter makes
+        # the noiseless matrix factorizable
+        rng = np.random.default_rng(behavior_dim)
+        inputs = rng.uniform(-1, 1, size=(4, behavior_dim))
+        inputs = np.vstack([inputs, inputs[1] + 1e-12])
+        observations = ObservationSet(inputs, rng.normal(size=(5, 2)), 0.0)
+        grown = grow(observations, SQEXP, sine_prior)[-1]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(grown.gram)
+        np.linalg.cholesky(grown.gram + JITTER * np.eye(5))
+        assert_same_model(grown, fit(observations, SQEXP, sine_prior))
+
+    def test_duplicate_without_noise_rejected_when_grown(self):
+        inputs = np.array([[0.1], [0.7], [0.1]])
+        observations = ObservationSet(inputs, np.zeros((3, 2)), 0.0)
+        with pytest.raises(GpFitError, match="duplicate"):
+            grow(observations, SQEXP, zero_prior(2))
+
+    def test_prior_evaluated_only_at_the_new_input(self):
+        seen = []
+
+        def counting_prior(x):
+            seen.append(x.copy())
+            return sine_prior(x)
+
+        rng = np.random.default_rng(4)
+        observations = ObservationSet(rng.normal(size=(6, 1)), rng.normal(size=(6, 2)), 0.001)
+        grow(observations, SQEXP, counting_prior)
+        np.testing.assert_array_equal(np.array(seen), observations.inputs)
+
+    @pytest.mark.parametrize(
+        "change",
+        ["kernel", "prior", "inputs", "same_length"],
+    )
+    def test_previous_must_be_a_prefix_fit(self, change):
+        rng = np.random.default_rng(8)
+        observations = ObservationSet(rng.normal(size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
+        head = ObservationSet(observations.inputs[:3], observations.outputs[:3], 0.001)
+        previous = {
+            "kernel": fit(head, Kernel(sigma=0.3), zero_prior(2)),
+            "prior": fit(head, SQEXP, sine_prior),
+            "inputs": fit(ObservationSet(head.inputs + 1.0, head.outputs, 0.001), SQEXP, zero_prior(2)),
+            "same_length": fit(observations, SQEXP, zero_prior(2)),
+        }[change]
+        with pytest.raises(ValueError, match="prefix"):
+            fit(observations, SQEXP, zero_prior(2), previous=previous)

@@ -76,6 +76,24 @@ class TestIlluminate:
         illuminate(evaluator, budget=250, seed=1, lower=[-1, -1, -1], upper=[1, 1, 1], grid_shape=(5, 5))
         assert len(calls) == 250
 
+    @pytest.mark.parametrize(
+        "descriptor, performance",
+        [((np.nan, 0.5), 1.0), ((0.5, np.inf), 1.0), ((0.5, 0.5), np.nan), ((0.5, 0.5), -np.inf)],
+    )
+    def test_non_finite_evaluation_rejected(self, descriptor, performance):
+        evaluator, calls = self.evaluator_calls()
+
+        def breaks_at_130(behavior):
+            result = evaluator(behavior)
+            if len(calls) == 131:
+                return np.array(descriptor), performance, result[2]
+            return result
+
+        with pytest.raises(ValueError, match="evaluation 130: evaluator returned a non-finite"):
+            illuminate(
+                breaks_at_130, budget=250, seed=1, lower=[-1] * 3, upper=[1] * 3, grid_shape=(5, 5)
+            )
+
     def test_budget_equal_to_initial_batch_is_pure_random_search(self):
         evaluator, calls = self.evaluator_calls()
         archive = illuminate(

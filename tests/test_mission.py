@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from sela.acquisition import AcquisitionConfig, CandidateSet
-from sela.gp import DistanceKind, Kernel, KernelFamily, ObservationSet, fit
+from sela import mission
+from sela.gp import (
+    DistanceKind,
+    Kernel,
+    KernelFamily,
+    ObservationSet,
+    fit,
+    kernel_matrix,
+    prior_values,
+)
 from sela.mission import (
     DropDetectorConfig,
     Method,
@@ -143,6 +152,33 @@ class TestMissionState:
         assert state.model.prior is damaged_prior
         want = fit(state.observations, kernel, damaged_prior)
         np.testing.assert_array_equal(state.model.prior_correction, want.prior_correction)
+
+
+    def test_per_mission_caches_match_a_fresh_computation(self, monkeypatch):
+        # after a SELA run and a babbling run, the cross-kernel, Gram matrix
+        # and prior values grown one observation at a time equal the ones
+        # computed from the final inputs
+        states = []
+        fresh_state = mission._fresh_state
+
+        def recording_fresh_state(*args):
+            states.append(fresh_state(*args))
+            return states[-1]
+
+        monkeypatch.setattr(mission, "_fresh_state", recording_fresh_state)
+        config = point_config(damage=AngleOffsetDamage(0.5), noise_variance=0.01, seed=3)
+        assert run_mission(config).learn_steps > 1
+        babbling = point_config(damage=AngleOffsetDamage(0.5), seed=3)
+        assert baseline_babbling(babbling).learn_steps > 1
+        for state in states:
+            inputs = state.observations.inputs
+            points = state.candidates.points
+            kernel, prior = state.model.kernel, state.model.prior
+            want_cross = kernel_matrix(kernel, inputs, points)
+            np.testing.assert_array_equal(state.candidate_cross, want_cross)
+            np.testing.assert_array_equal(state.model.gram, kernel_matrix(kernel, inputs, inputs))
+            np.testing.assert_array_equal(state.model.prior_at_inputs, prior_values(prior, inputs))
+            np.testing.assert_array_equal(state.candidate_prior, prior_values(prior, points))
 
 
 class TestSelaAdapt:
