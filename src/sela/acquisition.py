@@ -16,6 +16,10 @@ import numpy as np
 
 from .gp import GpModel, predict_batch
 
+# Largest dense direction grid: one cross-kernel row per observation is then
+# at most 80 KB.
+MAX_CANDIDATES = 10_000
+
 
 @dataclass(frozen=True)
 class CandidateSet:
@@ -43,8 +47,8 @@ class CandidateSet:
         With the default resolution the grid sits on whole degrees, so the
         axis directions and the diagonals are all exactly representable.
         """
-        if resolution < 1:
-            raise ValueError("resolution must be at least 1")
+        if not 1 <= resolution <= MAX_CANDIDATES:
+            raise ValueError(f"resolution must be in [1, {MAX_CANDIDATES}], got {resolution}")
         steps = np.arange(1, resolution + 1)
         thetas = -np.pi + steps * (2.0 * np.pi / resolution)
         return cls(points=thetas[:, None])

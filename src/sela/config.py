@@ -5,8 +5,11 @@ rejected with their line number so typos fail fast. Omitted keys fall back
 to the published defaults; the adaptation budget default depends on the
 world (10 for the point robot, 15 for the walker). Every float must be
 finite, each damage kind must suit the world (`angle_offset` the point
-robot, `frozen_joint` the walker), and the goal must be near enough for a
-planner grid of at most `sela.reward.MAX_PLANNER_CELLS` cells. The same
+robot, `frozen_joint` the walker), no method may be listed twice, the
+archive budget must cover the archive's initial random batch, seeds must be
+non-negative, the direction grid may hold at most
+`sela.acquisition.MAX_CANDIDATES` points, and the goal must be near enough
+for a planner grid of at most `sela.reward.MAX_PLANNER_CELLS` cells. The same
 checks (`validate`) run on configs built directly or through
 `with_overrides`.
 """
@@ -17,6 +20,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+from .acquisition import MAX_CANDIDATES
+from .map_elites import initial_batch
 from .mission import Method
 from .reward import PlannerGrid
 from .worlds import WALKER_JOINTS
@@ -130,6 +135,7 @@ _PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 # (key, bound, inclusive) checked after parsing.
 _LOWER_BOUNDS = [
     ("replicates", 1, True),
+    ("base_seed", 0, True),
     ("noise_variance", 0.0, True),
     ("epsilon_goal", 0.0, False),
     ("alpha", 0.0, True),
@@ -179,6 +185,18 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
         if not ok:
             relation = "at least" if inclusive else "greater than"
             fail(key, f"must be {relation} {bound}, got {value}")
+    if config.candidate_grid > MAX_CANDIDATES:
+        fail("candidate_grid", f"must be at most {MAX_CANDIDATES}, got {config.candidate_grid}")
+    repeated = [m for i, m in enumerate(config.methods) if m in config.methods[:i]]
+    if repeated:
+        fail("methods", f"lists {repeated[0].value!r} more than once")
+    batch = initial_batch(config.archive_budget, config.archive_init_batch)
+    if config.archive_budget < batch:
+        if config.archive_init_batch is None:
+            fail("archive_budget", f"must be at least the default initial batch {batch}, "
+                 f"got {config.archive_budget}")
+        fail("archive_init_batch", f"must be at most archive_budget = {config.archive_budget}, "
+             f"got {batch}")
     if config.damage_joint >= WALKER_JOINTS:
         fail("damage_joint", f"must be below {WALKER_JOINTS}, got {config.damage_joint}")
     world = DAMAGE_WORLD.get(config.damage, config.world)

@@ -25,15 +25,20 @@ class OfferResult(Enum):
     REJECTED = "rejected"
 
 
+def _cell(coords: list, grid_shape: tuple[int, ...]) -> tuple[int, ...]:
+    # min/max clamp and int() truncation of a product in [0, n]: the same
+    # IEEE operations as np.clip, np.floor and astype(int), without numpy's
+    # per-call overhead.
+    return tuple([min(int(min(max(d, 0.0), 1.0) * n), n - 1) for d, n in zip(coords, grid_shape)])
+
+
 def bin_index(descriptor, grid_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Cell of a descriptor on the unit grid: floor(d_i * n_i), top edge folded
     into the last bin. Descriptor coordinates are clamped to [0, 1] first."""
-    desc = np.clip(np.asarray(descriptor, dtype=float), 0.0, 1.0)
-    shape = np.asarray(grid_shape, dtype=int)
-    if desc.shape != shape.shape:
-        raise ValueError(f"descriptor has {desc.size} coordinates, grid has {shape.size}")
-    idx = np.minimum(np.floor(desc * shape).astype(int), shape - 1)
-    return tuple(int(i) for i in idx)
+    desc = np.asarray(descriptor, dtype=float)
+    if desc.shape != (len(grid_shape),):
+        raise ValueError(f"descriptor has {desc.size} coordinates, grid has {len(grid_shape)}")
+    return _cell(desc.tolist(), grid_shape)
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,16 @@ class Elite:
         object.__setattr__(self, "outcome", np.asarray(self.outcome, dtype=float))
 
 
+def _judge(incumbent: Optional[Elite], performance: float) -> OfferResult:
+    """The offer rule: an empty cell takes the offer, a strictly better one
+    replaces the incumbent, a tie keeps it."""
+    if incumbent is None:
+        return OfferResult.INSERTED
+    if performance > incumbent.performance:
+        return OfferResult.REPLACED
+    return OfferResult.REJECTED
+
+
 class Archive:
     """Sparse elite-per-cell store over a fixed descriptor grid."""
 
@@ -66,18 +81,14 @@ class Archive:
         """Insert into an empty cell, replace on strictly better performance,
         otherwise reject. Ties keep the incumbent."""
         cell = bin_index(candidate.descriptor, self.grid_shape)
-        incumbent = self.cells.get(cell)
-        if incumbent is None:
+        result = _judge(self.cells.get(cell), candidate.performance)
+        if result is not OfferResult.REJECTED:
             self.cells[cell] = candidate
-            return OfferResult.INSERTED
-        if candidate.performance > incumbent.performance:
-            self.cells[cell] = candidate
-            return OfferResult.REPLACED
-        return OfferResult.REJECTED
+        return result
 
     @property
     def total_cells(self) -> int:
-        return int(np.prod(self.grid_shape))
+        return math.prod(self.grid_shape)  # np.prod would wrap at 2**63
 
     @property
     def coverage(self) -> float:
@@ -100,6 +111,12 @@ Evaluator = Callable[[np.ndarray], tuple[np.ndarray, float, np.ndarray]]
 OfferHook = Callable[[tuple[int, ...], Elite, OfferResult], None]
 
 
+def initial_batch(budget: int, init_batch: Optional[int] = None) -> int:
+    """Size of illuminate's uniform random batch: `init_batch` when given,
+    else a tenth of the budget, at least 100."""
+    return max(100, budget // 10) if init_batch is None else init_batch
+
+
 def illuminate(
     evaluator: Evaluator,
     budget: int,
@@ -116,9 +133,9 @@ def illuminate(
     Starts from a uniform random batch (a tenth of the budget, at least 100),
     then loops: pick a uniform random occupied cell, mutate its elite with
     isotropic Gaussian noise, clamp to the domain, evaluate, offer. The whole
-    run is a pure function of the seed. A non-finite descriptor or
-    performance from the evaluator raises ValueError naming the evaluation
-    (counted from 0).
+    run is a pure function of the seed. A descriptor of the wrong length, or
+    a non-finite descriptor or performance, from the evaluator raises
+    ValueError naming the evaluation (counted from 0).
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -126,8 +143,7 @@ def illuminate(
         raise ValueError("domain bounds must satisfy lower < upper per coordinate")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if init_batch is None:
-        init_batch = max(100, budget // 10)
+    init_batch = initial_batch(budget, init_batch)
     if init_batch < 1 or init_batch > budget:
         raise ValueError(f"initial batch {init_batch} must be in [1, budget={budget}]")
     if mutation_sigma is None:
@@ -136,35 +152,51 @@ def illuminate(
         raise ValueError("mutation_sigma must be positive")
 
     rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in grid_shape)
+    # the first offer always enters; it makes the archive and sizes its outcomes
     archive: Optional[Archive] = None
+    cells: dict[tuple[int, ...], Elite] = {}   # archive.cells once it exists
     occupied: list[tuple[int, ...]] = []
 
-    def run_one(index: int, behavior: np.ndarray):
-        nonlocal archive
+    def behaviors():
+        # one draw for the whole batch is the same stream as one per row;
+        # each row is copied so that no two elites share memory
+        for row in rng.uniform(lower, upper, size=(init_batch, *lower.shape)):
+            yield row.copy()
+        for _ in range(init_batch, budget):
+            parent = cells[occupied[rng.integers(len(occupied))]]
+            child = parent.behavior + rng.normal(0.0, mutation_sigma, size=lower.shape)
+            yield np.minimum(np.maximum(child, lower), upper)
+
+    for index, behavior in enumerate(behaviors()):
         descriptor, performance, outcome = evaluator(behavior)
+        desc = np.asarray(descriptor, dtype=float)
+        if desc.shape != (len(shape),):
+            raise ValueError(
+                f"evaluation {index}: descriptor has {desc.size} coordinates, grid has {len(shape)}"
+            )
+        coords = desc.tolist()
         # checked in Python: np.isfinite would cost ~2 us more per evaluation
-        values = [performance, *np.asarray(descriptor).tolist()]
-        if not all(map(math.isfinite, values)):
+        if not (math.isfinite(performance) and all(map(math.isfinite, coords))):
             raise ValueError(
                 f"evaluation {index}: evaluator returned a non-finite descriptor "
                 f"{descriptor} or performance {performance}"
             )
-        candidate = Elite(behavior, descriptor, float(performance), outcome)
-        if archive is None:
-            archive = Archive(grid_shape, candidate.behavior.size, candidate.outcome.size)
-        cell = bin_index(candidate.descriptor, archive.grid_shape)
-        result = archive.offer(candidate)
-        if result is OfferResult.INSERTED:
-            occupied.append(cell)
+        performance = float(performance)
+        cell = _cell(coords, shape)
+        result = _judge(cells.get(cell), performance)
+        if result is OfferResult.REJECTED and on_offer is None:
+            continue
+        candidate = Elite(behavior, desc, performance, outcome)
+        if result is not OfferResult.REJECTED:
+            if archive is None:
+                archive = Archive(shape, candidate.behavior.size, candidate.outcome.size)
+                cells = archive.cells
+            cells[cell] = candidate
+            if result is OfferResult.INSERTED:
+                occupied.append(cell)
         if on_offer is not None:
             on_offer(cell, candidate, result)
-
-    for index in range(init_batch):
-        run_one(index, rng.uniform(lower, upper))
-    for index in range(init_batch, budget):
-        parent = archive.cells[occupied[rng.integers(len(occupied))]]
-        child = parent.behavior + rng.normal(0.0, mutation_sigma, size=lower.shape)
-        run_one(index, np.clip(child, lower, upper))
     return archive
 
 

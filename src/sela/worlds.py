@@ -44,8 +44,8 @@ def segment_walker_model(u) -> np.ndarray:
     angles = math.pi * u
     return np.array(
         [
-            WALKER_SEGMENT_STEP * float(np.sum(np.cos(angles))),
-            WALKER_SEGMENT_STEP * float(np.sum(np.sin(angles))),
+            WALKER_SEGMENT_STEP * float(np.cos(angles).sum()),
+            WALKER_SEGMENT_STEP * float(np.sin(angles).sum()),
         ]
     )
 
@@ -155,7 +155,10 @@ def walker_descriptor(outcome) -> np.ndarray:
     maximum step and clamped to 1.
     """
     outcome = np.asarray(outcome, dtype=float)
-    magnitude = float(np.linalg.norm(outcome))
+    return _walker_descriptor(outcome, float(np.linalg.norm(outcome)))
+
+
+def _walker_descriptor(outcome: np.ndarray, magnitude: float) -> np.ndarray:
     direction = (math.atan2(outcome[1], outcome[0]) + math.pi) / (2.0 * math.pi)
     return np.array([direction, min(magnitude / POINT_ROBOT_STEP, 1.0)])
 
@@ -164,7 +167,8 @@ def segment_walker_evaluator(behavior) -> tuple[np.ndarray, float, np.ndarray]:
     """Archive evaluator for the intact walker: descriptor, performance
     (displacement magnitude), and the cached outcome."""
     outcome = segment_walker_model(behavior)
-    return walker_descriptor(outcome), float(np.linalg.norm(outcome)), outcome
+    magnitude = float(np.linalg.norm(outcome))
+    return _walker_descriptor(outcome, magnitude), magnitude, outcome
 
 
 def sample_point_robot_behavior(rng: np.random.Generator) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sela.acquisition import (
+    MAX_CANDIDATES,
     AcquisitionConfig,
     CandidateSet,
     select_next,
@@ -68,6 +69,12 @@ class TestCandidateSet:
         # whole-degree grid: the diagonal and the axes are on it
         for target in (0.0, math.pi / 4, math.pi / 2, math.pi):
             assert np.min(np.abs(thetas - target)) < 1e-12
+
+    def test_dense_grid_size_is_capped(self):
+        assert len(CandidateSet.dense_theta_grid(MAX_CANDIDATES)) == MAX_CANDIDATES
+        for resolution in (0, MAX_CANDIDATES + 1):
+            with pytest.raises(ValueError, match="resolution must be in"):
+                CandidateSet.dense_theta_grid(resolution)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -77,6 +77,14 @@ class TestRun:
         )
         assert code == 1
 
+    def test_negative_base_seed_override_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, INTACT_CFG)
+        code = main(
+            ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--base-seed", "-1"]
+        )
+        assert code == 1
+        assert "key 'base_seed' must be at least 0" in capsys.readouterr().err
+
     def test_walker_without_archive_fails_cleanly(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, WALKER_CFG)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -109,6 +117,14 @@ class TestBuildArchive:
         main(["build-archive", "--config", str(cfg), "--out", str(first)])
         main(["build-archive", "--config", str(cfg), "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+    def test_budget_below_the_default_initial_batch_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "world = segment_walker\narchive_budget = 50\n")
+        code = main(["build-archive", "--config", str(cfg), "--out", str(tmp_path / "a.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2: key 'archive_budget'")
+        assert not (tmp_path / "a.txt").exists()
 
     def test_point_robot_config_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, INTACT_CFG)

@@ -2,11 +2,17 @@
 
 import math
 import time
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sela.config import (
     ADAPT_ITERATIONS_BY_WORLD,
+    DAMAGE_KINDS,
+    KERNEL_FAMILIES,
+    WORLDS,
     ConfigError,
     ExperimentConfig,
     parse_config,
@@ -14,6 +20,8 @@ from sela.config import (
     validate,
     with_overrides,
 )
+from sela.experiment import build_mission_config
+from sela.map_elites import Archive, Elite
 from sela.mission import Method
 
 
@@ -173,6 +181,40 @@ class TestErrors:
             parse_config(text.format(7))
         assert parse_config(text.format(3)).damage_joint == 3
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("archive_budget = 50",
+             "line 2: key 'archive_budget' must be at least the default initial batch 100, got 50"),
+            ("archive_init_batch = 800\narchive_budget = 500",
+             "line 2: key 'archive_init_batch' must be at most archive_budget = 500, got 800"),
+            ("archive_init_batch = 60000",
+             "line 2: key 'archive_init_batch' must be at most archive_budget = 50000, got 60000"),
+        ],
+    )
+    def test_archive_budget_below_its_initial_batch_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(f"world = segment_walker\n{text}")
+
+    @pytest.mark.parametrize(
+        "text", ["archive_budget = 100", "archive_budget = 500\narchive_init_batch = 500"]
+    )
+    def test_archive_budget_equal_to_its_initial_batch_accepted(self, text):
+        parse_config(f"world = segment_walker\n{text}")
+
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ConfigError, match="^line 2: key 'methods' lists 'sela' more than once$"):
+            parse_config("world = point_robot\nmethods = sela, babbling, sela")
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: key 'base_seed' must be at least 0, got -1"):
+            parse_config("world = point_robot\nbase_seed = -1")
+
+    def test_candidate_grid_is_capped(self):
+        with pytest.raises(ConfigError, match="line 2: key 'candidate_grid' must be at most 10000"):
+            parse_config("world = point_robot\ncandidate_grid = 10001")
+        assert parse_config("world = point_robot\ncandidate_grid = 10000").candidate_grid == 10000
+
     def test_zero_replicates_rejected(self):
         with pytest.raises(ConfigError, match="replicates"):
             parse_config("world = point_robot\nreplicates = 0")
@@ -221,5 +263,70 @@ class TestOverrides:
         with pytest.raises(ConfigError, match=f"^key '{key}' expects one of"):
             validate(ExperimentConfig(**kwargs))
 
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"methods": (Method.SELA, Method.BABBLING, Method.SELA)}, "methods"),
+            ({"archive_budget": 50}, "archive_budget"),
+            ({"archive_init_batch": 600, "archive_budget": 500}, "archive_init_batch"),
+            ({"base_seed": -1}, "base_seed"),
+        ],
+    )
+    def test_overrides_and_direct_construction_checked_too(self, changes, key):
+        base = parse_config("world = segment_walker")
+        with pytest.raises(ConfigError, match=f"^key '{key}'"):
+            with_overrides(base, **changes)
+        with pytest.raises(ConfigError, match=f"^key '{key}'"):
+            validate(ExperimentConfig(world="segment_walker", **changes))
+
     def test_direct_construction_has_same_defaults(self):
         assert ExperimentConfig(world="point_robot") == parse_config("world = point_robot")
+
+
+KEYS = [f.name for f in fields(ExperimentConfig)]
+WORDS = [*WORLDS, *DAMAGE_KINDS, *KERNEL_FAMILIES, *(m.value for m in Method)]
+
+values = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["99", "100", "1e-300", "1e300", "0x10", "1_000", ""]),
+    st.sampled_from(WORDS),
+    st.lists(st.sampled_from(WORDS), min_size=0, max_size=5).map(", ".join),
+    st.text(max_size=12),
+)
+assignments = st.tuples(st.sampled_from([*KEYS, "worlds", "", " methods"]), values).map(
+    lambda kv: f"{kv[0]} = {kv[1]}"
+)
+lines = st.one_of(assignments, st.text(max_size=20), st.just("# comment"), st.just(""))
+worlds = st.sampled_from(["", "world = point_robot\n", "world = segment_walker\n"])
+
+# One elite is enough to build a walker mission.
+TINY_ARCHIVE = Archive((2, 2), behavior_dim=4, outcome_dim=2)
+TINY_ARCHIVE.offer(Elite([0.1] * 4, [0.1, 0.1], 0.1, [0.1, 0.0]))
+
+
+def check_rejected_or_valid(text):
+    """Any text either fails with a ConfigError or gives a config that
+    validates and from which the first and last replicates' missions can be
+    built (seeds, world, damage, candidates and planner grid)."""
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert validate(config) is config
+    assert with_overrides(config) == config
+    for seed in (config.base_seed, config.base_seed + config.replicates - 1):
+        build_mission_config(config, seed, TINY_ARCHIVE)
+
+
+class TestParserFuzz:
+    @settings(max_examples=1000, deadline=None)
+    @given(worlds, assignments)
+    def test_one_assignment(self, world, line):
+        check_rejected_or_valid(world + line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(worlds, st.lists(lines, max_size=8))
+    def test_many_lines(self, world, body):
+        check_rejected_or_valid(world + "\n".join(body))

@@ -3,6 +3,8 @@ determinism, and the text serialization round trip."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sela.map_elites import (
     Archive,
@@ -59,6 +61,9 @@ class TestOffer:
         archive.offer(make_elite([0.1, 0.1], 1.0))
         archive.offer(make_elite([0.9, 0.9], 1.0))
         assert archive.coverage == pytest.approx(2 / 16)
+
+    def test_total_cells_of_a_huge_grid_is_exact(self):
+        assert Archive((10**10, 10**10), 1, 2).total_cells == 10**20
 
 
 class TestIlluminate:
@@ -154,6 +159,172 @@ class TestIlluminate:
         with pytest.raises(ValueError, match="batch"):
             illuminate(evaluator, budget=50, seed=0, lower=[-1], upper=[1], grid_shape=(4,))
 
+    def test_descriptor_of_the_wrong_length_rejected(self):
+        def evaluator(behavior):
+            return np.array([0.5, 0.5, 0.5]), 1.0, behavior
+
+        with pytest.raises(ValueError, match="evaluation 0: descriptor has 3 coordinates, grid has 2"):
+            illuminate(evaluator, budget=120, seed=0, lower=[-1], upper=[1], grid_shape=(4, 4))
+
+
+def reference_bin_index(descriptor, grid_shape):
+    """bin_index as a numpy formula, as it was before it moved to Python."""
+    desc = np.clip(np.asarray(descriptor, dtype=float), 0.0, 1.0)
+    shape = np.asarray(grid_shape, dtype=int)
+    idx = np.minimum(np.floor(desc * shape).astype(int), shape - 1)
+    return tuple(int(i) for i in idx)
+
+
+def reference_illuminate(
+    evaluator, budget, seed, lower, upper, grid_shape, mutation_sigma, init_batch, on_offer=None
+):
+    """The illumination loop before illuminate binned each evaluation once:
+    one uniform draw per initial behavior, an Elite built for every offer,
+    the cell computed with numpy, np.clip on every child."""
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    rng = np.random.default_rng(seed)
+    archive = None
+    occupied = []
+
+    def run_one(behavior):
+        nonlocal archive
+        descriptor, performance, outcome = evaluator(behavior)
+        candidate = Elite(behavior, descriptor, float(performance), outcome)
+        if archive is None:
+            archive = Archive(grid_shape, candidate.behavior.size, candidate.outcome.size)
+        cell = reference_bin_index(candidate.descriptor, archive.grid_shape)
+        incumbent = archive.cells.get(cell)
+        if incumbent is None:
+            result = OfferResult.INSERTED
+            occupied.append(cell)
+        elif candidate.performance > incumbent.performance:
+            result = OfferResult.REPLACED
+        else:
+            result = OfferResult.REJECTED
+        if result is not OfferResult.REJECTED:
+            archive.cells[cell] = candidate
+        if on_offer is not None:
+            on_offer(cell, candidate, result)
+
+    for _ in range(init_batch):
+        run_one(rng.uniform(lower, upper))
+    for _ in range(init_batch, budget):
+        parent = archive.cells[occupied[rng.integers(len(occupied))]]
+        child = parent.behavior + rng.normal(0.0, mutation_sigma, size=lower.shape)
+        run_one(np.clip(child, lower, upper))
+    return archive
+
+
+def make_evaluator(grid_shape, spread, on_edges, performance_kind):
+    """Descriptors spread to [0.5 - spread, 0.5 + spread] (outside the unit
+    cube when spread > 0.5), optionally snapped to cell edges k/n; the
+    performance is constant (every offer to an occupied cell ties), rounded
+    (frequent ties) or exact."""
+    n = np.asarray(grid_shape, dtype=float)
+
+    def evaluator(behavior):
+        descriptor = np.resize(behavior, len(grid_shape)) * spread + 0.5
+        if on_edges:
+            descriptor = np.round(descriptor * n) / n
+        total = float(np.sum(behavior))
+        performance = {"constant": 1.0, "rounded": round(total, 1), "exact": total}
+        return descriptor, performance[performance_kind], behavior[:2] * 2.0
+
+    return evaluator
+
+
+def assert_elites_own_their_behaviors(archive):
+    """No behavior is a view into a batch array, which rows of one draw
+    would be even though they never overlap."""
+    elites = archive.elites()
+    for i, a in enumerate(elites):
+        assert a.behavior.flags.owndata
+        for b in elites[i + 1:]:
+            assert not np.shares_memory(a.behavior, b.behavior)
+
+
+@st.composite
+def illumination_cases(draw):
+    m = draw(st.integers(1, 3))
+    init_batch = draw(st.integers(1, 30))
+    return dict(
+        grid_shape=tuple(draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))),
+        behavior_dim=draw(st.integers(1, 4)),
+        init_batch=init_batch,
+        budget=init_batch + draw(st.sampled_from([0, 1, 7, 60])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        mutation_sigma=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        spread=draw(st.sampled_from([0.25, 0.5, 1.5])),
+        on_edges=draw(st.booleans()),
+        performance_kind=draw(st.sampled_from(["constant", "rounded", "exact"])),
+    )
+
+
+class TestIlluminateMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(illumination_cases())
+    def test_same_archive_bytes_and_offer_sequence(self, case):
+        evaluator = make_evaluator(
+            case["grid_shape"], case["spread"], case["on_edges"], case["performance_kind"]
+        )
+        kwargs = dict(
+            budget=case["budget"],
+            seed=case["seed"],
+            lower=-np.ones(case["behavior_dim"]),
+            upper=np.ones(case["behavior_dim"]),
+            grid_shape=case["grid_shape"],
+            mutation_sigma=case["mutation_sigma"],
+            init_batch=case["init_batch"],
+        )
+        logs = ([], [])
+
+        def recorder(log):
+            def on_offer(cell, elite, result):
+                log.append(
+                    (cell, result, elite.behavior.tolist(), elite.descriptor.tolist(),
+                     elite.performance)
+                )
+            return on_offer
+
+        expected = save_archive(reference_illuminate(evaluator, on_offer=recorder(logs[0]), **kwargs))
+        hooked = illuminate(evaluator, on_offer=recorder(logs[1]), **kwargs)
+        plain = illuminate(evaluator, **kwargs)
+        assert save_archive(hooked) == expected
+        assert save_archive(plain) == expected
+        assert logs[1] == logs[0]
+        assert len(logs[1]) == case["budget"]
+
+        assert_elites_own_their_behaviors(plain)
+
+
+@st.composite
+def descriptors_and_grids(draw):
+    m = draw(st.integers(1, 4))
+    grid = tuple(draw(st.lists(st.integers(1, 50), min_size=m, max_size=m)))
+    coords = []
+    for n in grid:
+        coords.append(
+            draw(
+                st.one_of(
+                    st.floats(allow_nan=False),
+                    st.floats(-0.5, 1.5),
+                    st.integers(0, n).map(lambda k, n=n: k / n),  # cell edges, 1.0 included
+                    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2**-53, 1.0 + 2**-52]),
+                )
+            )
+        )
+    return coords, grid
+
+
+class TestBinIndexMatchesNumpyFormula:
+    @settings(max_examples=500, deadline=None)
+    @given(descriptors_and_grids())
+    def test_equal_on_random_descriptors(self, case):
+        coords, grid = case
+        assert bin_index(coords, grid) == reference_bin_index(coords, grid)
+        assert bin_index(np.array(coords), grid) == reference_bin_index(coords, grid)
+
 
 WALKER_KW = dict(lower=-np.ones(4), upper=np.ones(4), grid_shape=(8, 8))
 
@@ -195,6 +366,49 @@ class TestSerialization:
         data = save_archive(empty) + (line + "\n").encode()
         with pytest.raises(ArchiveFormatError, match="outside grid"):
             load_archive(data)
+
+
+# Finite floats, with negative zero, subnormals and the largest doubles made likely.
+archive_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 0.1, 1.0]),
+)
+
+
+@st.composite
+def archives(draw):
+    m = draw(st.integers(1, 3))
+    grid = tuple(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)))
+    b = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    archive = Archive(grid, b, d)
+    all_cells = list(np.ndindex(*grid))
+    for cell in draw(st.lists(st.sampled_from(all_cells), unique=True, max_size=len(all_cells))):
+        vector = lambda size: draw(st.lists(archive_floats, min_size=size, max_size=size))
+        unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 5e-324, 1.0]))
+        archive.cells[tuple(int(i) for i in cell)] = Elite(
+            behavior=vector(b),
+            descriptor=draw(st.lists(unit, min_size=m, max_size=m)),
+            performance=draw(archive_floats),
+            outcome=vector(d),
+        )
+    return archive
+
+
+class TestSerializationProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(archives())
+    def test_save_load_save_is_byte_identical(self, archive):
+        data = save_archive(archive)
+        loaded = load_archive(data)
+        assert save_archive(loaded) == data
+        assert [cell for cell, _ in loaded.items()] == [cell for cell, _ in archive.items()]
+        for (_, a), (_, b) in zip(archive.items(), loaded.items()):
+            assert a.behavior.tobytes() == b.behavior.tobytes()
+            assert a.descriptor.tobytes() == b.descriptor.tobytes()
+            assert a.outcome.tobytes() == b.outcome.tobytes()
+            assert repr(a.performance) == repr(b.performance)
 
 
 class TestArchivePrior:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sela.worlds import (
     POINT_ROBOT_STEP,
@@ -210,6 +212,29 @@ class TestDescriptor:
         np.testing.assert_array_equal(outcome, segment_walker_model(u))
         np.testing.assert_array_equal(descriptor, walker_descriptor(outcome))
         assert performance == pytest.approx(np.linalg.norm(outcome))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])),
+            min_size=WALKER_JOINTS,
+            max_size=WALKER_JOINTS,
+        )
+    )
+    def test_evaluator_is_bit_identical_to_its_definition(self, joints):
+        u = np.array(joints)
+        angles = math.pi * u
+        model = np.array(
+            [
+                0.025 * float(np.sum(np.cos(angles))),
+                0.025 * float(np.sum(np.sin(angles))),
+            ]
+        )
+        assert segment_walker_model(u).tobytes() == model.tobytes()
+        descriptor, performance, outcome = segment_walker_evaluator(u)
+        assert outcome.tobytes() == model.tobytes()
+        assert descriptor.tobytes() == walker_descriptor(model).tobytes()
+        assert repr(performance) == repr(float(np.linalg.norm(model)))
 
 
 class TestSamplersAndGoal:
