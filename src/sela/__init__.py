@@ -3,6 +3,7 @@
 from .acquisition import AcquisitionConfig, CandidateSet, select_next
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file
 from .gp import (
+    CandidatePosterior,
     DistanceKind,
     GpFitError,
     GpModel,
@@ -46,7 +47,6 @@ from .reward import (
     astar,
     build_waypoint_reward,
     make_distance_reward,
-    select_waypoint,
 )
 from .worlds import (
     AngleOffsetDamage,

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gp import GpModel, predict_batch
+from .gp import CandidatePosterior, GpModel, predict_batch  # noqa: F401 (perfbench patches it)
 
 # Largest dense direction grid: one cross-kernel row per observation is then
 # at most 80 KB.
@@ -72,22 +72,15 @@ class AcquisitionConfig:
 
 
 def select_next(
-    candidates: CandidateSet,
+    posterior: CandidatePosterior,
     model: GpModel,
     reward: Callable[[np.ndarray], np.ndarray],
     config: AcquisitionConfig,
-    prior_means: np.ndarray | None = None,
-    cross: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Behavior point and index maximizing the UCB score over the candidates.
-
-    `reward` scores all posterior means in one call, (n, outcome_dim) ->
-    (n,). `prior_means` is the model's prior at the candidates and `cross`
-    the kernel between its inputs and the candidates, if the caller already
-    has them (see `predict_batch`).
-    """
-    means, variances = predict_batch(model, candidates.points, prior_means, cross)
-    sigma_agg = np.sqrt(means.shape[1] * variances)
+    """Behavior point and index maximizing the UCB score over the points of
+    `posterior`, which scores each model once. `reward` scores all posterior
+    means in one call, (n, outcome_dim) -> (n,)."""
+    means, sigma_agg = posterior.score(model)
     scores = reward(means) + config.alpha * sigma_agg
     index = int(np.argmax(scores))
-    return candidates.points[index].copy(), index
+    return posterior.points[index].copy(), index

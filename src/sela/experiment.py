@@ -102,9 +102,9 @@ def load_archive_file(path) -> Archive:
 
 
 def build_mission_config(
-    config: ExperimentConfig, seed: int, archive: Archive | None = None
+    config: ExperimentConfig, seed: int, archive: Archive | None = None, waypoint_cells=None
 ) -> MissionConfig:
-    """Assemble the per-run bundle for one replicate seed."""
+    """Assemble the per-run bundle for one replicate seed. All seeds share one grid."""
     world_seed, sampler_seed = np.random.SeedSequence(seed).spawn(2)
     damage = build_damage(config)
     goal = np.array([config.goal_x, config.goal_y])
@@ -147,6 +147,7 @@ def build_mission_config(
         epsilon_model=config.epsilon_model,
         uncertainty_iterations=config.uncertainty_iterations,
         episodic_success_projection=config.episodic_success_projection,
+        waypoint_cells={} if waypoint_cells is None else waypoint_cells,
     )
 
 
@@ -157,7 +158,7 @@ def run_experiment(
 
     The config is validated first, so a directly built one fails here rather
     than inside a mission. An exception from a replicate propagates with a
-    note naming its method and seed.
+    note naming its method and seed. All missions share one waypoint table.
     """
     validate(config)
     if config.world == "segment_walker" and archive is None:
@@ -165,11 +166,12 @@ def run_experiment(
             raise ConfigError("segment_walker experiments need 'archive_path'")
         archive = load_archive_file(config.archive_path)
     records = []
+    waypoint_cells = {}
     for method in config.methods:
         for replicate in range(config.replicates):
             seed = config.base_seed + replicate
             try:
-                mission = build_mission_config(config, seed, archive)
+                mission = build_mission_config(config, seed, archive, waypoint_cells)
                 records.append(run_method(method, mission))
             except Exception as exc:
                 exc.add_note(f"in the {method.value} replicate with seed {seed}")

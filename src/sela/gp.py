@@ -14,6 +14,10 @@ diagonal. With a zero prior this is plain GP regression.
 A model keeps k(X, X) and P(X), so refitting after one more observation
 (`fit(..., previous=model)`) evaluates the kernel and the prior only at the
 new input. The factorization itself is redone from scratch each time.
+
+`CandidatePosterior` serves a fixed query set such as a mission's candidates:
+it evaluates the prior there once, grows k(X, points) by one row per
+observation, and scores each fitted model once.
 """
 
 from __future__ import annotations
@@ -259,35 +263,67 @@ def fit(
     )
 
 
-def predict_batch(
-    model: GpModel,
-    points,
-    prior_means: np.ndarray | None = None,
-    cross: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means (n, outcome_dim) and the per-point variance (n,).
-
-    The variance is shared across output dimensions since they use the same
-    inputs and kernel. `prior_means`, when given, must equal
-    `prior_values(model.prior, points)`, and `cross` must equal
-    `kernel_matrix(model.kernel, model.observations.inputs, points)`;
-    callers that query a fixed point set pass them to skip re-evaluating
-    the prior and the kernel.
-    """
-    pts = _as_points(points)
-    if len(model.observations) > 0 and pts.shape[1] != model.behavior_dim:
-        raise ValueError(
-            f"behavior dimension mismatch: query {pts.shape[1]} vs model {model.behavior_dim}"
-        )
-    means = prior_values(model.prior, pts) if prior_means is None else prior_means
+def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray | None):
+    """(means, variances) from the prior and k(X, points) at the query points."""
     if len(model.observations) == 0:
-        return means.copy(), np.ones(len(pts))
-    if cross is None:
-        cross = kernel_matrix(model.kernel, model.observations.inputs, pts)  # (t, n)
-    means = means + cross.T @ model.prior_correction
+        return prior_means.copy(), np.ones(len(prior_means))
+    means = prior_means + cross.T @ model.prior_correction
     half = solve_triangular(model.chol, cross, lower=True, check_finite=False)
     variances = 1.0 - np.einsum("ij,ij->j", half, half)
     return means, np.maximum(variances, 0.0)
+
+
+def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means (n, outcome_dim) and the per-point variance (n,).
+
+    The variance is shared across output dimensions since they use the same
+    inputs and kernel.
+    """
+    pts, inputs = _as_points(points), model.observations.inputs
+    # kernel_matrix also rejects a query of another behavior dimension
+    cross = kernel_matrix(model.kernel, inputs, pts) if len(inputs) > 0 else None  # (t, n)
+    return _posterior(model, prior_values(model.prior, pts), cross)
+
+
+class CandidatePosterior:
+    """The posterior at a fixed point set: the prior there, the cross kernel
+    k(X, points) with one row per observation, and the means and aggregated
+    sigma of the latest model scored. `score` recomputes them only for
+    another model object; models are immutable, so the kept ones are exact.
+    Every model scored must use this kernel and prior and extend the inputs
+    scored before."""
+
+    def __init__(self, points, prior: PriorMean, kernel: Kernel):
+        self.points = _as_points(points)
+        self.prior, self.kernel = prior, kernel
+        self.prior_means = prior_values(prior, self.points)     # (n, outcome_dim)
+        # the inputs (t, behavior_dim) and k(inputs, points) (t, n)
+        self.inputs, self.cross = np.zeros((0, self.points.shape[1])), np.zeros((0, len(self)))
+        # the latest model scored, its means (n, outcome_dim) and sigma (n,)
+        self.model = self.means = self.sigma = None
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def score(self, model: GpModel) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means (n, outcome_dim) and the aggregated uncertainty
+        sqrt(sum_d var_d) = sqrt(outcome_dim * var) (n,), both read-only."""
+        if model is self.model:
+            return self.means, self.sigma
+        # let the last model and its score go before the new one is computed
+        self.model = self.means = self.sigma = None
+        inputs, k = model.observations.inputs, len(self.inputs)
+        if not (model.prior is self.prior and model.kernel == self.kernel
+                and np.array_equal(self.inputs, inputs[:k])):
+            raise ValueError("model must use this kernel and prior, extending the inputs seen")
+        if k < len(inputs):
+            rows = kernel_matrix(self.kernel, inputs[k:], self.points)
+            self.cross, self.inputs = np.vstack([self.cross, rows]), inputs
+        means, variances = _posterior(model, self.prior_means, self.cross)
+        sigma = np.sqrt(means.shape[1] * variances)
+        means.flags.writeable = sigma.flags.writeable = False
+        self.model, self.means, self.sigma = model, means, sigma
+        return means, sigma
 
 
 def predict(model: GpModel, x) -> tuple[np.ndarray, float]:

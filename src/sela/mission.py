@@ -16,25 +16,27 @@ All four methods share the same learning step (`MissionState.learn`), the
 same driving loop (`_drive`) and the same record builder (`_record`).
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
-the observations only grow. So the prior at the candidates is evaluated once
-per mission, the kernel between the inputs and the candidates gains one row
-per observation, each refit extends the previous model's Gram matrix, and
-the A* waypoint is found once per start cell (all kept on `MissionState`).
+the observations only grow. So each refit extends the previous model's Gram
+matrix, and a `CandidatePosterior` keeps the prior and the cross kernel at
+the candidates and scores each model once: steps that learn nothing reuse
+the last score. The missions of an experiment share one table of A*
+waypoints per start cell (`MissionConfig.waypoint_cells`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from . import gp
 from .acquisition import AcquisitionConfig, CandidateSet, select_next
-from .gp import GpModel, Kernel, ObservationSet, PriorMean, fit, kernel_matrix, predict, zero_prior
+from .gp import (
+    CandidatePosterior, GpModel, Kernel, ObservationSet, PriorMean, fit, predict, zero_prior
+)
 from .reward import PlannerGrid, RewardFunction, build_waypoint_reward
 from .worlds import World, goal_reached
 
@@ -79,36 +81,24 @@ class MissionState:
     epsilon_goal: float
     observations: ObservationSet
     model: GpModel
+    candidates: InitVar[CandidateSet]
     step_count: int = 0
     adapt_iterations: int = 0
     recent: deque = field(default_factory=lambda: deque(maxlen=3))
-    # The mission's candidates; when set, the two caches below are kept.
-    candidates: Optional[CandidateSet] = None
-    # The model's prior at the candidates, (n, outcome_dim).
-    candidate_prior: Optional[np.ndarray] = field(default=None, init=False)
-    # kernel_matrix(kernel, observations.inputs, candidates), (t, n).
-    candidate_cross: Optional[np.ndarray] = field(default=None, init=False)
-    # Waypoint cell per A* start cell; see build_waypoint_reward.
-    waypoint_cells: dict = field(default_factory=dict)
+    # The posterior at the candidates, with the model's kernel and prior.
+    posterior: CandidatePosterior = field(init=False)
 
-    def __post_init__(self):
-        if self.candidates is not None:
-            points, model = self.candidates.points, self.model
-            # through the gp module, so wrappers of gp.prior_values see the call
-            self.candidate_prior = gp.prior_values(model.prior, points)
-            self.candidate_cross = kernel_matrix(model.kernel, self.observations.inputs, points)
+    def __post_init__(self, candidates: CandidateSet):
+        self.posterior = CandidatePosterior(candidates.points, self.model.prior, self.model.kernel)
 
     def at_goal(self) -> bool:
         return goal_reached(self.world.pose, self.goal, self.epsilon_goal)
 
     def learn(self, behavior, observed) -> None:
         """Add one observation and refit from the current model, with its own
-        kernel and prior; the cross-kernel at the candidates gains one row."""
+        kernel and prior."""
         self.observations = self.observations.with_observation(behavior, observed)
         model = self.model
-        if self.candidates is not None:
-            row = kernel_matrix(model.kernel, self.observations.inputs[-1:], self.candidates.points)
-            self.candidate_cross = np.vstack([self.candidate_cross, row])
         self.model = fit(self.observations, model.kernel, model.prior, previous=model)
 
 
@@ -152,6 +142,9 @@ class MissionConfig:
     epsilon_model: float = 0.01
     uncertainty_iterations: int = 15
     episodic_success_projection: float = 0.09
+    # Waypoint cell per A* start cell (see build_waypoint_reward); missions
+    # with the same grid, goal and lookahead may share it.
+    waypoint_cells: dict = field(default_factory=dict)
 
     def behavior_dim(self) -> int:
         return self.candidates.points.shape[1]
@@ -173,26 +166,15 @@ def _fresh_state(config: MissionConfig, prior: PriorMean) -> MissionState:
     )
 
 
-def _waypoint_reward(config: MissionConfig, state: MissionState, pose) -> RewardFunction:
+def _waypoint_reward(config: MissionConfig, pose) -> RewardFunction:
     return build_waypoint_reward(
-        config.grid, pose, config.goal, config.lookahead_cells, state.waypoint_cells
+        config.grid, pose, config.goal, config.lookahead_cells, config.waypoint_cells
     )
-
-
-def _select(state: MissionState, candidates: CandidateSet, reward, acquisition) -> np.ndarray:
-    """UCB choice over `candidates`, reusing the state's prior and
-    cross-kernel caches when they are the mission's own candidates."""
-    if candidates is state.candidates:
-        caches = (state.candidate_prior, state.candidate_cross)
-    else:
-        caches = (None, None)
-    behavior, _ = select_next(candidates, state.model, reward, acquisition, *caches)
-    return behavior
 
 
 def _greedy_behavior(config: MissionConfig, state: MissionState, pose) -> np.ndarray:
     """Behavior whose predicted outcome best approaches the next waypoint."""
-    return _select(state, config.candidates, _waypoint_reward(config, state, pose), _GREEDY)
+    return select_next(state.posterior, state.model, _waypoint_reward(config, pose), _GREEDY)[0]
 
 
 def _drive(config: MissionConfig, choose: Callable[[np.ndarray], np.ndarray], budget: int) -> int:
@@ -219,7 +201,6 @@ def _record(method: Method, config: MissionConfig, learn_steps: int, exec_steps:
 
 def sela_adapt(
     state: MissionState,
-    candidates: CandidateSet,
     acquisition: AcquisitionConfig,
     reward_builder: Callable[[np.ndarray], RewardFunction],
     max_iterations: int,
@@ -230,14 +211,13 @@ def sela_adapt(
     Each iteration refreshes the waypoint reward for the current pose, picks
     a behavior by UCB, executes it for real, and refits the model on the new
     observation. Stops on goal, on recovery (window error back under the
-    drop threshold), or after max_iterations. When `candidates` are the
-    state's own, its per-mission caches are used.
+    drop threshold), or after max_iterations.
     """
     for _ in range(max_iterations):
         if state.at_goal():
             break
         reward = reward_builder(state.world.pose)
-        behavior = _select(state, candidates, reward, acquisition)
+        behavior, _ = select_next(state.posterior, state.model, reward, acquisition)
         predicted, _ = predict(state.model, behavior)
         observed = state.world.execute(behavior)
         state.learn(behavior, observed)
@@ -261,9 +241,8 @@ def run_mission(config: MissionConfig) -> RunRecord:
         if window_error(state.recent, config.drop.window) > config.drop.threshold:
             sela_adapt(
                 state,
-                config.candidates,
                 config.acquisition,
-                partial(_waypoint_reward, config, state),
+                partial(_waypoint_reward, config),
                 min(config.max_adapt_iterations, config.step_cap - state.step_count),
                 config.drop,
             )
@@ -330,7 +309,7 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
         best_projection = -np.inf
         best_behavior = None
         for _ in range(config.max_adapt_iterations):
-            behavior = _select(state, config.candidates, reward, config.acquisition)
+            behavior, _ = select_next(state.posterior, state.model, reward, config.acquisition)
             observed = _episodic_trial(state, behavior, start_pose)
             projection = float(np.dot(observed, direction))
             if projection > best_projection:
@@ -365,7 +344,7 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
         eval=lambda outcomes: np.zeros(len(outcomes)), description="uncertainty only"
     )
     for _ in range(config.uncertainty_iterations):
-        behavior = _select(state, config.candidates, zero_reward, config.acquisition)
+        behavior, _ = select_next(state.posterior, state.model, zero_reward, config.acquisition)
         _episodic_trial(state, behavior, start_pose)
     learn_steps = len(state.observations)
     greedy = partial(_greedy_behavior, config, state)

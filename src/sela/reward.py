@@ -70,22 +70,25 @@ class PlannerGrid:
         The origin is snapped so cell centers land on integer multiples of
         cell_size; a start or goal on such a multiple sits exactly on a
         center. Grids of more than MAX_PLANNER_CELLS cells are rejected.
+        Python floats keep the arithmetic free of numpy overflow warnings.
         """
-        start = np.asarray(start, dtype=float)
-        goal = np.asarray(goal, dtype=float)
-        lo = np.minimum(start, goal) - margin
-        hi = np.maximum(start, goal) + margin
-        origin = (np.floor(lo / cell_size - 0.5) + 0.5) * cell_size
-        shape = np.ceil((hi - origin) / cell_size)
-        if not np.prod(shape) <= MAX_PLANNER_CELLS:  # also false for nan
+        origin, shape = [], []
+        for s, g in zip(map(float, start), map(float, goal)):
+            low, high = min(s, g) - margin, max(s, g) + margin
+            first = low / cell_size - 0.5   # the origin in cells, before snapping
+            finite = math.isfinite(first)
+            origin.append((math.floor(first) + 0.5) * cell_size if finite else math.nan)
+            cells = (high - origin[-1]) / cell_size
+            shape.append(math.ceil(cells) if math.isfinite(cells) else math.inf)
+        if not math.prod(shape) <= MAX_PLANNER_CELLS:
             raise ValueError(
                 f"planner grid of {shape[0]:g} x {shape[1]:g} cells exceeds the "
                 f"limit of {MAX_PLANNER_CELLS} cells"
             )
         return cls(
             cell_size=cell_size,
-            origin=(float(origin[0]), float(origin[1])),
-            shape=(int(shape[0]), int(shape[1])),
+            origin=(origin[0], origin[1]),
+            shape=(shape[0], shape[1]),
             blocked=frozenset((int(x), int(y)) for x, y in blocked),
         )
 
@@ -172,27 +175,13 @@ def _waypoint_cell(
     current_pose,
     lookahead_cells: int,
 ) -> tuple[int, int]:
+    """Path cell `lookahead_cells` past the pose's cell (or the first), clamped."""
     pose_cell = grid.cell_of(current_pose)
     try:
         at = path.index(pose_cell)
     except ValueError:
         at = 0
     return path[min(at + lookahead_cells, len(path) - 1)]
-
-
-def select_waypoint(
-    grid: PlannerGrid,
-    path: list[tuple[int, int]],
-    current_pose,
-    lookahead_cells: int = 2,
-) -> np.ndarray:
-    """Center of the path cell `lookahead_cells` ahead of the pose's cell,
-    clamped to the final cell."""
-    if not path:
-        raise ValueError("path must contain at least one cell")
-    if lookahead_cells < 1:
-        raise ValueError("lookahead_cells must be at least 1")
-    return grid.center(_waypoint_cell(grid, path, current_pose, lookahead_cells))
 
 
 def make_distance_reward(waypoint, current_pose) -> RewardFunction:
@@ -226,8 +215,8 @@ def build_waypoint_reward(
 
     The path starts at the pose's cell, so the waypoint cell depends only on
     that start cell once grid, goal and lookahead are fixed. Passing the same
-    `waypoint_cells` dict for all of them (one mission) memoizes it per start
-    cell, and A* runs once per distinct start cell.
+    `waypoint_cells` dict for all of them (one experiment) memoizes it per
+    start cell, and A* runs once per distinct start cell.
     """
     if lookahead_cells < 1:
         raise ValueError("lookahead_cells must be at least 1")

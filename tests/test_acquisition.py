@@ -12,13 +12,18 @@ from sela.acquisition import (
     CandidateSet,
     select_next,
 )
-from sela.gp import Kernel, ObservationSet, fit, predict_batch, prior_values, zero_prior
+from sela.gp import CandidatePosterior, Kernel, ObservationSet, fit, predict_batch, zero_prior
 from sela.reward import RewardFunction, make_distance_reward
 from sela.worlds import point_robot_prior
 
 
 def grid_candidates(n=24):
     return CandidateSet.dense_theta_grid(n)
+
+
+def at(candidates, model):
+    """A fresh posterior at the candidates, with the model's kernel and prior."""
+    return CandidatePosterior(candidates.points, model.prior, model.kernel)
 
 
 def fitted_model(rng, t, noise=0.001):
@@ -42,8 +47,8 @@ class TestUcbScore:
         reward = RewardFunction(lambda means: means[:, 0], "first coordinate")
         below = AcquisitionConfig(alpha=0.99 * reward_gap / sigma_gap)
         above = AcquisitionConfig(alpha=1.01 * reward_gap / sigma_gap)
-        assert select_next(candidates, model, reward, below)[1] == 0
-        assert select_next(candidates, model, reward, above)[1] == 1
+        assert select_next(at(candidates, model), model, reward, below)[1] == 0
+        assert select_next(at(candidates, model), model, reward, above)[1] == 1
 
     def test_alpha_zero_ignores_uncertainty(self):
         rng = np.random.default_rng(4)
@@ -51,7 +56,7 @@ class TestUcbScore:
         model = fitted_model(rng, 5)
         reward = RewardFunction(lambda means: means[:, 0], "first coordinate")
         means, _ = predict_batch(model, candidates.points)
-        _, index = select_next(candidates, model, reward, AcquisitionConfig(alpha=0.0))
+        _, index = select_next(at(candidates, model), model, reward, AcquisitionConfig(alpha=0.0))
         assert index == int(np.argmax(means[:, 0]))
 
     def test_negative_alpha_rejected(self):
@@ -92,8 +97,8 @@ class TestSelectNext:
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(36)
         reward = RewardFunction(lambda g: -np.abs(g[:, 0]), "test")
-        _, idx_ucb = select_next(candidates, model, reward, AcquisitionConfig(0.05))
-        _, idx_greedy = select_next(candidates, model, reward, AcquisitionConfig(0.0))
+        _, idx_ucb = select_next(at(candidates, model), model, reward, AcquisitionConfig(0.05))
+        _, idx_greedy = select_next(at(candidates, model), model, reward, AcquisitionConfig(0.0))
         assert idx_ucb == idx_greedy
 
     def test_constant_reward_shift_does_not_change_argmax(self):
@@ -103,15 +108,15 @@ class TestSelectNext:
         base = RewardFunction(lambda g: g[:, 0] - 0.3 * g[:, 1], "base")
         shifted = RewardFunction(lambda g: (g[:, 0] - 0.3 * g[:, 1]) + 11.5, "shifted")
         config = AcquisitionConfig(0.05)
-        _, idx_a = select_next(candidates, model, base, config)
-        _, idx_b = select_next(candidates, model, shifted, config)
+        _, idx_a = select_next(at(candidates, model), model, base, config)
+        _, idx_b = select_next(at(candidates, model), model, shifted, config)
         assert idx_a == idx_b
 
     def test_ties_break_to_lowest_index(self):
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(12)
         flat = RewardFunction(lambda g: np.zeros(len(g)), "flat")
-        behavior, index = select_next(candidates, model, flat, AcquisitionConfig(0.05))
+        behavior, index = select_next(at(candidates, model), model, flat, AcquisitionConfig(0.05))
         assert index == 0
         assert behavior[0] == candidates.points[0, 0]
 
@@ -120,7 +125,8 @@ class TestSelectNext:
         model = fitted_model(rng, 8)
         candidates = grid_candidates(90)
         reward = RewardFunction(lambda g: g[:, 1], "north")
-        picks = {select_next(candidates, model, reward, AcquisitionConfig(0.05))[1] for _ in range(5)}
+        config = AcquisitionConfig(0.05)
+        picks = {select_next(at(candidates, model), model, reward, config)[1] for _ in range(5)}
         assert len(picks) == 1
 
     def test_high_alpha_prefers_unexplored_regions(self):
@@ -130,23 +136,27 @@ class TestSelectNext:
         obs = ObservationSet(x_seen[None, :], np.array([[1.0, 1.0]]), 0.001)
         model = fit(obs, Kernel(sigma=0.5), zero_prior(2))
         flat = RewardFunction(lambda g: np.zeros(len(g)), "flat")
-        _, index = select_next(candidates, model, flat, AcquisitionConfig(alpha=1.0))
+        _, index = select_next(at(candidates, model), model, flat, AcquisitionConfig(alpha=1.0))
         _, variances = predict_batch(model, candidates.points)
         assert variances[index] == pytest.approx(variances.max())
         assert index != 4
 
     def test_cached_candidate_prior_gives_the_same_choice(self):
+        # one posterior serves every reward and alpha: the choice equals a
+        # fresh posterior's, and the model is scored once
         rng = np.random.default_rng(8)
         candidates = grid_candidates(360)
         inputs = rng.uniform(-math.pi, math.pi, size=(12, 1))
         observations = ObservationSet(inputs, rng.normal(scale=0.1, size=(12, 2)), 0.001)
         model = fit(observations, Kernel(sigma=0.1), point_robot_prior)
-        cached = prior_values(point_robot_prior, candidates.points)
+        cached = at(candidates, model)
+        means, sigma = cached.score(model)
         for _ in range(20):
             reward = make_distance_reward(rng.normal(size=2), rng.normal(size=2))
             for alpha in (0.0, 0.05):
                 config = AcquisitionConfig(alpha)
-                fresh = select_next(candidates, model, reward, config)
-                reused = select_next(candidates, model, reward, config, cached)
+                fresh = select_next(at(candidates, model), model, reward, config)
+                reused = select_next(cached, model, reward, config)
                 assert reused[1] == fresh[1]
                 np.testing.assert_array_equal(reused[0], fresh[0])
+        assert cached.score(model)[0] is means and cached.score(model)[1] is sigma

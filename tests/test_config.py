@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -154,6 +155,16 @@ class TestErrors:
         with pytest.raises(ConfigError, match="'goal_x', 'goal_y', 'cell_size'.*exceeds"):
             parse_config(f"world = point_robot\n{text}")
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["cell_size = 1e-308", "goal_x = 1e308\nplanner_margin = 1e308", "cell_size = 5e-324"],
+    )
+    def test_extreme_planner_grid_rejected_without_overflow_warnings(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="'goal_x', 'goal_y', 'cell_size'.*exceeds"):
+                parse_config(f"world = point_robot\n{text}")
 
     def test_override_to_a_far_goal_rejected(self):
         with pytest.raises(ConfigError, match="exceeds"):

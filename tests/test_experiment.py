@@ -1,12 +1,17 @@
 """Experiment harness: seeded assembly, CSV persistence, and summaries."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sela.reward
 from sela import experiment
-from sela.config import ConfigError, ExperimentConfig
+from sela.config import ConfigError, ExperimentConfig, parse_config_file
 from sela.experiment import (
     RUNS_HEADER,
     SUMMARY_HEADER,
@@ -247,3 +252,56 @@ class TestRunExperiment:
         assert len(records) == 2
         assert all(r.total_steps == r.learn_steps + r.exec_steps for r in records)
         assert {row.method for row in summary} == {Method.SELA}
+
+
+WAYPOINT_BASE = """world = point_robot
+damage = angle_offset
+methods = sela, uncertainty
+replicates = 2
+step_cap = 60
+"""
+
+# Each changes the grid, the goal or the lookahead that the waypoint table
+# depends on.
+WAYPOINT_VARIANTS = {
+    "base": "",
+    "goal": "goal_x = 1.5\ngoal_y = -1.0\n",
+    "cell_size": "cell_size = 0.2\n",
+    "lookahead": "lookahead_cells = 4\n",
+}
+
+
+class TestSharedWaypointTable:
+    def test_experiments_in_one_process_match_fresh_processes(self, tmp_path):
+        # one waypoint table per run_experiment call: runs after other
+        # experiments in this process give the bytes of a fresh process
+        env = dict(os.environ)
+        source = str(Path(experiment.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        for name, extra in WAYPOINT_VARIANTS.items():
+            config_path = tmp_path / f"{name}.cfg"
+            config_path.write_text(WAYPOINT_BASE + extra, encoding="utf-8")
+            fresh = tmp_path / "fresh" / name
+            subprocess.run(
+                [sys.executable, "-m", "sela.cli", "run", "--config", str(config_path),
+                 "--out", str(fresh)],
+                check=True, env=env, capture_output=True,
+            )
+            run_experiment(parse_config_file(config_path), out_dir=tmp_path / "here" / name)
+        for name in WAYPOINT_VARIANTS:
+            for csv in ("runs.csv", "summary.csv"):
+                here = (tmp_path / "here" / name / csv).read_bytes()
+                assert here == (tmp_path / "fresh" / name / csv).read_bytes(), (name, csv)
+
+    def test_astar_runs_once_per_distinct_start_cell(self, monkeypatch):
+        starts = []
+        astar = sela.reward.astar
+
+        def counting_astar(grid, start, goal):
+            starts.append(start)
+            return astar(grid, start, goal)
+
+        monkeypatch.setattr(sela.reward, "astar", counting_astar)
+        records, _ = run_experiment(replace(DAMAGED, step_cap=80))
+        assert sum(r.exec_steps for r in records) > len(starts) > 0
+        assert len(starts) == len(set(starts))

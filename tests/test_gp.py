@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sela import gp
 from sela.gp import (
+    CandidatePosterior,
     DistanceKind,
     JITTER,
     GpFitError,
@@ -204,18 +206,60 @@ class TestPosteriorProperties:
 class TestCachedPrior:
     @pytest.mark.parametrize("t", [0, 1, 7])
     def test_passing_the_prior_at_the_points_changes_nothing(self, t):
+        # a CandidatePosterior evaluates the prior at its points once; its
+        # posterior equals predict_batch's, and its arrays are read-only, so
+        # a caller cannot spoil the kept prior or score
         rng = np.random.default_rng(t)
         prior = lambda x: np.array([np.sin(x[0]), np.cos(x[0])])
         observations = ObservationSet(rng.uniform(-3, 3, size=(t, 1)), rng.normal(size=(t, 2)), 0.001)
         model = fit(observations, WRAPPED, prior)
         points = rng.uniform(-3, 3, size=(50, 1))
-        cached = prior_values(prior, points)
+        posterior = CandidatePosterior(points, prior, WRAPPED)
+        means, sigma = posterior.score(model)
         fresh = predict_batch(model, points)
-        reused = predict_batch(model, points, cached)
-        np.testing.assert_array_equal(reused[0], fresh[0])
-        np.testing.assert_array_equal(reused[1], fresh[1])
-        reused[0][:] = 0.0   # the caller's cached prior is not handed out
-        assert np.array_equal(cached, prior_values(prior, points))
+        np.testing.assert_array_equal(means, fresh[0])
+        np.testing.assert_array_equal(sigma, np.sqrt(2 * fresh[1]))
+        for scored in (means, sigma):
+            with pytest.raises(ValueError, match="read-only"):
+                scored[:] = 0.0
+        assert np.array_equal(posterior.prior_means, prior_values(prior, points))
+
+
+class TestCandidatePosterior:
+    def test_a_model_is_scored_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        observations = ObservationSet(rng.normal(size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
+        prior = zero_prior(2)
+        model = fit(observations, SQEXP, prior)
+        posterior = CandidatePosterior(rng.normal(size=(30, 1)), prior, SQEXP)
+        scored = []
+        real = gp._posterior
+        monkeypatch.setattr(gp, "_posterior", lambda *args: scored.append(1) or real(*args))
+        first = posterior.score(model)
+        for _ in range(3):
+            again = posterior.score(model)
+            assert again[0] is first[0] and again[1] is first[1]
+        assert len(scored) == 1
+        posterior.score(fit(observations, SQEXP, prior))   # equal, but another object
+        assert len(scored) == 2
+
+    @pytest.mark.parametrize("change", ["kernel", "prior", "inputs", "fewer_inputs"])
+    def test_model_must_extend_what_was_scored(self, change):
+        rng = np.random.default_rng(6)
+        prior = zero_prior(2)
+        observations = ObservationSet(rng.normal(size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
+        head = ObservationSet(observations.inputs[:3], observations.outputs[:3], 0.001)
+        posterior = CandidatePosterior(rng.normal(size=(30, 1)), prior, SQEXP)
+        posterior.score(fit(head, SQEXP, prior))
+        model = {
+            "kernel": fit(observations, Kernel(sigma=0.3), prior),
+            "prior": fit(observations, SQEXP, sine_prior),
+            "inputs": fit(ObservationSet(observations.inputs + 1.0, observations.outputs), SQEXP, prior),
+            "fewer_inputs": fit(ObservationSet(head.inputs[:2], head.outputs[:2]), SQEXP, prior),
+        }[change]
+        with pytest.raises(ValueError, match="extending"):
+            posterior.score(model)
+        posterior.score(fit(observations, SQEXP, prior))
 
 
 class TestFitErrors:
@@ -302,7 +346,9 @@ class TestIncrementalFit:
             inputs = np.vstack([inputs, inputs[0] + twin])
         observations = ObservationSet(inputs, rng.normal(size=(len(inputs), 2)), noise)
         points = rng.uniform(-np.pi, np.pi, size=(30, behavior_dim))
-        cross = np.zeros((0, len(points)))
+        # one posterior scores every model, the other every third, so its
+        # cross kernel grows by several rows at once
+        every, sparse = (CandidatePosterior(points, prior, kernel) for _ in range(2))
         model = fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, prior)
         for end in range(1, len(inputs) + 1):
             prefix = ObservationSet(inputs[:end], observations.outputs[:end], noise)
@@ -314,11 +360,14 @@ class TestIncrementalFit:
                 return
             model = fit(prefix, kernel, prior, previous=model)
             assert_same_model(model, scratch)
-            cross = np.vstack([cross, kernel_matrix(kernel, inputs[end - 1 : end], points)])
             want = predict_batch(scratch, points)
-            for got in (predict_batch(model, points), predict_batch(model, points, None, cross)):
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
+            got = predict_batch(model, points)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            for posterior in (every, sparse) if end % 3 == 0 else (every,):
+                means, sigma = posterior.score(model)
+                np.testing.assert_array_equal(means, want[0])
+                np.testing.assert_array_equal(sigma, np.sqrt(2 * want[1]))
 
     @pytest.mark.parametrize("behavior_dim", [1, 4])
     def test_jitter_path_matches_scratch(self, behavior_dim):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sela.acquisition import AcquisitionConfig, CandidateSet
-from sela import mission
+from sela import gp, mission
 from sela.gp import (
     DistanceKind,
     Kernel,
@@ -16,6 +16,7 @@ from sela.gp import (
     ObservationSet,
     fit,
     kernel_matrix,
+    predict_batch,
     prior_values,
 )
 from sela.mission import (
@@ -145,6 +146,7 @@ class TestMissionState:
             epsilon_goal=0.1,
             observations=observations,
             model=fit(observations, kernel, damaged_prior),
+            candidates=CandidateSet.dense_theta_grid(),
         )
         state.learn([0.5], [0.0, 0.1])
         assert len(state.observations) == 1
@@ -155,9 +157,10 @@ class TestMissionState:
 
 
     def test_per_mission_caches_match_a_fresh_computation(self, monkeypatch):
-        # after a SELA run and a babbling run, the cross-kernel, Gram matrix
-        # and prior values grown one observation at a time equal the ones
-        # computed from the final inputs
+        # after a SELA run and a babbling run, the posterior's cross-kernel
+        # and prior at the candidates, and the model's Gram matrix and prior
+        # values, grown one observation at a time, equal the ones computed
+        # from the final inputs
         states = []
         fresh_state = mission._fresh_state
 
@@ -172,13 +175,82 @@ class TestMissionState:
         assert baseline_babbling(babbling).learn_steps > 1
         for state in states:
             inputs = state.observations.inputs
-            points = state.candidates.points
+            posterior = state.posterior
+            points = posterior.points
             kernel, prior = state.model.kernel, state.model.prior
-            want_cross = kernel_matrix(kernel, inputs, points)
-            np.testing.assert_array_equal(state.candidate_cross, want_cross)
+            posterior.score(state.model)   # catch up with the last learn
+            np.testing.assert_array_equal(posterior.cross, kernel_matrix(kernel, inputs, points))
             np.testing.assert_array_equal(state.model.gram, kernel_matrix(kernel, inputs, inputs))
             np.testing.assert_array_equal(state.model.prior_at_inputs, prior_values(prior, inputs))
-            np.testing.assert_array_equal(state.candidate_prior, prior_values(prior, points))
+            np.testing.assert_array_equal(posterior.prior_means, prior_values(prior, points))
+
+
+class TestCandidateScoring:
+    """The mission's CandidatePosterior scores each fitted model once, and
+    exactly."""
+
+    def test_posterior_equals_a_fresh_prediction_after_every_learn(self, monkeypatch):
+        checked = []
+        learn = MissionState.learn
+
+        def checking_learn(state, behavior, observed):
+            learn(state, behavior, observed)
+            means, sigma = state.posterior.score(state.model)
+            want_means, want_variances = predict_batch(state.model, state.posterior.points)
+            np.testing.assert_array_equal(means, want_means)
+            np.testing.assert_array_equal(sigma, np.sqrt(2 * want_variances))
+            checked.append(len(state.observations))
+
+        monkeypatch.setattr(MissionState, "learn", checking_learn)
+        sela = run_mission(point_config(AngleOffsetDamage(0.5), noise_variance=0.01, seed=3))
+        babbling = baseline_babbling(point_config(AngleOffsetDamage(0.5), seed=3))
+        assert sela.learn_steps > 1 and babbling.learn_steps > 1
+        assert len(checked) == sela.learn_steps + babbling.learn_steps
+
+    def record_scoring(self, monkeypatch):
+        """Wrap predict_batch and the posterior arithmetic; returns the
+        query sizes of predict_batch and (model, size) per posterior."""
+        batches, posteriors = [], []
+        predict_batch, posterior = gp.predict_batch, gp._posterior
+
+        def counting_predict_batch(model, points):
+            batches.append(len(points))
+            return predict_batch(model, points)
+
+        def counting_posterior(model, prior_means, cross):
+            posteriors.append((model, len(prior_means)))
+            return posterior(model, prior_means, cross)
+
+        monkeypatch.setattr(gp, "predict_batch", counting_predict_batch)
+        monkeypatch.setattr(gp, "_posterior", counting_posterior)
+        return batches, posteriors
+
+    def test_nominal_steps_with_an_unchanged_model_are_not_scored_again(self, monkeypatch):
+        # the intact robot never adapts, so its model stays the empty one:
+        # the candidates are scored once, and predict_batch only makes the
+        # one-row prediction at each chosen behavior
+        batches, posteriors = self.record_scoring(monkeypatch)
+        record = run_mission(point_config())
+        assert record.learn_steps == 0 and record.exec_steps == DIRECT_STEPS
+        assert batches == [1] * DIRECT_STEPS
+        assert [size for _, size in posteriors].count(360) == 1
+
+    def test_each_model_is_scored_once(self, monkeypatch):
+        # with adaptation and a noisy world: one candidate scoring per model
+        # that a selection met, however many selections met it
+        selected = []
+        select = mission.select_next
+
+        def recording_select(posterior, model, reward, acquisition):
+            selected.append(model)
+            return select(posterior, model, reward, acquisition)
+
+        monkeypatch.setattr(mission, "select_next", recording_select)
+        _, posteriors = self.record_scoring(monkeypatch)
+        config = point_config(AngleOffsetDamage(0.5), noise_variance=0.01, seed=3)
+        assert run_mission(config).learn_steps > 1
+        scored = [model for model, size in posteriors if size == 360]
+        assert len(scored) == len({id(model) for model in selected}) < len(selected)
 
 
 class TestSelaAdapt:
@@ -191,6 +263,7 @@ class TestSelaAdapt:
             epsilon_goal=0.1,
             observations=observations,
             model=fit(observations, kernel, point_robot_prior),
+            candidates=CandidateSet.dense_theta_grid(),
         )
 
     def reward_builder(self, grid):
@@ -202,7 +275,6 @@ class TestSelaAdapt:
         before = world.pose
         sela_adapt(
             state,
-            CandidateSet.dense_theta_grid(),
             AcquisitionConfig(0.05),
             self.reward_builder(PlannerGrid.for_mission((0.0, 0.0), GOAL)),
             1,
@@ -218,7 +290,6 @@ class TestSelaAdapt:
         state = self.adapting_state(make_point_robot_world())
         sela_adapt(
             state,
-            CandidateSet.dense_theta_grid(),
             AcquisitionConfig(0.05),
             self.reward_builder(PlannerGrid.for_mission((0.0, 0.0), GOAL)),
             10,
@@ -231,7 +302,6 @@ class TestSelaAdapt:
         state = self.adapting_state(world)
         sela_adapt(
             state,
-            CandidateSet.dense_theta_grid(),
             AcquisitionConfig(0.05),
             self.reward_builder(PlannerGrid.for_mission((0.0, 0.0), GOAL)),
             10,

@@ -13,9 +13,9 @@ from sela.reward import (
     PlannerGrid,
     UnreachableGoalError,
     astar,
+    _waypoint_cell,
     build_waypoint_reward,
     make_distance_reward,
-    select_waypoint,
 )
 
 
@@ -129,22 +129,32 @@ class TestAstar:
 
 
 class TestSelectWaypoint:
+    """The waypoint choice: `_waypoint_cell` on a path, and the reward that
+    `build_waypoint_reward` aims at its center."""
+
     def test_lookahead_from_pose_cell(self):
         grid = free_grid()
         path = astar(grid, (0, 0), (9, 9))
-        waypoint = select_waypoint(grid, path, (0.05, 0.05), lookahead_cells=2)
-        assert grid.cell_of(waypoint) == path[2]
+        pose = np.array([0.05, 0.05])
+        assert _waypoint_cell(grid, path, pose, 2) == path[2]
+        reward = build_waypoint_reward(grid, pose, grid.center((9, 9)), lookahead_cells=2)
+        assert score(reward, grid.center(path[2]) - pose) == pytest.approx(0.0, abs=1e-12)
+        assert score(reward, grid.center(path[1]) - pose) < -0.05
 
     def test_clamps_to_final_cell(self):
         grid = free_grid()
         path = astar(grid, (0, 0), (1, 0))
-        waypoint = select_waypoint(grid, path, (0.05, 0.05), lookahead_cells=10)
-        assert grid.cell_of(waypoint) == (1, 0)
+        pose = np.array([0.05, 0.05])
+        assert _waypoint_cell(grid, path, pose, 10) == (1, 0)
+        goal = np.array([0.17, 0.02])   # in cell (1, 0), off its center
+        reward = build_waypoint_reward(grid, pose, goal, lookahead_cells=10)
+        assert score(reward, goal - pose) == 0.0
 
     def test_single_cell_path_returns_its_center(self):
         grid = free_grid()
-        waypoint = select_waypoint(grid, [(3, 3)], (0.33, 0.35), lookahead_cells=2)
-        np.testing.assert_allclose(waypoint, grid.center((3, 3)))
+        for pose in ((0.33, 0.35), (0.05, 0.05)):   # on the path, and off it
+            assert _waypoint_cell(grid, [(3, 3)], pose, 2) == (3, 3)
+        np.testing.assert_allclose(grid.center((3, 3)), (0.35, 0.35))
 
 
 def score(reward, outcome) -> float:
