@@ -31,6 +31,7 @@ from .worlds import (
     AngleOffsetDamage,
     Damage,
     FrozenJointDamage,
+    WALKER_JOINTS,
     WALKER_LOWER,
     WALKER_UPPER,
     make_point_robot_world,
@@ -156,15 +157,22 @@ def run_experiment(
 ) -> tuple[list[RunRecord], list[SummaryRow]]:
     """Run methods x replicates sequentially; optionally persist both CSVs.
 
-    The config is validated first, so a directly built one fails here rather
-    than inside a mission. An exception from a replicate propagates with a
-    note naming its method and seed. All missions share one waypoint table.
+    The config is validated and a walker archive's dimensions checked first,
+    so a directly built config fails here rather than inside a mission. An
+    exception from a replicate propagates with a note naming its method and
+    seed. All missions share one waypoint table.
     """
     validate(config)
-    if config.world == "segment_walker" and archive is None:
-        if config.archive_path is None:
-            raise ConfigError("segment_walker experiments need 'archive_path'")
-        archive = load_archive_file(config.archive_path)
+    if config.world == "segment_walker":
+        if archive is None:
+            if config.archive_path is None:
+                raise ConfigError("segment_walker experiments need 'archive_path'")
+            archive = load_archive_file(config.archive_path)
+        if (archive.behavior_dim, archive.outcome_dim) != (WALKER_JOINTS, 2):
+            raise ConfigError(
+                f"archive_path {config.archive_path}: the archive has b={archive.behavior_dim} "
+                f"d={archive.outcome_dim}, the segment walker needs b={WALKER_JOINTS} d=2"
+            )
     records = []
     waypoint_cells = {}
     for method in config.methods:

@@ -185,11 +185,12 @@ def fit(
     NaN through the posterior, and jitter would only mask the second's
     singular matrix.
 
-    `previous`, when given, is a model fitted with the same kernel and prior
-    on a strict prefix of these observations. Its Gram matrix and prior
-    values are reused, so the kernel and the prior are evaluated only at the
-    new inputs. The Cholesky factor and the solve are still computed on the
-    whole matrix, so the result is bit-identical to a fit from scratch.
+    `previous` is a model fitted with the same kernel and prior on a strict
+    prefix of these observations; None stands for the empty prefix. Its Gram
+    matrix and prior values are reused, so the kernel and the prior are
+    evaluated only at the new inputs. The Cholesky factor and the solve are
+    still computed on the whole matrix, so the result is bit-identical to a
+    fit from scratch.
     """
     inputs = observations.inputs
     if not (np.isfinite(inputs).all() and np.isfinite(observations.outputs).all()):
@@ -212,28 +213,26 @@ def fit(
                 "duplicate observation inputs with zero noise variance make "
                 "the kernel matrix singular"
             )
-    if previous is None:
-        gram = kernel_matrix(kernel, inputs, inputs)
-        prior_at_inputs = prior_values(prior, inputs)
-    else:
-        k = len(previous.observations)
-        if not (
-            k < t
-            and previous.kernel == kernel
-            and previous.prior is prior
-            and np.array_equal(previous.observations.inputs, inputs[:k])
-        ):
-            raise ValueError(
-                "previous model must be fitted with the same kernel and prior "
-                "on a strict prefix of the observations"
-            )
-        new_rows = kernel_matrix(kernel, inputs[k:], inputs)   # (t - k, t)
-        gram = np.empty((t, t))
-        gram[:k, :k] = previous.gram
-        gram[k:] = new_rows
-        gram[:k, k:] = new_rows[:, :k].T
-        new_prior = prior_values(prior, inputs[k:])
-        prior_at_inputs = np.concatenate([previous.prior_at_inputs, new_prior])
+    if previous is None:   # grow from the empty prefix
+        empty = ObservationSet.empty(inputs.shape[1], observations.outputs.shape[1])
+        previous = fit(empty, kernel, prior)
+    k = len(previous.observations)
+    if not (
+        k < t
+        and previous.kernel == kernel
+        and previous.prior is prior
+        and np.array_equal(previous.observations.inputs, inputs[:k])
+    ):
+        raise ValueError(
+            "previous model must be fitted with the same kernel and prior "
+            "on a strict prefix of the observations"
+        )
+    new_rows = kernel_matrix(kernel, inputs[k:], inputs)   # (t - k, t)
+    gram = np.empty((t, t))
+    gram[:k, :k] = previous.gram
+    gram[k:] = new_rows
+    gram[:k, k:] = new_rows[:, :k].T
+    prior_at_inputs = np.concatenate([previous.prior_at_inputs, prior_values(prior, inputs[k:])])
     diagonal = np.diag_indices_from(gram)
     gram[diagonal] += observations.noise_variance
     try:

@@ -237,9 +237,12 @@ def _parse_vector(text: str, expected: int, what: str, line_no: int) -> np.ndarr
             f"line {line_no}: {what} has {len(parts)} coordinates, expected {expected}"
         )
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ArchiveFormatError(f"line {line_no}: malformed {what} value") from exc
+    if not np.isfinite(values).all():
+        raise ArchiveFormatError(f"line {line_no}: non-finite {what} value")
+    return values
 
 
 def load_archive(data: bytes) -> Archive:
@@ -285,14 +288,10 @@ def load_archive(data: bytes) -> Archive:
             raise ArchiveFormatError(f"line {line_no}: cell {cell} outside grid {grid_shape}")
         if cell in archive.cells:
             raise ArchiveFormatError(f"line {line_no}: duplicate cell {cell}")
-        try:
-            performance = float(entry["perf"])
-        except ValueError as exc:
-            raise ArchiveFormatError(f"line {line_no}: malformed perf value") from exc
         elite = Elite(
             behavior=_parse_vector(entry["behavior"], behavior_dim, "behavior", line_no),
             descriptor=_parse_vector(entry["descriptor"], m, "descriptor", line_no),
-            performance=performance,
+            performance=float(_parse_vector(entry["perf"], 1, "perf", line_no)[0]),
             outcome=_parse_vector(entry["outcome"], outcome_dim, "outcome", line_no),
         )
         archive.cells[cell] = elite

@@ -11,9 +11,11 @@ driving with the updated posterior.
 
 The baselines keep learning and execution episodic: each learning trial
 (`_episodic_trial`) resets the robot to the start pose and counts as pure
-cost, and only then does the robot drive to the goal with what it learned.
-All four methods share the same learning step (`MissionState.learn`), the
-same driving loop (`_drive`) and the same record builder (`_record`).
+cost, and only then does the robot drive to the goal with what it learned
+(`_drive`). A mission passes one `MissionState` around: the model, the
+posterior and the step counts it mutates, and the `MissionConfig` it reads.
+All four methods share its learning step (`MissionState.learn`), its goal
+test (`MissionState.at_goal`) and the record builder (`_record`).
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
 the observations only grow. So each refit extends the previous model's Gram
@@ -26,9 +28,8 @@ waypoints per start cell (`MissionConfig.waypoint_cells`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -70,36 +71,6 @@ def window_error(recent, window: int) -> float:
     tail = list(recent)[-window:]
     errors = [float(np.linalg.norm(np.asarray(obs) - np.asarray(pred))) for pred, obs in tail]
     return float(np.mean(errors))
-
-
-@dataclass
-class MissionState:
-    """Everything the control loop mutates while a mission runs."""
-
-    world: World
-    goal: np.ndarray
-    epsilon_goal: float
-    observations: ObservationSet
-    model: GpModel
-    candidates: InitVar[CandidateSet]
-    step_count: int = 0
-    adapt_iterations: int = 0
-    recent: deque = field(default_factory=lambda: deque(maxlen=3))
-    # The posterior at the candidates, with the model's kernel and prior.
-    posterior: CandidatePosterior = field(init=False)
-
-    def __post_init__(self, candidates: CandidateSet):
-        self.posterior = CandidatePosterior(candidates.points, self.model.prior, self.model.kernel)
-
-    def at_goal(self) -> bool:
-        return goal_reached(self.world.pose, self.goal, self.epsilon_goal)
-
-    def learn(self, behavior, observed) -> None:
-        """Add one observation and refit from the current model, with its own
-        kernel and prior."""
-        self.observations = self.observations.with_observation(behavior, observed)
-        model = self.model
-        self.model = fit(self.observations, model.kernel, model.prior, previous=model)
 
 
 @dataclass(frozen=True)
@@ -146,66 +117,85 @@ class MissionConfig:
     # with the same grid, goal and lookahead may share it.
     waypoint_cells: dict = field(default_factory=dict)
 
-    def behavior_dim(self) -> int:
-        return self.candidates.points.shape[1]
+
+@dataclass
+class MissionState:
+    """What a mission mutates while it runs; it reads the rest from its config.
+    Every executed behavior, learning trial or not, is one step."""
+
+    config: MissionConfig
+    model: GpModel
+    step_count: int = field(default=0, init=False)
+    adapt_iterations: int = field(default=0, init=False)
+    # (predicted, observed) outcome pairs for the drop detector
+    recent: deque = field(init=False)
+    # The posterior at the candidates, with the model's kernel and prior.
+    posterior: CandidatePosterior = field(init=False)
+
+    def __post_init__(self):
+        self.recent = deque(maxlen=self.config.drop.window)
+        model = self.model
+        self.posterior = CandidatePosterior(self.config.candidates.points, model.prior, model.kernel)
+
+    def at_goal(self) -> bool:
+        config = self.config
+        return goal_reached(config.world.pose, config.goal, config.epsilon_goal)
+
+    def learn(self, behavior, observed) -> None:
+        """Add one observation and refit from the current model, with its own
+        kernel and prior."""
+        model = self.model
+        observations = model.observations.with_observation(behavior, observed)
+        self.model = fit(observations, model.kernel, model.prior, previous=model)
 
 
 _GREEDY = AcquisitionConfig(alpha=0.0)
 
 
 def _fresh_state(config: MissionConfig, prior: PriorMean) -> MissionState:
-    observations = ObservationSet.empty(config.behavior_dim(), 2, config.gp_noise)
-    return MissionState(
-        world=config.world,
-        goal=np.asarray(config.goal, dtype=float),
-        epsilon_goal=config.epsilon_goal,
-        observations=observations,
-        model=fit(observations, config.kernel, prior),
-        recent=deque(maxlen=config.drop.window),
-        candidates=config.candidates,
-    )
+    observations = ObservationSet.empty(config.candidates.points.shape[1], 2, config.gp_noise)
+    return MissionState(config, fit(observations, config.kernel, prior))
 
 
-def _waypoint_reward(config: MissionConfig, pose) -> RewardFunction:
+def _waypoint_reward(state: MissionState) -> RewardFunction:
+    config = state.config
     return build_waypoint_reward(
-        config.grid, pose, config.goal, config.lookahead_cells, config.waypoint_cells
+        config.grid, config.world.pose, config.goal, config.lookahead_cells, config.waypoint_cells
     )
 
 
-def _greedy_behavior(config: MissionConfig, state: MissionState, pose) -> np.ndarray:
+def _greedy_behavior(state: MissionState) -> np.ndarray:
     """Behavior whose predicted outcome best approaches the next waypoint."""
-    return select_next(state.posterior, state.model, _waypoint_reward(config, pose), _GREEDY)[0]
+    return select_next(state.posterior, state.model, _waypoint_reward(state), _GREEDY)[0]
 
 
-def _drive(config: MissionConfig, choose: Callable[[np.ndarray], np.ndarray], budget: int) -> int:
-    """Execute `choose(pose)` until the goal or the step budget; returns the
-    number of steps taken. Nothing is learned on the way."""
-    steps = 0
-    world = config.world
-    while steps < budget and not goal_reached(world.pose, config.goal, config.epsilon_goal):
-        world.execute(choose(world.pose))
-        steps += 1
-    return steps
-
-
-def _record(method: Method, config: MissionConfig, learn_steps: int, exec_steps: int) -> RunRecord:
+def _record(method: Method, state: MissionState, learn_steps: int) -> RunRecord:
     return RunRecord(
         method=method,
         learn_steps=learn_steps,
-        exec_steps=exec_steps,
-        total_steps=learn_steps + exec_steps,
-        reached=goal_reached(config.world.pose, config.goal, config.epsilon_goal),
-        seed=config.seed,
+        exec_steps=state.step_count - learn_steps,
+        total_steps=state.step_count,
+        reached=state.at_goal(),
+        seed=state.config.seed,
     )
 
 
-def sela_adapt(
+def _drive(
+    method: Method,
     state: MissionState,
-    acquisition: AcquisitionConfig,
-    reward_builder: Callable[[np.ndarray], RewardFunction],
-    max_iterations: int,
-    drop: DropDetectorConfig,
-) -> MissionState:
+    choose: Callable[[MissionState], np.ndarray] = _greedy_behavior,
+) -> RunRecord:
+    """The baselines' tail: every step so far was a learning trial. Execute
+    `choose(state)` until the goal or the step cap, learning nothing, and
+    record the mission."""
+    learn_steps, world = state.step_count, state.config.world
+    while state.step_count < state.config.step_cap and not state.at_goal():
+        world.execute(choose(state))
+        state.step_count += 1
+    return _record(method, state, learn_steps)
+
+
+def sela_adapt(state: MissionState, max_iterations: int) -> MissionState:
     """Adaptation burst: learn while still making task progress.
 
     Each iteration refreshes the waypoint reward for the current pose, picks
@@ -213,18 +203,20 @@ def sela_adapt(
     observation. Stops on goal, on recovery (window error back under the
     drop threshold), or after max_iterations.
     """
+    config = state.config
     for _ in range(max_iterations):
         if state.at_goal():
             break
-        reward = reward_builder(state.world.pose)
-        behavior, _ = select_next(state.posterior, state.model, reward, acquisition)
+        behavior, _ = select_next(
+            state.posterior, state.model, _waypoint_reward(state), config.acquisition
+        )
         predicted, _ = predict(state.model, behavior)
-        observed = state.world.execute(behavior)
+        observed = config.world.execute(behavior)
         state.learn(behavior, observed)
         state.step_count += 1
         state.adapt_iterations += 1
         state.recent.append((predicted, observed))
-        if window_error(state.recent, drop.window) < drop.threshold:
+        if window_error(state.recent, config.drop.window) < config.drop.threshold:
             break
     return state
 
@@ -233,29 +225,24 @@ def run_mission(config: MissionConfig) -> RunRecord:
     """Full semi-episodic mission; every executed behavior is a task step."""
     state = _fresh_state(config, config.prior)
     while state.step_count < config.step_cap and not state.at_goal():
-        behavior = _greedy_behavior(config, state, state.world.pose)
+        behavior = _greedy_behavior(state)
         predicted, _ = predict(state.model, behavior)
-        observed = state.world.execute(behavior)
+        observed = config.world.execute(behavior)
         state.step_count += 1
         state.recent.append((predicted, observed))
         if window_error(state.recent, config.drop.window) > config.drop.threshold:
-            sela_adapt(
-                state,
-                config.acquisition,
-                partial(_waypoint_reward, config),
-                min(config.max_adapt_iterations, config.step_cap - state.step_count),
-                config.drop,
-            )
-    learn_steps = state.adapt_iterations
-    return _record(Method.SELA, config, learn_steps, state.step_count - learn_steps)
+            sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
+    return _record(Method.SELA, state, state.adapt_iterations)
 
 
 def _episodic_trial(state: MissionState, behavior, start_pose) -> np.ndarray:
     """Try a behavior, put the robot back at the start pose, and learn from
-    the observed outcome. The trial makes no task progress."""
-    observed = state.world.execute(behavior)
-    state.world.reset_pose(start_pose)
+    the observed outcome. The trial is a step that makes no task progress."""
+    world = state.config.world
+    observed = world.execute(behavior)
+    world.reset_pose(start_pose)
     state.learn(behavior, observed)
+    state.step_count += 1
     return observed
 
 
@@ -275,10 +262,7 @@ def baseline_babbling(config: MissionConfig) -> RunRecord:
         state.recent.append((predicted, observed))
         if window_error(state.recent, config.drop.window) < config.epsilon_model:
             break
-    learn_steps = len(state.observations)
-    greedy = partial(_greedy_behavior, config, state)
-    exec_steps = _drive(config, greedy, config.step_cap - learn_steps)
-    return _record(Method.BABBLING, config, learn_steps, exec_steps)
+    return _drive(Method.BABBLING, state)
 
 
 # Cardinal task directions learned by the episodic baseline: up, down,
@@ -323,15 +307,14 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
     # outcome the controller believes in from now on.
     repertoire = [(behavior, predict(state.model, behavior)[0]) for behavior in chosen]
 
-    def closest_landing(pose) -> np.ndarray:
+    def closest_landing(state: MissionState) -> np.ndarray:
+        pose = state.config.world.pose
         landings = [
             float(np.linalg.norm(pose + outcome - config.goal)) for _, outcome in repertoire
         ]
         return repertoire[int(np.argmin(landings))][0]
 
-    learn_steps = len(state.observations)
-    exec_steps = _drive(config, closest_landing, config.step_cap - learn_steps)
-    return _record(Method.EPISODIC_ITE, config, learn_steps, exec_steps)
+    return _drive(Method.EPISODIC_ITE, state, closest_landing)
 
 
 def baseline_uncertainty(config: MissionConfig) -> RunRecord:
@@ -346,10 +329,7 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     for _ in range(config.uncertainty_iterations):
         behavior, _ = select_next(state.posterior, state.model, zero_reward, config.acquisition)
         _episodic_trial(state, behavior, start_pose)
-    learn_steps = len(state.observations)
-    greedy = partial(_greedy_behavior, config, state)
-    exec_steps = _drive(config, greedy, config.step_cap - learn_steps)
-    return _record(Method.UNCERTAINTY, config, learn_steps, exec_steps)
+    return _drive(Method.UNCERTAINTY, state)
 
 
 _RUNNERS = {

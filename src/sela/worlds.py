@@ -50,17 +50,12 @@ def segment_walker_model(u) -> np.ndarray:
     )
 
 
-def positive_direction(theta: float) -> bool:
-    return theta > 0
-
-
 @dataclass(frozen=True)
 class AngleOffsetDamage:
-    """Adds a fixed angular offset to commanded directions where the
-    predicate holds, wrapping back into (-pi, pi]."""
+    """Adds a fixed angular offset to commanded directions above zero,
+    wrapping back into (-pi, pi]."""
 
     offset: float
-    applies_when: Callable[[float], bool] = positive_direction
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ def apply_damage(damage: Damage, behavior) -> np.ndarray:
         return behavior.copy()
     if isinstance(damage, AngleOffsetDamage):
         theta = float(behavior[0])
-        if damage.applies_when(theta):
+        if theta > 0:
             return np.array([wrap_angle(theta + damage.offset)])
         return behavior.copy()
     if isinstance(damage, FrozenJointDamage):

@@ -1,6 +1,7 @@
 """Experiment harness: seeded assembly, CSV persistence, and summaries."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -30,6 +31,7 @@ from sela.experiment import (
     write_results,
 )
 from sela.gp import DistanceKind
+from sela.map_elites import Archive, Elite, save_archive
 from sela.mission import Method, RunRecord
 from sela.worlds import AngleOffsetDamage, FrozenJointDamage
 
@@ -238,6 +240,24 @@ class TestRunExperiment:
     def test_walker_needs_archive_path_or_archive(self):
         with pytest.raises(ConfigError, match="archive_path"):
             run_experiment(ExperimentConfig(world="segment_walker"))
+
+    @pytest.mark.parametrize("behavior_dim, outcome_dim", [(3, 2), (4, 3)])
+    def test_walker_archive_of_other_dimensions_rejected(
+        self, tmp_path, behavior_dim, outcome_dim
+    ):
+        # an archive with b=3 would otherwise fail in the first mission, in
+        # numpy broadcasting
+        archive = Archive((2, 2), behavior_dim, outcome_dim)
+        for cell in np.ndindex(2, 2):
+            archive.cells[cell] = Elite(
+                np.full(behavior_dim, 0.1 * sum(cell)), np.array(cell) / 2, 1.0,
+                np.full(outcome_dim, 0.01),
+            )
+        path = tmp_path / "archive.txt"
+        path.write_bytes(save_archive(archive))
+        config = ExperimentConfig(world="segment_walker", archive_path=str(path))
+        with pytest.raises(ConfigError, match=re.escape(f"archive_path {path}: the archive has b={behavior_dim}")):
+            run_experiment(config)
 
     def test_walker_end_to_end_with_prebuilt_archive(self):
         config = ExperimentConfig(

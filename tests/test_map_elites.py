@@ -360,6 +360,24 @@ class TestSerialization:
         with pytest.raises(ArchiveFormatError, match="line 4"):
             load_archive(("\n".join(data) + "\n").encode())
 
+    @pytest.mark.parametrize("field, value", [
+        ("outcome", "nan,nan"),
+        ("outcome", "0.1,inf"),
+        ("behavior", "0.0,-inf,0.0,0.0"),
+        ("descriptor", "nan,0.5"),
+        ("perf", "nan"),
+        ("perf", "-inf"),
+    ])
+    def test_non_finite_value_reports_its_line(self, field, value):
+        # a NaN outcome would reach the prior, and every mission would then
+        # run to the step cap without learning anything
+        data = save_archive(self.build_small()).decode().splitlines()
+        tokens = [f"{field}={value}" if token.startswith(f"{field}=") else token
+                  for token in data[3].split()]
+        data[3] = " ".join(tokens)
+        with pytest.raises(ArchiveFormatError, match=f"line 4: non-finite {field}"):
+            load_archive(("\n".join(data) + "\n").encode())
+
     def test_cell_outside_grid_rejected(self):
         empty = Archive((3, 3), 1, 2)
         line = "cell=7,0 behavior=0.0 descriptor=0.5,0.5 perf=1.0 outcome=0.0,0.0"

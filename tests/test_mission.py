@@ -33,7 +33,7 @@ from sela.mission import (
     sela_adapt,
     window_error,
 )
-from sela.reward import PlannerGrid, build_waypoint_reward
+from sela.reward import PlannerGrid
 from sela.worlds import (
     AngleOffsetDamage,
     apply_damage,
@@ -140,19 +140,12 @@ class TestMissionState:
     def test_learn_refits_with_the_models_kernel_and_prior(self):
         kernel = Kernel(KernelFamily.EXPONENTIAL, 0.3, DistanceKind.WRAPPED_ANGULAR)
         observations = ObservationSet.empty(1, 2, 0.001)
-        state = MissionState(
-            world=make_point_robot_world(),
-            goal=np.array(GOAL),
-            epsilon_goal=0.1,
-            observations=observations,
-            model=fit(observations, kernel, damaged_prior),
-            candidates=CandidateSet.dense_theta_grid(),
-        )
+        state = MissionState(point_config(), fit(observations, kernel, damaged_prior))
         state.learn([0.5], [0.0, 0.1])
-        assert len(state.observations) == 1
+        assert len(state.model.observations) == 1
         assert state.model.kernel is kernel
         assert state.model.prior is damaged_prior
-        want = fit(state.observations, kernel, damaged_prior)
+        want = fit(state.model.observations, kernel, damaged_prior)
         np.testing.assert_array_equal(state.model.prior_correction, want.prior_correction)
 
 
@@ -174,7 +167,7 @@ class TestMissionState:
         babbling = point_config(damage=AngleOffsetDamage(0.5), seed=3)
         assert baseline_babbling(babbling).learn_steps > 1
         for state in states:
-            inputs = state.observations.inputs
+            inputs = state.model.observations.inputs
             posterior = state.posterior
             points = posterior.points
             kernel, prior = state.model.kernel, state.model.prior
@@ -199,7 +192,7 @@ class TestCandidateScoring:
             want_means, want_variances = predict_batch(state.model, state.posterior.points)
             np.testing.assert_array_equal(means, want_means)
             np.testing.assert_array_equal(sigma, np.sqrt(2 * want_variances))
-            checked.append(len(state.observations))
+            checked.append(len(state.model.observations))
 
         monkeypatch.setattr(MissionState, "learn", checking_learn)
         sela = run_mission(point_config(AngleOffsetDamage(0.5), noise_variance=0.01, seed=3))
@@ -255,58 +248,30 @@ class TestCandidateScoring:
 
 class TestSelaAdapt:
     def adapting_state(self, world):
-        observations = ObservationSet.empty(1, 2, 0.001)
-        kernel = Kernel(KernelFamily.SQUARED_EXPONENTIAL, 0.1, DistanceKind.WRAPPED_ANGULAR)
-        return MissionState(
-            world=world,
-            goal=np.array(GOAL),
-            epsilon_goal=0.1,
-            observations=observations,
-            model=fit(observations, kernel, point_robot_prior),
-            candidates=CandidateSet.dense_theta_grid(),
-        )
-
-    def reward_builder(self, grid):
-        return lambda pose: build_waypoint_reward(grid, pose, np.array(GOAL), 2)
+        config = point_config()
+        config.world = world
+        return mission._fresh_state(config, config.prior)
 
     def test_each_iteration_is_a_real_task_step(self):
         world = make_point_robot_world(AngleOffsetDamage(0.5), 0.01, seed=2)
         state = self.adapting_state(world)
         before = world.pose
-        sela_adapt(
-            state,
-            AcquisitionConfig(0.05),
-            self.reward_builder(PlannerGrid.for_mission((0.0, 0.0), GOAL)),
-            1,
-            DropDetectorConfig(),
-        )
+        sela_adapt(state, 1)
         assert state.step_count == 1
         assert state.adapt_iterations == 1
-        assert len(state.observations) == 1
+        assert len(state.model.observations) == 1
         assert not np.array_equal(world.pose, before)
 
     def test_recovery_stops_early(self):
         # accurate model: first iteration already predicts perfectly
         state = self.adapting_state(make_point_robot_world())
-        sela_adapt(
-            state,
-            AcquisitionConfig(0.05),
-            self.reward_builder(PlannerGrid.for_mission((0.0, 0.0), GOAL)),
-            10,
-            DropDetectorConfig(),
-        )
+        sela_adapt(state, 10)
         assert state.adapt_iterations == 1
 
     def test_goal_stops_immediately(self):
         world = make_point_robot_world(start=GOAL)
         state = self.adapting_state(world)
-        sela_adapt(
-            state,
-            AcquisitionConfig(0.05),
-            self.reward_builder(PlannerGrid.for_mission((0.0, 0.0), GOAL)),
-            10,
-            DropDetectorConfig(),
-        )
+        sela_adapt(state, 10)
         assert state.adapt_iterations == 0
 
 
@@ -349,8 +314,9 @@ class TestRunMission:
         assert record.exec_steps == 10
 
     def test_reversed_actuation_hits_the_cap(self):
-        # every command lands backwards; the cap is below any feasible route
-        damage = AngleOffsetDamage(math.pi, applies_when=lambda theta: True)
+        # commands above zero land backwards, so every performed direction
+        # points down or sideways; the cap is below any feasible route
+        damage = AngleOffsetDamage(math.pi)
         config = point_config(damage=damage, noise_variance=0.01, seed=12, step_cap=25)
         record = run_mission(config)
         assert not record.reached
