@@ -8,7 +8,8 @@ finite, each damage kind must suit the world (`angle_offset` the point
 robot, `frozen_joint` the walker), no method may be listed twice, the
 archive budget must cover the archive's initial random batch, seeds must be
 non-negative, the direction grid may hold at most
-`sela.acquisition.MAX_CANDIDATES` points, and the goal must be near enough
+`sela.acquisition.MAX_CANDIDATES` points, no method's model may grow past
+`sela.gp.MAX_GP_OBSERVATIONS` observations, and the goal must be near enough
 for a planner grid of at most `sela.reward.MAX_PLANNER_CELLS` cells. The same
 checks (`validate`) run on configs built directly or through
 `with_overrides`.
@@ -21,8 +22,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .acquisition import MAX_CANDIDATES
+from .gp import MAX_GP_OBSERVATIONS
 from .map_elites import initial_batch
-from .mission import Method
+from .mission import EPISODIC_DIRECTIONS, Method
 from .reward import PlannerGrid
 from .worlds import WALKER_JOINTS
 
@@ -187,6 +189,18 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
             fail(key, f"must be {relation} {bound}, got {value}")
     if config.candidate_grid > MAX_CANDIDATES:
         fail("candidate_grid", f"must be at most {MAX_CANDIDATES}, got {config.candidate_grid}")
+    # Each learning trial adds one observation. SELA learns only within
+    # step_cap; the baselines' learning loops run their whole budget.
+    for method, key, size in (
+        (Method.SELA, "step_cap", config.step_cap),
+        (Method.BABBLING, "babble_max", config.babble_max),
+        (Method.UNCERTAINTY, "uncertainty_iterations", config.uncertainty_iterations),
+        (Method.EPISODIC_ITE, "max_adapt_iterations",
+         len(EPISODIC_DIRECTIONS) * config.adapt_iterations()),
+    ):
+        if method in config.methods and size > MAX_GP_OBSERVATIONS:
+            fail(key, f"lets the {method.value} model grow to {size} observations, "
+                 f"above MAX_GP_OBSERVATIONS = {MAX_GP_OBSERVATIONS}")
     repeated = [m for i, m in enumerate(config.methods) if m in config.methods[:i]]
     if repeated:
         fail("methods", f"lists {repeated[0].value!r} more than once")

@@ -66,16 +66,9 @@ def build_damage(config: ExperimentConfig) -> Damage:
 
 
 def build_kernel(config: ExperimentConfig) -> Kernel:
-    distance = (
-        DistanceKind.WRAPPED_ANGULAR
-        if config.world == "point_robot"
-        else DistanceKind.EUCLIDEAN
-    )
-    return Kernel(
-        family=KernelFamily(config.kernel_family),
-        sigma=config.kernel_sigma,
-        distance=distance,
-    )
+    angular = config.world == "point_robot"
+    distance = DistanceKind.WRAPPED_ANGULAR if angular else DistanceKind.EUCLIDEAN
+    return Kernel(KernelFamily(config.kernel_family), config.kernel_sigma, distance)
 
 
 def build_archive(config: ExperimentConfig, on_offer=None) -> Archive:
@@ -121,12 +114,7 @@ def build_mission_config(
         candidates = CandidateSet.from_archive(archive)
         prior = ArchivePrior(archive)
         sampler = sample_walker_behavior
-    grid = PlannerGrid.for_mission(
-        start=world.pose,
-        goal=goal,
-        cell_size=config.cell_size,
-        margin=config.planner_margin,
-    )
+    grid = PlannerGrid.for_mission(world.pose, goal, config.cell_size, config.planner_margin)
     return MissionConfig(
         world=world,
         candidates=candidates,
@@ -192,48 +180,24 @@ def run_experiment(
 
 def compute_summary(records: list[RunRecord]) -> list[SummaryRow]:
     """Quartiles per method and metric plus the fraction of goals reached."""
-    methods = []
-    for record in records:
-        if record.method not in methods:
-            methods.append(record.method)
     rows = []
-    for method in methods:
+    for method in dict.fromkeys(record.method for record in records):
         subset = [r for r in records if r.method == method]
         success = float(np.mean([r.reached for r in subset]))
         for metric in _METRICS:
             values = np.array([getattr(r, metric) for r in subset], dtype=float)
             q25, median, q75 = np.percentile(values, [25, 50, 75])
-            rows.append(
-                SummaryRow(
-                    method=method,
-                    metric=metric,
-                    q25=float(q25),
-                    median=float(median),
-                    q75=float(q75),
-                    success_rate=success,
-                )
-            )
+            rows.append(SummaryRow(method, metric, float(q25), float(median), float(q75), success))
     return rows
 
 
 def runs_csv_text(records: list[RunRecord], world: str) -> str:
     lines = [RUNS_HEADER]
-    for run_id, record in enumerate(records):
-        lines.append(
-            ",".join(
-                [
-                    str(run_id),
-                    record.method.value,
-                    world,
-                    str(record.seed),
-                    str(record.learn_steps),
-                    str(record.exec_steps),
-                    str(record.total_steps),
-                    "true" if record.reached else "false",
-                    "0",   # deterministic placeholder, see module docstring
-                ]
-            )
-        )
+    for run_id, r in enumerate(records):
+        reached = "true" if r.reached else "false"
+        # wall_ms is the deterministic placeholder 0, see module docstring
+        lines.append(f"{run_id},{r.method.value},{world},{r.seed},{r.learn_steps},"
+                     f"{r.exec_steps},{r.total_steps},{reached},0")
     return "\n".join(lines) + "\n"
 
 
@@ -270,16 +234,9 @@ def read_runs_csv(path) -> tuple[str, list[RunRecord]]:
         if len(parts) != 9:
             raise ValueError(f"malformed runs.csv row: {line!r}")
         world = parts[2]
-        records.append(
-            RunRecord(
-                method=Method(parts[1]),
-                learn_steps=int(parts[4]),
-                exec_steps=int(parts[5]),
-                total_steps=int(parts[6]),
-                reached=parts[7] == "true",
-                seed=int(parts[3]),
-            )
-        )
+        learn, execute, total = (int(part) for part in parts[4:7])
+        reached = parts[7] == "true"
+        records.append(RunRecord(Method(parts[1]), learn, execute, total, reached, int(parts[3])))
     return world, records
 
 

@@ -288,9 +288,19 @@ def load_archive(data: bytes) -> Archive:
             raise ArchiveFormatError(f"line {line_no}: cell {cell} outside grid {grid_shape}")
         if cell in archive.cells:
             raise ArchiveFormatError(f"line {line_no}: duplicate cell {cell}")
+        descriptor = _parse_vector(entry["descriptor"], m, "descriptor", line_no)
+        # Elite would clip a descriptor outside [0, 1], and saving the
+        # archive would then no longer give the input bytes
+        if not ((descriptor >= 0.0) & (descriptor <= 1.0)).all():
+            raise ArchiveFormatError(f"line {line_no}: descriptor outside [0, 1]")
+        binned = _cell(descriptor.tolist(), grid_shape)
+        if binned != cell:
+            raise ArchiveFormatError(
+                f"line {line_no}: descriptor bins to cell {binned}, not {cell}"
+            )
         elite = Elite(
             behavior=_parse_vector(entry["behavior"], behavior_dim, "behavior", line_no),
-            descriptor=_parse_vector(entry["descriptor"], m, "descriptor", line_no),
+            descriptor=descriptor,
             performance=float(_parse_vector(entry["perf"], 1, "perf", line_no)[0]),
             outcome=_parse_vector(entry["outcome"], outcome_dim, "outcome", line_no),
         )

@@ -226,6 +226,34 @@ class TestErrors:
             parse_config("world = point_robot\ncandidate_grid = 10001")
         assert parse_config("world = point_robot\ncandidate_grid = 10000").candidate_grid == 10000
 
+    @pytest.mark.parametrize(
+        "method, key, value, size",
+        [
+            ("sela", "step_cap", 1001, 1001),
+            ("babbling", "babble_max", 1001, 1001),
+            ("uncertainty", "uncertainty_iterations", 5000, 5000),
+            ("episodic_ite", "max_adapt_iterations", 251, 1004),
+        ],
+    )
+    def test_largest_model_is_capped(self, method, key, value, size):
+        # the baselines' learning loops do not stop at step_cap, so a small
+        # cap does not bound their models
+        cap = "" if key == "step_cap" else "\nstep_cap = 10"
+        message = (f"key '{key}' lets the {method} model grow to {size} observations, "
+                   f"above MAX_GP_OBSERVATIONS = 1000")
+        with pytest.raises(ConfigError, match=f"^line 3: {message}$"):
+            parse_config(f"world = point_robot\nmethods = {method}\n{key} = {value}{cap}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            with_overrides(parse_config("world = point_robot"), methods=(Method(method),), **{key: value})
+
+    def test_models_at_the_cap_accepted(self):
+        parse_config("world = point_robot\nmethods = sela, babbling, uncertainty, episodic_ite\n"
+                     "step_cap = 1000\nbabble_max = 1000\nuncertainty_iterations = 1000\n"
+                     "max_adapt_iterations = 250")
+        # only the methods the config runs are checked
+        parse_config("world = point_robot\nmethods = sela\nbabble_max = 5000\n"
+                     "uncertainty_iterations = 5000\nmax_adapt_iterations = 5000")
+
     def test_zero_replicates_rejected(self):
         with pytest.raises(ConfigError, match="replicates"):
             parse_config("world = point_robot\nreplicates = 0")

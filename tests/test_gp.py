@@ -21,9 +21,11 @@ from sela.gp import (
     kernel_matrix,
     predict,
     predict_batch,
+    predict_mean,
     prior_values,
     zero_prior,
 )
+from sela.map_elites import Archive, ArchivePrior, Elite
 
 SQEXP = Kernel(KernelFamily.SQUARED_EXPONENTIAL, sigma=0.1)
 WRAPPED = Kernel(KernelFamily.SQUARED_EXPONENTIAL, sigma=0.1, distance=DistanceKind.WRAPPED_ANGULAR)
@@ -260,6 +262,88 @@ class TestCandidatePosterior:
         with pytest.raises(ValueError, match="extending"):
             posterior.score(model)
         posterior.score(fit(observations, SQEXP, prior))
+
+
+def archive_prior(rng, behaviors):
+    """ArchivePrior whose elites sit at some of `behaviors`, so queries hit
+    an elite exactly or fall back to the nearest one."""
+    archive = Archive((len(behaviors),), behaviors.shape[1], 2)
+    for i in range(0, len(behaviors), 2):
+        archive.offer(Elite(behaviors[i], [(i + 0.5) / len(behaviors)], 1.0, rng.normal(size=2)))
+    return ArchivePrior(archive)
+
+
+def bits(array):
+    return np.asarray(array).tobytes()
+
+
+class TestOneRowMean:
+    """`CandidatePosterior.mean_at` and `predict_mean` give `predict`'s mean
+    bit for bit, without its variance solve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        behavior_dim=st.sampled_from([1, 4]),
+        family=st.sampled_from(list(KernelFamily)),
+        distance=st.sampled_from(list(DistanceKind)),
+        sigma=st.sampled_from([0.1, 0.45]),
+        prior_kind=st.sampled_from(["zero", "function", "archive"]),
+        noise=st.sampled_from([0.0, 0.001, 0.05]),
+        t=st.integers(0, 14),
+        score_every=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_to_predict_bit_for_bit(
+        self, behavior_dim, family, distance, sigma, prior_kind, noise, t, score_every, seed
+    ):
+        # the inputs are partly candidate points, as in a mission, partly
+        # other points; the posterior scores every model or every third, so
+        # its cross kernel also grows by several rows at once
+        rng = np.random.default_rng(seed)
+        kernel = Kernel(family, sigma, distance)
+        points = rng.uniform(-np.pi, np.pi, size=(20, behavior_dim))
+        prior = {
+            "zero": zero_prior(2), "function": sine_prior, "archive": archive_prior(rng, points),
+        }[prior_kind]
+        inputs = np.vstack([points[rng.permutation(20)[: t // 2]],
+                            rng.uniform(-np.pi, np.pi, size=(t - t // 2, behavior_dim))])
+        outputs = rng.normal(size=(t, 2))
+        others = rng.uniform(-4.0, 4.0, size=(5, behavior_dim))
+        posterior = CandidatePosterior(points, prior, kernel)
+        model = fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, prior)
+        for end in range(t + 1):
+            if end > 0:
+                prefix = ObservationSet(inputs[:end], outputs[:end], noise)
+                try:
+                    model = fit(prefix, kernel, prior, previous=model)
+                except GpFitError:
+                    return
+            for x in others if behavior_dim > 1 else [*others, float(others[0, 0])]:
+                assert bits(predict_mean(model, x)) == bits(predict(model, x)[0])
+            if end % score_every:
+                continue
+            posterior.score(model)
+            for index in range(len(points)):
+                want = predict(model, points[index])[0]
+                assert bits(posterior.mean_at(model, index)) == bits(want)
+                assert bits(predict_mean(model, points[index])) == bits(want)
+
+    def test_mean_at_needs_the_model_scored_last(self):
+        rng = np.random.default_rng(7)
+        observations = ObservationSet(rng.normal(size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
+        prior = zero_prior(2)
+        head = fit(ObservationSet(observations.inputs[:3], observations.outputs[:3]), SQEXP, prior)
+        model = fit(observations, SQEXP, prior, previous=head)
+        posterior = CandidatePosterior(rng.normal(size=(10, 1)), prior, SQEXP)
+        with pytest.raises(ValueError, match="scored last"):
+            posterior.mean_at(model, 0)   # nothing scored yet
+        posterior.score(head)
+        posterior.mean_at(head, 0)
+        posterior.score(model)
+        for other in (head, fit(observations, SQEXP, prior)):   # older, or equal but another object
+            with pytest.raises(ValueError, match="scored last"):
+                posterior.mean_at(other, 0)
+        posterior.mean_at(model, 9)
 
 
 class TestFitErrors:

@@ -1,6 +1,9 @@
 """MAP-Elites archive: binning, elitist replacement, illumination budget and
 determinism, and the text serialization round trip."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,6 +388,27 @@ class TestSerialization:
         with pytest.raises(ArchiveFormatError, match="outside grid"):
             load_archive(data)
 
+    @pytest.mark.parametrize("descriptor", ["1.5,-3.0", "0.25,1.0000000000000002", "-5e-324,0.25"])
+    def test_descriptor_outside_the_unit_square_reports_its_line(self, descriptor):
+        # Elite would clip it to [1.0, 0.0], and saving would not give the input
+        header = "sela-archive v1 m=2 grid=2x2 b=1 d=2"
+        line = f"cell=0,0 behavior=0.5 descriptor={descriptor} perf=1.0 outcome=0.0,0.0"
+        with pytest.raises(ArchiveFormatError, match=r"^line 2: descriptor outside \[0, 1\]$"):
+            load_archive(f"{header}\n{line}\n".encode())
+
+    def test_descriptor_of_another_cell_reports_its_line(self):
+        data = save_archive(self.build_small()).decode().splitlines()
+        own, other = (dict(token.split("=") for token in data[i].split()) for i in (3, 4))
+        data[3] = data[3].replace(f"descriptor={own['descriptor']}", f"descriptor={other['descriptor']}")
+        binned, cell = (tuple(int(i) for i in line["cell"].split(",")) for line in (other, own))
+        want = re.escape(f"line 4: descriptor bins to cell {binned}, not {cell}")
+        with pytest.raises(ArchiveFormatError, match=f"^{want}$"):
+            load_archive(("\n".join(data) + "\n").encode())
+        # the top edge folds into the last bin, as when the archive was built
+        header = "sela-archive v1 m=2 grid=2x2 b=1 d=2"
+        line = "cell=1,0 behavior=0.5 descriptor=1.0,0.0 perf=1.0 outcome=0.0,0.0"
+        assert load_archive(f"{header}\n{line}\n".encode()).cells[(1, 0)].descriptor.tolist() == [1.0, 0.0]
+
 
 # Finite floats, with negative zero, subnormals and the largest doubles made likely.
 archive_floats = st.one_of(
@@ -401,13 +425,16 @@ def archives(draw):
     b = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
     archive = Archive(grid, b, d)
-    all_cells = list(np.ndindex(*grid))
-    for cell in draw(st.lists(st.sampled_from(all_cells), unique=True, max_size=len(all_cells))):
+    # every elite sits in the cell its descriptor bins to, as in a built archive
+    unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 5e-324, 1.0]))
+    for descriptor in draw(st.lists(st.lists(unit, min_size=m, max_size=m), max_size=math.prod(grid))):
+        cell = bin_index(descriptor, grid)
+        if cell in archive.cells:
+            continue
         vector = lambda size: draw(st.lists(archive_floats, min_size=size, max_size=size))
-        unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 5e-324, 1.0]))
-        archive.cells[tuple(int(i) for i in cell)] = Elite(
+        archive.cells[cell] = Elite(
             behavior=vector(b),
-            descriptor=draw(st.lists(unit, min_size=m, max_size=m)),
+            descriptor=descriptor,
             performance=draw(archive_floats),
             outcome=vector(d),
         )

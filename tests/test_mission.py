@@ -3,6 +3,7 @@ the episodic baselines, all on the point-robot world where step counts have
 closed-form expectations."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ import pytest
 from sela.acquisition import AcquisitionConfig, CandidateSet
 from sela import gp, mission
 from sela.gp import (
+    CandidatePosterior,
     DistanceKind,
     Kernel,
     KernelFamily,
     ObservationSet,
     fit,
     kernel_matrix,
+    predict,
     predict_batch,
     prior_values,
 )
@@ -220,13 +223,13 @@ class TestCandidateScoring:
 
     def test_nominal_steps_with_an_unchanged_model_are_not_scored_again(self, monkeypatch):
         # the intact robot never adapts, so its model stays the empty one:
-        # the candidates are scored once, and predict_batch only makes the
-        # one-row prediction at each chosen behavior
+        # the candidates are scored once, and each chosen behavior's
+        # prediction comes from that score, with no predict_batch call
         batches, posteriors = self.record_scoring(monkeypatch)
         record = run_mission(point_config())
         assert record.learn_steps == 0 and record.exec_steps == DIRECT_STEPS
-        assert batches == [1] * DIRECT_STEPS
-        assert [size for _, size in posteriors].count(360) == 1
+        assert batches == []
+        assert [size for _, size in posteriors] == [360]
 
     def test_each_model_is_scored_once(self, monkeypatch):
         # with adaptation and a noisy world: one candidate scoring per model
@@ -244,6 +247,60 @@ class TestCandidateScoring:
         assert run_mission(config).learn_steps > 1
         scored = [model for model, size in posteriors if size == 360]
         assert len(scored) == len({id(model) for model in selected}) < len(selected)
+
+
+class RecordingDeque(deque):
+    """A mission's `recent` window that also logs every appended pair."""
+
+    def __init__(self, log, maxlen):
+        super().__init__(maxlen=maxlen)
+        self.log = log
+
+    def append(self, pair):
+        self.log.append(pair)
+        super().append(pair)
+
+
+class TestPredictedOutcomes:
+    def test_every_prediction_equals_predict(self, monkeypatch):
+        # SELA's steps and the greedy drives predict from the scored
+        # posterior (mean_at), babbling and the episodic repertoire with
+        # predict_mean; each prediction equals predict's mean bit for bit
+        made, appended = {}, []   # id(predicted) -> (predicted, model, behavior)
+        mean_at, predict_mean = CandidatePosterior.mean_at, mission.predict_mean
+        fresh_state = mission._fresh_state
+
+        def recording_mean_at(posterior, model, index):
+            predicted = mean_at(posterior, model, index)
+            made[id(predicted)] = (predicted, model, posterior.points[index])
+            return predicted
+
+        def recording_predict_mean(model, behavior):
+            predicted = predict_mean(model, behavior)
+            made[id(predicted)] = (predicted, model, np.copy(behavior))
+            return predicted
+
+        def recording_fresh_state(*args):
+            state = fresh_state(*args)
+            state.recent = RecordingDeque(appended, state.recent.maxlen)
+            return state
+
+        monkeypatch.setattr(CandidatePosterior, "mean_at", recording_mean_at)
+        monkeypatch.setattr(mission, "predict_mean", recording_predict_mean)
+        monkeypatch.setattr(mission, "_fresh_state", recording_fresh_state)
+        damage = AngleOffsetDamage(0.5)
+        sela = run_mission(point_config(damage, noise_variance=0.01, seed=3))
+        babbling = baseline_babbling(point_config(damage, seed=3))
+        episodic = baseline_episodic_ite(point_config(damage, seed=3))
+        assert sela.learn_steps > 1 and babbling.learn_steps > 1 and episodic.learn_steps > 4
+        # one pair per SELA step and per babble; the drives predict too, and
+        # the episodic repertoire holds one prediction per direction
+        assert len(appended) == sela.total_steps + babbling.learn_steps
+        assert len(made) == sela.total_steps + babbling.total_steps + 4
+        for predicted, _ in appended:
+            assert made[id(predicted)][0] is predicted
+        for predicted, model, behavior in made.values():
+            assert predicted.tobytes() == predict(model, behavior)[0].tobytes()
 
 
 class TestSelaAdapt:
