@@ -16,10 +16,9 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, parse_config_file, with_overrides
-from .map_elites import ArchiveFormatError, save_archive
+from .map_elites import save_archive
 from .experiment import (
     build_archive,
-    load_archive_file,
     run_experiment,
     summarize_runs,
     summary_csv_text,
@@ -114,8 +113,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ArchiveFormatError, FileNotFoundError, OSError, ValueError, RuntimeError) as exc:
-        # notes name the failed replicate, see run_experiment
+    except (OSError, ValueError, RuntimeError) as exc:
+        # ArchiveFormatError is a ValueError; notes name the failed replicate
         print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n  ", file=sys.stderr)
         return 2
 

@@ -66,9 +66,16 @@ def build_damage(config: ExperimentConfig) -> Damage:
 
 
 def build_kernel(config: ExperimentConfig) -> Kernel:
-    angular = config.world == "point_robot"
-    distance = DistanceKind.WRAPPED_ANGULAR if angular else DistanceKind.EUCLIDEAN
-    return Kernel(KernelFamily(config.kernel_family), config.kernel_sigma, distance)
+    distance = (
+        DistanceKind.WRAPPED_ANGULAR
+        if config.world == "point_robot"
+        else DistanceKind.EUCLIDEAN
+    )
+    return Kernel(
+        family=KernelFamily(config.kernel_family),
+        sigma=config.kernel_sigma,
+        distance=distance,
+    )
 
 
 def build_archive(config: ExperimentConfig, on_offer=None) -> Archive:
@@ -89,10 +96,7 @@ def build_archive(config: ExperimentConfig, on_offer=None) -> Archive:
 
 
 def load_archive_file(path) -> Archive:
-    archive_path = Path(path)
-    if not archive_path.exists():
-        raise FileNotFoundError(f"archive file not found: {archive_path}")
-    return load_archive(archive_path.read_bytes())
+    return load_archive(Path(path).read_bytes())
 
 
 def build_mission_config(
@@ -114,7 +118,12 @@ def build_mission_config(
         candidates = CandidateSet.from_archive(archive)
         prior = ArchivePrior(archive)
         sampler = sample_walker_behavior
-    grid = PlannerGrid.for_mission(world.pose, goal, config.cell_size, config.planner_margin)
+    grid = PlannerGrid.for_mission(
+        start=world.pose,
+        goal=goal,
+        cell_size=config.cell_size,
+        margin=config.planner_margin,
+    )
     return MissionConfig(
         world=world,
         candidates=candidates,
@@ -187,17 +196,37 @@ def compute_summary(records: list[RunRecord]) -> list[SummaryRow]:
         for metric in _METRICS:
             values = np.array([getattr(r, metric) for r in subset], dtype=float)
             q25, median, q75 = np.percentile(values, [25, 50, 75])
-            rows.append(SummaryRow(method, metric, float(q25), float(median), float(q75), success))
+            rows.append(
+                SummaryRow(
+                    method=method,
+                    metric=metric,
+                    q25=float(q25),
+                    median=float(median),
+                    q75=float(q75),
+                    success_rate=success,
+                )
+            )
     return rows
 
 
 def runs_csv_text(records: list[RunRecord], world: str) -> str:
     lines = [RUNS_HEADER]
-    for run_id, r in enumerate(records):
-        reached = "true" if r.reached else "false"
-        # wall_ms is the deterministic placeholder 0, see module docstring
-        lines.append(f"{run_id},{r.method.value},{world},{r.seed},{r.learn_steps},"
-                     f"{r.exec_steps},{r.total_steps},{reached},0")
+    for run_id, record in enumerate(records):
+        lines.append(
+            ",".join(
+                [
+                    str(run_id),
+                    record.method.value,
+                    world,
+                    str(record.seed),
+                    str(record.learn_steps),
+                    str(record.exec_steps),
+                    str(record.total_steps),
+                    "true" if record.reached else "false",
+                    "0",   # deterministic placeholder, see module docstring
+                ]
+            )
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -234,9 +263,16 @@ def read_runs_csv(path) -> tuple[str, list[RunRecord]]:
         if len(parts) != 9:
             raise ValueError(f"malformed runs.csv row: {line!r}")
         world = parts[2]
-        learn, execute, total = (int(part) for part in parts[4:7])
-        reached = parts[7] == "true"
-        records.append(RunRecord(Method(parts[1]), learn, execute, total, reached, int(parts[3])))
+        records.append(
+            RunRecord(
+                method=Method(parts[1]),
+                learn_steps=int(parts[4]),
+                exec_steps=int(parts[5]),
+                total_steps=int(parts[6]),
+                reached=parts[7] == "true",
+                seed=int(parts[3]),
+            )
+        )
     return world, records
 
 

@@ -18,9 +18,9 @@ new input. The factorization itself is redone from scratch each time.
 `CandidatePosterior` serves a fixed query set such as a mission's candidates:
 it evaluates the prior there once, grows k(X, points) by one row per
 observation, and scores each fitted model once. Its `mean_at` gives the mean
-at one of those points from the kept prior row and kernel column, and
-`predict_mean` the mean at any point; both do `predict`'s one-row mean
-arithmetic, so they equal its mean bit for bit, without the variance solve.
+at one of those points from the kept prior row and kernel column with
+`predict`'s one-row mean arithmetic, so it equals `predict`'s mean bit for
+bit, without the variance solve.
 Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
 """
 
@@ -280,14 +280,6 @@ def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray | None
     return means, np.maximum(variances, 0.0)
 
 
-def _mean(model: GpModel, prior_row: np.ndarray, column: np.ndarray | None) -> np.ndarray:
-    """Mean (outcome_dim,) at one point from its prior (1, outcome_dim) and
-    k(X, point) (t, 1): the arithmetic of `_posterior` on a one-row query."""
-    if len(model.observations) == 0:
-        return prior_row[0].copy()
-    return (prior_row + column.T @ model.prior_correction)[0]
-
-
 def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means (n, outcome_dim) and the per-point variance (n,).
 
@@ -346,9 +338,12 @@ class CandidatePosterior:
         from the batch product and may differ from it in the last bits."""
         if model is not self.model:
             raise ValueError("mean_at needs the model scored last")
+        prior_row = self.prior_means[index:index + 1]
+        if len(model.observations) == 0:
+            return prior_row[0].copy()
         # a contiguous (t, 1) column, laid out as predict's own kernel column
         column = np.ascontiguousarray(self.cross[:, index:index + 1])
-        return _mean(model, self.prior_means[index:index + 1], column)
+        return (prior_row + column.T @ model.prior_correction)[0]
 
 
 def predict(model: GpModel, x) -> tuple[np.ndarray, float]:
@@ -357,11 +352,3 @@ def predict(model: GpModel, x) -> tuple[np.ndarray, float]:
     means, variances = predict_batch(model, x[None, :])
     return means[0], float(variances[0])
 
-
-def predict_mean(model: GpModel, x) -> np.ndarray:
-    """Posterior mean vector at a single behavior point: `predict`'s mean,
-    without the triangular solve for the variance."""
-    pts = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    inputs = model.observations.inputs
-    column = kernel_matrix(model.kernel, inputs, pts) if len(inputs) > 0 else None
-    return _mean(model, prior_values(model.prior, pts), column)

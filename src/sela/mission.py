@@ -21,9 +21,8 @@ The candidate set, planner grid and goal stay fixed for a whole mission, and
 the observations only grow. So each refit extends the previous model's Gram
 matrix, and a `CandidatePosterior` keeps the prior and the cross kernel at
 the candidates and scores each model once: steps that learn nothing reuse
-the last score. The outcome predicted for a chosen candidate comes from that
-posterior too (`mean_at`), and `predict_mean` serves the behaviors that are
-not candidates of the current model: no step solves for a variance it does
+the last score. The outcome SELA predicts for a chosen candidate comes from
+that posterior too (`mean_at`), so its steps solve for no variance they do
 not use. The missions of an experiment share one table of A* waypoints per
 start cell (`MissionConfig.waypoint_cells`).
 """
@@ -39,7 +38,7 @@ import numpy as np
 
 from .acquisition import AcquisitionConfig, CandidateSet, select_next
 from .gp import (
-    CandidatePosterior, GpModel, Kernel, ObservationSet, PriorMean, fit, predict_mean, zero_prior
+    CandidatePosterior, GpModel, Kernel, ObservationSet, PriorMean, fit, predict, zero_prior
 )
 from .reward import PlannerGrid, RewardFunction, build_waypoint_reward
 from .worlds import World, goal_reached
@@ -162,34 +161,43 @@ def _fresh_state(config: MissionConfig, prior: PriorMean) -> MissionState:
 
 def _chase_waypoint(
     state: MissionState, acquisition: AcquisitionConfig = _GREEDY
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, int]:
     """The candidate that `select_next` picks to approach the next waypoint,
-    greedily by default, and its predicted outcome."""
+    greedily by default, and its index."""
     config = state.config
     reward = build_waypoint_reward(
         config.grid, config.world.pose, config.goal, config.lookahead_cells, config.waypoint_cells
     )
-    behavior, index = select_next(state.posterior, state.model, reward, acquisition)
-    return behavior, state.posterior.mean_at(state.model, index)
+    return select_next(state.posterior, state.model, reward, acquisition)
+
+
+def _greedy_behavior(state: MissionState) -> np.ndarray:
+    """Behavior whose predicted outcome best approaches the next waypoint."""
+    return _chase_waypoint(state)[0]
 
 
 def _record(method: Method, state: MissionState, learn_steps: int) -> RunRecord:
-    steps, seed = state.step_count, state.config.seed
-    return RunRecord(method, learn_steps, steps - learn_steps, steps, state.at_goal(), seed)
+    return RunRecord(
+        method=method,
+        learn_steps=learn_steps,
+        exec_steps=state.step_count - learn_steps,
+        total_steps=state.step_count,
+        reached=state.at_goal(),
+        seed=state.config.seed,
+    )
 
 
 def _drive(
     method: Method,
     state: MissionState,
-    choose: Callable[[MissionState], tuple] = _chase_waypoint,
+    choose: Callable[[MissionState], np.ndarray] = _greedy_behavior,
 ) -> RunRecord:
     """The baselines' tail: every step so far was a learning trial. Execute
-    the behavior of `choose(state)`, a (behavior, predicted outcome) pair,
-    until the goal or the step cap, learning nothing, and record the
-    mission."""
+    `choose(state)` until the goal or the step cap, learning nothing, and
+    record the mission."""
     learn_steps, world = state.step_count, state.config.world
     while state.step_count < state.config.step_cap and not state.at_goal():
-        world.execute(choose(state)[0])
+        world.execute(choose(state))
         state.step_count += 1
     return _record(method, state, learn_steps)
 
@@ -206,7 +214,8 @@ def sela_adapt(state: MissionState, max_iterations: int) -> MissionState:
     for _ in range(max_iterations):
         if state.at_goal():
             break
-        behavior, predicted = _chase_waypoint(state, config.acquisition)
+        behavior, index = _chase_waypoint(state, config.acquisition)
+        predicted = state.posterior.mean_at(state.model, index)
         observed = config.world.execute(behavior)
         state.learn(behavior, observed)
         state.step_count += 1
@@ -221,7 +230,8 @@ def run_mission(config: MissionConfig) -> RunRecord:
     """Full semi-episodic mission; every executed behavior is a task step."""
     state = _fresh_state(config, config.prior)
     while state.step_count < config.step_cap and not state.at_goal():
-        behavior, predicted = _chase_waypoint(state)
+        behavior, index = _chase_waypoint(state)
+        predicted = state.posterior.mean_at(state.model, index)
         observed = config.world.execute(behavior)
         state.step_count += 1
         state.recent.append((predicted, observed))
@@ -252,7 +262,7 @@ def baseline_babbling(config: MissionConfig) -> RunRecord:
     start_pose = config.world.pose
     for _ in range(config.babble_max):
         behavior = config.behavior_sampler(config.rng)
-        predicted = predict_mean(state.model, behavior)
+        predicted, _ = predict(state.model, behavior)
         observed = _episodic_trial(state, behavior, start_pose)
         state.recent.append((predicted, observed))
         if window_error(state.recent, config.drop.window) < config.epsilon_model:
@@ -300,14 +310,14 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
 
     # Fixed repertoire: the posterior mean at each chosen behavior is the
     # outcome the controller believes in from now on.
-    repertoire = [(behavior, predict_mean(state.model, behavior)) for behavior in chosen]
+    repertoire = [(behavior, predict(state.model, behavior)[0]) for behavior in chosen]
 
-    def closest_landing(state: MissionState) -> tuple:
+    def closest_landing(state: MissionState) -> np.ndarray:
         pose = state.config.world.pose
         landings = [
             float(np.linalg.norm(pose + outcome - config.goal)) for _, outcome in repertoire
         ]
-        return repertoire[int(np.argmin(landings))]
+        return repertoire[int(np.argmin(landings))][0]
 
     return _drive(Method.EPISODIC_ITE, state, closest_landing)
 

@@ -21,7 +21,6 @@ from sela.gp import (
     kernel_matrix,
     predict,
     predict_batch,
-    predict_mean,
     prior_values,
     zero_prior,
 )
@@ -278,8 +277,8 @@ def bits(array):
 
 
 class TestOneRowMean:
-    """`CandidatePosterior.mean_at` and `predict_mean` give `predict`'s mean
-    bit for bit, without its variance solve."""
+    """`CandidatePosterior.mean_at` gives `predict`'s mean bit for bit,
+    without its variance solve."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -308,7 +307,6 @@ class TestOneRowMean:
         inputs = np.vstack([points[rng.permutation(20)[: t // 2]],
                             rng.uniform(-np.pi, np.pi, size=(t - t // 2, behavior_dim))])
         outputs = rng.normal(size=(t, 2))
-        others = rng.uniform(-4.0, 4.0, size=(5, behavior_dim))
         posterior = CandidatePosterior(points, prior, kernel)
         model = fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, prior)
         for end in range(t + 1):
@@ -318,15 +316,12 @@ class TestOneRowMean:
                     model = fit(prefix, kernel, prior, previous=model)
                 except GpFitError:
                     return
-            for x in others if behavior_dim > 1 else [*others, float(others[0, 0])]:
-                assert bits(predict_mean(model, x)) == bits(predict(model, x)[0])
             if end % score_every:
                 continue
             posterior.score(model)
             for index in range(len(points)):
                 want = predict(model, points[index])[0]
                 assert bits(posterior.mean_at(model, index)) == bits(want)
-                assert bits(predict_mean(model, points[index])) == bits(want)
 
     def test_mean_at_needs_the_model_scored_last(self):
         rng = np.random.default_rng(7)

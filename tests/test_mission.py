@@ -263,11 +263,11 @@ class RecordingDeque(deque):
 
 class TestPredictedOutcomes:
     def test_every_prediction_equals_predict(self, monkeypatch):
-        # SELA's steps and the greedy drives predict from the scored
-        # posterior (mean_at), babbling and the episodic repertoire with
-        # predict_mean; each prediction equals predict's mean bit for bit
+        # SELA's steps predict from the scored posterior (mean_at), babbling
+        # and the episodic repertoire with predict; each prediction equals
+        # predict's mean bit for bit
         made, appended = {}, []   # id(predicted) -> (predicted, model, behavior)
-        mean_at, predict_mean = CandidatePosterior.mean_at, mission.predict_mean
+        mean_at, predict_outcome = CandidatePosterior.mean_at, mission.predict
         fresh_state = mission._fresh_state
 
         def recording_mean_at(posterior, model, index):
@@ -275,10 +275,10 @@ class TestPredictedOutcomes:
             made[id(predicted)] = (predicted, model, posterior.points[index])
             return predicted
 
-        def recording_predict_mean(model, behavior):
-            predicted = predict_mean(model, behavior)
+        def recording_predict(model, behavior):
+            predicted, variance = predict_outcome(model, behavior)
             made[id(predicted)] = (predicted, model, np.copy(behavior))
-            return predicted
+            return predicted, variance
 
         def recording_fresh_state(*args):
             state = fresh_state(*args)
@@ -286,17 +286,17 @@ class TestPredictedOutcomes:
             return state
 
         monkeypatch.setattr(CandidatePosterior, "mean_at", recording_mean_at)
-        monkeypatch.setattr(mission, "predict_mean", recording_predict_mean)
+        monkeypatch.setattr(mission, "predict", recording_predict)
         monkeypatch.setattr(mission, "_fresh_state", recording_fresh_state)
         damage = AngleOffsetDamage(0.5)
         sela = run_mission(point_config(damage, noise_variance=0.01, seed=3))
         babbling = baseline_babbling(point_config(damage, seed=3))
         episodic = baseline_episodic_ite(point_config(damage, seed=3))
         assert sela.learn_steps > 1 and babbling.learn_steps > 1 and episodic.learn_steps > 4
-        # one pair per SELA step and per babble; the drives predict too, and
-        # the episodic repertoire holds one prediction per direction
+        # one pair per SELA step and per babble, and one repertoire entry per
+        # direction; the baselines' greedy drives predict nothing
         assert len(appended) == sela.total_steps + babbling.learn_steps
-        assert len(made) == sela.total_steps + babbling.total_steps + 4
+        assert len(made) == sela.total_steps + babbling.learn_steps + 4
         for predicted, _ in appended:
             assert made[id(predicted)][0] is predicted
         for predicted, model, behavior in made.values():
