@@ -189,8 +189,8 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
             fail(key, f"must be {relation} {bound}, got {value}")
     if config.candidate_grid > MAX_CANDIDATES:
         fail("candidate_grid", f"must be at most {MAX_CANDIDATES}, got {config.candidate_grid}")
-    # Each learning trial adds one observation. SELA learns only within
-    # step_cap; the baselines' learning loops run their whole budget.
+    # Each learning trial adds one observation. No method learns past
+    # step_cap, but each learning budget is still bounded on its own.
     for method, key, size in (
         (Method.SELA, "step_cap", config.step_cap),
         (Method.BABBLING, "babble_max", config.babble_max),

@@ -11,16 +11,19 @@ Predictions follow the prior-correction form
 where P is the prior mean and K carries the modeled sampling noise on its
 diagonal. With a zero prior this is plain GP regression.
 
-A model keeps k(X, X) and P(X), so refitting after one more observation
-(`fit(..., previous=model)`) evaluates the kernel and the prior only at the
-new input. The factorization itself is redone from scratch each time.
+The Cholesky factor L of K grows by one row per observation: for input x_i,
+r = L^-1 k(X, x_i) over the earlier inputs, and the new row is
+[r, sqrt(1 + noise + jitter - r.r)]. A fit from scratch runs the same steps
+from the empty model, so a refit after one more observation
+(`fit(..., previous=model)`) costs O(t^2), evaluates the kernel and the
+prior only at the new input, and equals a fit from scratch bit for bit.
 
 `CandidatePosterior` serves a fixed query set such as a mission's candidates:
-it evaluates the prior there once, grows k(X, points) by one row per
-observation, and scores each fitted model once. Its `mean_at` gives the mean
-at one of those points from the kept prior row and kernel column with
-`predict`'s one-row mean arithmetic, so it equals `predict`'s mean bit for
-bit, without the variance solve.
+it evaluates the prior there once, grows k(X, points) and L^-1 k(X, points)
+by one row per observation (the variance is 1 - the column sums of squares
+of the latter), and scores each fitted model once. Its `mean_at` gives the
+mean at one of those points with `predict`'s one-row arithmetic, equal to
+`predict`'s mean bit for bit.
 Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
 """
 
@@ -31,15 +34,15 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 TWO_PI = 2.0 * np.pi
 
-# Added to the diagonal once if the noiseless factorization fails.
+# On K's diagonal in the whole factor and its extensions once a pivot fails without it.
 JITTER = 1e-10
 
-# Largest model a config may grow: one refit at 1,000 inputs takes about
-# 0.1 s (2-vCPU x86-64, one OpenBLAS thread), and its Gram matrix is 8 MB.
+# Largest model a config may grow: at 1,000 inputs a refit takes 5-7 ms, a fit from
+# scratch 0.5 s (2-vCPU x86-64, one OpenBLAS thread), and the factor is 8 MB.
 MAX_GP_OBSERVATIONS = 1_000
 
 # Maps a behavior point to its predicted outcome vector.
@@ -82,8 +85,8 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def pairwise_distance(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance matrix between two point sets under the kernel's metric.
+def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """k(a, b) between two point sets under the kernel's metric.
 
     Wrapped-angular distance folds each coordinate difference onto [0, pi]
     before taking the Euclidean norm, so 0.1 and 2*pi - 0.1 are 0.2 apart.
@@ -96,11 +99,7 @@ def pairwise_distance(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarra
     if kernel.distance is DistanceKind.WRAPPED_ANGULAR:
         diff = np.abs(diff) % TWO_PI
         diff = np.minimum(diff, TWO_PI - diff)
-    return np.sqrt(np.sum(diff * diff, axis=2))
-
-
-def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    r = pairwise_distance(kernel, a, b)
+    r = np.sqrt(np.sum(diff * diff, axis=2))
     if kernel.family is KernelFamily.SQUARED_EXPONENTIAL:
         return np.exp(-(r * r) / (2.0 * kernel.sigma * kernel.sigma))
     return np.exp(-r / kernel.sigma)
@@ -171,12 +170,23 @@ class GpModel:
     prior: PriorMean
     chol: np.ndarray                # (t, t) lower Cholesky factor of K
     prior_correction: np.ndarray    # (t, outcome_dim), equals K^-1 (Y - P(X))
-    gram: np.ndarray                # (t, t) k(X, X), K without the noise
     prior_at_inputs: np.ndarray     # (t, outcome_dim) P(X)
+    jitter: float                   # on K's diagonal besides the noise: 0 or JITTER
 
-    @property
-    def behavior_dim(self) -> int:
-        return self.observations.inputs.shape[1]
+
+def _grow_factor(chol: np.ndarray, kernel: Kernel, inputs: np.ndarray, diagonal: float):
+    """`chol`, the factor of the first inputs, grown by one row per further
+    input, with `diagonal` (1 + noise + jitter) on K's diagonal; None if a
+    pivot is not positive. dtrtrs runs as in solve_triangular, minus its checks."""
+    for i, row in enumerate(kernel_matrix(kernel, inputs[len(chol):], inputs), start=len(chol)):
+        r = dtrtrs(chol.T, row[:i], lower=0, trans=1)[0] if i else row[:0]
+        pivot = diagonal - r @ r
+        if not pivot > 0.0:
+            return None
+        grown = np.zeros((i + 1, i + 1))
+        grown[:i, :i], grown[i, :i], grown[i, i] = chol, r, np.sqrt(pivot)
+        chol = grown
+    return chol
 
 
 def fit(
@@ -185,7 +195,8 @@ def fit(
     prior: PriorMean,
     previous: GpModel | None = None,
 ) -> GpModel:
-    """Factorize the kernel matrix and precompute the prior correction.
+    """Grow the Cholesky factor by one row per new observation and
+    precompute the prior correction.
 
     Legal with zero observations: predictions then revert to the prior with
     unit variance. Non-finite inputs or outputs, and exact duplicate inputs
@@ -193,14 +204,14 @@ def fit(
     NaN through the posterior, and jitter would only mask the second's
     singular matrix.
 
-    `previous` is a model fitted with the same kernel and prior on a strict
-    prefix of these observations; None stands for the empty prefix. Its Gram
-    matrix and prior values are reused, so the kernel and the prior are
-    evaluated only at the new inputs. The Cholesky factor and the solve are
-    still computed on the whole matrix, so the result is bit-identical to a
-    fit from scratch.
+    `previous` is a model fitted with the same kernel, prior and noise on a
+    strict prefix of these observations; None stands for the empty prefix.
+    Its factor and prior values are extended, so the kernel and the prior are
+    evaluated only at the new inputs. The first time a pivot is not positive,
+    the whole factor is regrown with JITTER on the diagonal, which every
+    extension keeps. The result is bit-identical to a fit from scratch.
     """
-    inputs = observations.inputs
+    inputs, noise = observations.inputs, observations.noise_variance
     if not (np.isfinite(inputs).all() and np.isfinite(observations.outputs).all()):
         raise GpFitError("observation inputs and outputs must be finite")
     t = len(observations)
@@ -211,10 +222,10 @@ def fit(
             prior=prior,
             chol=np.zeros((0, 0)),
             prior_correction=np.zeros((0, observations.outputs.shape[1])),
-            gram=np.zeros((0, 0)),
             prior_at_inputs=np.zeros((0, observations.outputs.shape[1])),
+            jitter=0.0,
         )
-    if observations.noise_variance == 0.0:
+    if noise == 0.0:
         _, counts = np.unique(inputs, axis=0, return_counts=True)
         if np.any(counts > 1):
             raise GpFitError(
@@ -222,62 +233,56 @@ def fit(
                 "the kernel matrix singular"
             )
     if previous is None:   # grow from the empty prefix
-        empty = ObservationSet.empty(inputs.shape[1], observations.outputs.shape[1])
+        empty = ObservationSet.empty(inputs.shape[1], observations.outputs.shape[1], noise)
         previous = fit(empty, kernel, prior)
     k = len(previous.observations)
     if not (
         k < t
         and previous.kernel == kernel
         and previous.prior is prior
+        and previous.observations.noise_variance == noise
         and np.array_equal(previous.observations.inputs, inputs[:k])
     ):
         raise ValueError(
-            "previous model must be fitted with the same kernel and prior "
-            "on a strict prefix of the observations"
+            "previous model must be fitted with the same kernel, prior and "
+            "noise on a strict prefix of the observations"
         )
-    new_rows = kernel_matrix(kernel, inputs[k:], inputs)   # (t - k, t)
-    gram = np.empty((t, t))
-    gram[:k, :k] = previous.gram
-    gram[k:] = new_rows
-    gram[:k, k:] = new_rows[:, :k].T
+    jitter = previous.jitter
+    chol = _grow_factor(previous.chol, kernel, inputs, 1.0 + noise + jitter)
+    if chol is None and jitter == 0.0:   # regrow the whole factor, as from scratch
+        jitter = JITTER
+        chol = _grow_factor(np.zeros((0, 0)), kernel, inputs, 1.0 + noise + jitter)
+    if chol is None:
+        raise GpFitError(
+            f"kernel matrix not positive definite (t={t}, "
+            f"noise_variance={noise}, kernel={kernel})"
+        )
     prior_at_inputs = np.concatenate([previous.prior_at_inputs, prior_values(prior, inputs[k:])])
-    diagonal = np.diag_indices_from(gram)
-    gram[diagonal] += observations.noise_variance
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        gram[diagonal] += JITTER
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise GpFitError(
-                f"kernel matrix not positive definite (t={t}, "
-                f"noise_variance={observations.noise_variance}, kernel={kernel})"
-            ) from exc
-    # back to k(X, X) in place instead of factorizing a copy: k(x, x) is
-    # exactly 1 for every kernel here
-    gram[diagonal] = 1.0
     residuals = observations.outputs - prior_at_inputs
-    correction = cho_solve((chol, True), residuals, check_finite=False)
+    correction = dpotrs(chol, residuals, lower=1)[0]   # as cho_solve calls it
     return GpModel(
         kernel=kernel,
         observations=observations,
         prior=prior,
         chol=chol,
         prior_correction=correction,
-        gram=gram,
         prior_at_inputs=prior_at_inputs,
+        jitter=jitter,
     )
 
 
-def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray | None):
-    """(means, variances) from the prior and k(X, points) at the query points."""
-    if len(model.observations) == 0:
-        return prior_means.copy(), np.ones(len(prior_means))
+def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, solved=None):
+    """(means, variances, solved) at the query points from the prior and k(X, points)
+    there. solved = (L^-1 k(X, points), its column sums of squares) grows by forward
+    substitution one row per observation, after the rows of the `solved` given."""
+    half, sums = solved or (cross[:0], np.zeros(len(prior_means)))
     means = prior_means + cross.T @ model.prior_correction
-    half = solve_triangular(model.chol, cross, lower=True, check_finite=False)
-    variances = 1.0 - np.einsum("ij,ij->j", half, half)
-    return means, np.maximum(variances, 0.0)
+    chol, grown = model.chol, np.empty(cross.shape)
+    grown[:len(half)] = half
+    for i in range(len(half), len(cross)):
+        row = grown[i] = (cross[i] - chol[i, :i] @ grown[:i]) / chol[i, i]
+        sums = sums + row * row
+    return means, np.maximum(1.0 - sums, 0.0), (grown, sums)
 
 
 def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
@@ -286,19 +291,19 @@ def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     The variance is shared across output dimensions since they use the same
     inputs and kernel.
     """
-    pts, inputs = _as_points(points), model.observations.inputs
+    pts = _as_points(points)
     # kernel_matrix also rejects a query of another behavior dimension
-    cross = kernel_matrix(model.kernel, inputs, pts) if len(inputs) > 0 else None  # (t, n)
-    return _posterior(model, prior_values(model.prior, pts), cross)
+    cross = kernel_matrix(model.kernel, model.observations.inputs, pts)   # (t, n)
+    return _posterior(model, prior_values(model.prior, pts), cross)[:2]
 
 
 class CandidatePosterior:
     """The posterior at a fixed point set: the prior there, the cross kernel
-    k(X, points) with one row per observation, and the means and aggregated
-    sigma of the latest model scored. `score` recomputes them only for
-    another model object; models are immutable, so the kept ones are exact.
-    Every model scored must use this kernel and prior and extend the inputs
-    scored before."""
+    k(X, points) and L^-1 k(X, points) with one row per observation, and the
+    means and aggregated sigma of the latest model scored. `score` recomputes
+    them only for another model object; models are immutable, so the kept
+    ones are exact. Every model scored must use this kernel and prior and
+    extend the inputs scored before."""
 
     def __init__(self, points, prior: PriorMean, kernel: Kernel):
         self.points = _as_points(points)
@@ -306,6 +311,8 @@ class CandidatePosterior:
         self.prior_means = prior_values(prior, self.points)     # (n, outcome_dim)
         # the inputs (t, behavior_dim) and k(inputs, points) (t, n)
         self.inputs, self.cross = np.zeros((0, self.points.shape[1])), np.zeros((0, len(self)))
+        # (L^-1 cross, its column sums of squares) and the (noise, jitter) of L
+        self.solved = self.diagonal = None
         # the latest model scored, its means (n, outcome_dim) and sigma (n,)
         self.model = self.means = self.sigma = None
 
@@ -326,7 +333,10 @@ class CandidatePosterior:
         if k < len(inputs):
             rows = kernel_matrix(self.kernel, inputs[k:], self.points)
             self.cross, self.inputs = np.vstack([self.cross, rows]), inputs
-        means, variances = _posterior(model, self.prior_means, self.cross)
+        diagonal = (model.observations.noise_variance, model.jitter)
+        if diagonal != self.diagonal:   # another factor: solve from row 0
+            self.solved, self.diagonal = None, diagonal
+        means, variances, self.solved = _posterior(model, self.prior_means, self.cross, self.solved)
         sigma = np.sqrt(means.shape[1] * variances)
         means.flags.writeable = sigma.flags.writeable = False
         self.model, self.means, self.sigma = model, means, sigma
@@ -338,12 +348,9 @@ class CandidatePosterior:
         from the batch product and may differ from it in the last bits."""
         if model is not self.model:
             raise ValueError("mean_at needs the model scored last")
-        prior_row = self.prior_means[index:index + 1]
-        if len(model.observations) == 0:
-            return prior_row[0].copy()
         # a contiguous (t, 1) column, laid out as predict's own kernel column
         column = np.ascontiguousarray(self.cross[:, index:index + 1])
-        return (prior_row + column.T @ model.prior_correction)[0]
+        return (self.prior_means[index:index + 1] + column.T @ model.prior_correction)[0]
 
 
 def predict(model: GpModel, x) -> tuple[np.ndarray, float]:

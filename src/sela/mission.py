@@ -11,15 +11,15 @@ driving with the updated posterior.
 
 The baselines keep learning and execution episodic: each learning trial
 (`_episodic_trial`) resets the robot to the start pose and counts as pure
-cost, and only then does the robot drive to the goal with what it learned
-(`_drive`). A mission passes one `MissionState` around: the model, the
+cost, no trial runs past the step cap, and only then does the robot drive to
+the goal with what it learned (`_drive`). A mission passes one `MissionState` around: the model, the
 posterior and the step counts it mutates, and the `MissionConfig` it reads.
 All four methods share its learning step (`MissionState.learn`), its goal
 test (`MissionState.at_goal`) and the record builder (`_record`).
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
-the observations only grow. So each refit extends the previous model's Gram
-matrix, and a `CandidatePosterior` keeps the prior and the cross kernel at
+the observations only grow. So each refit extends the previous model's
+Cholesky factor, and a `CandidatePosterior` keeps the prior and the cross kernel at
 the candidates and scores each model once: steps that learn nothing reuse
 the last score. The outcome SELA predicts for a chosen candidate comes from
 that posterior too (`mean_at`), so its steps solve for no variance they do
@@ -171,11 +171,6 @@ def _chase_waypoint(
     return select_next(state.posterior, state.model, reward, acquisition)
 
 
-def _greedy_behavior(state: MissionState) -> np.ndarray:
-    """Behavior whose predicted outcome best approaches the next waypoint."""
-    return _chase_waypoint(state)[0]
-
-
 def _record(method: Method, state: MissionState, learn_steps: int) -> RunRecord:
     return RunRecord(
         method=method,
@@ -190,11 +185,11 @@ def _record(method: Method, state: MissionState, learn_steps: int) -> RunRecord:
 def _drive(
     method: Method,
     state: MissionState,
-    choose: Callable[[MissionState], np.ndarray] = _greedy_behavior,
+    choose: Callable[[MissionState], np.ndarray] = lambda state: _chase_waypoint(state)[0],
 ) -> RunRecord:
     """The baselines' tail: every step so far was a learning trial. Execute
-    `choose(state)` until the goal or the step cap, learning nothing, and
-    record the mission."""
+    `choose(state)`, by default the greedy waypoint chase, until the goal or
+    the step cap, learning nothing, and record the mission."""
     learn_steps, world = state.step_count, state.config.world
     while state.step_count < state.config.step_cap and not state.at_goal():
         world.execute(choose(state))
@@ -202,7 +197,7 @@ def _drive(
     return _record(method, state, learn_steps)
 
 
-def sela_adapt(state: MissionState, max_iterations: int) -> MissionState:
+def sela_adapt(state: MissionState, max_iterations: int) -> None:
     """Adaptation burst: learn while still making task progress.
 
     Each iteration refreshes the waypoint reward for the current pose, picks
@@ -223,7 +218,6 @@ def sela_adapt(state: MissionState, max_iterations: int) -> MissionState:
         state.recent.append((predicted, observed))
         if window_error(state.recent, config.drop.window) < config.drop.threshold:
             break
-    return state
 
 
 def run_mission(config: MissionConfig) -> RunRecord:
@@ -240,10 +234,11 @@ def run_mission(config: MissionConfig) -> RunRecord:
     return _record(Method.SELA, state, state.adapt_iterations)
 
 
-def _episodic_trial(state: MissionState, behavior, start_pose) -> np.ndarray:
-    """Try a behavior, put the robot back at the start pose, and learn from
-    the observed outcome. The trial is a step that makes no task progress."""
+def _episodic_trial(state: MissionState, behavior) -> np.ndarray:
+    """Try a behavior, put the robot back where it stood (the start pose), and
+    learn from the observed outcome: a step that makes no task progress."""
     world = state.config.world
+    start_pose = world.pose
     observed = world.execute(behavior)
     world.reset_pose(start_pose)
     state.learn(behavior, observed)
@@ -259,12 +254,10 @@ def baseline_babbling(config: MissionConfig) -> RunRecord:
     under epsilon_model, which only happens when the model really fits.
     """
     state = _fresh_state(config, zero_prior(2))
-    start_pose = config.world.pose
-    for _ in range(config.babble_max):
+    for _ in range(min(config.babble_max, config.step_cap)):
         behavior = config.behavior_sampler(config.rng)
         predicted, _ = predict(state.model, behavior)
-        observed = _episodic_trial(state, behavior, start_pose)
-        state.recent.append((predicted, observed))
+        state.recent.append((predicted, _episodic_trial(state, behavior)))
         if window_error(state.recent, config.drop.window) < config.epsilon_model:
             break
     return _drive(Method.BABBLING, state)
@@ -288,25 +281,20 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
     an episode ends early once the projection clears the success bar. All
     episodes share one observation set."""
     state = _fresh_state(config, config.prior)
-    start_pose = config.world.pose
     chosen = []
     for direction in EPISODIC_DIRECTIONS:
         reward = RewardFunction(
             eval=lambda outcomes, d=direction: np.vecdot(outcomes, d),
             description=f"projection onto direction ({direction[0]:g}, {direction[1]:g})",
         )
-        best_projection = -np.inf
-        best_behavior = None
-        for _ in range(config.max_adapt_iterations):
+        trials = []   # (projection, behavior)
+        for _ in range(min(config.max_adapt_iterations, config.step_cap - state.step_count)):
             behavior, _ = select_next(state.posterior, state.model, reward, config.acquisition)
-            observed = _episodic_trial(state, behavior, start_pose)
-            projection = float(np.dot(observed, direction))
-            if projection > best_projection:
-                best_projection = projection
-                best_behavior = behavior
-            if best_projection >= config.episodic_success_projection:
+            trials.append((float(np.dot(_episodic_trial(state, behavior), direction)), behavior))
+            if trials[-1][0] >= config.episodic_success_projection:
                 break
-        chosen.append(best_behavior)
+        if trials:   # the first best trial; none once the step cap is reached
+            chosen.append(max(trials, key=lambda trial: trial[0])[1])
 
     # Fixed repertoire: the posterior mean at each chosen behavior is the
     # outcome the controller believes in from now on.
@@ -327,13 +315,12 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     least about, for a fixed number of trials, then go with what was learned.
     Learning trials reset the pose and count as pure cost."""
     state = _fresh_state(config, config.prior)
-    start_pose = config.world.pose
     zero_reward = RewardFunction(
         eval=lambda outcomes: np.zeros(len(outcomes)), description="uncertainty only"
     )
-    for _ in range(config.uncertainty_iterations):
+    for _ in range(min(config.uncertainty_iterations, config.step_cap)):
         behavior, _ = select_next(state.posterior, state.model, zero_reward, config.acquisition)
-        _episodic_trial(state, behavior, start_pose)
+        _episodic_trial(state, behavior)
     return _drive(Method.UNCERTAINTY, state)
 
 

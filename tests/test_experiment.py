@@ -205,6 +205,23 @@ class TestRunExperiment:
         records, _ = run_experiment(config)
         assert [r.seed for r in records] == [40, 41, 42]
 
+    def test_baselines_stop_learning_at_the_step_cap(self):
+        # learning budgets of 30 trials under a cap of 5 steps: each baseline
+        # spends the whole cap learning and executes nothing
+        config = ExperimentConfig(
+            world="point_robot",
+            damage="angle_offset",
+            methods=(Method.BABBLING, Method.UNCERTAINTY, Method.EPISODIC_ITE),
+            babble_max=30,
+            uncertainty_iterations=30,
+            epsilon_model=1e-9,
+            step_cap=5,
+        )
+        records, _ = run_experiment(config)
+        assert [(r.method, r.learn_steps, r.total_steps) for r in records] == [
+            (Method.BABBLING, 5, 5), (Method.UNCERTAINTY, 5, 5), (Method.EPISODIC_ITE, 5, 5),
+        ]
+
     @pytest.mark.parametrize(
         "config, key",
         [

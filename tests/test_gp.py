@@ -392,12 +392,13 @@ def grow(observations, kernel, prior):
 
 
 def assert_same_model(grown, scratch):
-    for name in ("chol", "prior_correction", "gram", "prior_at_inputs"):
+    for name in ("chol", "prior_correction", "prior_at_inputs"):
         np.testing.assert_array_equal(getattr(grown, name), getattr(scratch, name), err_msg=name)
+    assert grown.jitter == scratch.jitter
 
 
 class TestIncrementalFit:
-    """`fit(..., previous=model)` reuses the previous Gram matrix and prior
+    """`fit(..., previous=model)` extends the previous factor and prior
     values; every array must equal a fit from scratch bit for bit."""
 
     @settings(max_examples=80, deadline=None)
@@ -457,10 +458,54 @@ class TestIncrementalFit:
         inputs = np.vstack([inputs, inputs[1] + 1e-12])
         observations = ObservationSet(inputs, rng.normal(size=(5, 2)), 0.0)
         grown = grow(observations, SQEXP, sine_prior)[-1]
+        gram = kernel_matrix(SQEXP, inputs, inputs)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(grown.gram)
-        np.linalg.cholesky(grown.gram + JITTER * np.eye(5))
+            np.linalg.cholesky(gram)
+        np.linalg.cholesky(gram + JITTER * np.eye(5))
+        assert grown.jitter == JITTER
         assert_same_model(grown, fit(observations, SQEXP, sine_prior))
+
+    def test_jitter_rides_on_every_extension(self):
+        # the near twin at row 3 needs the jitter: that fit regrows the whole
+        # factor with it, and the extensions after it keep it, each equal to a
+        # fit from scratch. A posterior that last scored the jitter-free
+        # model solves its rows again from row 0.
+        rng = np.random.default_rng(11)
+        inputs = rng.uniform(-1, 1, size=(7, 1))
+        inputs = np.vstack([inputs[:3], inputs[1] + 1e-12, inputs[3:]])
+        observations = ObservationSet(inputs, rng.normal(size=(8, 2)), 0.0)
+        models = grow(observations, SQEXP, sine_prior)
+        assert [model.jitter for model in models] == [0.0] * 3 + [JITTER] * 5
+        assert bits(models[3].chol[:3, :3]) != bits(models[2].chol)
+        for model in models:
+            assert_same_model(model, fit(model.observations, SQEXP, sine_prior))
+        points = rng.uniform(-1, 1, size=(40, 1))
+        posterior = CandidatePosterior(points, sine_prior, SQEXP)
+        posterior.score(models[2])
+        for model in models[3:]:
+            means, sigma = posterior.score(model)
+            want_means, want_variances = predict_batch(model, points)
+            assert bits(means) == bits(want_means)
+            assert bits(sigma) == bits(np.sqrt(2 * want_variances))
+
+    def test_one_row_refit_evaluates_the_kernel_only_in_the_new_row(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        observations = ObservationSet(rng.normal(size=(6, 1)), rng.normal(size=(6, 2)), 0.001)
+        head = ObservationSet(observations.inputs[:5], observations.outputs[:5], 0.001)
+        previous = fit(head, SQEXP, sine_prior)
+        evaluated, real = [], gp.kernel_matrix
+
+        def recording_kernel_matrix(kernel, a, b):
+            evaluated.append((np.copy(a), np.copy(b)))
+            return real(kernel, a, b)
+
+        monkeypatch.setattr(gp, "kernel_matrix", recording_kernel_matrix)
+        model = fit(observations, SQEXP, sine_prior, previous=previous)
+        assert len(evaluated) == 1
+        np.testing.assert_array_equal(evaluated[0][0], observations.inputs[5:])
+        np.testing.assert_array_equal(evaluated[0][1], observations.inputs)
+        monkeypatch.undo()
+        assert_same_model(model, fit(observations, SQEXP, sine_prior))
 
     def test_duplicate_without_noise_rejected_when_grown(self):
         inputs = np.array([[0.1], [0.7], [0.1]])

@@ -154,9 +154,9 @@ class TestMissionState:
 
     def test_per_mission_caches_match_a_fresh_computation(self, monkeypatch):
         # after a SELA run and a babbling run, the posterior's cross-kernel
-        # and prior at the candidates, and the model's Gram matrix and prior
-        # values, grown one observation at a time, equal the ones computed
-        # from the final inputs
+        # and prior at the candidates, and the model's Cholesky factor and
+        # prior values, grown one observation at a time, equal the ones
+        # computed from the final inputs
         states = []
         fresh_state = mission._fresh_state
 
@@ -176,7 +176,8 @@ class TestMissionState:
             kernel, prior = state.model.kernel, state.model.prior
             posterior.score(state.model)   # catch up with the last learn
             np.testing.assert_array_equal(posterior.cross, kernel_matrix(kernel, inputs, points))
-            np.testing.assert_array_equal(state.model.gram, kernel_matrix(kernel, inputs, inputs))
+            scratch = fit(state.model.observations, kernel, prior)
+            np.testing.assert_array_equal(state.model.chol, scratch.chol)
             np.testing.assert_array_equal(state.model.prior_at_inputs, prior_values(prior, inputs))
             np.testing.assert_array_equal(posterior.prior_means, prior_values(prior, points))
 
@@ -213,9 +214,9 @@ class TestCandidateScoring:
             batches.append(len(points))
             return predict_batch(model, points)
 
-        def counting_posterior(model, prior_means, cross):
+        def counting_posterior(model, prior_means, *args):
             posteriors.append((model, len(prior_means)))
-            return posterior(model, prior_means, cross)
+            return posterior(model, prior_means, *args)
 
         monkeypatch.setattr(gp, "predict_batch", counting_predict_batch)
         monkeypatch.setattr(gp, "_posterior", counting_posterior)
