@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .acquisition import MAX_CANDIDATES
-from .gp import MAX_GP_OBSERVATIONS
+from .gp import MAX_GP_OBSERVATIONS, MIN_KERNEL_SIGMA
 from .map_elites import initial_batch
 from .mission import EPISODIC_DIRECTIONS, Method
 from .reward import PlannerGrid
@@ -141,7 +141,7 @@ _LOWER_BOUNDS = [
     ("noise_variance", 0.0, True),
     ("epsilon_goal", 0.0, False),
     ("alpha", 0.0, True),
-    ("kernel_sigma", 0.0, False),
+    ("kernel_sigma", MIN_KERNEL_SIGMA, True),
     ("gp_noise", 0.0, True),
     ("max_adapt_iterations", 1, True),
     ("epsilon_model", 0.0, False),
@@ -189,15 +189,15 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
             fail(key, f"must be {relation} {bound}, got {value}")
     if config.candidate_grid > MAX_CANDIDATES:
         fail("candidate_grid", f"must be at most {MAX_CANDIDATES}, got {config.candidate_grid}")
-    # Each learning trial adds one observation. No method learns past
-    # step_cap, but each learning budget is still bounded on its own.
-    for method, key, size in (
+    # Each learning trial adds one observation, and no method learns past step_cap.
+    for method, key, budget in (
         (Method.SELA, "step_cap", config.step_cap),
         (Method.BABBLING, "babble_max", config.babble_max),
         (Method.UNCERTAINTY, "uncertainty_iterations", config.uncertainty_iterations),
         (Method.EPISODIC_ITE, "max_adapt_iterations",
          len(EPISODIC_DIRECTIONS) * config.adapt_iterations()),
     ):
+        size = min(budget, config.step_cap)
         if method in config.methods and size > MAX_GP_OBSERVATIONS:
             fail(key, f"lets the {method.value} model grow to {size} observations, "
                  f"above MAX_GP_OBSERVATIONS = {MAX_GP_OBSERVATIONS}")

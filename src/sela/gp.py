@@ -45,6 +45,11 @@ JITTER = 1e-10
 # scratch 0.5 s (2-vCPU x86-64, one OpenBLAS thread), and the factor is 8 MB.
 MAX_GP_OBSERVATIONS = 1_000
 
+# Smallest kernel sigma. Below about 1e-154, 2 sigma^2 leaves the normal floats, and the
+# squared-exponential r^2 / (2 sigma^2) is 0/0 at r = 0 (k(x, x) = NaN, not 1) or overflows;
+# from 1e-100 up it stays finite for every distance below 1e54.
+MIN_KERNEL_SIGMA = 1e-100
+
 # Maps a behavior point to its predicted outcome vector.
 PriorMean = Callable[[np.ndarray], np.ndarray]
 
@@ -72,8 +77,8 @@ class Kernel:
     distance: DistanceKind = DistanceKind.EUCLIDEAN
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"kernel sigma must be positive, got {self.sigma}")
+        if not self.sigma >= MIN_KERNEL_SIGMA:
+            raise ValueError(f"kernel sigma must be at least {MIN_KERNEL_SIGMA}, got {self.sigma}")
 
 
 def _as_points(points) -> np.ndarray:

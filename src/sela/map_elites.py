@@ -266,6 +266,8 @@ def load_archive(data: bytes) -> Archive:
         raise ArchiveFormatError(f"line 1: malformed header {lines[0]!r}") from exc
     if len(grid_shape) != m:
         raise ArchiveFormatError(f"line 1: grid lists {len(grid_shape)} sizes, m={m}")
+    if min(grid_shape + (behavior_dim, outcome_dim)) < 1:
+        raise ArchiveFormatError(f"line 1: grid sizes, b and d must be positive in {lines[0]!r}")
 
     archive = Archive(grid_shape, behavior_dim, outcome_dim)
     for line_no, line in enumerate(lines[1:], start=2):

@@ -24,7 +24,8 @@ the candidates and scores each model once: steps that learn nothing reuse
 the last score. The outcome SELA predicts for a chosen candidate comes from
 that posterior too (`mean_at`), so its steps solve for no variance they do
 not use. The missions of an experiment share one table of A* waypoints per
-start cell (`MissionConfig.waypoint_cells`).
+start cell (`MissionConfig.waypoint_cells`). Rewards are plain functions of
+a batch of outcomes, which `select_next` takes as they are.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .acquisition import AcquisitionConfig, CandidateSet, select_next
 from .gp import (
     CandidatePosterior, GpModel, Kernel, ObservationSet, PriorMean, fit, predict, zero_prior
 )
-from .reward import PlannerGrid, RewardFunction, build_waypoint_reward
+from .reward import PlannerGrid, build_waypoint_reward
 from .worlds import World, goal_reached
 
 
@@ -65,13 +66,12 @@ class DropDetectorConfig:
             raise ValueError("threshold must be positive")
 
 
-def window_error(recent, window: int) -> float:
-    """Mean prediction error over the last `window` (predicted, observed)
-    outcome pairs. A drop is detected when it exceeds the drop threshold."""
+def window_error(recent) -> float:
+    """Mean prediction error over the drop detector's window of (predicted,
+    observed) outcome pairs. A drop is detected when it exceeds the threshold."""
     if len(recent) == 0:
         raise ValueError("need at least one (predicted, observed) pair")
-    tail = list(recent)[-window:]
-    errors = [float(np.linalg.norm(np.asarray(obs) - np.asarray(pred))) for pred, obs in tail]
+    errors = [float(np.linalg.norm(np.asarray(obs) - np.asarray(pred))) for pred, obs in recent]
     return float(np.mean(errors))
 
 
@@ -129,7 +129,7 @@ class MissionState:
     model: GpModel
     step_count: int = field(default=0, init=False)
     adapt_iterations: int = field(default=0, init=False)
-    # (predicted, observed) outcome pairs for the drop detector
+    # The drop detector's window: the last drop.window (predicted, observed) pairs
     recent: deque = field(init=False)
     # The posterior at the candidates, with the model's kernel and prior.
     posterior: CandidatePosterior = field(init=False)
@@ -216,7 +216,7 @@ def sela_adapt(state: MissionState, max_iterations: int) -> None:
         state.step_count += 1
         state.adapt_iterations += 1
         state.recent.append((predicted, observed))
-        if window_error(state.recent, config.drop.window) < config.drop.threshold:
+        if window_error(state.recent) < config.drop.threshold:
             break
 
 
@@ -229,7 +229,7 @@ def run_mission(config: MissionConfig) -> RunRecord:
         observed = config.world.execute(behavior)
         state.step_count += 1
         state.recent.append((predicted, observed))
-        if window_error(state.recent, config.drop.window) > config.drop.threshold:
+        if window_error(state.recent) > config.drop.threshold:
             sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
     return _record(Method.SELA, state, state.adapt_iterations)
 
@@ -258,7 +258,7 @@ def baseline_babbling(config: MissionConfig) -> RunRecord:
         behavior = config.behavior_sampler(config.rng)
         predicted, _ = predict(state.model, behavior)
         state.recent.append((predicted, _episodic_trial(state, behavior)))
-        if window_error(state.recent, config.drop.window) < config.epsilon_model:
+        if window_error(state.recent) < config.epsilon_model:
             break
     return _drive(Method.BABBLING, state)
 
@@ -283,13 +283,11 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
     state = _fresh_state(config, config.prior)
     chosen = []
     for direction in EPISODIC_DIRECTIONS:
-        reward = RewardFunction(
-            eval=lambda outcomes, d=direction: np.vecdot(outcomes, d),
-            description=f"projection onto direction ({direction[0]:g}, {direction[1]:g})",
-        )
         trials = []   # (projection, behavior)
         for _ in range(min(config.max_adapt_iterations, config.step_cap - state.step_count)):
-            behavior, _ = select_next(state.posterior, state.model, reward, config.acquisition)
+            behavior, _ = select_next(   # reward: the projection onto the direction
+                state.posterior, state.model, lambda g: np.vecdot(g, direction), config.acquisition
+            )
             trials.append((float(np.dot(_episodic_trial(state, behavior), direction)), behavior))
             if trials[-1][0] >= config.episodic_success_projection:
                 break
@@ -315,11 +313,10 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     least about, for a fixed number of trials, then go with what was learned.
     Learning trials reset the pose and count as pure cost."""
     state = _fresh_state(config, config.prior)
-    zero_reward = RewardFunction(
-        eval=lambda outcomes: np.zeros(len(outcomes)), description="uncertainty only"
-    )
     for _ in range(min(config.uncertainty_iterations, config.step_cap)):
-        behavior, _ = select_next(state.posterior, state.model, zero_reward, config.acquisition)
+        behavior, _ = select_next(   # a zero reward: the uncertainty alone decides
+            state.posterior, state.model, lambda g: np.zeros(len(g)), config.acquisition
+        )
         _episodic_trial(state, behavior)
     return _drive(Method.UNCERTAINTY, state)
 

@@ -4,7 +4,8 @@ The mission-level goal is decoupled from the model: the model predicts a
 relative displacement for each behavior, and a per-step reward scores that
 displacement by how close it brings the robot to a waypoint. The waypoint
 comes from an A* path over a coarse occupancy grid from the current pose's
-cell. Rewards score a whole batch of outcomes in one call.
+cell. A reward is a plain function that scores a whole batch of outcomes in
+one call, (n, outcome_dim) -> (n,).
 """
 
 from __future__ import annotations
@@ -23,18 +24,6 @@ MAX_PLANNER_CELLS = 250_000
 
 class UnreachableGoalError(RuntimeError):
     """No grid path exists from the current pose to the goal."""
-
-
-@dataclass(frozen=True)
-class RewardFunction:
-    """Scores a batch of predicted outcomes, (n, outcome_dim) -> (n,), with a
-    human-readable label."""
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    description: str
-
-    def __call__(self, outcomes) -> np.ndarray:
-        return self.eval(outcomes)
 
 
 @dataclass(frozen=True)
@@ -169,22 +158,7 @@ def astar(
     return None
 
 
-def _waypoint_cell(
-    grid: PlannerGrid,
-    path: list[tuple[int, int]],
-    current_pose,
-    lookahead_cells: int,
-) -> tuple[int, int]:
-    """Path cell `lookahead_cells` past the pose's cell (or the first), clamped."""
-    pose_cell = grid.cell_of(current_pose)
-    try:
-        at = path.index(pose_cell)
-    except ValueError:
-        at = 0
-    return path[min(at + lookahead_cells, len(path) - 1)]
-
-
-def make_distance_reward(waypoint, current_pose) -> RewardFunction:
+def make_distance_reward(waypoint, current_pose) -> Callable[[np.ndarray], np.ndarray]:
     """Reward each candidate displacement g by -|| (pose + g) - waypoint ||."""
     waypoint = np.asarray(waypoint, dtype=float)
     pose = np.asarray(current_pose, dtype=float)
@@ -195,23 +169,20 @@ def make_distance_reward(waypoint, current_pose) -> RewardFunction:
         # each score equals the per-row norm bit for bit and argmax ties hold
         return -np.sqrt(np.vecdot(diff, diff))
 
-    return RewardFunction(
-        eval=score,
-        description=f"negative distance to waypoint ({waypoint[0]:.3f}, {waypoint[1]:.3f})",
-    )
+    return score
 
 
 def build_waypoint_reward(
     grid: PlannerGrid,
     pose,
     goal,
-    lookahead_cells: int = 2,
-    waypoint_cells: Optional[dict] = None,
-) -> RewardFunction:
-    """Per-step reward refresh: plan pose -> goal, chase the lookahead waypoint.
-
-    When the waypoint lands on the goal cell the exact goal point is used
-    instead of the cell center, so the final approach aims at the true goal.
+    lookahead_cells: int,
+    waypoint_cells: dict,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-step reward refresh: plan pose -> goal and chase the path cell
+    `lookahead_cells` on (the last cell if the path is shorter). A waypoint on
+    the goal cell is the exact goal point, not the cell center, so the final
+    approach aims at the true goal.
 
     The path starts at the pose's cell, so the waypoint cell depends only on
     that start cell once grid, goal and lookahead are fixed. Passing the same
@@ -223,13 +194,11 @@ def build_waypoint_reward(
     goal = np.asarray(goal, dtype=float)
     start_cell = grid.cell_of(pose)
     goal_cell = grid.cell_of(goal)
-    if waypoint_cells is None:
-        waypoint_cells = {}
     cell = waypoint_cells.get(start_cell)
     if cell is None:
         path = astar(grid, start_cell, goal_cell)
         if path is None:
             raise UnreachableGoalError(f"no grid path from cell {start_cell} to cell {goal_cell}")
-        cell = waypoint_cells[start_cell] = _waypoint_cell(grid, path, pose, lookahead_cells)
+        cell = waypoint_cells[start_cell] = path[min(lookahead_cells, len(path) - 1)]
     waypoint = goal if cell == goal_cell else grid.center(cell)
     return make_distance_reward(waypoint, pose)

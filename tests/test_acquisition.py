@@ -13,7 +13,7 @@ from sela.acquisition import (
     select_next,
 )
 from sela.gp import CandidatePosterior, Kernel, ObservationSet, fit, predict_batch, zero_prior
-from sela.reward import RewardFunction, make_distance_reward
+from sela.reward import make_distance_reward
 from sela.worlds import point_robot_prior
 
 
@@ -44,7 +44,7 @@ class TestUcbScore:
         means, variances = predict_batch(model, candidates.points)
         reward_gap = means[0, 0] - means[1, 0]
         sigma_gap = math.sqrt(2.0 * variances[1]) - math.sqrt(2.0 * variances[0])
-        reward = RewardFunction(lambda means: means[:, 0], "first coordinate")
+        reward = lambda means: means[:, 0]
         below = AcquisitionConfig(alpha=0.99 * reward_gap / sigma_gap)
         above = AcquisitionConfig(alpha=1.01 * reward_gap / sigma_gap)
         assert select_next(at(candidates, model), model, reward, below)[1] == 0
@@ -54,7 +54,7 @@ class TestUcbScore:
         rng = np.random.default_rng(4)
         candidates = grid_candidates()
         model = fitted_model(rng, 5)
-        reward = RewardFunction(lambda means: means[:, 0], "first coordinate")
+        reward = lambda means: means[:, 0]
         means, _ = predict_batch(model, candidates.points)
         _, index = select_next(at(candidates, model), model, reward, AcquisitionConfig(alpha=0.0))
         assert index == int(np.argmax(means[:, 0]))
@@ -96,7 +96,7 @@ class TestSelectNext:
         # uncertainty bonus is constant and the reward decides
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(36)
-        reward = RewardFunction(lambda g: -np.abs(g[:, 0]), "test")
+        reward = lambda g: -np.abs(g[:, 0])
         _, idx_ucb = select_next(at(candidates, model), model, reward, AcquisitionConfig(0.05))
         _, idx_greedy = select_next(at(candidates, model), model, reward, AcquisitionConfig(0.0))
         assert idx_ucb == idx_greedy
@@ -105,8 +105,8 @@ class TestSelectNext:
         rng = np.random.default_rng(21)
         model = fitted_model(rng, 6)
         candidates = grid_candidates(48)
-        base = RewardFunction(lambda g: g[:, 0] - 0.3 * g[:, 1], "base")
-        shifted = RewardFunction(lambda g: (g[:, 0] - 0.3 * g[:, 1]) + 11.5, "shifted")
+        base = lambda g: g[:, 0] - 0.3 * g[:, 1]
+        shifted = lambda g: (g[:, 0] - 0.3 * g[:, 1]) + 11.5
         config = AcquisitionConfig(0.05)
         _, idx_a = select_next(at(candidates, model), model, base, config)
         _, idx_b = select_next(at(candidates, model), model, shifted, config)
@@ -115,7 +115,7 @@ class TestSelectNext:
     def test_ties_break_to_lowest_index(self):
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(12)
-        flat = RewardFunction(lambda g: np.zeros(len(g)), "flat")
+        flat = lambda g: np.zeros(len(g))
         behavior, index = select_next(at(candidates, model), model, flat, AcquisitionConfig(0.05))
         assert index == 0
         assert behavior[0] == candidates.points[0, 0]
@@ -124,7 +124,7 @@ class TestSelectNext:
         rng = np.random.default_rng(3)
         model = fitted_model(rng, 8)
         candidates = grid_candidates(90)
-        reward = RewardFunction(lambda g: g[:, 1], "north")
+        reward = lambda g: g[:, 1]
         config = AcquisitionConfig(0.05)
         picks = {select_next(at(candidates, model), model, reward, config)[1] for _ in range(5)}
         assert len(picks) == 1
@@ -135,7 +135,7 @@ class TestSelectNext:
         x_seen = candidates.points[4]
         obs = ObservationSet(x_seen[None, :], np.array([[1.0, 1.0]]), 0.001)
         model = fit(obs, Kernel(sigma=0.5), zero_prior(2))
-        flat = RewardFunction(lambda g: np.zeros(len(g)), "flat")
+        flat = lambda g: np.zeros(len(g))
         _, index = select_next(at(candidates, model), model, flat, AcquisitionConfig(alpha=1.0))
         _, variances = predict_batch(model, candidates.points)
         assert variances[index] == pytest.approx(variances.max())

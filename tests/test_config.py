@@ -22,6 +22,7 @@ from sela.config import (
     with_overrides,
 )
 from sela.experiment import build_mission_config
+from sela.gp import MIN_KERNEL_SIGMA
 from sela.map_elites import Archive, Elite
 from sela.mission import Method
 
@@ -236,15 +237,16 @@ class TestErrors:
         ],
     )
     def test_largest_model_is_capped(self, method, key, value, size):
-        # the baselines' learning loops do not stop at step_cap, so a small
-        # cap does not bound their models
-        cap = "" if key == "step_cap" else "\nstep_cap = 10"
+        # no method learns past step_cap, so a model holds at most
+        # min(budget, step_cap) observations; a cap of `size` leaves the budget binding
+        cap = "" if key == "step_cap" else f"\nstep_cap = {size}"
         message = (f"key '{key}' lets the {method} model grow to {size} observations, "
                    f"above MAX_GP_OBSERVATIONS = 1000")
         with pytest.raises(ConfigError, match=f"^line 3: {message}$"):
             parse_config(f"world = point_robot\nmethods = {method}\n{key} = {value}{cap}")
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            with_overrides(parse_config("world = point_robot"), methods=(Method(method),), **{key: value})
+            with_overrides(parse_config("world = point_robot"), methods=(Method(method),),
+                           **{"step_cap": size, key: value})
 
     def test_models_at_the_cap_accepted(self):
         parse_config("world = point_robot\nmethods = sela, babbling, uncertainty, episodic_ite\n"
@@ -253,6 +255,22 @@ class TestErrors:
         # only the methods the config runs are checked
         parse_config("world = point_robot\nmethods = sela\nbabble_max = 5000\n"
                      "uncertainty_iterations = 5000\nmax_adapt_iterations = 5000")
+
+    def test_budgets_above_the_cap_accepted_under_a_small_step_cap(self):
+        # the default step_cap of 500 bounds every model
+        config = parse_config("world = point_robot\nmethods = babbling\nbabble_max = 1001")
+        assert (config.babble_max, config.step_cap) == (1001, 500)
+        parse_config("world = point_robot\nmethods = babbling, uncertainty, episodic_ite\n"
+                     "babble_max = 5000\nuncertainty_iterations = 5000\n"
+                     "max_adapt_iterations = 251\nstep_cap = 1000")
+
+    def test_kernel_sigma_below_the_floor_rejected(self):
+        # 2 sigma^2 underflows to 0, and the squared-exponential k(x, x) is 0/0
+        message = "^line 2: key 'kernel_sigma' must be at least 1e-100, got 1e-300$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config("world = point_robot\nkernel_sigma = 1e-300")
+        floor = parse_config(f"world = point_robot\nkernel_sigma = {MIN_KERNEL_SIGMA}")
+        assert floor.kernel_sigma == MIN_KERNEL_SIGMA
 
     def test_zero_replicates_rejected(self):
         with pytest.raises(ConfigError, match="replicates"):

@@ -12,7 +12,7 @@ import pytest
 
 import sela.reward
 from sela import experiment
-from sela.config import ConfigError, ExperimentConfig, parse_config_file
+from sela.config import ConfigError, ExperimentConfig, parse_config_file, validate
 from sela.experiment import (
     RUNS_HEADER,
     SUMMARY_HEADER,
@@ -30,7 +30,7 @@ from sela.experiment import (
     summary_csv_text,
     write_results,
 )
-from sela.gp import DistanceKind
+from sela.gp import MIN_KERNEL_SIGMA, DistanceKind
 from sela.map_elites import Archive, Elite, save_archive
 from sela.mission import Method, RunRecord
 from sela.worlds import AngleOffsetDamage, FrozenJointDamage
@@ -221,6 +221,22 @@ class TestRunExperiment:
         assert [(r.method, r.learn_steps, r.total_steps) for r in records] == [
             (Method.BABBLING, 5, 5), (Method.UNCERTAINTY, 5, 5), (Method.EPISODIC_ITE, 5, 5),
         ]
+
+    @pytest.mark.parametrize("kernel_family", ["squared_exponential", "exponential"])
+    def test_floor_kernel_sigma_runs_cleanly(self, kernel_family):
+        # warnings are errors here; each observation informs only its own
+        # candidate, so every method runs, learns and records finite counts
+        config = ExperimentConfig(
+            world="point_robot",
+            damage="angle_offset",
+            methods=(Method.SELA, Method.BABBLING, Method.UNCERTAINTY, Method.EPISODIC_ITE),
+            kernel_family=kernel_family,
+            kernel_sigma=MIN_KERNEL_SIGMA,
+            step_cap=40,
+        )
+        records, _ = run_experiment(validate(config))
+        assert [r.method for r in records] == list(config.methods)
+        assert all(r.learn_steps > 0 and r.total_steps <= 40 for r in records)
 
     @pytest.mark.parametrize(
         "config, key",

@@ -13,6 +13,7 @@ from sela.gp import (
     CandidatePosterior,
     DistanceKind,
     JITTER,
+    MIN_KERNEL_SIGMA,
     GpFitError,
     Kernel,
     KernelFamily,
@@ -75,8 +76,18 @@ class TestKernel:
             kernel_matrix(SQEXP, [[0.1]], [[0.1, 0.2]])
 
     def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError, match="sigma"):
-            Kernel(KernelFamily.EXPONENTIAL, sigma=0.0)
+        # at 1e-300, 2 sigma^2 underflows and the squared-exponential k(x, x) is 0/0
+        for sigma in (0.0, 1e-300, 0.5 * MIN_KERNEL_SIGMA, math.nan):
+            with pytest.raises(ValueError, match="sigma must be at least 1e-100"):
+                Kernel(KernelFamily.SQUARED_EXPONENTIAL, sigma=sigma)
+
+    def test_floor_sigma_is_clean(self):
+        # warnings are errors here: no 0/0, no overflow, and k(x, x) = 1
+        points = np.array([[0.0], [1e-3], [3.1], [1e4]])
+        for family in KernelFamily:
+            for distance in DistanceKind:
+                kernel = Kernel(family, sigma=MIN_KERNEL_SIGMA, distance=distance)
+                np.testing.assert_array_equal(kernel_matrix(kernel, points, points), np.eye(4))
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(7)

@@ -357,6 +357,14 @@ class TestSerialization:
         with pytest.raises(ArchiveFormatError, match="line 1"):
             load_archive(b"bogus v1 m=2\n")
 
+    @pytest.mark.parametrize("dimensions", ["m=2 grid=0x5 b=1 d=2", "m=2 grid=3x3 b=-1 d=2",
+                                            "m=1 grid=-2 b=1 d=2", "m=2 grid=3x3 b=1 d=0"])
+    def test_non_positive_dimension_reports_line_1(self, dimensions):
+        header = f"sela-archive v1 {dimensions}"
+        want = re.escape(f"line 1: grid sizes, b and d must be positive in {header!r}")
+        with pytest.raises(ArchiveFormatError, match=f"^{want}$"):
+            load_archive(f"{header}\n".encode())
+
     def test_bad_value_reports_its_line(self):
         data = save_archive(self.build_small()).decode().splitlines()
         data[3] = data[3].replace("perf=", "perf=abc", 1)

@@ -4,6 +4,7 @@ closed-form expectations."""
 
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,14 +92,15 @@ def pair(error: float):
 
 
 def drops(recent, config=DropDetectorConfig()):
-    """The mission's drop check: window error strictly above the threshold."""
-    return window_error(recent, config.window) > config.threshold
+    """The mission's drop check: window error strictly above the threshold,
+    over the last `config.window` pairs."""
+    return window_error(list(recent)[-config.window:]) > config.threshold
 
 
 class TestDropDetector:
     def test_sustained_error_trips(self):
         recent = [pair(0.2), pair(0.2), pair(0.2)]
-        assert window_error(recent, 3) == pytest.approx(0.2)
+        assert window_error(recent) == pytest.approx(0.2)
         assert drops(recent)
 
     def test_single_spike_does_not_trip(self):
@@ -116,7 +118,7 @@ class TestDropDetector:
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            window_error([], 3)
+            window_error([])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -151,6 +153,12 @@ class TestMissionState:
         want = fit(state.model.observations, kernel, damaged_prior)
         np.testing.assert_array_equal(state.model.prior_correction, want.prior_correction)
 
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_recent_holds_exactly_the_drop_window(self, window):
+        # window_error averages all of `recent`, so its bound is the window
+        config = replace(point_config(), drop=DropDetectorConfig(window=window))
+        state = mission._fresh_state(config, config.prior)
+        assert state.recent.maxlen == config.drop.window
 
     def test_per_mission_caches_match_a_fresh_computation(self, monkeypatch):
         # after a SELA run and a babbling run, the posterior's cross-kernel

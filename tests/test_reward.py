@@ -13,7 +13,6 @@ from sela.reward import (
     PlannerGrid,
     UnreachableGoalError,
     astar,
-    _waypoint_cell,
     build_waypoint_reward,
     make_distance_reward,
 )
@@ -129,32 +128,53 @@ class TestAstar:
 
 
 class TestSelectWaypoint:
-    """The waypoint choice: `_waypoint_cell` on a path, and the reward that
+    """The waypoint choice: the path cell `lookahead_cells` past the pose's
+    cell, which starts every A* path, and the reward that
     `build_waypoint_reward` aims at its center."""
 
     def test_lookahead_from_pose_cell(self):
         grid = free_grid()
         path = astar(grid, (0, 0), (9, 9))
         pose = np.array([0.05, 0.05])
-        assert _waypoint_cell(grid, path, pose, 2) == path[2]
-        reward = build_waypoint_reward(grid, pose, grid.center((9, 9)), lookahead_cells=2)
+        assert path[0] == grid.cell_of(pose)
+        reward = build_waypoint_reward(grid, pose, grid.center((9, 9)), 2, {})
         assert score(reward, grid.center(path[2]) - pose) == pytest.approx(0.0, abs=1e-12)
         assert score(reward, grid.center(path[1]) - pose) < -0.05
 
     def test_clamps_to_final_cell(self):
         grid = free_grid()
-        path = astar(grid, (0, 0), (1, 0))
         pose = np.array([0.05, 0.05])
-        assert _waypoint_cell(grid, path, pose, 10) == (1, 0)
+        assert astar(grid, grid.cell_of(pose), (1, 0)) == [(0, 0), (1, 0)]
         goal = np.array([0.17, 0.02])   # in cell (1, 0), off its center
-        reward = build_waypoint_reward(grid, pose, goal, lookahead_cells=10)
+        reward = build_waypoint_reward(grid, pose, goal, 10, {})
         assert score(reward, goal - pose) == 0.0
 
-    def test_single_cell_path_returns_its_center(self):
-        grid = free_grid()
-        for pose in ((0.33, 0.35), (0.05, 0.05)):   # on the path, and off it
-            assert _waypoint_cell(grid, [(3, 3)], pose, 2) == (3, 3)
-        np.testing.assert_allclose(grid.center((3, 3)), (0.35, 0.35))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_waypoint_matches_a_fresh_astar_path(self, data):
+        # oracle: the waypoint taken straight from a fresh A* path
+        n = data.draw(st.integers(2, 9), label="n")
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        blocked = data.draw(st.frozensets(cells, max_size=n * n // 3), label="blocked")
+        grid = PlannerGrid(0.1, (0.0, 0.0), (n, n), blocked)
+        coordinate = st.floats(-0.2, 0.1 * n + 0.2, allow_nan=False)
+        pose = np.array(data.draw(st.tuples(coordinate, coordinate), label="pose"))
+        goal = np.array(data.draw(st.tuples(coordinate, coordinate), label="goal"))
+        lookahead = data.draw(st.integers(1, 2 * n), label="lookahead")
+        start_cell, goal_cell = grid.cell_of(pose), grid.cell_of(goal)
+        path = astar(grid, start_cell, goal_cell)
+        if path is None:
+            with pytest.raises(UnreachableGoalError):
+                build_waypoint_reward(grid, pose, goal, lookahead, {})
+            return
+        assert path[0] == start_cell
+        cell = path[min(lookahead, len(path) - 1)]
+        expected = goal if cell == goal_cell else grid.center(cell)
+        probes = np.array(data.draw(st.lists(points, min_size=1, max_size=8), label="probes"))
+        np.testing.assert_array_equal(
+            build_waypoint_reward(grid, pose, goal, lookahead, {})(probes),
+            make_distance_reward(expected, pose)(probes),
+        )
 
 
 def score(reward, outcome) -> float:
@@ -221,7 +241,7 @@ class TestProjectionReward:
 class TestBuildWaypointReward:
     def test_free_space_waypoint_sits_on_the_line(self):
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
-        reward = build_waypoint_reward(grid, (0.0, 0.0), (2.0, 2.0), lookahead_cells=2)
+        reward = build_waypoint_reward(grid, (0.0, 0.0), (2.0, 2.0), 2, {})
         # diagonal goal: the best unit step is the diagonal one
         step = 0.1 / np.sqrt(2.0)
         diagonal, east, north = reward(np.array([[step, step], [0.1, 0.0], [0.0, 0.1]]))
@@ -231,14 +251,14 @@ class TestBuildWaypointReward:
     def test_goal_cell_uses_exact_goal_point(self):
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
         pose = np.array([1.93, 1.93])
-        reward = build_waypoint_reward(grid, pose, (2.0, 2.0), lookahead_cells=2)
+        reward = build_waypoint_reward(grid, pose, (2.0, 2.0), 2, {})
         gap = np.array([2.0, 2.0]) - pose
         assert score(reward, gap) == 0.0
 
     def test_pose_at_goal_cell_rewards_zero_remainder(self):
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
         pose = np.array([1.98, 2.01])
-        reward = build_waypoint_reward(grid, pose, (2.0, 2.0), lookahead_cells=2)
+        reward = build_waypoint_reward(grid, pose, (2.0, 2.0), 2, {})
         assert score(reward, [0.02, -0.01]) == pytest.approx(0.0, abs=1e-12)
 
     def test_blocked_straight_line_detours(self):
@@ -248,8 +268,8 @@ class TestBuildWaypointReward:
         wall_x = start_cell[0] + 1
         blocked = {(wall_x, y) for y in range(0, start_cell[1] + 6)}
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 0.0), blocked=blocked)
-        free = build_waypoint_reward(free_grid, (0.0, 0.0), (2.0, 0.0), lookahead_cells=2)
-        detour = build_waypoint_reward(grid, (0.0, 0.0), (2.0, 0.0), lookahead_cells=2)
+        free = build_waypoint_reward(free_grid, (0.0, 0.0), (2.0, 0.0), 2, {})
+        detour = build_waypoint_reward(grid, (0.0, 0.0), (2.0, 0.0), 2, {})
         straight = [0.1, 0.0]
         climb = [0.0, 0.1]
         assert score(free, straight) > score(free, climb)
@@ -260,7 +280,7 @@ class TestBuildWaypointReward:
         grid = PlannerGrid(0.1, (0.0, 0.0), (20, 20), frozenset(ring))
         goal = grid.center((10, 10))
         with pytest.raises(UnreachableGoalError):
-            build_waypoint_reward(grid, (0.05, 0.05), goal)
+            build_waypoint_reward(grid, (0.05, 0.05), goal, 2, {})
 
     def test_memoized_waypoint_equals_fresh_for_every_start_cell(self):
         start, goal = (0.0, 0.0), (1.0, 0.6)
@@ -288,13 +308,12 @@ class TestBuildWaypointReward:
                             continue
                         pose = grid.center((ix, iy)) + rng.uniform(-0.04, 0.04, size=2)
                         try:
-                            fresh = build_waypoint_reward(grid, pose, goal, lookahead)
+                            fresh = build_waypoint_reward(grid, pose, goal, lookahead, {})
                         except UnreachableGoalError:
                             with pytest.raises(UnreachableGoalError):
                                 build_waypoint_reward(grid, pose, goal, lookahead, memo)
                             continue
                         memoized = build_waypoint_reward(grid, pose, goal, lookahead, memo)
-                        assert memoized.description == fresh.description
                         probes = rng.normal(scale=0.1, size=(8, 2))
                         np.testing.assert_array_equal(memoized(probes), fresh(probes))
         assert memo
