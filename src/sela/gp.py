@@ -19,11 +19,11 @@ from the empty model, so a refit after one more observation
 prior only at the new input, and equals a fit from scratch bit for bit.
 
 `CandidatePosterior` serves a fixed query set such as a mission's candidates:
-it evaluates the prior there once, grows k(X, points) and L^-1 k(X, points)
-by one row per observation (the variance is 1 - the column sums of squares
-of the latter), and scores each fitted model once. Its `mean_at` gives the
-mean at one of those points with `predict`'s one-row arithmetic, equal to
-`predict`'s mean bit for bit.
+it evaluates the prior there once, writes k(X, points) and L^-1 k(X, points)
+one row per observation into a buffer that doubles when full (the variance
+is 1 - the column sums of squares of the latter), and scores each fitted
+model once. Its `mean_at` gives the mean at one of those points with
+`predict`'s one-row arithmetic, equal to `predict`'s mean bit for bit.
 Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
 """
 
@@ -264,7 +264,7 @@ def fit(
         )
     prior_at_inputs = np.concatenate([previous.prior_at_inputs, prior_values(prior, inputs[k:])])
     residuals = observations.outputs - prior_at_inputs
-    correction = dpotrs(chol, residuals, lower=1)[0]   # as cho_solve calls it
+    correction = dpotrs(chol.T, residuals, lower=0)[0]   # chol.T is F-ordered: no f2py copy
     return GpModel(
         kernel=kernel,
         observations=observations,
@@ -276,18 +276,15 @@ def fit(
     )
 
 
-def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, solved=None):
-    """(means, variances, solved) at the query points from the prior and k(X, points)
-    there. solved = (L^-1 k(X, points), its column sums of squares) grows by forward
-    substitution one row per observation, after the rows of the `solved` given."""
-    half, sums = solved or (cross[:0], np.zeros(len(prior_means)))
+def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, half, solved=None):
+    """(means, variances, solved) at the query points from the prior and k(X, points) there.
+    Fills rows of `half` with L^-1 k(X, points) past solved = (rows done, their sums of squares)."""
+    done, sums = solved or (0, np.zeros(len(prior_means)))
     means = prior_means + cross.T @ model.prior_correction
-    chol, grown = model.chol, np.empty(cross.shape)
-    grown[:len(half)] = half
-    for i in range(len(half), len(cross)):
-        row = grown[i] = (cross[i] - chol[i, :i] @ grown[:i]) / chol[i, i]
+    for i in range(done, len(cross)):
+        row = half[i] = (cross[i] - model.chol[i, :i] @ half[:i]) / model.chol[i, i]
         sums = sums + row * row
-    return means, np.maximum(1.0 - sums, 0.0), (grown, sums)
+    return means, np.maximum(1.0 - sums, 0.0), (len(cross), sums)
 
 
 def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +296,7 @@ def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     pts = _as_points(points)
     # kernel_matrix also rejects a query of another behavior dimension
     cross = kernel_matrix(model.kernel, model.observations.inputs, pts)   # (t, n)
-    return _posterior(model, prior_values(model.prior, pts), cross)[:2]
+    return _posterior(model, prior_values(model.prior, pts), cross, np.empty(cross.shape))[:2]
 
 
 class CandidatePosterior:
@@ -314,9 +311,10 @@ class CandidatePosterior:
         self.points = _as_points(points)
         self.prior, self.kernel = prior, kernel
         self.prior_means = prior_values(prior, self.points)     # (n, outcome_dim)
-        # the inputs (t, behavior_dim) and k(inputs, points) (t, n)
+        # the inputs (t, behavior_dim) and k(inputs, points) (t, n), a view of buffer[0]
         self.inputs, self.cross = np.zeros((0, self.points.shape[1])), np.zeros((0, len(self)))
-        # (L^-1 cross, its column sums of squares) and the (noise, jitter) of L
+        self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
+        # (rows of L^-1 cross solved, their column sums of squares) and the (noise, jitter) of L
         self.solved = self.diagonal = None
         # the latest model scored, its means (n, outcome_dim) and sigma (n,)
         self.model = self.means = self.sigma = None
@@ -335,13 +333,18 @@ class CandidatePosterior:
         if not (model.prior is self.prior and model.kernel == self.kernel
                 and np.array_equal(self.inputs, inputs[:k])):
             raise ValueError("model must use this kernel and prior, extending the inputs seen")
-        if k < len(inputs):
-            rows = kernel_matrix(self.kernel, inputs[k:], self.points)
-            self.cross, self.inputs = np.vstack([self.cross, rows]), inputs
+        if k < len(inputs):   # write the new rows, doubling the capacity (at least to t) if full
+            if len(inputs) > self.buffer.shape[1]:
+                more = np.empty((2, max(len(inputs), 2 * self.buffer.shape[1]) - k, len(self)))
+                self.buffer = np.concatenate([self.buffer[:, :k], more], axis=1)
+            self.buffer[0, k:len(inputs)] = kernel_matrix(self.kernel, inputs[k:], self.points)
+            self.inputs, self.cross = inputs, self.buffer[0, :len(inputs)]
         diagonal = (model.observations.noise_variance, model.jitter)
         if diagonal != self.diagonal:   # another factor: solve from row 0
             self.solved, self.diagonal = None, diagonal
-        means, variances, self.solved = _posterior(model, self.prior_means, self.cross, self.solved)
+        means, variances, self.solved = _posterior(
+            model, self.prior_means, self.cross, self.buffer[1], self.solved
+        )
         sigma = np.sqrt(means.shape[1] * variances)
         means.flags.writeable = sigma.flags.writeable = False
         self.model, self.means, self.sigma = model, means, sigma

@@ -19,13 +19,13 @@ test (`MissionState.at_goal`) and the record builder (`_record`).
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
 the observations only grow. So each refit extends the previous model's
-Cholesky factor, and a `CandidatePosterior` keeps the prior and the cross kernel at
-the candidates and scores each model once: steps that learn nothing reuse
-the last score. The outcome SELA predicts for a chosen candidate comes from
-that posterior too (`mean_at`), so its steps solve for no variance they do
-not use. The missions of an experiment share one table of A* waypoints per
-start cell (`MissionConfig.waypoint_cells`). Rewards are plain functions of
-a batch of outcomes, which `select_next` takes as they are.
+Cholesky factor, and a `CandidatePosterior` keeps the prior at the candidates,
+writes one cross-kernel row per observation in place, and scores each model
+once: steps that learn nothing reuse the last score. The outcome SELA predicts
+for a chosen candidate comes from that posterior too (`mean_at`), and the drop
+window keeps one error norm per step. The missions of an experiment share one
+table of A* waypoints per start cell (`MissionConfig.waypoint_cells`). Rewards
+are plain functions of a batch of outcomes, which `select_next` takes as is.
 """
 
 from __future__ import annotations
@@ -66,12 +66,11 @@ class DropDetectorConfig:
             raise ValueError("threshold must be positive")
 
 
-def window_error(recent) -> float:
-    """Mean prediction error over the drop detector's window of (predicted,
-    observed) outcome pairs. A drop is detected when it exceeds the threshold."""
-    if len(recent) == 0:
-        raise ValueError("need at least one (predicted, observed) pair")
-    errors = [float(np.linalg.norm(np.asarray(obs) - np.asarray(pred))) for pred, obs in recent]
+def window_error(errors) -> float:
+    """Mean prediction error over the drop detector's window of per-step
+    errors |observed - predicted|. A drop is detected when it exceeds the threshold."""
+    if len(errors) == 0:
+        raise ValueError("need at least one prediction error")
     return float(np.mean(errors))
 
 
@@ -129,7 +128,7 @@ class MissionState:
     model: GpModel
     step_count: int = field(default=0, init=False)
     adapt_iterations: int = field(default=0, init=False)
-    # The drop detector's window: the last drop.window (predicted, observed) pairs
+    # The drop detector's window: the prediction errors of the last drop.window steps
     recent: deque = field(init=False)
     # The posterior at the candidates, with the model's kernel and prior.
     posterior: CandidatePosterior = field(init=False)
@@ -149,6 +148,11 @@ class MissionState:
         model = self.model
         observations = model.observations.with_observation(behavior, observed)
         self.model = fit(observations, model.kernel, model.prior, previous=model)
+
+    def record_error(self, predicted, observed) -> float:
+        """Push |observed - predicted| into the drop window; return its window error."""
+        self.recent.append(float(np.linalg.norm(observed - predicted)))
+        return window_error(self.recent)
 
 
 _GREEDY = AcquisitionConfig(alpha=0.0)
@@ -215,8 +219,7 @@ def sela_adapt(state: MissionState, max_iterations: int) -> None:
         state.learn(behavior, observed)
         state.step_count += 1
         state.adapt_iterations += 1
-        state.recent.append((predicted, observed))
-        if window_error(state.recent) < config.drop.threshold:
+        if state.record_error(predicted, observed) < config.drop.threshold:
             break
 
 
@@ -228,8 +231,7 @@ def run_mission(config: MissionConfig) -> RunRecord:
         predicted = state.posterior.mean_at(state.model, index)
         observed = config.world.execute(behavior)
         state.step_count += 1
-        state.recent.append((predicted, observed))
-        if window_error(state.recent) > config.drop.threshold:
+        if state.record_error(predicted, observed) > config.drop.threshold:
             sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
     return _record(Method.SELA, state, state.adapt_iterations)
 
@@ -257,8 +259,7 @@ def baseline_babbling(config: MissionConfig) -> RunRecord:
     for _ in range(min(config.babble_max, config.step_cap)):
         behavior = config.behavior_sampler(config.rng)
         predicted, _ = predict(state.model, behavior)
-        state.recent.append((predicted, _episodic_trial(state, behavior)))
-        if window_error(state.recent) < config.epsilon_model:
+        if state.record_error(predicted, _episodic_trial(state, behavior)) < config.epsilon_model:
             break
     return _drive(Method.BABBLING, state)
 

@@ -3,9 +3,9 @@
 The mission-level goal is decoupled from the model: the model predicts a
 relative displacement for each behavior, and a per-step reward scores that
 displacement by how close it brings the robot to a waypoint. The waypoint
-comes from an A* path over a coarse occupancy grid from the current pose's
-cell. A reward is a plain function that scores a whole batch of outcomes in
-one call, (n, outcome_dim) -> (n,).
+comes from an A* path from the current pose's cell over a coarse occupancy
+grid, searched on integer cell ids. A reward is a plain function that scores
+a whole batch of outcomes in one call, (n, outcome_dim) -> (n,).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-# Largest planner grid, in cells, that `PlannerGrid.for_mission` builds. A*
-# on a free grid of this size takes about 0.1 s per call.
+# Largest planner grid, in cells, that `PlannerGrid.for_mission` builds. A* across a free
+# grid of this size takes about 6 ms, and one that closes every cell about 0.7 s (2 vCPU).
 MAX_PLANNER_CELLS = 250_000
 
 
@@ -101,9 +101,6 @@ class PlannerGrid:
         return 0 <= cell[0] < self.shape[0] and 0 <= cell[1] < self.shape[1]
 
 
-_NEIGHBORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
 def astar(
     grid: PlannerGrid, start: tuple[int, int], goal: tuple[int, int]
 ) -> Optional[list[tuple[int, int]]]:
@@ -115,46 +112,45 @@ def astar(
     """
     if not grid.in_bounds(start) or not grid.in_bounds(goal):
         return None
-    if start == goal:
-        return [start]
-    if goal in grid.blocked:
+    blocked = grid.blocked - {start}   # a blocked start is still expanded, also as the goal
+    if goal in blocked:
         return None
-
-    sx, sy = start
-    gx, gy = goal
-
-    def line_bias(cell):
-        # cross product of (cell - goal) with (start - goal); zero on the line
-        return abs((cell[0] - gx) * (sy - gy) - (sx - gx) * (cell[1] - gy))
-
-    best_g = {start: 0}
-    parent = {}
+    width, height = grid.shape
+    (sx, sy), (gx, gy) = start, goal
+    dx, dy = sx - gx, sy - gy
+    closed = bytearray(width * height)   # by cell id x * height + y; blocked cells too
+    for x, y in blocked:
+        if 0 <= x < width and 0 <= y < height:
+            closed[x * height + y] = 1
+    source, target = sx * height + sy, gx * height + gy
+    best_g, parent = {source: 0}, {}
     counter = 0
-    frontier = [(abs(sx - gx) + abs(sy - gy), line_bias(start), counter, start)]
-    closed = set()
+    # entries (f, line bias, push counter, cell, x, y) pop in the order of the first three;
+    # the bias |(cell - goal) x (start - goal)| is zero on the start-goal line
+    frontier = [(abs(dx) + abs(dy), 0, counter, source, sx, sy)]
+    moves = ((height, 1, 0), (-height, -1, 0), (1, 0, 1), (-1, 0, -1))   # (id step, dx, dy)
     while frontier:
-        _, _, _, cell = heapq.heappop(frontier)
-        if cell == goal:
-            path = [cell]
+        _, _, _, cell, x, y = heapq.heappop(frontier)
+        if cell == target:
+            path = [goal]
             while cell in parent:
                 cell = parent[cell]
-                path.append(cell)
+                path.append(divmod(cell, height))
             path.reverse()
             return path
-        if cell in closed:
+        if closed[cell]:
             continue
-        closed.add(cell)
+        closed[cell] = 1
         g = best_g[cell] + 1
-        for dx, dy in _NEIGHBORS:
-            nxt = (cell[0] + dx, cell[1] + dy)
-            if not grid.in_bounds(nxt) or nxt in grid.blocked or nxt in closed:
+        for step, mx, my in moves:
+            nxt, nx, ny = cell + step, x + mx, y + my
+            if not (0 <= nx < width and 0 <= ny < height) or closed[nxt] or g >= best_g.get(nxt, g + 1):
                 continue
-            if g < best_g.get(nxt, math.inf):
-                best_g[nxt] = g
-                parent[nxt] = cell
-                counter += 1
-                f = g + abs(nxt[0] - gx) + abs(nxt[1] - gy)
-                heapq.heappush(frontier, (f, line_bias(nxt), counter, nxt))
+            best_g[nxt] = g
+            parent[nxt] = cell
+            counter += 1
+            f = g + abs(nx - gx) + abs(ny - gy)
+            heapq.heappush(frontier, (f, abs((nx - gx) * dy - dx * (ny - gy)), counter, nxt, nx, ny))
     return None
 
 

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from sela import gp
 from sela.gp import (
     CandidatePosterior,
     DistanceKind,
     JITTER,
+    MAX_GP_OBSERVATIONS,
     MIN_KERNEL_SIGMA,
     GpFitError,
     Kernel,
@@ -350,6 +352,83 @@ class TestOneRowMean:
             with pytest.raises(ValueError, match="scored last"):
                 posterior.mean_at(other, 0)
         posterior.mean_at(model, 9)
+
+
+def near_twin_inputs(rng, t, behavior_dim, twin):
+    """t random inputs; with `twin`, input 5 differs from input 2 by 1e-300 in
+    a zero coordinate: k = 1 exactly under either family, so a noiseless
+    matrix needs the jitter from row 5 on."""
+    inputs = rng.uniform(-np.pi, np.pi, size=(t, behavior_dim))
+    if twin:
+        inputs[2, 0] = 0.0
+        inputs[5] = inputs[2]
+        inputs[5, 0] = 1e-300
+    return inputs
+
+
+class TestSolve:
+    """`fit` hands LAPACK the F-ordered upper factor chol.T, which f2py takes
+    without a copy; the prior correction equals the old call, cho_solve on
+    the lower factor, bit for bit."""
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_prior_correction_equals_cho_solve_bit_for_bit(self, family, twin):
+        rng = np.random.default_rng(17)
+        t, noise, kernel = MAX_GP_OBSERVATIONS, 0.0 if twin else 0.001, Kernel(family, 0.45)
+        inputs = near_twin_inputs(rng, t, 4, twin)
+        outputs = rng.normal(size=(t, 2))
+        model = fit(ObservationSet.empty(4, 2, noise), kernel, sine_prior)
+        for end in (1, 2, 3, 5, 6, 7, 8, 60, 400, t):
+            model = fit(ObservationSet(inputs[:end], outputs[:end], noise), kernel, sine_prior, previous=model)
+            assert model.jitter == (JITTER if twin and end > 5 else 0.0)
+            residuals = model.observations.outputs - model.prior_at_inputs
+            assert bits(model.prior_correction) == bits(cho_solve((model.chol, True), residuals))
+
+
+class TestPosteriorBuffers:
+    """`CandidatePosterior` keeps k(X, points) and L^-1 k(X, points) in the
+    first t rows of a buffer whose capacity doubles when it fills."""
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_scoring_through_doublings_and_a_jitter_change(self, family, monkeypatch):
+        # fresh capacity is NaN, so a read past row t would spoil the scores
+        empty = np.empty
+
+        def nan_empty(shape, *args, **kwargs):
+            array = empty(shape, *args, **kwargs)
+            array.fill(np.nan)
+            return array
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        rng = np.random.default_rng(23)
+        kernel = Kernel(family, 0.45)
+        inputs = near_twin_inputs(rng, 40, 4, twin=True)
+        outputs = rng.normal(size=(40, 2))
+        points = rng.uniform(-np.pi, np.pi, size=(25, 4))
+        posterior = CandidatePosterior(points, sine_prior, kernel)
+        model = fit(ObservationSet.empty(4, 2, 0.0), kernel, sine_prior)
+        scored, capacities = [], [0]   # (returned array, its copy); capacities seen
+        for end in (0, 1, 2, 3, 5, 6, 9, 10, 11, 17, 18, 30, 33, 40):
+            if end:   # fitted one observation at a time, scored only at some
+                for step in range(len(model.observations) + 1, end + 1):
+                    prefix = ObservationSet(inputs[:step], outputs[:step], 0.0)
+                    model = fit(prefix, kernel, sine_prior, previous=model)
+            means, sigma = posterior.score(model)
+            want_means, want_variances = predict_batch(model, points)
+            assert bits(means) == bits(want_means)
+            assert bits(sigma) == bits(np.sqrt(2 * want_variances))
+            assert bits(posterior.cross) == bits(kernel_matrix(kernel, inputs[:end], points))
+            assert np.isnan(posterior.buffer[:, end:]).all()   # never written
+            capacity = posterior.buffer.shape[1]
+            if capacity != capacities[-1]:
+                assert capacity == max(end, 2 * capacities[-1])
+                capacities.append(capacity)
+            scored += [(array, array.copy()) for array in (means, sigma, posterior.cross)]
+            for array, copy in scored:
+                assert bits(array) == bits(copy)
+        assert model.jitter == JITTER
+        assert capacities == [0, 1, 2, 4, 8, 16, 32, 64]
 
 
 class TestFitErrors:

@@ -3,7 +3,6 @@ the episodic baselines, all on the point-robot world where step counts have
 closed-form expectations."""
 
 import math
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -86,35 +85,30 @@ def point_config(
     )
 
 
-def pair(error: float):
-    """(predicted, observed) pair with the given error norm."""
-    return (np.zeros(2), np.array([error, 0.0]))
-
-
-def drops(recent, config=DropDetectorConfig()):
+def drops(errors, config=DropDetectorConfig()):
     """The mission's drop check: window error strictly above the threshold,
-    over the last `config.window` pairs."""
-    return window_error(list(recent)[-config.window:]) > config.threshold
+    over the last `config.window` prediction errors."""
+    return window_error(errors[-config.window:]) > config.threshold
 
 
 class TestDropDetector:
     def test_sustained_error_trips(self):
-        recent = [pair(0.2), pair(0.2), pair(0.2)]
+        recent = [0.2, 0.2, 0.2]
         assert window_error(recent) == pytest.approx(0.2)
         assert drops(recent)
 
     def test_single_spike_does_not_trip(self):
-        recent = [pair(0.2), pair(0.0), pair(0.0)]  # mean 0.0667
+        recent = [0.2, 0.0, 0.0]  # mean 0.0667
         assert not drops(recent)
 
     def test_only_last_window_counts(self):
-        recent = [pair(1.0), pair(0.2), pair(0.0), pair(0.0)]
+        recent = [1.0, 0.2, 0.0, 0.0]
         assert not drops(recent, DropDetectorConfig(window=3))
         assert drops(recent, DropDetectorConfig(window=4))
 
     def test_single_pair_window(self):
-        assert drops([pair(0.2)])
-        assert not drops([pair(0.1)])
+        assert drops([0.2])
+        assert not drops([0.1])
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
@@ -258,26 +252,15 @@ class TestCandidateScoring:
         assert len(scored) == len({id(model) for model in selected}) < len(selected)
 
 
-class RecordingDeque(deque):
-    """A mission's `recent` window that also logs every appended pair."""
-
-    def __init__(self, log, maxlen):
-        super().__init__(maxlen=maxlen)
-        self.log = log
-
-    def append(self, pair):
-        self.log.append(pair)
-        super().append(pair)
-
-
 class TestPredictedOutcomes:
     def test_every_prediction_equals_predict(self, monkeypatch):
         # SELA's steps predict from the scored posterior (mean_at), babbling
         # and the episodic repertoire with predict; each prediction equals
-        # predict's mean bit for bit
-        made, appended = {}, []   # id(predicted) -> (predicted, model, behavior)
+        # predict's mean bit for bit. Each prediction is recorded where the
+        # drop detector forms its error, and that error is |observed - predicted|.
+        made, formed = {}, []   # id(predicted) -> (predicted, model, behavior)
         mean_at, predict_outcome = CandidatePosterior.mean_at, mission.predict
-        fresh_state = mission._fresh_state
+        record_error = MissionState.record_error
 
         def recording_mean_at(posterior, model, index):
             predicted = mean_at(posterior, model, index)
@@ -289,24 +272,25 @@ class TestPredictedOutcomes:
             made[id(predicted)] = (predicted, model, np.copy(behavior))
             return predicted, variance
 
-        def recording_fresh_state(*args):
-            state = fresh_state(*args)
-            state.recent = RecordingDeque(appended, state.recent.maxlen)
-            return state
+        def recording_record_error(state, predicted, observed):
+            formed.append(predicted)
+            error = record_error(state, predicted, observed)
+            assert state.recent[-1] == float(np.linalg.norm(observed - predicted))
+            return error
 
         monkeypatch.setattr(CandidatePosterior, "mean_at", recording_mean_at)
         monkeypatch.setattr(mission, "predict", recording_predict)
-        monkeypatch.setattr(mission, "_fresh_state", recording_fresh_state)
+        monkeypatch.setattr(MissionState, "record_error", recording_record_error)
         damage = AngleOffsetDamage(0.5)
         sela = run_mission(point_config(damage, noise_variance=0.01, seed=3))
         babbling = baseline_babbling(point_config(damage, seed=3))
         episodic = baseline_episodic_ite(point_config(damage, seed=3))
         assert sela.learn_steps > 1 and babbling.learn_steps > 1 and episodic.learn_steps > 4
-        # one pair per SELA step and per babble, and one repertoire entry per
+        # one error per SELA step and per babble, and one repertoire entry per
         # direction; the baselines' greedy drives predict nothing
-        assert len(appended) == sela.total_steps + babbling.learn_steps
+        assert len(formed) == sela.total_steps + babbling.learn_steps
         assert len(made) == sela.total_steps + babbling.learn_steps + 4
-        for predicted, _ in appended:
+        for predicted in formed:
             assert made[id(predicted)][0] is predicted
         for predicted, model, behavior in made.values():
             assert predicted.tobytes() == predict(model, behavior)[0].tobytes()

@@ -1,5 +1,6 @@
 """Waypoint rewards and grid planning, checked against a BFS oracle."""
 
+import heapq
 import math
 from collections import deque
 
@@ -34,6 +35,54 @@ def bfs_path_length(grid, start, goal):
                 return length + 1
             seen.add(nxt)
             queue.append((nxt, length + 1))
+    return None
+
+
+def frozen_astar(grid, start, goal):
+    """Reference: `astar` as it was on (x, y) tuple cells, before it moved to
+    integer cell ids. The new search must return the same path, or None."""
+    if not grid.in_bounds(start) or not grid.in_bounds(goal):
+        return None
+    if start == goal:
+        return [start]
+    if goal in grid.blocked:
+        return None
+
+    sx, sy = start
+    gx, gy = goal
+
+    def line_bias(cell):
+        # cross product of (cell - goal) with (start - goal); zero on the line
+        return abs((cell[0] - gx) * (sy - gy) - (sx - gx) * (cell[1] - gy))
+
+    best_g = {start: 0}
+    parent = {}
+    counter = 0
+    frontier = [(abs(sx - gx) + abs(sy - gy), line_bias(start), counter, start)]
+    closed = set()
+    while frontier:
+        _, _, _, cell = heapq.heappop(frontier)
+        if cell == goal:
+            path = [cell]
+            while cell in parent:
+                cell = parent[cell]
+                path.append(cell)
+            path.reverse()
+            return path
+        if cell in closed:
+            continue
+        closed.add(cell)
+        g = best_g[cell] + 1
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nxt = (cell[0] + dx, cell[1] + dy)
+            if not grid.in_bounds(nxt) or nxt in grid.blocked or nxt in closed:
+                continue
+            if g < best_g.get(nxt, math.inf):
+                best_g[nxt] = g
+                parent[nxt] = cell
+                counter += 1
+                f = g + abs(nxt[0] - gx) + abs(nxt[1] - gy)
+                heapq.heappush(frontier, (f, line_bias(nxt), counter, nxt))
     return None
 
 
@@ -93,6 +142,67 @@ class TestAstar:
             for a, b in zip(path, path[1:]):
                 assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
                 assert b not in grid.blocked
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_same_path_as_the_frozen_astar(self, data):
+        # random grids up to 14 x 14, a third of the cells blocked at most,
+        # plus blocked cells off the grid, whose ids would alias cells on it;
+        # start and goal may be off the grid, blocked or equal
+        width = data.draw(st.integers(1, 14), label="width")
+        height = data.draw(st.integers(1, 14), label="height")
+        inside = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+        anywhere = st.tuples(st.integers(-2, width + 1), st.integers(-2, height + 1))
+        blocked = set(data.draw(st.frozensets(inside, max_size=width * height // 3), label="blocked"))
+        outside = anywhere.filter(lambda c: not (0 <= c[0] < width and 0 <= c[1] < height))
+        blocked |= data.draw(st.frozensets(outside, max_size=4), label="blocked off the grid")
+        start = data.draw(st.one_of(inside, anywhere), label="start")
+        goal = data.draw(st.one_of(inside, anywhere, st.just(start)), label="goal")
+        if data.draw(st.booleans(), label="block the start"):
+            blocked.add(start)
+        if data.draw(st.booleans(), label="block the goal"):
+            blocked.add(goal)
+        grid = PlannerGrid(0.1, (0.0, 0.0), (width, height), frozenset(blocked))
+        assert astar(grid, start, goal) == frozen_astar(grid, start, goal)
+
+    @pytest.mark.parametrize(
+        "start, goal, blocked",
+        [
+            ((2, 3), (9, 1), {(2, 3)}),            # blocked start
+            ((2, 3), (9, 1), {(9, 1)}),            # blocked goal
+            ((-1, 3), (9, 1), set()),              # start off the grid
+            ((2, 3), (9, 12), set()),              # goal off the grid
+            ((4, 4), (4, 4), set()),               # start == goal
+            ((4, 4), (4, 4), {(4, 4)}),            # start == goal, blocked
+            ((0, 0), (9, 11), {(0, 12), (10, 0)}), # blocked cells off the grid
+        ],
+    )
+    def test_edge_cases_match_the_frozen_astar(self, start, goal, blocked):
+        grid = PlannerGrid(0.1, (0.0, 0.0), (10, 12), frozenset(blocked))
+        assert astar(grid, start, goal) == frozen_astar(grid, start, goal)
+
+    def test_many_random_grids_match_the_frozen_astar(self):
+        # a seeded sweep: a few of these pairs (about 1 in 300) tell apart
+        # neighbour orders that the shrinking hypothesis search rarely meets
+        rng = np.random.default_rng(14)
+        for _ in range(5000):
+            width, height = (int(n) for n in rng.integers(1, 15, size=2))
+            count = int(rng.integers(0, width * height // 3 + 1))
+            xs, ys = rng.integers(0, width, count).tolist(), rng.integers(0, height, count).tolist()
+            blocked = frozenset(zip(xs, ys))
+            grid = PlannerGrid(0.1, (0.0, 0.0), (width, height), blocked)
+            start, goal = ((int(rng.integers(width)), int(rng.integers(height))) for _ in range(2))
+            assert astar(grid, start, goal) == frozen_astar(grid, start, goal)
+
+    def test_long_adaptation_grid_matches_the_frozen_astar(self):
+        # the long-adaptation mission's 81 x 81 grid, from random starts to its goal
+        grid = PlannerGrid.for_mission((0.0, 0.0), (6.0, 6.0))
+        assert grid.shape == (81, 81)
+        goal = grid.cell_of((6.0, 6.0))
+        rng = np.random.default_rng(81)
+        for x, y in rng.integers(0, 81, size=(300, 2)):
+            start = (int(x), int(y))
+            assert astar(grid, start, goal) == frozen_astar(grid, start, goal)
 
     @staticmethod
     def random_grid(rng, n=20, fraction=0.2):
