@@ -154,10 +154,10 @@ def run_experiment(
 ) -> tuple[list[RunRecord], list[SummaryRow]]:
     """Run methods x replicates sequentially; optionally persist both CSVs.
 
-    The config is validated and a walker archive's dimensions checked first,
-    so a directly built config fails here rather than inside a mission. An
-    exception from a replicate propagates with a note naming its method and
-    seed. All missions share one waypoint table.
+    The config is validated and a walker archive's dimensions and elites
+    checked first, so a directly built config fails here rather than inside a
+    mission. An exception from a replicate propagates with a note naming its
+    method and seed. All missions share one waypoint table.
     """
     validate(config)
     if config.world == "segment_walker":
@@ -170,6 +170,8 @@ def run_experiment(
                 f"archive_path {config.archive_path}: the archive has b={archive.behavior_dim} "
                 f"d={archive.outcome_dim}, the segment walker needs b={WALKER_JOINTS} d=2"
             )
+        if not archive.cells:
+            raise ConfigError(f"archive_path {config.archive_path}: the archive lists no elites")
     records = []
     waypoint_cells = {}
     for method in config.methods:

@@ -1,8 +1,9 @@
 """Grid MAP-Elites: illuminate a behavior space and keep the best per cell.
 
-The archive doubles as prior knowledge for adaptation: each elite caches the
-outcome the intact model produced for its behavior, and ArchivePrior serves
-those outcomes as a GP prior mean.
+`illuminate` holds the offer rule and `bin_index` the binning rule. The
+archive, filled by `illuminate` or `load_archive`, doubles as prior knowledge
+for adaptation: each elite caches the outcome the intact model produced for
+its behavior, and ArchivePrior serves those outcomes as a GP prior mean.
 """
 
 from __future__ import annotations
@@ -25,20 +26,14 @@ class OfferResult(Enum):
     REJECTED = "rejected"
 
 
-def _cell(coords: list, grid_shape: tuple[int, ...]) -> tuple[int, ...]:
+def bin_index(descriptor, grid_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Cell of a descriptor on the unit grid, one coordinate per grid axis:
+    floor(d_i * n_i), top edge folded into the last bin. Descriptor
+    coordinates are clamped to [0, 1] first."""
     # min/max clamp and int() truncation of a product in [0, n]: the same
     # IEEE operations as np.clip, np.floor and astype(int), without numpy's
     # per-call overhead.
-    return tuple([min(int(min(max(d, 0.0), 1.0) * n), n - 1) for d, n in zip(coords, grid_shape)])
-
-
-def bin_index(descriptor, grid_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Cell of a descriptor on the unit grid: floor(d_i * n_i), top edge folded
-    into the last bin. Descriptor coordinates are clamped to [0, 1] first."""
-    desc = np.asarray(descriptor, dtype=float)
-    if desc.shape != (len(grid_shape),):
-        raise ValueError(f"descriptor has {desc.size} coordinates, grid has {len(grid_shape)}")
-    return _cell(desc.tolist(), grid_shape)
+    return tuple([min(int(min(max(d, 0.0), 1.0) * n), n - 1) for d, n in zip(descriptor, grid_shape)])
 
 
 @dataclass(frozen=True)
@@ -56,16 +51,6 @@ class Elite:
         object.__setattr__(self, "outcome", np.asarray(self.outcome, dtype=float))
 
 
-def _judge(incumbent: Optional[Elite], performance: float) -> OfferResult:
-    """The offer rule: an empty cell takes the offer, a strictly better one
-    replaces the incumbent, a tie keeps it."""
-    if incumbent is None:
-        return OfferResult.INSERTED
-    if performance > incumbent.performance:
-        return OfferResult.REPLACED
-    return OfferResult.REJECTED
-
-
 class Archive:
     """Sparse elite-per-cell store over a fixed descriptor grid."""
 
@@ -76,15 +61,6 @@ class Archive:
         self.behavior_dim = int(behavior_dim)
         self.outcome_dim = int(outcome_dim)
         self.cells: dict[tuple[int, ...], Elite] = {}
-
-    def offer(self, candidate: Elite) -> OfferResult:
-        """Insert into an empty cell, replace on strictly better performance,
-        otherwise reject. Ties keep the incumbent."""
-        cell = bin_index(candidate.descriptor, self.grid_shape)
-        result = _judge(self.cells.get(cell), candidate.performance)
-        if result is not OfferResult.REJECTED:
-            self.cells[cell] = candidate
-        return result
 
     @property
     def total_cells(self) -> int:
@@ -183,8 +159,16 @@ def illuminate(
                 f"{descriptor} or performance {performance}"
             )
         performance = float(performance)
-        cell = _cell(coords, shape)
-        result = _judge(cells.get(cell), performance)
+        cell = bin_index(coords, shape)
+        # The offer rule: an empty cell takes the offer, a strictly better
+        # one replaces the incumbent, a tie keeps it.
+        incumbent = cells.get(cell)
+        if incumbent is None:
+            result = OfferResult.INSERTED
+        elif performance > incumbent.performance:
+            result = OfferResult.REPLACED
+        else:
+            result = OfferResult.REJECTED
         if result is OfferResult.REJECTED and on_offer is None:
             continue
         candidate = Elite(behavior, desc, performance, outcome)
@@ -270,6 +254,7 @@ def load_archive(data: bytes) -> Archive:
         raise ArchiveFormatError(f"line 1: grid sizes, b and d must be positive in {lines[0]!r}")
 
     archive = Archive(grid_shape, behavior_dim, outcome_dim)
+    listed: dict[bytes, int] = {}   # the line of each behavior
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -295,7 +280,7 @@ def load_archive(data: bytes) -> Archive:
         # archive would then no longer give the input bytes
         if not ((descriptor >= 0.0) & (descriptor <= 1.0)).all():
             raise ArchiveFormatError(f"line {line_no}: descriptor outside [0, 1]")
-        binned = _cell(descriptor.tolist(), grid_shape)
+        binned = bin_index(descriptor.tolist(), grid_shape)
         if binned != cell:
             raise ArchiveFormatError(
                 f"line {line_no}: descriptor bins to cell {binned}, not {cell}"
@@ -306,6 +291,10 @@ def load_archive(data: bytes) -> Archive:
             performance=float(_parse_vector(entry["perf"], 1, "perf", line_no)[0]),
             outcome=_parse_vector(entry["outcome"], outcome_dim, "outcome", line_no),
         )
+        # + 0.0: -0.0 is the same behavior as 0.0, as the candidate set compares them
+        first = listed.setdefault((elite.behavior + 0.0).tobytes(), line_no)
+        if first != line_no:
+            raise ArchiveFormatError(f"line {line_no}: behavior already listed on line {first}")
         archive.cells[cell] = elite
     return archive
 
@@ -324,7 +313,8 @@ class ArchivePrior:
             raise ValueError("cannot build a prior from an empty archive")
         self._behaviors = np.array([e.behavior for e in elites])
         self._outcomes = np.array([e.outcome for e in elites])
-        self._exact = {e.behavior.tobytes(): i for i, e in enumerate(elites)}
+        # reversed: a behavior in two cells keeps the lower one, as argmin does
+        self._exact = {e.behavior.tobytes(): i for i, e in reversed(list(enumerate(elites)))}
 
     def __call__(self, x) -> np.ndarray:
         query = np.asarray(x, dtype=float)

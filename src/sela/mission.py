@@ -13,9 +13,10 @@ The baselines keep learning and execution episodic: each learning trial
 (`_episodic_trial`) resets the robot to the start pose and counts as pure
 cost, no trial runs past the step cap, and only then does the robot drive to
 the goal with what it learned (`_drive`). A mission passes one `MissionState` around: the model, the
-posterior and the step counts it mutates, and the `MissionConfig` it reads.
+posterior and the step count it mutates, and the `MissionConfig` it reads.
 All four methods share its learning step (`MissionState.learn`), its goal
-test (`MissionState.at_goal`) and the record builder (`_record`).
+test (`MissionState.at_goal`) and the record builder (`_record`), which
+counts one learning step per observation in the model.
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
 the observations only grow. So each refit extends the previous model's
@@ -127,7 +128,6 @@ class MissionState:
     config: MissionConfig
     model: GpModel
     step_count: int = field(default=0, init=False)
-    adapt_iterations: int = field(default=0, init=False)
     # The drop detector's window: the prediction errors of the last drop.window steps
     recent: deque = field(init=False)
     # The posterior at the candidates, with the model's kernel and prior.
@@ -175,7 +175,8 @@ def _chase_waypoint(
     return select_next(state.posterior, state.model, reward, acquisition)
 
 
-def _record(method: Method, state: MissionState, learn_steps: int) -> RunRecord:
+def _record(method: Method, state: MissionState) -> RunRecord:
+    learn_steps = len(state.model.observations)   # one observation per learning step
     return RunRecord(
         method=method,
         learn_steps=learn_steps,
@@ -194,11 +195,11 @@ def _drive(
     """The baselines' tail: every step so far was a learning trial. Execute
     `choose(state)`, by default the greedy waypoint chase, until the goal or
     the step cap, learning nothing, and record the mission."""
-    learn_steps, world = state.step_count, state.config.world
+    world = state.config.world
     while state.step_count < state.config.step_cap and not state.at_goal():
         world.execute(choose(state))
         state.step_count += 1
-    return _record(method, state, learn_steps)
+    return _record(method, state)
 
 
 def sela_adapt(state: MissionState, max_iterations: int) -> None:
@@ -218,7 +219,6 @@ def sela_adapt(state: MissionState, max_iterations: int) -> None:
         observed = config.world.execute(behavior)
         state.learn(behavior, observed)
         state.step_count += 1
-        state.adapt_iterations += 1
         if state.record_error(predicted, observed) < config.drop.threshold:
             break
 
@@ -233,7 +233,7 @@ def run_mission(config: MissionConfig) -> RunRecord:
         state.step_count += 1
         if state.record_error(predicted, observed) > config.drop.threshold:
             sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
-    return _record(Method.SELA, state, state.adapt_iterations)
+    return _record(Method.SELA, state)
 
 
 def _episodic_trial(state: MissionState, behavior) -> np.ndarray:

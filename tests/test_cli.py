@@ -91,6 +91,19 @@ class TestRun:
         assert code == 1
         assert "archive_path" in capsys.readouterr().err
 
+    def test_walker_archive_with_a_repeated_behavior_fails_on_load(self, tmp_path, capsys):
+        # the first mission's candidate set would otherwise reject the repeat
+        archive = tmp_path / "elites.txt"
+        archive.write_text(
+            "sela-archive v1 m=2 grid=2x2 b=4 d=2\n"
+            "cell=0,0 behavior=0.1,0.2,0.3,0.4 descriptor=0.25,0.25 perf=1.0 outcome=0.1,0.0\n"
+            "cell=1,1 behavior=0.1,0.2,0.3,0.4 descriptor=0.75,0.75 perf=1.0 outcome=0.1,0.0\n"
+        )
+        cfg = write_cfg(tmp_path, WALKER_CFG + f"archive_path = {archive}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: line 3: behavior already listed on line 2\n"
+        assert not (tmp_path / "out").exists()
+
     def test_failed_replicate_is_named_in_the_error(self, tmp_path, capsys, monkeypatch):
         def unreachable(method, mission):
             raise UnreachableGoalError("no path to the goal")

@@ -360,7 +360,7 @@ worlds = st.sampled_from(["", "world = point_robot\n", "world = segment_walker\n
 
 # One elite is enough to build a walker mission.
 TINY_ARCHIVE = Archive((2, 2), behavior_dim=4, outcome_dim=2)
-TINY_ARCHIVE.offer(Elite([0.1] * 4, [0.1, 0.1], 0.1, [0.1, 0.0]))
+TINY_ARCHIVE.cells[(0, 0)] = Elite([0.1] * 4, [0.1, 0.1], 0.1, [0.1, 0.0])
 
 
 def check_rejected_or_valid(text):

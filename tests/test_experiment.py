@@ -33,7 +33,7 @@ from sela.experiment import (
 from sela.gp import MIN_KERNEL_SIGMA, DistanceKind
 from sela.map_elites import Archive, Elite, save_archive
 from sela.mission import Method, RunRecord
-from sela.worlds import AngleOffsetDamage, FrozenJointDamage
+from sela.worlds import WALKER_JOINTS, AngleOffsetDamage, FrozenJointDamage
 
 
 def record(method=Method.SELA, learn=0, execute=28, reached=True, seed=0):
@@ -283,13 +283,21 @@ class TestRunExperiment:
         archive = Archive((2, 2), behavior_dim, outcome_dim)
         for cell in np.ndindex(2, 2):
             archive.cells[cell] = Elite(
-                np.full(behavior_dim, 0.1 * sum(cell)), np.array(cell) / 2, 1.0,
+                np.full(behavior_dim, 0.1 * (2 * cell[0] + cell[1])), np.array(cell) / 2, 1.0,
                 np.full(outcome_dim, 0.01),
             )
         path = tmp_path / "archive.txt"
         path.write_bytes(save_archive(archive))
         config = ExperimentConfig(world="segment_walker", archive_path=str(path))
         with pytest.raises(ConfigError, match=re.escape(f"archive_path {path}: the archive has b={behavior_dim}")):
+            run_experiment(config)
+
+    def test_walker_archive_with_no_elites_rejected(self, tmp_path):
+        # it would otherwise fail inside the first sela replicate, on an empty candidate set
+        path = tmp_path / "archive.txt"
+        path.write_bytes(save_archive(Archive((2, 2), WALKER_JOINTS, 2)))
+        config = ExperimentConfig(world="segment_walker", archive_path=str(path))
+        with pytest.raises(ConfigError, match=re.escape(f"archive_path {path}: the archive lists no elites")):
             run_experiment(config)
 
     def test_walker_end_to_end_with_prebuilt_archive(self):

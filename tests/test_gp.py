@@ -281,7 +281,7 @@ def archive_prior(rng, behaviors):
     an elite exactly or fall back to the nearest one."""
     archive = Archive((len(behaviors),), behaviors.shape[1], 2)
     for i in range(0, len(behaviors), 2):
-        archive.offer(Elite(behaviors[i], [(i + 0.5) / len(behaviors)], 1.0, rng.normal(size=2)))
+        archive.cells[(i,)] = Elite(behaviors[i], [(i + 0.5) / len(behaviors)], 1.0, rng.normal(size=2))
     return ArchivePrior(archive)
 
 

@@ -39,30 +39,12 @@ class TestBinIndex:
     def test_out_of_range_clamped(self):
         assert bin_index([-0.3, 1.7], (10, 10)) == (0, 9)
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="coordinates"):
-            bin_index([0.5], (10, 10))
-
 
 class TestOffer:
-    def test_insert_replace_reject(self):
-        archive = Archive((10, 10), behavior_dim=1, outcome_dim=2)
-        assert archive.offer(make_elite([0.55, 0.2], 1.0)) is OfferResult.INSERTED
-        assert archive.offer(make_elite([0.55, 0.2], 2.0)) is OfferResult.REPLACED
-        assert archive.offer(make_elite([0.55, 0.2], 1.5)) is OfferResult.REJECTED
-        assert archive.cells[(5, 2)].performance == 2.0
-
-    def test_equal_performance_keeps_incumbent(self):
-        archive = Archive((4, 4), 1, 2)
-        first = make_elite([0.1, 0.1], 1.0, behavior=[111.0])
-        archive.offer(first)
-        archive.offer(make_elite([0.1, 0.1], 1.0, behavior=[222.0]))
-        assert archive.cells[(0, 0)].behavior[0] == 111.0
-
     def test_coverage_counts_occupied_cells(self):
         archive = Archive((4, 4), 1, 2)
-        archive.offer(make_elite([0.1, 0.1], 1.0))
-        archive.offer(make_elite([0.9, 0.9], 1.0))
+        archive.cells[(0, 0)] = make_elite([0.1, 0.1], 1.0)
+        archive.cells[(3, 3)] = make_elite([0.9, 0.9], 1.0)
         assert archive.coverage == pytest.approx(2 / 16)
 
     def test_total_cells_of_a_huge_grid_is_exact(self):
@@ -404,6 +386,24 @@ class TestSerialization:
         with pytest.raises(ArchiveFormatError, match=r"^line 2: descriptor outside \[0, 1\]$"):
             load_archive(f"{header}\n{line}\n".encode())
 
+    def test_descriptor_of_the_wrong_length_reports_its_line(self):
+        header = "sela-archive v1 m=2 grid=2x2 b=1 d=2"
+        line = "cell=0,0 behavior=0.5 descriptor=0.25 perf=1.0 outcome=0.0,0.0"
+        with pytest.raises(ArchiveFormatError, match="^line 2: descriptor has 1 coordinates, expected 2$"):
+            load_archive(f"{header}\n{line}\n".encode())
+
+    @pytest.mark.parametrize("first, again", [("0.5,-1.0", "0.5,-1.0"), ("0.0,-0.0", "-0.0,0.0")])
+    def test_repeated_behavior_reports_both_lines(self, first, again):
+        # the candidate set would reject the repeat inside the first mission;
+        # it compares values, so -0.0 repeats 0.0
+        header = "sela-archive v1 m=2 grid=2x2 b=2 d=2"
+        lines = [f"cell=0,0 behavior={first} descriptor=0.25,0.25 perf=1.0 outcome=0.0,0.0",
+                 "cell=0,1 behavior=0.5,0.5 descriptor=0.25,0.75 perf=1.0 outcome=0.0,0.0",
+                 f"cell=1,1 behavior={again} descriptor=0.75,0.75 perf=1.0 outcome=0.0,0.0"]
+        with pytest.raises(ArchiveFormatError, match="^line 4: behavior already listed on line 2$"):
+            load_archive("\n".join([header, *lines, ""]).encode())
+        assert len(load_archive("\n".join([header, *lines[:2], ""]).encode())) == 2
+
     def test_descriptor_of_another_cell_reports_its_line(self):
         data = save_archive(self.build_small()).decode().splitlines()
         own, other = (dict(token.split("=") for token in data[i].split()) for i in (3, 4))
@@ -433,15 +433,20 @@ def archives(draw):
     b = draw(st.integers(1, 4))
     d = draw(st.integers(1, 3))
     archive = Archive(grid, b, d)
-    # every elite sits in the cell its descriptor bins to, as in a built archive
+    # every elite sits in the cell its descriptor bins to, and no behavior
+    # is listed twice, as in a built archive
     unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 5e-324, 1.0]))
+    behaviors = set()
     for descriptor in draw(st.lists(st.lists(unit, min_size=m, max_size=m), max_size=math.prod(grid))):
         cell = bin_index(descriptor, grid)
-        if cell in archive.cells:
-            continue
         vector = lambda size: draw(st.lists(archive_floats, min_size=size, max_size=size))
+        behavior = np.array(vector(b))
+        key = (behavior + 0.0).tobytes()   # -0.0 repeats 0.0
+        if cell in archive.cells or key in behaviors:
+            continue
+        behaviors.add(key)
         archive.cells[cell] = Elite(
-            behavior=vector(b),
+            behavior=behavior,
             descriptor=descriptor,
             performance=draw(archive_floats),
             outcome=vector(d),
@@ -473,11 +478,20 @@ class TestArchivePrior:
 
     def test_between_elites_uses_nearest(self):
         archive = Archive((2, 2), 1, 2)
-        archive.offer(Elite([0.0], [0.2, 0.2], 1.0, [1.0, 0.0]))
-        archive.offer(Elite([10.0], [0.8, 0.8], 1.0, [0.0, 1.0]))
+        archive.cells[(0, 0)] = Elite([0.0], [0.2, 0.2], 1.0, [1.0, 0.0])
+        archive.cells[(1, 1)] = Elite([10.0], [0.8, 0.8], 1.0, [0.0, 1.0])
         prior = ArchivePrior(archive)
         np.testing.assert_array_equal(prior(np.array([1.0])), [1.0, 0.0])
         np.testing.assert_array_equal(prior(np.array([9.0])), [0.0, 1.0])
+
+    def test_behavior_in_two_cells_gives_the_lower_cells_outcome(self):
+        # an exact match and a query just beside it agree with the nearest-elite fallback
+        archive = Archive((2, 2), 1, 2)
+        archive.cells[(1, 1)] = Elite([0.5], [0.8, 0.8], 1.0, [0.0, 1.0])
+        archive.cells[(0, 0)] = Elite([0.5], [0.2, 0.2], 1.0, [1.0, 0.0])
+        prior = ArchivePrior(archive)
+        np.testing.assert_array_equal(prior(np.array([0.5])), [1.0, 0.0])
+        np.testing.assert_array_equal(prior(np.array([0.5 + 1e-16])), [1.0, 0.0])
 
     def test_repeated_queries_identical(self):
         archive = illuminate(segment_walker_evaluator, budget=300, seed=8, **WALKER_KW)

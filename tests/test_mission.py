@@ -308,7 +308,6 @@ class TestSelaAdapt:
         before = world.pose
         sela_adapt(state, 1)
         assert state.step_count == 1
-        assert state.adapt_iterations == 1
         assert len(state.model.observations) == 1
         assert not np.array_equal(world.pose, before)
 
@@ -316,13 +315,13 @@ class TestSelaAdapt:
         # accurate model: first iteration already predicts perfectly
         state = self.adapting_state(make_point_robot_world())
         sela_adapt(state, 10)
-        assert state.adapt_iterations == 1
+        assert len(state.model.observations) == 1
 
     def test_goal_stops_immediately(self):
         world = make_point_robot_world(start=GOAL)
         state = self.adapting_state(world)
         sela_adapt(state, 10)
-        assert state.adapt_iterations == 0
+        assert len(state.model.observations) == 0
 
 
 class TestRunMission:
