@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gp import CandidatePosterior, GpModel, predict_batch  # noqa: F401 (perfbench patches it)
+from .gp import CandidatePosterior, GpModel, _as_points, predict_batch  # noqa: F401 (perfbench patches it)
 
 # Largest dense direction grid: one cross-kernel row per observation is then
 # at most 80 KB.
@@ -28,9 +28,7 @@ class CandidateSet:
     points: np.ndarray   # (n, behavior_dim)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _as_points(self.points)
         if len(pts) == 0:
             raise ValueError("candidate set must not be empty")
         if len(np.unique(pts, axis=0)) != len(pts):

@@ -172,6 +172,8 @@ def run_experiment(
             )
         if not archive.cells:
             raise ConfigError(f"archive_path {config.archive_path}: the archive lists no elites")
+        if len(np.unique([e.behavior for e in archive.cells.values()], axis=0)) < len(archive.cells):
+            raise ConfigError(f"archive_path {config.archive_path}: the archive lists a behavior twice")
     records = []
     waypoint_cells = {}
     for method in config.methods:

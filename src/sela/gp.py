@@ -142,11 +142,9 @@ class ObservationSet:
 
     def with_observation(self, x, y) -> "ObservationSet":
         """New set with one more (input, outcome) pair appended."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
         return ObservationSet(
-            inputs=np.vstack([self.inputs, x[None, :]]),
-            outputs=np.vstack([self.outputs, y[None, :]]),
+            inputs=np.vstack([self.inputs, np.ravel(x)]),
+            outputs=np.vstack([self.outputs, np.ravel(y)]),
             noise_variance=self.noise_variance,
         )
 

@@ -184,12 +184,8 @@ def illuminate(
     return archive
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
 def _format_vector(values: np.ndarray) -> str:
-    return ",".join(_format_float(v) for v in np.asarray(values, dtype=float))
+    return ",".join(repr(float(v)) for v in np.asarray(values, dtype=float))
 
 
 def save_archive(archive: Archive) -> bytes:
@@ -208,7 +204,7 @@ def save_archive(archive: Archive) -> bytes:
             f"cell={','.join(str(i) for i in cell)}"
             f" behavior={_format_vector(elite.behavior)}"
             f" descriptor={_format_vector(elite.descriptor)}"
-            f" perf={_format_float(elite.performance)}"
+            f" perf={float(elite.performance)!r}"
             f" outcome={_format_vector(elite.outcome)}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")

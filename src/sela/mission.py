@@ -67,14 +67,6 @@ class DropDetectorConfig:
             raise ValueError("threshold must be positive")
 
 
-def window_error(errors) -> float:
-    """Mean prediction error over the drop detector's window of per-step
-    errors |observed - predicted|. A drop is detected when it exceeds the threshold."""
-    if len(errors) == 0:
-        raise ValueError("need at least one prediction error")
-    return float(np.mean(errors))
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """Accounting for one mission: behaviors spent learning vs executing."""
@@ -150,9 +142,10 @@ class MissionState:
         self.model = fit(observations, model.kernel, model.prior, previous=model)
 
     def record_error(self, predicted, observed) -> float:
-        """Push |observed - predicted| into the drop window; return its window error."""
+        """Push |observed - predicted| into the drop window and return the
+        window error, its mean; a drop is detected when it exceeds the threshold."""
         self.recent.append(float(np.linalg.norm(observed - predicted)))
-        return window_error(self.recent)
+        return float(np.mean(self.recent))
 
 
 _GREEDY = AcquisitionConfig(alpha=0.0)

@@ -143,17 +143,10 @@ def make_segment_walker_world(
     return World(segment_walker_model, damage, noise_variance, seed, start)
 
 
-def walker_descriptor(outcome) -> np.ndarray:
-    """Normalized (direction, magnitude) of a walker displacement.
-
-    Direction maps (-pi, pi] onto (0, 1]; magnitude is relative to the intact
-    maximum step and clamped to 1.
-    """
-    outcome = np.asarray(outcome, dtype=float)
-    return _walker_descriptor(outcome, float(np.linalg.norm(outcome)))
-
-
-def _walker_descriptor(outcome: np.ndarray, magnitude: float) -> np.ndarray:
+def walker_descriptor(outcome: np.ndarray, magnitude: float) -> np.ndarray:
+    """Normalized (direction, magnitude) of a walker displacement of norm
+    `magnitude`. Direction maps (-pi, pi] onto (0, 1]; magnitude is relative
+    to the intact maximum step and clamped to 1."""
     direction = (math.atan2(outcome[1], outcome[0]) + math.pi) / (2.0 * math.pi)
     return np.array([direction, min(magnitude / POINT_ROBOT_STEP, 1.0)])
 
@@ -163,7 +156,7 @@ def segment_walker_evaluator(behavior) -> tuple[np.ndarray, float, np.ndarray]:
     (displacement magnitude), and the cached outcome."""
     outcome = segment_walker_model(behavior)
     magnitude = float(np.linalg.norm(outcome))
-    return _walker_descriptor(outcome, magnitude), magnitude, outcome
+    return walker_descriptor(outcome, magnitude), magnitude, outcome
 
 
 def sample_point_robot_behavior(rng: np.random.Generator) -> np.ndarray:

@@ -300,6 +300,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=re.escape(f"archive_path {path}: the archive lists no elites")):
             run_experiment(config)
 
+    @pytest.mark.parametrize("repeat", [0.5, -0.0])
+    def test_walker_archive_with_a_repeated_behavior_rejected(self, repeat):
+        # an archive passed directly skips load_archive's check; it would
+        # otherwise fail inside the first sela replicate, on duplicate candidates
+        archive = Archive((2, 2), WALKER_JOINTS, 2)
+        for cell, first in (((0, 0), abs(repeat)), ((1, 1), repeat)):
+            behavior = np.array([first, 0.1, 0.2, 0.3])
+            archive.cells[cell] = Elite(behavior, [0.25 + 0.5 * cell[0]] * 2, 0.05, [0.05, 0.0])
+        config = ExperimentConfig(world="segment_walker", damage="frozen_joint", replicates=1)
+        with pytest.raises(ConfigError, match=re.escape("archive_path None: the archive lists a behavior twice")):
+            run_experiment(config, archive=archive)
+
     def test_walker_end_to_end_with_prebuilt_archive(self):
         config = ExperimentConfig(
             world="segment_walker",

@@ -194,15 +194,54 @@ class TestAstar:
             start, goal = ((int(rng.integers(width)), int(rng.integers(height))) for _ in range(2))
             assert astar(grid, start, goal) == frozen_astar(grid, start, goal)
 
+    @staticmethod
+    def assert_every_start_matches_the_frozen_astar(goal_point, shape):
+        grid = PlannerGrid.for_mission((0.0, 0.0), goal_point)
+        assert grid.shape == shape
+        goal = grid.cell_of(goal_point)
+        for x in range(shape[0]):
+            for y in range(shape[1]):
+                assert astar(grid, (x, y), goal) == frozen_astar(grid, (x, y), goal)
+
     def test_long_adaptation_grid_matches_the_frozen_astar(self):
-        # the long-adaptation mission's 81 x 81 grid, from random starts to its goal
-        grid = PlannerGrid.for_mission((0.0, 0.0), (6.0, 6.0))
-        assert grid.shape == (81, 81)
-        goal = grid.cell_of((6.0, 6.0))
-        rng = np.random.default_rng(81)
-        for x, y in rng.integers(0, 81, size=(300, 2)):
-            start = (int(x), int(y))
-            assert astar(grid, start, goal) == frozen_astar(grid, start, goal)
+        # the long-adaptation mission's 81 x 81 grid, from every start cell to its goal
+        self.assert_every_start_matches_the_frozen_astar((6.0, 6.0), (81, 81))
+
+    def test_toy_grid_matches_the_frozen_astar(self):
+        # the toy mission's 41 x 41 grid, from every start cell to its goal
+        self.assert_every_start_matches_the_frozen_astar((2.0, 2.0), (41, 41))
+
+    def test_every_pair_of_every_small_free_grid_matches_the_frozen_astar(self):
+        # on a free grid the staircase answers every call; up to 8 x 8, all 41,616 pairs
+        for width in range(1, 9):
+            for height in range(1, 9):
+                grid = PlannerGrid(0.1, (0.0, 0.0), (width, height))
+                cells = [(x, y) for x in range(width) for y in range(height)]
+                for start in cells:
+                    for goal in cells:
+                        assert astar(grid, start, goal) == frozen_astar(grid, start, goal)
+
+    def test_the_search_runs_only_when_the_staircase_is_blocked(self, monkeypatch):
+        pushes = []
+        real_push = heapq.heappush
+
+        def counting_push(heap, item):
+            pushes.append(item)
+            real_push(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", counting_push)
+        # blocked cells off the staircase leave it clear
+        start, goal = (1, 2), (11, 7)
+        free = PlannerGrid(0.1, (0.0, 0.0), (14, 10), frozenset({(0, 0), (12, 9), (5, 2)}))
+        staircase = astar(free, start, goal)
+        assert pushes == []
+        assert staircase == frozen_astar(free, start, goal) and len(staircase) == 16
+        for cell in staircase[1:-1]:
+            grid = PlannerGrid(0.1, (0.0, 0.0), (14, 10), free.blocked | {cell})
+            pushes.clear()
+            path = astar(grid, start, goal)
+            assert pushes and cell not in path
+            assert path == frozen_astar(grid, start, goal)
 
     @staticmethod
     def random_grid(rng, n=20, fraction=0.2):

@@ -191,18 +191,19 @@ class TestWorld:
 
 class TestDescriptor:
     def test_rightward_step(self):
-        np.testing.assert_allclose(walker_descriptor([0.1, 0.0]), [0.5, 1.0])
+        np.testing.assert_allclose(walker_descriptor([0.1, 0.0], 0.1), [0.5, 1.0])
 
     def test_leftward_half_step(self):
-        np.testing.assert_allclose(walker_descriptor([-0.05, 0.0]), [1.0, 0.5])
+        np.testing.assert_allclose(walker_descriptor([-0.05, 0.0], 0.05), [1.0, 0.5])
 
     def test_magnitude_clamped(self):
-        assert walker_descriptor([0.3, 0.4])[1] == 1.0
+        assert walker_descriptor([0.3, 0.4], 0.5)[1] == 1.0
 
     def test_direction_range(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            d = walker_descriptor(rng.normal(scale=0.05, size=2))
+            outcome = rng.normal(scale=0.05, size=2)
+            d = walker_descriptor(outcome, float(np.linalg.norm(outcome)))
             assert 0.0 <= d[0] <= 1.0
             assert 0.0 <= d[1] <= 1.0
 
@@ -210,7 +211,7 @@ class TestDescriptor:
         u = np.array([0.2, -0.4, 0.8, 0.0])
         descriptor, performance, outcome = segment_walker_evaluator(u)
         np.testing.assert_array_equal(outcome, segment_walker_model(u))
-        np.testing.assert_array_equal(descriptor, walker_descriptor(outcome))
+        np.testing.assert_array_equal(descriptor, walker_descriptor(outcome, float(np.linalg.norm(outcome))))
         assert performance == pytest.approx(np.linalg.norm(outcome))
 
     @settings(max_examples=300, deadline=None)
@@ -233,7 +234,7 @@ class TestDescriptor:
         assert segment_walker_model(u).tobytes() == model.tobytes()
         descriptor, performance, outcome = segment_walker_evaluator(u)
         assert outcome.tobytes() == model.tobytes()
-        assert descriptor.tobytes() == walker_descriptor(model).tobytes()
+        assert descriptor.tobytes() == walker_descriptor(model, float(np.linalg.norm(model))).tobytes()
         assert repr(performance) == repr(float(np.linalg.norm(model)))
 
 
