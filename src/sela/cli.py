@@ -65,13 +65,8 @@ def _cmd_build_archive(args) -> int:
 
 def _cmd_run(args) -> int:
     config = parse_config_file(args.config)
-    overrides = {}
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.base_seed is not None:
-        overrides["base_seed"] = args.base_seed
-    if overrides:
-        config = with_overrides(config, **overrides)
+    given = {"replicates": args.replicates, "base_seed": args.base_seed}
+    config = with_overrides(config, **{k: v for k, v in given.items() if v is not None})
     started = time.perf_counter()
     records, summary = run_experiment(config, out_dir=args.out)
     elapsed = time.perf_counter() - started

@@ -213,25 +213,16 @@ def compute_summary(records: list[RunRecord]) -> list[SummaryRow]:
     return rows
 
 
+def _runs_row(run_id: int, record: RunRecord, world: str) -> str:
+    reached = "true" if record.reached else "false"
+    fields = (run_id, record.method.value, world, record.seed, record.learn_steps,
+              record.exec_steps, record.total_steps, reached, 0)   # wall_ms: see module docstring
+    return ",".join(map(str, fields))
+
+
 def runs_csv_text(records: list[RunRecord], world: str) -> str:
-    lines = [RUNS_HEADER]
-    for run_id, record in enumerate(records):
-        lines.append(
-            ",".join(
-                [
-                    str(run_id),
-                    record.method.value,
-                    world,
-                    str(record.seed),
-                    str(record.learn_steps),
-                    str(record.exec_steps),
-                    str(record.total_steps),
-                    "true" if record.reached else "false",
-                    "0",   # deterministic placeholder, see module docstring
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = [_runs_row(run_id, record, world) for run_id, record in enumerate(records)]
+    return "\n".join([RUNS_HEADER, *rows]) + "\n"
 
 
 def summary_csv_text(summary: list[SummaryRow]) -> str:
@@ -255,20 +246,23 @@ def write_results(
 
 
 def read_runs_csv(path) -> tuple[str, list[RunRecord]]:
-    """Parse a runs.csv back into records; returns (world, records)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line]
+    """Parse a runs.csv back into records; returns (world, records). A row that
+    `runs_csv_text` would not write back the same (after the first row's world)
+    raises ValueError naming its line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != RUNS_HEADER:
         raise ValueError(f"unrecognized runs.csv header in {path}")
     world = ""
     records = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
         parts = line.split(",")
-        if len(parts) != 9:
-            raise ValueError(f"malformed runs.csv row: {line!r}")
-        world = parts[2]
-        records.append(
-            RunRecord(
+        try:
+            if len(parts) != 9:
+                raise ValueError(f"expected 9 fields, got {len(parts)}")
+            world = world or parts[2]
+            record = RunRecord(
                 method=Method(parts[1]),
                 learn_steps=int(parts[4]),
                 exec_steps=int(parts[5]),
@@ -276,7 +270,11 @@ def read_runs_csv(path) -> tuple[str, list[RunRecord]]:
                 reached=parts[7] == "true",
                 seed=int(parts[3]),
             )
-        )
+            if _runs_row(len(records), record, world) != line:
+                raise ValueError(f"runs.csv never holds the row {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
+        records.append(record)
     return world, records
 
 

@@ -23,10 +23,12 @@ the observations only grow. So each refit extends the previous model's
 Cholesky factor, and a `CandidatePosterior` keeps the prior at the candidates,
 writes one cross-kernel row per observation in place, and scores each model
 once: steps that learn nothing reuse the last score. The outcome SELA predicts
-for a chosen candidate comes from that posterior too (`mean_at`), and the drop
-window keeps one error norm per step. The missions of an experiment share one
-table of A* waypoints per start cell (`MissionConfig.waypoint_cells`). Rewards
-are plain functions of a batch of outcomes, which `select_next` takes as is.
+for a chosen candidate comes from that posterior too (`mean_at`). The drop
+window keeps one error norm per step; its mean, the error norms and the goal
+test run numpy's arithmetic without numpy's Python wrappers, so they keep its
+bits. The missions of an experiment share one table of A* waypoints per start
+cell (`MissionConfig.waypoint_cells`). Rewards are plain functions of a batch
+of outcomes, which `select_next` takes as is.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .gp import (
     CandidatePosterior, GpModel, Kernel, ObservationSet, PriorMean, fit, predict, zero_prior
 )
 from .reward import PlannerGrid, build_waypoint_reward
-from .worlds import World, goal_reached
+from .worlds import World, goal_reached, vector_length
 
 
 class Method(Enum):
@@ -79,8 +81,9 @@ class RunRecord:
     seed: int
 
     def __post_init__(self):
-        if self.total_steps != self.learn_steps + self.exec_steps:
-            raise ValueError("total_steps must equal learn_steps + exec_steps")
+        if min(self.learn_steps, self.exec_steps, self.seed) < 0 or (
+                self.total_steps != self.learn_steps + self.exec_steps):
+            raise ValueError("counts and seed must be non-negative, total_steps = learn + exec")
 
 
 @dataclass
@@ -144,8 +147,9 @@ class MissionState:
     def record_error(self, predicted, observed) -> float:
         """Push |observed - predicted| into the drop window and return the
         window error, its mean; a drop is detected when it exceeds the threshold."""
-        self.recent.append(float(np.linalg.norm(observed - predicted)))
-        return float(np.mean(self.recent))
+        self.recent.append(vector_length(observed - predicted))
+        # np.mean's own reduce and divide (numpy's _methods._mean), without its wrapper
+        return float(np.add.reduce(np.array(self.recent))) / len(self.recent)
 
 
 _GREEDY = AcquisitionConfig(alpha=0.0)
@@ -294,9 +298,7 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
 
     def closest_landing(state: MissionState) -> np.ndarray:
         pose = state.config.world.pose
-        landings = [
-            float(np.linalg.norm(pose + outcome - config.goal)) for _, outcome in repertoire
-        ]
+        landings = [vector_length(pose + outcome - config.goal) for _, outcome in repertoire]
         return repertoire[int(np.argmin(landings))][0]
 
     return _drive(Method.EPISODIC_ITE, state, closest_landing)

@@ -83,9 +83,9 @@ class PlannerGrid:
         )
 
     def cell_of(self, point) -> tuple[int, int]:
-        point = np.asarray(point, dtype=float)
-        ix = math.floor((point[0] - self.origin[0]) / self.cell_size)
-        iy = math.floor((point[1] - self.origin[1]) / self.cell_size)
+        x, y = np.asarray(point, dtype=float).tolist()   # Python floats: no numpy scalars
+        ix = math.floor((x - self.origin[0]) / self.cell_size)
+        iy = math.floor((y - self.origin[1]) / self.cell_size)
         ix = min(max(ix, 0), self.shape[0] - 1)
         iy = min(max(iy, 0), self.shape[1] - 1)
         return ix, iy
@@ -176,11 +176,9 @@ def astar(
 
 def make_distance_reward(waypoint, current_pose) -> Callable[[np.ndarray], np.ndarray]:
     """Reward each candidate displacement g by -|| (pose + g) - waypoint ||."""
-    waypoint = np.asarray(waypoint, dtype=float)
-    pose = np.asarray(current_pose, dtype=float)
 
     def score(outcomes) -> np.ndarray:
-        diff = (pose + np.asarray(outcomes, dtype=float)) - waypoint
+        diff = (current_pose + np.asarray(outcomes, dtype=float)) - waypoint
         # vecdot runs the BLAS dot that np.linalg.norm uses on one vector, so
         # each score equals the per-row norm bit for bit and argmax ties hold
         return -np.sqrt(np.vecdot(diff, diff))
@@ -207,7 +205,6 @@ def build_waypoint_reward(
     """
     if lookahead_cells < 1:
         raise ValueError("lookahead_cells must be at least 1")
-    goal = np.asarray(goal, dtype=float)
     start_cell = grid.cell_of(pose)
     goal_cell = grid.cell_of(goal)
     cell = waypoint_cells.get(start_cell)

@@ -1,6 +1,8 @@
 """Simulated worlds: a point robot steering by direction and a four-segment
 planar walker. Damage rewires commanded behaviors before the dynamics apply;
 observation noise corrupts only what the robot measures, never the true pose.
+`vector_length` is the length rule of the per-step goal test and error norms:
+`np.linalg.norm`'s arithmetic without its Python wrapper, equal bit for bit.
 """
 
 from __future__ import annotations
@@ -167,7 +169,11 @@ def sample_walker_behavior(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(WALKER_LOWER, WALKER_UPPER)
 
 
+def vector_length(d: np.ndarray) -> float:
+    """Euclidean length of a real 1-D float array, computed as `np.linalg.norm`
+    does (the square root of `d.dot(d)`); overflow gives inf and a RuntimeWarning."""
+    return math.sqrt(d.dot(d))
+
+
 def goal_reached(pose, goal, epsilon_goal: float) -> bool:
-    pose = np.asarray(pose, dtype=float)
-    goal = np.asarray(goal, dtype=float)
-    return float(np.linalg.norm(pose - goal)) <= epsilon_goal
+    return vector_length(np.subtract(pose, goal, dtype=float)) <= epsilon_goal

@@ -173,6 +173,13 @@ class TestSummarize:
         assert main(["summarize", "--runs", str(out / "runs.csv"), "--out", str(target)]) == 0
         assert target.read_text().startswith(SUMMARY_HEADER)
 
+    def test_row_it_never_writes_is_an_error_with_its_line(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(RUNS_HEADER + "\n0,sela,point_robot,0,-5,33,28,yes,0\n")
+        assert main(["summarize", "--runs", str(runs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 2: ") and captured.out == ""
+
     def test_corrupt_runs_file(self, tmp_path, capsys):
         bad = tmp_path / "runs.csv"
         bad.write_text("not,a,header\n")

@@ -4,7 +4,9 @@ import math
 import time
 import warnings
 from dataclasses import fields
+from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +24,10 @@ from sela.config import (
     with_overrides,
 )
 from sela.experiment import build_mission_config
-from sela.gp import MIN_KERNEL_SIGMA
+from sela.gp import MIN_KERNEL_SIGMA, GpFitError
 from sela.map_elites import Archive, Elite
-from sela.mission import Method
+from sela.mission import Method, run_method
+from sela.reward import UnreachableGoalError
 
 
 class TestDefaults:
@@ -377,6 +380,31 @@ def check_rejected_or_valid(text):
         build_mission_config(config, seed, TINY_ARCHIVE)
 
 
+# The step cap of the fuzzed runs: enough to learn, refit, plan and drive.
+FUZZ_STEP_CAP = 8
+
+
+def check_runs_or_fails_cleanly(text):
+    """An accepted point-robot config runs one replicate of every method, at
+    most FUZZ_STEP_CAP steps each, to a finite final pose, or fails with a
+    ConfigError, UnreachableGoalError or GpFitError."""
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    if config.world != "point_robot":
+        return
+    config = with_overrides(config, replicates=1, step_cap=min(config.step_cap, FUZZ_STEP_CAP))
+    for method in config.methods:
+        mission = build_mission_config(config, config.base_seed)
+        try:
+            record = run_method(method, mission)
+        except (ConfigError, UnreachableGoalError, GpFitError):
+            continue
+        assert record.total_steps <= FUZZ_STEP_CAP
+        assert np.isfinite(mission.world.pose).all()
+
+
 class TestParserFuzz:
     @settings(max_examples=1000, deadline=None)
     @given(worlds, assignments)
@@ -387,3 +415,8 @@ class TestParserFuzz:
     @given(worlds, st.lists(lines, max_size=8))
     def test_many_lines(self, world, body):
         check_rejected_or_valid(world + "\n".join(body))
+
+    @settings(max_examples=1000, deadline=timedelta(seconds=5))
+    @given(worlds, st.lists(lines, max_size=8))
+    def test_accepted_point_robot_configs_run(self, world, body):
+        check_runs_or_fails_cleanly(world + "\n".join(body))

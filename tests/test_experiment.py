@@ -168,6 +168,29 @@ class TestPersistence:
         with pytest.raises(ValueError):
             read_runs_csv(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,sela,point_robot,1,0,28,28,yes,0",      # reached is true or false
+            "1,sela,point_robot,1,-5,33,28,true,0",    # negative count
+            "1,sela,point_robot,-1,0,28,28,true,0",    # negative seed
+            "1,sela,point_robot,1,0,2.5,28,true,0",    # non-integer count
+            "1,sela,point_robot,1,+0,28,28,true,0",    # str(int) writes no sign
+            "1,sela,point_robot,1,0,28,29,true,0",     # total != learn + exec
+            "1,walk,point_robot,1,0,28,28,true,0",     # unknown method
+            "1,sela,segment_walker,1,0,28,28,true,0",  # another world
+            "0,sela,point_robot,1,0,28,28,true,0",     # run ids count from 0
+            "1,sela,point_robot,1,0,28,28,true,3",     # wall_ms is always 0
+            "1,sela,point_robot,1,0,28,28,true",       # eight fields
+        ],
+    )
+    def test_rejects_a_row_runs_csv_text_never_writes_by_line(self, tmp_path, row):
+        path = tmp_path / "runs.csv"
+        first = runs_csv_text([record()], world="point_robot")
+        path.write_text(first + "\n" + row + "\n")   # a blank line 3 is skipped
+        with pytest.raises(ValueError, match="^line 4: "):
+            read_runs_csv(path)
+
     def test_summarize_requires_rows(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text(RUNS_HEADER + "\n")

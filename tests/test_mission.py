@@ -3,10 +3,13 @@ the episodic baselines, all on the point-robot world where step counts have
 closed-form expectations."""
 
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sela.acquisition import AcquisitionConfig, CandidateSet
 from sela import gp, mission
@@ -118,6 +121,18 @@ class TestDropDetector:
         assert drops([0.2])
         assert not drops([0.1])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=30, max_size=30))
+    def test_window_mean_equals_numpy_mean_bit_for_bit(self, errors):
+        # every window length from 1 to 30 at every fill level; from 8 values
+        # on, np.mean sums pairwise, and the window mean keeps those bits too
+        state = mission._fresh_state(point_config(), point_robot_prior)
+        for window in range(1, 31):
+            state.recent = deque(maxlen=window)
+            for error in errors:
+                mean = state.record_error(np.zeros(2), np.array(error))
+                assert mean.hex() == float(np.mean(state.recent)).hex()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DropDetectorConfig(window=0)
@@ -129,6 +144,12 @@ class TestRunRecord:
     def test_totals_must_add_up(self):
         with pytest.raises(ValueError):
             RunRecord(Method.SELA, 3, 4, 8, True, 0)
+
+    @pytest.mark.parametrize("counts", [(-5, 33, 28, 0), (3, -1, 2, 0), (0, 0, 0, -1)])
+    def test_negative_counts_and_seed_rejected(self, counts):
+        learn, execute, total, seed = counts
+        with pytest.raises(ValueError, match="non-negative"):
+            RunRecord(Method.SELA, learn, execute, total, True, seed)
 
     def test_valid_record(self):
         record = RunRecord(Method.SELA, 3, 4, 7, True, 0)
@@ -280,6 +301,7 @@ class TestPredictedOutcomes:
             formed.append(predicted)
             error = record_error(state, predicted, observed)
             assert state.recent[-1] == float(np.linalg.norm(observed - predicted))
+            assert error == float(np.mean(state.recent))
             return error
 
         monkeypatch.setattr(CandidatePosterior, "mean_at", recording_mean_at)

@@ -86,6 +86,16 @@ def frozen_astar(grid, start, goal):
     return None
 
 
+def numpy_scalar_cell_of(grid, point):
+    """`PlannerGrid.cell_of` as it was written on numpy scalars."""
+    point = np.asarray(point, dtype=float)
+    ix = math.floor((point[0] - grid.origin[0]) / grid.cell_size)
+    iy = math.floor((point[1] - grid.origin[1]) / grid.cell_size)
+    ix = min(max(ix, 0), grid.shape[0] - 1)
+    iy = min(max(iy, 0), grid.shape[1] - 1)
+    return ix, iy
+
+
 def free_grid(n=20):
     return PlannerGrid(cell_size=0.1, origin=(0.0, 0.0), shape=(n, n))
 
@@ -107,6 +117,37 @@ class TestPlannerGrid:
         grid = free_grid(10)
         assert grid.cell_of((-5.0, 0.05)) == (0, 0)
         assert grid.cell_of((99.0, 99.0)) == (9, 9)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.data(),
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.floats(1e-3, 10.0),
+        st.tuples(st.integers(1, 1000), st.integers(1, 1000)),
+    )
+    def test_cell_of_equals_the_numpy_scalar_formula(self, data, origin, cell_size, shape):
+        grid = PlannerGrid(cell_size=cell_size, origin=origin, shape=shape)
+
+        def coordinate(o):   # anywhere, or within an ulp of a cell edge (clamped ones too)
+            edge = st.builds(
+                lambda k, ulp: math.nextafter(o + k * cell_size, ulp) if ulp else o + k * cell_size,
+                st.integers(-10, 1010), st.sampled_from([-math.inf, 0.0, math.inf]),
+            )
+            return st.one_of(st.floats(-1e6, 1e6), edge)
+
+        point = (data.draw(coordinate(origin[0])), data.draw(coordinate(origin[1])))
+        assert grid.cell_of(np.array(point)) == numpy_scalar_cell_of(grid, point)
+        assert grid.cell_of(point) == numpy_scalar_cell_of(grid, point)
+
+    @pytest.mark.parametrize("point, error", [
+        ((math.nan, 0.0), ValueError), ((0.0, math.nan), ValueError),
+        ((math.inf, 0.0), OverflowError), ((0.0, -math.inf), OverflowError),
+    ])
+    def test_non_finite_points_raise_as_before(self, point, error):
+        with pytest.raises(error):
+            numpy_scalar_cell_of(free_grid(10), point)
+        with pytest.raises(error):
+            free_grid(10).cell_of(np.array(point))
 
     def test_oversized_mission_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds the limit"):

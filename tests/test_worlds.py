@@ -23,6 +23,7 @@ from sela.worlds import (
     sample_walker_behavior,
     segment_walker_evaluator,
     segment_walker_model,
+    vector_length,
     walker_descriptor,
     wrap_angle,
 )
@@ -258,3 +259,34 @@ class TestSamplersAndGoal:
         assert goal_reached([1.875, 2.0], [2.0, 2.0], 0.125)
         assert goal_reached([1.95, 2.0], [2.0, 2.0], 0.1)
         assert not goal_reached([1.85, 2.0], [2.0, 2.0], 0.1)
+
+
+# Entries from 1e-200 to 1e200 of either sign, and zero: squares underflow to
+# zero, stay normal, or overflow to inf.
+entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, s: m * s, st.floats(1e-200, 1e200), st.sampled_from([1.0, -1.0])),
+)
+
+
+class TestVectorLength:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(entries, min_size=1, max_size=9))
+    def test_equals_numpy_norm_bit_for_bit(self, values):
+        d = np.array(values)
+        with np.errstate(over="ignore"):
+            assert vector_length(d).hex() == float(np.linalg.norm(d)).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(entries, entries), st.tuples(entries, entries), st.floats(0.0, 1e200))
+    def test_goal_test_equals_the_numpy_norm_rule(self, pose, goal, epsilon):
+        with np.errstate(over="ignore"):
+            expected = float(np.linalg.norm(np.asarray(pose) - np.asarray(goal))) <= epsilon
+            assert goal_reached(pose, goal, epsilon) == expected
+
+    def test_overflow_gives_inf_and_the_same_warning(self):
+        d = np.array([1e200, 3.0])
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            assert np.linalg.norm(d) == math.inf
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            assert vector_length(d) == math.inf
