@@ -19,8 +19,8 @@ test (`MissionState.at_goal`) and the record builder (`_record`), which
 counts one learning step per observation in the model.
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
-the observations only grow. So each refit extends the previous model's
-Cholesky factor, and a `CandidatePosterior` keeps the prior at the candidates,
+the observations only grow. So each refit writes its rows of the Cholesky
+factor in place past the model's, and a `CandidatePosterior` keeps the prior,
 writes one cross-kernel row per observation in place, and scores each model
 once: steps that learn nothing reuse the last score. The outcome SELA predicts
 for a chosen candidate comes from that posterior too (`mean_at`). The drop

@@ -360,6 +360,10 @@ assignments = st.tuples(st.sampled_from([*KEYS, "worlds", "", " methods"]), valu
 )
 lines = st.one_of(assignments, st.text(max_size=20), st.just("# comment"), st.just(""))
 worlds = st.sampled_from(["", "world = point_robot\n", "world = segment_walker\n"])
+# One to four of the method names, so the baselines run as well as SELA.
+methods_lines = st.lists(st.sampled_from([m.value for m in Method]), min_size=1, max_size=4, unique=True).map(
+    lambda names: "methods = " + ", ".join(names) + "\n"
+)
 
 # One elite is enough to build a walker mission.
 TINY_ARCHIVE = Archive((2, 2), behavior_dim=4, outcome_dim=2)
@@ -417,6 +421,6 @@ class TestParserFuzz:
         check_rejected_or_valid(world + "\n".join(body))
 
     @settings(max_examples=1000, deadline=timedelta(seconds=5))
-    @given(worlds, st.lists(lines, max_size=8))
-    def test_accepted_point_robot_configs_run(self, world, body):
-        check_runs_or_fails_cleanly(world + "\n".join(body))
+    @given(worlds, methods_lines, st.lists(lines, max_size=8))
+    def test_accepted_point_robot_configs_run(self, world, methods, body):
+        check_runs_or_fails_cleanly(world + methods + "\n".join(body))

@@ -91,6 +91,30 @@ class TestKernel:
                 kernel = Kernel(family, sigma=MIN_KERNEL_SIGMA, distance=distance)
                 np.testing.assert_array_equal(kernel_matrix(kernel, points, points), np.eye(4))
 
+    def test_equals_the_plain_numpy_formula_bit_for_bit(self):
+        # kernel_matrix works in place, folds with np.fmod at |diff|, skips
+        # the reduce over a single coordinate and puts the sign in the divisor
+        def plain(kernel, a, b):
+            diff = a[:, None, :] - b[None, :, :]
+            if kernel.distance is DistanceKind.WRAPPED_ANGULAR:
+                diff = np.abs(diff) % (2.0 * np.pi)
+                diff = np.minimum(diff, 2.0 * np.pi - diff)
+            r = np.sqrt(np.sum(diff * diff, axis=2))
+            if kernel.family is KernelFamily.SQUARED_EXPONENTIAL:
+                return np.exp(-(r * r) / (2.0 * kernel.sigma * kernel.sigma))
+            return np.exp(-r / kernel.sigma)
+
+        rng = np.random.default_rng(31)
+        for family in KernelFamily:
+            for distance in DistanceKind:
+                for dim in (1, 2, 4):
+                    for sigma in (MIN_KERNEL_SIGMA, 0.1, 0.45, 3.0):
+                        kernel = Kernel(family, sigma, distance)
+                        for n, scale in ((1, 1.0), (7, 4.0), (30, 20.0), (5, 1e6)):
+                            a, b = rng.normal(size=(2, n + 40, dim)) * scale
+                            a = np.vstack([a[:n], b[:3]])   # some distances are 0
+                            assert bits(kernel_matrix(kernel, a, b)) == bits(plain(kernel, a, b))
+
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(7)
         for family in KernelFamily:
@@ -276,6 +300,30 @@ class TestCandidatePosterior:
         posterior.score(fit(observations, SQEXP, prior))
 
 
+    def test_models_on_one_buffer_skip_the_prefix_compare(self, monkeypatch):
+        # models grown with with_observation share their rows, so score
+        # compares no prefix; it still rejects a model with fewer rows
+        rng = np.random.default_rng(9)
+        prior = zero_prior(2)
+        models = [fit(ObservationSet.empty(1, 2, 0.001), SQEXP, prior)]
+        for x, y in zip(rng.normal(size=(5, 1)), rng.normal(size=(5, 2))):
+            models.append(fit(models[-1].observations.with_observation(x, y), SQEXP, prior, previous=models[-1]))
+        points = rng.normal(size=(30, 1))
+        posterior = CandidatePosterior(points, prior, SQEXP)
+        posterior.score(models[1])
+        compared, real = [], np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(1) or real(*args))
+        posterior.score(models[4])
+        assert compared == []
+        with pytest.raises(ValueError, match="extending"):
+            posterior.score(models[3])
+        means, sigma = posterior.score(models[5])
+        assert compared == [1]   # only for the model with fewer rows
+        monkeypatch.undo()
+        want = predict_batch(models[5], points)
+        assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
+
+
 def archive_prior(rng, behaviors):
     """ArchivePrior whose elites sit at some of `behaviors`, so queries hit
     an elite exactly or fall back to the nearest one."""
@@ -379,11 +427,17 @@ class TestSolve:
         inputs = near_twin_inputs(rng, t, 4, twin)
         outputs = rng.normal(size=(t, 2))
         model = fit(ObservationSet.empty(4, 2, noise), kernel, sine_prior)
-        for end in (1, 2, 3, 5, 6, 7, 8, 60, 400, t):
+        ends, capacities = (1, 2, 3, 5, 6, 7, 8, 9, 60, 61, 400, 401, t), []
+        for end in ends:
             model = fit(ObservationSet(inputs[:end], outputs[:end], noise), kernel, sine_prior, previous=model)
             assert model.jitter == (JITTER if twin and end > 5 else 0.0)
             residuals = model.observations.outputs - model.prior_at_inputs
             assert bits(model.prior_correction) == bits(cho_solve((model.chol, True), residuals))
+            capacities.append(model.chol.strides[0] // model.chol.itemsize)   # LAPACK's lda
+        # spare rows (lda > t) before a doubling (at 6 and 7) and just after one (at 61 and 401);
+        # the jitter regrow at 6 starts a fresh buffer of 6 rows
+        want = [1, 2, 4, 8, 8, 8, 8, 16, 60, 120, 400, 800, 1600]
+        assert capacities == (want[:4] + [6, 12, 12, 12] + want[8:] if twin else want)
 
 
 class TestPosteriorBuffers:
@@ -429,6 +483,98 @@ class TestPosteriorBuffers:
                 assert bits(array) == bits(copy)
         assert model.jitter == JITTER
         assert capacities == [0, 1, 2, 4, 8, 16, 32, 64]
+
+
+def snapshot(model):
+    """Copies of every array of a model and its observations."""
+    arrays = (model.chol, model.prior_correction, model.prior_at_inputs,
+              model.observations.inputs, model.observations.outputs)
+    return model, [np.array(array) for array in arrays]
+
+
+class TestGrowInPlace:
+    """`fit` and `with_observation` append in place past the newest model or
+    set on a buffer; a fit from an older model, or a jitter regrow, starts
+    fresh buffers. No model or set sees its arrays change."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.sampled_from(list(KernelFamily)),
+        noise=st.sampled_from([0.0, 0.001]),
+        steps=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 3), st.booleans(), st.booleans()),
+            min_size=1, max_size=14,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_older_models_regrows_and_doublings_leave_every_model_intact(self, family, noise, steps, seed):
+        # each step extends the newest model or one of the three before it
+        # (`back`) by 1-3 new rows, appended one at a time with
+        # with_observation or passed as the caller's arrays; `twin` makes the
+        # first a near copy of an earlier input, which needs the jitter
+        # without noise
+        rng = np.random.default_rng(seed)
+        kernel = Kernel(family, 0.45)
+        models = [snapshot(fit(ObservationSet.empty(2, 2, noise), kernel, sine_prior))]
+        for back, count, twin, appended in steps:
+            previous = models[-1 - back % len(models)][0]
+            inputs = rng.uniform(-np.pi, np.pi, size=(count, 2))
+            if twin and len(previous.observations):
+                inputs[0] = previous.observations.inputs[-1] + 1e-12
+            outputs = rng.normal(size=(count, 2))
+            observations = previous.observations
+            if appended:
+                for x, y in zip(inputs, outputs):
+                    observations = observations.with_observation(x, y)
+            else:
+                observations = ObservationSet(np.vstack([observations.inputs, inputs]),
+                                              np.vstack([observations.outputs, outputs]), noise)
+            caller = (np.array(observations.inputs), np.array(observations.outputs))
+            try:
+                scratch = fit(ObservationSet(*caller, noise), kernel, sine_prior)
+            except GpFitError:
+                with pytest.raises(GpFitError):
+                    fit(observations, kernel, sine_prior, previous=previous)
+                scratch = None
+            if scratch is not None:
+                model = fit(observations, kernel, sine_prior, previous=previous)
+                assert_same_model(model, scratch)
+                assert bits(model.prior_correction) == bits(scratch.prior_correction)
+                models.append(snapshot(model))
+            for model, arrays in models:
+                assert [bits(array) for array in arrays] == [bits(array) for array in snapshot(model)[1]]
+
+    def test_views_of_the_buffers_are_read_only(self):
+        rng = np.random.default_rng(3)
+        inputs, outputs = rng.normal(size=(3, 1)), rng.normal(size=(3, 2))
+        observations = ObservationSet(inputs, outputs, 0.001)
+        model = fit(observations, SQEXP, sine_prior)
+        grown = fit(observations.with_observation([0.5], [1.0, 2.0]), SQEXP, sine_prior, previous=model)
+        for model in (model, grown):
+            for array in (model.chol, model.prior_at_inputs):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1.0
+        for array in (grown.observations.inputs, grown.observations.outputs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        # the caller's own arrays keep their flags and stay the set's arrays
+        assert observations.inputs is inputs and observations.outputs is outputs
+        assert inputs.flags.writeable and outputs.flags.writeable
+
+    def test_a_refit_on_a_shared_buffer_checks_only_the_new_rows(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        model = fit(ObservationSet(rng.normal(size=(5, 1)), rng.normal(size=(5, 2)), 0.001), SQEXP, sine_prior)
+        model = fit(model.observations.with_observation([0.1], [0.0, 0.0]), SQEXP, sine_prior, previous=model)
+        checked, real = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda array: checked.append(array.shape) or real(array))
+        observations = model.observations.with_observation([0.2], [0.0, 0.0])
+        fit(observations, SQEXP, sine_prior, previous=model)
+        assert checked == [(1, 3)]   # the new row: input and outcome
+        checked.clear()
+        fit(ObservationSet(np.array(observations.inputs), np.array(observations.outputs)), SQEXP, sine_prior)
+        assert checked == [(7, 1), (7, 2)]
+        with pytest.raises(GpFitError, match="finite"):
+            fit(model.observations.with_observation([np.nan], [0.0, 0.0]), SQEXP, sine_prior, previous=model)
 
 
 class TestFitErrors:
