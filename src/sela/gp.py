@@ -13,13 +13,12 @@ diagonal. With a zero prior this is plain GP regression.
 
 The Cholesky factor L of K grows by one row per observation: for input x_i,
 r = L^-1 k(X, x_i) over the earlier inputs, and the new row is
-[r, sqrt(1 + noise + jitter - r.r)]. A fit from scratch runs the same steps
-from the empty model, so a refit after one more observation
-(`fit(..., previous=model)`) costs O(t^2), evaluates the kernel and the
-prior only at the new input, and equals a fit from scratch bit for bit.
-The observations, L and the prior at the inputs sit in buffers whose
-capacity doubles when full. A model's arrays are read-only views of their
-first t rows, and a refit from the newest model on them writes in place.
+[r, sqrt(1 + noise + jitter - r.r)], written in place into a buffer that
+doubles when full, as are the prior values; a model's are read-only views.
+A fit from scratch runs the same steps from the empty model, so a refit
+after one more observation (`fit(..., previous=model)`) costs O(t^2),
+evaluates the kernel and the prior only at the new input, and equals a fit
+from scratch bit for bit.
 
 `CandidatePosterior` serves a fixed query set such as a mission's candidates:
 it evaluates the prior there once, writes k(X, points) and L^-1 k(X, points)
@@ -32,7 +31,6 @@ Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -45,8 +43,8 @@ TWO_PI = 2.0 * np.pi
 # On K's diagonal in the whole factor and its extensions once a pivot fails without it.
 JITTER = 1e-10
 
-# Largest model a config may grow: at 1,000 inputs a learning step takes 1.5 ms, a fit from
-# scratch 0.13 s (2-vCPU x86-64, one OpenBLAS thread); from 513 on the factor holds 1024^2 floats, 8.4 MB.
+# Largest model a config may grow: at 1,000 inputs a learning step takes about 1.5 ms, a fit from
+# scratch 0.12 s (2-vCPU x86-64, one OpenBLAS thread); no buffer doubles past it: the factor is 8 MB.
 MAX_GP_OBSERVATIONS = 1_000
 
 # Smallest kernel sigma. Below about 1e-154, 2 sigma^2 leaves the normal floats, and the
@@ -115,25 +113,17 @@ def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(r / -kernel.sigma)
 
 
-def _with_room(buffer: np.ndarray, used: int, rows: int, axes=(0,), zeroed=False) -> np.ndarray:
-    """`buffer` if it has `rows` rows along `axes`, else a new one, zeroed or not, with
-    twice the capacity there (at least `rows`) that holds the first `used` of them."""
+def _with_room(buffer: np.ndarray, rows: int, axes=(0,), zeroed=False) -> np.ndarray:
+    """`buffer` if it holds `rows` rows along `axes`, else a copy, zeroed past it or not, with room
+    for `rows` if it is a view, else for twice its rows (capped at MAX_GP_OBSERVATIONS, not `rows`)."""
     capacity = buffer.shape[axes[0]]
     if rows <= capacity:
         return buffer
-    shape = [max(rows, 2 * capacity) if axis in axes else n for axis, n in enumerate(buffer.shape)]
-    kept = tuple(slice(used) if axis in axes else slice(None) for axis in range(buffer.ndim))
+    room = rows if buffer.base is not None else max(rows, min(2 * capacity, MAX_GP_OBSERVATIONS))
+    shape = [room if axis in axes else n for axis, n in enumerate(buffer.shape)]
     grown = (np.zeros if zeroed else np.empty)(shape)
-    grown[kept] = buffer[kept]
+    grown[tuple(map(slice, buffer.shape))] = buffer
     return grown
-
-
-class _Rows:
-    """Buffers viewed by a chain of observation sets or models, the newest viewing the
-    first `used` rows. No row below `used` is rewritten, so only the newest appends."""
-
-    def __init__(self, used: int, *arrays: np.ndarray):
-        self.used, self.arrays = used, list(arrays)
 
 
 @dataclass(frozen=True)
@@ -147,12 +137,8 @@ class ObservationSet:
     inputs: np.ndarray    # (t, behavior_dim)
     outputs: np.ndarray   # (t, outcome_dim)
     noise_variance: float = 0.001
-    # the buffer of [inputs, outputs] rows that both view, from with_observation
-    rows: _Rows | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rows is not None:   # with_observation's own views
-            return
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
         if len(inputs) != len(outputs):
@@ -171,17 +157,12 @@ class ObservationSet:
         )
 
     def with_observation(self, x, y) -> "ObservationSet":
-        """New set with one more (input, outcome) pair, written past this set's rows
-        if it is the newest set on its buffer, else into a fresh buffer."""
-        t, b, rows = len(self), self.inputs.shape[1], self.rows
-        if rows is None or rows.used != t:
-            rows = _Rows(t, np.concatenate([self.inputs, self.outputs], axis=1))
-        buffer = rows.arrays[0] = _with_room(rows.arrays[0], t, t + 1)
-        buffer[t, :b], buffer[t, b:] = np.reshape(x, b), np.reshape(y, buffer.shape[1] - b)
-        rows.used = t + 1
-        inputs, outputs = buffer[:t + 1, :b], buffer[:t + 1, b:]
-        inputs.flags.writeable = outputs.flags.writeable = False
-        return ObservationSet(inputs, outputs, self.noise_variance, rows)
+        """New set with one more (input, outcome) pair appended."""
+        return ObservationSet(
+            inputs=np.vstack([self.inputs, np.ravel(x)]),
+            outputs=np.vstack([self.outputs, np.ravel(y)]),
+            noise_variance=self.noise_variance,
+        )
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -210,21 +191,20 @@ class GpModel:
     prior_correction: np.ndarray    # (t, outcome_dim), equals K^-1 (Y - P(X))
     prior_at_inputs: np.ndarray     # (t, outcome_dim) P(X), read-only
     jitter: float                   # on K's diagonal besides the noise: 0 or JITTER
-    rows: _Rows = field(repr=False, compare=False)   # the factor and prior value buffers
+    buffers: tuple = field(repr=False, compare=False)   # (factor, prior values), viewed above
 
 
 def _grow_factor(factor: np.ndarray, k: int, kernel: Kernel, inputs: np.ndarray, diagonal: float):
-    """`factor`, a zeroed buffer with the factor of the first k inputs top left, or one
-    with more room, with a row per further input, with `diagonal` (1 + noise + jitter)
-    on K's diagonal; None if a pivot is not positive. dtrtrs runs as in solve_triangular,
-    minus its checks, on the F-ordered upper factor, which it takes with no copy."""
-    factor = _with_room(factor, k, len(inputs), axes=(0, 1), zeroed=True)
+    """`factor` (the first k inputs' factor top left, zeroed past it) or a copy with room,
+    grown by a row per further input with `diagonal` (1 + noise + jitter) on K's diagonal;
+    None if a pivot is not positive. dtrtrs takes the F-ordered upper factor with no copy."""
+    factor = _with_room(factor, len(inputs), axes=(0, 1), zeroed=True)
     for i, row in enumerate(kernel_matrix(kernel, inputs[k:], inputs), start=k):
         r = dtrtrs(factor.T[:, :i], row[:i], lower=0, trans=1)[0] if i else row[:0]
         pivot = diagonal - r @ r
         if not pivot > 0.0:
             return None
-        factor[i, :i], factor[i, i] = r, math.sqrt(pivot)
+        factor[i, :i], factor[i, i] = r, np.sqrt(pivot)
     return factor
 
 
@@ -245,20 +225,15 @@ def fit(
 
     `previous` is a model fitted with the same kernel, prior and noise on a
     strict prefix of these observations; None stands for the empty prefix.
-    Its factor and prior values are extended in place if it is the newest model
-    on its buffers (else in fresh ones), so the kernel and the prior are
-    evaluated only at the new inputs. The first time a pivot is not positive,
-    the whole factor is regrown in fresh buffers with JITTER on the diagonal,
-    which every extension keeps. The result is bit-identical to a fit from
-    scratch. Observations that share their buffer with `previous`'s are checked
-    only in the new rows: it was fitted on the others.
+    Its factor and prior values are extended, in place unless a newer model
+    wrote past them, so the kernel and the prior run only at the new inputs.
+    A first non-positive pivot regrows the whole factor with JITTER on the
+    diagonal, which every extension keeps. It equals a fit from scratch bitwise.
     """
     inputs, outputs, noise = observations.inputs, observations.outputs, observations.noise_variance
-    t, k = len(observations), len(previous.observations) if previous else 0
-    shared = previous is not None and observations.rows is previous.observations.rows is not None
-    if not (np.isfinite(observations.rows.arrays[0][k:t]).all() if shared
-            else np.isfinite(inputs).all() and np.isfinite(outputs).all()):
+    if not (np.isfinite(inputs).all() and np.isfinite(outputs).all()):
         raise GpFitError("observation inputs and outputs must be finite")
+    t, k = len(observations), len(previous.observations) if previous else 0
     if noise == 0.0:
         _, counts = np.unique(inputs, axis=0, return_counts=True)
         if np.any(counts > 1):
@@ -266,43 +241,38 @@ def fit(
                 "duplicate observation inputs with zero noise variance make "
                 "the kernel matrix singular"
             )
-    if previous is None:
-        rows, jitter = _Rows(0, np.zeros((0, 0)), np.zeros((0, outputs.shape[1]))), 0.0
-    elif not (
+    if previous is not None and not (
         k < t
         and previous.kernel == kernel
         and previous.prior is prior
         and previous.observations.noise_variance == noise
-        and (shared or np.array_equal(previous.observations.inputs, inputs[:k]))
+        and np.array_equal(previous.observations.inputs, inputs[:k])
     ):
         raise ValueError(
             "previous model must be fitted with the same kernel, prior and "
             "noise on a strict prefix of the observations"
         )
-    else:
-        rows, jitter = previous.rows, previous.jitter
-        if rows.used != k:   # an older model: its views have no room, so they grow into fresh buffers
-            rows = _Rows(k, previous.chol, previous.prior_at_inputs)
-    factor = _grow_factor(rows.arrays[0], k, kernel, inputs, 1.0 + noise + jitter)
+    empty = (np.zeros((0, 0)), outputs[:0])
+    (factor, values), jitter = (previous.buffers, previous.jitter) if previous else (empty, 0.0)
+    if k < len(factor) and factor[k, k]:   # a newer model wrote row k: copy the views
+        factor, values = previous.chol, previous.prior_at_inputs
+    factor = _grow_factor(factor, k, kernel, inputs, 1.0 + noise + jitter)
     if factor is None and jitter == 0.0:   # regrow the whole factor, as from scratch, in fresh buffers
-        jitter, rows = JITTER, _Rows(k, None, rows.arrays[1][:k])
+        jitter, values = JITTER, values[:k]
         factor = _grow_factor(np.zeros((0, 0)), 0, kernel, inputs, 1.0 + noise + jitter)
     if factor is None:
         raise GpFitError(
             f"kernel matrix not positive definite (t={t}, "
             f"noise_variance={noise}, kernel={kernel})"
         )
-    values = _with_room(rows.arrays[1], k, t)
-    if t:   # the empty model calls no prior
+    values, correction = _with_room(values, t), np.zeros((0, outputs.shape[1]))
+    if t:   # the empty model calls no prior and solves nothing
         values[k:t] = prior_values(prior, inputs[k:])
-    rows.used, rows.arrays = t, [factor, values]
+        # dpotrs's two solves; dpotrs itself would copy the factor, whose lda is its capacity
+        correction = dtrtrs(factor.T[:, :t], outputs - values[:t], lower=0, trans=1)[0]
+        correction = dtrtrs(factor.T[:, :t], correction, lower=0, overwrite_b=1)[0]
     chol, prior_at_inputs = factor[:t, :t], values[:t]
     chol.flags.writeable = prior_at_inputs.flags.writeable = False
-    # dpotrs's two solves; dpotrs itself would copy the factor, whose lda is its capacity
-    correction = outputs - prior_at_inputs
-    if t:
-        correction = dtrtrs(factor.T[:, :t], correction, lower=0, trans=1)[0]
-        correction = dtrtrs(factor.T[:, :t], correction, lower=0, overwrite_b=1)[0]
     return GpModel(
         kernel=kernel,
         observations=observations,
@@ -311,7 +281,7 @@ def fit(
         prior_correction=correction,
         prior_at_inputs=prior_at_inputs,
         jitter=jitter,
-        rows=rows,
+        buffers=(factor, values),
     )
 
 
@@ -350,10 +320,8 @@ class CandidatePosterior:
         self.points = _as_points(points)
         self.prior, self.kernel = prior, kernel
         self.prior_means = prior_values(prior, self.points)     # (n, outcome_dim)
-        # the inputs (t, behavior_dim), the _Rows they view if any, and k(inputs, points)
-        # (t, n), a view of buffer[0]
-        self.inputs, self.rows = np.zeros((0, self.points.shape[1])), None
-        self.cross = np.zeros((0, len(self)))
+        # the inputs (t, behavior_dim) and k(inputs, points) (t, n), a view of buffer[0]
+        self.inputs, self.cross = np.zeros((0, self.points.shape[1])), np.zeros((0, len(self)))
         self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
         # (rows of L^-1 cross solved, their column sums of squares) and the (noise, jitter) of L
         self.solved = self.diagonal = None
@@ -370,16 +338,14 @@ class CandidatePosterior:
             return self.means, self.sigma
         # let the last model and its score go before the new one is computed
         self.model = self.means = self.sigma = None
-        inputs, rows, k = model.observations.inputs, model.observations.rows, len(self.inputs)
-        # inputs on the rows the kept ones view extend them if there are as many
-        shared = rows is self.rows is not None and k <= len(inputs)
+        inputs, k = model.observations.inputs, len(self.inputs)
         if not (model.prior is self.prior and model.kernel == self.kernel
-                and (shared or np.array_equal(self.inputs, inputs[:k]))):
+                and np.array_equal(self.inputs, inputs[:k])):
             raise ValueError("model must use this kernel and prior, extending the inputs seen")
         if k < len(inputs):   # write the new rows, doubling the capacity (at least to t) if full
-            self.buffer = _with_room(self.buffer, k, len(inputs), axes=(1,))
+            self.buffer = _with_room(self.buffer, len(inputs), axes=(1,))
             self.buffer[0, k:len(inputs)] = kernel_matrix(self.kernel, inputs[k:], self.points)
-            self.inputs, self.rows, self.cross = inputs, rows, self.buffer[0, :len(inputs)]
+            self.inputs, self.cross = inputs, self.buffer[0, :len(inputs)]
         diagonal = (model.observations.noise_variance, model.jitter)
         if diagonal != self.diagonal:   # another factor: solve from row 0
             self.solved, self.diagonal = None, diagonal

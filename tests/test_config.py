@@ -421,6 +421,6 @@ class TestParserFuzz:
         check_rejected_or_valid(world + "\n".join(body))
 
     @settings(max_examples=1000, deadline=timedelta(seconds=5))
-    @given(worlds, methods_lines, st.lists(lines, max_size=8))
+    @given(worlds, st.one_of(st.just(""), methods_lines), st.lists(lines, max_size=8))
     def test_accepted_point_robot_configs_run(self, world, methods, body):
         check_runs_or_fails_cleanly(world + methods + "\n".join(body))

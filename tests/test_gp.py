@@ -300,30 +300,6 @@ class TestCandidatePosterior:
         posterior.score(fit(observations, SQEXP, prior))
 
 
-    def test_models_on_one_buffer_skip_the_prefix_compare(self, monkeypatch):
-        # models grown with with_observation share their rows, so score
-        # compares no prefix; it still rejects a model with fewer rows
-        rng = np.random.default_rng(9)
-        prior = zero_prior(2)
-        models = [fit(ObservationSet.empty(1, 2, 0.001), SQEXP, prior)]
-        for x, y in zip(rng.normal(size=(5, 1)), rng.normal(size=(5, 2))):
-            models.append(fit(models[-1].observations.with_observation(x, y), SQEXP, prior, previous=models[-1]))
-        points = rng.normal(size=(30, 1))
-        posterior = CandidatePosterior(points, prior, SQEXP)
-        posterior.score(models[1])
-        compared, real = [], np.array_equal
-        monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(1) or real(*args))
-        posterior.score(models[4])
-        assert compared == []
-        with pytest.raises(ValueError, match="extending"):
-            posterior.score(models[3])
-        means, sigma = posterior.score(models[5])
-        assert compared == [1]   # only for the model with fewer rows
-        monkeypatch.undo()
-        want = predict_batch(models[5], points)
-        assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
-
-
 def archive_prior(rng, behaviors):
     """ArchivePrior whose elites sit at some of `behaviors`, so queries hit
     an elite exactly or fall back to the nearest one."""
@@ -436,7 +412,7 @@ class TestSolve:
             capacities.append(model.chol.strides[0] // model.chol.itemsize)   # LAPACK's lda
         # spare rows (lda > t) before a doubling (at 6 and 7) and just after one (at 61 and 401);
         # the jitter regrow at 6 starts a fresh buffer of 6 rows
-        want = [1, 2, 4, 8, 8, 8, 8, 16, 60, 120, 400, 800, 1600]
+        want = [1, 2, 4, 8, 8, 8, 8, 16, 60, 120, 400, 800, MAX_GP_OBSERVATIONS]
         assert capacities == (want[:4] + [6, 12, 12, 12] + want[8:] if twin else want)
 
 
@@ -493,9 +469,9 @@ def snapshot(model):
 
 
 class TestGrowInPlace:
-    """`fit` and `with_observation` append in place past the newest model or
-    set on a buffer; a fit from an older model, or a jitter regrow, starts
-    fresh buffers. No model or set sees its arrays change."""
+    """`fit` appends in place past the newest model on a buffer; a fit from
+    an older model, or a jitter regrow, starts fresh buffers. No model sees
+    its arrays change."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -554,28 +530,34 @@ class TestGrowInPlace:
             for array in (model.chol, model.prior_at_inputs):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1.0
-        for array in (grown.observations.inputs, grown.observations.outputs):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
         # the caller's own arrays keep their flags and stay the set's arrays
         assert observations.inputs is inputs and observations.outputs is outputs
         assert inputs.flags.writeable and outputs.flags.writeable
 
-    def test_a_refit_on_a_shared_buffer_checks_only_the_new_rows(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        model = fit(ObservationSet(rng.normal(size=(5, 1)), rng.normal(size=(5, 2)), 0.001), SQEXP, sine_prior)
-        model = fit(model.observations.with_observation([0.1], [0.0, 0.0]), SQEXP, sine_prior, previous=model)
-        checked, real = [], np.isfinite
-        monkeypatch.setattr(np, "isfinite", lambda array: checked.append(array.shape) or real(array))
-        observations = model.observations.with_observation([0.2], [0.0, 0.0])
-        fit(observations, SQEXP, sine_prior, previous=model)
-        assert checked == [(1, 3)]   # the new row: input and outcome
-        checked.clear()
-        fit(ObservationSet(np.array(observations.inputs), np.array(observations.outputs)), SQEXP, sine_prior)
-        assert checked == [(7, 1), (7, 2)]
-        with pytest.raises(GpFitError, match="finite"):
-            fit(model.observations.with_observation([np.nan], [0.0, 0.0]), SQEXP, sine_prior, previous=model)
+    def test_copies_have_exactly_t_rows_and_the_newest_model_doubles(self):
+        # a fit from the caller's arrays, or from an older model, sizes its
+        # buffers to t; a refit past the newest model on full buffers doubles
+        # them, but never past MAX_GP_OBSERVATIONS rows
+        rng = np.random.default_rng(5)
+        inputs = rng.uniform(-np.pi, np.pi, size=(MAX_GP_OBSERVATIONS, 1))
+        outputs = rng.normal(size=(MAX_GP_OBSERVATIONS, 2))
 
+        def grown(t, previous=None):
+            model = fit(ObservationSet(inputs[:t], outputs[:t], 0.001), SQEXP, sine_prior, previous=previous)
+            factor, values = model.buffers
+            assert factor.shape == (len(values), len(values))
+            return model, len(values)
+
+        model, capacity = grown(5)
+        assert capacity == 5
+        newer, capacity = grown(6, previous=model)
+        assert capacity == 10
+        newest, capacity = grown(8, previous=newer)
+        assert capacity == 10 and newest.buffers[0] is newer.buffers[0]
+        assert grown(7, previous=newer)[1] == 7   # newer is no longer the newest
+        model, capacity = grown(MAX_GP_OBSERVATIONS - 1)
+        assert capacity == MAX_GP_OBSERVATIONS - 1
+        assert grown(MAX_GP_OBSERVATIONS, previous=model)[1] == MAX_GP_OBSERVATIONS
 
 class TestFitErrors:
     def test_duplicate_inputs_without_noise_rejected(self):
