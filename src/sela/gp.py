@@ -14,7 +14,8 @@ diagonal. With a zero prior this is plain GP regression.
 The Cholesky factor L of K grows by one row per observation: for input x_i,
 r = L^-1 k(X, x_i) over the earlier inputs, and the new row is
 [r, sqrt(1 + noise + jitter - r.r)], written in place into a buffer that
-doubles when full, as are the prior values; a model's are read-only views.
+doubles when full, as are the prior values and the observations that
+`with_observation` appends; a model's and a set's arrays are read-only views.
 A fit from scratch runs the same steps from the empty model, so a refit
 after one more observation (`fit(..., previous=model)`) costs O(t^2),
 evaluates the kernel and the prior only at the new input, and equals a fit
@@ -137,6 +138,8 @@ class ObservationSet:
     inputs: np.ndarray    # (t, behavior_dim)
     outputs: np.ndarray   # (t, outcome_dim)
     noise_variance: float = 0.001
+    # [rows written, buffer of [input, outcome] rows] that with_observation's chain of sets views
+    rows: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -157,12 +160,18 @@ class ObservationSet:
         )
 
     def with_observation(self, x, y) -> "ObservationSet":
-        """New set with one more (input, outcome) pair appended."""
-        return ObservationSet(
-            inputs=np.vstack([self.inputs, np.ravel(x)]),
-            outputs=np.vstack([self.outputs, np.ravel(y)]),
-            noise_variance=self.noise_variance,
-        )
+        """New set with one more (input, outcome) pair, written past this set's rows in
+        place if it is the newest set on its buffer, else into a copy; read-only views."""
+        t, b, rows = len(self), self.inputs.shape[1], self.rows
+        if rows is None or rows[0] != t:
+            rows = [t, np.concatenate([self.inputs, self.outputs], axis=1)]
+        buffer = rows[1] = _with_room(rows[1], t + 1)
+        buffer[t, :b], buffer[t, b:] = np.reshape(x, b), np.reshape(y, buffer.shape[1] - b)
+        rows[0], inputs, outputs = t + 1, buffer[:t + 1, :b], buffer[:t + 1, b:]
+        inputs.flags.writeable = outputs.flags.writeable = False
+        grown = ObservationSet(inputs, outputs, self.noise_variance)
+        object.__setattr__(grown, "rows", rows)
+        return grown
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -229,11 +238,14 @@ def fit(
     wrote past them, so the kernel and the prior run only at the new inputs.
     A first non-positive pivot regrows the whole factor with JITTER on the
     diagonal, which every extension keeps. It equals a fit from scratch bitwise.
+    Observations that share `previous`'s buffer are checked only in the new rows.
     """
     inputs, outputs, noise = observations.inputs, observations.outputs, observations.noise_variance
-    if not (np.isfinite(inputs).all() and np.isfinite(outputs).all()):
-        raise GpFitError("observation inputs and outputs must be finite")
     t, k = len(observations), len(previous.observations) if previous else 0
+    shared = previous is not None and observations.rows is previous.observations.rows is not None
+    if not (np.isfinite(observations.rows[1][k:t]).all() if shared
+            else np.isfinite(inputs).all() and np.isfinite(outputs).all()):
+        raise GpFitError("observation inputs and outputs must be finite")
     if noise == 0.0:
         _, counts = np.unique(inputs, axis=0, return_counts=True)
         if np.any(counts > 1):
@@ -246,7 +258,7 @@ def fit(
         and previous.kernel == kernel
         and previous.prior is prior
         and previous.observations.noise_variance == noise
-        and np.array_equal(previous.observations.inputs, inputs[:k])
+        and (shared or np.array_equal(previous.observations.inputs, inputs[:k]))
     ):
         raise ValueError(
             "previous model must be fitted with the same kernel, prior and "

@@ -469,9 +469,9 @@ def snapshot(model):
 
 
 class TestGrowInPlace:
-    """`fit` appends in place past the newest model on a buffer; a fit from
-    an older model, or a jitter regrow, starts fresh buffers. No model sees
-    its arrays change."""
+    """`fit` and `with_observation` append in place past the newest model or
+    set on a buffer; a fit from an older model, or a jitter regrow, starts
+    fresh buffers. No model or set sees its arrays change."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -530,9 +530,32 @@ class TestGrowInPlace:
             for array in (model.chol, model.prior_at_inputs):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 1.0
+        for array in (grown.observations.inputs, grown.observations.outputs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
         # the caller's own arrays keep their flags and stay the set's arrays
         assert observations.inputs is inputs and observations.outputs is outputs
         assert inputs.flags.writeable and outputs.flags.writeable
+
+    def test_a_refit_on_a_shared_buffer_checks_only_the_new_rows(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        model = fit(ObservationSet(rng.normal(size=(5, 1)), rng.normal(size=(5, 2)), 0.001), SQEXP, sine_prior)
+        model = fit(model.observations.with_observation([0.1], [0.0, 0.0]), SQEXP, sine_prior, previous=model)
+        checked, real = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda array: checked.append(array.shape) or real(array))
+        compared, equal = [], np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *arrays: compared.append(1) or equal(*arrays))
+        observations = model.observations.with_observation([0.2], [0.0, 0.0])
+        fit(observations, SQEXP, sine_prior, previous=model)
+        assert checked == [(1, 3)] and compared == []   # the new row: input and outcome
+        checked.clear()
+        fit(ObservationSet(np.array(observations.inputs), np.array(observations.outputs)), SQEXP, sine_prior)
+        assert checked == [(7, 1), (7, 2)]
+        with pytest.raises(GpFitError, match="finite"):
+            fit(model.observations.with_observation([np.nan], [0.0, 0.0]), SQEXP, sine_prior, previous=model)
+        # the buffer is with_observation's own: a caller cannot hand one in past the checks
+        with pytest.raises(TypeError):
+            ObservationSet(observations.inputs, observations.outputs, 0.001, [7, None])
 
     def test_copies_have_exactly_t_rows_and_the_newest_model_doubles(self):
         # a fit from the caller's arrays, or from an older model, sizes its
