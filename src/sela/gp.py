@@ -32,6 +32,7 @@ Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -213,7 +214,7 @@ def _grow_factor(factor: np.ndarray, k: int, kernel: Kernel, inputs: np.ndarray,
         pivot = diagonal - r @ r
         if not pivot > 0.0:
             return None
-        factor[i, :i], factor[i, i] = r, np.sqrt(pivot)
+        factor[i, :i], factor[i, i] = r, math.sqrt(pivot)
     return factor
 
 
@@ -253,7 +254,9 @@ def fit(
                 "duplicate observation inputs with zero noise variance make "
                 "the kernel matrix singular"
             )
-    if previous is not None and not (
+    if previous is None:
+        (factor, values), jitter = (np.zeros((0, 0)), outputs[:0]), 0.0
+    elif not (
         k < t
         and previous.kernel == kernel
         and previous.prior is prior
@@ -264,10 +267,10 @@ def fit(
             "previous model must be fitted with the same kernel, prior and "
             "noise on a strict prefix of the observations"
         )
-    empty = (np.zeros((0, 0)), outputs[:0])
-    (factor, values), jitter = (previous.buffers, previous.jitter) if previous else (empty, 0.0)
-    if k < len(factor) and factor[k, k]:   # a newer model wrote row k: copy the views
-        factor, values = previous.chol, previous.prior_at_inputs
+    else:
+        (factor, values), jitter = previous.buffers, previous.jitter
+        if k < len(factor) and factor[k, k]:   # a newer model wrote row k: copy the views
+            factor, values = previous.chol, previous.prior_at_inputs
     factor = _grow_factor(factor, k, kernel, inputs, 1.0 + noise + jitter)
     if factor is None and jitter == 0.0:   # regrow the whole factor, as from scratch, in fresh buffers
         jitter, values = JITTER, values[:k]
@@ -277,7 +280,7 @@ def fit(
             f"kernel matrix not positive definite (t={t}, "
             f"noise_variance={noise}, kernel={kernel})"
         )
-    values, correction = _with_room(values, t), np.zeros((0, outputs.shape[1]))
+    values, correction = _with_room(values, t), outputs[:0]
     if t:   # the empty model calls no prior and solves nothing
         values[k:t] = prior_values(prior, inputs[k:])
         # dpotrs's two solves; dpotrs itself would copy the factor, whose lda is its capacity
@@ -334,6 +337,7 @@ class CandidatePosterior:
         self.prior_means = prior_values(prior, self.points)     # (n, outcome_dim)
         # the inputs (t, behavior_dim) and k(inputs, points) (t, n), a view of buffer[0]
         self.inputs, self.cross = np.zeros((0, self.points.shape[1])), np.zeros((0, len(self)))
+        self.rows = None   # the rows list the inputs view, if any (see ObservationSet)
         self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
         # (rows of L^-1 cross solved, their column sums of squares) and the (noise, jitter) of L
         self.solved = self.diagonal = None
@@ -350,14 +354,16 @@ class CandidatePosterior:
             return self.means, self.sigma
         # let the last model and its score go before the new one is computed
         self.model = self.means = self.sigma = None
-        inputs, k = model.observations.inputs, len(self.inputs)
+        inputs, rows, k = model.observations.inputs, model.observations.rows, len(self.inputs)
+        # inputs on the chain of sets the kept ones view extend them if there are as many
+        shared = rows is self.rows is not None and k <= len(inputs)
         if not (model.prior is self.prior and model.kernel == self.kernel
-                and np.array_equal(self.inputs, inputs[:k])):
+                and (shared or np.array_equal(self.inputs, inputs[:k]))):
             raise ValueError("model must use this kernel and prior, extending the inputs seen")
         if k < len(inputs):   # write the new rows, doubling the capacity (at least to t) if full
             self.buffer = _with_room(self.buffer, len(inputs), axes=(1,))
             self.buffer[0, k:len(inputs)] = kernel_matrix(self.kernel, inputs[k:], self.points)
-            self.inputs, self.cross = inputs, self.buffer[0, :len(inputs)]
+            self.inputs, self.rows, self.cross = inputs, rows, self.buffer[0, :len(inputs)]
         diagonal = (model.observations.noise_variance, model.jitter)
         if diagonal != self.diagonal:   # another factor: solve from row 0
             self.solved, self.diagonal = None, diagonal

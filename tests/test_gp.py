@@ -299,6 +299,29 @@ class TestCandidatePosterior:
             posterior.score(model)
         posterior.score(fit(observations, SQEXP, prior))
 
+    def test_models_on_one_buffer_skip_the_prefix_compare(self, monkeypatch):
+        # models grown with with_observation share their rows, so score
+        # compares no prefix; it still rejects a model with fewer rows
+        rng = np.random.default_rng(9)
+        prior = zero_prior(2)
+        models = [fit(ObservationSet.empty(1, 2, 0.001), SQEXP, prior)]
+        for x, y in zip(rng.normal(size=(5, 1)), rng.normal(size=(5, 2))):
+            models.append(fit(models[-1].observations.with_observation(x, y), SQEXP, prior, previous=models[-1]))
+        points = rng.normal(size=(30, 1))
+        posterior = CandidatePosterior(points, prior, SQEXP)
+        posterior.score(models[1])
+        compared, real = [], np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(1) or real(*args))
+        posterior.score(models[4])
+        assert compared == []
+        with pytest.raises(ValueError, match="extending"):
+            posterior.score(models[3])
+        means, sigma = posterior.score(models[5])
+        assert compared == [1]   # only for the model with fewer rows
+        monkeypatch.undo()
+        want = predict_batch(models[5], points)
+        assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
+
 
 def archive_prior(rng, behaviors):
     """ArchivePrior whose elites sit at some of `behaviors`, so queries hit
