@@ -543,6 +543,22 @@ class TestGrowInPlace:
             for model, arrays in models:
                 assert [bits(array) for array in arrays] == [bits(array) for array in snapshot(model)[1]]
 
+    def test_a_jitter_regrow_takes_fresh_prior_buffers(self):
+        # the regrow fails at the first new row, so `previous` stays the newest
+        # model on its buffers and the next fit from it writes there in place
+        rng = np.random.default_rng(6)
+        inputs, outputs = rng.uniform(-np.pi, np.pi, size=(5, 1)), rng.normal(size=(6, 2))
+        previous = fit(ObservationSet.empty(1, 2, 0.0), SQEXP, sine_prior)
+        for end in range(1, 6):
+            previous = fit(ObservationSet(inputs[:end], outputs[:end], 0.0), SQEXP, sine_prior, previous=previous)
+        twin = ObservationSet(np.vstack([inputs, inputs[-1:] + 1e-12]), outputs, 0.0)
+        regrown = fit(twin, SQEXP, sine_prior, previous=previous)
+        assert regrown.jitter == JITTER
+        kept = snapshot(regrown)
+        other = ObservationSet(np.vstack([inputs, [[2.5]]]), outputs, 0.0)
+        fit(other, SQEXP, sine_prior, previous=previous)
+        assert [bits(array) for array in kept[1]] == [bits(array) for array in snapshot(regrown)[1]]
+
     def test_views_of_the_buffers_are_read_only(self):
         rng = np.random.default_rng(3)
         inputs, outputs = rng.normal(size=(3, 1)), rng.normal(size=(3, 2))
