@@ -19,7 +19,7 @@ doubles when full, as are the prior values and the observations that
 A fit from scratch runs the same steps from the empty model, so a refit
 after one more observation (`fit(..., previous=model)`) costs O(t^2),
 evaluates the kernel and the prior only at the new input, and equals a fit
-from scratch bit for bit.
+from scratch bit for bit. Solves use dtrtrs from `scipy.linalg._flapack` alone.
 
 `CandidatePosterior` serves a fixed query set such as a mission's candidates:
 it evaluates the prior there once, writes k(X, points) and L^-1 k(X, points)
@@ -33,12 +33,22 @@ Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+
+_FLAPACK = "scipy.linalg._flapack"   # loaded alone: all of scipy.linalg costs a process ~0.3 s and 28 MB
+if _FLAPACK not in sys.modules:
+    _dirs = [f"{root}/linalg" for root in getattr(find_spec("scipy"), "submodule_search_locations", None) or ()]
+    if (_spec := PathFinder.find_spec(_FLAPACK, _dirs)) is None:
+        raise ImportError(f"{_FLAPACK} not found in {_dirs}", name=_FLAPACK)
+    _spec.loader.exec_module(sys.modules.setdefault(_FLAPACK, module_from_spec(_spec)))
+dtrtrs = sys.modules[_FLAPACK].dtrtrs
 
 TWO_PI = 2.0 * np.pi
 

@@ -1,5 +1,6 @@
 """Parsing and validation of the flat `key = value` experiment files."""
 
+import functools
 import math
 import time
 import warnings
@@ -23,7 +24,7 @@ from sela.config import (
     validate,
     with_overrides,
 )
-from sela.experiment import build_mission_config
+from sela.experiment import build_archive, build_mission_config
 from sela.gp import MIN_KERNEL_SIGMA, GpFitError
 from sela.map_elites import Archive, Elite
 from sela.mission import Method, run_method
@@ -388,19 +389,27 @@ def check_rejected_or_valid(text):
 FUZZ_STEP_CAP = 8
 
 
-def check_runs_or_fails_cleanly(text):
-    """An accepted point-robot config runs one replicate of every method, at
+@functools.cache
+def walker_archive():
+    """A small archive of the intact walker, built once per session (150 elites)."""
+    return build_archive(parse_config("world = segment_walker\narchive_budget = 200"))
+
+
+def check_runs_or_fails_cleanly(text, world):
+    """An accepted config of `world` runs one replicate of every method, at
     most FUZZ_STEP_CAP steps each, to a finite final pose, or fails with a
-    ConfigError, UnreachableGoalError or GpFitError."""
+    ConfigError, UnreachableGoalError or GpFitError. Walker missions use
+    `walker_archive`, whatever archive keys the config sets."""
     try:
         config = parse_config(text)
     except ConfigError:
         return
-    if config.world != "point_robot":
+    if config.world != world:
         return
+    archive = walker_archive() if world == "segment_walker" else None
     config = with_overrides(config, replicates=1, step_cap=min(config.step_cap, FUZZ_STEP_CAP))
     for method in config.methods:
-        mission = build_mission_config(config, config.base_seed)
+        mission = build_mission_config(config, config.base_seed, archive)
         try:
             record = run_method(method, mission)
         except (ConfigError, UnreachableGoalError, GpFitError):
@@ -423,4 +432,9 @@ class TestParserFuzz:
     @settings(max_examples=1000, deadline=timedelta(seconds=5))
     @given(worlds, st.one_of(st.just(""), methods_lines), st.lists(lines, max_size=8))
     def test_accepted_point_robot_configs_run(self, world, methods, body):
-        check_runs_or_fails_cleanly(world + methods + "\n".join(body))
+        check_runs_or_fails_cleanly(world + methods + "\n".join(body), "point_robot")
+
+    @settings(max_examples=1000, deadline=timedelta(seconds=5))
+    @given(st.one_of(st.just(""), methods_lines), st.lists(lines, max_size=8))
+    def test_accepted_walker_configs_run(self, methods, body):
+        check_runs_or_fails_cleanly("world = segment_walker\n" + methods + "\n".join(body), "segment_walker")

@@ -2,9 +2,14 @@
 explicit-inverse oracle, and structural properties of the posterior."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
@@ -437,6 +442,62 @@ class TestSolve:
         # the jitter regrow at 6 starts a fresh buffer of 6 rows
         want = [1, 2, 4, 8, 8, 8, 8, 16, 60, 120, 400, 800, MAX_GP_OBSERVATIONS]
         assert capacities == (want[:4] + [6, 12, 12, 12] + want[8:] if twin else want)
+
+
+SOURCE = str(Path(gp.__file__).resolve().parents[1])
+
+# A fresh sela process: the CLI's imports and one replicate of every method on the point robot.
+SELA_FIRST = """
+import sys
+import sela.cli
+from sela.config import parse_config
+from sela.experiment import run_experiment
+
+run_experiment(parse_config(
+    "world = point_robot\\nmethods = sela, babbling, episodic_ite, uncertainty\\nstep_cap = 20\\n"
+))
+assert "scipy.linalg" not in sys.modules, sorted(name for name in sys.modules if name.startswith("scipy"))
+import scipy.linalg.lapack
+assert sela.gp.dtrtrs is scipy.linalg.lapack.dtrtrs
+"""
+
+SCIPY_FIRST = """
+import scipy.linalg.lapack
+import sela.gp
+assert sela.gp.dtrtrs is scipy.linalg.lapack.dtrtrs
+"""
+
+
+def run_fresh(code, *path):
+    """`code` in a fresh interpreter with `path` and the sources ahead of site-packages."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), SOURCE]), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestLapackLoader:
+    """`sela.gp` loads scipy's LAPACK extension by itself: no sela code path
+    imports `scipy.linalg`, and its dtrtrs is the very object that
+    `scipy.linalg.lapack` exports, whichever of the two is imported first."""
+
+    @pytest.mark.parametrize("code", [SELA_FIRST, SCIPY_FIRST], ids=["sela_first", "scipy_first"])
+    def test_fresh_process(self, code):
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_same_dtrtrs_in_this_process(self):
+        assert gp.dtrtrs is scipy.linalg.lapack.dtrtrs
+
+    @pytest.mark.parametrize("fake, searched", [
+        ("scipy/__init__.py", ["scipy/linalg"]),   # a scipy package without the extension
+        ("scipy.py", []),                          # a scipy that is no package
+    ])
+    def test_missing_extension_is_an_import_error(self, tmp_path, fake, searched):
+        (tmp_path / fake).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / fake).write_text("")
+        result = run_fresh("import sela.gp", tmp_path)
+        dirs = [f"{tmp_path}/{name}" for name in searched]
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == f"ImportError: scipy.linalg._flapack not found in {dirs}"
 
 
 class TestPosteriorBuffers:
