@@ -10,7 +10,7 @@ placeholder (always 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,11 @@ from .worlds import (
 RUNS_HEADER = "run_id,method,world,seed,learn_steps,exec_steps,total_steps,reached,wall_ms"
 SUMMARY_HEADER = "method,metric,q25,median,q75,success_rate"
 _METRICS = ("learn_steps", "exec_steps", "total_steps")
+# Per world: the world maker, the behavior sampler and the kernel distance.
+_WORLDS = {
+    "point_robot": (make_point_robot_world, sample_point_robot_behavior, DistanceKind.WRAPPED_ANGULAR),
+    "segment_walker": (make_segment_walker_world, sample_walker_behavior, DistanceKind.EUCLIDEAN),
+}
 
 
 @dataclass(frozen=True)
@@ -66,15 +71,10 @@ def build_damage(config: ExperimentConfig) -> Damage:
 
 
 def build_kernel(config: ExperimentConfig) -> Kernel:
-    distance = (
-        DistanceKind.WRAPPED_ANGULAR
-        if config.world == "point_robot"
-        else DistanceKind.EUCLIDEAN
-    )
     return Kernel(
         family=KernelFamily(config.kernel_family),
         sigma=config.kernel_sigma,
-        distance=distance,
+        distance=_WORLDS[config.world][2],
     )
 
 
@@ -99,33 +99,35 @@ def load_archive_file(path) -> Archive:
     return load_archive(Path(path).read_bytes())
 
 
-def build_mission_config(
-    config: ExperimentConfig, seed: int, archive: Archive | None = None, waypoint_cells=None
-) -> MissionConfig:
-    """Assemble the per-run bundle for one replicate seed. All seeds share one grid."""
+def _seeded_parts(config: ExperimentConfig, seed: int) -> dict:
+    """What a replicate seed sets in a mission: its world, sampler rng and seed."""
     world_seed, sampler_seed = np.random.SeedSequence(seed).spawn(2)
-    damage = build_damage(config)
-    goal = np.array([config.goal_x, config.goal_y])
+    world = _WORLDS[config.world][0](build_damage(config), config.noise_variance, world_seed)
+    return dict(world=world, rng=np.random.default_rng(sampler_seed), seed=seed)
+
+
+def build_mission_config(
+    config: ExperimentConfig, seed: int, archive: Archive | None = None
+) -> MissionConfig:
+    """Assemble the mission of one replicate seed; `run_experiment`'s template."""
     if config.world == "point_robot":
-        world = make_point_robot_world(damage, config.noise_variance, world_seed)
         candidates = CandidateSet.dense_theta_grid(config.candidate_grid)
         prior = point_robot_prior
-        sampler = sample_point_robot_behavior
     else:
         if archive is None:
             raise ValueError("segment_walker missions need a prebuilt archive")
-        world = make_segment_walker_world(damage, config.noise_variance, world_seed)
         candidates = CandidateSet.from_archive(archive)
         prior = ArchivePrior(archive)
-        sampler = sample_walker_behavior
+    parts = _seeded_parts(config, seed)
+    goal = np.array([config.goal_x, config.goal_y])
     grid = PlannerGrid.for_mission(
-        start=world.pose,
+        start=parts["world"].pose,
         goal=goal,
         cell_size=config.cell_size,
         margin=config.planner_margin,
     )
     return MissionConfig(
-        world=world,
+        **parts,
         candidates=candidates,
         prior=prior,
         kernel=build_kernel(config),
@@ -138,14 +140,11 @@ def build_mission_config(
         drop=DropDetectorConfig(window=config.drop_window, threshold=config.drop_threshold),
         max_adapt_iterations=config.adapt_iterations(),
         step_cap=config.step_cap,
-        seed=seed,
-        rng=np.random.default_rng(sampler_seed),
-        behavior_sampler=sampler,
+        behavior_sampler=_WORLDS[config.world][1],
         babble_max=config.babble_max,
         epsilon_model=config.epsilon_model,
         uncertainty_iterations=config.uncertainty_iterations,
         episodic_success_projection=config.episodic_success_projection,
-        waypoint_cells={} if waypoint_cells is None else waypoint_cells,
     )
 
 
@@ -157,7 +156,7 @@ def run_experiment(
     The config is validated and a walker archive's dimensions and elites
     checked first, so a directly built config fails here rather than inside a
     mission. An exception from a replicate propagates with a note naming its
-    method and seed. All missions share one waypoint table.
+    method and seed. Replicates change only the template's world, rng and seed.
     """
     validate(config)
     if config.world == "segment_walker":
@@ -174,13 +173,13 @@ def run_experiment(
             raise ConfigError(f"archive_path {config.archive_path}: the archive lists no elites")
         if len(np.unique([e.behavior for e in archive.cells.values()], axis=0)) < len(archive.cells):
             raise ConfigError(f"archive_path {config.archive_path}: the archive lists a behavior twice")
+    template = build_mission_config(config, config.base_seed, archive)
     records = []
-    waypoint_cells = {}
     for method in config.methods:
         for replicate in range(config.replicates):
             seed = config.base_seed + replicate
             try:
-                mission = build_mission_config(config, seed, archive, waypoint_cells)
+                mission = replace(template, **_seeded_parts(config, seed))
                 records.append(run_method(method, mission))
             except Exception as exc:
                 exc.add_note(f"in the {method.value} replicate with seed {seed}")

@@ -26,9 +26,9 @@ once: steps that learn nothing reuse the last score. The outcome SELA predicts
 for a chosen candidate comes from that posterior too (`mean_at`). The drop
 window keeps one error norm per step; its mean, the error norms and the goal
 test run numpy's arithmetic without numpy's Python wrappers, so they keep its
-bits. The missions of an experiment share one table of A* waypoints per start
-cell (`MissionConfig.waypoint_cells`). Rewards are plain functions of a batch
-of outcomes, which `select_next` takes as is.
+bits. The missions of an experiment share their template's table of A*
+waypoints per start cell (`MissionConfig.waypoint_cells`). Rewards are plain
+functions of a batch of outcomes, which `select_next` takes as is.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class MissionConfig:
     epsilon_model: float = 0.01
     uncertainty_iterations: int = 15
     episodic_success_projection: float = 0.09
-    # Waypoint cell per A* start cell (see build_waypoint_reward); missions
-    # with the same grid, goal and lookahead may share it.
+    # Waypoint cell per A* start cell (see build_waypoint_reward); the missions
+    # of an experiment are copies of one template and share its dict.
     waypoint_cells: dict = field(default_factory=dict)
 
 

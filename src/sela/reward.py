@@ -199,9 +199,9 @@ def build_waypoint_reward(
     approach aims at the true goal.
 
     The path starts at the pose's cell, so the waypoint cell depends only on
-    that start cell once grid, goal and lookahead are fixed. Passing the same
-    `waypoint_cells` dict for all of them (one experiment) memoizes it per
-    start cell, and A* runs once per distinct start cell.
+    that start cell once grid, goal and lookahead are fixed. `waypoint_cells`
+    memoizes it per start cell; an experiment's missions all hold their
+    template's dict, so A* runs once per distinct start cell per experiment.
     """
     if lookahead_cells < 1:
         raise ValueError("lookahead_cells must be at least 1")

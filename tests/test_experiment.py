@@ -350,6 +350,68 @@ class TestRunExperiment:
         assert {row.method for row in summary} == {Method.SELA}
 
 
+ALL_METHODS = (Method.SELA, Method.BABBLING, Method.EPISODIC_ITE, Method.UNCERTAINTY)
+SMALL_WALKER = ExperimentConfig(
+    world="segment_walker",
+    damage="frozen_joint",
+    methods=ALL_METHODS,
+    replicates=2,
+    step_cap=60,
+    archive_budget=300,
+    archive_grid=10,
+)
+
+
+@pytest.fixture(scope="module")
+def small_walker_archive():
+    return build_archive(SMALL_WALKER)
+
+
+def toy_and_walker(archive):
+    return [(replace(DAMAGED, methods=ALL_METHODS, step_cap=80), None), (SMALL_WALKER, archive)]
+
+
+class TestMissionTemplate:
+    def test_replicates_share_the_template_but_not_world_or_rng(self, monkeypatch, small_walker_archive):
+        build, run_method = experiment.build_mission_config, experiment.run_method
+        for config, archive in toy_and_walker(small_walker_archive):
+            builds, missions = [], []
+
+            def counting_build(*args):
+                builds.append(args)
+                return build(*args)
+
+            def capturing_run(method, mission):
+                missions.append(mission)
+                return run_method(method, mission)
+
+            monkeypatch.setattr(experiment, "build_mission_config", counting_build)
+            monkeypatch.setattr(experiment, "run_method", capturing_run)
+            run_experiment(config, archive=archive)
+            assert len(builds) == 1, config.world
+            assert len(missions) == len(config.methods) * config.replicates
+            first = missions[0]
+            for name in ("candidates", "prior", "kernel", "grid", "goal", "waypoint_cells"):
+                assert all(getattr(m, name) is getattr(first, name) for m in missions), name
+            assert first.waypoint_cells   # the missions filled the one table
+            assert len({id(m.world) for m in missions}) == len(missions)
+            assert len({id(m.rng) for m in missions}) == len(missions)
+            assert [m.seed for m in missions] == [
+                config.base_seed + k for _ in config.methods for k in range(config.replicates)
+            ]
+
+    def test_method_order_leaves_every_record_unchanged(self, small_walker_archive):
+        # the missions share the template's objects, the waypoint table among
+        # them: no mission may leave state behind that changes a later one
+        for config, archive in toy_and_walker(small_walker_archive):
+            forward, _ = run_experiment(config, archive=archive)
+            backward, _ = run_experiment(replace(config, methods=config.methods[::-1]), archive=archive)
+            assert sorted(forward, key=lambda r: (r.method.value, r.seed)) == sorted(
+                backward, key=lambda r: (r.method.value, r.seed)
+            ), config.world
+            assert len({(r.method, r.seed) for r in forward}) == len(forward) == 4 * config.replicates
+
+
 WAYPOINT_BASE = """world = point_robot
 damage = angle_offset
 methods = sela, uncertainty
