@@ -26,9 +26,9 @@ once: steps that learn nothing reuse the last score. The outcome SELA predicts
 for a chosen candidate comes from that posterior too (`mean_at`). The drop
 window keeps one error norm per step; its mean, the error norms and the goal
 test run numpy's arithmetic without numpy's Python wrappers, so they keep its
-bits. The missions of an experiment share their template's table of A*
-waypoints per start cell (`MissionConfig.waypoint_cells`). Rewards are plain
-functions of a batch of outcomes, which `select_next` takes as is.
+bits. The goal's planner cell is derived once (`MissionState.goal_cell`), and
+the missions of an experiment share their template's table of A* waypoints per
+start cell (`MissionConfig.waypoint_cells`). Rewards score a batch of outcomes.
 """
 
 from __future__ import annotations
@@ -127,9 +127,11 @@ class MissionState:
     recent: deque = field(init=False)
     # The posterior at the candidates, with the model's kernel and prior.
     posterior: CandidatePosterior = field(init=False)
+    goal_cell: tuple = field(init=False)   # the goal's planner cell, fixed for the mission
 
     def __post_init__(self):
         self.recent = deque(maxlen=self.config.drop.window)
+        self.goal_cell = self.config.grid.cell_of(self.config.goal)
         model = self.model
         self.posterior = CandidatePosterior(self.config.candidates.points, model.prior, model.kernel)
 
@@ -167,7 +169,8 @@ def _chase_waypoint(
     greedily by default, and its index."""
     config = state.config
     reward = build_waypoint_reward(
-        config.grid, config.world.pose, config.goal, config.lookahead_cells, config.waypoint_cells
+        config.grid, config.world.pose, config.goal, state.goal_cell, config.lookahead_cells,
+        config.waypoint_cells,
     )
     return select_next(state.posterior, state.model, reward, acquisition)
 

@@ -190,13 +190,14 @@ def build_waypoint_reward(
     grid: PlannerGrid,
     pose,
     goal,
+    goal_cell: tuple[int, int],
     lookahead_cells: int,
     waypoint_cells: dict,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Per-step reward refresh: plan pose -> goal and chase the path cell
-    `lookahead_cells` on (the last cell if the path is shorter). A waypoint on
-    the goal cell is the exact goal point, not the cell center, so the final
-    approach aims at the true goal.
+    """Per-step reward refresh: plan pose -> `goal_cell` (`grid.cell_of(goal)`,
+    which a mission derives once) and chase the path cell `lookahead_cells` on
+    (the last cell if the path is shorter). A waypoint on the goal cell is the
+    exact goal point, not the cell center, so the final approach aims at it.
 
     The path starts at the pose's cell, so the waypoint cell depends only on
     that start cell once grid, goal and lookahead are fixed. `waypoint_cells`
@@ -206,7 +207,6 @@ def build_waypoint_reward(
     if lookahead_cells < 1:
         raise ValueError("lookahead_cells must be at least 1")
     start_cell = grid.cell_of(pose)
-    goal_cell = grid.cell_of(goal)
     cell = waypoint_cells.get(start_cell)
     if cell is None:
         path = astar(grid, start_cell, goal_cell)

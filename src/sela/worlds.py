@@ -3,6 +3,9 @@ planar walker. Damage rewires commanded behaviors before the dynamics apply;
 observation noise corrupts only what the robot measures, never the true pose.
 `vector_length` is the length rule of the per-step goal test and error norms:
 `np.linalg.norm`'s arithmetic without its Python wrapper, equal bit for bit.
+The walker model adds its joints' `math.cos` and `math.sin` in Python floats
+from +0.0 in joint order, as numpy sums four terms: the numpy formula's bits
+where the two libraries' trig agrees (tests check); an infinite offset raises ValueError.
 """
 
 from __future__ import annotations
@@ -43,13 +46,11 @@ def segment_walker_model(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (WALKER_JOINTS,):
         raise ValueError(f"expected {WALKER_JOINTS} joint offsets, got shape {u.shape}")
-    angles = math.pi * u
-    return np.array(
-        [
-            WALKER_SEGMENT_STEP * float(np.cos(angles).sum()),
-            WALKER_SEGMENT_STEP * float(np.sin(angles).sum()),
-        ]
-    )
+    x = y = 0.0
+    for offset in u.tolist():
+        x += math.cos(math.pi * offset)
+        y += math.sin(math.pi * offset)
+    return np.array([WALKER_SEGMENT_STEP * x, WALKER_SEGMENT_STEP * y])
 
 
 @dataclass(frozen=True)
@@ -71,24 +72,20 @@ Damage = Optional[Union[AngleOffsetDamage, FrozenJointDamage]]
 
 
 def apply_damage(damage: Damage, behavior) -> np.ndarray:
-    """Behavior the robot actually performs for a commanded behavior."""
-    behavior = np.atleast_1d(np.asarray(behavior, dtype=float))
-    if damage is None:
-        return behavior.copy()
-    if isinstance(damage, AngleOffsetDamage):
-        theta = float(behavior[0])
-        if theta > 0:
-            return np.array([wrap_angle(theta + damage.offset)])
-        return behavior.copy()
+    """Behavior the robot actually performs for a commanded behavior, as a new array."""
+    behavior = np.array(behavior, dtype=float, ndmin=1)
     if isinstance(damage, FrozenJointDamage):
         if not 0 <= damage.joint < behavior.size:
             raise ValueError(
                 f"frozen joint {damage.joint} out of range for behavior of size {behavior.size}"
             )
-        crippled = behavior.copy()
-        crippled[damage.joint] = 0.0
-        return crippled
-    raise TypeError(f"unknown damage model: {damage!r}")
+        behavior[damage.joint] = 0.0
+    elif isinstance(damage, AngleOffsetDamage):
+        if behavior[0] > 0:
+            return np.array([wrap_angle(float(behavior[0]) + damage.offset)])
+    elif damage is not None:
+        raise TypeError(f"unknown damage model: {damage!r}")
+    return behavior
 
 
 class World:
@@ -145,9 +142,9 @@ def make_segment_walker_world(
     return World(segment_walker_model, damage, noise_variance, seed, start)
 
 
-def walker_descriptor(outcome: np.ndarray, magnitude: float) -> np.ndarray:
-    """Normalized (direction, magnitude) of a walker displacement of norm
-    `magnitude`. Direction maps (-pi, pi] onto (0, 1]; magnitude is relative
+def walker_descriptor(outcome, magnitude: float) -> np.ndarray:
+    """Normalized (direction, magnitude) of a walker displacement (x, y) of
+    norm `magnitude`. Direction maps (-pi, pi] onto (0, 1]; magnitude is relative
     to the intact maximum step and clamped to 1."""
     direction = (math.atan2(outcome[1], outcome[0]) + math.pi) / (2.0 * math.pi)
     return np.array([direction, min(magnitude / POINT_ROBOT_STEP, 1.0)])
@@ -157,8 +154,8 @@ def segment_walker_evaluator(behavior) -> tuple[np.ndarray, float, np.ndarray]:
     """Archive evaluator for the intact walker: descriptor, performance
     (displacement magnitude), and the cached outcome."""
     outcome = segment_walker_model(behavior)
-    magnitude = float(np.linalg.norm(outcome))
-    return walker_descriptor(outcome, magnitude), magnitude, outcome
+    magnitude = vector_length(outcome)
+    return walker_descriptor(outcome.tolist(), magnitude), magnitude, outcome
 
 
 def sample_point_robot_behavior(rng: np.random.Generator) -> np.ndarray:

@@ -208,6 +208,34 @@ class TestMissionState:
             np.testing.assert_array_equal(state.model.prior_at_inputs, prior_values(prior, inputs))
             np.testing.assert_array_equal(posterior.prior_means, prior_values(prior, points))
 
+    def test_each_mission_derives_the_goal_cell_once(self, monkeypatch):
+        # the goal is fixed for a mission, so its planner cell is computed once
+        # per mission, not on every step that builds a waypoint reward
+        goal_lookups, rewards = [], []
+        cell_of, build = PlannerGrid.cell_of, mission.build_waypoint_reward
+
+        def counting_cell_of(grid, point):
+            if point is config.goal:
+                goal_lookups.append(point)
+            return cell_of(grid, point)
+
+        def recording_build(grid, pose, goal, goal_cell, *rest):
+            rewards.append(goal_cell)
+            return build(grid, pose, goal, goal_cell, *rest)
+
+        monkeypatch.setattr(PlannerGrid, "cell_of", counting_cell_of)
+        monkeypatch.setattr(mission, "build_waypoint_reward", recording_build)
+        for method in Method:
+            goal_lookups.clear()
+            rewards.clear()
+            config = point_config(damage=AngleOffsetDamage(0.5), seed=4)
+            record = run_method(method, config)
+            assert len(goal_lookups) == 1
+            assert record.total_steps > 1
+            # the episodic baseline drives by its repertoire, without waypoints
+            assert len(rewards) > 1 or method is Method.EPISODIC_ITE
+            assert set(rewards) <= {cell_of(config.grid, config.goal)}
+
 
 class TestCandidateScoring:
     """The mission's CandidatePosterior scores each fitted model once, and

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sela.map_elites import illuminate, save_archive
 from sela.worlds import (
     POINT_ROBOT_STEP,
     WALKER_JOINTS,
@@ -190,6 +191,163 @@ class TestWorld:
         np.testing.assert_allclose(observed, segment_walker_model([0.5, 0.0, 0.5, 0.5]))
 
 
+# Joint offsets in the walker's domain, with its edges, halves and signed zeros.
+joint_offsets = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]))
+
+
+def frozen_walker_model(u) -> np.ndarray:
+    """segment_walker_model as the numpy formula it was before it moved to
+    Python floats: np.cos and np.sin of the angle vector, summed by numpy."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (WALKER_JOINTS,):
+        raise ValueError(f"expected {WALKER_JOINTS} joint offsets, got shape {u.shape}")
+    angles = math.pi * u
+    return np.array([0.025 * float(np.cos(angles).sum()), 0.025 * float(np.sin(angles).sum())])
+
+
+def frozen_walker_evaluator(behavior):
+    """segment_walker_evaluator as it was with the numpy model: np.linalg.norm
+    for the magnitude, the descriptor from the outcome array's numpy scalars."""
+    outcome = frozen_walker_model(behavior)
+    magnitude = float(np.linalg.norm(outcome))
+    direction = (math.atan2(outcome[1], outcome[0]) + math.pi) / (2.0 * math.pi)
+    return np.array([direction, min(magnitude / 0.1, 1.0)]), magnitude, outcome
+
+
+def frozen_walker_execute(joint, noise_variance, seed, behaviors):
+    """World.execute on a walker with FrozenJointDamage(joint), spelled out
+    with the numpy model: the (pose, observation) after each behavior."""
+    rng = np.random.default_rng(seed)
+    pose, steps = np.zeros(2), []
+    for behavior in behaviors:
+        performed = np.atleast_1d(np.asarray(behavior, dtype=float)).copy()
+        performed[joint] = 0.0
+        displacement = frozen_walker_model(performed)
+        pose = pose + displacement
+        noise = rng.normal(0.0, math.sqrt(noise_variance), size=displacement.shape)
+        steps.append((pose, displacement + noise))
+    return steps
+
+
+class TestScalarWalkerModel:
+    """The walker model in Python floats against its numpy formula."""
+
+    @pytest.mark.parametrize(
+        "joints",
+        [
+            [0, 1, -1, 0],
+            np.array([1, 0, 0, -1]),
+            [-0.0, -0.0, -0.0, -0.0],   # numpy's sum starts from +0.0, so y is +0.0
+            [0.0, -0.0, 0.0, -0.0],
+            [-1.0, -0.0, 1.0, 0.0],
+            [1.0, 1.0, 1.0, 1.0],
+        ],
+    )
+    def test_int_lists_and_signed_zeros_match_the_numpy_formula(self, joints):
+        got = segment_walker_model(joints)
+        assert got.dtype == np.float64 and got.shape == (2,)
+        assert got.tobytes() == frozen_walker_model(joints).tobytes()
+        descriptor, performance, outcome = segment_walker_evaluator(joints)
+        expected = frozen_walker_evaluator(joints)
+        assert descriptor.tobytes() == expected[0].tobytes()
+        assert repr(performance) == repr(expected[1])
+
+    @pytest.mark.parametrize(
+        "joints",
+        [np.zeros((4, 1)), np.zeros((1, 4)), np.zeros(3), np.zeros(5), 0.5, [], [[0.0] * 4]],
+    )
+    def test_other_shapes_raise(self, joints):
+        with pytest.raises(ValueError, match="expected 4 joint offsets"):
+            segment_walker_model(joints)
+        with pytest.raises(ValueError, match="expected 4 joint offsets"):
+            segment_walker_evaluator(joints)
+
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf])
+    @pytest.mark.parametrize("joint", range(WALKER_JOINTS))
+    def test_an_infinite_offset_raises(self, offset, joint):
+        # pinned: math.cos raises its domain error, where the numpy formula
+        # gave NaN with a RuntimeWarning
+        joints = [0.25] * WALKER_JOINTS
+        joints[joint] = offset
+        with pytest.raises(ValueError, match="math domain error"):
+            segment_walker_model(joints)
+        with pytest.raises(ValueError, match="math domain error"):
+            segment_walker_evaluator(joints)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in (cos|sin)"):
+            assert np.isnan(frozen_walker_model(joints)).all()
+
+    @pytest.mark.parametrize("joint", range(WALKER_JOINTS))
+    def test_a_nan_offset_gives_nans_without_a_warning(self, joint):
+        # as with the numpy formula; the suite turns any warning into an error
+        joints = [0.25] * WALKER_JOINTS
+        joints[joint] = math.nan
+        assert np.isnan(segment_walker_model(joints)).all()
+        assert np.isnan(frozen_walker_model(joints)).all()
+        descriptor, performance, outcome = segment_walker_evaluator(joints)
+        assert np.isnan(descriptor[0]) and math.isnan(performance) and np.isnan(outcome).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 1500),
+        grid_shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        init_batch=st.one_of(st.none(), st.integers(1, 200)),
+        mutation_sigma=st.sampled_from([0.05, 0.2, 1.0]),
+    )
+    def test_illuminate_matches_the_numpy_evaluator(
+        self, seed, budget, grid_shape, init_batch, mutation_sigma
+    ):
+        if init_batch is not None or budget < 100:   # the default batch is at least 100
+            init_batch = min(init_batch or budget, budget)
+        kwargs = dict(
+            budget=budget, seed=seed, lower=-np.ones(WALKER_JOINTS), upper=np.ones(WALKER_JOINTS),
+            grid_shape=grid_shape, mutation_sigma=mutation_sigma, init_batch=init_batch,
+        )
+        logs = ([], [])
+
+        def recorder(log):
+            def on_offer(cell, elite, result):
+                log.append((cell, result, elite.behavior.tobytes(), elite.descriptor.tobytes(),
+                            repr(elite.performance), elite.outcome.tobytes()))
+            return on_offer
+
+        expected = illuminate(frozen_walker_evaluator, on_offer=recorder(logs[0]), **kwargs)
+        got = illuminate(segment_walker_evaluator, on_offer=recorder(logs[1]), **kwargs)
+        assert save_archive(got) == save_archive(expected)
+        assert save_archive(illuminate(segment_walker_evaluator, **kwargs)) == save_archive(expected)
+        assert logs[1] == logs[0]
+        assert len(logs[1]) == budget
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        joint=st.integers(0, WALKER_JOINTS - 1),
+        noise_variance=st.sampled_from([0.0, 1e-6, 0.01, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+        behaviors=st.lists(
+            st.one_of(
+                st.lists(joint_offsets, min_size=WALKER_JOINTS, max_size=WALKER_JOINTS),
+                st.lists(st.integers(-1, 1), min_size=WALKER_JOINTS, max_size=WALKER_JOINTS),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        as_arrays=st.booleans(),
+    )
+    def test_frozen_joint_world_matches_the_numpy_formula(
+        self, joint, noise_variance, seed, behaviors, as_arrays
+    ):
+        world = make_segment_walker_world(FrozenJointDamage(joint), noise_variance, seed)
+        commanded = [np.array(b) if as_arrays else b for b in behaviors]
+        before = [np.copy(b) for b in commanded]
+        for behavior, (pose, observed) in zip(
+            commanded, frozen_walker_execute(joint, noise_variance, seed, behaviors)
+        ):
+            assert world.execute(behavior).tobytes() == observed.tobytes()
+            assert world.pose.tobytes() == pose.tobytes()
+        for behavior, copy in zip(commanded, before):   # the caller's behaviors stay as they were
+            np.testing.assert_array_equal(behavior, copy)
+
+
 class TestDescriptor:
     def test_rightward_step(self):
         np.testing.assert_allclose(walker_descriptor([0.1, 0.0], 0.1), [0.5, 1.0])
@@ -216,27 +374,18 @@ class TestDescriptor:
         assert performance == pytest.approx(np.linalg.norm(outcome))
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])),
-            min_size=WALKER_JOINTS,
-            max_size=WALKER_JOINTS,
-        )
-    )
+    @given(st.lists(joint_offsets, min_size=WALKER_JOINTS, max_size=WALKER_JOINTS))
     def test_evaluator_is_bit_identical_to_its_definition(self, joints):
         u = np.array(joints)
-        angles = math.pi * u
-        model = np.array(
-            [
-                0.025 * float(np.sum(np.cos(angles))),
-                0.025 * float(np.sum(np.sin(angles))),
-            ]
-        )
+        model = frozen_walker_model(u)
         assert segment_walker_model(u).tobytes() == model.tobytes()
         descriptor, performance, outcome = segment_walker_evaluator(u)
-        assert outcome.tobytes() == model.tobytes()
+        expected = frozen_walker_evaluator(u)
+        assert outcome.tobytes() == model.tobytes() == expected[2].tobytes()
+        assert descriptor.tobytes() == expected[0].tobytes()
         assert descriptor.tobytes() == walker_descriptor(model, float(np.linalg.norm(model))).tobytes()
-        assert repr(performance) == repr(float(np.linalg.norm(model)))
+        assert repr(performance) == repr(expected[1])
+        assert type(performance) is float
 
 
 class TestSamplersAndGoal:
