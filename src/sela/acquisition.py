@@ -31,7 +31,7 @@ class CandidateSet:
         pts = _as_points(self.points)
         if len(pts) == 0:
             raise ValueError("candidate set must not be empty")
-        if len(np.unique(pts, axis=0)) != len(pts):
+        if len(set(map(tuple, pts.tolist()))) != len(pts):   # np.unique would import numpy.ma
             raise ValueError("candidate set contains duplicate points")
         object.__setattr__(self, "points", pts)
 

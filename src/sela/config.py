@@ -84,22 +84,14 @@ class ExperimentConfig:
         return ADAPT_ITERATIONS_BY_WORLD[self.world]
 
 
-def _parse_int(value: str, key: str, line_no: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: key '{key}' expects an integer, got {value!r}") from None
-
-
-def _parse_float(value: str, key: str, line_no: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: key '{key}' expects a number, got {value!r}") from None
-
-
-def _parse_text(value: str, key: str, line_no: int) -> str:
-    return value
+def _parser(kind, noun: str):
+    """Parses a key's value as kind(value); a ValueError becomes a ConfigError naming the line."""
+    def parse(value: str, key: str, line_no: int):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"line {line_no}: key '{key}' expects {noun}, got {value!r}") from None
+    return parse
 
 
 def _parse_methods(value: str, key: str, line_no: int) -> tuple[Method, ...]:
@@ -123,11 +115,11 @@ _CHOICES = {"world": WORLDS, "damage": DAMAGE_KINDS, "kernel_family": KERNEL_FAM
 
 # Value parser per field annotation; the choice keys are checked by validate.
 _PARSE_BY_TYPE = {
-    "str": _parse_text,
-    "int": _parse_int,
-    "Optional[int]": _parse_int,
-    "float": _parse_float,
-    "Optional[str]": _parse_text,
+    "str": _parser(str, "text"),
+    "int": _parser(int, "an integer"),
+    "Optional[int]": _parser(int, "an integer"),
+    "float": _parser(float, "a number"),
+    "Optional[str]": _parser(str, "text"),
     "tuple[Method, ...]": _parse_methods,
 }
 

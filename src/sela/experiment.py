@@ -171,7 +171,7 @@ def run_experiment(
             )
         if not archive.cells:
             raise ConfigError(f"archive_path {config.archive_path}: the archive lists no elites")
-        if len(np.unique([e.behavior for e in archive.cells.values()], axis=0)) < len(archive.cells):
+        if len({tuple(e.behavior.tolist()) for e in archive.cells.values()}) < len(archive.cells):
             raise ConfigError(f"archive_path {config.archive_path}: the archive lists a behavior twice")
     template = build_mission_config(config, config.base_seed, archive)
     records = []
@@ -197,8 +197,9 @@ def compute_summary(records: list[RunRecord]) -> list[SummaryRow]:
         subset = [r for r in records if r.method == method]
         success = float(np.mean([r.reached for r in subset]))
         for metric in _METRICS:
-            values = np.array([getattr(r, metric) for r in subset], dtype=float)
-            q25, median, q75 = np.percentile(values, [25, 50, 75])
+            values = np.sort(np.array([getattr(r, metric) for r in subset], dtype=float))
+            # np.percentile's linear rule, exact on integer counts; its np.unique imports numpy.ma
+            q25, median, q75 = np.interp(np.arange(1, 4) / 4 * (len(values) - 1), np.arange(len(values)), values)
             rows.append(
                 SummaryRow(
                     method=method,

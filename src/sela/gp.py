@@ -17,17 +17,18 @@ r = L^-1 k(X, x_i) over the earlier inputs, and the new row is
 doubles when full, as are the prior values and the observations that
 `with_observation` appends; a model's and a set's arrays are read-only views.
 A fit from scratch runs the same steps from the empty model, so a refit
-after one more observation (`fit(..., previous=model)`) costs O(t^2),
-evaluates the kernel and the prior only at the new input, and equals a fit
-from scratch bit for bit. Solves use dtrtrs from `scipy.linalg._flapack` alone.
+after one more observation (`fit(..., previous=model)`) costs O(t^2), runs
+the kernel and the prior at most at the new input, and equals a fit from
+scratch bit for bit. Solves use dtrtrs from `scipy.linalg._flapack` alone.
 
 `CandidatePosterior` serves a fixed query set such as a mission's candidates:
 it evaluates the prior there once, writes k(X, points) and L^-1 k(X, points)
-one row per observation into a buffer that doubles when full (the variance
-is 1 - the column sums of squares of the latter), and scores each fitted
-model once. Its `mean_at` gives the mean at one of those points with
-`predict`'s one-row arithmetic, equal to `predict`'s mean bit for bit.
-Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
+one row per observation into a buffer that doubles when full, copying the
+kernel row of an input seen before (the variance is 1 - the column sums of
+squares of the latter), and scores each fitted model once. Its `mean_at`
+gives the mean at one of those points with `predict`'s one-row arithmetic,
+equal to `predict`'s mean bit for bit. Models are bounded at
+`MAX_GP_OBSERVATIONS` inputs by the config check.
 """
 
 from __future__ import annotations
@@ -214,12 +215,12 @@ class GpModel:
     buffers: tuple = field(repr=False, compare=False)   # (factor, prior values), viewed above
 
 
-def _grow_factor(factor: np.ndarray, k: int, kernel: Kernel, inputs: np.ndarray, diagonal: float):
-    """`factor` (the first k inputs' factor top left, zeroed past it) or a copy with room,
-    grown by a row per further input with `diagonal` (1 + noise + jitter) on K's diagonal;
-    None if a pivot is not positive. dtrtrs takes the F-ordered upper factor with no copy."""
-    factor = _with_room(factor, len(inputs), axes=(0, 1), zeroed=True)
-    for i, row in enumerate(kernel_matrix(kernel, inputs[k:], inputs), start=k):
+def _grow_factor(factor: np.ndarray, k: int, rows, diagonal: float):
+    """`factor` (the first k inputs' factor top left, zeroed past it) or a copy with room, grown by
+    a row per kernel row k(x_i, X[:i]) in `rows` (i = k, k+1, ...) with `diagonal` (1 + noise + jitter)
+    on K's diagonal; None if a pivot is not positive. dtrtrs takes the F-ordered upper factor, no copy."""
+    factor = _with_room(factor, k + len(rows), axes=(0, 1), zeroed=True)
+    for i, row in enumerate(rows, start=k):
         r = dtrtrs(factor.T[:, :i], row[:i], lower=0, trans=1)[0] if i else row[:0]
         pivot = diagonal - r @ r
         if not pivot > 0.0:
@@ -233,6 +234,7 @@ def fit(
     kernel: Kernel,
     prior: PriorMean,
     previous: GpModel | None = None,
+    evaluated: tuple | None = None,
 ) -> GpModel:
     """Grow the Cholesky factor by one row per new observation and
     precompute the prior correction.
@@ -246,7 +248,8 @@ def fit(
     `previous` is a model fitted with the same kernel, prior and noise on a
     strict prefix of these observations; None stands for the empty prefix.
     Its factor and prior values are extended, in place unless a newer model
-    wrote past them, so the kernel and the prior run only at the new inputs.
+    wrote past them, so the kernel and the prior run only at the new inputs,
+    and not at all given `evaluated` = (k(X, x), P(x)) for the one new input x.
     A first non-positive pivot regrows the whole factor with JITTER on the
     diagonal, which every extension keeps. It equals a fit from scratch bitwise.
     Observations that share `previous`'s buffer are checked only in the new rows.
@@ -257,13 +260,8 @@ def fit(
     if not (np.isfinite(observations.rows[1][k:t]).all() if shared
             else np.isfinite(inputs).all() and np.isfinite(outputs).all()):
         raise GpFitError("observation inputs and outputs must be finite")
-    if noise == 0.0:
-        _, counts = np.unique(inputs, axis=0, return_counts=True)
-        if np.any(counts > 1):
-            raise GpFitError(
-                "duplicate observation inputs with zero noise variance make "
-                "the kernel matrix singular"
-            )
+    if noise == 0.0 and len(set(map(tuple, inputs.tolist()))) < t:   # np.unique would import numpy.ma
+        raise GpFitError("duplicate observation inputs with zero noise variance make the kernel matrix singular")
     if previous is None:
         (factor, values), jitter = (np.zeros((0, 0)), outputs[:0]), 0.0
     elif not (
@@ -281,10 +279,12 @@ def fit(
         (factor, values), jitter = previous.buffers, previous.jitter
         if k < len(factor) and factor[k, k]:   # a newer model wrote row k: copy the views
             factor, values = previous.chol, previous.prior_at_inputs
-    factor = _grow_factor(factor, k, kernel, inputs, 1.0 + noise + jitter)
+    one = evaluated is not None and t == k + 1 == len(evaluated[0]) + 1
+    rows = [evaluated[0]] if one else kernel_matrix(kernel, inputs[k:], inputs)
+    factor = _grow_factor(factor, k, rows, 1.0 + noise + jitter)
     if factor is None and jitter == 0.0:   # regrow the whole factor, as from scratch, in fresh buffers
         jitter, values = JITTER, values[:k]
-        factor = _grow_factor(np.zeros((0, 0)), 0, kernel, inputs, 1.0 + noise + jitter)
+        factor = _grow_factor(np.zeros((0, 0)), 0, kernel_matrix(kernel, inputs, inputs), 1.0 + noise + jitter)
     if factor is None:
         raise GpFitError(
             f"kernel matrix not positive definite (t={t}, "
@@ -292,7 +292,7 @@ def fit(
         )
     values, correction = _with_room(values, t), outputs[:0]
     if t:   # the empty model calls no prior and solves nothing
-        values[k:t] = prior_values(prior, inputs[k:])
+        values[k:t] = evaluated[1] if one else prior_values(prior, inputs[k:])
         # dpotrs's two solves; dpotrs itself would copy the factor, whose lda is its capacity
         correction = dtrtrs(factor.T[:, :t], outputs - values[:t], lower=0, trans=1)[0]
         correction = dtrtrs(factor.T[:, :t], correction, lower=0, overwrite_b=1)[0]
@@ -348,6 +348,7 @@ class CandidatePosterior:
         # the inputs (t, behavior_dim) and k(inputs, points) (t, n), a view of buffer[0]
         self.inputs, self.cross = np.zeros((0, self.points.shape[1])), np.zeros((0, len(self)))
         self.rows = None   # the rows list the inputs view, if any (see ObservationSet)
+        self.first = {}    # each input's bytes -> its first row: a repeat copies that row of cross
         self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
         # (rows of L^-1 cross solved, their column sums of squares) and the (noise, jitter) of L
         self.solved = self.diagonal = None
@@ -372,8 +373,11 @@ class CandidatePosterior:
             raise ValueError("model must use this kernel and prior, extending the inputs seen")
         if k < len(inputs):   # write the new rows, doubling the capacity (at least to t) if full
             self.buffer = _with_room(self.buffer, len(inputs), axes=(1,))
-            self.buffer[0, k:len(inputs)] = kernel_matrix(self.kernel, inputs[k:], self.points)
-            self.inputs, self.rows, self.cross = inputs, rows, self.buffer[0, :len(inputs)]
+            cross = self.buffer[0]
+            for i, x in enumerate(inputs[k:], start=k):   # a repeated input copies its first row
+                j = self.first.setdefault(x.tobytes(), i)
+                cross[i] = cross[j] if j < i else kernel_matrix(self.kernel, x[None], self.points)
+            self.inputs, self.rows, self.cross = inputs, rows, cross[:len(inputs)]
         diagonal = (model.observations.noise_variance, model.jitter)
         if diagonal != self.diagonal:   # another factor: solve from row 0
             self.solved, self.diagonal = None, diagonal

@@ -21,9 +21,10 @@ counts one learning step per observation in the model.
 The candidate set, planner grid and goal stay fixed for a whole mission, and
 the observations only grow. So each refit writes its rows of the Cholesky
 factor in place past the model's, and a `CandidatePosterior` keeps the prior,
-writes one cross-kernel row per observation in place, and scores each model
-once: steps that learn nothing reuse the last score. The outcome SELA predicts
-for a chosen candidate comes from that posterior too (`mean_at`). The drop
+writes one cross-kernel row per observation in place (copied for a candidate
+learned before), and scores each model once: steps that learn nothing reuse
+the last score, and a refit takes a chosen candidate's kernel column and prior
+from it, as SELA takes the outcome it predicts there (`mean_at`). The drop
 window keeps one error norm per step; its mean, the error norms and the goal
 test run numpy's arithmetic without numpy's Python wrappers, so they keep its
 bits. The goal's planner cell is derived once (`MissionState.goal_cell`), and
@@ -139,12 +140,14 @@ class MissionState:
         config = self.config
         return goal_reached(config.world.pose, config.goal, config.epsilon_goal)
 
-    def learn(self, behavior, observed) -> None:
-        """Add one observation and refit from the current model, with its own
-        kernel and prior."""
-        model = self.model
+    def learn(self, behavior, observed, index=None) -> None:
+        """Add one observation and refit from the current model, with its own kernel and
+        prior; the posterior, if it scored that model, gives candidate `index`'s column and prior."""
+        model, posterior = self.model, self.posterior
         observations = model.observations.with_observation(behavior, observed)
-        self.model = fit(observations, model.kernel, model.prior, previous=model)
+        evaluated = None if index is None or posterior.model is not model else (
+            posterior.cross[:, index], posterior.prior_means[index])
+        self.model = fit(observations, model.kernel, model.prior, previous=model, evaluated=evaluated)
 
     def record_error(self, predicted, observed) -> float:
         """Push |observed - predicted| into the drop window and return the
@@ -217,7 +220,7 @@ def sela_adapt(state: MissionState, max_iterations: int) -> None:
         behavior, index = _chase_waypoint(state, config.acquisition)
         predicted = state.posterior.mean_at(state.model, index)
         observed = config.world.execute(behavior)
-        state.learn(behavior, observed)
+        state.learn(behavior, observed, index)
         state.step_count += 1
         if state.record_error(predicted, observed) < config.drop.threshold:
             break
@@ -236,14 +239,14 @@ def run_mission(config: MissionConfig) -> RunRecord:
     return _record(Method.SELA, state)
 
 
-def _episodic_trial(state: MissionState, behavior) -> np.ndarray:
-    """Try a behavior, put the robot back where it stood (the start pose), and
-    learn from the observed outcome: a step that makes no task progress."""
+def _episodic_trial(state: MissionState, behavior, index=None) -> np.ndarray:
+    """Try a behavior (candidate `index`, if one), put the robot back where it stood
+    (the start pose), and learn from the observed outcome: a step without task progress."""
     world = state.config.world
     start_pose = world.pose
     observed = world.execute(behavior)
     world.reset_pose(start_pose)
-    state.learn(behavior, observed)
+    state.learn(behavior, observed, index)
     state.step_count += 1
     return observed
 
@@ -286,10 +289,10 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
     for direction in EPISODIC_DIRECTIONS:
         trials = []   # (projection, behavior)
         for _ in range(min(config.max_adapt_iterations, config.step_cap - state.step_count)):
-            behavior, _ = select_next(   # reward: the projection onto the direction
+            behavior, index = select_next(   # reward: the projection onto the direction
                 state.posterior, state.model, lambda g: np.vecdot(g, direction), config.acquisition
             )
-            trials.append((float(np.dot(_episodic_trial(state, behavior), direction)), behavior))
+            trials.append((float(np.dot(_episodic_trial(state, behavior, index), direction)), behavior))
             if trials[-1][0] >= config.episodic_success_projection:
                 break
         if trials:   # the first best trial; none once the step cap is reached
@@ -313,10 +316,10 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     Learning trials reset the pose and count as pure cost."""
     state = _fresh_state(config, config.prior)
     for _ in range(min(config.uncertainty_iterations, config.step_cap)):
-        behavior, _ = select_next(   # a zero reward: the uncertainty alone decides
+        behavior, index = select_next(   # a zero reward: the uncertainty alone decides
             state.posterior, state.model, lambda g: np.zeros(len(g)), config.acquisition
         )
-        _episodic_trial(state, behavior)
+        _episodic_trial(state, behavior, index)
     return _drive(Method.UNCERTAINTY, state)
 
 

@@ -85,9 +85,16 @@ class TestCandidateSet:
         with pytest.raises(ValueError, match="empty"):
             CandidateSet(np.zeros((0, 1)))
 
-    def test_duplicates_rejected(self):
+    # -0.0 is 0.0 to the duplicate check, as it was to np.unique
+    @pytest.mark.parametrize("points", [[[0.1], [0.1]], [[0.0], [-0.0]], [[0.2, -0.0], [0.2, 0.0]]])
+    def test_duplicates_rejected(self, points):
         with pytest.raises(ValueError, match="duplicate"):
-            CandidateSet(np.array([[0.1], [0.1]]))
+            CandidateSet(np.array(points))
+
+    def test_nan_rows_are_not_duplicates(self):
+        # as np.unique's verdict: NaN equals nothing, so no two such rows repeat
+        points = np.array([[math.nan, 0.1], [math.nan, 0.1], [0.1, math.nan]])
+        assert len(CandidateSet(points)) == 3
 
 
 class TestSelectNext:

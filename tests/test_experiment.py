@@ -1,5 +1,6 @@
 """Experiment harness: seeded assembly, CSV persistence, and summaries."""
 
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sela.reward
 from sela import experiment
@@ -30,7 +33,7 @@ from sela.experiment import (
     summary_csv_text,
     write_results,
 )
-from sela.gp import MIN_KERNEL_SIGMA, DistanceKind
+from sela.gp import MIN_KERNEL_SIGMA, DistanceKind, GpFitError
 from sela.map_elites import Archive, Elite, save_archive
 from sela.mission import Method, RunRecord
 from sela.worlds import WALKER_JOINTS, AngleOffsetDamage, FrozenJointDamage
@@ -102,6 +105,17 @@ class TestSummary:
         totals = rows["total_steps"]
         assert (totals.q25, totals.median, totals.q75) == (17.5, 25.0, 32.5)
         assert totals.success_rate == 0.75
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=150), st.integers(0, 3))
+    def test_quartiles_equal_np_percentile_bit_for_bit(self, counts, cap):
+        # integer step counts, some drawn from a few values so that ties occur
+        counts = [count % 10**cap if cap else count for count in counts]
+        records = [record(learn=0, execute=count, seed=seed) for seed, count in enumerate(counts)]
+        rows = {r.metric: r for r in compute_summary(records)}
+        totals = rows["total_steps"]
+        want = np.percentile(np.array(counts, dtype=float), [25, 50, 75])
+        assert np.array([totals.q25, totals.median, totals.q75]).tobytes() == want.tobytes()
 
     def test_methods_keep_first_seen_order(self):
         records = [
@@ -335,6 +349,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=re.escape("archive_path None: the archive lists a behavior twice")):
             run_experiment(config, archive=archive)
 
+    def test_walker_archive_nan_rows_are_not_repeats(self):
+        # as np.unique's verdict: two NaN behaviors pass the archive check, and
+        # the first replicate's fit then rejects them as non-finite inputs
+        archive = Archive((2, 2), WALKER_JOINTS, 2)
+        for cell in ((0, 0), (1, 1)):
+            behavior = np.array([math.nan, 0.1, 0.2, 0.3])
+            archive.cells[cell] = Elite(behavior, [0.25 + 0.5 * cell[0]] * 2, 0.05, [0.05, 0.0])
+        config = ExperimentConfig(world="segment_walker", damage="frozen_joint", replicates=1)
+        with pytest.raises(GpFitError, match="finite"):
+            run_experiment(config, archive=archive)
+
     def test_walker_end_to_end_with_prebuilt_archive(self):
         config = ExperimentConfig(
             world="segment_walker",
@@ -463,3 +488,26 @@ class TestSharedWaypointTable:
         records, _ = run_experiment(replace(DAMAGED, step_cap=80))
         assert sum(r.exec_steps for r in records) > len(starts) > 0
         assert len(starts) == len(set(starts))
+
+
+class TestNoNumpyMa:
+    def test_experiments_and_summaries_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique and np.percentile import numpy.ma (about 40 ms and 1.4 MB);
+        # a sela process runs neither, on either world, nor when summarizing
+        code = f"""
+import sys
+from sela.config import ExperimentConfig
+from sela.experiment import build_archive, run_experiment, summarize_runs
+from sela.mission import Method
+for world in ("point_robot", "segment_walker"):
+    config = ExperimentConfig(world=world, methods=tuple(Method), replicates=2, step_cap=30,
+                              archive_budget=300, archive_grid=10)
+    archive = build_archive(config) if world == "segment_walker" else None
+    run_experiment(config, out_dir={str(tmp_path)!r}, archive=archive)
+    summarize_runs({str(tmp_path / "runs.csv")!r})
+assert "numpy.ma" not in sys.modules, sorted(name for name in sys.modules if name.startswith("numpy.ma"))
+"""
+        source = str(Path(experiment.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=source, OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr

@@ -683,8 +683,10 @@ class TestGrowInPlace:
         assert grown(MAX_GP_OBSERVATIONS, previous=model)[1] == MAX_GP_OBSERVATIONS
 
 class TestFitErrors:
-    def test_duplicate_inputs_without_noise_rejected(self):
-        obs = ObservationSet(np.array([[0.5], [0.5]]), np.array([[1.0], [2.0]]), 0.0)
+    # -0.0 is 0.0 to the duplicate check, as it was to np.unique
+    @pytest.mark.parametrize("inputs", [[[0.5], [0.5]], [[0.0], [-0.0]], [[-0.0, 0.3], [0.0, 0.3]]])
+    def test_duplicate_inputs_without_noise_rejected(self, inputs):
+        obs = ObservationSet(np.array(inputs), np.array([[1.0], [2.0]]), 0.0)
         with pytest.raises(GpFitError, match="duplicate"):
             fit(obs, SQEXP, zero_prior(1))
 
@@ -882,3 +884,123 @@ class TestIncrementalFit:
         }[change]
         with pytest.raises(ValueError, match="prefix"):
             fit(observations, SQEXP, zero_prior(2), previous=previous)
+
+
+def recording_kernel_matrix(monkeypatch):
+    """Patches gp.kernel_matrix; returns the list of (rows of a, rows of b) per call."""
+    calls, real = [], gp.kernel_matrix
+
+    def recording(kernel, a, b):
+        calls.append((len(a), len(b)))
+        return real(kernel, a, b)
+
+    monkeypatch.setattr(gp, "kernel_matrix", recording)
+    return calls
+
+
+class TestRefitFromThePosterior:
+    """A refit that learns a candidate takes k(X, x) and P(x) from a posterior
+    that scored `previous` (`fit(..., evaluated=...)`), and `score` copies the
+    kernel row of an input it has seen. Both give the evaluations' bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        family=st.sampled_from(list(KernelFamily)),
+        space=st.sampled_from([(1, DistanceKind.WRAPPED_ANGULAR), (4, DistanceKind.EUCLIDEAN)]),
+        noise=st.sampled_from([0.0, 0.001]),
+        twin=st.booleans(),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_chain_fed_by_the_posterior_equals_a_fit_from_scratch(self, family, space, noise, twin, picks, seed):
+        # `picks` may repeat a candidate (rejected without noise); `twin` makes
+        # candidate 1 a near copy of candidate 0, which needs the jitter without noise
+        rng = np.random.default_rng(seed)
+        behavior_dim, distance = space
+        kernel = Kernel(family, 0.45, distance)
+        points = rng.uniform(-np.pi, np.pi, size=(8, behavior_dim))
+        if twin:
+            points[1] = points[0] + 1e-12
+        posterior = CandidatePosterior(points, sine_prior, kernel)
+        model = fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, sine_prior)
+        for index in picks:
+            posterior.score(model)
+            evaluated = (posterior.cross[:, index], posterior.prior_means[index])
+            observations = model.observations.with_observation(points[index], rng.normal(size=2))
+            caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), noise)
+            try:
+                scratch = fit(caller, kernel, sine_prior)
+            except GpFitError:
+                with pytest.raises(GpFitError):
+                    fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated)
+                return
+            model = fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated)
+            assert_same_model(model, scratch)
+            assert bits(model.prior_correction) == bits(scratch.prior_correction)
+            means, sigma = posterior.score(model)   # a repeated pick copies its kernel row
+            want_means, want_variances = predict_batch(model, points)
+            assert bits(means) == bits(want_means)
+            assert bits(sigma) == bits(np.sqrt(2 * want_variances))
+            assert bits(posterior.cross) == bits(kernel_matrix(kernel, caller.inputs, points))
+
+    def test_learning_a_candidate_evaluates_neither_kernel_nor_prior(self, monkeypatch):
+        # the kernel runs once per candidate, in the scoring after its first
+        # learning step; a repeat and every refit run neither it nor the prior
+        calls = recording_kernel_matrix(monkeypatch)
+        priors = []
+        rng = np.random.default_rng(2)
+        points = rng.uniform(-np.pi, np.pi, size=(9, 1))
+        prior = lambda x: priors.append(1) or sine_prior(x)
+        posterior = CandidatePosterior(points, prior, WRAPPED)
+        assert len(priors) == 9
+        model, learned = fit(ObservationSet.empty(1, 2, 0.001), WRAPPED, prior), set()
+        for index in (3, 5, 3, 3, 8, 5):
+            posterior.score(model)
+            calls.clear()
+            observations = model.observations.with_observation(points[index], rng.normal(size=2))
+            evaluated = (posterior.cross[:, index], posterior.prior_means[index])
+            model = fit(observations, WRAPPED, prior, previous=model, evaluated=evaluated)
+            assert calls == [] and len(priors) == 9
+            posterior.score(model)
+            assert calls == ([] if index in learned else [(1, 9)])
+            learned.add(index)
+        caller = ObservationSet(np.array(model.observations.inputs), np.array(model.observations.outputs), 0.001)
+        assert_same_model(model, fit(caller, WRAPPED, prior))
+
+    def test_a_jitter_regrow_evaluates_the_whole_kernel_matrix(self, monkeypatch):
+        # the near twin's pivot fails with the posterior's column as well: the
+        # regrow evaluates k(X, X) as a fit from scratch does, and keeps the prior value
+        calls = recording_kernel_matrix(monkeypatch)
+        points = np.array([[0.3], [1.2], [0.3 + 1e-12]])
+        posterior = CandidatePosterior(points, sine_prior, SQEXP)
+        model = fit(ObservationSet.empty(1, 2, 0.0), SQEXP, sine_prior)
+        for index, want in ((0, []), (1, []), (2, [(3, 3)])):
+            posterior.score(model)
+            calls.clear()
+            observations = model.observations.with_observation(points[index], [0.1 * index, 0.2])
+            evaluated = (posterior.cross[:, index], posterior.prior_means[index])
+            model = fit(observations, SQEXP, sine_prior, previous=model, evaluated=evaluated)
+            assert calls == want
+        assert model.jitter == JITTER
+        assert_same_model(model, fit(ObservationSet(points, [[0.0, 0.2], [0.1, 0.2], [0.2, 0.2]], 0.0), SQEXP, sine_prior))
+
+    @pytest.mark.parametrize("case", ["two_new_inputs", "short_column", "long_column", "no_previous"])
+    def test_evaluated_is_used_only_for_one_new_input_past_previous(self, monkeypatch, case):
+        # otherwise fit evaluates the kernel and the prior itself, and the
+        # result is a fit from scratch whatever `evaluated` holds
+        rng = np.random.default_rng(3)
+        inputs, outputs = rng.uniform(-np.pi, np.pi, size=(5, 1)), rng.normal(size=(5, 2))
+        previous = fit(ObservationSet(inputs[:3], outputs[:3], 0.001), SQEXP, sine_prior)
+        column = kernel_matrix(SQEXP, inputs[:3], inputs[3:4])[:, 0]
+        end, previous, column = {
+            "two_new_inputs": (5, previous, column),
+            "short_column": (4, previous, column[:2]),
+            "long_column": (4, previous, np.append(column, 0.5)),
+            "no_previous": (4, None, column),
+        }[case]
+        observations = ObservationSet(inputs[:end], outputs[:end], 0.001)
+        calls = recording_kernel_matrix(monkeypatch)
+        model = fit(observations, SQEXP, sine_prior, previous, evaluated=(column, np.array([9.0, 9.0])))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert_same_model(model, fit(observations, SQEXP, sine_prior))

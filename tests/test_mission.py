@@ -38,6 +38,8 @@ from sela.mission import (
     run_mission,
     sela_adapt,
 )
+from sela.config import ExperimentConfig
+from sela.experiment import build_archive, build_mission_config
 from sela.reward import PlannerGrid
 from sela.worlds import (
     AngleOffsetDamage,
@@ -237,6 +239,73 @@ class TestMissionState:
             assert set(rewards) <= {cell_of(config.grid, config.goal)}
 
 
+# Noisy missions that run to the step cap (the point robot's goal is out of
+# reach), so SELA adapts often and learns some candidates more than once.
+NOISY_MISSIONS = {
+    "point_robot": ExperimentConfig(world="point_robot", damage="angle_offset", noise_variance=0.05,
+                                    goal_x=6, goal_y=6, epsilon_goal=1e-9, step_cap=100),
+    "segment_walker": ExperimentConfig(world="segment_walker", damage="frozen_joint", noise_variance=0.05,
+                                       archive_budget=600, archive_grid=10, step_cap=100),
+}
+
+
+class TestLearningFromTheScore:
+    """A learning step takes its new kernel column and prior value from the
+    posterior's score of the current model; the posterior evaluates a
+    candidate's kernel row only the first time the mission learns it."""
+
+    @pytest.mark.parametrize("world, method", [
+        ("point_robot", Method.SELA),
+        ("point_robot", Method.UNCERTAINTY),
+        ("point_robot", Method.EPISODIC_ITE),
+        ("segment_walker", Method.SELA),
+    ])
+    def test_one_kernel_row_per_new_candidate_and_no_prior(self, monkeypatch, world, method):
+        # per learning step: (candidate learned before, kernel_matrix calls in
+        # the refit and in the scoring of its model, prior calls in the refit)
+        config = NOISY_MISSIONS[world]
+        archive = build_archive(config) if world == "segment_walker" else None
+        config = build_mission_config(config, seed=0, archive=archive)
+        calls, priors, steps = [], [], []
+        kernel, learn, prior = gp.kernel_matrix, MissionState.learn, config.prior
+        monkeypatch.setattr(gp, "kernel_matrix", lambda *args: calls.append(1) or kernel(*args))
+
+        def counting_learn(state, behavior, observed, index=None):
+            repeat = np.asarray(behavior).tobytes() in {x.tobytes() for x in state.model.observations.inputs}
+            calls.clear()
+            priors.clear()
+            learn(state, behavior, observed, index)
+            state.posterior.score(state.model)   # as the next selection would
+            steps.append((repeat, len(calls), len(priors)))
+
+        monkeypatch.setattr(MissionState, "learn", counting_learn)
+        record = run_method(method, replace(config, prior=lambda x: priors.append(1) or prior(x)))
+        assert len(steps) == record.learn_steps > 0
+        assert steps == [(repeat, 0 if repeat else 1, 0) for repeat, _, _ in steps]
+        if method is Method.SELA:
+            assert {repeat for repeat, _, _ in steps} == {False, True}
+
+    @pytest.mark.parametrize("scored", ["an_older_model", "another_model_of_as_many_inputs"])
+    def test_a_posterior_that_did_not_score_the_model_leaves_the_refit_to_the_kernel(self, monkeypatch, scored):
+        # learn takes the column and prior only from the score of the model it refits
+        state = mission._fresh_state(point_config(), point_robot_prior)
+        points, kernel = state.posterior.points, state.model.kernel
+        state.posterior.score(state.model)
+        state.learn(points[10], np.array([0.1, 0.0]), 10)
+        if scored == "another_model_of_as_many_inputs":
+            state.posterior.score(state.model)
+            state.model = fit(ObservationSet(points[[30]], [[0.1, 0.0]], 0.001), kernel, point_robot_prior)
+        calls, kernel_matrix = [], gp.kernel_matrix
+        monkeypatch.setattr(gp, "kernel_matrix", lambda k, a, b: calls.append((len(a), len(b))) or kernel_matrix(k, a, b))
+        state.learn(points[20], np.array([0.0, 0.1]), 20)
+        assert calls == [(1, 2)]
+        monkeypatch.undo()
+        inputs = state.model.observations.inputs
+        scratch = fit(ObservationSet(np.array(inputs), [[0.1, 0.0], [0.0, 0.1]], 0.001), kernel, point_robot_prior)
+        np.testing.assert_array_equal(state.model.chol, scratch.chol)
+        np.testing.assert_array_equal(state.model.prior_correction, scratch.prior_correction)
+
+
 class TestCandidateScoring:
     """The mission's CandidatePosterior scores each fitted model once, and
     exactly."""
@@ -245,8 +314,8 @@ class TestCandidateScoring:
         checked = []
         learn = MissionState.learn
 
-        def checking_learn(state, behavior, observed):
-            learn(state, behavior, observed)
+        def checking_learn(state, *args):   # SELA passes the candidate index, babbling does not
+            learn(state, *args)
             means, sigma = state.posterior.score(state.model)
             want_means, want_variances = predict_batch(state.model, state.posterior.points)
             np.testing.assert_array_equal(means, want_means)
