@@ -33,16 +33,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build-archive", help="illuminate and save a walker archive")
+    build.set_defaults(handler=_cmd_build_archive)
     build.add_argument("--config", required=True, help="experiment config file")
     build.add_argument("--out", required=True, help="output archive file")
 
     run = sub.add_parser("run", help="run configured methods over replicate seeds")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("--config", required=True, help="experiment config file")
     run.add_argument("--out", required=True, help="output directory for CSV results")
     run.add_argument("--replicates", type=int, default=None, help="override replicate count")
     run.add_argument("--base-seed", type=int, default=None, help="override base seed")
 
     summarize = sub.add_parser("summarize", help="recompute stats from a runs.csv")
+    summarize.set_defaults(handler=_cmd_summarize)
     summarize.add_argument("--runs", required=True, help="existing runs.csv file")
     summarize.add_argument("--out", default=None, help="write summary here instead of stdout")
     return parser
@@ -94,17 +97,10 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "build-archive": _cmd_build_archive,
-    "run": _cmd_run,
-    "summarize": _cmd_summarize,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,24 +1,24 @@
 """Flat `key = value` experiment configuration.
 
 Lines hold one assignment each; `#` starts a comment. Unknown keys are
-rejected with their line number so typos fail fast. Omitted keys fall back
-to the published defaults; the adaptation budget default depends on the
-world (10 for the point robot, 15 for the walker). Every float must be
-finite, each damage kind must suit the world (`angle_offset` the point
-robot, `frozen_joint` the walker), no method may be listed twice, the
-archive budget must cover the archive's initial random batch, seeds must be
-non-negative, the direction grid may hold at most
+rejected with their line number so typos fail fast. Each key is declared once,
+as an `ExperimentConfig` field: its type picks the parser, and the field holds
+its default, its lower bound and its choices, which `validate` reads from
+`fields()`. The adaptation budget default depends on the world (10 for the
+point robot, 15 for the walker). Every float must be finite, each damage kind
+must suit the world (`angle_offset` the point robot, `frozen_joint` the
+walker), no method may be listed twice, the archive budget must cover the
+archive's initial random batch, the direction grid may hold at most
 `sela.acquisition.MAX_CANDIDATES` points, no method's model may grow past
 `sela.gp.MAX_GP_OBSERVATIONS` observations, and the goal must be near enough
 for a planner grid of at most `sela.reward.MAX_PLANNER_CELLS` cells. The same
-checks (`validate`) run on configs built directly or through
-`with_overrides`.
+checks run on configs built directly or through `with_overrides`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 from .acquisition import MAX_CANDIDATES
@@ -43,40 +43,46 @@ class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
 
 
+def _key(default=MISSING, *, at_least=None, above=None, choices=None):
+    """A config key's field: its default, its lower bound (`at_least` it, or `above` it) and its choices."""
+    bound = ("at least", at_least) if above is None else ("greater than", above)
+    return field(default=default, metadata={"bound": bound, "choices": choices})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    world: str
+    world: str = _key(choices=WORLDS)
     methods: tuple[Method, ...] = (Method.SELA,)
-    replicates: int = 1
-    base_seed: int = 0
-    damage: str = "none"
+    replicates: int = _key(1, at_least=1)
+    base_seed: int = _key(0, at_least=0)
+    damage: str = _key("none", choices=DAMAGE_KINDS)
     damage_offset: float = 0.5
-    damage_joint: int = 0
-    noise_variance: float = 0.01
+    damage_joint: int = _key(0, at_least=0)
+    noise_variance: float = _key(0.01, at_least=0.0)
     goal_x: float = 2.0
     goal_y: float = 2.0
-    epsilon_goal: float = 0.1
-    alpha: float = 0.05
-    kernel_family: str = "squared_exponential"
-    kernel_sigma: float = 0.1
-    gp_noise: float = 0.001
-    max_adapt_iterations: Optional[int] = None   # None: world default
-    epsilon_model: float = 0.01
-    babble_max: int = 15
-    uncertainty_iterations: int = 15
+    epsilon_goal: float = _key(0.1, above=0.0)
+    alpha: float = _key(0.05, at_least=0.0)
+    kernel_family: str = _key("squared_exponential", choices=KERNEL_FAMILIES)
+    kernel_sigma: float = _key(0.1, at_least=MIN_KERNEL_SIGMA)
+    gp_noise: float = _key(0.001, at_least=0.0)
+    max_adapt_iterations: Optional[int] = _key(None, at_least=1)   # None: world default
+    epsilon_model: float = _key(0.01, above=0.0)
+    babble_max: int = _key(15, at_least=1)
+    uncertainty_iterations: int = _key(15, at_least=1)
     episodic_success_projection: float = 0.09
-    drop_window: int = 3
-    drop_threshold: float = 0.15
-    lookahead_cells: int = 2
-    cell_size: float = 0.1
-    planner_margin: float = 1.0
-    step_cap: int = 500
-    candidate_grid: int = 360
+    drop_window: int = _key(3, at_least=1)
+    drop_threshold: float = _key(0.15, above=0.0)
+    lookahead_cells: int = _key(2, at_least=1)
+    cell_size: float = _key(0.1, above=0.0)
+    planner_margin: float = _key(1.0, at_least=0.0)
+    step_cap: int = _key(500, at_least=1)
+    candidate_grid: int = _key(360, at_least=1)
     archive_path: Optional[str] = None
-    archive_budget: int = 50000
-    archive_grid: int = 20
-    archive_mutation_sigma: float = 0.2
-    archive_init_batch: Optional[int] = None
+    archive_budget: int = _key(50000, at_least=1)
+    archive_grid: int = _key(20, at_least=1)
+    archive_mutation_sigma: float = _key(0.2, above=0.0)
+    archive_init_batch: Optional[int] = _key(None, at_least=1)
 
     def adapt_iterations(self) -> int:
         if self.max_adapt_iterations is not None:
@@ -110,10 +116,7 @@ def _parse_methods(value: str, key: str, line_no: int) -> tuple[Method, ...]:
     return tuple(methods)
 
 
-# Keys whose value must name one of a fixed set of choices.
-_CHOICES = {"world": WORLDS, "damage": DAMAGE_KINDS, "kernel_family": KERNEL_FAMILIES}
-
-# Value parser per field annotation; the choice keys are checked by validate.
+# Value parser per field annotation; validate checks each key's choices and bound.
 _PARSE_BY_TYPE = {
     "str": _parser(str, "text"),
     "int": _parser(int, "an integer"),
@@ -126,58 +129,27 @@ _PARSE_BY_TYPE = {
 # One parser per ExperimentConfig field; the field names are the known keys.
 _PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
-# (key, bound, inclusive) checked after parsing.
-_LOWER_BOUNDS = [
-    ("replicates", 1, True),
-    ("base_seed", 0, True),
-    ("noise_variance", 0.0, True),
-    ("epsilon_goal", 0.0, False),
-    ("alpha", 0.0, True),
-    ("kernel_sigma", MIN_KERNEL_SIGMA, True),
-    ("gp_noise", 0.0, True),
-    ("max_adapt_iterations", 1, True),
-    ("epsilon_model", 0.0, False),
-    ("babble_max", 1, True),
-    ("uncertainty_iterations", 1, True),
-    ("drop_window", 1, True),
-    ("drop_threshold", 0.0, False),
-    ("lookahead_cells", 1, True),
-    ("cell_size", 0.0, False),
-    ("planner_margin", 0.0, True),
-    ("step_cap", 1, True),
-    ("candidate_grid", 1, True),
-    ("archive_budget", 1, True),
-    ("archive_grid", 1, True),
-    ("archive_mutation_sigma", 0.0, False),
-    ("archive_init_batch", 1, True),
-    ("damage_joint", 0, True),
-]
-
 
 def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> ExperimentConfig:
-    """Check choices, value ranges and that the damage suits the world;
-    `lines` maps the keys set in a config text to their line numbers, which
-    then lead the error message."""
+    """Check each field's choices, finiteness and lower bound (a pass each, in
+    field order), then the limits and that the damage suits the world; `lines` maps
+    the keys set in a config text to their line numbers, which lead the message."""
 
     def fail(key: str, message: str):
         where = f"line {lines[key]}: " if lines and key in lines else ""
         raise ConfigError(f"{where}key '{key}' {message}")
 
-    for key, choices in _CHOICES.items():
-        value = getattr(config, key)
-        if value not in choices:
+    keys = [(f.name, getattr(config, f.name), f.metadata) for f in fields(config)]
+    for key, value, declared in keys:
+        choices = declared.get("choices")
+        if choices and value not in choices:
             fail(key, f"expects one of {', '.join(choices)}, got {value!r}")
-    for f in fields(config):
-        value = getattr(config, f.name)
+    for key, value, _ in keys:
         if isinstance(value, float) and not math.isfinite(value):
-            fail(f.name, f"expects a finite number, got {value}")
-    for key, bound, inclusive in _LOWER_BOUNDS:
-        value = getattr(config, key)
-        if value is None:
-            continue
-        ok = value >= bound if inclusive else value > bound
-        if not ok:
-            relation = "at least" if inclusive else "greater than"
+            fail(key, f"expects a finite number, got {value}")
+    for key, value, declared in keys:
+        relation, bound = declared.get("bound", (None, None))
+        if None not in (value, bound) and not (value >= bound if relation == "at least" else value > bound):
             fail(key, f"must be {relation} {bound}, got {value}")
     if config.candidate_grid > MAX_CANDIDATES:
         fail("candidate_grid", f"must be at most {MAX_CANDIDATES}, got {config.candidate_grid}")

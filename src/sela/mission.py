@@ -14,7 +14,8 @@ The baselines keep learning and execution episodic: each learning trial
 cost, no trial runs past the step cap, and only then does the robot drive to
 the goal with what it learned (`_drive`). A mission passes one `MissionState` around: the model, the
 posterior and the step count it mutates, and the `MissionConfig` it reads.
-All four methods share its learning step (`MissionState.learn`), its goal
+All four methods share its one step (`MissionState.execute`: execute a
+behavior, count it), its learning step (`MissionState.learn`), its goal
 test (`MissionState.at_goal`) and the record builder (`_record`), which
 counts one learning step per observation in the model.
 
@@ -118,8 +119,7 @@ class MissionConfig:
 
 @dataclass
 class MissionState:
-    """What a mission mutates while it runs; it reads the rest from its config.
-    Every executed behavior, learning trial or not, is one step."""
+    """What a mission mutates while it runs; it reads the rest from its config."""
 
     config: MissionConfig
     model: GpModel
@@ -135,6 +135,11 @@ class MissionState:
         self.goal_cell = self.config.grid.cell_of(self.config.goal)
         model = self.model
         self.posterior = CandidatePosterior(self.config.candidates.points, model.prior, model.kernel)
+
+    def execute(self, behavior) -> np.ndarray:
+        """One step: execute a behavior, learning trial or not, in the world; returns the observed outcome."""
+        self.step_count += 1
+        return self.config.world.execute(behavior)
 
     def at_goal(self) -> bool:
         config = self.config
@@ -198,10 +203,8 @@ def _drive(
     """The baselines' tail: every step so far was a learning trial. Execute
     `choose(state)`, by default the greedy waypoint chase, until the goal or
     the step cap, learning nothing, and record the mission."""
-    world = state.config.world
     while state.step_count < state.config.step_cap and not state.at_goal():
-        world.execute(choose(state))
-        state.step_count += 1
+        state.execute(choose(state))
     return _record(method, state)
 
 
@@ -219,9 +222,8 @@ def sela_adapt(state: MissionState, max_iterations: int) -> None:
             break
         behavior, index = _chase_waypoint(state, config.acquisition)
         predicted = state.posterior.mean_at(state.model, index)
-        observed = config.world.execute(behavior)
+        observed = state.execute(behavior)
         state.learn(behavior, observed, index)
-        state.step_count += 1
         if state.record_error(predicted, observed) < config.drop.threshold:
             break
 
@@ -232,8 +234,7 @@ def run_mission(config: MissionConfig) -> RunRecord:
     while state.step_count < config.step_cap and not state.at_goal():
         behavior, index = _chase_waypoint(state)
         predicted = state.posterior.mean_at(state.model, index)
-        observed = config.world.execute(behavior)
-        state.step_count += 1
+        observed = state.execute(behavior)
         if state.record_error(predicted, observed) > config.drop.threshold:
             sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
     return _record(Method.SELA, state)
@@ -244,10 +245,9 @@ def _episodic_trial(state: MissionState, behavior, index=None) -> np.ndarray:
     (the start pose), and learn from the observed outcome: a step without task progress."""
     world = state.config.world
     start_pose = world.pose
-    observed = world.execute(behavior)
+    observed = state.execute(behavior)
     world.reset_pose(start_pose)
     state.learn(behavior, observed, index)
-    state.step_count += 1
     return observed
 
 

@@ -1,11 +1,13 @@
 """Parsing and validation of the flat `key = value` experiment files."""
 
 import functools
+import hashlib
 import math
 import time
 import warnings
 from dataclasses import fields
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +347,13 @@ class TestOverrides:
 
 
 KEYS = [f.name for f in fields(ExperimentConfig)]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_key_table_lists_the_fields_in_order():
+    section = README.read_text(encoding="utf-8").split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert [key.strip(" `") for row in rows for key in row.split(",")] == KEYS
 WORDS = [*WORLDS, *DAMAGE_KINDS, *KERNEL_FAMILIES, *(m.value for m in Method)]
 
 values = st.one_of(
@@ -438,3 +447,56 @@ class TestParserFuzz:
     @given(st.one_of(st.just(""), methods_lines), st.lists(lines, max_size=8))
     def test_accepted_walker_configs_run(self, methods, body):
         check_runs_or_fails_cleanly("world = segment_walker\n" + methods + "\n".join(body), "segment_walker")
+
+
+# Values tried for every key: out of range, non-finite, malformed, too large, another key's word.
+BAD_VALUES = ("-1", "0", "1e-300", "nan", "-inf", "1e400", "2.5", "x", "99999999", "frozen_joint", "sela, sela")
+# The values that pair with each other: a lower bound, a parse or finiteness
+# error and the checks after the bounds.
+PAIR_VALUES = ("-1", "nan", "99999999")
+# sha256 of each corpus's texts and outcomes. The single faults' outcomes are
+# those of the code before each key declared its bound on its field; the
+# pairs' outcomes pin the check order.
+SINGLE_FAULT_DIGEST = "b85ddadddf51df6ab6206ef6701bfab33b2a84f5182a1d589b6df53d01c8dae9"
+FAULT_PAIR_DIGEST = "7f62f3cadb6a696b69dad6b8d0df2fc473a1b76d9ddb1103782a4dcb87ff354e"
+
+
+def outcome(text):
+    """The message `parse_config(text)` raises, or "accepted"."""
+    try:
+        parse_config(text)
+    except ConfigError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def corpus_digest(texts):
+    return hashlib.sha256("\n".join(f"{text!r} {outcome(text)}" for text in texts).encode()).hexdigest()
+
+
+def single_faults():
+    """On both worlds, every key but `world` set to each bad value on line 2."""
+    return [f"world = {world}\n{key} = {value}" for world in WORLDS for key in KEYS[1:] for value in BAD_VALUES]
+
+
+def fault_pairs():
+    """On both worlds, each ordered pair of distinct keys, each set to a pair
+    value that it rejects alone."""
+    texts = []
+    for world in WORLDS:
+        faults = [(key, f"{key} = {value}") for key in KEYS[1:] for value in PAIR_VALUES
+                  if outcome(f"world = {world}\n{key} = {value}") != "accepted"]
+        texts += [f"world = {world}\n{a}\n{b}" for key_a, a in faults for key_b, b in faults if key_a != key_b]
+    return texts
+
+
+class TestMessageCorpus:
+    """Every message of a fixed corpus of bad configs, pinned by digest."""
+
+    def test_single_fault_messages(self):
+        assert corpus_digest(single_faults()) == SINGLE_FAULT_DIGEST
+
+    def test_fault_pair_messages(self):
+        # of two faults, the one named is the first in check order: choices,
+        # finiteness and lower bounds, each in field order, then the checks after them
+        assert corpus_digest(fault_pairs()) == FAULT_PAIR_DIGEST

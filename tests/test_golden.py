@@ -2,21 +2,25 @@
 
 Criterion 10 of the acceptance suite compares a run with itself inside one
 process. These digests were recorded from an earlier version of the code,
-so a change that alters any step count, summary figure or archive byte
-fails here even when it is deterministic. The configs cover all four
-methods on both worlds; the step cap is lowered so that capped runs stay
-cheap but still occur. A change that is meant to alter these bytes is a
+so a change that alters any step count, summary figure, archive byte or
+decision of a step (what it picks, predicts and observes) fails here even
+when it is deterministic. The configs cover all four methods on both
+worlds; the step cap is lowered so that capped runs stay cheap but still
+occur. A change that is meant to alter these bytes is a
 behaviour change and must say so, not re-record the digests quietly.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from sela import experiment, mission
 from sela.config import ExperimentConfig
 from sela.experiment import build_archive, run_experiment
 from sela.map_elites import save_archive
-from sela.mission import Method
+from sela.mission import Method, MissionState
+from sela.worlds import World
 
 TOY = ExperimentConfig(
     world="point_robot",
@@ -70,3 +74,77 @@ def test_result_bytes(config, walker_archive, tmp_path):
     runs = sha256((tmp_path / "runs.csv").read_bytes())
     summary = sha256((tmp_path / "summary.csv").read_bytes())
     assert (runs, summary) == GOLDEN_RESULTS[config.world]
+
+
+# sha256 of each (world, method)'s decision stream over TOY's and WALKER's
+# replicates: per step, in order, the seed and step number, the chosen
+# candidate's index or else the executed behavior's bytes, the predicted mean's
+# bytes where the step forms one, the observed outcome's bytes and whether the
+# pose was reset. A change to what a mission predicts or picks moves these even
+# where the step counts above stay the same.
+GOLDEN_DECISIONS = {
+    "point_robot": {
+        "sela": "d44958ba10c42215cbe755ac34baad52697e7468ed140c086d11fa0b1d6d3cda",
+        "babbling": "c664450d1556ae016e6b484908aa19170d14e06dc6916353fb886c844414aa9a",
+        "episodic_ite": "eacc1df1f9d0ed84bf376e843ff1f1c83a26baf9bd97beae35f8f4bcdc299634",
+        "uncertainty": "355f516e3be390acbea5ed1cbdd96ddc19e2c2b58c25d4fcce52609e4ece5cd4",
+    },
+    "segment_walker": {
+        "sela": "0bb2168c05ca5c07a237c08403ffc5f96f33bf3a3549568fd3bd88ce97da245b",
+        "babbling": "dd530f18019c785cc0d531e946c6f986f26bdd7a157dfb4ba149544da005a97d",
+        "episodic_ite": "2fb93df9da4baccfa831f02317fe2a5fd444743fcdc9d9d16f710b7e8489e466",
+        "uncertainty": "f9e5fb11afe0d0e275873155cc6152f8cb395374c0bf02f56eb21f489f355c7a",
+    },
+}
+
+
+def decision_digests(monkeypatch, config, archive):
+    """Run `config`'s experiment with its decisions recorded; returns the
+    digest per method, after checking that each run executes exactly its
+    `total_steps` behaviors."""
+    runs = {method: [] for method in config.methods}
+    steps, chosen = [], []   # the current run's steps; a choice not yet executed
+    execute, reset_pose = World.execute, World.reset_pose
+    select_next, record_error = mission.select_next, MissionState.record_error
+    run_method = experiment.run_method
+
+    def recording_execute(world, behavior):
+        observed = execute(world, behavior)
+        choice = f"i{chosen.pop()}" if chosen else "b" + np.asarray(behavior).tobytes().hex()
+        steps.append({"choice": choice, "predicted": "-", "observed": observed.tobytes().hex(), "reset": "0"})
+        return observed
+
+    def recording_reset_pose(world, pose):
+        steps[-1]["reset"] = "1"
+        reset_pose(world, pose)
+
+    def recording_select_next(*args):
+        behavior, index = select_next(*args)
+        chosen[:] = [index]
+        return behavior, index
+
+    def recording_record_error(state, predicted, observed):
+        steps[-1]["predicted"] = np.asarray(predicted).tobytes().hex()
+        return record_error(state, predicted, observed)
+
+    def recording_run_method(method, mission_config):
+        steps.clear()
+        record = run_method(method, mission_config)
+        assert len(steps) == record.total_steps
+        for number, step in enumerate(steps, start=1):
+            runs[method].append(" ".join([str(mission_config.seed), str(number), *step.values()]))
+        return record
+
+    monkeypatch.setattr(World, "execute", recording_execute)
+    monkeypatch.setattr(World, "reset_pose", recording_reset_pose)
+    monkeypatch.setattr(mission, "select_next", recording_select_next)
+    monkeypatch.setattr(MissionState, "record_error", recording_record_error)
+    monkeypatch.setattr(experiment, "run_method", recording_run_method)
+    run_experiment(config, archive=archive)
+    return {method.value: sha256("\n".join(stream).encode()) for method, stream in runs.items()}
+
+
+@pytest.mark.parametrize("config", [TOY, WALKER], ids=lambda config: config.world)
+def test_decision_digests(config, walker_archive, monkeypatch):
+    archive = walker_archive if config.world == "segment_walker" else None
+    assert decision_digests(monkeypatch, config, archive) == GOLDEN_DECISIONS[config.world]
