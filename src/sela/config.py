@@ -2,10 +2,10 @@
 
 Lines hold one assignment each; `#` starts a comment. Unknown keys are
 rejected with their line number so typos fail fast. Each key is declared once,
-as an `ExperimentConfig` field: its type picks the parser, and the field holds
-its default, its lower bound and its choices, which `validate` reads from
-`fields()`. The adaptation budget default depends on the world (10 for the
-point robot, 15 for the walker). Every float must be finite, each damage kind
+as an `ExperimentConfig` field: its type picks the parser and the values that
+`validate` accepts, and the field holds its default, lower bound and choices.
+The adaptation budget default depends on the world (10 for the point robot,
+15 for the walker). Every float must be finite, each damage kind
 must suit the world (`angle_offset` the point robot, `frozen_joint` the
 walker), no method may be listed twice, the archive budget must cover the
 archive's initial random batch, the direction grid may hold at most
@@ -90,14 +90,15 @@ class ExperimentConfig:
         return ADAPT_ITERATIONS_BY_WORLD[self.world]
 
 
-def _parser(kind, noun: str):
-    """Parses a key's value as kind(value); a ValueError becomes a ConfigError naming the line."""
+def _parser(kind, noun: str, accepts):
+    """A type's row: its parser (kind(value), a ValueError becoming a ConfigError naming
+    the line), the types `validate` accepts for it, and their noun."""
     def parse(value: str, key: str, line_no: int):
         try:
             return kind(value)
         except ValueError:
             raise ConfigError(f"line {line_no}: key '{key}' expects {noun}, got {value!r}") from None
-    return parse
+    return parse, accepts, noun
 
 
 def _parse_methods(value: str, key: str, line_no: int) -> tuple[Method, ...]:
@@ -116,22 +117,22 @@ def _parse_methods(value: str, key: str, line_no: int) -> tuple[Method, ...]:
     return tuple(methods)
 
 
-# Value parser per field annotation; validate checks each key's choices and bound.
+# Parser, accepted types and noun per field annotation; None suits only an Optional key.
 _PARSE_BY_TYPE = {
-    "str": _parser(str, "text"),
-    "int": _parser(int, "an integer"),
-    "Optional[int]": _parser(int, "an integer"),
-    "float": _parser(float, "a number"),
-    "Optional[str]": _parser(str, "text"),
-    "tuple[Method, ...]": _parse_methods,
+    "str": _parser(str, "text", str),
+    "int": _parser(int, "an integer", int),
+    "Optional[int]": _parser(int, "an integer", (int, type(None))),
+    "float": _parser(float, "a number", (int, float)),
+    "Optional[str]": _parser(str, "text", (str, type(None))),
+    "tuple[Method, ...]": (_parse_methods, tuple, "a tuple of at least one Method"),
 }
 
 # One parser per ExperimentConfig field; the field names are the known keys.
-_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
+_PARSERS = {f.name: _PARSE_BY_TYPE[f.type][0] for f in fields(ExperimentConfig)}
 
 
 def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> ExperimentConfig:
-    """Check each field's choices, finiteness and lower bound (a pass each, in
+    """Check each field's type, choices, finiteness and lower bound (a pass each, in
     field order), then the limits and that the damage suits the world; `lines` maps
     the keys set in a config text to their line numbers, which lead the message."""
 
@@ -139,6 +140,11 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
         where = f"line {lines[key]}: " if lines and key in lines else ""
         raise ConfigError(f"{where}key '{key}' {message}")
 
+    for f in fields(config):   # the types the key's parser gives; `methods` is the one tuple
+        value, (_, accepts, noun) = getattr(config, f.name), _PARSE_BY_TYPE[f.type]
+        if not isinstance(value, accepts) or isinstance(value, tuple) and not (
+                value and all(isinstance(m, Method) for m in value)):
+            fail(f.name, f"expects {noun}, got {value!r}")
     keys = [(f.name, getattr(config, f.name), f.metadata) for f in fields(config)]
     for key, value, declared in keys:
         choices = declared.get("choices")

@@ -1,13 +1,13 @@
 """Semi-episodic mission control and the comparison baselines.
 
-The mission runs in two phases. Nominal: greedily chase the waypoint using
-the current model (the prior alone until anything has been learned). When the
-mean prediction error over a sliding window exceeds a threshold, the mission
-switches to adapting and runs UCB-driven model updates in which every trial
-is a real task step, so learning time is never lost to resets. Adaptation
-ends when the goal is reached, the error window falls back below the
-threshold, or an iteration budget runs out; the mission then resumes nominal
-driving with the updated posterior.
+A SELA mission is one loop of task steps with one counter, `burst`, the
+adaptation steps left. A nominal step (burst 0) greedily chases the waypoint
+with the current model (the prior until anything is learned). When the mean
+prediction error over a sliding window exceeds a threshold, a burst of
+`max_adapt_iterations` steps opens, never past the step cap: each picks by
+UCB, is a real task step and learns, so no learning time is lost to resets.
+It closes when the window error falls back below the threshold or its budget
+runs out. The goal, or the step cap, ends the mission in either phase.
 
 The baselines keep learning and execution episodic: each learning trial
 (`_episodic_trial`) resets the robot to the start pose and counts as pure
@@ -124,17 +124,16 @@ class MissionState:
     config: MissionConfig
     model: GpModel
     step_count: int = field(default=0, init=False)
-    # The drop detector's window: the prediction errors of the last drop.window steps
+    # The drop detector's window: the errors of the last drop.window steps, never more than step_cap
     recent: deque = field(init=False)
     # The posterior at the candidates, with the model's kernel and prior.
     posterior: CandidatePosterior = field(init=False)
     goal_cell: tuple = field(init=False)   # the goal's planner cell, fixed for the mission
 
     def __post_init__(self):
-        self.recent = deque(maxlen=self.config.drop.window)
+        self.recent = deque(maxlen=min(self.config.drop.window, self.config.step_cap))
         self.goal_cell = self.config.grid.cell_of(self.config.goal)
-        model = self.model
-        self.posterior = CandidatePosterior(self.config.candidates.points, model.prior, model.kernel)
+        self.posterior = CandidatePosterior(self.config.candidates.points, self.model.prior, self.model.kernel)
 
     def execute(self, behavior) -> np.ndarray:
         """One step: execute a behavior, learning trial or not, in the world; returns the observed outcome."""
@@ -208,35 +207,22 @@ def _drive(
     return _record(method, state)
 
 
-def sela_adapt(state: MissionState, max_iterations: int) -> None:
-    """Adaptation burst: learn while still making task progress.
-
-    Each iteration refreshes the waypoint reward for the current pose, picks
-    a behavior by UCB, executes it for real, and refits the model on the new
-    observation. Stops on goal, on recovery (window error back under the
-    drop threshold), or after max_iterations.
-    """
-    config = state.config
-    for _ in range(max_iterations):
-        if state.at_goal():
-            break
-        behavior, index = _chase_waypoint(state, config.acquisition)
-        predicted = state.posterior.mean_at(state.model, index)
-        observed = state.execute(behavior)
-        state.learn(behavior, observed, index)
-        if state.record_error(predicted, observed) < config.drop.threshold:
-            break
-
-
 def run_mission(config: MissionConfig) -> RunRecord:
-    """Full semi-episodic mission; every executed behavior is a task step."""
+    """Full semi-episodic mission, one loop: every executed behavior is a task step.
+    `burst` counts the adaptation steps left (0: nominal), which chase by UCB and learn."""
     state = _fresh_state(config, config.prior)
+    burst = 0
     while state.step_count < config.step_cap and not state.at_goal():
-        behavior, index = _chase_waypoint(state)
+        behavior, index = _chase_waypoint(state, config.acquisition if burst else _GREEDY)
         predicted = state.posterior.mean_at(state.model, index)
         observed = state.execute(behavior)
-        if state.record_error(predicted, observed) > config.drop.threshold:
-            sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
+        if burst:
+            state.learn(behavior, observed, index)
+        error = state.record_error(predicted, observed)
+        if burst:   # recovery closes the burst
+            burst = 0 if error < config.drop.threshold else burst - 1
+        elif error > config.drop.threshold:   # a drop opens one; the loop's test keeps it in the step cap
+            burst = config.max_adapt_iterations
     return _record(Method.SELA, state)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class PlannerGrid:
         goal,
         cell_size: float = 0.1,
         margin: float = 1.0,
-        blocked: Iterable[tuple[int, int]] = (),
     ) -> "PlannerGrid":
         """Grid covering start and goal plus a margin.
 
@@ -79,7 +78,6 @@ class PlannerGrid:
             cell_size=cell_size,
             origin=(origin[0], origin[1]),
             shape=(shape[0], shape[1]),
-            blocked=frozenset((int(x), int(y)) for x, y in blocked),
         )
 
     def cell_of(self, point) -> tuple[int, int]:

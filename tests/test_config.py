@@ -346,6 +346,50 @@ class TestOverrides:
         assert ExperimentConfig(world="point_robot") == parse_config("world = point_robot")
 
 
+class TestTypes:
+    """A config built in code gets the type its parser would give each key,
+    or a ConfigError in the parser's words, before any other check."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"replicates": 1.5}, "key 'replicates' expects an integer, got 1.5"),
+            ({"drop_window": 2.5}, "key 'drop_window' expects an integer, got 2.5"),
+            ({"candidate_grid": 2.5}, "key 'candidate_grid' expects an integer, got 2.5"),
+            ({"step_cap": None}, "key 'step_cap' expects an integer, got None"),
+            ({"max_adapt_iterations": 2.0}, "key 'max_adapt_iterations' expects an integer, got 2.0"),
+            ({"alpha": "0.1"}, "key 'alpha' expects a number, got '0.1'"),
+            ({"goal_x": None}, "key 'goal_x' expects a number, got None"),
+            ({"world": None}, "key 'world' expects text, got None"),
+            ({"archive_path": 3}, "key 'archive_path' expects text, got 3"),
+            ({"methods": ("sela",)}, "key 'methods' expects a tuple of at least one Method, got ('sela',)"),
+            ({"methods": "sela"}, "key 'methods' expects a tuple of at least one Method, got 'sela'"),
+            ({"methods": ()}, "key 'methods' expects a tuple of at least one Method, got ()"),
+            ({"methods": [Method.SELA]},
+             "key 'methods' expects a tuple of at least one Method, got [<Method.SELA: 'sela'>]"),
+        ],
+    )
+    def test_wrong_types_rejected(self, changes, message):
+        base = parse_config("world = point_robot\nstep_cap = 20")
+        with pytest.raises(ConfigError) as raised:
+            with_overrides(base, **changes)
+        assert str(raised.value) == message
+        with pytest.raises(ConfigError) as raised:
+            validate(ExperimentConfig(**{"world": "point_robot", "step_cap": 20, **changes}))
+        assert str(raised.value) == message
+
+    def test_the_type_pass_comes_first(self):
+        # `world` fails its choices too, and `replicates` its bound
+        with pytest.raises(ConfigError, match="^key 'replicates' expects an integer, got -1.5$"):
+            validate(ExperimentConfig(world="mars", replicates=-1.5))
+
+    def test_ints_for_float_keys_and_none_for_optional_keys_accepted(self):
+        config = validate(ExperimentConfig(world="point_robot", goal_x=1, goal_y=np.float64(2.0), alpha=0,
+                                           max_adapt_iterations=None, archive_path=None, archive_init_batch=None))
+        assert config.goal_x == 1 and config.adapt_iterations() == 10
+        assert parse_config("world = point_robot\ngoal_x = 1\nalpha = 0") == config
+
+
 KEYS = [f.name for f in fields(ExperimentConfig)]
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -442,6 +486,12 @@ class TestParserFuzz:
     @given(worlds, st.one_of(st.just(""), methods_lines), st.lists(lines, max_size=8))
     def test_accepted_point_robot_configs_run(self, world, methods, body):
         check_runs_or_fails_cleanly(world + methods + "\n".join(body), "point_robot")
+
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_a_drop_window_past_any_deque_length_runs(self, world):
+        # 2**63 once overflowed the window's deque length in every method
+        check_runs_or_fails_cleanly(f"world = {world}\nmethods = {', '.join(m.value for m in Method)}\n"
+                                    f"drop_window = {2**63}", world)
 
     @settings(max_examples=1000, deadline=timedelta(seconds=5))
     @given(st.one_of(st.just(""), methods_lines), st.lists(lines, max_size=8))

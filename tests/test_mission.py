@@ -36,7 +36,6 @@ from sela.mission import (
     baseline_uncertainty,
     run_method,
     run_mission,
-    sela_adapt,
 )
 from sela.config import ExperimentConfig
 from sela.experiment import build_archive, build_mission_config
@@ -180,6 +179,17 @@ class TestMissionState:
         config = replace(point_config(), drop=DropDetectorConfig(window=window))
         state = mission._fresh_state(config, config.prior)
         assert state.recent.maxlen == config.drop.window
+
+    def test_a_window_longer_than_the_mission_holds_every_error(self):
+        # no mission makes more than step_cap errors, so a longer window, even
+        # one past any deque length, averages them all, as a step_cap window does
+        records = [
+            run_mission(replace(point_config(AngleOffsetDamage(0.5), 0.01, seed=3, step_cap=30),
+                                drop=DropDetectorConfig(window=window)))
+            for window in (30, 31, 2**63)
+        ]
+        assert records[0] == records[1] == records[2]
+        assert records[0].learn_steps > 0
 
     def test_per_mission_caches_match_a_fresh_computation(self, monkeypatch):
         # after a SELA run and a babbling run, the posterior's cross-kernel
@@ -419,32 +429,135 @@ class TestPredictedOutcomes:
             assert predicted.tobytes() == predict(model, behavior)[0].tobytes()
 
 
-class TestSelaAdapt:
-    def adapting_state(self, world):
-        config = point_config()
-        config.world = world
-        return mission._fresh_state(config, config.prior)
+def frozen_sela_adapt(state, max_iterations):
+    """A frozen copy of the adaptation burst as its own loop, from before
+    `run_mission` held the burst as a step budget."""
+    config = state.config
+    for _ in range(max_iterations):
+        if state.at_goal():
+            break
+        behavior, index = mission._chase_waypoint(state, config.acquisition)
+        predicted = state.posterior.mean_at(state.model, index)
+        observed = state.execute(behavior)
+        state.learn(behavior, observed, index)
+        if state.record_error(predicted, observed) < config.drop.threshold:
+            break
 
-    def test_each_iteration_is_a_real_task_step(self):
-        world = make_point_robot_world(AngleOffsetDamage(0.5), 0.01, seed=2)
-        state = self.adapting_state(world)
-        before = world.pose
-        sela_adapt(state, 1)
-        assert state.step_count == 1
-        assert len(state.model.observations) == 1
-        assert not np.array_equal(world.pose, before)
 
-    def test_recovery_stops_early(self):
-        # accurate model: first iteration already predicts perfectly
-        state = self.adapting_state(make_point_robot_world())
-        sela_adapt(state, 10)
-        assert len(state.model.observations) == 1
+def frozen_run_mission(config):
+    """A frozen copy of the two-loop SELA mission that called `frozen_sela_adapt`."""
+    state = mission._fresh_state(config, config.prior)
+    while state.step_count < config.step_cap and not state.at_goal():
+        behavior, index = mission._chase_waypoint(state)
+        predicted = state.posterior.mean_at(state.model, index)
+        observed = state.execute(behavior)
+        if state.record_error(predicted, observed) > config.drop.threshold:
+            frozen_sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
+    return mission._record(Method.SELA, state)
 
-    def test_goal_stops_immediately(self):
-        world = make_point_robot_world(start=GOAL)
-        state = self.adapting_state(world)
-        sela_adapt(state, 10)
-        assert len(state.model.observations) == 0
+
+def sela_steps(config, run=run_mission):
+    """Run a SELA mission; return its record and, per step, the chosen
+    candidate's index, the acquisition's alpha, whether the step learned, and
+    the window error."""
+    steps = []
+    select, learn, record_error = mission.select_next, MissionState.learn, MissionState.record_error
+
+    def recording_select(posterior, model, reward, acquisition):
+        behavior, index = select(posterior, model, reward, acquisition)
+        steps.append([index, acquisition.alpha, False, None])
+        return behavior, index
+
+    def recording_learn(state, *args):
+        steps[-1][2] = True
+        return learn(state, *args)
+
+    def recording_record_error(state, predicted, observed):
+        steps[-1][3] = record_error(state, predicted, observed)
+        return steps[-1][3]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mission, "select_next", recording_select)
+        patch.setattr(MissionState, "learn", recording_learn)
+        patch.setattr(MissionState, "record_error", recording_record_error)
+        record = run(config)
+    assert len(steps) == record.total_steps
+    assert sum(learned for _, _, learned, _ in steps) == record.learn_steps
+    return record, [tuple(step) for step in steps]
+
+
+def adapting_config(threshold=0.03, adapt_iterations=10, step_cap=500, noise_variance=0.0, window=1):
+    """A noise-free robot with a 0.5 rad offset that its prior misses: every
+    step's error is about 0.05 until the model learns the offset."""
+    config = point_config(AngleOffsetDamage(0.5), noise_variance, step_cap=step_cap,
+                          adapt_iterations=adapt_iterations)
+    return replace(config, drop=DropDetectorConfig(window, threshold))
+
+
+def phases(steps):
+    """One letter per step: "n" nominal (greedy, learns nothing), "a" adapting (UCB, learns)."""
+    assert all((alpha == 0.0) is (not learned) for _, alpha, learned, _ in steps)
+    return "".join("a" if learned else "n" for _, _, learned, _ in steps)
+
+
+class TestSelaLoop:
+    """One loop: a drop opens a burst of adaptation steps, which chase by UCB
+    and learn; recovery or the burst's budget closes it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        window=st.integers(1, 4),
+        threshold=st.floats(0.005, 0.3),
+        adapt_iterations=st.integers(1, 12),
+        step_cap=st.integers(1, 60),
+        noise_variance=st.sampled_from([0.0, 0.001, 0.01, 0.05]),
+        offset=st.sampled_from([0.0, 0.5, 1.5, math.pi]),
+        seed=st.integers(0, 1000),
+    )
+    def test_equals_the_two_loop_mission(self, window, threshold, adapt_iterations, step_cap,
+                                         noise_variance, offset, seed):
+        def config():
+            built = point_config(AngleOffsetDamage(offset), noise_variance, seed, step_cap,
+                                 adapt_iterations=adapt_iterations)
+            return replace(built, drop=DropDetectorConfig(window, threshold))
+
+        one, frozen = config(), config()
+        assert sela_steps(one) == sela_steps(frozen, frozen_run_mission)
+        assert one.world.pose.tobytes() == frozen.world.pose.tobytes()
+
+    def test_recovery_closes_the_burst(self):
+        record, steps = sela_steps(adapting_config())
+        assert record.reached
+        # the first step's error opens a burst, whose fifth step recovers
+        # under its budget of 10; the next step is greedy and learns nothing
+        assert phases(steps)[:8] == "naaaaann"
+        assert steps[0][3] > 0.03 and steps[5][3] < 0.03
+
+    def test_a_burst_ends_at_its_budget_and_a_later_drop_opens_another(self):
+        record, steps = sela_steps(adapting_config(adapt_iterations=3))
+        assert record.reached
+        assert phases(steps)[:9] == "naaanaaan"
+        assert min(error for _, _, _, error in steps[:7]) > 0.03
+
+    def test_the_goal_ends_the_mission_mid_burst(self):
+        # no prediction recovers under a tiny threshold, so the burst that
+        # the first step opens runs until the goal, inside its budget
+        record, steps = sela_steps(adapting_config(threshold=1e-9, adapt_iterations=100, noise_variance=0.01))
+        assert record.reached
+        assert phases(steps) == "n" + "a" * (record.total_steps - 1)
+        assert record.total_steps < 100
+
+    def test_a_mission_at_the_goal_takes_no_step(self):
+        config = adapting_config()
+        config.world = make_point_robot_world(AngleOffsetDamage(0.5), start=GOAL)
+        record, steps = sela_steps(config)
+        assert record.reached and steps == []
+
+    @pytest.mark.parametrize("step_cap", [1, 2, 4, 6])
+    def test_a_burst_never_runs_past_the_step_cap(self, step_cap):
+        record, steps = sela_steps(adapting_config(step_cap=step_cap))
+        assert not record.reached
+        assert phases(steps) == "n" + "a" * (step_cap - 1)
 
 
 class TestRunMission:

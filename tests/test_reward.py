@@ -3,6 +3,7 @@
 import heapq
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -458,7 +459,7 @@ class TestBuildWaypointReward:
         # wall in the column right of the start, with a gap well above the line
         wall_x = start_cell[0] + 1
         blocked = {(wall_x, y) for y in range(0, start_cell[1] + 6)}
-        grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 0.0), blocked=blocked)
+        grid = replace(free_grid, blocked=frozenset(blocked))
         goal = (2.0, 0.0)
         free = build_waypoint_reward(free_grid, (0.0, 0.0), goal, free_grid.cell_of(goal), 2, {})
         detour = build_waypoint_reward(grid, (0.0, 0.0), goal, grid.cell_of(goal), 2, {})
@@ -488,7 +489,7 @@ class TestBuildWaypointReward:
             if (x * 7 + y * 3) % 11 == 0
         }
         blocked -= {free.cell_of(start), goal_cell}
-        grid = PlannerGrid.for_mission(start, goal, margin=0.5, blocked=blocked)
+        grid = replace(free, blocked=frozenset(blocked))
         assert grid.cell_of(goal) == goal_cell
         # noise keeps the pose inside its cell, so the memo sees new poses
         rng = np.random.default_rng(2)
