@@ -140,9 +140,9 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
         where = f"line {lines[key]}: " if lines and key in lines else ""
         raise ConfigError(f"{where}key '{key}' {message}")
 
-    for f in fields(config):   # the types the key's parser gives; `methods` is the one tuple
+    for f in fields(config):   # the types the key's parser gives (never a bool); `methods` is the one tuple
         value, (_, accepts, noun) = getattr(config, f.name), _PARSE_BY_TYPE[f.type]
-        if not isinstance(value, accepts) or isinstance(value, tuple) and not (
+        if isinstance(value, bool) or not isinstance(value, accepts) or isinstance(value, tuple) and not (
                 value and all(isinstance(m, Method) for m in value)):
             fail(f.name, f"expects {noun}, got {value!r}")
     keys = [(f.name, getattr(config, f.name), f.metadata) for f in fields(config)]

@@ -13,13 +13,15 @@ diagonal. With a zero prior this is plain GP regression.
 
 The Cholesky factor L of K grows by one row per observation: for input x_i,
 r = L^-1 k(X, x_i) over the earlier inputs, and the new row is
-[r, sqrt(1 + noise + jitter - r.r)], written in place into a buffer that
-doubles when full, as are the prior values and the observations that
-`with_observation` appends; a model's and a set's arrays are read-only views.
-A fit from scratch runs the same steps from the empty model, so a refit
-after one more observation (`fit(..., previous=model)`) costs O(t^2), runs
-the kernel and the prior at most at the new input, and equals a fit from
-scratch bit for bit. Solves use dtrtrs from `scipy.linalg._flapack` alone.
+[r, sqrt(1 + noise + jitter - r.r)], where the jitter is JITTER for a noise
+variance below it and 0 otherwise, so a repeated input factors even without
+noise. Rows are written in place into a buffer that doubles when full, as
+are the prior values and the observations that `with_observation` appends;
+a model's and a set's arrays are read-only views. A fit from scratch runs
+the same steps from the empty model, so a refit after one more observation
+(`fit(..., previous=model)`) costs O(t^2), runs the kernel and the prior at
+most at the new input, and equals a fit from scratch bit for bit. Solves
+use dtrtrs from `scipy.linalg._flapack` alone.
 
 `CandidatePosterior` serves a fixed query set such as a mission's candidates:
 it evaluates the prior there once, writes k(X, points) and L^-1 k(X, points)
@@ -53,7 +55,7 @@ dtrtrs = sys.modules[_FLAPACK].dtrtrs
 
 TWO_PI = 2.0 * np.pi
 
-# On K's diagonal in the whole factor and its extensions once a pivot fails without it.
+# On K's diagonal, from the first row on, of every model whose noise variance is below it.
 JITTER = 1e-10
 
 # Largest model a config may grow: at 1,000 inputs a learning step takes about 1.5 ms, a fit from
@@ -240,18 +242,16 @@ def fit(
     precompute the prior correction.
 
     Legal with zero observations: predictions then revert to the prior with
-    unit variance. Non-finite inputs or outputs, and exact duplicate inputs
-    with zero noise variance, are rejected up front: the first would spread
-    NaN through the posterior, and jitter would only mask the second's
-    singular matrix.
+    unit variance. Non-finite inputs or outputs are rejected up front: they
+    would spread NaN through the posterior. A pivot that is not positive
+    raises GpFitError.
 
     `previous` is a model fitted with the same kernel, prior and noise on a
     strict prefix of these observations; None stands for the empty prefix.
     Its factor and prior values are extended, in place unless a newer model
     wrote past them, so the kernel and the prior run only at the new inputs,
     and not at all given `evaluated` = (k(X, x), P(x)) for the one new input x.
-    A first non-positive pivot regrows the whole factor with JITTER on the
-    diagonal, which every extension keeps. It equals a fit from scratch bitwise.
+    It equals a fit from scratch bitwise.
     Observations that share `previous`'s buffer are checked only in the new rows.
     """
     inputs, outputs, noise = observations.inputs, observations.outputs, observations.noise_variance
@@ -260,10 +260,9 @@ def fit(
     if not (np.isfinite(observations.rows[1][k:t]).all() if shared
             else np.isfinite(inputs).all() and np.isfinite(outputs).all()):
         raise GpFitError("observation inputs and outputs must be finite")
-    if noise == 0.0 and len(set(map(tuple, inputs.tolist()))) < t:   # np.unique would import numpy.ma
-        raise GpFitError("duplicate observation inputs with zero noise variance make the kernel matrix singular")
+    jitter = JITTER if noise < JITTER else 0.0
     if previous is None:
-        (factor, values), jitter = (np.zeros((0, 0)), outputs[:0]), 0.0
+        factor, values = np.zeros((0, 0)), outputs[:0]
     elif not (
         k < t
         and previous.kernel == kernel
@@ -276,15 +275,12 @@ def fit(
             "noise on a strict prefix of the observations"
         )
     else:
-        (factor, values), jitter = previous.buffers, previous.jitter
+        factor, values = previous.buffers
         if k < len(factor) and factor[k, k]:   # a newer model wrote row k: copy the views
             factor, values = previous.chol, previous.prior_at_inputs
     one = evaluated is not None and t == k + 1 == len(evaluated[0]) + 1
     rows = [evaluated[0]] if one else kernel_matrix(kernel, inputs[k:], inputs)
     factor = _grow_factor(factor, k, rows, 1.0 + noise + jitter)
-    if factor is None and jitter == 0.0:   # regrow the whole factor, as from scratch, in fresh buffers
-        jitter, values = JITTER, values[:k]
-        factor = _grow_factor(np.zeros((0, 0)), 0, kernel_matrix(kernel, inputs, inputs), 1.0 + noise + jitter)
     if factor is None:
         raise GpFitError(
             f"kernel matrix not positive definite (t={t}, "

@@ -3,7 +3,7 @@
 `illuminate` holds the offer rule and `bin_index` the binning rule. The
 archive, filled by `illuminate` or `load_archive`, doubles as prior knowledge
 for adaptation: each elite caches the outcome the intact model produced for
-its behavior, and ArchivePrior serves those outcomes as a GP prior mean.
+its behavior, and ArchivePrior serves them at those behaviors as a GP prior mean.
 """
 
 from __future__ import annotations
@@ -298,24 +298,21 @@ def load_archive(data: bytes) -> Archive:
 class ArchivePrior:
     """Prior mean backed by an archive.
 
-    Returns the cached intact outcome of the elite whose behavior matches the
-    query; a query between elites falls back to the nearest elite's outcome,
-    ties resolving to the lowest cell index.
+    Returns a copy of the cached intact outcome of the elite whose behavior
+    is the query, bit for bit; a behavior held by two cells gives the lower
+    cell's outcome. A query that is no elite's behavior raises ValueError.
     """
 
     def __init__(self, archive: Archive):
         elites = archive.elites()
         if not elites:
             raise ValueError("cannot build a prior from an empty archive")
-        self._behaviors = np.array([e.behavior for e in elites])
-        self._outcomes = np.array([e.outcome for e in elites])
-        # reversed: a behavior in two cells keeps the lower one, as argmin does
-        self._exact = {e.behavior.tobytes(): i for i, e in reversed(list(enumerate(elites)))}
+        # reversed: a behavior in two cells keeps the lower one
+        self._outcomes = {e.behavior.tobytes(): e.outcome for e in reversed(elites)}
 
     def __call__(self, x) -> np.ndarray:
         query = np.asarray(x, dtype=float)
-        index = self._exact.get(query.tobytes())
-        if index is None:
-            deltas = self._behaviors - query[None, :]
-            index = int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
-        return self._outcomes[index].copy()
+        outcome = self._outcomes.get(query.tobytes())
+        if outcome is None:
+            raise ValueError(f"no elite in the archive has behavior {query.tolist()}")
+        return outcome.copy()

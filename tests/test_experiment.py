@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sela.mission
 import sela.reward
 from sela import experiment
 from sela.config import ConfigError, ExperimentConfig, parse_config_file, validate
@@ -241,6 +242,23 @@ class TestRunExperiment:
         )
         records, _ = run_experiment(config)
         assert [r.seed for r in records] == [40, 41, 42]
+
+    def test_a_noise_free_sela_runs_every_replicate(self, monkeypatch):
+        # UCB tries candidates again as task steps; without noise each repeat
+        # factors by the jitter that such a model carries from its first row
+        repeats, real = [], sela.mission.fit
+
+        def recording_fit(observations, *args, **kwargs):
+            inputs = observations.inputs.tolist()
+            repeats.append(len(set(map(tuple, inputs))) < len(inputs))
+            return real(observations, *args, **kwargs)
+
+        monkeypatch.setattr(sela.mission, "fit", recording_fit)
+        config = ExperimentConfig(world="point_robot", damage="angle_offset", methods=(Method.SELA,),
+                                  replicates=10, gp_noise=0.0)
+        records, _ = run_experiment(config)
+        assert [r.seed for r in records] == list(range(10))
+        assert any(repeats)
 
     def test_baselines_stop_learning_at_the_step_cap(self):
         # learning budgets of 30 trials under a cap of 5 steps: each baseline

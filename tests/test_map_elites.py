@@ -470,34 +470,39 @@ class TestSerializationProperty:
 
 
 class TestArchivePrior:
-    def test_exact_behavior_returns_cached_outcome(self):
+    def test_each_elites_behavior_gives_its_outcome(self):
         archive = illuminate(segment_walker_evaluator, budget=300, seed=6, **WALKER_KW)
         prior = ArchivePrior(archive)
-        for elite in archive.elites()[:10]:
-            np.testing.assert_array_equal(prior(elite.behavior), elite.outcome)
+        for elite in archive.elites():
+            assert prior(elite.behavior).tobytes() == elite.outcome.tobytes()
 
-    def test_between_elites_uses_nearest(self):
+    def test_a_behavior_off_the_map_rejected(self):
         archive = Archive((2, 2), 1, 2)
-        archive.cells[(0, 0)] = Elite([0.0], [0.2, 0.2], 1.0, [1.0, 0.0])
+        archive.cells[(0, 0)] = Elite([0.5], [0.2, 0.2], 1.0, [1.0, 0.0])
         archive.cells[(1, 1)] = Elite([10.0], [0.8, 0.8], 1.0, [0.0, 1.0])
         prior = ArchivePrior(archive)
-        np.testing.assert_array_equal(prior(np.array([1.0])), [1.0, 0.0])
-        np.testing.assert_array_equal(prior(np.array([9.0])), [0.0, 1.0])
+        for query in (1.0, 9.0, 0.5 + 1e-16, 0.5 - 1e-16):
+            with pytest.raises(ValueError, match=re.escape(f"no elite in the archive has behavior [{query!r}]")):
+                prior(np.array([query]))
 
     def test_behavior_in_two_cells_gives_the_lower_cells_outcome(self):
-        # an exact match and a query just beside it agree with the nearest-elite fallback
         archive = Archive((2, 2), 1, 2)
         archive.cells[(1, 1)] = Elite([0.5], [0.8, 0.8], 1.0, [0.0, 1.0])
         archive.cells[(0, 0)] = Elite([0.5], [0.2, 0.2], 1.0, [1.0, 0.0])
+        archive.cells[(0, 1)] = Elite([0.7], [0.2, 0.8], 1.0, [0.5, 0.5])
         prior = ArchivePrior(archive)
         np.testing.assert_array_equal(prior(np.array([0.5])), [1.0, 0.0])
-        np.testing.assert_array_equal(prior(np.array([0.5 + 1e-16])), [1.0, 0.0])
+        np.testing.assert_array_equal(prior(np.array([0.7])), [0.5, 0.5])
 
     def test_repeated_queries_identical(self):
+        # each query gets its own copy, so changing one leaves the prior as it was
         archive = illuminate(segment_walker_evaluator, budget=300, seed=8, **WALKER_KW)
         prior = ArchivePrior(archive)
-        x = np.array([0.3, -0.2, 0.9, 0.0])
-        np.testing.assert_array_equal(prior(x), prior(x))
+        elite = archive.elites()[3]
+        first = prior(elite.behavior)
+        first += 1.0
+        np.testing.assert_array_equal(prior(elite.behavior), elite.outcome)
+        np.testing.assert_array_equal(prior(list(elite.behavior)), prior(elite.behavior))
 
     def test_empty_archive_rejected(self):
         with pytest.raises(ValueError, match="empty"):
