@@ -1,9 +1,10 @@
 """Grid MAP-Elites: illuminate a behavior space and keep the best per cell.
 
-`illuminate` holds the offer rule and `bin_index` the binning rule. The
-archive, filled by `illuminate` or `load_archive`, doubles as prior knowledge
-for adaptation: each elite caches the outcome the intact model produced for
-its behavior, and ArchivePrior serves them at those behaviors as a GP prior mean.
+`illuminate` holds the offer rule and `bin_index` the binning rule, which it
+applies to a block of children at once. The archive, filled by `illuminate`
+or `load_archive`, doubles as prior knowledge for adaptation: each elite
+caches the outcome the intact model produced for its behavior, and
+ArchivePrior serves them at those behaviors as a GP prior mean.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ class OfferResult(Enum):
     REJECTED = "rejected"
 
 
-def bin_index(descriptor, grid_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Cell of a descriptor on the unit grid, one coordinate per grid axis:
-    floor(d_i * n_i), top edge folded into the last bin. Descriptor
-    coordinates are clamped to [0, 1] first."""
-    # min/max clamp and int() truncation of a product in [0, n]: the same
-    # IEEE operations as np.clip, np.floor and astype(int), without numpy's
-    # per-call overhead.
-    return tuple([min(int(min(max(d, 0.0), 1.0) * n), n - 1) for d, n in zip(descriptor, grid_shape)])
+def bin_index(descriptors, grid_shape: tuple[int, ...]) -> np.ndarray:
+    """Cells of descriptors on the unit grid, one column per grid axis, for
+    one descriptor or a (k, m) array of them: floor(d_i * n_i), top edge
+    folded into the last bin. Descriptor coordinates are clamped to [0, 1] first."""
+    sizes = np.asarray(grid_shape, dtype=float)
+    # folded in floats: an integer np.minimum would page in numpy code nothing else runs
+    cells = np.floor(np.clip(np.asarray(descriptors, dtype=float), 0.0, 1.0) * sizes)
+    return np.minimum(cells, sizes - 1.0).astype(int)
 
 
 @dataclass(frozen=True)
@@ -80,11 +81,14 @@ class Archive:
         return [elite for _, elite in self.items()]
 
 
-# Evaluator contract: behavior -> (descriptor, performance, outcome).
-Evaluator = Callable[[np.ndarray], tuple[np.ndarray, float, np.ndarray]]
+# Evaluator contract: behaviors (k, b) -> descriptors (k, m), performances (k,),
+# outcomes (k, d). Each row must be a pure function of its behavior.
+Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-# Optional per-evaluation hook, called as on_offer(cell, candidate, result).
+# Optional per-offer hook, called as on_offer(cell, candidate, result).
 OfferHook = Callable[[tuple[int, ...], Elite, OfferResult], None]
+
+BLOCK = 64   # children built, evaluated and binned as one array
 
 
 def initial_batch(budget: int, init_batch: Optional[int] = None) -> int:
@@ -104,14 +108,15 @@ def illuminate(
     init_batch: Optional[int] = None,
     on_offer: Optional[OfferHook] = None,
 ) -> Archive:
-    """Fill an archive with exactly `budget` evaluator calls.
+    """Fill an archive with exactly `budget` offers.
 
     Starts from a uniform random batch (a tenth of the budget, at least 100),
     then loops: pick a uniform random occupied cell, mutate its elite with
     isotropic Gaussian noise, clamp to the domain, evaluate, offer. The whole
-    run is a pure function of the seed. A descriptor of the wrong length, or
-    a non-finite descriptor or performance, from the evaluator raises
-    ValueError naming the evaluation (counted from 0).
+    run is a pure function of the seed. Children are evaluated BLOCK at a time
+    and offered in order; the evaluator may see a behavior again or one never
+    offered, so it must be pure. Descriptors of the wrong shape, or a non-finite
+    descriptor or performance, raise ValueError naming the offer (from 0).
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -129,58 +134,75 @@ def illuminate(
 
     rng = np.random.default_rng(seed)
     shape = tuple(int(n) for n in grid_shape)
-    # the first offer always enters; it makes the archive and sizes its outcomes
-    archive: Optional[Archive] = None
-    cells: dict[tuple[int, ...], Elite] = {}   # archive.cells once it exists
-    occupied: list[tuple[int, ...]] = []
+    slot_of: dict[tuple[int, ...], int] = {}    # cell -> slot: its place in filling order, what a pick draws
+    parents = np.empty((min(math.prod(shape), budget), lower.size))   # each slot's elite behavior
+    best = np.full(len(parents) + 1, -math.inf)   # and performance; slot -1, an empty cell, reads -inf
 
-    def behaviors():
-        # one draw for the whole batch is the same stream as one per row;
-        # each row is copied so that no two elites share memory
-        for row in rng.uniform(lower, upper, size=(init_batch, *lower.shape)):
-            yield row.copy()
-        for _ in range(init_batch, budget):
-            parent = cells[occupied[rng.integers(len(occupied))]]
-            child = parent.behavior + rng.normal(0.0, mutation_sigma, size=lower.shape)
-            yield np.minimum(np.maximum(child, lower), upper)
+    def draw(n):   # one child's parent pick and noise
+        return rng.integers(n), rng.normal(0.0, mutation_sigma, size=lower.shape)
 
-    for index, behavior in enumerate(behaviors()):
-        descriptor, performance, outcome = evaluator(behavior)
-        desc = np.asarray(descriptor, dtype=float)
-        if desc.shape != (len(shape),):
-            raise ValueError(
-                f"evaluation {index}: descriptor has {desc.size} coordinates, grid has {len(shape)}"
-            )
-        coords = desc.tolist()
-        # checked in Python: np.isfinite would cost ~2 us more per evaluation
-        if not (math.isfinite(performance) and all(map(math.isfinite, coords))):
-            raise ValueError(
-                f"evaluation {index}: evaluator returned a non-finite descriptor "
-                f"{descriptor} or performance {performance}"
-            )
-        performance = float(performance)
-        cell = bin_index(coords, shape)
-        # The offer rule: an empty cell takes the offer, a strictly better
-        # one replaces the incumbent, a tie keeps it.
-        incumbent = cells.get(cell)
-        if incumbent is None:
-            result = OfferResult.INSERTED
-        elif performance > incumbent.performance:
-            result = OfferResult.REPLACED
+    def evaluate(rows, first):
+        """Copies of the evaluator's results for rows (rebuilds write into them), which rows are finite, cells."""
+        descriptors, performances, outcomes = (np.array(a, dtype=float) for a in evaluator(rows))
+        if descriptors.shape != (len(rows), len(shape)):
+            raise ValueError(f"offer {first}: descriptors of shape {descriptors.shape}, grid has {len(shape)} axes")
+        finite = np.isfinite(descriptors).all(axis=1) & np.isfinite(performances)
+        cells = bin_index(np.where(finite[:, None], descriptors, 0.0), shape)   # a non-finite row would warn
+        return descriptors, performances, outcomes, finite, cells
+
+    archive, offered = None, 0
+    while offered < budget:
+        mutating = offered >= init_batch
+        k = min(BLOCK, (budget if mutating else init_batch) - offered)
+        if mutating:
+            state, n = rng.bit_generator.state, len(slot_of)
+            picks, noise = zip(*[draw(n) for _ in range(k)])
+            noise = np.array(noise)
+            children = parents[list(picks)] + noise
+            np.minimum(np.maximum(children, lower, out=children), upper, out=children)
         else:
-            result = OfferResult.REJECTED
-        if result is OfferResult.REJECTED and on_offer is None:
-            continue
-        candidate = Elite(behavior, desc, performance, outcome)
-        if result is not OfferResult.REJECTED:
-            if archive is None:
-                archive = Archive(shape, candidate.behavior.size, candidate.outcome.size)
-                cells = archive.cells
-            cells[cell] = candidate
-            if result is OfferResult.INSERTED:
-                occupied.append(cell)
-        if on_offer is not None:
-            on_offer(cell, candidate, result)
+            children = rng.uniform(lower, upper, size=(k, lower.size))
+        descriptors, performances, outcomes, finite, cells = evaluate(children, offered)
+        if archive is None:
+            archive = Archive(shape, lower.size, outcomes.shape[1])
+        j, slots, stops, kept = 0, [], [], True
+        while j < k:
+            if kept:   # at the start and after each offer the archive kept
+                slots[j:] = [slot_of.get(cell, -1) for cell in map(tuple, cells[j:].tolist())]
+                # the rows that insert, replace or raise; a last True ends the search
+                stops[j:] = (~finite[j:] | (performances[j:] > best[slots[j:]])).tolist() + [True]
+            if on_offer is None and (j := stops.index(True, j)) == k:   # rejections need no work
+                break
+            if not finite[j]:
+                raise ValueError(f"offer {offered + j}: evaluator returned a non-finite descriptor "
+                                 f"{descriptors[j]} or performance {performances[j]}")
+            # The offer rule: an empty cell takes the offer, a strictly better
+            # one replaces the incumbent, a tie keeps it.
+            cell, slot, kept = tuple(cells[j].tolist()), slots[j], stops[j]
+            result = OfferResult.INSERTED if slot < 0 else OfferResult.REPLACED if kept else OfferResult.REJECTED
+            if kept or on_offer is not None:
+                candidate = Elite(children[j].copy(), descriptors[j], float(performances[j]), outcomes[j].copy())
+            if slot < 0:
+                slot = slot_of[cell] = len(slot_of)
+            if kept:
+                parents[slot], best[slot] = children[j], performances[j]
+                archive.cells[cell] = candidate
+            if on_offer is not None:
+                on_offer(cell, candidate, result)
+            j += 1
+            if mutating and result is OfferResult.INSERTED:
+                if j < k:   # the pick bound changed: draw the block's later children again
+                    rng.bit_generator.state = state
+                    for _ in range(j):
+                        draw(n)
+                break
+            rebuild = [r for r in range(j, k) if picks[r] == slot] if mutating and kept else []
+            if rebuild:   # later children of the parent this offer replaced: build and evaluate them again
+                rows = parents[slot] + noise[rebuild]
+                children[rebuild] = np.minimum(np.maximum(rows, lower, out=rows), upper, out=rows)
+                descriptors[rebuild], performances[rebuild], outcomes[rebuild], finite[rebuild], cells[rebuild] = (
+                    evaluate(rows, offered + rebuild[0]))
+        offered += j
     return archive
 
 
@@ -276,7 +298,7 @@ def load_archive(data: bytes) -> Archive:
         # archive would then no longer give the input bytes
         if not ((descriptor >= 0.0) & (descriptor <= 1.0)).all():
             raise ArchiveFormatError(f"line {line_no}: descriptor outside [0, 1]")
-        binned = bin_index(descriptor.tolist(), grid_shape)
+        binned = tuple(bin_index(descriptor, grid_shape).tolist())
         if binned != cell:
             raise ArchiveFormatError(
                 f"line {line_no}: descriptor bins to cell {binned}, not {cell}"
@@ -300,7 +322,8 @@ class ArchivePrior:
 
     Returns a copy of the cached intact outcome of the elite whose behavior
     is the query, bit for bit; a behavior held by two cells gives the lower
-    cell's outcome. A query that is no elite's behavior raises ValueError.
+    cell's outcome, and -0.0 is 0.0 there, as in `load_archive`. A query that
+    is no elite's behavior raises ValueError.
     """
 
     def __init__(self, archive: Archive):
@@ -308,11 +331,11 @@ class ArchivePrior:
         if not elites:
             raise ValueError("cannot build a prior from an empty archive")
         # reversed: a behavior in two cells keeps the lower one
-        self._outcomes = {e.behavior.tobytes(): e.outcome for e in reversed(elites)}
+        self._outcomes = {(e.behavior + 0.0).tobytes(): e.outcome for e in reversed(elites)}
 
     def __call__(self, x) -> np.ndarray:
         query = np.asarray(x, dtype=float)
-        outcome = self._outcomes.get(query.tobytes())
+        outcome = self._outcomes.get((query + 0.0).tobytes())
         if outcome is None:
             raise ValueError(f"no elite in the archive has behavior {query.tolist()}")
         return outcome.copy()

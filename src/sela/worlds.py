@@ -5,7 +5,8 @@ observation noise corrupts only what the robot measures, never the true pose.
 `np.linalg.norm`'s arithmetic without its Python wrapper, equal bit for bit.
 The walker model adds its joints' `math.cos` and `math.sin` in Python floats
 from +0.0 in joint order, as numpy sums four terms: the numpy formula's bits
-where the two libraries' trig agrees (tests check); an infinite offset raises ValueError.
+where the two libraries' trig agrees (tests check); an infinite offset raises
+ValueError. The archive evaluator runs the same sums on a batch, row by row.
 """
 
 from __future__ import annotations
@@ -46,11 +47,21 @@ def segment_walker_model(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (WALKER_JOINTS,):
         raise ValueError(f"expected {WALKER_JOINTS} joint offsets, got shape {u.shape}")
-    x = y = 0.0
-    for offset in u.tolist():
-        x += math.cos(math.pi * offset)
-        y += math.sin(math.pi * offset)
+    (x,), (y,) = _leg_sums([(math.pi * u).tolist()])
     return np.array([WALKER_SEGMENT_STEP * x, WALKER_SEGMENT_STEP * y])
+
+
+def _leg_sums(angles: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Per row of joint angles, the sum of their cosines and that of their sines."""
+    xs, ys = [], []
+    for row in angles:
+        x = y = 0.0
+        for angle in row:
+            x += math.cos(angle)
+            y += math.sin(angle)
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
 
 
 @dataclass(frozen=True)
@@ -142,20 +153,21 @@ def make_segment_walker_world(
     return World(segment_walker_model, damage, noise_variance, seed, start)
 
 
-def walker_descriptor(outcome, magnitude: float) -> np.ndarray:
-    """Normalized (direction, magnitude) of a walker displacement (x, y) of
-    norm `magnitude`. Direction maps (-pi, pi] onto (0, 1]; magnitude is relative
-    to the intact maximum step and clamped to 1."""
-    direction = (math.atan2(outcome[1], outcome[0]) + math.pi) / (2.0 * math.pi)
-    return np.array([direction, min(magnitude / POINT_ROBOT_STEP, 1.0)])
-
-
-def segment_walker_evaluator(behavior) -> tuple[np.ndarray, float, np.ndarray]:
-    """Archive evaluator for the intact walker: descriptor, performance
-    (displacement magnitude), and the cached outcome."""
-    outcome = segment_walker_model(behavior)
-    magnitude = vector_length(outcome)
-    return walker_descriptor(outcome.tolist(), magnitude), magnitude, outcome
+def segment_walker_evaluator(behaviors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Archive evaluator for the intact walker on a (k, 4) batch. Per row: the
+    model's outcome; its magnitude as the performance (`d.dot(d)`'s bits,
+    which `np.vecdot` keeps and `einsum` does not); and as descriptor its
+    `math.atan2` direction mapped onto (0, 1] and the magnitude over the
+    intact maximum step, clamped to 1."""
+    rows = np.asarray(behaviors, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != WALKER_JOINTS:
+        raise ValueError(f"expected rows of {WALKER_JOINTS} joint offsets, got shape {rows.shape}")
+    outcomes = WALKER_SEGMENT_STEP * np.array(_leg_sums((math.pi * rows).tolist())).T
+    magnitudes = np.sqrt(np.vecdot(outcomes, outcomes))
+    xs, ys = outcomes.T.tolist()
+    directions = (np.array(list(map(math.atan2, ys, xs))) + math.pi) / (2.0 * math.pi)
+    descriptors = np.stack([directions, np.minimum(magnitudes / POINT_ROBOT_STEP, 1.0)], axis=1)
+    return descriptors, magnitudes, outcomes
 
 
 def sample_point_robot_behavior(rng: np.random.Generator) -> np.ndarray:

@@ -261,7 +261,7 @@ def test_criterion_04_astar_matches_bfs_on_random_grids():
 def test_criterion_05_archive_replay_reproduces_elites(walker_archive_build):
     archive = walker_archive_build["archive"]
     offers = walker_archive_build["offers"]
-    assert len(offers) == WALKER.archive_budget  # one offer per evaluation
+    assert len(offers) == WALKER.archive_budget  # exactly one offer per unit of budget
 
     started = time.perf_counter()
     tracker = {}

@@ -495,6 +495,17 @@ class TestParserFuzz:
         check_runs_or_fails_cleanly(f"world = {world}\nmethods = {', '.join(m.value for m in Method)}\n"
                                     f"drop_window = {2**63}", world)
 
+    @settings(max_examples=300, deadline=timedelta(seconds=5))
+    @given(st.integers(1, 4), st.lists(lines, max_size=4))
+    def test_accepted_noise_free_sela_configs_that_repeat_a_candidate_run(self, grid, body):
+        # a drop opens at the first step and no step recovers, so SELA learns
+        # at every later step from at most 4 candidates, one of them twice
+        # within the step cap: without noise, only the jitter keeps that fit
+        # positive definite
+        head = (f"world = point_robot\nmethods = sela\ngp_noise = 0\ncandidate_grid = {grid}\n"
+                "drop_threshold = 1e-9\n")
+        check_runs_or_fails_cleanly(head + "\n".join(body), "point_robot")
+
     @settings(max_examples=1000, deadline=timedelta(seconds=5))
     @given(st.one_of(st.just(""), methods_lines), st.lists(lines, max_size=8))
     def test_accepted_walker_configs_run(self, methods, body):

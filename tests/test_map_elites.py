@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sela.map_elites import (
+    BLOCK,
     Archive,
     ArchiveFormatError,
     ArchivePrior,
@@ -23,6 +24,15 @@ from sela.map_elites import (
 from sela.worlds import segment_walker_evaluator
 
 
+def batched(evaluate_one):
+    """A batch evaluator that runs a per-behavior one on each row in turn."""
+    def evaluator(behaviors):
+        results = [evaluate_one(row) for row in behaviors]
+        descriptors, performances, outcomes = zip(*results)
+        return np.array(descriptors, dtype=float), np.array(performances, dtype=float), np.array(outcomes)
+    return evaluator
+
+
 def make_elite(descriptor, performance, behavior=None, outcome=(0.0, 0.0)):
     if behavior is None:
         behavior = [performance]
@@ -31,13 +41,17 @@ def make_elite(descriptor, performance, behavior=None, outcome=(0.0, 0.0)):
 
 class TestBinIndex:
     def test_interior_point(self):
-        assert bin_index([0.55, 0.2], (10, 10)) == (5, 2)
+        assert bin_index([0.55, 0.2], (10, 10)).tolist() == [5, 2]
 
     def test_top_edge_folds_into_last_bin(self):
-        assert bin_index([1.0, 1.0], (10, 10)) == (9, 9)
+        assert bin_index([1.0, 1.0], (10, 10)).tolist() == [9, 9]
 
     def test_out_of_range_clamped(self):
-        assert bin_index([-0.3, 1.7], (10, 10)) == (0, 9)
+        assert bin_index([-0.3, 1.7], (10, 10)).tolist() == [0, 9]
+
+    def test_a_batch_bins_row_by_row(self):
+        rows = [[0.55, 0.2], [1.0, 1.0], [-0.3, 1.7]]
+        assert bin_index(rows, (10, 10)).tolist() == [[5, 2], [9, 9], [0, 9]]
 
 
 class TestOffer:
@@ -63,31 +77,42 @@ class TestIlluminate:
 
     def test_exact_budget(self):
         evaluator, calls = self.evaluator_calls()
-        illuminate(evaluator, budget=250, seed=1, lower=[-1, -1, -1], upper=[1, 1, 1], grid_shape=(5, 5))
-        assert len(calls) == 250
+        offers = []
+        illuminate(batched(evaluator), budget=250, seed=1, lower=[-1, -1, -1], upper=[1, 1, 1], grid_shape=(5, 5),
+                   on_offer=lambda cell, elite, result: offers.append(elite.behavior.tobytes()))
+        assert len(offers) == 250
+        # every offer was evaluated; a child rebuilt within its block, or
+        # drawn again after an insertion, is evaluated once more
+        assert set(offers) <= {behavior.tobytes() for behavior in calls}
+        assert len(calls) >= 250
 
     @pytest.mark.parametrize(
         "descriptor, performance",
         [((np.nan, 0.5), 1.0), ((0.5, np.inf), 1.0), ((0.5, 0.5), np.nan), ((0.5, 0.5), -np.inf)],
     )
     def test_non_finite_evaluation_rejected(self, descriptor, performance):
-        evaluator, calls = self.evaluator_calls()
+        kwargs = dict(budget=250, seed=1, lower=[-1] * 3, upper=[1] * 3, grid_shape=(5, 5))
+        evaluator, _ = self.evaluator_calls()
+        offers = []
+        illuminate(batched(evaluator), **kwargs,
+                   on_offer=lambda cell, elite, result: offers.append(elite.behavior.tobytes()))
 
         def breaks_at_130(behavior):
+            # keyed on the behavior: the evaluator sees more rows than offers
             result = evaluator(behavior)
-            if len(calls) == 131:
+            if behavior.tobytes() == offers[130]:
                 return np.array(descriptor), performance, result[2]
             return result
 
-        with pytest.raises(ValueError, match="evaluation 130: evaluator returned a non-finite"):
-            illuminate(
-                breaks_at_130, budget=250, seed=1, lower=[-1] * 3, upper=[1] * 3, grid_shape=(5, 5)
-            )
+        before = []
+        with pytest.raises(ValueError, match="^offer 130: evaluator returned a non-finite"):
+            illuminate(batched(breaks_at_130), on_offer=lambda *offer: before.append(offer), **kwargs)
+        assert len(before) == 130
 
     def test_budget_equal_to_initial_batch_is_pure_random_search(self):
         evaluator, calls = self.evaluator_calls()
         archive = illuminate(
-            evaluator, budget=100, seed=4, lower=[-1, -1, -1], upper=[1, 1, 1], grid_shape=(5, 5)
+            batched(evaluator), budget=100, seed=4, lower=[-1, -1, -1], upper=[1, 1, 1], grid_shape=(5, 5)
         )
         assert len(calls) == 100
         assert 0 < len(archive) <= 25
@@ -97,7 +122,7 @@ class TestIlluminate:
             return np.array([0.5, 0.5]), float(behavior[0]), behavior[:2]
 
         archive = illuminate(
-            evaluator, budget=120, seed=2, lower=[-1.0], upper=[1.0], grid_shape=(8, 8),
+            batched(evaluator), budget=120, seed=2, lower=[-1.0], upper=[1.0], grid_shape=(8, 8),
             init_batch=100,
         )
         assert len(archive) == 1
@@ -132,7 +157,7 @@ class TestIlluminate:
             return np.abs(behavior) % 1.0, float(np.sum(behavior)), behavior
 
         archive = illuminate(
-            evaluator, budget=300, seed=3, lower=[-1, -1], upper=[1, 1],
+            batched(evaluator), budget=300, seed=3, lower=[-1, -1], upper=[1, 1],
             grid_shape=(6, 6), on_offer=on_offer,
         )
         assert len(counts) == 300
@@ -142,18 +167,18 @@ class TestIlluminate:
     def test_budget_below_initial_batch_rejected(self):
         evaluator, _ = self.evaluator_calls()
         with pytest.raises(ValueError, match="batch"):
-            illuminate(evaluator, budget=50, seed=0, lower=[-1], upper=[1], grid_shape=(4,))
+            illuminate(batched(evaluator), budget=50, seed=0, lower=[-1], upper=[1], grid_shape=(4,))
 
     def test_descriptor_of_the_wrong_length_rejected(self):
         def evaluator(behavior):
             return np.array([0.5, 0.5, 0.5]), 1.0, behavior
 
-        with pytest.raises(ValueError, match="evaluation 0: descriptor has 3 coordinates, grid has 2"):
-            illuminate(evaluator, budget=120, seed=0, lower=[-1], upper=[1], grid_shape=(4, 4))
+        with pytest.raises(ValueError, match=r"^offer 0: descriptors of shape \(64, 3\), grid has 2 axes$"):
+            illuminate(batched(evaluator), budget=120, seed=0, lower=[-1], upper=[1], grid_shape=(4, 4))
 
 
 def reference_bin_index(descriptor, grid_shape):
-    """bin_index as a numpy formula, as it was before it moved to Python."""
+    """bin_index's numpy formula on one descriptor, as a tuple."""
     desc = np.clip(np.asarray(descriptor, dtype=float), 0.0, 1.0)
     shape = np.asarray(grid_shape, dtype=int)
     idx = np.minimum(np.floor(desc * shape).astype(int), shape - 1)
@@ -163,9 +188,10 @@ def reference_bin_index(descriptor, grid_shape):
 def reference_illuminate(
     evaluator, budget, seed, lower, upper, grid_shape, mutation_sigma, init_batch, on_offer=None
 ):
-    """The illumination loop before illuminate binned each evaluation once:
-    one uniform draw per initial behavior, an Elite built for every offer,
-    the cell computed with numpy, np.clip on every child."""
+    """The illumination loop before illuminate worked in blocks: one
+    evaluator call per offer on a per-behavior evaluator, one uniform draw
+    per initial behavior, an Elite built for every offer, the cell computed
+    per offer, np.clip on every child."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     rng = np.random.default_rng(seed)
@@ -246,10 +272,39 @@ def illumination_cases(draw):
     )
 
 
+@st.composite
+def block_boundary_cases(draw):
+    """Three or more blocks after an initial batch that is no multiple of
+    BLOCK, on grids of 1x1 to 3x3 (later children of a block lose their
+    parent to a replacement) or of 20x20 and more (cells still fill after the
+    initial batch, so the block's draws are undone)."""
+    side = st.integers(1, 3) if draw(st.booleans()) else st.integers(20, 40)
+    init_batch = draw(st.integers(1, 4 * BLOCK).filter(lambda n: n % BLOCK))
+    return dict(
+        grid_shape=(draw(side), draw(side)),
+        behavior_dim=draw(st.integers(1, 4)),
+        init_batch=init_batch,
+        budget=max(3 * BLOCK, init_batch) + draw(st.integers(0, 3 * BLOCK)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        mutation_sigma=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        spread=draw(st.sampled_from([0.5, 1.5])),
+        on_edges=draw(st.booleans()),
+        performance_kind=draw(st.sampled_from(["rounded", "exact"])),
+    )
+
+
 class TestIlluminateMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(illumination_cases())
     def test_same_archive_bytes_and_offer_sequence(self, case):
+        self.assert_matches_reference(case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_boundary_cases())
+    def test_same_across_block_boundaries(self, case):
+        self.assert_matches_reference(case)
+
+    def assert_matches_reference(self, case):
         evaluator = make_evaluator(
             case["grid_shape"], case["spread"], case["on_edges"], case["performance_kind"]
         )
@@ -273,8 +328,8 @@ class TestIlluminateMatchesReference:
             return on_offer
 
         expected = save_archive(reference_illuminate(evaluator, on_offer=recorder(logs[0]), **kwargs))
-        hooked = illuminate(evaluator, on_offer=recorder(logs[1]), **kwargs)
-        plain = illuminate(evaluator, **kwargs)
+        hooked = illuminate(batched(evaluator), on_offer=recorder(logs[1]), **kwargs)
+        plain = illuminate(batched(evaluator), **kwargs)
         assert save_archive(hooked) == expected
         assert save_archive(plain) == expected
         assert logs[1] == logs[0]
@@ -287,28 +342,32 @@ class TestIlluminateMatchesReference:
 def descriptors_and_grids(draw):
     m = draw(st.integers(1, 4))
     grid = tuple(draw(st.lists(st.integers(1, 50), min_size=m, max_size=m)))
-    coords = []
-    for n in grid:
-        coords.append(
-            draw(
-                st.one_of(
-                    st.floats(allow_nan=False),
-                    st.floats(-0.5, 1.5),
-                    st.integers(0, n).map(lambda k, n=n: k / n),  # cell edges, 1.0 included
-                    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2**-53, 1.0 + 2**-52]),
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        coords = []
+        for n in grid:
+            coords.append(
+                draw(
+                    st.one_of(
+                        st.floats(allow_nan=False),
+                        st.floats(-0.5, 1.5),
+                        st.integers(0, n).map(lambda k, n=n: k / n),  # cell edges, 1.0 included
+                        st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2**-53, 1.0 + 2**-52]),
+                    )
                 )
             )
-        )
-    return coords, grid
+        rows.append(coords)
+    return rows, grid
 
 
 class TestBinIndexMatchesNumpyFormula:
     @settings(max_examples=500, deadline=None)
     @given(descriptors_and_grids())
-    def test_equal_on_random_descriptors(self, case):
-        coords, grid = case
-        assert bin_index(coords, grid) == reference_bin_index(coords, grid)
-        assert bin_index(np.array(coords), grid) == reference_bin_index(coords, grid)
+    def test_a_batch_equals_the_formula_row_by_row(self, case):
+        rows, grid = case
+        expected = [list(reference_bin_index(coords, grid)) for coords in rows]
+        assert bin_index(np.array(rows), grid).tolist() == expected
+        assert bin_index(rows[0], grid).tolist() == expected[0]
 
 
 WALKER_KW = dict(lower=-np.ones(4), upper=np.ones(4), grid_shape=(8, 8))
@@ -438,7 +497,7 @@ def archives(draw):
     unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 5e-324, 1.0]))
     behaviors = set()
     for descriptor in draw(st.lists(st.lists(unit, min_size=m, max_size=m), max_size=math.prod(grid))):
-        cell = bin_index(descriptor, grid)
+        cell = tuple(bin_index(descriptor, grid).tolist())
         vector = lambda size: draw(st.lists(archive_floats, min_size=size, max_size=size))
         behavior = np.array(vector(b))
         key = (behavior + 0.0).tobytes()   # -0.0 repeats 0.0
@@ -493,6 +552,15 @@ class TestArchivePrior:
         prior = ArchivePrior(archive)
         np.testing.assert_array_equal(prior(np.array([0.5])), [1.0, 0.0])
         np.testing.assert_array_equal(prior(np.array([0.7])), [0.5, 0.5])
+
+    def test_a_signed_zero_is_the_same_coordinate(self):
+        archive = Archive((2, 2), 2, 2)
+        archive.cells[(0, 0)] = Elite([0.0, 0.3], [0.2, 0.2], 1.0, [1.0, 0.0])
+        archive.cells[(1, 1)] = Elite([-0.0, -0.0], [0.8, 0.8], 1.0, [0.0, 1.0])
+        prior = ArchivePrior(archive)
+        for query, outcome in (([-0.0, 0.3], [1.0, 0.0]), ([0.0, 0.3], [1.0, 0.0]),
+                               ([0.0, 0.0], [0.0, 1.0]), ([-0.0, 0.0], [0.0, 1.0])):
+            assert prior(np.array(query)).tobytes() == np.array(outcome).tobytes()
 
     def test_repeated_queries_identical(self):
         # each query gets its own copy, so changing one leaves the prior as it was

@@ -25,9 +25,9 @@ from sela.worlds import (
     segment_walker_evaluator,
     segment_walker_model,
     vector_length,
-    walker_descriptor,
     wrap_angle,
 )
+from test_map_elites import batched
 
 
 class TestWrapAngle:
@@ -247,10 +247,10 @@ class TestScalarWalkerModel:
         got = segment_walker_model(joints)
         assert got.dtype == np.float64 and got.shape == (2,)
         assert got.tobytes() == frozen_walker_model(joints).tobytes()
-        descriptor, performance, outcome = segment_walker_evaluator(joints)
+        descriptors, performances, _ = segment_walker_evaluator([joints])
         expected = frozen_walker_evaluator(joints)
-        assert descriptor.tobytes() == expected[0].tobytes()
-        assert repr(performance) == repr(expected[1])
+        assert descriptors[0].tobytes() == expected[0].tobytes()
+        assert repr(performances.tolist()[0]) == repr(expected[1])
 
     @pytest.mark.parametrize(
         "joints",
@@ -259,8 +259,11 @@ class TestScalarWalkerModel:
     def test_other_shapes_raise(self, joints):
         with pytest.raises(ValueError, match="expected 4 joint offsets"):
             segment_walker_model(joints)
-        with pytest.raises(ValueError, match="expected 4 joint offsets"):
-            segment_walker_evaluator(joints)
+
+    @pytest.mark.parametrize("behaviors", [np.zeros((4, 1)), np.zeros(4), np.zeros((2, 5)), 0.5, []])
+    def test_a_batch_of_other_shapes_raises(self, behaviors):
+        with pytest.raises(ValueError, match="expected rows of 4 joint offsets"):
+            segment_walker_evaluator(behaviors)
 
     @pytest.mark.parametrize("offset", [math.inf, -math.inf])
     @pytest.mark.parametrize("joint", range(WALKER_JOINTS))
@@ -272,7 +275,7 @@ class TestScalarWalkerModel:
         with pytest.raises(ValueError, match="math domain error"):
             segment_walker_model(joints)
         with pytest.raises(ValueError, match="math domain error"):
-            segment_walker_evaluator(joints)
+            segment_walker_evaluator([[0.5] * WALKER_JOINTS, joints])
         with pytest.warns(RuntimeWarning, match="invalid value encountered in (cos|sin)"):
             assert np.isnan(frozen_walker_model(joints)).all()
 
@@ -283,8 +286,8 @@ class TestScalarWalkerModel:
         joints[joint] = math.nan
         assert np.isnan(segment_walker_model(joints)).all()
         assert np.isnan(frozen_walker_model(joints)).all()
-        descriptor, performance, outcome = segment_walker_evaluator(joints)
-        assert np.isnan(descriptor[0]) and math.isnan(performance) and np.isnan(outcome).all()
+        descriptors, performances, outcomes = segment_walker_evaluator([joints])
+        assert np.isnan(descriptors[0, 0]) and np.isnan(performances[0]) and np.isnan(outcomes).all()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -311,7 +314,7 @@ class TestScalarWalkerModel:
                             repr(elite.performance), elite.outcome.tobytes()))
             return on_offer
 
-        expected = illuminate(frozen_walker_evaluator, on_offer=recorder(logs[0]), **kwargs)
+        expected = illuminate(batched(frozen_walker_evaluator), on_offer=recorder(logs[0]), **kwargs)
         got = illuminate(segment_walker_evaluator, on_offer=recorder(logs[1]), **kwargs)
         assert save_archive(got) == save_archive(expected)
         assert save_archive(illuminate(segment_walker_evaluator, **kwargs)) == save_archive(expected)
@@ -349,43 +352,49 @@ class TestScalarWalkerModel:
 
 
 class TestDescriptor:
-    def test_rightward_step(self):
-        np.testing.assert_allclose(walker_descriptor([0.1, 0.0], 0.1), [0.5, 1.0])
+    def test_rightward_full_step(self):
+        descriptors, _, _ = segment_walker_evaluator([[0.0] * WALKER_JOINTS])
+        np.testing.assert_allclose(descriptors, [[0.5, 1.0]])
 
     def test_leftward_half_step(self):
-        np.testing.assert_allclose(walker_descriptor([-0.05, 0.0], 0.05), [1.0, 0.5])
+        descriptors, performances, _ = segment_walker_evaluator([[1.0, 1.0, 0.5, -0.5]])
+        np.testing.assert_allclose(descriptors, [[1.0, 0.5]])
+        np.testing.assert_allclose(performances, [0.05])
 
-    def test_magnitude_clamped(self):
-        assert walker_descriptor([0.3, 0.4], 0.5)[1] == 1.0
-
-    def test_direction_range(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            outcome = rng.normal(scale=0.05, size=2)
-            d = walker_descriptor(outcome, float(np.linalg.norm(outcome)))
-            assert 0.0 <= d[0] <= 1.0
-            assert 0.0 <= d[1] <= 1.0
+    def test_descriptors_lie_in_the_unit_square(self):
+        behaviors = np.random.default_rng(9).uniform(-1.0, 1.0, size=(500, WALKER_JOINTS))
+        descriptors, _, _ = segment_walker_evaluator(behaviors)
+        assert descriptors.shape == (500, 2)
+        assert ((descriptors >= 0.0) & (descriptors <= 1.0)).all()
 
     def test_evaluator_consistency(self):
         u = np.array([0.2, -0.4, 0.8, 0.0])
-        descriptor, performance, outcome = segment_walker_evaluator(u)
-        np.testing.assert_array_equal(outcome, segment_walker_model(u))
-        np.testing.assert_array_equal(descriptor, walker_descriptor(outcome, float(np.linalg.norm(outcome))))
-        assert performance == pytest.approx(np.linalg.norm(outcome))
+        descriptors, performances, outcomes = segment_walker_evaluator([u])
+        np.testing.assert_array_equal(outcomes[0], segment_walker_model(u))
+        assert performances[0] == pytest.approx(np.linalg.norm(outcomes[0]))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(joint_offsets, min_size=WALKER_JOINTS, max_size=WALKER_JOINTS))
-    def test_evaluator_is_bit_identical_to_its_definition(self, joints):
-        u = np.array(joints)
-        model = frozen_walker_model(u)
-        assert segment_walker_model(u).tobytes() == model.tobytes()
-        descriptor, performance, outcome = segment_walker_evaluator(u)
-        expected = frozen_walker_evaluator(u)
-        assert outcome.tobytes() == model.tobytes() == expected[2].tobytes()
-        assert descriptor.tobytes() == expected[0].tobytes()
-        assert descriptor.tobytes() == walker_descriptor(model, float(np.linalg.norm(model))).tobytes()
-        assert repr(performance) == repr(expected[1])
-        assert type(performance) is float
+    @given(st.lists(
+        st.one_of(
+            st.lists(joint_offsets, min_size=WALKER_JOINTS, max_size=WALKER_JOINTS),
+            st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, math.nan]),
+                     min_size=WALKER_JOINTS, max_size=WALKER_JOINTS),
+        ),
+        min_size=1, max_size=70,
+    ))
+    def test_each_row_is_bit_identical_to_its_definition(self, rows):
+        # the suite turns warnings into errors, so NaN rows give NaN silently
+        descriptors, performances, outcomes = segment_walker_evaluator(rows)
+        assert descriptors.shape == outcomes.shape == (len(rows), 2) and performances.shape == (len(rows),)
+        for u, descriptor, performance, outcome in zip(rows, descriptors, performances.tolist(), outcomes):
+            if math.isnan(sum(u)):
+                assert np.isnan(descriptor).all() and np.isnan(outcome).all() and math.isnan(performance)
+                continue
+            model = segment_walker_model(u)
+            expected = frozen_walker_evaluator(u)
+            assert outcome.tobytes() == model.tobytes() == expected[2].tobytes()
+            assert descriptor.tobytes() == expected[0].tobytes()
+            assert repr(performance) == repr(expected[1])
 
 
 class TestSamplersAndGoal:
