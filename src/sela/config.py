@@ -159,6 +159,8 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
             fail(key, f"must be {relation} {bound}, got {value}")
     if config.candidate_grid > MAX_CANDIDATES:
         fail("candidate_grid", f"must be at most {MAX_CANDIDATES}, got {config.candidate_grid}")
+    if not math.isfinite(config.alpha * math.sqrt(2.0)):   # the largest uncertainty is sqrt(outcome_dim = 2)
+        fail("alpha", f"must keep the uncertainty bonus alpha * sqrt(2) finite, got {config.alpha}")
     # Each learning trial adds one observation, and no method learns past step_cap.
     for method, key, budget in (
         (Method.SELA, "step_cap", config.step_cap),

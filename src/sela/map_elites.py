@@ -120,8 +120,8 @@ def illuminate(
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape or np.any(upper <= lower):
-        raise ValueError("domain bounds must satisfy lower < upper per coordinate")
+    if lower.ndim != 1 or lower.shape != upper.shape or np.any(upper <= lower):
+        raise ValueError("domain bounds must be vectors with lower < upper per coordinate")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     init_batch = initial_batch(budget, init_batch)
@@ -136,19 +136,10 @@ def illuminate(
     shape = tuple(int(n) for n in grid_shape)
     slot_of: dict[tuple[int, ...], int] = {}    # cell -> slot: its place in filling order, what a pick draws
     parents = np.empty((min(math.prod(shape), budget), lower.size))   # each slot's elite behavior
-    best = np.full(len(parents) + 1, -math.inf)   # and performance; slot -1, an empty cell, reads -inf
+    best = [-math.inf] * (len(parents) + 1)   # and performance; slot -1, an empty cell, reads -inf
 
     def draw(n):   # one child's parent pick and noise
         return rng.integers(n), rng.normal(0.0, mutation_sigma, size=lower.shape)
-
-    def evaluate(rows, first):
-        """Copies of the evaluator's results for rows (rebuilds write into them), which rows are finite, cells."""
-        descriptors, performances, outcomes = (np.array(a, dtype=float) for a in evaluator(rows))
-        if descriptors.shape != (len(rows), len(shape)):
-            raise ValueError(f"offer {first}: descriptors of shape {descriptors.shape}, grid has {len(shape)} axes")
-        finite = np.isfinite(descriptors).all(axis=1) & np.isfinite(performances)
-        cells = bin_index(np.where(finite[:, None], descriptors, 0.0), shape)   # a non-finite row would warn
-        return descriptors, performances, outcomes, finite, cells
 
     archive, offered = None, 0
     while offered < budget:
@@ -157,51 +148,47 @@ def illuminate(
         if mutating:
             state, n = rng.bit_generator.state, len(slot_of)
             picks, noise = zip(*[draw(n) for _ in range(k)])
-            noise = np.array(noise)
-            children = parents[list(picks)] + noise
+            children = parents[list(picks)] + np.array(noise)
             np.minimum(np.maximum(children, lower, out=children), upper, out=children)
         else:
             children = rng.uniform(lower, upper, size=(k, lower.size))
-        descriptors, performances, outcomes, finite, cells = evaluate(children, offered)
+        descriptors, performances, outcomes = (np.asarray(a, dtype=float) for a in evaluator(children))
+        if descriptors.shape != (k, len(shape)):
+            raise ValueError(f"offer {offered}: descriptors of shape {descriptors.shape}, grid has {len(shape)} axes")
+        finite = np.isfinite(descriptors).all(axis=1) & np.isfinite(performances)
+        cells = bin_index(np.where(finite[:, None], descriptors, 0.0), shape)   # a non-finite row would warn
+        rows = list(zip(map(tuple, cells.tolist()), finite.tolist(), performances.tolist()))
         if archive is None:
             archive = Archive(shape, lower.size, outcomes.shape[1])
-        j, slots, stops, kept = 0, [], [], True
+        j, stops, kept = 0, [], True
         while j < k:
-            if kept:   # at the start and after each offer the archive kept
-                slots[j:] = [slot_of.get(cell, -1) for cell in map(tuple, cells[j:].tolist())]
-                # the rows that insert, replace or raise; a last True ends the search
-                stops[j:] = (~finite[j:] | (performances[j:] > best[slots[j:]])).tolist() + [True]
+            if kept:   # at the start and after each offer the archive kept: the rows that insert, replace or raise
+                stops[j:] = [not ok or p > best[slot_of.get(cell, -1)] for cell, ok, p in rows[j:]] + [True]
             if on_offer is None and (j := stops.index(True, j)) == k:   # rejections need no work
                 break
-            if not finite[j]:
+            cell, ok, performance = rows[j]
+            if not ok:
                 raise ValueError(f"offer {offered + j}: evaluator returned a non-finite descriptor "
                                  f"{descriptors[j]} or performance {performances[j]}")
             # The offer rule: an empty cell takes the offer, a strictly better
             # one replaces the incumbent, a tie keeps it.
-            cell, slot, kept = tuple(cells[j].tolist()), slots[j], stops[j]
+            slot, kept = slot_of.get(cell, -1), stops[j]
             result = OfferResult.INSERTED if slot < 0 else OfferResult.REPLACED if kept else OfferResult.REJECTED
-            if kept or on_offer is not None:
-                candidate = Elite(children[j].copy(), descriptors[j], float(performances[j]), outcomes[j].copy())
+            candidate = Elite(children[j].copy(), descriptors[j], performance, outcomes[j].copy())
             if slot < 0:
                 slot = slot_of[cell] = len(slot_of)
             if kept:
-                parents[slot], best[slot] = children[j], performances[j]
+                parents[slot], best[slot] = children[j], performance
                 archive.cells[cell] = candidate
             if on_offer is not None:
                 on_offer(cell, candidate, result)
             j += 1
-            if mutating and result is OfferResult.INSERTED:
-                if j < k:   # the pick bound changed: draw the block's later children again
-                    rng.bit_generator.state = state
-                    for _ in range(j):
-                        draw(n)
+            if mutating and kept and j < k and (result is OfferResult.INSERTED or slot in picks[j:]):
+                # the pick bound or a later child's parent changed: draw the block's later children again
+                rng.bit_generator.state = state
+                for _ in range(j):
+                    draw(n)
                 break
-            rebuild = [r for r in range(j, k) if picks[r] == slot] if mutating and kept else []
-            if rebuild:   # later children of the parent this offer replaced: build and evaluate them again
-                rows = parents[slot] + noise[rebuild]
-                children[rebuild] = np.minimum(np.maximum(rows, lower, out=rows), upper, out=rows)
-                descriptors[rebuild], performances[rebuild], outcomes[rebuild], finite[rebuild], cells[rebuild] = (
-                    evaluate(rows, offered + rebuild[0]))
         offered += j
     return archive
 

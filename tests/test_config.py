@@ -148,6 +148,16 @@ class TestErrors:
         with pytest.raises(ConfigError, match="alpha"):
             parse_config("world = point_robot\nalpha = -1")
 
+    def test_alpha_whose_bonus_overflows_rejected(self):
+        # alpha times the largest uncertainty, sqrt(2), overflowed in select_next
+        with pytest.raises(ConfigError, match=r"^line 2: key 'alpha' must keep the uncertainty bonus"):
+            parse_config("world = point_robot\nalpha = 1.2711610061536462e+308")
+
+    def test_largest_alpha_runs(self):
+        config = parse_config("world = point_robot\nalpha = 1.271161006153646e+308\nstep_cap = 5")
+        record = run_method(Method.SELA, build_mission_config(config, config.base_seed))
+        assert record.total_steps == 5
+
     def test_zero_cell_size_rejected(self):
         with pytest.raises(ConfigError, match="cell_size"):
             parse_config("world = point_robot\ncell_size = 0")

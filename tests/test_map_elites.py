@@ -81,8 +81,8 @@ class TestIlluminate:
         illuminate(batched(evaluator), budget=250, seed=1, lower=[-1, -1, -1], upper=[1, 1, 1], grid_shape=(5, 5),
                    on_offer=lambda cell, elite, result: offers.append(elite.behavior.tobytes()))
         assert len(offers) == 250
-        # every offer was evaluated; a child rebuilt within its block, or
-        # drawn again after an insertion, is evaluated once more
+        # every offer was evaluated; a child drawn again after a rewind (an
+        # insertion, or a replaced parent that it picked) is evaluated once more
         assert set(offers) <= {behavior.tobytes() for behavior in calls}
         assert len(calls) >= 250
 
@@ -168,6 +168,14 @@ class TestIlluminate:
         evaluator, _ = self.evaluator_calls()
         with pytest.raises(ValueError, match="batch"):
             illuminate(batched(evaluator), budget=50, seed=0, lower=[-1], upper=[1], grid_shape=(4,))
+
+    @pytest.mark.parametrize("lower, upper", [(-1.0, 1.0), ([[-1.0, -1.0]], [[1.0, 1.0]])])
+    def test_bounds_that_are_no_vectors_rejected(self, lower, upper):
+        # scalar bounds would give (k,) noise against (k, 1) parents, a (k, k) block of children
+        evaluator, calls = self.evaluator_calls()
+        with pytest.raises(ValueError, match="^domain bounds must be vectors"):
+            illuminate(batched(evaluator), budget=200, seed=0, lower=lower, upper=upper, grid_shape=(4,))
+        assert calls == []
 
     def test_descriptor_of_the_wrong_length_rejected(self):
         def evaluator(behavior):
@@ -277,7 +285,7 @@ def block_boundary_cases(draw):
     """Three or more blocks after an initial batch that is no multiple of
     BLOCK, on grids of 1x1 to 3x3 (later children of a block lose their
     parent to a replacement) or of 20x20 and more (cells still fill after the
-    initial batch, so the block's draws are undone)."""
+    initial batch); either way the block's draws are undone and replayed."""
     side = st.integers(1, 3) if draw(st.booleans()) else st.integers(20, 40)
     init_batch = draw(st.integers(1, 4 * BLOCK).filter(lambda n: n % BLOCK))
     return dict(

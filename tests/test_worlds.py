@@ -367,6 +367,12 @@ class TestDescriptor:
         assert descriptors.shape == (500, 2)
         assert ((descriptors >= 0.0) & (descriptors <= 1.0)).all()
 
+    def test_a_magnitude_rounded_past_the_intact_step_is_clamped(self):
+        # four joints at 1e-8: the leg sums round the magnitude up to 0.10000000000000002
+        descriptors, performances, _ = segment_walker_evaluator([[1e-8] * WALKER_JOINTS, [0.0] * WALKER_JOINTS])
+        assert performances[0] > POINT_ROBOT_STEP
+        assert descriptors[:, 1].tolist() == [1.0, 1.0]
+
     def test_evaluator_consistency(self):
         u = np.array([0.2, -0.4, 0.8, 0.0])
         descriptors, performances, outcomes = segment_walker_evaluator([u])
