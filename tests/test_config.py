@@ -149,7 +149,7 @@ class TestErrors:
             parse_config("world = point_robot\nalpha = -1")
 
     def test_alpha_whose_bonus_overflows_rejected(self):
-        # alpha times the largest uncertainty, sqrt(2), overflowed in select_next
+        # alpha times the largest uncertainty, sqrt(2), must stay finite in select_next
         with pytest.raises(ConfigError, match=r"^line 2: key 'alpha' must keep the uncertainty bonus"):
             parse_config("world = point_robot\nalpha = 1.2711610061536462e+308")
 
