@@ -65,7 +65,7 @@ class AcquisitionConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
 
 

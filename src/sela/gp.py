@@ -13,12 +13,13 @@ diagonal. With a zero prior this is plain GP regression.
 
 The Cholesky factor L of K grows by one row per observation: for input x_i,
 r = L^-1 k(X, x_i) over the earlier inputs, and the new row is
-[r, sqrt(1 + noise + jitter - r.r)], where the jitter is JITTER for a noise
-variance below it and 0 otherwise, so a repeated input factors even without
-noise. Rows are written in place into a buffer that doubles when full, as
-are the prior values and the observations that `with_observation` appends;
-a model's and a set's arrays are read-only views. A fit from scratch runs
-the same steps from the empty model, so a refit after one more observation
+[r, sqrt(1 + noise + jitter - r.r)]. The noise alone sets the jitter: JITTER
+for a noise variance below it and 0 otherwise, so a repeated input factors
+even without noise. A pivot that is not positive raises GpFitError. Rows are
+written in place into a buffer that doubles when full, as are the prior
+values and the observations that `with_observation` appends; a model's and
+a set's arrays are read-only views. A fit from scratch runs the same steps
+from the empty model, so a refit after one more observation
 (`fit(..., previous=model)`) costs O(t^2), runs the kernel and the prior at
 most at the new input, and equals a fit from scratch bit for bit. Solves
 use dtrtrs from `scipy.linalg._flapack` alone.
@@ -27,7 +28,8 @@ use dtrtrs from `scipy.linalg._flapack` alone.
 it evaluates the prior there once, writes k(X, points) and L^-1 k(X, points)
 one row per observation into a buffer that doubles when full, copying the
 kernel row of an input seen before (the variance is 1 - the column sums of
-squares of the latter), and scores each fitted model once. Its `mean_at`
+squares of the latter), and scores each fitted model once; the models share
+its kernel, prior and noise, so the solved rows serve them all. Its `mean_at`
 gives the mean at one of those points with `predict`'s one-row arithmetic,
 equal to `predict`'s mean bit for bit. Models are bounded at
 `MAX_GP_OBSERVATIONS` inputs by the config check.
@@ -160,7 +162,7 @@ class ObservationSet:
         outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
         if len(inputs) != len(outputs):
             raise ValueError(f"{len(inputs)} inputs vs {len(outputs)} outputs")
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:
             raise ValueError("noise_variance must be non-negative")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
@@ -205,7 +207,8 @@ def zero_prior(outcome_dim: int) -> PriorMean:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted posterior state. Treat as immutable; call fit again to update."""
+    """Fitted posterior state. Treat as immutable; call fit again to update.
+    K's diagonal follows from the noise variance alone (see JITTER)."""
 
     kernel: Kernel
     observations: ObservationSet
@@ -213,22 +216,7 @@ class GpModel:
     chol: np.ndarray                # (t, t) lower Cholesky factor of K, read-only
     prior_correction: np.ndarray    # (t, outcome_dim), equals K^-1 (Y - P(X))
     prior_at_inputs: np.ndarray     # (t, outcome_dim) P(X), read-only
-    jitter: float                   # on K's diagonal besides the noise: 0 or JITTER
     buffers: tuple = field(repr=False, compare=False)   # (factor, prior values), viewed above
-
-
-def _grow_factor(factor: np.ndarray, k: int, rows, diagonal: float):
-    """`factor` (the first k inputs' factor top left, zeroed past it) or a copy with room, grown by
-    a row per kernel row k(x_i, X[:i]) in `rows` (i = k, k+1, ...) with `diagonal` (1 + noise + jitter)
-    on K's diagonal; None if a pivot is not positive. dtrtrs takes the F-ordered upper factor, no copy."""
-    factor = _with_room(factor, k + len(rows), axes=(0, 1), zeroed=True)
-    for i, row in enumerate(rows, start=k):
-        r = dtrtrs(factor.T[:, :i], row[:i], lower=0, trans=1)[0] if i else row[:0]
-        pivot = diagonal - r @ r
-        if not pivot > 0.0:
-            return None
-        factor[i, :i], factor[i, i] = r, math.sqrt(pivot)
-    return factor
 
 
 def fit(
@@ -260,7 +248,6 @@ def fit(
     if not (np.isfinite(observations.rows[1][k:t]).all() if shared
             else np.isfinite(inputs).all() and np.isfinite(outputs).all()):
         raise GpFitError("observation inputs and outputs must be finite")
-    jitter = JITTER if noise < JITTER else 0.0
     if previous is None:
         factor, values = np.zeros((0, 0)), outputs[:0]
     elif not (
@@ -280,12 +267,17 @@ def fit(
             factor, values = previous.chol, previous.prior_at_inputs
     one = evaluated is not None and t == k + 1 == len(evaluated[0]) + 1
     rows = [evaluated[0]] if one else kernel_matrix(kernel, inputs[k:], inputs)
-    factor = _grow_factor(factor, k, rows, 1.0 + noise + jitter)
-    if factor is None:
-        raise GpFitError(
-            f"kernel matrix not positive definite (t={t}, "
-            f"noise_variance={noise}, kernel={kernel})"
-        )
+    # a row per new input x_i from k(x_i, X[:i]); dtrtrs takes the F-ordered upper factor, no copy
+    factor = _with_room(factor, t, axes=(0, 1), zeroed=True)
+    for i, row in enumerate(rows, start=k):
+        r = dtrtrs(factor.T[:, :i], row[:i], lower=0, trans=1)[0] if i else row[:0]
+        pivot = 1.0 + noise + (JITTER if noise < JITTER else 0.0) - r @ r
+        if not pivot > 0.0:
+            raise GpFitError(
+                f"kernel matrix not positive definite (t={t}, "
+                f"noise_variance={noise}, kernel={kernel})"
+            )
+        factor[i, :i], factor[i, i] = r, math.sqrt(pivot)
     values, correction = _with_room(values, t), outputs[:0]
     if t:   # the empty model calls no prior and solves nothing
         values[k:t] = evaluated[1] if one else prior_values(prior, inputs[k:])
@@ -301,7 +293,6 @@ def fit(
         chol=chol,
         prior_correction=correction,
         prior_at_inputs=prior_at_inputs,
-        jitter=jitter,
         buffers=(factor, values),
     )
 
@@ -334,8 +325,8 @@ class CandidatePosterior:
     k(X, points) and L^-1 k(X, points) with one row per observation, and the
     means and aggregated sigma of the latest model scored. `score` recomputes
     them only for another model object; models are immutable, so the kept
-    ones are exact. Every model scored must use this kernel and prior and
-    extend the inputs scored before."""
+    ones are exact. Every model scored must use this kernel, prior and noise
+    (the first model's) and extend the inputs scored before."""
 
     def __init__(self, points, prior: PriorMean, kernel: Kernel):
         self.points = _as_points(points)
@@ -346,8 +337,8 @@ class CandidatePosterior:
         self.rows = None   # the rows list the inputs view, if any (see ObservationSet)
         self.first = {}    # each input's bytes -> its first row: a repeat copies that row of cross
         self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
-        # (rows of L^-1 cross solved, their column sums of squares) and the (noise, jitter) of L
-        self.solved = self.diagonal = None
+        # (rows of L^-1 cross solved, their column sums of squares) and the noise of the models scored
+        self.solved = self.noise = None
         # the latest model scored, its means (n, outcome_dim) and sigma (n,)
         self.model = self.means = self.sigma = None
 
@@ -362,11 +353,12 @@ class CandidatePosterior:
         # let the last model and its score go before the new one is computed
         self.model = self.means = self.sigma = None
         inputs, rows, k = model.observations.inputs, model.observations.rows, len(self.inputs)
+        noise = model.observations.noise_variance
         # inputs on the chain of sets the kept ones view extend them if there are as many
         shared = rows is self.rows is not None and k <= len(inputs)
-        if not (model.prior is self.prior and model.kernel == self.kernel
+        if not (model.prior is self.prior and model.kernel == self.kernel and self.noise in (None, noise)
                 and (shared or np.array_equal(self.inputs, inputs[:k]))):
-            raise ValueError("model must use this kernel and prior, extending the inputs seen")
+            raise ValueError("model must use this kernel, prior and noise, extending the inputs seen")
         if k < len(inputs):   # write the new rows, doubling the capacity (at least to t) if full
             self.buffer = _with_room(self.buffer, len(inputs), axes=(1,))
             cross = self.buffer[0]
@@ -374,15 +366,12 @@ class CandidatePosterior:
                 j = self.first.setdefault(x.tobytes(), i)
                 cross[i] = cross[j] if j < i else kernel_matrix(self.kernel, x[None], self.points)
             self.inputs, self.rows, self.cross = inputs, rows, cross[:len(inputs)]
-        diagonal = (model.observations.noise_variance, model.jitter)
-        if diagonal != self.diagonal:   # another factor: solve from row 0
-            self.solved, self.diagonal = None, diagonal
         means, variances, self.solved = _posterior(
             model, self.prior_means, self.cross, self.buffer[1], self.solved
         )
         sigma = np.sqrt(means.shape[1] * variances)
         means.flags.writeable = sigma.flags.writeable = False
-        self.model, self.means, self.sigma = model, means, sigma
+        self.model, self.means, self.sigma, self.noise = model, means, sigma, noise
         return means, sigma
 
     def mean_at(self, model: GpModel, index: int) -> np.ndarray:

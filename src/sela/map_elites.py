@@ -129,7 +129,7 @@ def illuminate(
         raise ValueError(f"initial batch {init_batch} must be in [1, budget={budget}]")
     if mutation_sigma is None:
         mutation_sigma = 0.1 * float(np.max(upper - lower))
-    if mutation_sigma <= 0:
+    if not mutation_sigma > 0:
         raise ValueError("mutation_sigma must be positive")
 
     rng = np.random.default_rng(seed)
@@ -157,22 +157,19 @@ def illuminate(
             raise ValueError(f"offer {offered}: descriptors of shape {descriptors.shape}, grid has {len(shape)} axes")
         finite = np.isfinite(descriptors).all(axis=1) & np.isfinite(performances)
         cells = bin_index(np.where(finite[:, None], descriptors, 0.0), shape)   # a non-finite row would warn
-        rows = list(zip(map(tuple, cells.tolist()), finite.tolist(), performances.tolist()))
+        rows = zip(map(tuple, cells.tolist()), finite.tolist(), performances.tolist())
         if archive is None:
             archive = Archive(shape, lower.size, outcomes.shape[1])
-        j, stops, kept = 0, [], True
-        while j < k:
-            if kept:   # at the start and after each offer the archive kept: the rows that insert, replace or raise
-                stops[j:] = [not ok or p > best[slot_of.get(cell, -1)] for cell, ok, p in rows[j:]] + [True]
-            if on_offer is None and (j := stops.index(True, j)) == k:   # rejections need no work
-                break
-            cell, ok, performance = rows[j]
+        for j, (cell, ok, performance) in enumerate(rows):
             if not ok:
                 raise ValueError(f"offer {offered + j}: evaluator returned a non-finite descriptor "
                                  f"{descriptors[j]} or performance {performances[j]}")
             # The offer rule: an empty cell takes the offer, a strictly better
             # one replaces the incumbent, a tie keeps it.
-            slot, kept = slot_of.get(cell, -1), stops[j]
+            slot = slot_of.get(cell, -1)
+            kept = performance > best[slot]
+            if not kept and on_offer is None:   # a rejection needs no work
+                continue
             result = OfferResult.INSERTED if slot < 0 else OfferResult.REPLACED if kept else OfferResult.REJECTED
             candidate = Elite(children[j].copy(), descriptors[j], performance, outcomes[j].copy())
             if slot < 0:
@@ -182,14 +179,14 @@ def illuminate(
                 archive.cells[cell] = candidate
             if on_offer is not None:
                 on_offer(cell, candidate, result)
-            j += 1
-            if mutating and kept and j < k and (result is OfferResult.INSERTED or slot in picks[j:]):
-                # the pick bound or a later child's parent changed: draw the block's later children again
+            if mutating and kept and j + 1 < k and (result is OfferResult.INSERTED or slot in picks[j + 1:]):
+                # the pick bound or a later child's parent changed: end the block, draw the rest again
                 rng.bit_generator.state = state
-                for _ in range(j):
+                for _ in range(j + 1):
                     draw(n)
+                k = j + 1
                 break
-        offered += j
+        offered += k
     return archive
 
 

@@ -67,7 +67,7 @@ class DropDetectorConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
 
 

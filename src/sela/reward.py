@@ -41,7 +41,7 @@ class PlannerGrid:
     blocked: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.cell_size <= 0:
+        if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
         if self.shape[0] < 1 or self.shape[1] < 1:
             raise ValueError(f"grid shape must be positive, got {self.shape}")

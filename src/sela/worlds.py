@@ -111,7 +111,7 @@ class World:
         seed: int = 0,
         start=(0.0, 0.0),
     ):
-        if noise_variance < 0:
+        if not noise_variance >= 0:
             raise ValueError("noise_variance must be non-negative")
         self._model = model
         self._damage = damage

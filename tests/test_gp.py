@@ -286,7 +286,7 @@ class TestCandidatePosterior:
         posterior.score(fit(observations, SQEXP, prior))   # equal, but another object
         assert len(scored) == 2
 
-    @pytest.mark.parametrize("change", ["kernel", "prior", "inputs", "fewer_inputs"])
+    @pytest.mark.parametrize("change", ["kernel", "prior", "noise", "inputs", "fewer_inputs"])
     def test_model_must_extend_what_was_scored(self, change):
         rng = np.random.default_rng(6)
         prior = zero_prior(2)
@@ -297,6 +297,7 @@ class TestCandidatePosterior:
         model = {
             "kernel": fit(observations, Kernel(sigma=0.3), prior),
             "prior": fit(observations, SQEXP, sine_prior),
+            "noise": fit(ObservationSet(observations.inputs, observations.outputs, 0.0), SQEXP, prior),
             "inputs": fit(ObservationSet(observations.inputs + 1.0, observations.outputs), SQEXP, prior),
             "fewer_inputs": fit(ObservationSet(head.inputs[:2], head.outputs[:2]), SQEXP, prior),
         }[change]
@@ -335,6 +336,11 @@ def archive_prior(rng, behaviors):
     for i, behavior in enumerate(behaviors):
         archive.cells[(i,)] = Elite(behavior, [(i + 0.5) / len(behaviors)], 1.0, rng.normal(size=2))
     return ArchivePrior(archive)
+
+
+def assert_diagonal(model, jitter):
+    """K's diagonal, read off the factor's first pivot: 1 + noise + jitter, bit for bit."""
+    assert model.chol[0, 0] == math.sqrt(1.0 + model.observations.noise_variance + jitter)
 
 
 def bits(array):
@@ -431,7 +437,7 @@ class TestSolve:
         ends, capacities = (1, 2, 3, 5, 6, 7, 8, 9, 60, 61, 400, 401, t), []
         for end in ends:
             model = fit(ObservationSet(inputs[:end], outputs[:end], noise), kernel, sine_prior, previous=model)
-            assert model.jitter == (JITTER if twin else 0.0)
+            assert_diagonal(model, JITTER if twin else 0.0)
             residuals = model.observations.outputs - model.prior_at_inputs
             assert bits(model.prior_correction) == bits(cho_solve((model.chol, True), residuals))
             capacities.append(model.chol.strides[0] // model.chol.itemsize)   # LAPACK's lda
@@ -537,7 +543,7 @@ class TestPosteriorBuffers:
             scored += [(array, array.copy()) for array in (means, sigma, posterior.cross)]
             for array, copy in scored:
                 assert bits(array) == bits(copy)
-        assert model.jitter == JITTER
+        assert_diagonal(model, JITTER)
         assert capacities == [0, 1, 2, 4, 8, 16, 32, 64]
 
 
@@ -604,7 +610,7 @@ class TestGrowInPlace:
             previous = fit(ObservationSet(inputs[:end], outputs[:end], 0.0), SQEXP, sine_prior, previous=previous)
         twin = ObservationSet(np.vstack([inputs, inputs[-1:] + 1e-12]), outputs, 0.0)
         grown = fit(twin, SQEXP, sine_prior, previous=previous)
-        assert grown.jitter == JITTER
+        assert_diagonal(grown, JITTER)
         assert all(mine is theirs for mine, theirs in zip(grown.buffers, previous.buffers))
         kept = snapshot(grown)
         other = fit(ObservationSet(np.vstack([inputs, [[2.5]]]), outputs, 0.0), SQEXP, sine_prior, previous=previous)
@@ -679,9 +685,24 @@ class TestFitErrors:
     def test_duplicate_inputs_without_noise_factor_with_the_jitter(self, inputs):
         obs = ObservationSet(np.array(inputs), np.array([[1.0], [2.0]]), 0.0)
         model = fit(obs, SQEXP, zero_prior(1))
-        assert model.jitter == JITTER
+        assert_diagonal(model, JITTER)
         # the two observations average out
         assert predict(model, obs.inputs[0])[0][0] == pytest.approx(1.5, rel=1e-9)
+
+    def test_a_pivot_that_is_not_positive_raises_and_leaves_previous_intact(self):
+        # a kernel column no kernel gives, k(x, X) = 2 > k(x, x); `previous` has
+        # room for the new row in its buffers, so a written row would land there
+        rng = np.random.default_rng(15)
+        observations = ObservationSet(rng.uniform(-np.pi, np.pi, size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
+        head = ObservationSet(observations.inputs[:3], observations.outputs[:3], 0.001)
+        previous = grow(head, SQEXP, sine_prior)[-1]
+        assert len(previous.buffers[0]) == 4
+        with pytest.raises(GpFitError) as raised:
+            fit(observations, SQEXP, sine_prior, previous, evaluated=(np.full(3, 2.0), np.zeros(2)))
+        assert str(raised.value) == f"kernel matrix not positive definite (t=4, noise_variance=0.001, kernel={SQEXP})"
+        model, scratch = fit(observations, SQEXP, sine_prior, previous), fit(observations, SQEXP, sine_prior)
+        assert_same_model(model, scratch)
+        assert bits(model.prior_correction) == bits(scratch.prior_correction)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["inputs", "outputs"])
@@ -730,7 +751,8 @@ def grow(observations, kernel, prior):
 def assert_same_model(grown, scratch):
     for name in ("chol", "prior_correction", "prior_at_inputs"):
         np.testing.assert_array_equal(getattr(grown, name), getattr(scratch, name), err_msg=name)
-    assert grown.jitter == scratch.jitter
+    if len(grown.chol):   # the noise alone sets K's diagonal
+        assert_diagonal(grown, JITTER if grown.observations.noise_variance < JITTER else 0.0)
 
 
 class TestIncrementalFit:
@@ -793,7 +815,7 @@ class TestIncrementalFit:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(gram)
         np.linalg.cholesky(gram + JITTER * np.eye(5))
-        assert grown.jitter == JITTER
+        assert_diagonal(grown, JITTER)
         assert_same_model(grown, fit(observations, SQEXP, sine_prior))
 
     def test_the_jitter_rides_on_every_row_without_noise(self):
@@ -806,9 +828,9 @@ class TestIncrementalFit:
         inputs = np.vstack([inputs[:3], inputs[1] + 1e-12, inputs[3:]])
         observations = ObservationSet(inputs, rng.normal(size=(8, 2)), 0.0)
         models = grow(observations, SQEXP, sine_prior)
-        assert [model.jitter for model in models] == [JITTER] * 8
         assert bits(models[3].chol[:3, :3]) == bits(models[2].chol)
         for model in models:
+            assert_diagonal(model, JITTER)
             assert_same_model(model, fit(model.observations, SQEXP, sine_prior))
         points = rng.uniform(-1, 1, size=(40, 1))
         posterior = CandidatePosterior(points, sine_prior, SQEXP)
@@ -889,8 +911,8 @@ class TestZeroNoise:
     def test_the_noise_alone_sets_the_jitter(self, noise, jitter):
         rng = np.random.default_rng(13)
         observations = ObservationSet(rng.normal(size=(3, 1)), rng.normal(size=(3, 2)), noise)
-        assert fit(ObservationSet.empty(1, 2, noise), SQEXP, sine_prior).jitter == jitter
-        assert [model.jitter for model in grow(observations, SQEXP, sine_prior)] == [jitter] * 3
+        for model in grow(observations, SQEXP, sine_prior):
+            assert_diagonal(model, jitter)
 
     # an exact repeat of candidate 2, its sign-flipped zero coordinate, and a near twin 1e-12 away
     @pytest.mark.parametrize("twin", [
@@ -915,7 +937,8 @@ class TestZeroNoise:
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
             observations = model.observations.with_observation(points[index], rng.normal(size=2))
             model = fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated)
-            assert calls == [] and model.jitter == JITTER
+            assert calls == []
+            assert_diagonal(model, JITTER)
             caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.0)
             assert_same_model(model, fit(caller, kernel, sine_prior))
             means, sigma = posterior.score(model)
@@ -1001,7 +1024,7 @@ class TestRefitFromThePosterior:
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
             model = fit(observations, SQEXP, sine_prior, previous=model, evaluated=evaluated)
             assert calls == []
-        assert model.jitter == JITTER
+        assert_diagonal(model, JITTER)
         assert_same_model(model, fit(ObservationSet(points, [[0.0, 0.2], [0.1, 0.2], [0.2, 0.2]], 0.0), SQEXP, sine_prior))
 
     @pytest.mark.parametrize("case", ["two_new_inputs", "short_column", "long_column", "no_previous"])

@@ -39,9 +39,11 @@ from sela.mission import (
 )
 from sela.config import ExperimentConfig
 from sela.experiment import build_archive, build_mission_config
+from sela.map_elites import illuminate
 from sela.reward import PlannerGrid
 from sela.worlds import (
     AngleOffsetDamage,
+    World,
     apply_damage,
     make_point_robot_world,
     point_robot_intact,
@@ -139,6 +141,22 @@ class TestDropDetector:
             DropDetectorConfig(window=0)
         with pytest.raises(ValueError):
             DropDetectorConfig(threshold=0.0)
+
+
+class TestDirectConstruction:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: AcquisitionConfig(alpha=math.nan), "alpha must be non-negative, got nan"),
+        (lambda: DropDetectorConfig(threshold=math.nan), "threshold must be positive"),
+        (lambda: ObservationSet(np.zeros((1, 1)), np.zeros((1, 2)), math.nan), "noise_variance must be non-negative"),
+        (lambda: World(point_robot_intact, noise_variance=math.nan), "noise_variance must be non-negative"),
+        (lambda: PlannerGrid(math.nan, (0.0, 0.0), (4, 4)), "cell_size must be positive"),
+        (lambda: illuminate(lambda behaviors: pytest.fail("evaluated"), 200, 0, -np.ones(4), np.ones(4), (4, 4),
+                            mutation_sigma=math.nan), "mutation_sigma must be positive"),
+    ], ids=["alpha", "threshold", "observation_noise", "world_noise", "cell_size", "mutation_sigma"])
+    def test_nan_rejected(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
 
 
 class TestRunRecord:
