@@ -35,9 +35,6 @@ class CandidateSet:
             raise ValueError("candidate set contains duplicate points")
         object.__setattr__(self, "points", pts)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     @classmethod
     def dense_theta_grid(cls, resolution: int = 360) -> "CandidateSet":
         """Evenly spaced directions covering (-pi, pi].
@@ -50,12 +47,6 @@ class CandidateSet:
         steps = np.arange(1, resolution + 1)
         thetas = -np.pi + steps * (2.0 * np.pi / resolution)
         return cls(points=thetas[:, None])
-
-    @classmethod
-    def from_archive(cls, archive) -> "CandidateSet":
-        """All elite behaviors of a MAP-Elites archive, in cell order."""
-        points = np.array([elite.behavior for elite in archive.elites()])
-        return cls(points=points)
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def build_mission_config(
     else:
         if archive is None:
             raise ValueError("segment_walker missions need a prebuilt archive")
-        candidates = CandidateSet.from_archive(archive)
+        candidates = CandidateSet(points=np.array([elite.behavior for elite in archive.elites()]))
         prior = ArchivePrior(archive)
     parts = _seeded_parts(config, seed)
     goal = np.array([config.goal_x, config.goal_y])
@@ -153,10 +153,10 @@ def run_experiment(
 ) -> tuple[list[RunRecord], list[SummaryRow]]:
     """Run methods x replicates sequentially; optionally persist both CSVs.
 
-    The config is validated and a walker archive's dimensions and elites
-    checked first, so a directly built config fails here rather than inside a
-    mission. An exception from a replicate propagates with a note naming its
-    method and seed. Replicates change only the template's world, rng and seed.
+    The config and a walker archive's dimensions and emptiness are checked here;
+    `load_archive` or the template's `CandidateSet` rejects a repeated behavior, all
+    before any replicate runs. An exception from a replicate propagates with a note
+    naming its method and seed. Replicates change only the template's world, rng and seed.
     """
     validate(config)
     if config.world == "segment_walker":
@@ -171,8 +171,6 @@ def run_experiment(
             )
         if not archive.cells:
             raise ConfigError(f"archive_path {config.archive_path}: the archive lists no elites")
-        if len({tuple(e.behavior.tolist()) for e in archive.cells.values()}) < len(archive.cells):
-            raise ConfigError(f"archive_path {config.archive_path}: the archive lists a behavior twice")
     template = build_mission_config(config, config.base_seed, archive)
     records = []
     for method in config.methods:
@@ -235,14 +233,11 @@ def summary_csv_text(summary: list[SummaryRow]) -> str:
 
 def write_results(
     records: list[RunRecord], summary: list[SummaryRow], out_dir, world: str
-) -> tuple[Path, Path]:
+) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runs_path = out / "runs.csv"
-    summary_path = out / "summary.csv"
-    runs_path.write_text(runs_csv_text(records, world), encoding="utf-8", newline="")
-    summary_path.write_text(summary_csv_text(summary), encoding="utf-8", newline="")
-    return runs_path, summary_path
+    (out / "runs.csv").write_text(runs_csv_text(records, world), encoding="utf-8", newline="")
+    (out / "summary.csv").write_text(summary_csv_text(summary), encoding="utf-8", newline="")
 
 
 def read_runs_csv(path) -> tuple[str, list[RunRecord]]:

@@ -68,7 +68,7 @@ class TestCandidateSet:
     def test_dense_grid_covers_half_open_circle(self):
         grid = CandidateSet.dense_theta_grid(360)
         thetas = grid.points[:, 0]
-        assert len(grid) == 360
+        assert len(grid.points) == 360
         assert thetas.min() > -math.pi
         assert thetas.max() == pytest.approx(math.pi)
         # whole-degree grid: the diagonal and the axes are on it
@@ -76,7 +76,7 @@ class TestCandidateSet:
             assert np.min(np.abs(thetas - target)) < 1e-12
 
     def test_dense_grid_size_is_capped(self):
-        assert len(CandidateSet.dense_theta_grid(MAX_CANDIDATES)) == MAX_CANDIDATES
+        assert len(CandidateSet.dense_theta_grid(MAX_CANDIDATES).points) == MAX_CANDIDATES
         for resolution in (0, MAX_CANDIDATES + 1):
             with pytest.raises(ValueError, match="resolution must be in"):
                 CandidateSet.dense_theta_grid(resolution)
@@ -94,7 +94,7 @@ class TestCandidateSet:
     def test_nan_rows_are_not_duplicates(self):
         # as np.unique's verdict: NaN equals nothing, so no two such rows repeat
         points = np.array([[math.nan, 0.1], [math.nan, 0.1], [0.1, math.nan]])
-        assert len(CandidateSet(points)) == 3
+        assert len(CandidateSet(points).points) == 3
 
 
 class TestSelectNext:

@@ -27,7 +27,7 @@ from sela.config import (
     with_overrides,
 )
 from sela.experiment import build_archive, build_mission_config
-from sela.gp import MIN_KERNEL_SIGMA
+from sela.gp import MIN_KERNEL_SIGMA, GpFitError
 from sela.map_elites import Archive, Elite
 from sela.mission import Method, run_method
 
@@ -504,6 +504,13 @@ class TestParserFuzz:
         # 2**63 once overflowed the window's deque length in every method
         check_runs_or_fails_cleanly(f"world = {world}\nmethods = {', '.join(m.value for m in Method)}\n"
                                     f"drop_window = {2**63}", world)
+
+    @pytest.mark.xfail(strict=True, raises=GpFitError, reason=(
+        "ROADMAP item 11: the squared-exponential of the wrapped angle is not positive definite, so "
+        "babbling's fit raises 'kernel matrix not positive definite (t=5, ...)'"))
+    def test_a_wide_squared_exponential_kernel_on_the_circle_runs(self):
+        # one config of the class that test_accepted_point_robot_configs_run draws at random
+        check_runs_or_fails_cleanly("world = point_robot\nmethods = babbling\nkernel_sigma = 2", "point_robot")
 
     @settings(max_examples=300, deadline=timedelta(seconds=5))
     @given(st.integers(1, 4), st.lists(lines, max_size=4))

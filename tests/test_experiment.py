@@ -35,7 +35,7 @@ from sela.experiment import (
     write_results,
 )
 from sela.gp import MIN_KERNEL_SIGMA, DistanceKind, GpFitError
-from sela.map_elites import Archive, Elite, save_archive
+from sela.map_elites import Archive, ArchiveFormatError, Elite, save_archive
 from sela.mission import Method, RunRecord
 from sela.worlds import WALKER_JOINTS, AngleOffsetDamage, FrozenJointDamage
 
@@ -152,10 +152,8 @@ class TestCsvText:
 class TestPersistence:
     def test_write_then_read_round_trip(self, tmp_path):
         records = [record(seed=s) for s in range(3)]
-        runs_path, summary_path = write_results(
-            records, compute_summary(records), tmp_path, world="point_robot"
-        )
-        world, loaded = read_runs_csv(runs_path)
+        write_results(records, compute_summary(records), tmp_path, world="point_robot")
+        world, loaded = read_runs_csv(tmp_path / "runs.csv")
         assert world == "point_robot"
         assert [
             (r.method, r.seed, r.learn_steps, r.exec_steps, r.total_steps, r.reached)
@@ -164,7 +162,7 @@ class TestPersistence:
             (r.method, r.seed, r.learn_steps, r.exec_steps, r.total_steps, r.reached)
             for r in records
         ]
-        assert summary_path.read_text().startswith(SUMMARY_HEADER)
+        assert (tmp_path / "summary.csv").read_text().startswith(SUMMARY_HEADER)
 
     def test_summarize_runs_matches_in_memory_summary(self, tmp_path):
         records = [record(seed=s, execute=20 + s, reached=s > 0) for s in range(4)]
@@ -357,19 +355,33 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("repeat", [0.5, -0.0])
     def test_walker_archive_with_a_repeated_behavior_rejected(self, repeat):
-        # an archive passed directly skips load_archive's check; it would
-        # otherwise fail inside the first sela replicate, on duplicate candidates
+        # an archive passed directly skips load_archive's check; the template's
+        # candidate set rejects the repeat before any replicate runs
         archive = Archive((2, 2), WALKER_JOINTS, 2)
         for cell, first in (((0, 0), abs(repeat)), ((1, 1), repeat)):
             behavior = np.array([first, 0.1, 0.2, 0.3])
             archive.cells[cell] = Elite(behavior, [0.25 + 0.5 * cell[0]] * 2, 0.05, [0.05, 0.0])
         config = ExperimentConfig(world="segment_walker", damage="frozen_joint", replicates=1)
-        with pytest.raises(ConfigError, match=re.escape("archive_path None: the archive lists a behavior twice")):
+        with pytest.raises(ValueError, match="^candidate set contains duplicate points$"):
             run_experiment(config, archive=archive)
 
+    @pytest.mark.parametrize("first, again", [("0.5", "0.5"), ("0.0", "-0.0")])
+    def test_walker_archive_file_with_a_repeated_behavior_rejected_on_load(self, tmp_path, first, again):
+        # load_archive compares values, so -0.0 repeats 0.0
+        path = tmp_path / "archive.txt"
+        path.write_text(
+            "sela-archive v1 m=2 grid=2x2 b=4 d=2\n"
+            f"cell=0,0 behavior={first},0.1,0.2,0.3 descriptor=0.25,0.25 perf=1.0 outcome=0.1,0.0\n"
+            "cell=0,1 behavior=0.4,0.1,0.2,0.3 descriptor=0.25,0.75 perf=1.0 outcome=0.1,0.0\n"
+            f"cell=1,1 behavior={again},0.1,0.2,0.3 descriptor=0.75,0.75 perf=1.0 outcome=0.1,0.0\n"
+        )
+        config = ExperimentConfig(world="segment_walker", damage="frozen_joint", replicates=1, archive_path=str(path))
+        with pytest.raises(ArchiveFormatError, match="^line 4: behavior already listed on line 2$"):
+            run_experiment(config)
+
     def test_walker_archive_nan_rows_are_not_repeats(self):
-        # as np.unique's verdict: two NaN behaviors pass the archive check, and
-        # the first replicate's fit then rejects them as non-finite inputs
+        # as np.unique's verdict: two NaN behaviors pass the candidate set's check,
+        # and the first replicate's fit then rejects them as non-finite inputs
         archive = Archive((2, 2), WALKER_JOINTS, 2)
         for cell in ((0, 0), (1, 1)):
             behavior = np.array([math.nan, 0.1, 0.2, 0.3])

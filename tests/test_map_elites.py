@@ -461,7 +461,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("first, again", [("0.5,-1.0", "0.5,-1.0"), ("0.0,-0.0", "-0.0,0.0")])
     def test_repeated_behavior_reports_both_lines(self, first, again):
-        # the candidate set would reject the repeat inside the first mission;
+        # the candidate set would reject the repeat, without naming a line;
         # it compares values, so -0.0 repeats 0.0
         header = "sela-archive v1 m=2 grid=2x2 b=2 d=2"
         lines = [f"cell=0,0 behavior={first} descriptor=0.25,0.25 perf=1.0 outcome=0.0,0.0",
