@@ -10,6 +10,7 @@ placeholder (always 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .worlds import (
     FrozenJointDamage,
     WALKER_JOINTS,
     WALKER_LOWER,
+    WALKER_SEGMENT_STEP,
     WALKER_UPPER,
     make_point_robot_world,
     make_segment_walker_world,
@@ -153,10 +155,10 @@ def run_experiment(
 ) -> tuple[list[RunRecord], list[SummaryRow]]:
     """Run methods x replicates sequentially; optionally persist both CSVs.
 
-    The config and a walker archive's dimensions and emptiness are checked here;
-    `load_archive` or the template's `CandidateSet` rejects a repeated behavior, all
-    before any replicate runs. An exception from a replicate propagates with a note
-    naming its method and seed. Replicates change only the template's world, rng and seed.
+    The config and a walker archive's dimensions, emptiness, behavior range and outcome
+    lengths are checked here, and a repeated behavior by `load_archive` or the template's
+    `CandidateSet`, all before any replicate runs. A replicate's exception propagates with
+    a note naming its method and seed. Replicates change only the template's world, rng and seed.
     """
     validate(config)
     if config.world == "segment_walker":
@@ -171,6 +173,15 @@ def run_experiment(
             )
         if not archive.cells:
             raise ConfigError(f"archive_path {config.archive_path}: the archive lists no elites")
+        # illuminate clamps every behavior to the joint range; no step is longer than its legs (1e-9 is
+        # room for build_archive's rounding); in floats: numpy's `any` pages in code no mission runs
+        lower, upper = WALKER_LOWER.tolist(), WALKER_UPPER.tolist()
+        for elite in archive.cells.values():
+            if any(x < low or x > high for x, low, high in zip(elite.behavior.tolist(), lower, upper)):
+                raise ConfigError(f"archive_path {config.archive_path}: a behavior lies outside the joint range")
+            if math.hypot(*elite.outcome.tolist()) > WALKER_JOINTS * WALKER_SEGMENT_STEP * (1.0 + 1e-9):
+                raise ConfigError(f"archive_path {config.archive_path}: an outcome is longer than the walker "
+                                  f"steps, {WALKER_JOINTS} legs of {WALKER_SEGMENT_STEP}")
     template = build_mission_config(config, config.base_seed, archive)
     records = []
     for method in config.methods:

@@ -11,27 +11,27 @@ Predictions follow the prior-correction form
 where P is the prior mean and K carries the modeled sampling noise on its
 diagonal. With a zero prior this is plain GP regression.
 
-The Cholesky factor L of K grows by one row per observation: for input x_i,
-r = L^-1 k(X, x_i) over the earlier inputs, and the new row is
-[r, sqrt(1 + noise + jitter - r.r)]. The noise alone sets the jitter: JITTER
-for a noise variance below it and 0 otherwise, so a repeated input factors
-even without noise. A pivot that is not positive raises GpFitError. Rows are
-written in place into a buffer that doubles when full, as are the prior
-values and the observations that `with_observation` appends; a model's and
-a set's arrays are read-only views. A fit from scratch runs the same steps
-from the empty model, so a refit after one more observation
-(`fit(..., previous=model)`) costs O(t^2), runs the kernel and the prior at
-most at the new input, and equals a fit from scratch bit for bit. Solves
-use dtrtrs from `scipy.linalg._flapack` alone.
+A mission's model grows in place. `append` writes an observation into its
+set's buffer; `fit(..., previous=model)` then writes one row of the Cholesky
+factor L of K, r = L^-1 k(X, x_i) over the earlier inputs followed by
+sqrt(1 + noise + jitter - r.r), and the prior value P(x_i) into the model's
+buffers in O(t^2), running the kernel and the prior at most at the new input,
+and returns that model. The noise alone sets the jitter: JITTER for a noise
+variance below it and 0 otherwise, so a repeated input factors even without
+noise. A pivot that is not positive raises GpFitError and leaves the model
+as it was. Buffers double when full; rows once written never change, so the
+read-only views `inputs`, `outputs`, `chol` and `prior_at_inputs` stay
+valid. A fit from scratch grows a new empty model and equals it bit for bit.
+Solves use dtrtrs from `scipy.linalg._flapack` alone.
 
 `CandidatePosterior` serves a fixed query set such as a mission's candidates:
 it evaluates the prior there once, writes k(X, points) and L^-1 k(X, points)
 one row per observation into a buffer that doubles when full, copying the
 kernel row of an input seen before (the variance is 1 - the column sums of
-squares of the latter), and scores each fitted model once; the models share
-its kernel, prior and noise, so the solved rows serve them all. Its `mean_at`
-gives the mean at one of those points with `predict`'s one-row arithmetic,
-equal to `predict`'s mean bit for bit. Models are bounded at
+squares of the latter), and scores a model again only once it has grown; the
+models share its kernel, prior and noise, so the solved rows serve them all.
+Its `mean_at` gives the mean at one of those points with `predict`'s one-row
+arithmetic, equal to `predict`'s mean bit for bit. Models are bounded at
 `MAX_GP_OBSERVATIONS` inputs by the config check.
 """
 
@@ -132,30 +132,30 @@ def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _with_room(buffer: np.ndarray, rows: int, axes=(0,), zeroed=False) -> np.ndarray:
     """`buffer` if it holds `rows` rows along `axes`, else a copy, zeroed past it or not, with room
-    for `rows` if it is a view, else for twice its rows (capped at MAX_GP_OBSERVATIONS, not `rows`)."""
+    for twice its rows (capped at MAX_GP_OBSERVATIONS), or for `rows` if that is more."""
     capacity = buffer.shape[axes[0]]
     if rows <= capacity:
         return buffer
-    room = rows if buffer.base is not None else max(rows, min(2 * capacity, MAX_GP_OBSERVATIONS))
+    room = max(rows, min(2 * capacity, MAX_GP_OBSERVATIONS))
     shape = [room if axis in axes else n for axis, n in enumerate(buffer.shape)]
     grown = (np.zeros if zeroed else np.empty)(shape)
     grown[tuple(map(slice, buffer.shape))] = buffer
     return grown
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ObservationSet:
     """Paired behavior inputs and outcome vectors plus the modeled noise level.
 
     noise_variance is the sampling noise the model assumes, not necessarily
-    what the world actually injects.
+    what the world actually injects. The set copies the caller's arrays into
+    `rows`; `inputs` and `outputs` are read-only views of its first t rows.
     """
 
     inputs: np.ndarray    # (t, behavior_dim)
     outputs: np.ndarray   # (t, outcome_dim)
     noise_variance: float = 0.001
-    # [rows written, buffer of [input, outcome] rows] that with_observation's chain of sets views
-    rows: list | None = field(default=None, init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False)   # [input, outcome] per row; doubles when full
 
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -164,8 +164,9 @@ class ObservationSet:
             raise ValueError(f"{len(inputs)} inputs vs {len(outputs)} outputs")
         if not self.noise_variance >= 0:
             raise ValueError("noise_variance must be non-negative")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
+        self.rows, b = np.concatenate([inputs, outputs], axis=1), inputs.shape[1]
+        self.inputs, self.outputs = self.rows[:, :b], self.rows[:, b:]
+        self.inputs.flags.writeable = self.outputs.flags.writeable = False
 
     @classmethod
     def empty(cls, behavior_dim: int, outcome_dim: int, noise_variance: float = 0.001) -> "ObservationSet":
@@ -175,19 +176,13 @@ class ObservationSet:
             noise_variance=noise_variance,
         )
 
-    def with_observation(self, x, y) -> "ObservationSet":
-        """New set with one more (input, outcome) pair, written past this set's rows in
-        place if it is the newest set on its buffer, else into a copy; read-only views."""
-        t, b, rows = len(self), self.inputs.shape[1], self.rows
-        if rows is None or rows[0] != t:
-            rows = [t, np.concatenate([self.inputs, self.outputs], axis=1)]
-        buffer = rows[1] = _with_room(rows[1], t + 1)
-        buffer[t, :b], buffer[t, b:] = np.reshape(x, b), np.reshape(y, buffer.shape[1] - b)
-        rows[0], inputs, outputs = t + 1, buffer[:t + 1, :b], buffer[:t + 1, b:]
-        inputs.flags.writeable = outputs.flags.writeable = False
-        grown = ObservationSet(inputs, outputs, self.noise_variance)
-        object.__setattr__(grown, "rows", rows)
-        return grown
+    def append(self, x, y) -> None:
+        """Write one more (input, outcome) pair past the t rows, in place: views taken before keep theirs."""
+        t, b = len(self), self.inputs.shape[1]
+        rows = self.rows = _with_room(self.rows, t + 1)
+        rows[t, :b], rows[t, b:] = np.asarray(x).reshape(b), np.asarray(y).reshape(rows.shape[1] - b)
+        self.inputs, self.outputs = rows[:t + 1, :b], rows[:t + 1, b:]
+        self.inputs.flags.writeable = self.outputs.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -205,18 +200,24 @@ def zero_prior(outcome_dim: int) -> PriorMean:
     return prior
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class GpModel:
-    """Fitted posterior state. Treat as immutable; call fit again to update.
+    """Fitted posterior state of the first t observations; `fit` grows it in place.
     K's diagonal follows from the noise variance alone (see JITTER)."""
 
     kernel: Kernel
     observations: ObservationSet
     prior: PriorMean
-    chol: np.ndarray                # (t, t) lower Cholesky factor of K, read-only
-    prior_correction: np.ndarray    # (t, outcome_dim), equals K^-1 (Y - P(X))
-    prior_at_inputs: np.ndarray     # (t, outcome_dim) P(X), read-only
-    buffers: tuple = field(repr=False, compare=False)   # (factor, prior values), viewed above
+    t: int = field(default=0, init=False)
+    chol: np.ndarray = field(init=False)              # (t, t) lower Cholesky factor of K, read-only
+    prior_correction: np.ndarray = field(init=False)  # (t, outcome_dim), equals K^-1 (Y - P(X))
+    prior_at_inputs: np.ndarray = field(init=False)   # (t, outcome_dim) P(X), read-only
+    buffers: tuple = field(init=False, repr=False)    # (factor, prior values), viewed above
+
+    def __post_init__(self):   # the empty model, which `fit` grows
+        factor, values = np.zeros((0, 0)), np.zeros((0, self.observations.outputs.shape[1]))
+        self.chol, self.prior_correction, self.prior_at_inputs = factor, values, values
+        self.buffers = (factor, values)
 
 
 def fit(
@@ -226,49 +227,42 @@ def fit(
     previous: GpModel | None = None,
     evaluated: tuple | None = None,
 ) -> GpModel:
-    """Grow the Cholesky factor by one row per new observation and
-    precompute the prior correction.
+    """Grow `previous` by one row of the Cholesky factor per new observation, in place,
+    precompute the prior correction and return it; without `previous`, grow a new empty model.
 
     Legal with zero observations: predictions then revert to the prior with
     unit variance. Non-finite inputs or outputs are rejected up front: they
     would spread NaN through the posterior. A pivot that is not positive
-    raises GpFitError.
+    raises GpFitError and leaves the model as it was.
 
-    `previous` is a model fitted with the same kernel, prior and noise on a
-    strict prefix of these observations; None stands for the empty prefix.
-    Its factor and prior values are extended, in place unless a newer model
-    wrote past them, so the kernel and the prior run only at the new inputs,
-    and not at all given `evaluated` = (k(X, x), P(x)) for the one new input x.
-    It equals a fit from scratch bitwise.
-    Observations that share `previous`'s buffer are checked only in the new rows.
+    `previous` must be fitted with the same kernel, prior and noise on a strict
+    prefix of these observations: its own set, grown by `append`, whose new rows
+    alone are checked, or another set whose first inputs equal its own. The kernel
+    and the prior run only at the new inputs, and not at all given `evaluated` =
+    (k(X, x), P(x)) for the one new input x. It equals a fit from scratch bitwise.
     """
     inputs, outputs, noise = observations.inputs, observations.outputs, observations.noise_variance
-    t, k = len(observations), len(previous.observations) if previous else 0
-    shared = previous is not None and observations.rows is previous.observations.rows is not None
-    if not (np.isfinite(observations.rows[1][k:t]).all() if shared
-            else np.isfinite(inputs).all() and np.isfinite(outputs).all()):
+    model = GpModel(kernel, observations, prior) if previous is None else previous
+    t, k, same = len(observations), model.t, observations is model.observations
+    # its own set's first k rows were checked; the rest as floats, cheaper than numpy for one row
+    if not all(map(math.isfinite, observations.rows[k if same else 0:t].ravel().tolist())):
         raise GpFitError("observation inputs and outputs must be finite")
-    if previous is None:
-        factor, values = np.zeros((0, 0)), outputs[:0]
-    elif not (
+    if previous is not None and not (
         k < t
         and previous.kernel == kernel
         and previous.prior is prior
         and previous.observations.noise_variance == noise
-        and (shared or np.array_equal(previous.observations.inputs, inputs[:k]))
+        and (same or np.array_equal(previous.observations.inputs[:k], inputs[:k]))
     ):
         raise ValueError(
             "previous model must be fitted with the same kernel, prior and "
             "noise on a strict prefix of the observations"
         )
-    else:
-        factor, values = previous.buffers
-        if k < len(factor) and factor[k, k]:   # a newer model wrote row k: copy the views
-            factor, values = previous.chol, previous.prior_at_inputs
     one = evaluated is not None and t == k + 1 == len(evaluated[0]) + 1
     rows = [evaluated[0]] if one else kernel_matrix(kernel, inputs[k:], inputs)
-    # a row per new input x_i from k(x_i, X[:i]); dtrtrs takes the F-ordered upper factor, no copy
-    factor = _with_room(factor, t, axes=(0, 1), zeroed=True)
+    # a row per new input x_i from k(x_i, X[:i]) past the model's rows; dtrtrs takes the
+    # F-ordered upper factor, no copy
+    factor = _with_room(model.buffers[0], t, axes=(0, 1), zeroed=True)
     for i, row in enumerate(rows, start=k):
         r = dtrtrs(factor.T[:, :i], row[:i], lower=0, trans=1)[0] if i else row[:0]
         pivot = 1.0 + noise + (JITTER if noise < JITTER else 0.0) - r @ r
@@ -278,23 +272,17 @@ def fit(
                 f"noise_variance={noise}, kernel={kernel})"
             )
         factor[i, :i], factor[i, i] = r, math.sqrt(pivot)
-    values, correction = _with_room(values, t), outputs[:0]
+    values, correction = _with_room(model.buffers[1], t), outputs[:0]
     if t:   # the empty model calls no prior and solves nothing
         values[k:t] = evaluated[1] if one else prior_values(prior, inputs[k:])
         # dpotrs's two solves; dpotrs itself would copy the factor, whose lda is its capacity
         correction = dtrtrs(factor.T[:, :t], outputs - values[:t], lower=0, trans=1)[0]
         correction = dtrtrs(factor.T[:, :t], correction, lower=0, overwrite_b=1)[0]
-    chol, prior_at_inputs = factor[:t, :t], values[:t]
-    chol.flags.writeable = prior_at_inputs.flags.writeable = False
-    return GpModel(
-        kernel=kernel,
-        observations=observations,
-        prior=prior,
-        chol=chol,
-        prior_correction=correction,
-        prior_at_inputs=prior_at_inputs,
-        buffers=(factor, values),
-    )
+    model.chol, model.prior_at_inputs = factor[:t, :t], values[:t]
+    model.chol.flags.writeable = model.prior_at_inputs.flags.writeable = False
+    model.observations, model.buffers = observations, (factor, values)
+    model.t, model.prior_correction = t, correction
+    return model
 
 
 def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, half, solved=None):
@@ -316,17 +304,17 @@ def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = _as_points(points)
     # kernel_matrix also rejects a query of another behavior dimension
-    cross = kernel_matrix(model.kernel, model.observations.inputs, pts)   # (t, n)
+    cross = kernel_matrix(model.kernel, model.observations.inputs[:model.t], pts)   # (t, n)
     return _posterior(model, prior_values(model.prior, pts), cross, np.empty(cross.shape))[:2]
 
 
 class CandidatePosterior:
     """The posterior at a fixed point set: the prior there, the cross kernel
     k(X, points) and L^-1 k(X, points) with one row per observation, and the
-    means and aggregated sigma of the latest model scored. `score` recomputes
-    them only for another model object; models are immutable, so the kept
-    ones are exact. Every model scored must use this kernel, prior and noise
-    (the first model's) and extend the inputs scored before."""
+    means and aggregated sigma of the model scored last at its t. `score`
+    recomputes them only for another model or once that model has grown. Every
+    model scored must use this kernel, prior and noise (the first model's) and
+    extend the inputs scored before; a model it has not scored last is checked."""
 
     def __init__(self, points, prior: PriorMean, kernel: Kernel):
         self.points = _as_points(points)
@@ -334,13 +322,12 @@ class CandidatePosterior:
         self.prior_means = prior_values(prior, self.points)     # (n, outcome_dim)
         # the inputs (t, behavior_dim) and k(inputs, points) (t, n), a view of buffer[0]
         self.inputs, self.cross = np.zeros((0, self.points.shape[1])), np.zeros((0, len(self)))
-        self.rows = None   # the rows list the inputs view, if any (see ObservationSet)
         self.first = {}    # each input's bytes -> its first row: a repeat copies that row of cross
         self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
         # (rows of L^-1 cross solved, their column sums of squares) and the noise of the models scored
         self.solved = self.noise = None
-        # the latest model scored, its means (n, outcome_dim) and sigma (n,)
-        self.model = self.means = self.sigma = None
+        # the model scored last, its t, its means (n, outcome_dim) and sigma (n,)
+        self.model, self.t, self.means, self.sigma = None, 0, None, None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -348,38 +335,36 @@ class CandidatePosterior:
     def score(self, model: GpModel) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means (n, outcome_dim) and the aggregated uncertainty
         sqrt(sum_d var_d) = sqrt(outcome_dim * var) (n,), both read-only."""
-        if model is self.model:
+        if model is self.model and model.t == self.t:
             return self.means, self.sigma
-        # let the last model and its score go before the new one is computed
-        self.model = self.means = self.sigma = None
-        inputs, rows, k = model.observations.inputs, model.observations.rows, len(self.inputs)
+        t, k = model.t, len(self.inputs)
         noise = model.observations.noise_variance
-        # inputs on the chain of sets the kept ones view extend them if there are as many
-        shared = rows is self.rows is not None and k <= len(inputs)
-        if not (model.prior is self.prior and model.kernel == self.kernel and self.noise in (None, noise)
-                and (shared or np.array_equal(self.inputs, inputs[:k]))):
+        if model is not self.model and not (
+                model.prior is self.prior and model.kernel == self.kernel and self.noise in (None, noise)
+                and k <= t and np.array_equal(self.inputs, model.observations.inputs[:k])):
             raise ValueError("model must use this kernel, prior and noise, extending the inputs seen")
-        if k < len(inputs):   # write the new rows, doubling the capacity (at least to t) if full
-            self.buffer = _with_room(self.buffer, len(inputs), axes=(1,))
-            cross = self.buffer[0]
+        self.means = self.sigma = None   # let the last score go before the new one is computed
+        if k < t:   # write the new rows, doubling the capacity (at least to t) if full
+            self.buffer = _with_room(self.buffer, t, axes=(1,))
+            cross, inputs = self.buffer[0], model.observations.inputs[:t]
             for i, x in enumerate(inputs[k:], start=k):   # a repeated input copies its first row
                 j = self.first.setdefault(x.tobytes(), i)
                 cross[i] = cross[j] if j < i else kernel_matrix(self.kernel, x[None], self.points)
-            self.inputs, self.rows, self.cross = inputs, rows, cross[:len(inputs)]
+            self.inputs, self.cross = inputs, cross[:t]
         means, variances, self.solved = _posterior(
             model, self.prior_means, self.cross, self.buffer[1], self.solved
         )
         sigma = np.sqrt(means.shape[1] * variances)
         means.flags.writeable = sigma.flags.writeable = False
-        self.model, self.means, self.sigma, self.noise = model, means, sigma, noise
+        self.model, self.t, self.means, self.sigma, self.noise = model, t, means, sigma, noise
         return means, sigma
 
     def mean_at(self, model: GpModel, index: int) -> np.ndarray:
-        """Mean at points[index] under the model scored last, equal to
-        predict(model, points[index])[0] bit for bit. A row of `means` comes
+        """Mean at points[index] under the model scored last, at the t it was scored,
+        equal to predict(model, points[index])[0] bit for bit. A row of `means` comes
         from the batch product and may differ from it in the last bits."""
-        if model is not self.model:
-            raise ValueError("mean_at needs the model scored last")
+        if model is not self.model or model.t != self.t:
+            raise ValueError("mean_at needs the model scored last, as it was scored")
         # a contiguous (t, 1) column, laid out as predict's own kernel column
         column = np.ascontiguousarray(self.cross[:, index:index + 1])
         return (self.prior_means[index:index + 1] + column.T @ model.prior_correction)[0]

@@ -20,17 +20,19 @@ test (`MissionState.at_goal`) and the record builder (`_record`), which
 counts one learning step per observation in the model.
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
-the observations only grow. So each refit writes its rows of the Cholesky
-factor in place past the model's, and a `CandidatePosterior` keeps the prior,
-writes one cross-kernel row per observation in place (copied for a candidate
-learned before), and scores each model once: steps that learn nothing reuse
-the last score, and a refit takes a chosen candidate's kernel column and prior
-from it, as SELA takes the outcome it predicts there (`mean_at`). The drop
-window keeps one error norm per step; its mean, the error norms and the goal
-test run numpy's arithmetic without numpy's Python wrappers, so they keep its
-bits. The goal's planner cell is derived once (`MissionState.goal_cell`), and
-the missions of an experiment share their template's table of A* waypoints per
-start cell (`MissionConfig.waypoint_cells`). Rewards score a batch of outcomes.
+the observations only grow. So a mission holds one observation set, one model
+and one `CandidatePosterior`, and a learning step writes its rows into their
+buffers: `learn` appends the observation and `fit` grows the model in place.
+The posterior keeps the prior, writes one cross-kernel row per observation
+(copied for a candidate learned before), and scores the model again only once
+it has grown: steps that learn nothing reuse the last score, and a refit takes
+a chosen candidate's kernel column and prior from it, as SELA takes the
+outcome it predicts there (`mean_at`). The drop window keeps one error norm
+per step; its mean, the error norms and the goal test run numpy's arithmetic
+without numpy's Python wrappers, so they keep its bits. The goal's planner
+cell is derived once (`MissionState.goal_cell`), and the missions of an
+experiment share their template's table of A* waypoints per start cell
+(`MissionConfig.waypoint_cells`). Rewards score a batch of outcomes.
 """
 
 from __future__ import annotations
@@ -145,13 +147,14 @@ class MissionState:
         return goal_reached(config.world.pose, config.goal, config.epsilon_goal)
 
     def learn(self, behavior, observed, index=None) -> None:
-        """Add one observation and refit from the current model, with its own kernel and
-        prior; the posterior, if it scored that model, gives candidate `index`'s column and prior."""
+        """Append one observation to the model's set and grow the model in place, with its own
+        kernel and prior; the posterior, if it scored that model, gives candidate `index`'s column
+        and prior (`fit` takes them only if the column has a row per input before the new one)."""
         model, posterior = self.model, self.posterior
-        observations = model.observations.with_observation(behavior, observed)
         evaluated = None if index is None or posterior.model is not model else (
             posterior.cross[:, index], posterior.prior_means[index])
-        self.model = fit(observations, model.kernel, model.prior, previous=model, evaluated=evaluated)
+        model.observations.append(behavior, observed)
+        self.model = fit(model.observations, model.kernel, model.prior, previous=model, evaluated=evaluated)
 
     def record_error(self, predicted, observed) -> float:
         """Push |observed - predicted| into the drop window and return the

@@ -35,9 +35,9 @@ from sela.experiment import (
     write_results,
 )
 from sela.gp import MIN_KERNEL_SIGMA, DistanceKind, GpFitError
-from sela.map_elites import Archive, ArchiveFormatError, Elite, save_archive
+from sela.map_elites import Archive, ArchiveFormatError, Elite, bin_index, load_archive, save_archive
 from sela.mission import Method, RunRecord
-from sela.worlds import WALKER_JOINTS, AngleOffsetDamage, FrozenJointDamage
+from sela.worlds import WALKER_JOINTS, AngleOffsetDamage, FrozenJointDamage, segment_walker_evaluator
 
 
 def record(method=Method.SELA, learn=0, execute=28, reached=True, seed=0):
@@ -424,6 +424,110 @@ def small_walker_archive():
 
 def toy_and_walker(archive):
     return [(replace(DAMAGED, methods=ALL_METHODS, step_cap=80), None), (SMALL_WALKER, archive)]
+
+
+def rescaled(archive, name, factor, cells=None):
+    """A copy of `archive` whose elites, or those in `cells`, have their `name` field scaled by `factor`."""
+    copy = Archive(archive.grid_shape, archive.behavior_dim, archive.outcome_dim)
+    for cell, elite in archive.items():
+        scale = factor if cells is None or cell in cells else 1.0
+        copy.cells[cell] = replace(elite, **{name: getattr(elite, name) * scale})
+    return copy
+
+
+def saved_walker_config(tmp_path, archive):
+    """Save `archive`; a one-replicate walker config of every method that reads it."""
+    path = tmp_path / "archive.txt"
+    path.write_bytes(save_archive(archive))
+    return replace(SMALL_WALKER, replicates=1, step_cap=8, archive_path=str(path))
+
+
+class TestWalkerArchiveContract:
+    """`run_experiment` rejects, naming `archive_path`, a walker archive that
+    no illumination of the walker writes: a behavior outside the joint range
+    that `illuminate` clamps to, or an outcome longer than the walker steps."""
+
+    def test_outcomes_longer_than_a_step_rejected(self, tmp_path, small_walker_archive, monkeypatch):
+        # scaled by 1e160, the 300-offer archive loaded and ran every mission
+        # to the cap, with numpy's overflow warnings in dot and vecdot
+        monkeypatch.setattr(experiment, "run_method", lambda *args: pytest.fail("a replicate ran"))
+        config = saved_walker_config(tmp_path, rescaled(small_walker_archive, "outcome", 1e160))
+        with pytest.raises(ConfigError, match=re.escape(f"archive_path {config.archive_path}: an outcome is longer")):
+            run_experiment(config)
+        cell, elite = small_walker_archive.items()[3]   # one outcome made 1e-6 longer than 4 legs of 0.025
+        factor = 0.1 * (1.0 + 1e-6) / np.hypot(*elite.outcome)
+        config = saved_walker_config(tmp_path, rescaled(small_walker_archive, "outcome", factor, [cell]))
+        with pytest.raises(ConfigError, match="an outcome is longer than the walker steps, 4 legs of 0.025$"):
+            run_experiment(config)
+
+    def test_a_behavior_outside_the_joint_range_rejected(self, tmp_path, small_walker_archive, monkeypatch):
+        monkeypatch.setattr(experiment, "run_method", lambda *args: pytest.fail("a replicate ran"))
+        cell = small_walker_archive.items()[7][0]
+        config = saved_walker_config(tmp_path, rescaled(small_walker_archive, "behavior", 3.0, [cell]))
+        with pytest.raises(ConfigError, match=re.escape(f"archive_path {config.archive_path}: a behavior lies")):
+            run_experiment(config)
+        archive = rescaled(small_walker_archive, "behavior", 3.0, [cell])   # passed in code: checked too
+        with pytest.raises(ConfigError, match="^archive_path None: a behavior lies outside"):
+            run_experiment(replace(config, archive_path=None), archive=archive)
+
+    def test_archives_of_the_walker_pass(self, tmp_path):
+        # the default 50,000-offer archive, and the walker's longest steps:
+        # all four legs along one direction, one of them 1.4e-17 past 0.1 by rounding
+        records, _ = run_experiment(saved_walker_config(tmp_path, build_archive(ExperimentConfig(world="segment_walker"))))
+        assert len(records) == len(ALL_METHODS)
+        directions = [0.0, 1.0, -1.0, 0.5, -0.5, 0.08292244049818343]
+        descriptors, _, outcomes = segment_walker_evaluator(np.repeat(np.array(directions)[:, None], 4, axis=1))
+        assert np.hypot(*outcomes.T).max() > 0.1
+        archive = Archive((50, 2), WALKER_JOINTS, 2)
+        for direction, descriptor, outcome in zip(directions, descriptors, outcomes):
+            archive.cells[tuple(bin_index(descriptor, (50, 2)).tolist())] = Elite([direction] * 4, descriptor, 0.1, outcome)
+        assert len(archive.cells) == len(directions)
+        records, _ = run_experiment(saved_walker_config(tmp_path, archive))
+        assert len(records) == len(ALL_METHODS)
+
+
+# A small saved walker archive, split into its tokens and the separators
+# between them, and the positions of its values: the tokens after a separator
+# other than a blank.
+ARCHIVE_PIECES = re.split(r"([\s=,x])", save_archive(build_archive(
+    ExperimentConfig(world="segment_walker", archive_budget=100, archive_grid=3))).decode())
+ARCHIVE_VALUE_AT = [i for i in range(2, len(ARCHIVE_PIECES), 2) if ARCHIVE_PIECES[i - 1] in "=,x"]
+# Values put in place of a token: numbers in every field's range; numbers that
+# are non-finite, huge, out of the joint range or past the walker's reach; an
+# empty token, another token's word; or a few characters.
+ARCHIVE_VALUES = st.one_of(
+    st.sampled_from(["0", "-0.0", "0.5", "-0.5", "0.05", "-0.05", "0.099", "1", "-1", "1e-300", "0.1"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e160", "-1e160", "1e400", "3", "-3", "1.0000001", "2", "0.11",
+                     "", "x", "cell", "behavior", "outcome", "perf"]),
+    st.text(alphabet="0123456789.-+e,=x \n", max_size=4),
+)
+
+
+class TestArchiveFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**6), ARCHIVE_VALUES), min_size=1, max_size=3))
+    def test_rewritten_archives_are_rejected_or_run(self, edits):
+        # each text gives ArchiveFormatError or ConfigError, or one replicate
+        # of every method runs at most 8 steps to a finite final pose
+        pieces = list(ARCHIVE_PIECES)
+        for position, value in edits:
+            pieces[ARCHIVE_VALUE_AT[position % len(ARCHIVE_VALUE_AT)]] = value
+        try:
+            archive = load_archive("".join(pieces).encode())
+        except ArchiveFormatError:
+            return
+        config = replace(SMALL_WALKER, replicates=1, step_cap=8)
+        missions, run_method = [], experiment.run_method
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiment, "run_method", lambda method, mission: missions.append(mission)
+                          or run_method(method, mission))
+            try:
+                records, _ = run_experiment(config, archive=archive)
+            except ConfigError:
+                return
+        assert [record.method for record in records] == list(ALL_METHODS)
+        assert all(record.total_steps <= 8 for record in records)
+        assert all(np.isfinite(mission.world.pose).all() for mission in missions)
 
 
 class TestMissionTemplate:

@@ -229,11 +229,12 @@ class TestPosteriorProperties:
     def test_observing_a_point_shrinks_its_variance(self):
         rng = np.random.default_rng(13)
         obs = ObservationSet(rng.normal(size=(4, 1)), rng.normal(size=(4, 1)), 0.001)
-        model = fit(obs, SQEXP, zero_prior(1))
+        prior = zero_prior(1)
+        model = fit(obs, SQEXP, prior)
         x = np.array([0.42])
         _, before = predict(model, x)
-        grown = fit(obs.with_observation(x, [0.3]), SQEXP, zero_prior(1))
-        _, after = predict(grown, x)
+        obs.append(x, [0.3])
+        _, after = predict(fit(obs, SQEXP, prior, previous=model), x)
         assert after < before
 
     def test_interpolates_observations_tightly_without_noise(self):
@@ -305,28 +306,55 @@ class TestCandidatePosterior:
             posterior.score(model)
         posterior.score(fit(observations, SQEXP, prior))
 
-    def test_models_on_one_buffer_skip_the_prefix_compare(self, monkeypatch):
-        # models grown with with_observation share their rows, so score
-        # compares no prefix; it still rejects a model with fewer rows
+    def test_the_model_scored_last_skips_the_prefix_compare_as_it_grows(self, monkeypatch):
+        # neither fit nor score compares a prefix of the model's own set as it
+        # grows; score compares one for another model, and rejects one with fewer rows
         rng = np.random.default_rng(9)
         prior = zero_prior(2)
-        models = [fit(ObservationSet.empty(1, 2, 0.001), SQEXP, prior)]
-        for x, y in zip(rng.normal(size=(5, 1)), rng.normal(size=(5, 2))):
-            models.append(fit(models[-1].observations.with_observation(x, y), SQEXP, prior, previous=models[-1]))
+        observations = ObservationSet.empty(1, 2, 0.001)
+        model = fit(observations, SQEXP, prior)
         points = rng.normal(size=(30, 1))
         posterior = CandidatePosterior(points, prior, SQEXP)
-        posterior.score(models[1])
+        posterior.score(model)   # a model not seen before: compared
         compared, real = [], np.array_equal
         monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(1) or real(*args))
-        posterior.score(models[4])
+        for x, y in zip(rng.normal(size=(5, 1)), rng.normal(size=(5, 2))):
+            observations.append(x, y)
+            assert fit(observations, SQEXP, prior, previous=model) is model
+            means, sigma = posterior.score(model)
         assert compared == []
+        posterior.score(fit(ObservationSet(observations.inputs, observations.outputs), SQEXP, prior))
+        assert compared == [1]   # once, for another model
+        shorter = fit(ObservationSet(observations.inputs[:4], observations.outputs[:4]), SQEXP, prior)
         with pytest.raises(ValueError, match="extending"):
-            posterior.score(models[3])
-        means, sigma = posterior.score(models[5])
-        assert compared == [1]   # only for the model with fewer rows
+            posterior.score(shorter)
         monkeypatch.undo()
-        want = predict_batch(models[5], points)
+        want = predict_batch(model, points)
         assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
+
+    def test_a_grown_model_is_scored_again(self, monkeypatch):
+        # the score is kept per (model, t): a model that grew is scored anew,
+        # and mean_at rejects it until then
+        rng = np.random.default_rng(10)
+        prior = zero_prior(2)
+        observations = ObservationSet(rng.normal(size=(3, 1)), rng.normal(size=(3, 2)), 0.001)
+        model = fit(observations, SQEXP, prior)
+        points = rng.normal(size=(30, 1))
+        posterior = CandidatePosterior(points, prior, SQEXP)
+        scored, real = [], gp._posterior
+        monkeypatch.setattr(gp, "_posterior", lambda *args: scored.append(1) or real(*args))
+        first = posterior.score(model)
+        assert posterior.score(model)[0] is first[0] and len(scored) == 1
+        observations.append([0.3], [0.1, -0.2])
+        fit(observations, SQEXP, prior, previous=model)
+        with pytest.raises(ValueError, match="scored last"):
+            posterior.mean_at(model, 0)
+        means, sigma = posterior.score(model)
+        assert len(scored) == 2 and means is not first[0]
+        monkeypatch.undo()
+        want = predict_batch(model, points)
+        assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
+        assert bits(posterior.mean_at(model, 7)) == bits(predict(model, points[7])[0])
 
 
 def archive_prior(rng, behaviors):
@@ -393,19 +421,22 @@ class TestOneRowMean:
 
     def test_mean_at_needs_the_model_scored_last(self):
         rng = np.random.default_rng(7)
-        observations = ObservationSet(rng.normal(size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
+        inputs, outputs = rng.normal(size=(4, 1)), rng.normal(size=(4, 2))
+        observations = ObservationSet(inputs[:3], outputs[:3], 0.001)
         prior = zero_prior(2)
-        head = fit(ObservationSet(observations.inputs[:3], observations.outputs[:3]), SQEXP, prior)
-        model = fit(observations, SQEXP, prior, previous=head)
+        model = fit(observations, SQEXP, prior)
         posterior = CandidatePosterior(rng.normal(size=(10, 1)), prior, SQEXP)
         with pytest.raises(ValueError, match="scored last"):
             posterior.mean_at(model, 0)   # nothing scored yet
-        posterior.score(head)
-        posterior.mean_at(head, 0)
         posterior.score(model)
-        for other in (head, fit(observations, SQEXP, prior)):   # older, or equal but another object
+        posterior.mean_at(model, 0)
+        observations.append(inputs[3], outputs[3])
+        fit(observations, SQEXP, prior, previous=model)
+        equal = fit(ObservationSet(inputs, outputs, 0.001), SQEXP, prior)
+        for other in (model, equal):   # grown since it was scored, or equal but another object
             with pytest.raises(ValueError, match="scored last"):
                 posterior.mean_at(other, 0)
+        posterior.score(model)
         posterior.mean_at(model, 9)
 
 
@@ -547,137 +578,141 @@ class TestPosteriorBuffers:
         assert capacities == [0, 1, 2, 4, 8, 16, 32, 64]
 
 
-def snapshot(model):
-    """Copies of every array of a model and its observations."""
-    arrays = (model.chol, model.prior_correction, model.prior_at_inputs,
-              model.observations.inputs, model.observations.outputs)
-    return model, [np.array(array) for array in arrays]
+def views(model):
+    """The arrays of a model and of its observations, as they are now."""
+    return [model.chol, model.prior_correction, model.prior_at_inputs,
+            model.observations.inputs, model.observations.outputs]
 
 
 class TestGrowInPlace:
-    """`fit` and `with_observation` append in place past the newest model or
-    set on a buffer; a fit from an older model starts fresh buffers. No model
-    or set sees its arrays change."""
+    """`append` and `fit(..., previous=model)` write their rows past the
+    set's and the model's in place, into buffers that double when full; rows
+    once written never change, so no view taken earlier changes."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         family=st.sampled_from(list(KernelFamily)),
         noise=st.sampled_from([0.0, 0.001]),
-        steps=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(1, 3), st.booleans(), st.booleans()),
-            min_size=1, max_size=14,
-        ),
+        steps=st.lists(st.tuples(st.integers(1, 3), st.booleans(), st.booleans()), min_size=1, max_size=14),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_older_models_and_doublings_leave_every_model_intact(self, family, noise, steps, seed):
-        # each step extends the newest model or one of the three before it
-        # (`back`) by 1-3 new rows, appended one at a time with
-        # with_observation or passed as the caller's arrays; `twin` makes the
-        # first a near copy of an earlier input, which factors by the jitter
-        # without noise
+    def test_views_taken_before_growth_and_doublings_stay_intact(self, family, noise, steps, seed):
+        # each step grows the one model by 1-3 new rows, appended to its set
+        # one at a time or passed as a new set of the caller's arrays; `twin`
+        # makes the first a near copy of the last input, which factors by the
+        # jitter without noise
         rng = np.random.default_rng(seed)
         kernel = Kernel(family, 0.45)
-        models = [snapshot(fit(ObservationSet.empty(2, 2, noise), kernel, sine_prior))]
-        for back, count, twin, appended in steps:
-            previous = models[-1 - back % len(models)][0]
+        observations = ObservationSet.empty(2, 2, noise)
+        model = fit(observations, kernel, sine_prior)
+        taken = []   # (view, its copy) of every step
+        for count, twin, appended in steps:
             inputs = rng.uniform(-np.pi, np.pi, size=(count, 2))
-            if twin and len(previous.observations):
-                inputs[0] = previous.observations.inputs[-1] + 1e-12
+            if twin and model.t:
+                inputs[0] = observations.inputs[-1] + 1e-12
             outputs = rng.normal(size=(count, 2))
-            observations = previous.observations
             if appended:
                 for x, y in zip(inputs, outputs):
-                    observations = observations.with_observation(x, y)
+                    observations.append(x, y)
             else:
                 observations = ObservationSet(np.vstack([observations.inputs, inputs]),
                                               np.vstack([observations.outputs, outputs]), noise)
+            assert fit(observations, kernel, sine_prior, previous=model) is model
             caller = (np.array(observations.inputs), np.array(observations.outputs))
             scratch = fit(ObservationSet(*caller, noise), kernel, sine_prior)
-            model = fit(observations, kernel, sine_prior, previous=previous)
             assert_same_model(model, scratch)
             assert bits(model.prior_correction) == bits(scratch.prior_correction)
-            models.append(snapshot(model))
-            for model, arrays in models:
-                assert [bits(array) for array in arrays] == [bits(array) for array in snapshot(model)[1]]
+            taken += [(view, np.array(view)) for view in views(model)]
+            for view, copy in taken:
+                assert bits(view) == bits(copy)
 
     def test_a_near_twin_without_noise_extends_in_place(self):
-        # the twin's row goes past `previous`'s in its buffers, so the next
-        # fit from `previous` copies them and leaves the twin's model intact
+        # the twin's row goes into the model's buffers like any other, in
+        # the room that the doubling at t = 3 left
         rng = np.random.default_rng(6)
         inputs, outputs = rng.uniform(-np.pi, np.pi, size=(5, 1)), rng.normal(size=(6, 2))
-        previous = fit(ObservationSet.empty(1, 2, 0.0), SQEXP, sine_prior)
-        for end in range(1, 6):
-            previous = fit(ObservationSet(inputs[:end], outputs[:end], 0.0), SQEXP, sine_prior, previous=previous)
+        observations = ObservationSet.empty(1, 2, 0.0)
+        model = fit(observations, SQEXP, sine_prior)
+        for x, y in zip(inputs, outputs):
+            observations.append(x, y)
+            fit(observations, SQEXP, sine_prior, previous=model)
+        buffers, rows = model.buffers, observations.rows
+        observations.append(inputs[-1] + 1e-12, outputs[5])
+        assert fit(observations, SQEXP, sine_prior, previous=model) is model
+        assert_diagonal(model, JITTER)
+        assert all(mine is theirs for mine, theirs in zip(model.buffers, buffers)) and observations.rows is rows
         twin = ObservationSet(np.vstack([inputs, inputs[-1:] + 1e-12]), outputs, 0.0)
-        grown = fit(twin, SQEXP, sine_prior, previous=previous)
-        assert_diagonal(grown, JITTER)
-        assert all(mine is theirs for mine, theirs in zip(grown.buffers, previous.buffers))
-        kept = snapshot(grown)
-        other = fit(ObservationSet(np.vstack([inputs, [[2.5]]]), outputs, 0.0), SQEXP, sine_prior, previous=previous)
-        assert other.buffers[0] is not grown.buffers[0]
-        assert [bits(array) for array in kept[1]] == [bits(array) for array in snapshot(grown)[1]]
+        assert_same_model(model, fit(twin, SQEXP, sine_prior))
 
     def test_views_of_the_buffers_are_read_only(self):
         rng = np.random.default_rng(3)
         inputs, outputs = rng.normal(size=(3, 1)), rng.normal(size=(3, 2))
         observations = ObservationSet(inputs, outputs, 0.001)
         model = fit(observations, SQEXP, sine_prior)
-        grown = fit(observations.with_observation([0.5], [1.0, 2.0]), SQEXP, sine_prior, previous=model)
-        for model in (model, grown):
-            for array in (model.chol, model.prior_at_inputs):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0, 0] = 1.0
-        for array in (grown.observations.inputs, grown.observations.outputs):
+        before = [model.chol, model.prior_at_inputs, observations.inputs, observations.outputs]
+        observations.append([0.5], [1.0, 2.0])
+        fit(observations, SQEXP, sine_prior, previous=model)
+        for array in before + [model.chol, model.prior_at_inputs, observations.inputs, observations.outputs]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
-        # the caller's own arrays keep their flags and stay the set's arrays
-        assert observations.inputs is inputs and observations.outputs is outputs
+        # the set copies the caller's arrays and leaves their flags alone
+        assert not np.shares_memory(observations.rows, inputs) and not np.shares_memory(observations.rows, outputs)
         assert inputs.flags.writeable and outputs.flags.writeable
 
-    def test_a_refit_on_a_shared_buffer_checks_only_the_new_rows(self, monkeypatch):
+    def test_a_refit_of_the_models_own_set_checks_only_the_new_rows(self, monkeypatch):
         rng = np.random.default_rng(4)
-        model = fit(ObservationSet(rng.normal(size=(5, 1)), rng.normal(size=(5, 2)), 0.001), SQEXP, sine_prior)
-        model = fit(model.observations.with_observation([0.1], [0.0, 0.0]), SQEXP, sine_prior, previous=model)
-        checked, real = [], np.isfinite
-        monkeypatch.setattr(np, "isfinite", lambda array: checked.append(array.shape) or real(array))
+        observations = ObservationSet(rng.normal(size=(5, 1)), rng.normal(size=(5, 2)), 0.001)
+        model = fit(observations, SQEXP, sine_prior)
+        observations.append([0.1], [0.0, 0.0])
+        fit(observations, SQEXP, sine_prior, previous=model)
+        checked, real = [], math.isfinite   # the values checked
+        monkeypatch.setattr(math, "isfinite", lambda value: checked.append(value) or real(value))
         compared, equal = [], np.array_equal
         monkeypatch.setattr(np, "array_equal", lambda *arrays: compared.append(1) or equal(*arrays))
-        observations = model.observations.with_observation([0.2], [0.0, 0.0])
+        observations.append([0.2], [0.0, 0.0])
         fit(observations, SQEXP, sine_prior, previous=model)
-        assert checked == [(1, 3)] and compared == []   # the new row: input and outcome
+        assert checked == [0.2, 0.0, 0.0] and compared == []   # the new row: input and outcome
         checked.clear()
-        fit(ObservationSet(np.array(observations.inputs), np.array(observations.outputs)), SQEXP, sine_prior)
-        assert checked == [(7, 1), (7, 2)]
+        fit(ObservationSet(observations.inputs, observations.outputs), SQEXP, sine_prior)
+        assert checked == observations.rows[:7].ravel().tolist()   # a fit from scratch checks every row
+        checked.clear()
+        other = ObservationSet(np.vstack([observations.inputs, [[0.3]]]), np.vstack([observations.outputs, [[0.0, 0.0]]]))
+        fit(other, SQEXP, sine_prior, previous=model)
+        assert len(checked) == 8 * 3 and compared == [1]   # another set: every row, and its prefix
+        other.append([np.nan], [0.0, 0.0])
         with pytest.raises(GpFitError, match="finite"):
-            fit(model.observations.with_observation([np.nan], [0.0, 0.0]), SQEXP, sine_prior, previous=model)
-        # the buffer is with_observation's own: a caller cannot hand one in past the checks
+            fit(other, SQEXP, sine_prior, previous=model)
+        assert model.t == 8
+        # the buffer is the set's own: a caller cannot hand one in past the checks
         with pytest.raises(TypeError):
-            ObservationSet(observations.inputs, observations.outputs, 0.001, [7, None])
+            ObservationSet(observations.inputs, observations.outputs, 0.001, np.zeros((7, 3)))
 
-    def test_copies_have_exactly_t_rows_and_the_newest_model_doubles(self):
-        # a fit from the caller's arrays, or from an older model, sizes its
-        # buffers to t; a refit past the newest model on full buffers doubles
+    def test_a_fit_from_scratch_has_exactly_t_rows_and_growth_doubles(self):
+        # a set and a fit from the caller's arrays hold t rows; growth doubles
         # them, but never past MAX_GP_OBSERVATIONS rows
         rng = np.random.default_rng(5)
         inputs = rng.uniform(-np.pi, np.pi, size=(MAX_GP_OBSERVATIONS, 1))
         outputs = rng.normal(size=(MAX_GP_OBSERVATIONS, 2))
 
-        def grown(t, previous=None):
-            model = fit(ObservationSet(inputs[:t], outputs[:t], 0.001), SQEXP, sine_prior, previous=previous)
+        def capacities(observations, model):
             factor, values = model.buffers
             assert factor.shape == (len(values), len(values))
-            return model, len(values)
+            return len(observations.rows), len(values)
 
-        model, capacity = grown(5)
-        assert capacity == 5
-        newer, capacity = grown(6, previous=model)
-        assert capacity == 10
-        newest, capacity = grown(8, previous=newer)
-        assert capacity == 10 and newest.buffers[0] is newer.buffers[0]
-        assert grown(7, previous=newer)[1] == 7   # newer is no longer the newest
-        model, capacity = grown(MAX_GP_OBSERVATIONS - 1)
-        assert capacity == MAX_GP_OBSERVATIONS - 1
-        assert grown(MAX_GP_OBSERVATIONS, previous=model)[1] == MAX_GP_OBSERVATIONS
+        observations = ObservationSet(inputs[:5], outputs[:5], 0.001)
+        model = fit(observations, SQEXP, sine_prior)
+        assert capacities(observations, model) == (5, 5)
+        for t in (6, 7, 8):
+            observations.append(inputs[t - 1], outputs[t - 1])
+            fit(observations, SQEXP, sine_prior, previous=model)
+            assert capacities(observations, model) == (10, 10)
+        observations = ObservationSet(inputs[:-1], outputs[:-1], 0.001)
+        model = fit(observations, SQEXP, sine_prior)
+        assert capacities(observations, model) == (MAX_GP_OBSERVATIONS - 1,) * 2
+        observations.append(inputs[-1], outputs[-1])
+        fit(observations, SQEXP, sine_prior, previous=model)
+        assert capacities(observations, model) == (MAX_GP_OBSERVATIONS,) * 2
+
 
 class TestFitErrors:
     # -0.0 is the same input as 0.0 to the kernel
@@ -691,15 +726,23 @@ class TestFitErrors:
 
     def test_a_pivot_that_is_not_positive_raises_and_leaves_previous_intact(self):
         # a kernel column no kernel gives, k(x, X) = 2 > k(x, x); `previous` has
-        # room for the new row in its buffers, so a written row would land there
+        # room for the new row in its buffers, so a written row would land there.
+        # Its t, arrays and predictions keep their bits.
         rng = np.random.default_rng(15)
         observations = ObservationSet(rng.uniform(-np.pi, np.pi, size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
         head = ObservationSet(observations.inputs[:3], observations.outputs[:3], 0.001)
-        previous = grow(head, SQEXP, sine_prior)[-1]
+        *_, previous = grow(head, SQEXP, sine_prior)
         assert len(previous.buffers[0]) == 4
+
+        def state(model):
+            mean, variance = predict(model, [0.7])
+            return model.t, [bits(array) for array in (*views(model)[:3], mean, variance)]
+
+        before = state(previous)
         with pytest.raises(GpFitError) as raised:
             fit(observations, SQEXP, sine_prior, previous, evaluated=(np.full(3, 2.0), np.zeros(2)))
         assert str(raised.value) == f"kernel matrix not positive definite (t=4, noise_variance=0.001, kernel={SQEXP})"
+        assert state(previous) == before
         model, scratch = fit(observations, SQEXP, sine_prior, previous), fit(observations, SQEXP, sine_prior)
         assert_same_model(model, scratch)
         assert bits(model.prior_correction) == bits(scratch.prior_correction)
@@ -736,16 +779,14 @@ def sine_prior(x):
 
 
 def grow(observations, kernel, prior):
-    """Models fitted one observation at a time, each from the previous one."""
+    """Fits one model one observation at a time, each time from a new set of
+    the first t observations; yields it after each fit."""
     inputs = observations.inputs
     empty = ObservationSet.empty(inputs.shape[1], 2, observations.noise_variance)
     model = fit(empty, kernel, prior)
-    models = []
     for t in range(1, len(observations) + 1):
         prefix = ObservationSet(inputs[:t], observations.outputs[:t], observations.noise_variance)
-        model = fit(prefix, kernel, prior, previous=model)
-        models.append(model)
-    return models
+        yield fit(prefix, kernel, prior, previous=model)
 
 
 def assert_same_model(grown, scratch):
@@ -810,7 +851,7 @@ class TestIncrementalFit:
         inputs = rng.uniform(-1, 1, size=(4, behavior_dim))
         inputs = np.vstack([inputs, inputs[1] + 1e-12])
         observations = ObservationSet(inputs, rng.normal(size=(5, 2)), 0.0)
-        grown = grow(observations, SQEXP, sine_prior)[-1]
+        *_, grown = grow(observations, SQEXP, sine_prior)
         gram = kernel_matrix(SQEXP, inputs, inputs)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(gram)
@@ -820,26 +861,27 @@ class TestIncrementalFit:
 
     def test_the_jitter_rides_on_every_row_without_noise(self):
         # the near twin at row 3 extends the factor like any other input: the
-        # rows before it keep their bits, and every model, each equal to a fit
-        # from scratch, carries the jitter. A posterior that scored the
-        # models before it goes on from the rows it solved.
+        # rows before it keep their bits, and the model, equal to a fit from
+        # scratch at every t, carries the jitter. A posterior that scored the
+        # model before it goes on from the rows it solved.
         rng = np.random.default_rng(11)
         inputs = rng.uniform(-1, 1, size=(7, 1))
         inputs = np.vstack([inputs[:3], inputs[1] + 1e-12, inputs[3:]])
         observations = ObservationSet(inputs, rng.normal(size=(8, 2)), 0.0)
-        models = grow(observations, SQEXP, sine_prior)
-        assert bits(models[3].chol[:3, :3]) == bits(models[2].chol)
-        for model in models:
-            assert_diagonal(model, JITTER)
-            assert_same_model(model, fit(model.observations, SQEXP, sine_prior))
         points = rng.uniform(-1, 1, size=(40, 1))
         posterior = CandidatePosterior(points, sine_prior, SQEXP)
-        posterior.score(models[2])
-        for model in models[3:]:
+        factors = []
+        for t, model in enumerate(grow(observations, SQEXP, sine_prior), start=1):
+            factors.append(model.chol)
+            assert_diagonal(model, JITTER)
+            assert_same_model(model, fit(ObservationSet(inputs[:t], observations.outputs[:t], 0.0), SQEXP, sine_prior))
+            if t < 3:
+                continue
             means, sigma = posterior.score(model)
             want_means, want_variances = predict_batch(model, points)
             assert bits(means) == bits(want_means)
             assert bits(sigma) == bits(np.sqrt(2 * want_variances))
+        assert bits(factors[3][:3, :3]) == bits(factors[2])
 
     def test_one_row_refit_evaluates_the_kernel_only_in_the_new_row(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -869,7 +911,7 @@ class TestIncrementalFit:
 
         rng = np.random.default_rng(4)
         observations = ObservationSet(rng.normal(size=(6, 1)), rng.normal(size=(6, 2)), 0.001)
-        grow(observations, SQEXP, counting_prior)
+        list(grow(observations, SQEXP, counting_prior))
         np.testing.assert_array_equal(np.array(seen), observations.inputs)
 
     @pytest.mark.parametrize(
@@ -929,14 +971,15 @@ class TestZeroNoise:
         points[2, 1] = 0.0
         points[6] = twin(points[2])
         posterior = CandidatePosterior(points, sine_prior, kernel)
-        model = fit(ObservationSet.empty(2, 2, 0.0), kernel, sine_prior)
+        observations = ObservationSet.empty(2, 2, 0.0)
+        model = fit(observations, kernel, sine_prior)
         calls = recording_kernel_matrix(monkeypatch)
         for index in (2, 0, 2, 6, 5, 6, 2, 2, 6, 1):
             posterior.score(model)
             calls.clear()
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
-            observations = model.observations.with_observation(points[index], rng.normal(size=2))
-            model = fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated)
+            observations.append(points[index], rng.normal(size=2))
+            assert fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated) is model
             assert calls == []
             assert_diagonal(model, JITTER)
             caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.0)
@@ -971,14 +1014,15 @@ class TestRefitFromThePosterior:
         if twin:
             points[1] = points[0] + 1e-12
         posterior = CandidatePosterior(points, sine_prior, kernel)
-        model = fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, sine_prior)
+        observations = ObservationSet.empty(behavior_dim, 2, noise)
+        model = fit(observations, kernel, sine_prior)
         for index in picks:
             posterior.score(model)
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
-            observations = model.observations.with_observation(points[index], rng.normal(size=2))
+            observations.append(points[index], rng.normal(size=2))
             caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), noise)
             scratch = fit(caller, kernel, sine_prior)
-            model = fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated)
+            assert fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated) is model
             assert_same_model(model, scratch)
             assert bits(model.prior_correction) == bits(scratch.prior_correction)
             means, sigma = posterior.score(model)   # a repeated pick copies its kernel row
@@ -997,13 +1041,14 @@ class TestRefitFromThePosterior:
         prior = lambda x: priors.append(1) or sine_prior(x)
         posterior = CandidatePosterior(points, prior, WRAPPED)
         assert len(priors) == 9
-        model, learned = fit(ObservationSet.empty(1, 2, 0.001), WRAPPED, prior), set()
+        observations, learned = ObservationSet.empty(1, 2, 0.001), set()
+        model = fit(observations, WRAPPED, prior)
         for index in (3, 5, 3, 3, 8, 5):
             posterior.score(model)
             calls.clear()
-            observations = model.observations.with_observation(points[index], rng.normal(size=2))
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
-            model = fit(observations, WRAPPED, prior, previous=model, evaluated=evaluated)
+            observations.append(points[index], rng.normal(size=2))
+            fit(observations, WRAPPED, prior, previous=model, evaluated=evaluated)
             assert calls == [] and len(priors) == 9
             posterior.score(model)
             assert calls == ([] if index in learned else [(1, 9)])
@@ -1016,13 +1061,14 @@ class TestRefitFromThePosterior:
         calls = recording_kernel_matrix(monkeypatch)
         points = np.array([[0.3], [1.2], [0.3 + 1e-12]])
         posterior = CandidatePosterior(points, sine_prior, SQEXP)
-        model = fit(ObservationSet.empty(1, 2, 0.0), SQEXP, sine_prior)
+        observations = ObservationSet.empty(1, 2, 0.0)
+        model = fit(observations, SQEXP, sine_prior)
         for index in range(3):
             posterior.score(model)
             calls.clear()
-            observations = model.observations.with_observation(points[index], [0.1 * index, 0.2])
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
-            model = fit(observations, SQEXP, sine_prior, previous=model, evaluated=evaluated)
+            observations.append(points[index], [0.1 * index, 0.2])
+            fit(observations, SQEXP, sine_prior, previous=model, evaluated=evaluated)
             assert calls == []
         assert_diagonal(model, JITTER)
         assert_same_model(model, fit(ObservationSet(points, [[0.0, 0.2], [0.1, 0.2], [0.2, 0.2]], 0.0), SQEXP, sine_prior))

@@ -180,6 +180,22 @@ class TestRunRecord:
 
 
 class TestMissionState:
+    def test_a_learning_step_grows_the_missions_model_in_place(self):
+        # the model, its observation set and the posterior stay the mission's
+        # objects; each learning step adds one row to them
+        config = point_config(AngleOffsetDamage(0.5))
+        state = mission._fresh_state(config, config.prior)
+        model, observations, posterior = state.model, state.model.observations, state.posterior
+        for step, index in enumerate((10, 200, 10), start=1):
+            posterior.score(state.model)   # as the step's selection does
+            state.learn(config.candidates.points[index], np.array([0.1, -0.05 * step]), index)
+            assert state.model is model and model.observations is observations and state.posterior is posterior
+            assert model.t == len(observations) == step
+        scratch = fit(ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.001),
+                      model.kernel, model.prior)
+        np.testing.assert_array_equal(model.chol, scratch.chol)
+        np.testing.assert_array_equal(model.prior_correction, scratch.prior_correction)
+
     def test_learn_refits_with_the_models_kernel_and_prior(self):
         kernel = Kernel(KernelFamily.EXPONENTIAL, 0.3, DistanceKind.WRAPPED_ANGULAR)
         observations = ObservationSet.empty(1, 2, 0.001)
@@ -358,7 +374,7 @@ class TestCandidateScoring:
 
     def record_scoring(self, monkeypatch):
         """Wrap predict_batch and the posterior arithmetic; returns the
-        query sizes of predict_batch and (model, size) per posterior."""
+        query sizes of predict_batch and ((model, its t), size) per posterior."""
         batches, posteriors = [], []
         predict_batch, posterior = gp.predict_batch, gp._posterior
 
@@ -367,7 +383,7 @@ class TestCandidateScoring:
             return predict_batch(model, points)
 
         def counting_posterior(model, prior_means, *args):
-            posteriors.append((model, len(prior_means)))
+            posteriors.append(((model, model.t), len(prior_means)))
             return posterior(model, prior_means, *args)
 
         monkeypatch.setattr(gp, "predict_batch", counting_predict_batch)
@@ -384,42 +400,47 @@ class TestCandidateScoring:
         assert batches == []
         assert [size for _, size in posteriors] == [360]
 
-    def test_each_model_is_scored_once(self, monkeypatch):
-        # with adaptation and a noisy world: one candidate scoring per model
-        # that a selection met, however many selections met it
+    def test_each_model_is_scored_once_per_size(self, monkeypatch):
+        # with adaptation and a noisy world: the mission's one model, grown in
+        # place, is scored once per size t that a selection met, however many
+        # selections met it
         selected = []
         select = mission.select_next
 
         def recording_select(posterior, model, reward, acquisition):
-            selected.append(model)
+            selected.append((model, model.t))
             return select(posterior, model, reward, acquisition)
 
         monkeypatch.setattr(mission, "select_next", recording_select)
         _, posteriors = self.record_scoring(monkeypatch)
         config = point_config(AngleOffsetDamage(0.5), noise_variance=0.01, seed=3)
         assert run_mission(config).learn_steps > 1
-        scored = [model for model, size in posteriors if size == 360]
-        assert len(scored) == len({id(model) for model in selected}) < len(selected)
+        scored = [state for state, size in posteriors if size == 360]
+        assert len({model for model, _ in selected}) == 1
+        assert scored == list(dict.fromkeys(selected)) and len(scored) < len(selected)
 
 
 class TestPredictedOutcomes:
     def test_every_prediction_equals_predict(self, monkeypatch):
         # SELA's steps predict from the scored posterior (mean_at), babbling
         # and the episodic repertoire with predict; each prediction equals
-        # predict's mean bit for bit. Each prediction is recorded where the
-        # drop detector forms its error, and that error is |observed - predicted|.
-        made, formed = {}, []   # id(predicted) -> (predicted, model, behavior)
+        # predict's mean bit for bit, when it is made (the model grows later).
+        # Each prediction is recorded where the drop detector forms its error,
+        # and that error is |observed - predicted|.
+        made, formed = {}, []   # id(predicted) -> predicted
         mean_at, predict_outcome = CandidatePosterior.mean_at, mission.predict
         record_error = MissionState.record_error
 
         def recording_mean_at(posterior, model, index):
             predicted = mean_at(posterior, model, index)
-            made[id(predicted)] = (predicted, model, posterior.points[index])
+            assert predicted.tobytes() == predict(model, posterior.points[index])[0].tobytes()
+            made[id(predicted)] = predicted
             return predicted
 
         def recording_predict(model, behavior):
             predicted, variance = predict_outcome(model, behavior)
-            made[id(predicted)] = (predicted, model, np.copy(behavior))
+            assert predicted.tobytes() == predict(model, behavior)[0].tobytes()
+            made[id(predicted)] = predicted
             return predicted, variance
 
         def recording_record_error(state, predicted, observed):
@@ -442,9 +463,7 @@ class TestPredictedOutcomes:
         assert len(formed) == sela.total_steps + babbling.learn_steps
         assert len(made) == sela.total_steps + babbling.learn_steps + 4
         for predicted in formed:
-            assert made[id(predicted)][0] is predicted
-        for predicted, model, behavior in made.values():
-            assert predicted.tobytes() == predict(model, behavior)[0].tobytes()
+            assert made[id(predicted)] is predicted
 
 
 def frozen_sela_adapt(state, max_iterations):
