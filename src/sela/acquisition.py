@@ -68,8 +68,8 @@ def select_next(
 ) -> tuple[np.ndarray, int]:
     """Behavior point and index maximizing the UCB score over the points of
     `posterior`, which scores each model once. `reward` scores all posterior
-    means in one call, (n, outcome_dim) -> (n,)."""
+    means in one call, (n, outcome_dim) -> (n,); a zero alpha adds no bonus."""
     means, sigma_agg = posterior.score(model)
-    scores = reward(means) + config.alpha * sigma_agg
-    index = int(np.argmax(scores))
+    scores = reward(means) + config.alpha * sigma_agg if config.alpha else reward(means)
+    index = int(scores.argmax())
     return posterior.points[index].copy(), index

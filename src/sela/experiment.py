@@ -173,13 +173,13 @@ def run_experiment(
             )
         if not archive.cells:
             raise ConfigError(f"archive_path {config.archive_path}: the archive lists no elites")
-        # illuminate clamps every behavior to the joint range; no step is longer than its legs (1e-9 is
-        # room for build_archive's rounding); in floats: numpy's `any` pages in code no mission runs
+        # illuminate clamps every behavior to the joint range; no step is longer than its legs (1e-9 is room
+        # for build_archive's rounding); `not ... <=` fails a NaN; in floats: numpy's `any` pages in unrun code
         lower, upper = WALKER_LOWER.tolist(), WALKER_UPPER.tolist()
         for elite in archive.cells.values():
-            if any(x < low or x > high for x, low, high in zip(elite.behavior.tolist(), lower, upper)):
+            if any(not low <= x <= high for x, low, high in zip(elite.behavior.tolist(), lower, upper)):
                 raise ConfigError(f"archive_path {config.archive_path}: a behavior lies outside the joint range")
-            if math.hypot(*elite.outcome.tolist()) > WALKER_JOINTS * WALKER_SEGMENT_STEP * (1.0 + 1e-9):
+            if not math.hypot(*elite.outcome.tolist()) <= WALKER_JOINTS * WALKER_SEGMENT_STEP * (1.0 + 1e-9):
                 raise ConfigError(f"archive_path {config.archive_path}: an outcome is longer than the walker "
                                   f"steps, {WALKER_JOINTS} legs of {WALKER_SEGMENT_STEP}")
     template = build_mission_config(config, config.base_seed, archive)

@@ -289,10 +289,10 @@ def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, half,
     """(means, variances, solved) at the query points from the prior and k(X, points) there.
     Fills rows of `half` with L^-1 k(X, points) past solved = (rows done, their sums of squares)."""
     done, sums = solved or (0, np.zeros(len(prior_means)))
-    means = prior_means + cross.T @ model.prior_correction
+    means = prior_means + (model.prior_correction.T @ cross).T   # each outcome dimension contiguous
     for i in range(done, len(cross)):
         row = half[i] = (cross[i] - model.chol[i, :i] @ half[:i]) / model.chol[i, i]
-        sums = sums + row * row
+        sums += row * row
     return means, np.maximum(1.0 - sums, 0.0), (len(cross), sums)
 
 
@@ -319,7 +319,7 @@ class CandidatePosterior:
     def __init__(self, points, prior: PriorMean, kernel: Kernel):
         self.points = _as_points(points)
         self.prior, self.kernel = prior, kernel
-        self.prior_means = prior_values(prior, self.points)     # (n, outcome_dim)
+        self.prior_means = np.asfortranarray(prior_values(prior, self.points))   # (n, outcome_dim), by column
         # the inputs (t, behavior_dim) and k(inputs, points) (t, n), a view of buffer[0]
         self.inputs, self.cross = np.zeros((0, self.points.shape[1])), np.zeros((0, len(self)))
         self.first = {}    # each input's bytes -> its first row: a repeat copies that row of cross

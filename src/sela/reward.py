@@ -101,7 +101,7 @@ class PlannerGrid:
 
 
 def astar(
-    grid: PlannerGrid, start: tuple[int, int], goal: tuple[int, int]
+    grid: PlannerGrid, start: tuple[int, int], goal: tuple[int, int], steps: Optional[int] = None
 ) -> Optional[list[tuple[int, int]]]:
     """4-connected shortest path from start to goal, or None if unreachable.
 
@@ -116,7 +116,7 @@ def astar(
     other predecessor of staircase cell g_k has u = u(g_k-1) +- (a+b): it
     never pops, or its bias ties at (a+b)/2, and then g_k-2 pushed both,
     x-move first, so g_k-1 pops first. Blocked cells off the staircase only
-    remove competitors.
+    remove competitors. With no blocked cell but the start, only `steps` moves are built.
     """
     if not grid.in_bounds(start) or not grid.in_bounds(goal):
         return None
@@ -127,7 +127,7 @@ def astar(
     dx, dy = sx - gx, sy - gy
     a, b, x, y, u = abs(dx), abs(dy), sx, sy, 0
     path = [start]
-    for _ in range(a + b):
+    for _ in range(a + b if blocked or steps is None else min(steps, a + b)):
         if y == gy or (x != gx and 2 * u >= b - a):
             x, u = x - (dx > 0) + (dx < 0), u - b   # one step toward gx
         else:
@@ -207,7 +207,7 @@ def build_waypoint_reward(
     start_cell = grid.cell_of(pose)
     cell = waypoint_cells.get(start_cell)
     if cell is None:
-        path = astar(grid, start_cell, goal_cell)
+        path = astar(grid, start_cell, goal_cell, lookahead_cells)
         if path is None:
             raise UnreachableGoalError(f"no grid path from cell {start_cell} to cell {goal_cell}")
         cell = waypoint_cells[start_cell] = path[min(lookahead_cells, len(path) - 1)]

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sela.acquisition import (
     MAX_CANDIDATES,
@@ -24,6 +26,17 @@ def grid_candidates(n=24):
 def at(candidates, model):
     """A fresh posterior at the candidates, with the model's kernel and prior."""
     return CandidatePosterior(candidates.points, model.prior, model.kernel)
+
+
+class FixedScores:
+    """A posterior stand-in whose `score` hands out fixed means and sigma."""
+
+    def __init__(self, sigma):
+        self.points = np.arange(len(sigma), dtype=float)[:, None]
+        self.scored = (np.zeros((len(sigma), 2)), sigma)
+
+    def score(self, model):
+        return self.scored
 
 
 def fitted_model(rng, t, noise=0.001):
@@ -167,3 +180,16 @@ class TestSelectNext:
                 assert reused[1] == fresh[1]
                 np.testing.assert_array_equal(reused[0], fresh[0])
         assert cached.score(model)[0] is means and cached.score(model)[1] is sigma
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_alpha_zero_picks_the_argmax_of_the_reward_plus_a_zero_bonus(self, data):
+        # greedy selection skips the 0.0 * sigma bonus; sigma is finite and non-negative,
+        # so the pick is the same, with ties, -0.0, NaN (the first one wins) and +-inf
+        n = data.draw(st.integers(1, 40), label="candidates")
+        special = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf])
+        rewards = np.array(data.draw(st.lists(st.one_of(special, st.floats()), min_size=n, max_size=n)))
+        sigma = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+        behavior, index = select_next(FixedScores(sigma), None, lambda g: rewards.copy(), AcquisitionConfig(0.0))
+        assert index == int(np.argmax(rewards + 0.0 * sigma))
+        assert behavior.tolist() == [float(index)]

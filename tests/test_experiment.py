@@ -34,7 +34,7 @@ from sela.experiment import (
     summary_csv_text,
     write_results,
 )
-from sela.gp import MIN_KERNEL_SIGMA, DistanceKind, GpFitError
+from sela.gp import MIN_KERNEL_SIGMA, DistanceKind
 from sela.map_elites import Archive, ArchiveFormatError, Elite, bin_index, load_archive, save_archive
 from sela.mission import Method, RunRecord
 from sela.worlds import WALKER_JOINTS, AngleOffsetDamage, FrozenJointDamage, segment_walker_evaluator
@@ -379,16 +379,19 @@ class TestRunExperiment:
         with pytest.raises(ArchiveFormatError, match="^line 4: behavior already listed on line 2$"):
             run_experiment(config)
 
-    def test_walker_archive_nan_rows_are_not_repeats(self):
-        # as np.unique's verdict: two NaN behaviors pass the candidate set's check,
-        # and the first replicate's fit then rejects them as non-finite inputs
-        archive = Archive((2, 2), WALKER_JOINTS, 2)
-        for cell in ((0, 0), (1, 1)):
-            behavior = np.array([math.nan, 0.1, 0.2, 0.3])
-            archive.cells[cell] = Elite(behavior, [0.25 + 0.5 * cell[0]] * 2, 0.05, [0.05, 0.0])
+    def test_walker_archive_nan_rows_are_not_repeats(self, monkeypatch):
+        # two NaN behaviors would pass the candidate set's check (NaN != NaN); NaN
+        # compares false, so the range and length checks reject a NaN before any replicate
+        monkeypatch.setattr(experiment, "run_method", lambda *args: pytest.fail("a replicate ran"))
         config = ExperimentConfig(world="segment_walker", damage="frozen_joint", replicates=1)
-        with pytest.raises(GpFitError, match="finite"):
-            run_experiment(config, archive=archive)
+        for field, message in (("behavior", "a behavior lies outside"), ("outcome", "an outcome is longer")):
+            archive = Archive((2, 2), WALKER_JOINTS, 2)
+            for cell in ((0, 0), (1, 1)):
+                elite = Elite([0.0, 0.1, 0.2, 0.3], [0.25 + 0.5 * cell[0]] * 2, 0.05, [0.05, 0.0])
+                getattr(elite, field)[0] = math.nan
+                archive.cells[cell] = elite
+            with pytest.raises(ConfigError, match=f"^archive_path None: {message}"):
+                run_experiment(config, archive=archive)
 
     def test_walker_end_to_end_with_prebuilt_archive(self):
         config = ExperimentConfig(
@@ -614,9 +617,9 @@ class TestSharedWaypointTable:
         starts = []
         astar = sela.reward.astar
 
-        def counting_astar(grid, start, goal):
+        def counting_astar(grid, start, goal, steps=None):
             starts.append(start)
-            return astar(grid, start, goal)
+            return astar(grid, start, goal, steps)
 
         monkeypatch.setattr(sela.reward, "astar", counting_astar)
         records, _ = run_experiment(replace(DAMAGED, step_cap=80))

@@ -33,6 +33,7 @@ from sela.gp import (
     zero_prior,
 )
 from sela.map_elites import Archive, ArchivePrior, Elite
+from sela.reward import make_distance_reward
 
 SQEXP = Kernel(KernelFamily.SQUARED_EXPONENTIAL, sigma=0.1)
 WRAPPED = Kernel(KernelFamily.SQUARED_EXPONENTIAL, sigma=0.1, distance=DistanceKind.WRAPPED_ANGULAR)
@@ -438,6 +439,46 @@ class TestOneRowMean:
                 posterior.mean_at(other, 0)
         posterior.score(model)
         posterior.mean_at(model, 9)
+
+
+class TestLongAdaptationSizes:
+    """At long-adaptation's model sizes, t up to 250, with 360 candidates: the
+    posterior's means, an (n, outcome_dim) array with each outcome dimension
+    contiguous, hold the bits of the row-ordered `prior + cross.T @ correction`;
+    `mean_at` equals `predict`'s mean; and the rewards score them as they score
+    a row-ordered copy. Where BLAS sums these products in another order, the
+    golden digests would move; this says where."""
+
+    @pytest.mark.parametrize("behavior_dim, distance, prior_kind", [
+        (1, DistanceKind.WRAPPED_ANGULAR, "function"), (4, DistanceKind.EUCLIDEAN, "archive")])
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("sigma", [0.1, 0.45])   # long-adaptation's, and a denser cross kernel
+    def test_means_mean_at_and_rewards_bit_for_bit(self, behavior_dim, distance, prior_kind, family, sigma):
+        rng = np.random.default_rng(250 + behavior_dim)
+        kernel = Kernel(family, sigma, distance)
+        points = rng.uniform(-np.pi, np.pi, size=(360, behavior_dim))
+        # as in a mission, most inputs are candidates, some repeated, and a few are not
+        inputs = np.vstack([points[rng.integers(0, 360, 200)], rng.uniform(-np.pi, np.pi, (50, behavior_dim))])
+        inputs = inputs[rng.permutation(250)]
+        prior = sine_prior if prior_kind == "function" else archive_prior(rng, np.vstack([points, inputs]))
+        observations = ObservationSet.empty(behavior_dim, 2, 0.001)
+        model = fit(observations, kernel, prior)
+        posterior = CandidatePosterior(points, prior, kernel)
+        row_ordered_prior = prior_values(prior, points)
+        for t, (x, y) in enumerate(zip(inputs, rng.normal(scale=0.1, size=(250, 2))), start=1):
+            observations.append(x, y)
+            model = fit(observations, kernel, prior, previous=model)
+            means, _ = posterior.score(model)
+            assert means.flags.f_contiguous
+            assert bits(means) == bits(np.asfortranarray(row_ordered_prior + posterior.cross.T @ model.prior_correction))
+            rows = np.ascontiguousarray(means)
+            pose, waypoint, direction = rng.normal(size=(3, 2))
+            distance_reward = make_distance_reward(waypoint, pose)
+            assert bits(distance_reward(means)) == bits(distance_reward(rows))
+            assert bits(np.vecdot(means, direction)) == bits(np.vecdot(rows, direction))   # the projection reward
+            if t % 25 == 0 or t in (1, 2, 3):
+                for index in rng.choice(360, 12, replace=False):
+                    assert bits(posterior.mean_at(model, index)) == bits(predict(model, points[index])[0])
 
 
 def near_twin_inputs(rng, t, behavior_dim, twin):

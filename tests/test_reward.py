@@ -207,6 +207,29 @@ class TestAstar:
         grid = PlannerGrid(0.1, (0.0, 0.0), (width, height), frozenset(blocked))
         assert astar(grid, start, goal) == frozen_astar(grid, start, goal)
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_a_step_limit_cuts_only_the_free_staircase(self, data):
+        # with no blocked cell but the start: the first min(steps, |dx| + |dy|) moves of
+        # the full path; with a blocked cell on the staircase: the full search path
+        width = data.draw(st.integers(1, 30), label="width")
+        height = data.draw(st.integers(1, 30), label="height")
+        inside = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+        start, goal = data.draw(inside, label="start"), data.draw(inside, label="goal")
+        steps = data.draw(st.integers(0, width + height), label="steps")
+        start_blocked = frozenset({start} if data.draw(st.booleans(), label="block the start") else ())
+        grid = PlannerGrid(0.1, (0.0, 0.0), (width, height), start_blocked)
+        full = astar(grid, start, goal)
+        moves = abs(start[0] - goal[0]) + abs(start[1] - goal[1])
+        assert len(full) == moves + 1
+        assert astar(grid, start, goal, steps) == full[:min(steps, moves) + 1]
+        if moves >= 2:
+            cell = data.draw(st.sampled_from(full[1:-1]), label="blocked on the staircase")
+            blocked = replace(grid, blocked=start_blocked | {cell})
+            search = astar(blocked, start, goal)
+            assert astar(blocked, start, goal, steps) == search == frozen_astar(blocked, start, goal)
+            assert search is None or cell not in search
+
     @pytest.mark.parametrize(
         "start, goal, blocked",
         [
@@ -518,9 +541,9 @@ class TestBuildWaypointReward:
         calls = []
         real_astar = sela.reward.astar
 
-        def counting_astar(grid, start, goal):
+        def counting_astar(grid, start, goal, steps=None):
             calls.append(start)
-            return real_astar(grid, start, goal)
+            return real_astar(grid, start, goal, steps)
 
         monkeypatch.setattr(sela.reward, "astar", counting_astar)
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
