@@ -289,7 +289,7 @@ def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, half,
     """(means, variances, solved) at the query points from the prior and k(X, points) there.
     Fills rows of `half` with L^-1 k(X, points) past solved = (rows done, their sums of squares)."""
     done, sums = solved or (0, np.zeros(len(prior_means)))
-    means = prior_means + (model.prior_correction.T @ cross).T   # each outcome dimension contiguous
+    means = prior_means + np.asfortranarray(cross.T @ model.prior_correction)   # each dimension contiguous
     for i in range(done, len(cross)):
         row = half[i] = (cross[i] - model.chol[i, :i] @ half[:i]) / model.chol[i, i]
         sums += row * row
