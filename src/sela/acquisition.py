@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gp import CandidatePosterior, GpModel, _as_points, predict_batch  # noqa: F401 (perfbench patches it)
+from .gp import CandidatePosterior, _as_points, predict_batch  # noqa: F401 (perfbench patches it)
 
 # Largest dense direction grid: one cross-kernel row per observation is then
 # at most 80 KB.
@@ -62,14 +62,13 @@ class AcquisitionConfig:
 
 def select_next(
     posterior: CandidatePosterior,
-    model: GpModel,
     reward: Callable[[np.ndarray], np.ndarray],
     config: AcquisitionConfig,
 ) -> tuple[np.ndarray, int]:
     """Behavior point and index maximizing the UCB score over the points of
-    `posterior`, which scores each model once. `reward` scores all posterior
+    `posterior`, which scores its model once per size. `reward` scores all posterior
     means in one call, (n, outcome_dim) -> (n,); a zero alpha adds no bonus."""
-    means, sigma_agg = posterior.score(model)
+    means, sigma_agg = posterior.score()
     scores = reward(means) + config.alpha * sigma_agg if config.alpha else reward(means)
     index = int(scores.argmax())
     return posterior.points[index].copy(), index

@@ -12,8 +12,8 @@ where P is the prior mean and K carries the modeled sampling noise on its
 diagonal. With a zero prior this is plain GP regression.
 
 A mission's model grows in place. `append` writes an observation into its
-set's buffer; `fit(..., previous=model)` then writes one row of the Cholesky
-factor L of K, r = L^-1 k(X, x_i) over the earlier inputs followed by
+set's buffer; `fit(..., previous=model)` on that same set then writes one row
+of the Cholesky factor L of K, r = L^-1 k(X, x_i) over the earlier inputs followed by
 sqrt(1 + noise + jitter - r.r), and the prior value P(x_i) into the model's
 buffers in O(t^2), running the kernel and the prior at most at the new input,
 and returns that model. The noise alone sets the jitter: JITTER for a noise
@@ -24,15 +24,15 @@ read-only views `inputs`, `outputs`, `chol` and `prior_at_inputs` stay
 valid. A fit from scratch grows a new empty model and equals it bit for bit.
 Solves use dtrtrs from `scipy.linalg._flapack` alone.
 
-`CandidatePosterior` serves a fixed query set such as a mission's candidates:
-it evaluates the prior there once, writes k(X, points) and L^-1 k(X, points)
-one row per observation into a buffer that doubles when full, copying the
-kernel row of an input seen before (the variance is 1 - the column sums of
-squares of the latter), and scores a model again only once it has grown; the
-models share its kernel, prior and noise, so the solved rows serve them all.
-Its `mean_at` gives the mean at one of those points with `predict`'s one-row
-arithmetic, equal to `predict`'s mean bit for bit. Models are bounded at
-`MAX_GP_OBSERVATIONS` inputs by the config check.
+`CandidatePosterior` serves one model at a fixed query set such as a
+mission's candidates: it evaluates the model's prior there once, writes
+k(X, points) and L^-1 k(X, points) one row per observation into a buffer that
+doubles when full, copying the kernel row of an input seen before (the
+variance is 1 - the column sums of squares of the latter), and scores the
+model again only once it has grown. Its `mean_at` gives the mean at one of
+those points with `predict`'s one-row arithmetic, equal to `predict`'s mean
+bit for bit. Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the
+config check.
 """
 
 from __future__ import annotations
@@ -235,29 +235,27 @@ def fit(
     would spread NaN through the posterior. A pivot that is not positive
     raises GpFitError and leaves the model as it was.
 
-    `previous` must be fitted with the same kernel, prior and noise on a strict
-    prefix of these observations: its own set, grown by `append`, whose new rows
-    alone are checked, or another set whose first inputs equal its own. The kernel
-    and the prior run only at the new inputs, and not at all given `evaluated` =
+    `previous` must be fitted with the same kernel and prior on fewer rows of this
+    very set, grown by `append`; only the new rows are checked. The kernel and the
+    prior run only at the new inputs, and not at all given `evaluated` =
     (k(X, x), P(x)) for the one new input x. It equals a fit from scratch bitwise.
     """
     inputs, outputs, noise = observations.inputs, observations.outputs, observations.noise_variance
     model = GpModel(kernel, observations, prior) if previous is None else previous
-    t, k, same = len(observations), model.t, observations is model.observations
-    # its own set's first k rows were checked; the rest as floats, cheaper than numpy for one row
-    if not all(map(math.isfinite, observations.rows[k if same else 0:t].ravel().tolist())):
-        raise GpFitError("observation inputs and outputs must be finite")
+    t, k = len(observations), model.t
     if previous is not None and not (
         k < t
+        and previous.observations is observations
         and previous.kernel == kernel
         and previous.prior is prior
-        and previous.observations.noise_variance == noise
-        and (same or np.array_equal(previous.observations.inputs[:k], inputs[:k]))
     ):
         raise ValueError(
-            "previous model must be fitted with the same kernel, prior and "
-            "noise on a strict prefix of the observations"
+            "previous model must be fitted with the same kernel and prior "
+            "on a strict prefix of these observations"
         )
+    # the first k rows were checked; the rest as floats, cheaper than numpy for one row
+    if not all(map(math.isfinite, observations.rows[k:t].ravel().tolist())):
+        raise GpFitError("observation inputs and outputs must be finite")
     one = evaluated is not None and t == k + 1 == len(evaluated[0]) + 1
     rows = [evaluated[0]] if one else kernel_matrix(kernel, inputs[k:], inputs)
     # a row per new input x_i from k(x_i, X[:i]) past the model's rows; dtrtrs takes the
@@ -280,7 +278,7 @@ def fit(
         correction = dtrtrs(factor.T[:, :t], correction, lower=0, overwrite_b=1)[0]
     model.chol, model.prior_at_inputs = factor[:t, :t], values[:t]
     model.chol.flags.writeable = model.prior_at_inputs.flags.writeable = False
-    model.observations, model.buffers = observations, (factor, values)
+    model.buffers = (factor, values)
     model.t, model.prior_correction = t, correction
     return model
 
@@ -309,65 +307,59 @@ def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 class CandidatePosterior:
-    """The posterior at a fixed point set: the prior there, the cross kernel
-    k(X, points) and L^-1 k(X, points) with one row per observation, and the
-    means and aggregated sigma of the model scored last at its t. `score`
-    recomputes them only for another model or once that model has grown. Every
-    model scored must use this kernel, prior and noise (the first model's) and
-    extend the inputs scored before; a model it has not scored last is checked."""
+    """The posterior of one model at a fixed point set: the prior there, the
+    cross kernel k(X, points) and L^-1 k(X, points) with one row per
+    observation, and the means and aggregated sigma at the t scored last.
+    `score` recomputes them only once the model has grown."""
 
-    def __init__(self, points, prior: PriorMean, kernel: Kernel):
+    def __init__(self, points, model: GpModel):
         self.points = _as_points(points)
-        self.prior, self.kernel = prior, kernel
-        self.prior_means = np.asfortranarray(prior_values(prior, self.points))   # (n, outcome_dim), by column
-        # the inputs (t, behavior_dim) and k(inputs, points) (t, n), a view of buffer[0]
-        self.inputs, self.cross = np.zeros((0, self.points.shape[1])), np.zeros((0, len(self)))
+        self.model = model
+        self.prior_means = np.asfortranarray(prior_values(model.prior, self.points))   # (n, outcome_dim), by column
+        # k(inputs, points) (t, n), a view of buffer[0]
+        self.cross = np.zeros((0, len(self)))
         self.first = {}    # each input's bytes -> its first row: a repeat copies that row of cross
         self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
-        # (rows of L^-1 cross solved, their column sums of squares) and the noise of the models scored
-        self.solved = self.noise = None
-        # the model scored last, its t, its means (n, outcome_dim) and sigma (n,)
-        self.model, self.t, self.means, self.sigma = None, 0, None, None
+        # (rows of L^-1 cross solved, their column sums of squares)
+        self.solved = None
+        # the t scored last, its means (n, outcome_dim) and sigma (n,)
+        self.t, self.means, self.sigma = None, None, None
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def score(self, model: GpModel) -> tuple[np.ndarray, np.ndarray]:
+    def score(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means (n, outcome_dim) and the aggregated uncertainty
         sqrt(sum_d var_d) = sqrt(outcome_dim * var) (n,), both read-only."""
-        if model is self.model and model.t == self.t:
+        model = self.model
+        if model.t == self.t:
             return self.means, self.sigma
-        t, k = model.t, len(self.inputs)
-        noise = model.observations.noise_variance
-        if model is not self.model and not (
-                model.prior is self.prior and model.kernel == self.kernel and self.noise in (None, noise)
-                and k <= t and np.array_equal(self.inputs, model.observations.inputs[:k])):
-            raise ValueError("model must use this kernel, prior and noise, extending the inputs seen")
+        t, k = model.t, len(self.cross)
         self.means = self.sigma = None   # let the last score go before the new one is computed
-        if k < t:   # write the new rows, doubling the capacity (at least to t) if full
-            self.buffer = _with_room(self.buffer, t, axes=(1,))
-            cross, inputs = self.buffer[0], model.observations.inputs[:t]
-            for i, x in enumerate(inputs[k:], start=k):   # a repeated input copies its first row
-                j = self.first.setdefault(x.tobytes(), i)
-                cross[i] = cross[j] if j < i else kernel_matrix(self.kernel, x[None], self.points)
-            self.inputs, self.cross = inputs, cross[:t]
+        # write the new rows, doubling the capacity (at least to t) if full
+        self.buffer = _with_room(self.buffer, t, axes=(1,))
+        cross, inputs = self.buffer[0], model.observations.inputs[:t]
+        for i, x in enumerate(inputs[k:], start=k):   # a repeated input copies its first row
+            j = self.first.setdefault(x.tobytes(), i)
+            cross[i] = cross[j] if j < i else kernel_matrix(model.kernel, x[None], self.points)
+        self.cross = cross[:t]
         means, variances, self.solved = _posterior(
             model, self.prior_means, self.cross, self.buffer[1], self.solved
         )
         sigma = np.sqrt(means.shape[1] * variances)
         means.flags.writeable = sigma.flags.writeable = False
-        self.model, self.t, self.means, self.sigma, self.noise = model, t, means, sigma, noise
+        self.t, self.means, self.sigma = t, means, sigma
         return means, sigma
 
-    def mean_at(self, model: GpModel, index: int) -> np.ndarray:
-        """Mean at points[index] under the model scored last, at the t it was scored,
-        equal to predict(model, points[index])[0] bit for bit. A row of `means` comes
+    def mean_at(self, index: int) -> np.ndarray:
+        """Mean at points[index] at the t scored last, equal to
+        predict(model, points[index])[0] bit for bit. A row of `means` comes
         from the batch product and may differ from it in the last bits."""
-        if model is not self.model or model.t != self.t:
-            raise ValueError("mean_at needs the model scored last, as it was scored")
+        if self.model.t != self.t:
+            raise ValueError("mean_at needs the model as it was scored last")
         # a contiguous (t, 1) column, laid out as predict's own kernel column
         column = np.ascontiguousarray(self.cross[:, index:index + 1])
-        return (self.prior_means[index:index + 1] + column.T @ model.prior_correction)[0]
+        return (self.prior_means[index:index + 1] + column.T @ self.model.prior_correction)[0]
 
 
 def predict(model: GpModel, x) -> tuple[np.ndarray, float]:

@@ -23,7 +23,7 @@ The candidate set, planner grid and goal stay fixed for a whole mission, and
 the observations only grow. So a mission holds one observation set, one model
 and one `CandidatePosterior`, and a learning step writes its rows into their
 buffers: `learn` appends the observation and `fit` grows the model in place.
-The posterior keeps the prior, writes one cross-kernel row per observation
+The model's posterior keeps its prior, writes a cross-kernel row per observation
 (copied for a candidate learned before), and scores the model again only once
 it has grown: steps that learn nothing reuse the last score, and a refit takes
 a chosen candidate's kernel column and prior from it, as SELA takes the
@@ -128,14 +128,14 @@ class MissionState:
     step_count: int = field(default=0, init=False)
     # The drop detector's window: the errors of the last drop.window steps, never more than step_cap
     recent: deque = field(init=False)
-    # The posterior at the candidates, with the model's kernel and prior.
+    # The model's posterior at the candidates.
     posterior: CandidatePosterior = field(init=False)
     goal_cell: tuple = field(init=False)   # the goal's planner cell, fixed for the mission
 
     def __post_init__(self):
         self.recent = deque(maxlen=min(self.config.drop.window, self.config.step_cap))
         self.goal_cell = self.config.grid.cell_of(self.config.goal)
-        self.posterior = CandidatePosterior(self.config.candidates.points, self.model.prior, self.model.kernel)
+        self.posterior = CandidatePosterior(self.config.candidates.points, self.model)
 
     def execute(self, behavior) -> np.ndarray:
         """One step: execute a behavior, learning trial or not, in the world; returns the observed outcome."""
@@ -148,11 +148,10 @@ class MissionState:
 
     def learn(self, behavior, observed, index=None) -> None:
         """Append one observation to the model's set and grow the model in place, with its own
-        kernel and prior; the posterior, if it scored that model, gives candidate `index`'s column
-        and prior (`fit` takes them only if the column has a row per input before the new one)."""
+        kernel and prior; the posterior gives candidate `index`'s column and prior (`fit`
+        takes them only if the posterior scored the model at its t before the new row)."""
         model, posterior = self.model, self.posterior
-        evaluated = None if index is None or posterior.model is not model else (
-            posterior.cross[:, index], posterior.prior_means[index])
+        evaluated = None if index is None else (posterior.cross[:, index], posterior.prior_means[index])
         model.observations.append(behavior, observed)
         self.model = fit(model.observations, model.kernel, model.prior, previous=model, evaluated=evaluated)
 
@@ -182,7 +181,7 @@ def _chase_waypoint(
         config.grid, config.world.pose, config.goal, state.goal_cell, config.lookahead_cells,
         config.waypoint_cells,
     )
-    return select_next(state.posterior, state.model, reward, acquisition)
+    return select_next(state.posterior, reward, acquisition)
 
 
 def _record(method: Method, state: MissionState) -> RunRecord:
@@ -217,7 +216,7 @@ def run_mission(config: MissionConfig) -> RunRecord:
     burst = 0
     while state.step_count < config.step_cap and not state.at_goal():
         behavior, index = _chase_waypoint(state, config.acquisition if burst else _GREEDY)
-        predicted = state.posterior.mean_at(state.model, index)
+        predicted = state.posterior.mean_at(index)
         observed = state.execute(behavior)
         if burst:
             state.learn(behavior, observed, index)
@@ -279,7 +278,7 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
         trials = []   # (projection, behavior)
         for _ in range(min(config.max_adapt_iterations, config.step_cap - state.step_count)):
             behavior, index = select_next(   # reward: the projection onto the direction
-                state.posterior, state.model, lambda g: np.vecdot(g, direction), config.acquisition
+                state.posterior, lambda g: np.vecdot(g, direction), config.acquisition
             )
             trials.append((float(np.dot(_episodic_trial(state, behavior, index), direction)), behavior))
             if trials[-1][0] >= config.episodic_success_projection:
@@ -306,7 +305,7 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     state = _fresh_state(config, config.prior)
     for _ in range(min(config.uncertainty_iterations, config.step_cap)):
         behavior, index = select_next(   # a zero reward: the uncertainty alone decides
-            state.posterior, state.model, lambda g: np.zeros(len(g)), config.acquisition
+            state.posterior, lambda g: np.zeros(len(g)), config.acquisition
         )
         _episodic_trial(state, behavior, index)
     return _drive(Method.UNCERTAINTY, state)

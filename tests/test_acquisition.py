@@ -24,8 +24,8 @@ def grid_candidates(n=24):
 
 
 def at(candidates, model):
-    """A fresh posterior at the candidates, with the model's kernel and prior."""
-    return CandidatePosterior(candidates.points, model.prior, model.kernel)
+    """A fresh posterior of the model at the candidates."""
+    return CandidatePosterior(candidates.points, model)
 
 
 class FixedScores:
@@ -35,7 +35,7 @@ class FixedScores:
         self.points = np.arange(len(sigma), dtype=float)[:, None]
         self.scored = (np.zeros((len(sigma), 2)), sigma)
 
-    def score(self, model):
+    def score(self):
         return self.scored
 
 
@@ -60,8 +60,8 @@ class TestUcbScore:
         reward = lambda means: means[:, 0]
         below = AcquisitionConfig(alpha=0.99 * reward_gap / sigma_gap)
         above = AcquisitionConfig(alpha=1.01 * reward_gap / sigma_gap)
-        assert select_next(at(candidates, model), model, reward, below)[1] == 0
-        assert select_next(at(candidates, model), model, reward, above)[1] == 1
+        assert select_next(at(candidates, model), reward, below)[1] == 0
+        assert select_next(at(candidates, model), reward, above)[1] == 1
 
     def test_alpha_zero_ignores_uncertainty(self):
         rng = np.random.default_rng(4)
@@ -69,7 +69,7 @@ class TestUcbScore:
         model = fitted_model(rng, 5)
         reward = lambda means: means[:, 0]
         means, _ = predict_batch(model, candidates.points)
-        _, index = select_next(at(candidates, model), model, reward, AcquisitionConfig(alpha=0.0))
+        _, index = select_next(at(candidates, model), reward, AcquisitionConfig(alpha=0.0))
         assert index == int(np.argmax(means[:, 0]))
 
     def test_negative_alpha_rejected(self):
@@ -117,8 +117,8 @@ class TestSelectNext:
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(36)
         reward = lambda g: -np.abs(g[:, 0])
-        _, idx_ucb = select_next(at(candidates, model), model, reward, AcquisitionConfig(0.05))
-        _, idx_greedy = select_next(at(candidates, model), model, reward, AcquisitionConfig(0.0))
+        _, idx_ucb = select_next(at(candidates, model), reward, AcquisitionConfig(0.05))
+        _, idx_greedy = select_next(at(candidates, model), reward, AcquisitionConfig(0.0))
         assert idx_ucb == idx_greedy
 
     def test_constant_reward_shift_does_not_change_argmax(self):
@@ -128,15 +128,15 @@ class TestSelectNext:
         base = lambda g: g[:, 0] - 0.3 * g[:, 1]
         shifted = lambda g: (g[:, 0] - 0.3 * g[:, 1]) + 11.5
         config = AcquisitionConfig(0.05)
-        _, idx_a = select_next(at(candidates, model), model, base, config)
-        _, idx_b = select_next(at(candidates, model), model, shifted, config)
+        _, idx_a = select_next(at(candidates, model), base, config)
+        _, idx_b = select_next(at(candidates, model), shifted, config)
         assert idx_a == idx_b
 
     def test_ties_break_to_lowest_index(self):
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(12)
         flat = lambda g: np.zeros(len(g))
-        behavior, index = select_next(at(candidates, model), model, flat, AcquisitionConfig(0.05))
+        behavior, index = select_next(at(candidates, model), flat, AcquisitionConfig(0.05))
         assert index == 0
         assert behavior[0] == candidates.points[0, 0]
 
@@ -146,7 +146,7 @@ class TestSelectNext:
         candidates = grid_candidates(90)
         reward = lambda g: g[:, 1]
         config = AcquisitionConfig(0.05)
-        picks = {select_next(at(candidates, model), model, reward, config)[1] for _ in range(5)}
+        picks = {select_next(at(candidates, model), reward, config)[1] for _ in range(5)}
         assert len(picks) == 1
 
     def test_high_alpha_prefers_unexplored_regions(self):
@@ -156,7 +156,7 @@ class TestSelectNext:
         obs = ObservationSet(x_seen[None, :], np.array([[1.0, 1.0]]), 0.001)
         model = fit(obs, Kernel(sigma=0.5), zero_prior(2))
         flat = lambda g: np.zeros(len(g))
-        _, index = select_next(at(candidates, model), model, flat, AcquisitionConfig(alpha=1.0))
+        _, index = select_next(at(candidates, model), flat, AcquisitionConfig(alpha=1.0))
         _, variances = predict_batch(model, candidates.points)
         assert variances[index] == pytest.approx(variances.max())
         assert index != 4
@@ -170,16 +170,16 @@ class TestSelectNext:
         observations = ObservationSet(inputs, rng.normal(scale=0.1, size=(12, 2)), 0.001)
         model = fit(observations, Kernel(sigma=0.1), point_robot_prior)
         cached = at(candidates, model)
-        means, sigma = cached.score(model)
+        means, sigma = cached.score()
         for _ in range(20):
             reward = make_distance_reward(rng.normal(size=2), rng.normal(size=2))
             for alpha in (0.0, 0.05):
                 config = AcquisitionConfig(alpha)
-                fresh = select_next(at(candidates, model), model, reward, config)
-                reused = select_next(cached, model, reward, config)
+                fresh = select_next(at(candidates, model), reward, config)
+                reused = select_next(cached, reward, config)
                 assert reused[1] == fresh[1]
                 np.testing.assert_array_equal(reused[0], fresh[0])
-        assert cached.score(model)[0] is means and cached.score(model)[1] is sigma
+        assert cached.score()[0] is means and cached.score()[1] is sigma
 
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
@@ -190,6 +190,6 @@ class TestSelectNext:
         special = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf])
         rewards = np.array(data.draw(st.lists(st.one_of(special, st.floats()), min_size=n, max_size=n)))
         sigma = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
-        behavior, index = select_next(FixedScores(sigma), None, lambda g: rewards.copy(), AcquisitionConfig(0.0))
+        behavior, index = select_next(FixedScores(sigma), lambda g: rewards.copy(), AcquisitionConfig(0.0))
         assert index == int(np.argmax(rewards + 0.0 * sigma))
         assert behavior.tolist() == [float(index)]

@@ -259,8 +259,8 @@ class TestCachedPrior:
         observations = ObservationSet(rng.uniform(-3, 3, size=(t, 1)), rng.normal(size=(t, 2)), 0.001)
         model = fit(observations, WRAPPED, prior)
         points = rng.uniform(-3, 3, size=(50, 1))
-        posterior = CandidatePosterior(points, prior, WRAPPED)
-        means, sigma = posterior.score(model)
+        posterior = CandidatePosterior(points, model)
+        means, sigma = posterior.score()
         fresh = predict_batch(model, points)
         np.testing.assert_array_equal(means, fresh[0])
         np.testing.assert_array_equal(sigma, np.sqrt(2 * fresh[1]))
@@ -276,86 +276,65 @@ class TestCandidatePosterior:
         observations = ObservationSet(rng.normal(size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
         prior = zero_prior(2)
         model = fit(observations, SQEXP, prior)
-        posterior = CandidatePosterior(rng.normal(size=(30, 1)), prior, SQEXP)
+        posterior = CandidatePosterior(rng.normal(size=(30, 1)), model)
         scored = []
         real = gp._posterior
         monkeypatch.setattr(gp, "_posterior", lambda *args: scored.append(1) or real(*args))
-        first = posterior.score(model)
+        first = posterior.score()
         for _ in range(3):
-            again = posterior.score(model)
+            again = posterior.score()
             assert again[0] is first[0] and again[1] is first[1]
         assert len(scored) == 1
-        posterior.score(fit(observations, SQEXP, prior))   # equal, but another object
-        assert len(scored) == 2
 
-    @pytest.mark.parametrize("change", ["kernel", "prior", "noise", "inputs", "fewer_inputs"])
-    def test_model_must_extend_what_was_scored(self, change):
+    def test_a_posterior_serves_its_own_model_alone(self):
+        # built for one model, it takes the kernel and prior from it and scores
+        # no other: score and mean_at take no model, and another model's
+        # growth, even an equal copy's, leaves its score as it was
         rng = np.random.default_rng(6)
-        prior = zero_prior(2)
-        observations = ObservationSet(rng.normal(size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
-        head = ObservationSet(observations.inputs[:3], observations.outputs[:3], 0.001)
-        posterior = CandidatePosterior(rng.normal(size=(30, 1)), prior, SQEXP)
-        posterior.score(fit(head, SQEXP, prior))
-        model = {
-            "kernel": fit(observations, Kernel(sigma=0.3), prior),
-            "prior": fit(observations, SQEXP, sine_prior),
-            "noise": fit(ObservationSet(observations.inputs, observations.outputs, 0.0), SQEXP, prior),
-            "inputs": fit(ObservationSet(observations.inputs + 1.0, observations.outputs), SQEXP, prior),
-            "fewer_inputs": fit(ObservationSet(head.inputs[:2], head.outputs[:2]), SQEXP, prior),
-        }[change]
-        with pytest.raises(ValueError, match="extending"):
-            posterior.score(model)
-        posterior.score(fit(observations, SQEXP, prior))
-
-    def test_the_model_scored_last_skips_the_prefix_compare_as_it_grows(self, monkeypatch):
-        # neither fit nor score compares a prefix of the model's own set as it
-        # grows; score compares one for another model, and rejects one with fewer rows
-        rng = np.random.default_rng(9)
-        prior = zero_prior(2)
-        observations = ObservationSet.empty(1, 2, 0.001)
-        model = fit(observations, SQEXP, prior)
-        points = rng.normal(size=(30, 1))
-        posterior = CandidatePosterior(points, prior, SQEXP)
-        posterior.score(model)   # a model not seen before: compared
-        compared, real = [], np.array_equal
-        monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(1) or real(*args))
-        for x, y in zip(rng.normal(size=(5, 1)), rng.normal(size=(5, 2))):
-            observations.append(x, y)
-            assert fit(observations, SQEXP, prior, previous=model) is model
-            means, sigma = posterior.score(model)
-        assert compared == []
-        posterior.score(fit(ObservationSet(observations.inputs, observations.outputs), SQEXP, prior))
-        assert compared == [1]   # once, for another model
-        shorter = fit(ObservationSet(observations.inputs[:4], observations.outputs[:4]), SQEXP, prior)
-        with pytest.raises(ValueError, match="extending"):
-            posterior.score(shorter)
-        monkeypatch.undo()
+        kernel = Kernel(sigma=0.3, distance=DistanceKind.WRAPPED_ANGULAR)
+        inputs, outputs = rng.uniform(-np.pi, np.pi, size=(4, 1)), rng.normal(size=(4, 2))
+        model = fit(ObservationSet(inputs[:3], outputs[:3], 0.0), kernel, sine_prior)
+        copy = ObservationSet(inputs[:3], outputs[:3], 0.0)
+        other = fit(copy, kernel, sine_prior)
+        points = rng.uniform(-np.pi, np.pi, size=(30, 1))
+        posterior = CandidatePosterior(points, model)
+        assert posterior.model is model
+        np.testing.assert_array_equal(posterior.prior_means, prior_values(sine_prior, points))
+        with pytest.raises(TypeError):
+            posterior.score(other)
+        with pytest.raises(TypeError):
+            posterior.mean_at(other, 0)
+        means, sigma = posterior.score()
+        copy.append(inputs[3], outputs[3])
+        fit(copy, kernel, sine_prior, previous=other)
+        assert posterior.score()[0] is means and posterior.score()[1] is sigma
         want = predict_batch(model, points)
         assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
+        assert bits(posterior.mean_at(3)) == bits(predict(model, points[3])[0])
 
     def test_a_grown_model_is_scored_again(self, monkeypatch):
-        # the score is kept per (model, t): a model that grew is scored anew,
-        # and mean_at rejects it until then
+        # the score is kept per t: a model that grew is scored anew, and
+        # mean_at rejects it until then
         rng = np.random.default_rng(10)
         prior = zero_prior(2)
         observations = ObservationSet(rng.normal(size=(3, 1)), rng.normal(size=(3, 2)), 0.001)
         model = fit(observations, SQEXP, prior)
         points = rng.normal(size=(30, 1))
-        posterior = CandidatePosterior(points, prior, SQEXP)
+        posterior = CandidatePosterior(points, model)
         scored, real = [], gp._posterior
         monkeypatch.setattr(gp, "_posterior", lambda *args: scored.append(1) or real(*args))
-        first = posterior.score(model)
-        assert posterior.score(model)[0] is first[0] and len(scored) == 1
+        first = posterior.score()
+        assert posterior.score()[0] is first[0] and len(scored) == 1
         observations.append([0.3], [0.1, -0.2])
         fit(observations, SQEXP, prior, previous=model)
         with pytest.raises(ValueError, match="scored last"):
-            posterior.mean_at(model, 0)
-        means, sigma = posterior.score(model)
+            posterior.mean_at(0)
+        means, sigma = posterior.score()
         assert len(scored) == 2 and means is not first[0]
         monkeypatch.undo()
         want = predict_batch(model, points)
         assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
-        assert bits(posterior.mean_at(model, 7)) == bits(predict(model, points[7])[0])
+        assert bits(posterior.mean_at(7)) == bits(predict(model, points[7])[0])
 
 
 def archive_prior(rng, behaviors):
@@ -408,17 +387,19 @@ class TestOneRowMean:
             "archive": archive_prior(rng, np.vstack([points, inputs[t // 2:]])),
         }[prior_kind]
         outputs = rng.normal(size=(t, 2))
-        posterior = CandidatePosterior(points, prior, kernel)
-        model = fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, prior)
+        observations = ObservationSet.empty(behavior_dim, 2, noise)
+        model = fit(observations, kernel, prior)
+        posterior = CandidatePosterior(points, model)
         for end in range(t + 1):
             if end > 0:
-                model = fit(ObservationSet(inputs[:end], outputs[:end], noise), kernel, prior, previous=model)
+                observations.append(inputs[end - 1], outputs[end - 1])
+                fit(observations, kernel, prior, previous=model)
             if end % score_every:
                 continue
-            posterior.score(model)
+            posterior.score()
             for index in range(len(points)):
                 want = predict(model, points[index])[0]
-                assert bits(posterior.mean_at(model, index)) == bits(want)
+                assert bits(posterior.mean_at(index)) == bits(want)
 
     def test_mean_at_needs_the_model_scored_last(self):
         rng = np.random.default_rng(7)
@@ -426,19 +407,18 @@ class TestOneRowMean:
         observations = ObservationSet(inputs[:3], outputs[:3], 0.001)
         prior = zero_prior(2)
         model = fit(observations, SQEXP, prior)
-        posterior = CandidatePosterior(rng.normal(size=(10, 1)), prior, SQEXP)
+        posterior = CandidatePosterior(rng.normal(size=(10, 1)), model)
         with pytest.raises(ValueError, match="scored last"):
-            posterior.mean_at(model, 0)   # nothing scored yet
-        posterior.score(model)
-        posterior.mean_at(model, 0)
+            posterior.mean_at(0)   # nothing scored yet
+        posterior.score()
+        posterior.mean_at(0)
         observations.append(inputs[3], outputs[3])
+        posterior.mean_at(0)   # appended, not yet fitted: the model is as it was scored
         fit(observations, SQEXP, prior, previous=model)
-        equal = fit(ObservationSet(inputs, outputs, 0.001), SQEXP, prior)
-        for other in (model, equal):   # grown since it was scored, or equal but another object
-            with pytest.raises(ValueError, match="scored last"):
-                posterior.mean_at(other, 0)
-        posterior.score(model)
-        posterior.mean_at(model, 9)
+        with pytest.raises(ValueError, match="scored last"):
+            posterior.mean_at(0)   # grown since it was scored
+        posterior.score()
+        posterior.mean_at(9)
 
 
 class TestLongAdaptationSizes:
@@ -463,12 +443,12 @@ class TestLongAdaptationSizes:
         prior = sine_prior if prior_kind == "function" else archive_prior(rng, np.vstack([points, inputs]))
         observations = ObservationSet.empty(behavior_dim, 2, 0.001)
         model = fit(observations, kernel, prior)
-        posterior = CandidatePosterior(points, prior, kernel)
+        posterior = CandidatePosterior(points, model)
         row_ordered_prior = prior_values(prior, points)
         for t, (x, y) in enumerate(zip(inputs, rng.normal(scale=0.1, size=(250, 2))), start=1):
             observations.append(x, y)
             model = fit(observations, kernel, prior, previous=model)
-            means, _ = posterior.score(model)
+            means, _ = posterior.score()
             assert means.flags.f_contiguous
             assert bits(means) == bits(np.asfortranarray(row_ordered_prior + posterior.cross.T @ model.prior_correction))
             rows = np.ascontiguousarray(means)
@@ -478,7 +458,7 @@ class TestLongAdaptationSizes:
             assert bits(np.vecdot(means, direction)) == bits(np.vecdot(rows, direction))   # the projection reward
             if t % 25 == 0 or t in (1, 2, 3):
                 for index in rng.choice(360, 12, replace=False):
-                    assert bits(posterior.mean_at(model, index)) == bits(predict(model, points[index])[0])
+                    assert bits(posterior.mean_at(index)) == bits(predict(model, points[index])[0])
 
 
 def near_twin_inputs(rng, t, behavior_dim, twin):
@@ -505,10 +485,13 @@ class TestSolve:
         t, noise, kernel = MAX_GP_OBSERVATIONS, 0.0 if twin else 0.001, Kernel(family, 0.45)
         inputs = near_twin_inputs(rng, t, 4, twin)
         outputs = rng.normal(size=(t, 2))
-        model = fit(ObservationSet.empty(4, 2, noise), kernel, sine_prior)
+        observations = ObservationSet.empty(4, 2, noise)
+        model = fit(observations, kernel, sine_prior)
         ends, capacities = (1, 2, 3, 5, 6, 7, 8, 9, 60, 61, 400, 401, t), []
-        for end in ends:
-            model = fit(ObservationSet(inputs[:end], outputs[:end], noise), kernel, sine_prior, previous=model)
+        for end in ends:   # the rows since the last end are appended, then fitted at once
+            for x, y in zip(inputs[len(observations):end], outputs[len(observations):end]):
+                observations.append(x, y)
+            fit(observations, kernel, sine_prior, previous=model)
             assert_diagonal(model, JITTER if twin else 0.0)
             residuals = model.observations.outputs - model.prior_at_inputs
             assert bits(model.prior_correction) == bits(cho_solve((model.chol, True), residuals))
@@ -594,15 +577,15 @@ class TestPosteriorBuffers:
         inputs = near_twin_inputs(rng, 40, 4, twin=True)
         outputs = rng.normal(size=(40, 2))
         points = rng.uniform(-np.pi, np.pi, size=(25, 4))
-        posterior = CandidatePosterior(points, sine_prior, kernel)
-        model = fit(ObservationSet.empty(4, 2, 0.0), kernel, sine_prior)
+        observations = ObservationSet.empty(4, 2, 0.0)
+        model = fit(observations, kernel, sine_prior)
+        posterior = CandidatePosterior(points, model)
         scored, capacities = [], [0]   # (returned array, its copy); capacities seen
         for end in (0, 1, 2, 3, 5, 6, 9, 10, 11, 17, 18, 30, 33, 40):
-            if end:   # fitted one observation at a time, scored only at some
-                for step in range(len(model.observations) + 1, end + 1):
-                    prefix = ObservationSet(inputs[:step], outputs[:step], 0.0)
-                    model = fit(prefix, kernel, sine_prior, previous=model)
-            means, sigma = posterior.score(model)
+            for step in range(len(observations), end):   # fitted one observation at a time, scored only at some
+                observations.append(inputs[step], outputs[step])
+                fit(observations, kernel, sine_prior, previous=model)
+            means, sigma = posterior.score()
             want_means, want_variances = predict_batch(model, points)
             assert bits(means) == bits(want_means)
             assert bits(sigma) == bits(np.sqrt(2 * want_variances))
@@ -639,7 +622,7 @@ class TestGrowInPlace:
     )
     def test_views_taken_before_growth_and_doublings_stay_intact(self, family, noise, steps, seed):
         # each step grows the one model by 1-3 new rows, appended to its set
-        # one at a time or passed as a new set of the caller's arrays; `twin`
+        # one at a time and fitted after each or once after the last; `twin`
         # makes the first a near copy of the last input, which factors by the
         # jitter without noise
         rng = np.random.default_rng(seed)
@@ -647,18 +630,15 @@ class TestGrowInPlace:
         observations = ObservationSet.empty(2, 2, noise)
         model = fit(observations, kernel, sine_prior)
         taken = []   # (view, its copy) of every step
-        for count, twin, appended in steps:
+        for count, twin, one_by_one in steps:
             inputs = rng.uniform(-np.pi, np.pi, size=(count, 2))
             if twin and model.t:
                 inputs[0] = observations.inputs[-1] + 1e-12
             outputs = rng.normal(size=(count, 2))
-            if appended:
-                for x, y in zip(inputs, outputs):
-                    observations.append(x, y)
-            else:
-                observations = ObservationSet(np.vstack([observations.inputs, inputs]),
-                                              np.vstack([observations.outputs, outputs]), noise)
-            assert fit(observations, kernel, sine_prior, previous=model) is model
+            for row, (x, y) in enumerate(zip(inputs, outputs), start=1):
+                observations.append(x, y)
+                if one_by_one or row == count:
+                    assert fit(observations, kernel, sine_prior, previous=model) is model
             caller = (np.array(observations.inputs), np.array(observations.outputs))
             scratch = fit(ObservationSet(*caller, noise), kernel, sine_prior)
             assert_same_model(model, scratch)
@@ -708,22 +688,16 @@ class TestGrowInPlace:
         fit(observations, SQEXP, sine_prior, previous=model)
         checked, real = [], math.isfinite   # the values checked
         monkeypatch.setattr(math, "isfinite", lambda value: checked.append(value) or real(value))
-        compared, equal = [], np.array_equal
-        monkeypatch.setattr(np, "array_equal", lambda *arrays: compared.append(1) or equal(*arrays))
         observations.append([0.2], [0.0, 0.0])
         fit(observations, SQEXP, sine_prior, previous=model)
-        assert checked == [0.2, 0.0, 0.0] and compared == []   # the new row: input and outcome
+        assert checked == [0.2, 0.0, 0.0]   # the new row: input and outcome
         checked.clear()
         fit(ObservationSet(observations.inputs, observations.outputs), SQEXP, sine_prior)
         assert checked == observations.rows[:7].ravel().tolist()   # a fit from scratch checks every row
-        checked.clear()
-        other = ObservationSet(np.vstack([observations.inputs, [[0.3]]]), np.vstack([observations.outputs, [[0.0, 0.0]]]))
-        fit(other, SQEXP, sine_prior, previous=model)
-        assert len(checked) == 8 * 3 and compared == [1]   # another set: every row, and its prefix
-        other.append([np.nan], [0.0, 0.0])
+        observations.append([np.nan], [0.0, 0.0])
         with pytest.raises(GpFitError, match="finite"):
-            fit(other, SQEXP, sine_prior, previous=model)
-        assert model.t == 8
+            fit(observations, SQEXP, sine_prior, previous=model)
+        assert model.t == 7
         # the buffer is the set's own: a caller cannot hand one in past the checks
         with pytest.raises(TypeError):
             ObservationSet(observations.inputs, observations.outputs, 0.001, np.zeros((7, 3)))
@@ -774,17 +748,19 @@ class TestFitErrors:
         head = ObservationSet(observations.inputs[:3], observations.outputs[:3], 0.001)
         *_, previous = grow(head, SQEXP, sine_prior)
         assert len(previous.buffers[0]) == 4
+        grown = previous.observations
 
         def state(model):
             mean, variance = predict(model, [0.7])
             return model.t, [bits(array) for array in (*views(model)[:3], mean, variance)]
 
         before = state(previous)
+        grown.append(observations.inputs[3], observations.outputs[3])
         with pytest.raises(GpFitError) as raised:
-            fit(observations, SQEXP, sine_prior, previous, evaluated=(np.full(3, 2.0), np.zeros(2)))
+            fit(grown, SQEXP, sine_prior, previous, evaluated=(np.full(3, 2.0), np.zeros(2)))
         assert str(raised.value) == f"kernel matrix not positive definite (t=4, noise_variance=0.001, kernel={SQEXP})"
         assert state(previous) == before
-        model, scratch = fit(observations, SQEXP, sine_prior, previous), fit(observations, SQEXP, sine_prior)
+        model, scratch = fit(grown, SQEXP, sine_prior, previous), fit(observations, SQEXP, sine_prior)
         assert_same_model(model, scratch)
         assert bits(model.prior_correction) == bits(scratch.prior_correction)
 
@@ -820,14 +796,13 @@ def sine_prior(x):
 
 
 def grow(observations, kernel, prior):
-    """Fits one model one observation at a time, each time from a new set of
-    the first t observations; yields it after each fit."""
-    inputs = observations.inputs
-    empty = ObservationSet.empty(inputs.shape[1], 2, observations.noise_variance)
-    model = fit(empty, kernel, prior)
-    for t in range(1, len(observations) + 1):
-        prefix = ObservationSet(inputs[:t], observations.outputs[:t], observations.noise_variance)
-        yield fit(prefix, kernel, prior, previous=model)
+    """Fits one model one observation at a time, each appended to the model's
+    own set, which starts empty; yields the model after each fit."""
+    grown = ObservationSet.empty(observations.inputs.shape[1], 2, observations.noise_variance)
+    model = fit(grown, kernel, prior)
+    for x, y in zip(observations.inputs, observations.outputs):
+        grown.append(x, y)
+        yield fit(grown, kernel, prior, previous=model)
 
 
 def assert_same_model(grown, scratch):
@@ -866,21 +841,22 @@ class TestIncrementalFit:
             inputs = np.vstack([inputs, inputs[0] + twin])
         observations = ObservationSet(inputs, rng.normal(size=(len(inputs), 2)), noise)
         points = rng.uniform(-np.pi, np.pi, size=(30, behavior_dim))
-        # one posterior scores every model, the other every third, so its
-        # cross kernel grows by several rows at once
-        every, sparse = (CandidatePosterior(points, prior, kernel) for _ in range(2))
-        model = fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, prior)
+        grown = ObservationSet.empty(behavior_dim, 2, noise)
+        model = fit(grown, kernel, prior)
+        # two posteriors of the model: one scores it at every t, the other at
+        # every third, so its cross kernel grows by several rows at once
+        every, sparse = (CandidatePosterior(points, model) for _ in range(2))
         for end in range(1, len(inputs) + 1):
-            prefix = ObservationSet(inputs[:end], observations.outputs[:end], noise)
-            scratch = fit(prefix, kernel, prior)
-            model = fit(prefix, kernel, prior, previous=model)
+            grown.append(inputs[end - 1], observations.outputs[end - 1])
+            scratch = fit(ObservationSet(inputs[:end], observations.outputs[:end], noise), kernel, prior)
+            assert fit(grown, kernel, prior, previous=model) is model
             assert_same_model(model, scratch)
             want = predict_batch(scratch, points)
             got = predict_batch(model, points)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
             for posterior in (every, sparse) if end % 3 == 0 else (every,):
-                means, sigma = posterior.score(model)
+                means, sigma = posterior.score()
                 np.testing.assert_array_equal(means, want[0])
                 np.testing.assert_array_equal(sigma, np.sqrt(2 * want[1]))
 
@@ -910,15 +886,16 @@ class TestIncrementalFit:
         inputs = np.vstack([inputs[:3], inputs[1] + 1e-12, inputs[3:]])
         observations = ObservationSet(inputs, rng.normal(size=(8, 2)), 0.0)
         points = rng.uniform(-1, 1, size=(40, 1))
-        posterior = CandidatePosterior(points, sine_prior, SQEXP)
         factors = []
         for t, model in enumerate(grow(observations, SQEXP, sine_prior), start=1):
+            if t == 1:   # the posterior of the one model that grow grows
+                posterior = CandidatePosterior(points, model)
             factors.append(model.chol)
             assert_diagonal(model, JITTER)
             assert_same_model(model, fit(ObservationSet(inputs[:t], observations.outputs[:t], 0.0), SQEXP, sine_prior))
             if t < 3:
                 continue
-            means, sigma = posterior.score(model)
+            means, sigma = posterior.score()
             want_means, want_variances = predict_batch(model, points)
             assert bits(means) == bits(want_means)
             assert bits(sigma) == bits(np.sqrt(2 * want_variances))
@@ -926,9 +903,10 @@ class TestIncrementalFit:
 
     def test_one_row_refit_evaluates_the_kernel_only_in_the_new_row(self, monkeypatch):
         rng = np.random.default_rng(12)
-        observations = ObservationSet(rng.normal(size=(6, 1)), rng.normal(size=(6, 2)), 0.001)
-        head = ObservationSet(observations.inputs[:5], observations.outputs[:5], 0.001)
-        previous = fit(head, SQEXP, sine_prior)
+        inputs, outputs = rng.normal(size=(6, 1)), rng.normal(size=(6, 2))
+        observations = ObservationSet(inputs[:5], outputs[:5], 0.001)
+        previous = fit(observations, SQEXP, sine_prior)
+        observations.append(inputs[5], outputs[5])
         evaluated, real = [], gp.kernel_matrix
 
         def recording_kernel_matrix(kernel, a, b):
@@ -955,22 +933,26 @@ class TestIncrementalFit:
         list(grow(observations, SQEXP, counting_prior))
         np.testing.assert_array_equal(np.array(seen), observations.inputs)
 
-    @pytest.mark.parametrize(
-        "change",
-        ["kernel", "prior", "inputs", "same_length"],
-    )
+    @pytest.mark.parametrize("change", ["kernel", "prior", "inputs", "equal_copy", "same_length"])
     def test_previous_must_be_a_prefix_fit(self, change):
+        # `previous` must be fitted with this kernel and prior on fewer rows of
+        # this very set: a refit onto another set raises, even onto an equal copy
         rng = np.random.default_rng(8)
-        observations = ObservationSet(rng.normal(size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
-        head = ObservationSet(observations.inputs[:3], observations.outputs[:3], 0.001)
-        previous = {
-            "kernel": fit(head, Kernel(sigma=0.3), zero_prior(2)),
-            "prior": fit(head, SQEXP, sine_prior),
-            "inputs": fit(ObservationSet(head.inputs + 1.0, head.outputs, 0.001), SQEXP, zero_prior(2)),
-            "same_length": fit(observations, SQEXP, zero_prior(2)),
-        }[change]
+        inputs, outputs = rng.normal(size=(4, 1)), rng.normal(size=(4, 2))
+        prior, observations = zero_prior(2), ObservationSet(inputs[:3], outputs[:3], 0.001)
+        previous = fit(observations, Kernel(sigma=0.3) if change == "kernel" else SQEXP,
+                       sine_prior if change == "prior" else prior)
+        observations.append(inputs[3], outputs[3])
+        if change == "same_length":
+            fit(observations, SQEXP, prior, previous=previous)
+        refit = {
+            "inputs": ObservationSet(inputs + 1.0, outputs, 0.001),
+            "equal_copy": ObservationSet(inputs, outputs, 0.001),
+        }.get(change, observations)
+        t = previous.t
         with pytest.raises(ValueError, match="prefix"):
-            fit(observations, SQEXP, zero_prior(2), previous=previous)
+            fit(refit, SQEXP, prior, previous=previous)
+        assert previous.t == t
 
 
 def recording_kernel_matrix(monkeypatch):
@@ -1011,12 +993,12 @@ class TestZeroNoise:
         points = rng.uniform(-np.pi, np.pi, size=(7, 2))
         points[2, 1] = 0.0
         points[6] = twin(points[2])
-        posterior = CandidatePosterior(points, sine_prior, kernel)
         observations = ObservationSet.empty(2, 2, 0.0)
         model = fit(observations, kernel, sine_prior)
+        posterior = CandidatePosterior(points, model)
         calls = recording_kernel_matrix(monkeypatch)
         for index in (2, 0, 2, 6, 5, 6, 2, 2, 6, 1):
-            posterior.score(model)
+            posterior.score()
             calls.clear()
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
             observations.append(points[index], rng.normal(size=2))
@@ -1025,7 +1007,7 @@ class TestZeroNoise:
             assert_diagonal(model, JITTER)
             caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.0)
             assert_same_model(model, fit(caller, kernel, sine_prior))
-            means, sigma = posterior.score(model)
+            means, sigma = posterior.score()
             want_means, want_variances = predict_batch(model, points)
             assert bits(means) == bits(want_means)
             assert bits(sigma) == bits(np.sqrt(2 * want_variances))
@@ -1054,11 +1036,11 @@ class TestRefitFromThePosterior:
         points = rng.uniform(-np.pi, np.pi, size=(8, behavior_dim))
         if twin:
             points[1] = points[0] + 1e-12
-        posterior = CandidatePosterior(points, sine_prior, kernel)
         observations = ObservationSet.empty(behavior_dim, 2, noise)
         model = fit(observations, kernel, sine_prior)
+        posterior = CandidatePosterior(points, model)
         for index in picks:
-            posterior.score(model)
+            posterior.score()
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
             observations.append(points[index], rng.normal(size=2))
             caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), noise)
@@ -1066,7 +1048,7 @@ class TestRefitFromThePosterior:
             assert fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated) is model
             assert_same_model(model, scratch)
             assert bits(model.prior_correction) == bits(scratch.prior_correction)
-            means, sigma = posterior.score(model)   # a repeated pick copies its kernel row
+            means, sigma = posterior.score()   # a repeated pick copies its kernel row
             want_means, want_variances = predict_batch(model, points)
             assert bits(means) == bits(want_means)
             assert bits(sigma) == bits(np.sqrt(2 * want_variances))
@@ -1080,18 +1062,18 @@ class TestRefitFromThePosterior:
         rng = np.random.default_rng(2)
         points = rng.uniform(-np.pi, np.pi, size=(9, 1))
         prior = lambda x: priors.append(1) or sine_prior(x)
-        posterior = CandidatePosterior(points, prior, WRAPPED)
-        assert len(priors) == 9
         observations, learned = ObservationSet.empty(1, 2, 0.001), set()
         model = fit(observations, WRAPPED, prior)
+        posterior = CandidatePosterior(points, model)
+        assert len(priors) == 9
         for index in (3, 5, 3, 3, 8, 5):
-            posterior.score(model)
+            posterior.score()
             calls.clear()
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
             observations.append(points[index], rng.normal(size=2))
             fit(observations, WRAPPED, prior, previous=model, evaluated=evaluated)
             assert calls == [] and len(priors) == 9
-            posterior.score(model)
+            posterior.score()
             assert calls == ([] if index in learned else [(1, 9)])
             learned.add(index)
         caller = ObservationSet(np.array(model.observations.inputs), np.array(model.observations.outputs), 0.001)
@@ -1101,11 +1083,11 @@ class TestRefitFromThePosterior:
         # the near twin's row takes the posterior's column like any other
         calls = recording_kernel_matrix(monkeypatch)
         points = np.array([[0.3], [1.2], [0.3 + 1e-12]])
-        posterior = CandidatePosterior(points, sine_prior, SQEXP)
         observations = ObservationSet.empty(1, 2, 0.0)
         model = fit(observations, SQEXP, sine_prior)
+        posterior = CandidatePosterior(points, model)
         for index in range(3):
-            posterior.score(model)
+            posterior.score()
             calls.clear()
             evaluated = (posterior.cross[:, index], posterior.prior_means[index])
             observations.append(points[index], [0.1 * index, 0.2])
@@ -1120,7 +1102,8 @@ class TestRefitFromThePosterior:
         # result is a fit from scratch whatever `evaluated` holds
         rng = np.random.default_rng(3)
         inputs, outputs = rng.uniform(-np.pi, np.pi, size=(5, 1)), rng.normal(size=(5, 2))
-        previous = fit(ObservationSet(inputs[:3], outputs[:3], 0.001), SQEXP, sine_prior)
+        observations = ObservationSet(inputs[:3], outputs[:3], 0.001)
+        previous = fit(observations, SQEXP, sine_prior)
         column = kernel_matrix(SQEXP, inputs[:3], inputs[3:4])[:, 0]
         end, previous, column = {
             "two_new_inputs": (5, previous, column),
@@ -1128,7 +1111,8 @@ class TestRefitFromThePosterior:
             "long_column": (4, previous, np.append(column, 0.5)),
             "no_previous": (4, None, column),
         }[case]
-        observations = ObservationSet(inputs[:end], outputs[:end], 0.001)
+        for x, y in zip(inputs[3:end], outputs[3:end]):   # a fit from scratch, too, reads the grown set
+            observations.append(x, y)
         calls = recording_kernel_matrix(monkeypatch)
         model = fit(observations, SQEXP, sine_prior, previous, evaluated=(column, np.array([9.0, 9.0])))
         assert len(calls) == 1

@@ -187,9 +187,10 @@ class TestMissionState:
         state = mission._fresh_state(config, config.prior)
         model, observations, posterior = state.model, state.model.observations, state.posterior
         for step, index in enumerate((10, 200, 10), start=1):
-            posterior.score(state.model)   # as the step's selection does
+            posterior.score()   # as the step's selection does
             state.learn(config.candidates.points[index], np.array([0.1, -0.05 * step]), index)
             assert state.model is model and model.observations is observations and state.posterior is posterior
+            assert posterior.model is model
             assert model.t == len(observations) == step
         scratch = fit(ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.001),
                       model.kernel, model.prior)
@@ -247,7 +248,7 @@ class TestMissionState:
             posterior = state.posterior
             points = posterior.points
             kernel, prior = state.model.kernel, state.model.prior
-            posterior.score(state.model)   # catch up with the last learn
+            posterior.score()   # catch up with the last learn
             np.testing.assert_array_equal(posterior.cross, kernel_matrix(kernel, inputs, points))
             scratch = fit(state.model.observations, kernel, prior)
             np.testing.assert_array_equal(state.model.chol, scratch.chol)
@@ -319,7 +320,7 @@ class TestLearningFromTheScore:
             calls.clear()
             priors.clear()
             learn(state, behavior, observed, index)
-            state.posterior.score(state.model)   # as the next selection would
+            state.posterior.score()   # as the next selection would
             steps.append((repeat, len(calls), len(priors)))
 
         monkeypatch.setattr(MissionState, "learn", counting_learn)
@@ -329,16 +330,12 @@ class TestLearningFromTheScore:
         if method is Method.SELA:
             assert {repeat for repeat, _, _ in steps} == {False, True}
 
-    @pytest.mark.parametrize("scored", ["an_older_model", "another_model_of_as_many_inputs"])
-    def test_a_posterior_that_did_not_score_the_model_leaves_the_refit_to_the_kernel(self, monkeypatch, scored):
-        # learn takes the column and prior only from the score of the model it refits
+    def test_a_posterior_that_did_not_score_the_model_at_its_t_leaves_the_refit_to_the_kernel(self, monkeypatch):
+        # learn takes the column and prior only from a score of the model at the t it refits
         state = mission._fresh_state(point_config(), point_robot_prior)
         points, kernel = state.posterior.points, state.model.kernel
-        state.posterior.score(state.model)
+        state.posterior.score()
         state.learn(points[10], np.array([0.1, 0.0]), 10)
-        if scored == "another_model_of_as_many_inputs":
-            state.posterior.score(state.model)
-            state.model = fit(ObservationSet(points[[30]], [[0.1, 0.0]], 0.001), kernel, point_robot_prior)
         calls, kernel_matrix = [], gp.kernel_matrix
         monkeypatch.setattr(gp, "kernel_matrix", lambda k, a, b: calls.append((len(a), len(b))) or kernel_matrix(k, a, b))
         state.learn(points[20], np.array([0.0, 0.1]), 20)
@@ -360,7 +357,7 @@ class TestCandidateScoring:
 
         def checking_learn(state, *args):   # SELA passes the candidate index, babbling does not
             learn(state, *args)
-            means, sigma = state.posterior.score(state.model)
+            means, sigma = state.posterior.score()
             want_means, want_variances = predict_batch(state.model, state.posterior.points)
             np.testing.assert_array_equal(means, want_means)
             np.testing.assert_array_equal(sigma, np.sqrt(2 * want_variances))
@@ -407,9 +404,9 @@ class TestCandidateScoring:
         selected = []
         select = mission.select_next
 
-        def recording_select(posterior, model, reward, acquisition):
-            selected.append((model, model.t))
-            return select(posterior, model, reward, acquisition)
+        def recording_select(posterior, reward, acquisition):
+            selected.append((posterior.model, posterior.model.t))
+            return select(posterior, reward, acquisition)
 
         monkeypatch.setattr(mission, "select_next", recording_select)
         _, posteriors = self.record_scoring(monkeypatch)
@@ -431,9 +428,9 @@ class TestPredictedOutcomes:
         mean_at, predict_outcome = CandidatePosterior.mean_at, mission.predict
         record_error = MissionState.record_error
 
-        def recording_mean_at(posterior, model, index):
-            predicted = mean_at(posterior, model, index)
-            assert predicted.tobytes() == predict(model, posterior.points[index])[0].tobytes()
+        def recording_mean_at(posterior, index):
+            predicted = mean_at(posterior, index)
+            assert predicted.tobytes() == predict(posterior.model, posterior.points[index])[0].tobytes()
             made[id(predicted)] = predicted
             return predicted
 
@@ -474,7 +471,7 @@ def frozen_sela_adapt(state, max_iterations):
         if state.at_goal():
             break
         behavior, index = mission._chase_waypoint(state, config.acquisition)
-        predicted = state.posterior.mean_at(state.model, index)
+        predicted = state.posterior.mean_at(index)
         observed = state.execute(behavior)
         state.learn(behavior, observed, index)
         if state.record_error(predicted, observed) < config.drop.threshold:
@@ -486,7 +483,7 @@ def frozen_run_mission(config):
     state = mission._fresh_state(config, config.prior)
     while state.step_count < config.step_cap and not state.at_goal():
         behavior, index = mission._chase_waypoint(state)
-        predicted = state.posterior.mean_at(state.model, index)
+        predicted = state.posterior.mean_at(index)
         observed = state.execute(behavior)
         if state.record_error(predicted, observed) > config.drop.threshold:
             frozen_sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
@@ -500,8 +497,8 @@ def sela_steps(config, run=run_mission):
     steps = []
     select, learn, record_error = mission.select_next, MissionState.learn, MissionState.record_error
 
-    def recording_select(posterior, model, reward, acquisition):
-        behavior, index = select(posterior, model, reward, acquisition)
+    def recording_select(posterior, reward, acquisition):
+        behavior, index = select(posterior, reward, acquisition)
         steps.append([index, acquisition.alpha, False, None])
         return behavior, index
 
