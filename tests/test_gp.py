@@ -286,6 +286,60 @@ class TestCandidatePosterior:
             assert again[0] is first[0] and again[1] is first[1]
         assert len(scored) == 1
 
+    @pytest.mark.parametrize("change", ["kernel", "prior", "noise", "inputs", "fewer_inputs"])
+    def test_model_must_extend_what_was_scored(self, change):
+        # the posterior's model grows only by a refit of its own set with its own
+        # kernel and prior: any other refit raises and leaves the model and the
+        # kept score as they were, and the posterior then scores the model grown
+        rng = np.random.default_rng(6)
+        prior = zero_prior(2)
+        inputs, outputs = rng.normal(size=(4, 1)), rng.normal(size=(4, 2))
+        observations = ObservationSet(inputs[:3], outputs[:3], 0.001)
+        model = fit(observations, SQEXP, prior)
+        points = rng.normal(size=(30, 1))
+        posterior = CandidatePosterior(points, model)
+        means, sigma = posterior.score()
+        observations.append(inputs[3], outputs[3])
+        refit, kernel, refit_prior = {
+            "kernel": (observations, Kernel(sigma=0.3), prior),
+            "prior": (observations, SQEXP, sine_prior),
+            "noise": (ObservationSet(inputs, outputs, 0.0), SQEXP, prior),
+            "inputs": (ObservationSet(inputs + 1.0, outputs, 0.001), SQEXP, prior),
+            "fewer_inputs": (ObservationSet(inputs[:2], outputs[:2], 0.001), SQEXP, prior),
+        }[change]
+        with pytest.raises(ValueError, match="prefix"):
+            fit(refit, kernel, refit_prior, previous=model)
+        assert model.t == 3 and model.observations is observations
+        assert posterior.score()[0] is means and posterior.score()[1] is sigma
+        assert fit(observations, SQEXP, prior, previous=model) is model
+        means, sigma = posterior.score()
+        want = predict_batch(model, points)
+        assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
+
+    def test_the_model_scored_last_skips_the_prefix_compare_as_it_grows(self, monkeypatch):
+        # neither fit nor score compares a prefix of the model's own set as it
+        # grows, and a refit onto a shorter set raises without one
+        rng = np.random.default_rng(9)
+        prior = zero_prior(2)
+        observations = ObservationSet.empty(1, 2, 0.001)
+        model = fit(observations, SQEXP, prior)
+        points = rng.normal(size=(30, 1))
+        posterior = CandidatePosterior(points, model)
+        posterior.score()
+        compared, real = [], np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(1) or real(*args))
+        for x, y in zip(rng.normal(size=(5, 1)), rng.normal(size=(5, 2))):
+            observations.append(x, y)
+            assert fit(observations, SQEXP, prior, previous=model) is model
+            means, sigma = posterior.score()
+        shorter = ObservationSet(observations.inputs[:4], observations.outputs[:4], 0.001)
+        with pytest.raises(ValueError, match="prefix"):
+            fit(shorter, SQEXP, prior, previous=model)
+        assert compared == []
+        monkeypatch.undo()
+        want = predict_batch(model, points)
+        assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
+
     def test_a_posterior_serves_its_own_model_alone(self):
         # built for one model, it takes the kernel and prior from it and scores
         # no other: score and mean_at take no model, and another model's

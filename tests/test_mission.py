@@ -330,11 +330,14 @@ class TestLearningFromTheScore:
         if method is Method.SELA:
             assert {repeat for repeat, _, _ in steps} == {False, True}
 
-    def test_a_posterior_that_did_not_score_the_model_at_its_t_leaves_the_refit_to_the_kernel(self, monkeypatch):
-        # learn takes the column and prior only from a score of the model at the t it refits
+    @pytest.mark.parametrize("scored", ["an_older_model", "no_model"])
+    def test_a_posterior_that_did_not_score_the_model_leaves_the_refit_to_the_kernel(self, monkeypatch, scored):
+        # learn takes the column and prior only from a score of the model at the
+        # t it refits: here the posterior scored the model one row ago, or never
         state = mission._fresh_state(point_config(), point_robot_prior)
         points, kernel = state.posterior.points, state.model.kernel
-        state.posterior.score()
+        if scored == "an_older_model":
+            state.posterior.score()
         state.learn(points[10], np.array([0.1, 0.0]), 10)
         calls, kernel_matrix = [], gp.kernel_matrix
         monkeypatch.setattr(gp, "kernel_matrix", lambda k, a, b: calls.append((len(a), len(b))) or kernel_matrix(k, a, b))
