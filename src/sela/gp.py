@@ -283,15 +283,14 @@ def fit(
     return model
 
 
-def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, half, solved=None):
-    """(means, variances, solved) at the query points from the prior and k(X, points) there.
-    Fills rows of `half` with L^-1 k(X, points) past solved = (rows done, their sums of squares)."""
-    done, sums = solved or (0, np.zeros(len(prior_means)))
+def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, half, done, sums):
+    """(means, variances) at the query points from the prior and k(X, points) there. Fills the
+    rows of `half` past `done` with L^-1 k(X, points) and adds their squares to the column `sums`."""
     means = prior_means + np.asfortranarray(cross.T @ model.prior_correction)   # each dimension contiguous
     for i in range(done, len(cross)):
         row = half[i] = (cross[i] - model.chol[i, :i] @ half[:i]) / model.chol[i, i]
         sums += row * row
-    return means, np.maximum(1.0 - sums, 0.0), (len(cross), sums)
+    return means, np.maximum(1.0 - sums, 0.0)
 
 
 def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
@@ -303,27 +302,27 @@ def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     pts = _as_points(points)
     # kernel_matrix also rejects a query of another behavior dimension
     cross = kernel_matrix(model.kernel, model.observations.inputs[:model.t], pts)   # (t, n)
-    return _posterior(model, prior_values(model.prior, pts), cross, np.empty(cross.shape))[:2]
+    prior_means = prior_values(model.prior, pts)
+    return _posterior(model, prior_means, cross, np.empty(cross.shape), 0, np.zeros(len(pts)))
 
 
 class CandidatePosterior:
     """The posterior of one model at a fixed point set: the prior there, the
     cross kernel k(X, points) and L^-1 k(X, points) with one row per
-    observation, and the means and aggregated sigma at the t scored last.
+    observation scored, and the means and aggregated sigma at those rows.
     `score` recomputes them only once the model has grown."""
 
     def __init__(self, points, model: GpModel):
         self.points = _as_points(points)
         self.model = model
         self.prior_means = np.asfortranarray(prior_values(model.prior, self.points))   # (n, outcome_dim), by column
-        # k(inputs, points) (t, n), a view of buffer[0]
+        # k(inputs, points) (t, n) at the t scored last, a view of buffer[0]
         self.cross = np.zeros((0, len(self)))
         self.first = {}    # each input's bytes -> its first row: a repeat copies that row of cross
         self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
-        # (rows of L^-1 cross solved, their column sums of squares)
-        self.solved = None
-        # the t scored last, its means (n, outcome_dim) and sigma (n,)
-        self.t, self.means, self.sigma = None, None, None
+        self.sums = np.zeros(len(self))   # the column sums of squares of L^-1 cross
+        # the means (n, outcome_dim) and sigma (n,) at the t scored last; None before the first score
+        self.means, self.sigma = None, None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -331,10 +330,9 @@ class CandidatePosterior:
     def score(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means (n, outcome_dim) and the aggregated uncertainty
         sqrt(sum_d var_d) = sqrt(outcome_dim * var) (n,), both read-only."""
-        model = self.model
-        if model.t == self.t:
+        model, t, k = self.model, self.model.t, len(self.cross)
+        if t == k and self.means is not None:
             return self.means, self.sigma
-        t, k = model.t, len(self.cross)
         self.means = self.sigma = None   # let the last score go before the new one is computed
         # write the new rows, doubling the capacity (at least to t) if full
         self.buffer = _with_room(self.buffer, t, axes=(1,))
@@ -343,19 +341,17 @@ class CandidatePosterior:
             j = self.first.setdefault(x.tobytes(), i)
             cross[i] = cross[j] if j < i else kernel_matrix(model.kernel, x[None], self.points)
         self.cross = cross[:t]
-        means, variances, self.solved = _posterior(
-            model, self.prior_means, self.cross, self.buffer[1], self.solved
-        )
+        means, variances = _posterior(model, self.prior_means, self.cross, self.buffer[1], k, self.sums)
         sigma = np.sqrt(means.shape[1] * variances)
         means.flags.writeable = sigma.flags.writeable = False
-        self.t, self.means, self.sigma = t, means, sigma
+        self.means, self.sigma = means, sigma
         return means, sigma
 
     def mean_at(self, index: int) -> np.ndarray:
         """Mean at points[index] at the t scored last, equal to
         predict(model, points[index])[0] bit for bit. A row of `means` comes
         from the batch product and may differ from it in the last bits."""
-        if self.model.t != self.t:
+        if self.means is None or self.model.t != len(self.cross):
             raise ValueError("mean_at needs the model as it was scored last")
         # a contiguous (t, 1) column, laid out as predict's own kernel column
         column = np.ascontiguousarray(self.cross[:, index:index + 1])

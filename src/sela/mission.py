@@ -12,7 +12,7 @@ runs out. The goal, or the step cap, ends the mission in either phase.
 The baselines keep learning and execution episodic: each learning trial
 (`_episodic_trial`) resets the robot to the start pose and counts as pure
 cost, no trial runs past the step cap, and only then does the robot drive to
-the goal with what it learned (`_drive`). A mission passes one `MissionState` around: the model, the
+the goal with what it learned (`_drive`). A mission passes one `MissionState` around: the
 posterior and the step count it mutates, and the `MissionConfig` it reads.
 All four methods share its one step (`MissionState.execute`: execute a
 behavior, count it), its learning step (`MissionState.learn`), its goal
@@ -20,34 +20,32 @@ test (`MissionState.at_goal`) and the record builder (`_record`), which
 counts one learning step per observation in the model.
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
-the observations only grow. So a mission holds one observation set, one model
-and one `CandidatePosterior`, and a learning step writes its rows into their
-buffers: `learn` appends the observation and `fit` grows the model in place.
-The model's posterior keeps its prior, writes a cross-kernel row per observation
-(copied for a candidate learned before), and scores the model again only once
-it has grown: steps that learn nothing reuse the last score, and a refit takes
-a chosen candidate's kernel column and prior from it, as SELA takes the
-outcome it predicts there (`mean_at`). The drop window keeps one error norm
-per step; its mean, the error norms and the goal test run numpy's arithmetic
-without numpy's Python wrappers, so they keep its bits. The goal's planner
-cell is derived once (`MissionState.goal_cell`), and the missions of an
-experiment share their template's table of A* waypoints per start cell
+the observations only grow. So a mission holds one `CandidatePosterior`, built with the
+state, and reaches its one model and the model's one observation set through it (babbling's
+from a copy of the config with the zero prior, sharing its world, rng and A* table); a
+learning step writes rows into their buffers: `learn` appends the observation and `fit`
+grows the model in place. The posterior keeps its prior, writes a cross-kernel row per
+observation (copied for a candidate learned before), and scores the model again only once
+it has grown: steps that learn nothing reuse the last score, and a refit takes a chosen
+candidate's kernel column and prior from it, as SELA takes the outcome it predicts there
+(`mean_at`). The drop window keeps one error norm per step; its mean, the error norms and
+the goal test run numpy's arithmetic without numpy's Python wrappers, so they keep its
+bits. The goal's planner cell is derived once (`MissionState.goal_cell`), and the missions
+of an experiment share their template's table of A* waypoints per start cell
 (`MissionConfig.waypoint_cells`). Rewards score a batch of outcomes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .acquisition import AcquisitionConfig, CandidateSet, select_next
-from .gp import (
-    CandidatePosterior, GpModel, Kernel, ObservationSet, PriorMean, fit, predict, zero_prior
-)
+from .gp import CandidatePosterior, Kernel, ObservationSet, PriorMean, fit, predict, zero_prior
 from .reward import PlannerGrid, build_waypoint_reward
 from .worlds import World, goal_reached, vector_length
 
@@ -124,18 +122,21 @@ class MissionState:
     """What a mission mutates while it runs; it reads the rest from its config."""
 
     config: MissionConfig
-    model: GpModel
     step_count: int = field(default=0, init=False)
     # The drop detector's window: the errors of the last drop.window steps, never more than step_cap
     recent: deque = field(init=False)
-    # The model's posterior at the candidates.
+    # At the candidates, the posterior of the mission's one model, fitted with the config's kernel,
+    # prior and gp_noise on the mission's observations; the model and its set are reached through it.
     posterior: CandidatePosterior = field(init=False)
     goal_cell: tuple = field(init=False)   # the goal's planner cell, fixed for the mission
 
     def __post_init__(self):
-        self.recent = deque(maxlen=min(self.config.drop.window, self.config.step_cap))
-        self.goal_cell = self.config.grid.cell_of(self.config.goal)
-        self.posterior = CandidatePosterior(self.config.candidates.points, self.model)
+        config = self.config
+        self.recent = deque(maxlen=min(config.drop.window, config.step_cap))
+        self.goal_cell = config.grid.cell_of(config.goal)
+        observations = ObservationSet.empty(config.candidates.points.shape[1], 2, config.gp_noise)
+        model = fit(observations, config.kernel, config.prior)
+        self.posterior = CandidatePosterior(config.candidates.points, model)
 
     def execute(self, behavior) -> np.ndarray:
         """One step: execute a behavior, learning trial or not, in the world; returns the observed outcome."""
@@ -147,13 +148,13 @@ class MissionState:
         return goal_reached(config.world.pose, config.goal, config.epsilon_goal)
 
     def learn(self, behavior, observed, index=None) -> None:
-        """Append one observation to the model's set and grow the model in place, with its own
-        kernel and prior; the posterior gives candidate `index`'s column and prior (`fit`
-        takes them only if the posterior scored the model at its t before the new row)."""
-        model, posterior = self.model, self.posterior
+        """Append one observation to the set of the posterior's model and grow that model in place,
+        with its own kernel and prior; the posterior gives candidate `index`'s column and prior
+        (`fit` takes them only if the posterior scored the model at its t before the new row)."""
+        posterior, model = self.posterior, self.posterior.model
         evaluated = None if index is None else (posterior.cross[:, index], posterior.prior_means[index])
         model.observations.append(behavior, observed)
-        self.model = fit(model.observations, model.kernel, model.prior, previous=model, evaluated=evaluated)
+        fit(model.observations, model.kernel, model.prior, previous=model, evaluated=evaluated)
 
     def record_error(self, predicted, observed) -> float:
         """Push |observed - predicted| into the drop window and return the
@@ -164,11 +165,6 @@ class MissionState:
 
 
 _GREEDY = AcquisitionConfig(alpha=0.0)
-
-
-def _fresh_state(config: MissionConfig, prior: PriorMean) -> MissionState:
-    observations = ObservationSet.empty(config.candidates.points.shape[1], 2, config.gp_noise)
-    return MissionState(config, fit(observations, config.kernel, prior))
 
 
 def _chase_waypoint(
@@ -185,7 +181,7 @@ def _chase_waypoint(
 
 
 def _record(method: Method, state: MissionState) -> RunRecord:
-    learn_steps = len(state.model.observations)   # one observation per learning step
+    learn_steps = len(state.posterior.model.observations)   # one observation per learning step
     return RunRecord(
         method=method,
         learn_steps=learn_steps,
@@ -212,7 +208,7 @@ def _drive(
 def run_mission(config: MissionConfig) -> RunRecord:
     """Full semi-episodic mission, one loop: every executed behavior is a task step.
     `burst` counts the adaptation steps left (0: nominal), which chase by UCB and learn."""
-    state = _fresh_state(config, config.prior)
+    state = MissionState(config)
     burst = 0
     while state.step_count < config.step_cap and not state.at_goal():
         behavior, index = _chase_waypoint(state, config.acquisition if burst else _GREEDY)
@@ -246,10 +242,10 @@ def baseline_babbling(config: MissionConfig) -> RunRecord:
     early once the mean held-out error of the last few predictions drops
     under epsilon_model, which only happens when the model really fits.
     """
-    state = _fresh_state(config, zero_prior(2))
+    state = MissionState(replace(config, prior=zero_prior(2)))
     for _ in range(min(config.babble_max, config.step_cap)):
         behavior = config.behavior_sampler(config.rng)
-        predicted, _ = predict(state.model, behavior)
+        predicted, _ = predict(state.posterior.model, behavior)
         if state.record_error(predicted, _episodic_trial(state, behavior)) < config.epsilon_model:
             break
     return _drive(Method.BABBLING, state)
@@ -272,7 +268,7 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
     Trials score by the observed displacement projected onto the direction;
     an episode ends early once the projection clears the success bar. All
     episodes share one observation set."""
-    state = _fresh_state(config, config.prior)
+    state = MissionState(config)
     chosen = []
     for direction in EPISODIC_DIRECTIONS:
         trials = []   # (projection, behavior)
@@ -288,7 +284,7 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
 
     # Fixed repertoire: the posterior mean at each chosen behavior is the
     # outcome the controller believes in from now on.
-    repertoire = [(behavior, predict(state.model, behavior)[0]) for behavior in chosen]
+    repertoire = [(behavior, predict(state.posterior.model, behavior)[0]) for behavior in chosen]
 
     def closest_landing(state: MissionState) -> np.ndarray:
         pose = state.config.world.pose
@@ -302,7 +298,7 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     """Pure uncertainty sampling: always try the behavior the model knows
     least about, for a fixed number of trials, then go with what was learned.
     Learning trials reset the pose and count as pure cost."""
-    state = _fresh_state(config, config.prior)
+    state = MissionState(config)
     for _ in range(min(config.uncertainty_iterations, config.step_cap)):
         behavior, index = select_next(   # a zero reward: the uncertainty alone decides
             state.posterior, lambda g: np.zeros(len(g)), config.acquisition

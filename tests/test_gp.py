@@ -366,6 +366,23 @@ class TestCandidatePosterior:
         assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
         assert bits(posterior.mean_at(3)) == bits(predict(model, points[3])[0])
 
+    def test_the_empty_models_first_score_is_the_prior(self):
+        # a posterior holds no score before its first, so mean_at refuses; the empty
+        # model scores to the prior with unit variance per dimension (sigma sqrt(2)),
+        # and a second score with no growth returns the same objects
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-np.pi, np.pi, size=(30, 1))
+        model = fit(ObservationSet.empty(1, 2, 0.001), WRAPPED, sine_prior)
+        posterior = CandidatePosterior(points, model)
+        with pytest.raises(ValueError, match="scored last"):
+            posterior.mean_at(0)
+        means, sigma = posterior.score()
+        np.testing.assert_array_equal(means, prior_values(sine_prior, points))
+        np.testing.assert_array_equal(sigma, np.full(len(points), math.sqrt(2.0)))
+        again = posterior.score()
+        assert again[0] is means and again[1] is sigma
+        assert bits(posterior.mean_at(3)) == bits(predict(model, points[3])[0])
+
     def test_a_grown_model_is_scored_again(self, monkeypatch):
         # the score is kept per t: a model that grew is scored anew, and
         # mean_at rejects it until then

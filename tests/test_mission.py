@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sela.acquisition import AcquisitionConfig, CandidateSet
-from sela import gp, mission
+from sela import experiment, gp, mission
 from sela.gp import (
     CandidatePosterior,
     DistanceKind,
@@ -38,7 +38,7 @@ from sela.mission import (
     run_mission,
 )
 from sela.config import ExperimentConfig
-from sela.experiment import build_archive, build_mission_config
+from sela.experiment import build_archive, build_mission_config, run_experiment
 from sela.map_elites import illuminate
 from sela.reward import PlannerGrid
 from sela.worlds import (
@@ -93,7 +93,7 @@ def point_config(
 def window_error(errors, config=DropDetectorConfig()):
     """The window error `MissionState.record_error` returns after the
     prediction errors `errors`, one step each."""
-    state = mission._fresh_state(replace(point_config(), drop=config), point_robot_prior)
+    state = MissionState(replace(point_config(), drop=config))
     for error in errors:
         window = state.record_error(np.zeros(2), np.array([error, 0.0]))
     return window
@@ -129,7 +129,7 @@ class TestDropDetector:
     def test_window_mean_equals_numpy_mean_bit_for_bit(self, errors):
         # every window length from 1 to 30 at every fill level; from 8 values
         # on, np.mean sums pairwise, and the window mean keeps those bits too
-        state = mission._fresh_state(point_config(), point_robot_prior)
+        state = MissionState(point_config())
         for window in range(1, 31):
             state.recent = deque(maxlen=window)
             for error in errors:
@@ -184,13 +184,16 @@ class TestMissionState:
         # the model, its observation set and the posterior stay the mission's
         # objects; each learning step adds one row to them
         config = point_config(AngleOffsetDamage(0.5))
-        state = mission._fresh_state(config, config.prior)
-        model, observations, posterior = state.model, state.model.observations, state.posterior
+        state = MissionState(config)
+        posterior = state.posterior
+        model, observations = posterior.model, posterior.model.observations
+        assert model.kernel is config.kernel and model.prior is config.prior
+        assert observations.noise_variance == config.gp_noise and len(observations) == 0
         for step, index in enumerate((10, 200, 10), start=1):
             posterior.score()   # as the step's selection does
             state.learn(config.candidates.points[index], np.array([0.1, -0.05 * step]), index)
-            assert state.model is model and model.observations is observations and state.posterior is posterior
-            assert posterior.model is model
+            assert state.posterior is posterior and posterior.model is model
+            assert model.observations is observations
             assert model.t == len(observations) == step
         scratch = fit(ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.001),
                       model.kernel, model.prior)
@@ -199,20 +202,20 @@ class TestMissionState:
 
     def test_learn_refits_with_the_models_kernel_and_prior(self):
         kernel = Kernel(KernelFamily.EXPONENTIAL, 0.3, DistanceKind.WRAPPED_ANGULAR)
-        observations = ObservationSet.empty(1, 2, 0.001)
-        state = MissionState(point_config(), fit(observations, kernel, damaged_prior))
+        state = MissionState(replace(point_config(), kernel=kernel, prior=damaged_prior))
         state.learn([0.5], [0.0, 0.1])
-        assert len(state.model.observations) == 1
-        assert state.model.kernel is kernel
-        assert state.model.prior is damaged_prior
-        want = fit(state.model.observations, kernel, damaged_prior)
-        np.testing.assert_array_equal(state.model.prior_correction, want.prior_correction)
+        model = state.posterior.model
+        assert len(model.observations) == 1
+        assert model.kernel is kernel
+        assert model.prior is damaged_prior
+        want = fit(model.observations, kernel, damaged_prior)
+        np.testing.assert_array_equal(model.prior_correction, want.prior_correction)
 
     @pytest.mark.parametrize("window", [1, 3, 7])
     def test_recent_holds_exactly_the_drop_window(self, window):
         # record_error averages all of `recent`, so its bound is the window
         config = replace(point_config(), drop=DropDetectorConfig(window=window))
-        state = mission._fresh_state(config, config.prior)
+        state = MissionState(config)
         assert state.recent.maxlen == config.drop.window
 
     def test_a_window_longer_than_the_mission_holds_every_error(self):
@@ -231,29 +234,60 @@ class TestMissionState:
         # and prior at the candidates, and the model's Cholesky factor and
         # prior values, grown one observation at a time, equal the ones
         # computed from the final inputs
-        states = []
-        fresh_state = mission._fresh_state
+        states, post_init = [], MissionState.__post_init__
 
-        def recording_fresh_state(*args):
-            states.append(fresh_state(*args))
-            return states[-1]
+        def recording_post_init(state):
+            post_init(state)
+            states.append(state)
 
-        monkeypatch.setattr(mission, "_fresh_state", recording_fresh_state)
+        monkeypatch.setattr(MissionState, "__post_init__", recording_post_init)
         config = point_config(damage=AngleOffsetDamage(0.5), noise_variance=0.01, seed=3)
         assert run_mission(config).learn_steps > 1
         babbling = point_config(damage=AngleOffsetDamage(0.5), seed=3)
         assert baseline_babbling(babbling).learn_steps > 1
+        assert len(states) == 2
         for state in states:
-            inputs = state.model.observations.inputs
             posterior = state.posterior
-            points = posterior.points
-            kernel, prior = state.model.kernel, state.model.prior
+            model, points = posterior.model, posterior.points
+            inputs, kernel, prior = model.observations.inputs, model.kernel, model.prior
             posterior.score()   # catch up with the last learn
             np.testing.assert_array_equal(posterior.cross, kernel_matrix(kernel, inputs, points))
-            scratch = fit(state.model.observations, kernel, prior)
-            np.testing.assert_array_equal(state.model.chol, scratch.chol)
-            np.testing.assert_array_equal(state.model.prior_at_inputs, prior_values(prior, inputs))
+            scratch = fit(model.observations, kernel, prior)
+            np.testing.assert_array_equal(model.chol, scratch.chol)
+            np.testing.assert_array_equal(model.prior_at_inputs, prior_values(prior, inputs))
             np.testing.assert_array_equal(posterior.prior_means, prior_values(prior, points))
+
+    def test_babbling_alone_learns_on_the_zero_prior_and_every_mission_shares_the_astar_table(
+            self, monkeypatch):
+        # in a toy experiment, babbling builds its state from a copy of its mission with the
+        # zero prior, every other method from its mission; all share the template's A* table
+        templates, zeros, methods, states = [], [], [], []
+        build, zero_prior = experiment.build_mission_config, mission.zero_prior
+        run, post_init = experiment.run_method, MissionState.__post_init__
+
+        def recording_post_init(state):
+            post_init(state)
+            states.append((methods[-1], state))
+
+        monkeypatch.setattr(experiment, "build_mission_config", lambda *args: templates.append(build(*args)) or templates[-1])
+        monkeypatch.setattr(mission, "zero_prior", lambda dim: zeros.append(zero_prior(dim)) or zeros[-1])
+        monkeypatch.setattr(experiment, "run_method", lambda method, config: methods.append(method) or run(method, config))
+        monkeypatch.setattr(MissionState, "__post_init__", recording_post_init)
+        toy = ExperimentConfig(world="point_robot", damage="angle_offset", methods=tuple(Method), replicates=2,
+                               step_cap=80)
+        run_experiment(toy)
+        [template] = templates
+        assert [method for method, _ in states] == [method for method in Method for _ in range(2)]
+        assert template.waypoint_cells
+        for method, state in states:
+            prior = state.posterior.model.prior
+            assert state.config.waypoint_cells is template.waypoint_cells
+            assert prior is state.config.prior and state.config.kernel is template.kernel
+            if method is Method.BABBLING:
+                assert prior in zeros and not state.posterior.prior_means.any()
+            else:
+                assert prior is template.prior
+        assert len(zeros) == 2
 
     def test_each_mission_derives_the_goal_cell_once(self, monkeypatch):
         # the goal is fixed for a mission, so its planner cell is computed once
@@ -316,7 +350,7 @@ class TestLearningFromTheScore:
         monkeypatch.setattr(gp, "kernel_matrix", lambda *args: calls.append(1) or kernel(*args))
 
         def counting_learn(state, behavior, observed, index=None):
-            repeat = np.asarray(behavior).tobytes() in {x.tobytes() for x in state.model.observations.inputs}
+            repeat = np.asarray(behavior).tobytes() in {x.tobytes() for x in state.posterior.model.observations.inputs}
             calls.clear()
             priors.clear()
             learn(state, behavior, observed, index)
@@ -334,8 +368,9 @@ class TestLearningFromTheScore:
     def test_a_posterior_that_did_not_score_the_model_leaves_the_refit_to_the_kernel(self, monkeypatch, scored):
         # learn takes the column and prior only from a score of the model at the
         # t it refits: here the posterior scored the model one row ago, or never
-        state = mission._fresh_state(point_config(), point_robot_prior)
-        points, kernel = state.posterior.points, state.model.kernel
+        state = MissionState(point_config())
+        points, model = state.posterior.points, state.posterior.model
+        kernel = model.kernel
         if scored == "an_older_model":
             state.posterior.score()
         state.learn(points[10], np.array([0.1, 0.0]), 10)
@@ -344,10 +379,10 @@ class TestLearningFromTheScore:
         state.learn(points[20], np.array([0.0, 0.1]), 20)
         assert calls == [(1, 2)]
         monkeypatch.undo()
-        inputs = state.model.observations.inputs
+        inputs = model.observations.inputs
         scratch = fit(ObservationSet(np.array(inputs), [[0.1, 0.0], [0.0, 0.1]], 0.001), kernel, point_robot_prior)
-        np.testing.assert_array_equal(state.model.chol, scratch.chol)
-        np.testing.assert_array_equal(state.model.prior_correction, scratch.prior_correction)
+        np.testing.assert_array_equal(model.chol, scratch.chol)
+        np.testing.assert_array_equal(model.prior_correction, scratch.prior_correction)
 
 
 class TestCandidateScoring:
@@ -361,10 +396,10 @@ class TestCandidateScoring:
         def checking_learn(state, *args):   # SELA passes the candidate index, babbling does not
             learn(state, *args)
             means, sigma = state.posterior.score()
-            want_means, want_variances = predict_batch(state.model, state.posterior.points)
+            want_means, want_variances = predict_batch(state.posterior.model, state.posterior.points)
             np.testing.assert_array_equal(means, want_means)
             np.testing.assert_array_equal(sigma, np.sqrt(2 * want_variances))
-            checked.append(len(state.model.observations))
+            checked.append(len(state.posterior.model.observations))
 
         monkeypatch.setattr(MissionState, "learn", checking_learn)
         sela = run_mission(point_config(AngleOffsetDamage(0.5), noise_variance=0.01, seed=3))
@@ -483,7 +518,7 @@ def frozen_sela_adapt(state, max_iterations):
 
 def frozen_run_mission(config):
     """A frozen copy of the two-loop SELA mission that called `frozen_sela_adapt`."""
-    state = mission._fresh_state(config, config.prior)
+    state = MissionState(config)
     while state.step_count < config.step_cap and not state.at_goal():
         behavior, index = mission._chase_waypoint(state)
         predicted = state.posterior.mean_at(index)

@@ -1,7 +1,11 @@
 """No module of the package imports a name it never uses (pyflakes' F401,
 written with `ast` since the suite has no linter). The one import kept
 unused is `predict_batch` in `sela.acquisition`: the benchmark's tracer
-patches it there (`perfbench/tracing.py`)."""
+patches it there (`perfbench/tracing.py`).
+
+Every module-level function and class of the package is read somewhere in
+the package, as a name or an attribute (ROADMAP item 6: every name in src
+has a caller in src)."""
 
 import ast
 from pathlib import Path
@@ -41,3 +45,35 @@ def test_the_kept_imports_are_still_unused_and_still_imported():
 def test_an_unused_import_is_found():
     tree = ast.parse("from __future__ import annotations\nimport os, numpy.linalg\nfrom x import a as b, c\nc()\n")
     assert unused_imports(tree) == {"os": 2, "numpy": 2, "b": 3}
+
+
+def unread_definitions(trees):
+    """The module-level functions and classes of `trees` (module name -> tree) that no tree
+    reads as a name or an attribute, keyed by (module name, definition) to their line."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {
+        (module, node.name): node.lineno
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in read
+    }
+
+
+def test_every_definition_is_read():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCE.glob("*.py"))}
+    assert unread_definitions(trees) == {}
+
+
+def test_an_unread_definition_is_found():
+    trees = {
+        "a.py": ast.parse("def called(): pass\ndef unread(): pass\nclass Attribute: pass\ndef stored(): pass\n"),
+        "b.py": ast.parse("from a import called, unread\nimport a\ncalled()\nx = a.Attribute\nstored = 1\n"
+                          "class Local:\n    def method(self): pass\n"),
+    }
+    assert unread_definitions(trees) == {("a.py", "unread"): 2, ("a.py", "stored"): 4, ("b.py", "Local"): 6}
