@@ -1,18 +1,18 @@
 """Flat `key = value` experiment configuration.
 
-Lines hold one assignment each; `#` starts a comment. Unknown keys are
-rejected with their line number so typos fail fast. Each key is declared once,
-as an `ExperimentConfig` field: its type picks the parser and the values that
-`validate` accepts, and the field holds its default, lower bound and choices.
-The adaptation budget default depends on the world (10 for the point robot,
-15 for the walker). Every float must be finite, each damage kind
-must suit the world (`angle_offset` the point robot, `frozen_joint` the
-walker), no method may be listed twice, the archive budget must cover the
-archive's initial random batch, the direction grid may hold at most
-`sela.acquisition.MAX_CANDIDATES` points, no method's model may grow past
-`sela.gp.MAX_GP_OBSERVATIONS` observations, and the goal must be near enough
-for a planner grid of at most `sela.reward.MAX_PLANNER_CELLS` cells. The same
-checks run on configs built directly or through `with_overrides`.
+Lines hold one assignment each; `#` starts a comment. Unknown keys are rejected
+with their line number so typos fail fast. Each key is declared once, as an
+`ExperimentConfig` field: its type picks the parser and the values that `validate`
+accepts, and the field holds its default, lower bound and choices. A default that
+the class it configures also holds is read from there (`Kernel.sigma`, say); the
+adaptation budget's depends on the world (`ADAPT_ITERATIONS_BY_WORLD`). Every
+float must be finite, each damage kind must suit the world (`angle_offset` the
+point robot, `frozen_joint` the walker), no method may be listed twice, the
+archive budget must cover the archive's initial random batch, the direction grid
+may hold at most `sela.acquisition.MAX_CANDIDATES` points, no method's model may
+grow past `sela.gp.MAX_GP_OBSERVATIONS` observations, and the goal must be near
+enough for a planner grid of at most `sela.reward.MAX_PLANNER_CELLS` cells. The
+same checks run on configs built directly or through `with_overrides`.
 """
 
 from __future__ import annotations
@@ -21,22 +21,22 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
-from .acquisition import MAX_CANDIDATES
-from .gp import MAX_GP_OBSERVATIONS, MIN_KERNEL_SIGMA
+from .acquisition import MAX_CANDIDATES, AcquisitionConfig
+from .gp import MAX_GP_OBSERVATIONS, MIN_KERNEL_SIGMA, Kernel, KernelFamily, ObservationSet
 from .map_elites import initial_batch
-from .mission import EPISODIC_DIRECTIONS, Method
+from .mission import EPISODIC_DIRECTIONS, DropDetectorConfig, Method, MissionConfig
 from .reward import PlannerGrid
 from .worlds import WALKER_JOINTS
-
-WORLDS = ("point_robot", "segment_walker")
-DAMAGE_KINDS = ("none", "angle_offset", "frozen_joint")
-KERNEL_FAMILIES = ("squared_exponential", "exponential")
 
 # The one world each damage kind applies to.
 DAMAGE_WORLD = {"angle_offset": "point_robot", "frozen_joint": "segment_walker"}
 
 # World-dependent default for max_adapt_iterations.
 ADAPT_ITERATIONS_BY_WORLD = {"point_robot": 10, "segment_walker": 15}
+
+WORLDS = tuple(ADAPT_ITERATIONS_BY_WORLD)
+DAMAGE_KINDS = ("none", *DAMAGE_WORLD)
+KERNEL_FAMILIES = tuple(family.value for family in KernelFamily)
 
 
 class ConfigError(ValueError):
@@ -62,17 +62,17 @@ class ExperimentConfig:
     goal_x: float = 2.0
     goal_y: float = 2.0
     epsilon_goal: float = _key(0.1, above=0.0)
-    alpha: float = _key(0.05, at_least=0.0)
-    kernel_family: str = _key("squared_exponential", choices=KERNEL_FAMILIES)
-    kernel_sigma: float = _key(0.1, at_least=MIN_KERNEL_SIGMA)
-    gp_noise: float = _key(0.001, at_least=0.0)
+    alpha: float = _key(AcquisitionConfig.alpha, at_least=0.0)
+    kernel_family: str = _key(Kernel.family.value, choices=KERNEL_FAMILIES)
+    kernel_sigma: float = _key(Kernel.sigma, at_least=MIN_KERNEL_SIGMA)
+    gp_noise: float = _key(ObservationSet.noise_variance, at_least=0.0)
     max_adapt_iterations: Optional[int] = _key(None, at_least=1)   # None: world default
-    epsilon_model: float = _key(0.01, above=0.0)
-    babble_max: int = _key(15, at_least=1)
-    uncertainty_iterations: int = _key(15, at_least=1)
-    episodic_success_projection: float = 0.09
-    drop_window: int = _key(3, at_least=1)
-    drop_threshold: float = _key(0.15, above=0.0)
+    epsilon_model: float = _key(MissionConfig.epsilon_model, above=0.0)
+    babble_max: int = _key(MissionConfig.babble_max, at_least=1)
+    uncertainty_iterations: int = _key(MissionConfig.uncertainty_iterations, at_least=1)
+    episodic_success_projection: float = MissionConfig.episodic_success_projection
+    drop_window: int = _key(DropDetectorConfig.window, at_least=1)
+    drop_threshold: float = _key(DropDetectorConfig.threshold, above=0.0)
     lookahead_cells: int = _key(2, at_least=1)
     cell_size: float = _key(0.1, above=0.0)
     planner_margin: float = _key(1.0, at_least=0.0)

@@ -11,18 +11,18 @@ Predictions follow the prior-correction form
 where P is the prior mean and K carries the modeled sampling noise on its
 diagonal. With a zero prior this is plain GP regression.
 
-A mission's model grows in place. `append` writes an observation into its
-set's buffer; `fit(..., previous=model)` on that same set then writes one row
-of the Cholesky factor L of K, r = L^-1 k(X, x_i) over the earlier inputs followed by
-sqrt(1 + noise + jitter - r.r), and the prior value P(x_i) into the model's
-buffers in O(t^2), running the kernel and the prior at most at the new input,
-and returns that model. The noise alone sets the jitter: JITTER for a noise
-variance below it and 0 otherwise, so a repeated input factors even without
-noise. A pivot that is not positive raises GpFitError and leaves the model
-as it was. Buffers double when full; rows once written never change, so the
-read-only views `inputs`, `outputs`, `chol` and `prior_at_inputs` stay
-valid. A fit from scratch grows a new empty model and equals it bit for bit.
-Solves use dtrtrs from `scipy.linalg._flapack` alone.
+A mission's model grows in place; the rows of its factor `chol` are its one record
+of its size t. `append` writes an observation into its set's buffer;
+`fit(..., previous=model)` on that same set then writes one row of the Cholesky
+factor L of K, r = L^-1 k(X, x_i) over the earlier inputs followed by
+sqrt(1 + noise + jitter - r.r), and the prior value P(x_i) into the model's buffers
+in O(t^2), running the kernel and the prior at most at the new input, and returns
+that model. The noise alone sets the jitter: JITTER for a noise variance below it
+and 0 otherwise, so a repeated input factors even without noise. A pivot that is
+not positive raises GpFitError and leaves the model as it was. Buffers double when
+full; rows once written never change, so the read-only views `inputs`, `outputs`,
+`chol` and `prior_at_inputs` stay valid. A fit from scratch grows a new empty model
+and equals it bit for bit. Solves use dtrtrs from `scipy.linalg._flapack` alone.
 
 `CandidatePosterior` serves one model at a fixed query set such as a
 mission's candidates: it evaluates the model's prior there once, writes
@@ -169,7 +169,7 @@ class ObservationSet:
         self.inputs.flags.writeable = self.outputs.flags.writeable = False
 
     @classmethod
-    def empty(cls, behavior_dim: int, outcome_dim: int, noise_variance: float = 0.001) -> "ObservationSet":
+    def empty(cls, behavior_dim: int, outcome_dim: int, noise_variance: float) -> "ObservationSet":
         return cls(
             inputs=np.zeros((0, behavior_dim)),
             outputs=np.zeros((0, outcome_dim)),
@@ -202,13 +202,12 @@ def zero_prior(outcome_dim: int) -> PriorMean:
 
 @dataclass(eq=False)
 class GpModel:
-    """Fitted posterior state of the first t observations; `fit` grows it in place.
-    K's diagonal follows from the noise variance alone (see JITTER)."""
+    """Fitted posterior state of the first t = len(chol) observations; `fit` grows it in
+    place. K's diagonal follows from the noise variance alone (see JITTER)."""
 
     kernel: Kernel
     observations: ObservationSet
     prior: PriorMean
-    t: int = field(default=0, init=False)
     chol: np.ndarray = field(init=False)              # (t, t) lower Cholesky factor of K, read-only
     prior_correction: np.ndarray = field(init=False)  # (t, outcome_dim), equals K^-1 (Y - P(X))
     prior_at_inputs: np.ndarray = field(init=False)   # (t, outcome_dim) P(X), read-only
@@ -242,7 +241,7 @@ def fit(
     """
     inputs, outputs, noise = observations.inputs, observations.outputs, observations.noise_variance
     model = GpModel(kernel, observations, prior) if previous is None else previous
-    t, k = len(observations), model.t
+    t, k = len(observations), len(model.chol)
     if previous is not None and not (
         k < t
         and previous.observations is observations
@@ -279,7 +278,7 @@ def fit(
     model.chol, model.prior_at_inputs = factor[:t, :t], values[:t]
     model.chol.flags.writeable = model.prior_at_inputs.flags.writeable = False
     model.buffers = (factor, values)
-    model.t, model.prior_correction = t, correction
+    model.prior_correction = correction
     return model
 
 
@@ -301,7 +300,7 @@ def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = _as_points(points)
     # kernel_matrix also rejects a query of another behavior dimension
-    cross = kernel_matrix(model.kernel, model.observations.inputs[:model.t], pts)   # (t, n)
+    cross = kernel_matrix(model.kernel, model.observations.inputs[:len(model.chol)], pts)   # (t, n)
     prior_means = prior_values(model.prior, pts)
     return _posterior(model, prior_means, cross, np.empty(cross.shape), 0, np.zeros(len(pts)))
 
@@ -330,7 +329,7 @@ class CandidatePosterior:
     def score(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means (n, outcome_dim) and the aggregated uncertainty
         sqrt(sum_d var_d) = sqrt(outcome_dim * var) (n,), both read-only."""
-        model, t, k = self.model, self.model.t, len(self.cross)
+        model, t, k = self.model, len(self.model.chol), len(self.cross)
         if t == k and self.means is not None:
             return self.means, self.sigma
         self.means = self.sigma = None   # let the last score go before the new one is computed
@@ -351,7 +350,7 @@ class CandidatePosterior:
         """Mean at points[index] at the t scored last, equal to
         predict(model, points[index])[0] bit for bit. A row of `means` comes
         from the batch product and may differ from it in the last bits."""
-        if self.means is None or self.model.t != len(self.cross):
+        if self.means is None or len(self.model.chol) != len(self.cross):
             raise ValueError("mean_at needs the model as it was scored last")
         # a contiguous (t, 1) column, laid out as predict's own kernel column
         column = np.ascontiguousarray(self.cross[:, index:index + 1])

@@ -10,14 +10,14 @@ It closes when the window error falls back below the threshold or its budget
 runs out. The goal, or the step cap, ends the mission in either phase.
 
 The baselines keep learning and execution episodic: each learning trial
-(`_episodic_trial`) resets the robot to the start pose and counts as pure
-cost, no trial runs past the step cap, and only then does the robot drive to
-the goal with what it learned (`_drive`). A mission passes one `MissionState` around: the
-posterior and the step count it mutates, and the `MissionConfig` it reads.
-All four methods share its one step (`MissionState.execute`: execute a
-behavior, count it), its learning step (`MissionState.learn`), its goal
-test (`MissionState.at_goal`) and the record builder (`_record`), which
-counts one learning step per observation in the model.
+(`_episodic_trial`) resets the robot to the start pose, the origin, and counts as pure
+cost, no trial runs past the step cap, and only then does the robot drive to the goal
+with what it learned (`_drive`). Alpha weighs the UCB bonus of SELA's bursts and the
+episodic trials, not uncertainty sampling's. A mission passes one `MissionState` around:
+the posterior and the step count it mutates, and the `MissionConfig` it reads. All four
+methods share its one step (`MissionState.execute`: execute a behavior, count it), its
+learning step (`MissionState.learn`), its goal test (`MissionState.at_goal`) and the
+record builder (`_record`), which counts one learning step per observation in the model.
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
 the observations only grow. So a mission holds one `CandidatePosterior`, built with the
@@ -300,8 +300,8 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     Learning trials reset the pose and count as pure cost."""
     state = MissionState(config)
     for _ in range(min(config.uncertainty_iterations, config.step_cap)):
-        behavior, index = select_next(   # a zero reward: the uncertainty alone decides
-            state.posterior, lambda g: np.zeros(len(g)), config.acquisition
+        behavior, index = select_next(   # a zero reward at unit weight: sigma alone decides, not alpha
+            state.posterior, lambda g: np.zeros(len(g)), AcquisitionConfig(alpha=1.0)
         )
         _episodic_trial(state, behavior, index)
     return _drive(Method.UNCERTAINTY, state)

@@ -1,11 +1,11 @@
-"""Simulated worlds: a point robot steering by direction and a four-segment
-planar walker. Damage rewires commanded behaviors before the dynamics apply;
-observation noise corrupts only what the robot measures, never the true pose.
-`vector_length` is the length rule of the per-step goal test and error norms:
-`np.linalg.norm`'s arithmetic without its Python wrapper, equal bit for bit.
-The walker model adds its joints' `math.cos` and `math.sin` in Python floats
-from +0.0 in joint order, as numpy sums four terms: the numpy formula's bits
-where the two libraries' trig agrees (tests check); an infinite offset raises
+"""Simulated worlds: a point robot steering by direction and a four-segment planar
+walker, both starting at the origin. Damage rewires commanded behaviors before the
+dynamics apply; observation noise corrupts only what the robot measures, never the
+true pose. `vector_length` is the length rule of the per-step goal test and error
+norms: `np.linalg.norm`'s arithmetic without its Python wrapper, equal bit for
+bit. The walker model adds its joints' `math.cos` and `math.sin` in Python floats
+from +0.0 in joint order, as numpy sums four terms: the numpy formula's bits where
+the two libraries' trig agrees (tests check); an infinite offset raises
 ValueError. The archive evaluator runs the same sums on a batch, row by row.
 """
 
@@ -100,8 +100,8 @@ def apply_damage(damage: Damage, behavior) -> np.ndarray:
 
 
 class World:
-    """Stateful simulation. The pose advances by the true displacement; the
-    returned observation adds per-axis Gaussian noise on top of it."""
+    """Stateful simulation. The pose starts at the origin and advances by the true
+    displacement; the returned observation adds per-axis Gaussian noise on top of it."""
 
     def __init__(
         self,
@@ -109,7 +109,6 @@ class World:
         damage: Damage = None,
         noise_variance: float = 0.0,
         seed: int = 0,
-        start=(0.0, 0.0),
     ):
         if not noise_variance >= 0:
             raise ValueError("noise_variance must be non-negative")
@@ -117,7 +116,7 @@ class World:
         self._damage = damage
         self._noise_std = math.sqrt(noise_variance)
         self._rng = np.random.default_rng(seed)
-        self._pose = np.asarray(start, dtype=float).copy()
+        self._pose = np.zeros(2)
 
     @property
     def pose(self) -> np.ndarray:
@@ -142,15 +141,15 @@ def point_robot_prior(x) -> np.ndarray:
 
 
 def make_point_robot_world(
-    damage: Damage = None, noise_variance: float = 0.0, seed: int = 0, start=(0.0, 0.0)
+    damage: Damage = None, noise_variance: float = 0.0, seed: int = 0
 ) -> World:
-    return World(point_robot_prior, damage, noise_variance, seed, start)
+    return World(point_robot_prior, damage, noise_variance, seed)
 
 
 def make_segment_walker_world(
-    damage: Damage = None, noise_variance: float = 0.0, seed: int = 0, start=(0.0, 0.0)
+    damage: Damage = None, noise_variance: float = 0.0, seed: int = 0
 ) -> World:
-    return World(segment_walker_model, damage, noise_variance, seed, start)
+    return World(segment_walker_model, damage, noise_variance, seed)
 
 
 def segment_walker_evaluator(behaviors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sela.config
 import sela.mission
 import sela.reward
 from sela import experiment
-from sela.config import ConfigError, ExperimentConfig, parse_config_file, validate
+from sela.config import WORLDS, ConfigError, ExperimentConfig, parse_config_file, validate
 from sela.experiment import (
     RUNS_HEADER,
     SUMMARY_HEADER,
@@ -37,6 +38,7 @@ from sela.experiment import (
 from sela.gp import MIN_KERNEL_SIGMA, DistanceKind
 from sela.map_elites import Archive, ArchiveFormatError, Elite, bin_index, load_archive, save_archive
 from sela.mission import Method, RunRecord
+from sela.reward import PlannerGrid
 from sela.worlds import WALKER_JOINTS, AngleOffsetDamage, FrozenJointDamage, segment_walker_evaluator
 
 
@@ -75,6 +77,28 @@ class TestBuilders:
     def test_walker_mission_requires_archive(self):
         with pytest.raises(ValueError):
             build_mission_config(ExperimentConfig(world="segment_walker"), seed=0)
+
+    def test_the_world_table_names_the_config_worlds_in_order(self):
+        assert tuple(experiment._WORLDS) == WORLDS
+
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_validate_checks_the_grid_the_mission_builds_from_its_start_pose(
+        self, monkeypatch, world, small_walker_archive
+    ):
+        # validate plans from the origin, where every world starts
+        checked = []
+
+        class RecordingGrid:
+            @staticmethod
+            def for_mission(*args):
+                checked.append(PlannerGrid.for_mission(*args))
+                return checked[-1]
+
+        monkeypatch.setattr(sela.config, "PlannerGrid", RecordingGrid)
+        config = validate(ExperimentConfig(world=world, goal_x=-1.3, goal_y=0.7, cell_size=0.2, planner_margin=0.5))
+        mission = build_mission_config(config, seed=4, archive=small_walker_archive)
+        np.testing.assert_array_equal(mission.world.pose, [0.0, 0.0])
+        assert checked == [mission.grid]
 
     def test_same_seed_builds_identical_worlds(self):
         a = build_mission_config(ExperimentConfig(world="point_robot"), seed=5)

@@ -309,7 +309,7 @@ class TestCandidatePosterior:
         }[change]
         with pytest.raises(ValueError, match="prefix"):
             fit(refit, kernel, refit_prior, previous=model)
-        assert model.t == 3 and model.observations is observations
+        assert len(model.chol) == 3 and model.observations is observations
         assert posterior.score()[0] is means and posterior.score()[1] is sigma
         assert fit(observations, SQEXP, prior, previous=model) is model
         means, sigma = posterior.score()
@@ -703,7 +703,7 @@ class TestGrowInPlace:
         taken = []   # (view, its copy) of every step
         for count, twin, one_by_one in steps:
             inputs = rng.uniform(-np.pi, np.pi, size=(count, 2))
-            if twin and model.t:
+            if twin and len(model.chol):
                 inputs[0] = observations.inputs[-1] + 1e-12
             outputs = rng.normal(size=(count, 2))
             for row, (x, y) in enumerate(zip(inputs, outputs), start=1):
@@ -768,7 +768,7 @@ class TestGrowInPlace:
         observations.append([np.nan], [0.0, 0.0])
         with pytest.raises(GpFitError, match="finite"):
             fit(observations, SQEXP, sine_prior, previous=model)
-        assert model.t == 7
+        assert len(model.chol) == 7
         # the buffer is the set's own: a caller cannot hand one in past the checks
         with pytest.raises(TypeError):
             ObservationSet(observations.inputs, observations.outputs, 0.001, np.zeros((7, 3)))
@@ -823,7 +823,7 @@ class TestFitErrors:
 
         def state(model):
             mean, variance = predict(model, [0.7])
-            return model.t, [bits(array) for array in (*views(model)[:3], mean, variance)]
+            return len(model.chol), [bits(array) for array in (*views(model)[:3], mean, variance)]
 
         before = state(previous)
         grown.append(observations.inputs[3], observations.outputs[3])
@@ -1020,10 +1020,10 @@ class TestIncrementalFit:
             "inputs": ObservationSet(inputs + 1.0, outputs, 0.001),
             "equal_copy": ObservationSet(inputs, outputs, 0.001),
         }.get(change, observations)
-        t = previous.t
+        t = len(previous.chol)
         with pytest.raises(ValueError, match="prefix"):
             fit(refit, SQEXP, prior, previous=previous)
-        assert previous.t == t
+        assert len(previous.chol) == t
 
 
 def recording_kernel_matrix(monkeypatch):

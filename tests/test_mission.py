@@ -194,7 +194,7 @@ class TestMissionState:
             state.learn(config.candidates.points[index], np.array([0.1, -0.05 * step]), index)
             assert state.posterior is posterior and posterior.model is model
             assert model.observations is observations
-            assert model.t == len(observations) == step
+            assert len(model.chol) == len(observations) == step
         scratch = fit(ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.001),
                       model.kernel, model.prior)
         np.testing.assert_array_equal(model.chol, scratch.chol)
@@ -418,7 +418,7 @@ class TestCandidateScoring:
             return predict_batch(model, points)
 
         def counting_posterior(model, prior_means, *args):
-            posteriors.append(((model, model.t), len(prior_means)))
+            posteriors.append(((model, len(model.chol)), len(prior_means)))
             return posterior(model, prior_means, *args)
 
         monkeypatch.setattr(gp, "predict_batch", counting_predict_batch)
@@ -443,7 +443,7 @@ class TestCandidateScoring:
         select = mission.select_next
 
         def recording_select(posterior, reward, acquisition):
-            selected.append((posterior.model, posterior.model.t))
+            selected.append((posterior.model, len(posterior.model.chol)))
             return select(posterior, reward, acquisition)
 
         monkeypatch.setattr(mission, "select_next", recording_select)
@@ -621,7 +621,8 @@ class TestSelaLoop:
 
     def test_a_mission_at_the_goal_takes_no_step(self):
         config = adapting_config()
-        config.world = make_point_robot_world(AngleOffsetDamage(0.5), start=GOAL)
+        config.world = make_point_robot_world(AngleOffsetDamage(0.5))
+        config.world.reset_pose(GOAL)
         record, steps = sela_steps(config)
         assert record.reached and steps == []
 
@@ -756,6 +757,24 @@ class TestBaselineUncertainty:
         record = baseline_uncertainty(config)
         assert len(resets) == 15
         assert record.learn_steps == 15
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05])
+    def test_each_trial_picks_the_largest_sigma_whatever_alpha(self, monkeypatch, alpha):
+        # at alpha = 0 the zero reward alone would score every candidate 0, and
+        # the lowest index would win every trial
+        picks, select = [], mission.select_next
+
+        def recording_select(posterior, reward, acquisition):
+            behavior, index = select(posterior, reward, acquisition)
+            picks.append((index, int(posterior.score()[1].argmax())))
+            return behavior, index
+
+        monkeypatch.setattr(mission, "select_next", recording_select)
+        config = point_config(damage=AngleOffsetDamage(0.5), noise_variance=0.01, seed=10)
+        record = baseline_uncertainty(replace(config, acquisition=AcquisitionConfig(alpha=alpha)))
+        trials = picks[:config.uncertainty_iterations]   # the drive's greedy chase follows
+        assert record.learn_steps == len(trials) == 15
+        assert [index for index, _ in trials] == [largest for _, largest in trials]
 
 
 class TestRunMethod:

@@ -176,7 +176,8 @@ class TestWorld:
         assert world.pose[0] == 0.0
 
     def test_reset_pose(self):
-        world = make_point_robot_world(start=(1.0, 2.0))
+        world = make_point_robot_world()
+        world.reset_pose((1.0, 2.0))
         world.execute([0.0])
         world.reset_pose((1.0, 2.0))
         np.testing.assert_array_equal(world.pose, [1.0, 2.0])
