@@ -31,8 +31,8 @@ doubles when full, copying the kernel row of an input seen before (the
 variance is 1 - the column sums of squares of the latter), and scores the
 model again only once it has grown. Its `mean_at` gives the mean at one of
 those points with `predict`'s one-row arithmetic, equal to `predict`'s mean
-bit for bit. Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the
-config check.
+bit for bit, and keeps each answer until the model grows. Models are bounded
+at `MAX_GP_OBSERVATIONS` inputs by the config check.
 """
 
 from __future__ import annotations
@@ -308,8 +308,8 @@ def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
 class CandidatePosterior:
     """The posterior of one model at a fixed point set: the prior there, the
     cross kernel k(X, points) and L^-1 k(X, points) with one row per
-    observation scored, and the means and aggregated sigma at those rows.
-    `score` recomputes them only once the model has grown."""
+    observation scored, the means and aggregated sigma at those rows and the
+    answers of `mean_at`; `score` recomputes them only once the model has grown."""
 
     def __init__(self, points, model: GpModel):
         self.points = _as_points(points)
@@ -320,8 +320,8 @@ class CandidatePosterior:
         self.first = {}    # each input's bytes -> its first row: a repeat copies that row of cross
         self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
         self.sums = np.zeros(len(self))   # the column sums of squares of L^-1 cross
-        # the means (n, outcome_dim) and sigma (n,) at the t scored last; None before the first score
-        self.means, self.sigma = None, None
+        # the means (n, outcome_dim), sigma (n,) and mean_at's answers by index at the t scored last
+        self.means, self.sigma, self.answers = None, None, {}   # means None before the first score
 
     def __len__(self) -> int:
         return len(self.points)
@@ -332,7 +332,7 @@ class CandidatePosterior:
         model, t, k = self.model, len(self.model.chol), len(self.cross)
         if t == k and self.means is not None:
             return self.means, self.sigma
-        self.means = self.sigma = None   # let the last score go before the new one is computed
+        self.means, self.sigma, self.answers = None, None, {}   # drop the last score before computing the new one
         # write the new rows, doubling the capacity (at least to t) if full
         self.buffer = _with_room(self.buffer, t, axes=(1,))
         cross, inputs = self.buffer[0], model.observations.inputs[:t]
@@ -348,13 +348,14 @@ class CandidatePosterior:
 
     def mean_at(self, index: int) -> np.ndarray:
         """Mean at points[index] at the t scored last, equal to
-        predict(model, points[index])[0] bit for bit. A row of `means` comes
-        from the batch product and may differ from it in the last bits."""
+        predict(model, points[index])[0] bit for bit, as a new array; computed once per index
+        and t. A row of `means` comes from the batch product and may differ in the last bits."""
         if self.means is None or len(self.model.chol) != len(self.cross):
             raise ValueError("mean_at needs the model as it was scored last")
-        # a contiguous (t, 1) column, laid out as predict's own kernel column
-        column = np.ascontiguousarray(self.cross[:, index:index + 1])
-        return (self.prior_means[index:index + 1] + column.T @ self.model.prior_correction)[0]
+        if index not in self.answers:   # from a contiguous (t, 1) column, laid out as predict's own
+            column = np.ascontiguousarray(self.cross[:, index:index + 1])
+            self.answers[index] = (self.prior_means[index:index + 1] + column.T @ self.model.prior_correction)[0]
+        return self.answers[index].copy()
 
 
 def predict(model: GpModel, x) -> tuple[np.ndarray, float]:

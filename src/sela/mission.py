@@ -26,13 +26,13 @@ from a copy of the config with the zero prior, sharing its world, rng and A* tab
 learning step writes rows into their buffers: `learn` appends the observation and `fit`
 grows the model in place. The posterior keeps its prior, writes a cross-kernel row per
 observation (copied for a candidate learned before), and scores the model again only once
-it has grown: steps that learn nothing reuse the last score, and a refit takes a chosen
-candidate's kernel column and prior from it, as SELA takes the outcome it predicts there
-(`mean_at`). The drop window keeps one error norm per step; its mean, the error norms and
-the goal test run numpy's arithmetic without numpy's Python wrappers, so they keep its
-bits. The goal's planner cell is derived once (`MissionState.goal_cell`), and the missions
-of an experiment share their template's table of A* waypoints per start cell
-(`MissionConfig.waypoint_cells`). Rewards score a batch of outcomes.
+it has grown: steps that learn nothing reuse the last score and the outcome SELA predicted
+at a candidate (`mean_at`), and a refit takes a chosen candidate's kernel column and prior
+from it. The drop window keeps one error norm per step; its mean adds fewer than 8 errors
+in Python floats in numpy's order, and runs `np.add.reduce` beyond. It, the error norms and
+the goal test keep numpy's bits without numpy's Python wrappers. The goal's planner cell is
+derived once (`MissionState.goal_cell`), and the missions of an experiment share their
+template's table of A* waypoints per start cell (`MissionConfig.waypoint_cells`).
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -160,8 +162,9 @@ class MissionState:
         """Push |observed - predicted| into the drop window and return the
         window error, its mean; a drop is detected when it exceeds the threshold."""
         self.recent.append(vector_length(observed - predicted))
-        # np.mean's own reduce and divide (numpy's _methods._mean), without its wrapper
-        return float(np.add.reduce(np.array(self.recent))) / len(self.recent)
+        # np.mean's bits without its wrapper: numpy's reduce adds fewer than 8 values in order
+        total = reduce(add, self.recent) if len(self.recent) < 8 else np.add.reduce(np.array(self.recent))
+        return float(total) / len(self.recent)
 
 
 _GREEDY = AcquisitionConfig(alpha=0.0)

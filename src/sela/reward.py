@@ -96,9 +96,6 @@ class PlannerGrid:
             ]
         )
 
-    def in_bounds(self, cell: tuple[int, int]) -> bool:
-        return 0 <= cell[0] < self.shape[0] and 0 <= cell[1] < self.shape[1]
-
 
 def astar(
     grid: PlannerGrid, start: tuple[int, int], goal: tuple[int, int], steps: Optional[int] = None
@@ -118,12 +115,12 @@ def astar(
     x-move first, so g_k-1 pops first. Blocked cells off the staircase only
     remove competitors. With no blocked cell but the start, only `steps` moves are built.
     """
-    if not grid.in_bounds(start) or not grid.in_bounds(goal):
+    (sx, sy), (gx, gy), (width, height) = start, goal, grid.shape
+    if not (0 <= sx < width and 0 <= gx < width and 0 <= sy < height and 0 <= gy < height):
         return None
     blocked = grid.blocked - {start}   # a blocked start is still expanded, also as the goal
     if goal in blocked:
         return None
-    (sx, sy), (gx, gy) = start, goal
     dx, dy = sx - gx, sy - gy
     a, b, x, y, u = abs(dx), abs(dy), sx, sy, 0
     path = [start]
@@ -135,7 +132,6 @@ def astar(
         path.append((x, y))
     if blocked.isdisjoint(path):
         return path
-    width, height = grid.shape
     closed = bytearray(width * height)   # by cell id x * height + y; blocked cells too
     for x, y in blocked:
         if 0 <= x < width and 0 <= y < height:

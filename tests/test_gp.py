@@ -492,6 +492,64 @@ class TestOneRowMean:
         posterior.mean_at(9)
 
 
+class TestKeptAnswers:
+    """`mean_at` computes each index's answer once per model size and hands out a
+    new copy of it on every call; scoring a grown model drops the answers."""
+
+    @staticmethod
+    def scored(t=5, seed=11):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-np.pi, np.pi, size=(12, 1))
+        observations = ObservationSet(points[:t] + 0.01, rng.normal(size=(t, 2)), 0.001)
+        model = fit(observations, WRAPPED, sine_prior)
+        posterior = CandidatePosterior(points, model)
+        posterior.score()
+        return posterior, model
+
+    def test_a_repeated_mean_at_gives_predicts_bits_as_a_new_array_each_call(self):
+        posterior, model = self.scored()
+        want = bits(predict(model, posterior.points[4])[0])
+        first, second = posterior.mean_at(4), posterior.mean_at(4)
+        assert bits(first) == bits(second) == want
+        assert first is not second and not np.shares_memory(first, second)
+        first[:] = np.nan   # the caller's copy: the next answer is unchanged
+        assert bits(posterior.mean_at(4)) == want
+
+    def test_after_a_learn_mean_at_raises_until_scored_then_answers_for_the_grown_model(self):
+        posterior, model = self.scored()
+        before = posterior.mean_at(2)
+        model.observations.append(posterior.points[2], before + 1.0)
+        fit(model.observations, model.kernel, model.prior, previous=model)
+        with pytest.raises(ValueError, match="scored last"):
+            posterior.mean_at(2)
+        posterior.score()
+        after = posterior.mean_at(2)
+        assert bits(after) == bits(predict(model, posterior.points[2])[0])
+        assert bits(after) != bits(before)   # no stale answer from the smaller model
+
+    def test_one_size_computes_each_index_once(self, monkeypatch):
+        posterior, model = self.scored()
+        columns, contiguous = [], np.ascontiguousarray
+
+        def counting(array, *args, **kwargs):
+            columns.append(array.shape)
+            return contiguous(array, *args, **kwargs)
+
+        monkeypatch.setattr(gp.np, "ascontiguousarray", counting)
+        for index in (3, 3, 7, 3, 7, 0):
+            posterior.mean_at(index)
+        assert columns == [(5, 1)] * 3   # indices 3, 7 and 0
+        posterior.score()   # the model has not grown: the answers stay
+        posterior.mean_at(3)
+        assert len(columns) == 3
+        model.observations.append(posterior.points[3], np.zeros(2))
+        fit(model.observations, model.kernel, model.prior, previous=model)
+        posterior.score()
+        posterior.mean_at(3)
+        posterior.mean_at(3)
+        assert columns == [(5, 1)] * 3 + [(6, 1)]
+
+
 class TestLongAdaptationSizes:
     """At long-adaptation's model sizes, t up to 250, with 360 candidates: the
     posterior's means, an (n, outcome_dim) array with each outcome dimension

@@ -136,6 +136,19 @@ class TestDropDetector:
                 mean = state.record_error(np.zeros(2), np.array(error))
                 assert mean.hex() == float(np.mean(state.recent)).hex()
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.just(0.0) | st.builds(lambda m, e: m * 10.0**e, st.floats(0.0, 10.0), st.integers(-100, 100)),
+                    min_size=14, max_size=14))
+    def test_window_mean_of_norms_across_magnitudes_equals_numpy_mean(self, norms):
+        # below 8 errors the window mean adds Python floats in order, from 8 on
+        # numpy's pairwise reduce runs; both give np.mean's bits, windows 1-12
+        state = MissionState(point_config())
+        for window in range(1, 13):
+            state.recent = deque(maxlen=window)
+            for norm in norms:
+                mean = state.record_error(np.zeros(2), np.array([norm, 0.0]))
+                assert math.isfinite(mean) and mean.hex() == float(np.mean(state.recent)).hex()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DropDetectorConfig(window=0)

@@ -20,6 +20,11 @@ from sela.reward import (
 )
 
 
+def in_bounds(grid, cell):
+    """Whether a cell lies on the grid."""
+    return 0 <= cell[0] < grid.shape[0] and 0 <= cell[1] < grid.shape[1]
+
+
 def bfs_path_length(grid, start, goal):
     """Independent oracle: breadth-first search cell count, None if unreachable."""
     if start == goal:
@@ -30,7 +35,7 @@ def bfs_path_length(grid, start, goal):
         cell, length = queue.popleft()
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nxt = (cell[0] + dx, cell[1] + dy)
-            if nxt in seen or not grid.in_bounds(nxt) or nxt in grid.blocked:
+            if nxt in seen or not in_bounds(grid, nxt) or nxt in grid.blocked:
                 continue
             if nxt == goal:
                 return length + 1
@@ -42,7 +47,7 @@ def bfs_path_length(grid, start, goal):
 def frozen_astar(grid, start, goal):
     """Reference: `astar` as it was on (x, y) tuple cells, before it moved to
     integer cell ids. The new search must return the same path, or None."""
-    if not grid.in_bounds(start) or not grid.in_bounds(goal):
+    if not in_bounds(grid, start) or not in_bounds(grid, goal):
         return None
     if start == goal:
         return [start]
@@ -76,7 +81,7 @@ def frozen_astar(grid, start, goal):
         g = best_g[cell] + 1
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nxt = (cell[0] + dx, cell[1] + dy)
-            if not grid.in_bounds(nxt) or nxt in grid.blocked or nxt in closed:
+            if not in_bounds(grid, nxt) or nxt in grid.blocked or nxt in closed:
                 continue
             if g < best_g.get(nxt, math.inf):
                 best_g[nxt] = g
@@ -112,7 +117,7 @@ class TestPlannerGrid:
     def test_covers_margin(self):
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0), margin=1.0)
         assert grid.cell_of((-0.9, -0.9)) != grid.cell_of((0.0, 0.0))
-        assert grid.in_bounds(grid.cell_of((2.9, 2.9)))
+        assert in_bounds(grid, grid.cell_of((2.9, 2.9)))
 
     def test_outside_points_clamp_to_boundary(self):
         grid = free_grid(10)
