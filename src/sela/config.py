@@ -4,10 +4,10 @@ Lines hold one assignment each; `#` starts a comment. Unknown keys are rejected
 with their line number so typos fail fast. Each key is declared once, as an
 `ExperimentConfig` field: its type picks the parser and the values that `validate`
 accepts, and the field holds its default, lower bound and choices. A default that
-the class it configures also holds is read from there (`Kernel.sigma`, say); the
-adaptation budget's depends on the world (`ADAPT_ITERATIONS_BY_WORLD`). Every
-float must be finite, each damage kind must suit the world (`angle_offset` the
-point robot, `frozen_joint` the walker), no method may be listed twice, the
+the class it configures also holds is read from there (`Kernel.sigma`, say); each
+world's facts, its adaptation budget's default among them, are declared once in
+`WORLDS`. Every float must be finite, each damage kind must suit the world
+(`WORLDS` names the one each world takes), no method may be listed twice, the
 archive budget must cover the archive's initial random batch, the direction grid
 may hold at most `sela.acquisition.MAX_CANDIDATES` points, no method's model may
 grow past `sela.gp.MAX_GP_OBSERVATIONS` observations, and the goal must be near
@@ -22,20 +22,22 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 from .acquisition import MAX_CANDIDATES, AcquisitionConfig
-from .gp import MAX_GP_OBSERVATIONS, MIN_KERNEL_SIGMA, Kernel, KernelFamily, ObservationSet
+from .gp import MAX_GP_OBSERVATIONS, MIN_KERNEL_SIGMA, DistanceKind, Kernel, KernelFamily, ObservationSet
 from .map_elites import initial_batch
 from .mission import EPISODIC_DIRECTIONS, DropDetectorConfig, Method, MissionConfig
 from .reward import PlannerGrid
-from .worlds import WALKER_JOINTS
+from .worlds import (WALKER_JOINTS, make_point_robot_world, make_segment_walker_world,
+                     sample_point_robot_behavior, sample_walker_behavior)
 
-# The one world each damage kind applies to.
-DAMAGE_WORLD = {"angle_offset": "point_robot", "frozen_joint": "segment_walker"}
-
-# World-dependent default for max_adapt_iterations.
-ADAPT_ITERATIONS_BY_WORLD = {"point_robot": 10, "segment_walker": 15}
-
-WORLDS = tuple(ADAPT_ITERATIONS_BY_WORLD)
-DAMAGE_KINDS = ("none", *DAMAGE_WORLD)
+# Per world: its maker, behavior sampler and kernel distance, the one damage kind
+# it takes, and its default max_adapt_iterations.
+WORLDS = {
+    "point_robot": (make_point_robot_world, sample_point_robot_behavior, DistanceKind.WRAPPED_ANGULAR,
+                    "angle_offset", 10),
+    "segment_walker": (make_segment_walker_world, sample_walker_behavior, DistanceKind.EUCLIDEAN,
+                       "frozen_joint", 15),
+}
+DAMAGE_KINDS = ("none", *(facts[3] for facts in WORLDS.values()))
 KERNEL_FAMILIES = tuple(family.value for family in KernelFamily)
 
 
@@ -87,7 +89,7 @@ class ExperimentConfig:
     def adapt_iterations(self) -> int:
         if self.max_adapt_iterations is not None:
             return self.max_adapt_iterations
-        return ADAPT_ITERATIONS_BY_WORLD[self.world]
+        return WORLDS[self.world][4]
 
 
 def _parser(kind, noun: str, accepts):
@@ -185,7 +187,7 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
              f"got {batch}")
     if config.damage_joint >= WALKER_JOINTS:
         fail("damage_joint", f"must be below {WALKER_JOINTS}, got {config.damage_joint}")
-    world = DAMAGE_WORLD.get(config.damage, config.world)
+    world = {facts[3]: name for name, facts in WORLDS.items()}.get(config.damage, config.world)
     if world != config.world:
         fail("damage", f"{config.damage!r} needs world {world!r}, got {config.world!r}")
     try:

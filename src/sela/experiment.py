@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import AcquisitionConfig, CandidateSet
-from .config import ConfigError, ExperimentConfig, validate
-from .gp import DistanceKind, Kernel, KernelFamily
+from .config import WORLDS, ConfigError, ExperimentConfig, validate
+from .gp import Kernel, KernelFamily
 from .map_elites import Archive, ArchivePrior, illuminate, load_archive
 from .mission import (
     DropDetectorConfig,
@@ -36,22 +36,13 @@ from .worlds import (
     WALKER_LOWER,
     WALKER_SEGMENT_STEP,
     WALKER_UPPER,
-    make_point_robot_world,
-    make_segment_walker_world,
     point_robot_prior,
-    sample_point_robot_behavior,
-    sample_walker_behavior,
     segment_walker_evaluator,
 )
 
 RUNS_HEADER = "run_id,method,world,seed,learn_steps,exec_steps,total_steps,reached,wall_ms"
 SUMMARY_HEADER = "method,metric,q25,median,q75,success_rate"
 _METRICS = ("learn_steps", "exec_steps", "total_steps")
-# Per world: the world maker, the behavior sampler and the kernel distance.
-_WORLDS = {
-    "point_robot": (make_point_robot_world, sample_point_robot_behavior, DistanceKind.WRAPPED_ANGULAR),
-    "segment_walker": (make_segment_walker_world, sample_walker_behavior, DistanceKind.EUCLIDEAN),
-}
 
 
 @dataclass(frozen=True)
@@ -70,14 +61,6 @@ def build_damage(config: ExperimentConfig) -> Damage:
     if config.damage == "angle_offset":
         return AngleOffsetDamage(offset=config.damage_offset)
     return FrozenJointDamage(joint=config.damage_joint)
-
-
-def build_kernel(config: ExperimentConfig) -> Kernel:
-    return Kernel(
-        family=KernelFamily(config.kernel_family),
-        sigma=config.kernel_sigma,
-        distance=_WORLDS[config.world][2],
-    )
 
 
 def build_archive(config: ExperimentConfig, on_offer=None) -> Archive:
@@ -104,7 +87,7 @@ def load_archive_file(path) -> Archive:
 def _seeded_parts(config: ExperimentConfig, seed: int) -> dict:
     """What a replicate seed sets in a mission: its world, sampler rng and seed."""
     world_seed, sampler_seed = np.random.SeedSequence(seed).spawn(2)
-    world = _WORLDS[config.world][0](build_damage(config), config.noise_variance, world_seed)
+    world = WORLDS[config.world][0](build_damage(config), config.noise_variance, world_seed)
     return dict(world=world, rng=np.random.default_rng(sampler_seed), seed=seed)
 
 
@@ -132,7 +115,9 @@ def build_mission_config(
         **parts,
         candidates=candidates,
         prior=prior,
-        kernel=build_kernel(config),
+        kernel=Kernel(
+            family=KernelFamily(config.kernel_family), sigma=config.kernel_sigma, distance=WORLDS[config.world][2]
+        ),
         gp_noise=config.gp_noise,
         goal=goal,
         epsilon_goal=config.epsilon_goal,
@@ -142,7 +127,7 @@ def build_mission_config(
         drop=DropDetectorConfig(window=config.drop_window, threshold=config.drop_threshold),
         max_adapt_iterations=config.adapt_iterations(),
         step_cap=config.step_cap,
-        behavior_sampler=_WORLDS[config.world][1],
+        behavior_sampler=WORLDS[config.world][1],
         babble_max=config.babble_max,
         epsilon_model=config.epsilon_model,
         uncertainty_iterations=config.uncertainty_iterations,

@@ -31,8 +31,8 @@ at a candidate (`mean_at`), and a refit takes a chosen candidate's kernel column
 from it. The drop window keeps one error norm per step; its mean adds fewer than 8 errors
 in Python floats in numpy's order, and runs `np.add.reduce` beyond. It, the error norms and
 the goal test keep numpy's bits without numpy's Python wrappers. The goal's planner cell is
-derived once (`MissionState.goal_cell`), and the missions of an experiment share their
-template's table of A* waypoints per start cell (`MissionConfig.waypoint_cells`).
+derived once (`MissionState.goal_cell`), as is its sub-table (`MissionState.waypoints`) of the
+A* waypoints an experiment's missions share, one per grid, goal cell and lookahead cells.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ class MissionConfig:
     epsilon_model: float = 0.01
     uncertainty_iterations: int = 15
     episodic_success_projection: float = 0.09
-    # Waypoint cell per A* start cell (see build_waypoint_reward); the missions
-    # of an experiment are copies of one template and share its dict.
+    # Per (grid, goal cell, lookahead_cells), the waypoint cell per A* start cell (see
+    # build_waypoint_reward); the missions of an experiment are copies of one template and share its dict.
     waypoint_cells: dict = field(default_factory=dict)
 
 
@@ -131,11 +131,13 @@ class MissionState:
     # prior and gp_noise on the mission's observations; the model and its set are reached through it.
     posterior: CandidatePosterior = field(init=False)
     goal_cell: tuple = field(init=False)   # the goal's planner cell, fixed for the mission
+    waypoints: dict = field(init=False)   # this mission's sub-table of config.waypoint_cells
 
     def __post_init__(self):
         config = self.config
         self.recent = deque(maxlen=min(config.drop.window, config.step_cap))
         self.goal_cell = config.grid.cell_of(config.goal)
+        self.waypoints = config.waypoint_cells.setdefault((config.grid, self.goal_cell, config.lookahead_cells), {})
         observations = ObservationSet.empty(config.candidates.points.shape[1], 2, config.gp_noise)
         model = fit(observations, config.kernel, config.prior)
         self.posterior = CandidatePosterior(config.candidates.points, model)
@@ -178,7 +180,7 @@ def _chase_waypoint(
     config = state.config
     reward = build_waypoint_reward(
         config.grid, config.world.pose, config.goal, state.goal_cell, config.lookahead_cells,
-        config.waypoint_cells,
+        state.waypoints,
     )
     return select_next(state.posterior, reward, acquisition)
 

@@ -194,9 +194,9 @@ def build_waypoint_reward(
     exact goal point, not the cell center, so the final approach aims at it.
 
     The path starts at the pose's cell, so the waypoint cell depends only on
-    that start cell once grid, goal and lookahead are fixed. `waypoint_cells`
-    memoizes it per start cell; an experiment's missions all hold their
-    template's dict, so A* runs once per distinct start cell per experiment.
+    that start cell once grid, goal cell and lookahead are fixed. `waypoint_cells`
+    memoizes it per start cell for those three; the missions of an experiment share
+    it, so A* runs once per distinct start cell per experiment.
     """
     if lookahead_cells < 1:
         raise ValueError("lookahead_cells must be at least 1")

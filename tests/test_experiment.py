@@ -24,7 +24,6 @@ from sela.experiment import (
     SummaryRow,
     build_archive,
     build_damage,
-    build_kernel,
     build_mission_config,
     compute_summary,
     load_archive_file,
@@ -35,7 +34,7 @@ from sela.experiment import (
     summary_csv_text,
     write_results,
 )
-from sela.gp import MIN_KERNEL_SIGMA, DistanceKind
+from sela.gp import MIN_KERNEL_SIGMA, DistanceKind, Kernel, KernelFamily
 from sela.map_elites import Archive, ArchiveFormatError, Elite, bin_index, load_archive, save_archive
 from sela.mission import Method, RunRecord
 from sela.reward import PlannerGrid
@@ -65,10 +64,14 @@ class TestBuilders:
         )
         assert frozen == FrozenJointDamage(joint=2)
 
-    def test_kernel_distance_follows_world(self):
-        assert build_kernel(INTACT).distance is DistanceKind.WRAPPED_ANGULAR
+    def test_kernel_distance_follows_world(self, small_walker_archive):
+        toy = replace(INTACT, kernel_family="exponential", kernel_sigma=0.3)
+        assert build_mission_config(toy, seed=0).kernel == Kernel(
+            KernelFamily.EXPONENTIAL, 0.3, DistanceKind.WRAPPED_ANGULAR
+        )
         walker = ExperimentConfig(world="segment_walker")
-        assert build_kernel(walker).distance is DistanceKind.EUCLIDEAN
+        kernel = build_mission_config(walker, seed=0, archive=small_walker_archive).kernel
+        assert kernel == Kernel(KernelFamily.SQUARED_EXPONENTIAL, 0.1, DistanceKind.EUCLIDEAN)
 
     def test_archive_requires_walker_world(self):
         with pytest.raises(ConfigError):
@@ -77,9 +80,6 @@ class TestBuilders:
     def test_walker_mission_requires_archive(self):
         with pytest.raises(ValueError):
             build_mission_config(ExperimentConfig(world="segment_walker"), seed=0)
-
-    def test_the_world_table_names_the_config_worlds_in_order(self):
-        assert tuple(experiment._WORLDS) == WORLDS
 
     @pytest.mark.parametrize("world", WORLDS)
     def test_validate_checks_the_grid_the_mission_builds_from_its_start_pose(

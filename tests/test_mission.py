@@ -330,6 +330,28 @@ class TestMissionState:
             assert len(rewards) > 1 or method is Method.EPISODIC_ITE
             assert set(rewards) <= {cell_of(config.grid, config.goal)}
 
+    @pytest.mark.parametrize("changes", [
+        dict(goal=np.array([-0.5, 1.5])),
+        dict(lookahead_cells=6),
+        # the same cells and goal cell, with a wall across y = 1 from the left edge to x = 2.5
+        dict(grid=replace(PlannerGrid.for_mission((0.0, 0.0), GOAL), blocked=frozenset((x, 20) for x in range(35)))),
+    ], ids=["goal", "lookahead_cells", "walled_grid"])
+    def test_a_copy_with_another_goal_grid_or_lookahead_plans_its_own_waypoints(self, changes):
+        # copies of a template share its A* table; one that moves the goal, or plans on another
+        # grid or lookahead, runs as it would on a table of its own, not on the template's waypoints
+        damage = AngleOffsetDamage(0.5)
+        template = point_config(damage=damage)
+        run_mission(template)
+        assert template.waypoint_cells
+
+        def fresh(**more):
+            world = make_point_robot_world(damage, 0.0, 0)
+            return replace(template, world=world, rng=np.random.default_rng(0), **changes, **more)
+
+        shared = fresh()
+        assert shared.waypoint_cells is template.waypoint_cells
+        assert run_mission(shared) == run_mission(fresh(waypoint_cells={}))
+
 
 # Noisy missions that run to the step cap (the point robot's goal is out of
 # reach), so SELA adapts often and learns some candidates more than once.
