@@ -91,6 +91,10 @@ class ExperimentConfig:
             return self.max_adapt_iterations
         return WORLDS[self.world][4]
 
+    def planner_grid(self) -> PlannerGrid:
+        """The missions' planner grid: from the origin, where every world starts, to the goal."""
+        return PlannerGrid.for_mission((0.0, 0.0), (self.goal_x, self.goal_y), self.cell_size, self.planner_margin)
+
 
 def _parser(kind, noun: str, accepts):
     """A type's row: its parser (kind(value), a ValueError becoming a ConfigError naming
@@ -191,10 +195,7 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
     if world != config.world:
         fail("damage", f"{config.damage!r} needs world {world!r}, got {config.world!r}")
     try:
-        # every world starts at the origin
-        PlannerGrid.for_mission(
-            (0.0, 0.0), (config.goal_x, config.goal_y), config.cell_size, config.planner_margin
-        )
+        config.planner_grid()
     except ValueError as exc:
         raise ConfigError(f"keys 'goal_x', 'goal_y', 'cell_size', 'planner_margin': {exc}") from None
     return config

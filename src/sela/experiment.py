@@ -27,7 +27,6 @@ from .mission import (
     RunRecord,
     run_method,
 )
-from .reward import PlannerGrid
 from .worlds import (
     AngleOffsetDamage,
     Damage,
@@ -103,25 +102,17 @@ def build_mission_config(
             raise ValueError("segment_walker missions need a prebuilt archive")
         candidates = CandidateSet(points=np.array([elite.behavior for elite in archive.elites()]))
         prior = ArchivePrior(archive)
-    parts = _seeded_parts(config, seed)
-    goal = np.array([config.goal_x, config.goal_y])
-    grid = PlannerGrid.for_mission(
-        start=parts["world"].pose,
-        goal=goal,
-        cell_size=config.cell_size,
-        margin=config.planner_margin,
-    )
     return MissionConfig(
-        **parts,
+        **_seeded_parts(config, seed),
         candidates=candidates,
         prior=prior,
         kernel=Kernel(
             family=KernelFamily(config.kernel_family), sigma=config.kernel_sigma, distance=WORLDS[config.world][2]
         ),
         gp_noise=config.gp_noise,
-        goal=goal,
+        goal=np.array([config.goal_x, config.goal_y]),
         epsilon_goal=config.epsilon_goal,
-        grid=grid,
+        grid=config.planner_grid(),
         lookahead_cells=config.lookahead_cells,
         acquisition=AcquisitionConfig(alpha=config.alpha),
         drop=DropDetectorConfig(window=config.drop_window, threshold=config.drop_threshold),

@@ -22,7 +22,7 @@ record builder (`_record`), which counts one learning step per observation in th
 The candidate set, planner grid and goal stay fixed for a whole mission, and
 the observations only grow. So a mission holds one `CandidatePosterior`, built with the
 state, and reaches its one model and the model's one observation set through it (babbling's
-from a copy of the config with the zero prior, sharing its world, rng and A* table); a
+from a copy of the config with the zero prior, sharing its world, rng and grid); a
 learning step writes rows into their buffers: `learn` appends the observation and `fit`
 grows the model in place. The posterior keeps its prior, writes a cross-kernel row per
 observation (copied for a candidate learned before), and scores the model again only once
@@ -31,8 +31,8 @@ at a candidate (`mean_at`), and a refit takes a chosen candidate's kernel column
 from it. The drop window keeps one error norm per step; its mean adds fewer than 8 errors
 in Python floats in numpy's order, and runs `np.add.reduce` beyond. It, the error norms and
 the goal test keep numpy's bits without numpy's Python wrappers. The goal's planner cell is
-derived once (`MissionState.goal_cell`), as is its sub-table (`MissionState.waypoints`) of the
-A* waypoints an experiment's missions share, one per grid, goal cell and lookahead cells.
+derived once (`MissionState.goal_cell`); an experiment's missions share one grid, and with it
+its table of A* waypoints (`PlannerGrid.waypoints`).
 """
 
 from __future__ import annotations
@@ -114,9 +114,6 @@ class MissionConfig:
     epsilon_model: float = 0.01
     uncertainty_iterations: int = 15
     episodic_success_projection: float = 0.09
-    # Per (grid, goal cell, lookahead_cells), the waypoint cell per A* start cell (see
-    # build_waypoint_reward); the missions of an experiment are copies of one template and share its dict.
-    waypoint_cells: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -131,13 +128,11 @@ class MissionState:
     # prior and gp_noise on the mission's observations; the model and its set are reached through it.
     posterior: CandidatePosterior = field(init=False)
     goal_cell: tuple = field(init=False)   # the goal's planner cell, fixed for the mission
-    waypoints: dict = field(init=False)   # this mission's sub-table of config.waypoint_cells
 
     def __post_init__(self):
         config = self.config
         self.recent = deque(maxlen=min(config.drop.window, config.step_cap))
         self.goal_cell = config.grid.cell_of(config.goal)
-        self.waypoints = config.waypoint_cells.setdefault((config.grid, self.goal_cell, config.lookahead_cells), {})
         observations = ObservationSet.empty(config.candidates.points.shape[1], 2, config.gp_noise)
         model = fit(observations, config.kernel, config.prior)
         self.posterior = CandidatePosterior(config.candidates.points, model)
@@ -179,8 +174,7 @@ def _chase_waypoint(
     greedily by default, and its index."""
     config = state.config
     reward = build_waypoint_reward(
-        config.grid, config.world.pose, config.goal, state.goal_cell, config.lookahead_cells,
-        state.waypoints,
+        config.grid, config.world.pose, config.goal, state.goal_cell, config.lookahead_cells
     )
     return select_next(state.posterior, reward, acquisition)
 

@@ -39,6 +39,8 @@ class PlannerGrid:
     origin: tuple[float, float]
     shape: tuple[int, int]
     blocked: frozenset = field(default_factory=frozenset)
+    # build_waypoint_reward's memo: (goal cell, lookahead_cells) -> {A* start cell: waypoint cell}; a copy starts empty
+    waypoints: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.cell_size > 0:
@@ -186,7 +188,6 @@ def build_waypoint_reward(
     goal,
     goal_cell: tuple[int, int],
     lookahead_cells: int,
-    waypoint_cells: dict,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Per-step reward refresh: plan pose -> `goal_cell` (`grid.cell_of(goal)`,
     which a mission derives once) and chase the path cell `lookahead_cells` on
@@ -194,18 +195,19 @@ def build_waypoint_reward(
     exact goal point, not the cell center, so the final approach aims at it.
 
     The path starts at the pose's cell, so the waypoint cell depends only on
-    that start cell once grid, goal cell and lookahead are fixed. `waypoint_cells`
-    memoizes it per start cell for those three; the missions of an experiment share
-    it, so A* runs once per distinct start cell per experiment.
+    that start cell once grid, goal cell and lookahead are fixed. `grid.waypoints`
+    memoizes it per start cell for each goal cell and lookahead; the missions of an
+    experiment share one grid, so A* runs once per distinct start cell per experiment.
     """
     if lookahead_cells < 1:
         raise ValueError("lookahead_cells must be at least 1")
     start_cell = grid.cell_of(pose)
-    cell = waypoint_cells.get(start_cell)
+    cells = grid.waypoints.setdefault((goal_cell, lookahead_cells), {})
+    cell = cells.get(start_cell)
     if cell is None:
         path = astar(grid, start_cell, goal_cell, lookahead_cells)
         if path is None:
             raise UnreachableGoalError(f"no grid path from cell {start_cell} to cell {goal_cell}")
-        cell = waypoint_cells[start_cell] = path[min(lookahead_cells, len(path) - 1)]
+        cell = cells[start_cell] = path[min(lookahead_cells, len(path) - 1)]
     waypoint = goal if cell == goal_cell else grid.center(cell)
     return make_distance_reward(waypoint, pose)

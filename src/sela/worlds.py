@@ -157,7 +157,7 @@ def segment_walker_evaluator(behaviors) -> tuple[np.ndarray, np.ndarray, np.ndar
     model's outcome; its magnitude as the performance (`d.dot(d)`'s bits,
     which `np.vecdot` keeps and `einsum` does not); and as descriptor its
     `math.atan2` direction mapped onto (0, 1] and the magnitude over the
-    intact maximum step, clamped to 1."""
+    walker's maximum step (all legs aligned), clamped to 1."""
     rows = np.asarray(behaviors, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != WALKER_JOINTS:
         raise ValueError(f"expected rows of {WALKER_JOINTS} joint offsets, got shape {rows.shape}")
@@ -165,7 +165,7 @@ def segment_walker_evaluator(behaviors) -> tuple[np.ndarray, np.ndarray, np.ndar
     magnitudes = np.sqrt(np.vecdot(outcomes, outcomes))
     xs, ys = outcomes.T.tolist()
     directions = (np.array(list(map(math.atan2, ys, xs))) + math.pi) / (2.0 * math.pi)
-    descriptors = np.stack([directions, np.minimum(magnitudes / POINT_ROBOT_STEP, 1.0)], axis=1)
+    descriptors = np.stack([directions, np.minimum(magnitudes / (WALKER_JOINTS * WALKER_SEGMENT_STEP), 1.0)], axis=1)
     return descriptors, magnitudes, outcomes
 
 

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sela.config
 import sela.mission
 import sela.reward
 from sela import experiment
@@ -85,20 +84,21 @@ class TestBuilders:
     def test_validate_checks_the_grid_the_mission_builds_from_its_start_pose(
         self, monkeypatch, world, small_walker_archive
     ):
-        # validate plans from the origin, where every world starts
-        checked = []
+        # validate checks the grid that the mission plans on; it is drawn from the origin,
+        # and the mission's world starts there
+        checked, planner_grid = [], ExperimentConfig.planner_grid
 
-        class RecordingGrid:
-            @staticmethod
-            def for_mission(*args):
-                checked.append(PlannerGrid.for_mission(*args))
-                return checked[-1]
+        def recording_planner_grid(config):
+            checked.append(planner_grid(config))
+            return checked[-1]
 
-        monkeypatch.setattr(sela.config, "PlannerGrid", RecordingGrid)
+        monkeypatch.setattr(ExperimentConfig, "planner_grid", recording_planner_grid)
         config = validate(ExperimentConfig(world=world, goal_x=-1.3, goal_y=0.7, cell_size=0.2, planner_margin=0.5))
+        assert len(checked) == 1
         mission = build_mission_config(config, seed=4, archive=small_walker_archive)
         np.testing.assert_array_equal(mission.world.pose, [0.0, 0.0])
-        assert checked == [mission.grid]
+        assert checked == [mission.grid, mission.grid] and checked[1] is mission.grid
+        assert mission.grid == PlannerGrid.for_mission(mission.world.pose, mission.goal, 0.2, 0.5)
 
     def test_same_seed_builds_identical_worlds(self):
         a = build_mission_config(ExperimentConfig(world="point_robot"), seed=5)
@@ -577,9 +577,9 @@ class TestMissionTemplate:
             assert len(builds) == 1, config.world
             assert len(missions) == len(config.methods) * config.replicates
             first = missions[0]
-            for name in ("candidates", "prior", "kernel", "grid", "goal", "waypoint_cells"):
+            for name in ("candidates", "prior", "kernel", "grid", "goal"):
                 assert all(getattr(m, name) is getattr(first, name) for m in missions), name
-            assert first.waypoint_cells   # the missions filled the one table
+            assert first.grid.waypoints   # the missions filled the one grid's A* table
             assert len({id(m.world) for m in missions}) == len(missions)
             assert len({id(m.rng) for m in missions}) == len(missions)
             assert [m.seed for m in missions] == [

@@ -52,6 +52,8 @@ from sela.worlds import (
 )
 
 GOAL = (2.0, 2.0)
+# on GOAL's point-robot grid, a wall across y = 1 from the left edge to x = 2.5
+WALL = frozenset((x, 20) for x in range(35))
 # shortest waypoint-chasing route across the diagonal: ceil((2*sqrt(2) - 0.1) / 0.1)
 DIRECT_STEPS = 28
 
@@ -273,7 +275,7 @@ class TestMissionState:
     def test_babbling_alone_learns_on_the_zero_prior_and_every_mission_shares_the_astar_table(
             self, monkeypatch):
         # in a toy experiment, babbling builds its state from a copy of its mission with the
-        # zero prior, every other method from its mission; all share the template's A* table
+        # zero prior, every other method from its mission; all share the template's grid and A* table
         templates, zeros, methods, states = [], [], [], []
         build, zero_prior = experiment.build_mission_config, mission.zero_prior
         run, post_init = experiment.run_method, MissionState.__post_init__
@@ -291,10 +293,10 @@ class TestMissionState:
         run_experiment(toy)
         [template] = templates
         assert [method for method, _ in states] == [method for method in Method for _ in range(2)]
-        assert template.waypoint_cells
+        assert template.grid.waypoints
         for method, state in states:
             prior = state.posterior.model.prior
-            assert state.config.waypoint_cells is template.waypoint_cells
+            assert state.config.grid is template.grid
             assert prior is state.config.prior and state.config.kernel is template.kernel
             if method is Method.BABBLING:
                 assert prior in zeros and not state.posterior.prior_means.any()
@@ -331,26 +333,32 @@ class TestMissionState:
             assert set(rewards) <= {cell_of(config.grid, config.goal)}
 
     @pytest.mark.parametrize("changes", [
-        dict(goal=np.array([-0.5, 1.5])),
-        dict(lookahead_cells=6),
-        # the same cells and goal cell, with a wall across y = 1 from the left edge to x = 2.5
-        dict(grid=replace(PlannerGrid.for_mission((0.0, 0.0), GOAL), blocked=frozenset((x, 20) for x in range(35)))),
-    ], ids=["goal", "lookahead_cells", "walled_grid"])
+        lambda template: dict(goal=np.array([-0.5, 1.5])),
+        lambda template: dict(lookahead_cells=6),
+        # the same cells and goal cell, with a wall: on a new grid, and on a copy of the filled template's
+        lambda template: dict(grid=replace(PlannerGrid.for_mission((0.0, 0.0), GOAL), blocked=WALL)),
+        lambda template: dict(grid=replace(template.grid, blocked=WALL)),
+    ], ids=["goal", "lookahead_cells", "walled_grid", "walled_template_grid"])
     def test_a_copy_with_another_goal_grid_or_lookahead_plans_its_own_waypoints(self, changes):
-        # copies of a template share its A* table; one that moves the goal, or plans on another
-        # grid or lookahead, runs as it would on a table of its own, not on the template's waypoints
+        # copies of a template share its grid and so its A* table; one that moves the goal, or
+        # plans on another grid or lookahead, runs as it would on a table of its own, not on the
+        # template's waypoints
         damage = AngleOffsetDamage(0.5)
         template = point_config(damage=damage)
         run_mission(template)
-        assert template.waypoint_cells
+        assert template.grid.waypoints
+        changes = changes(template)
 
         def fresh(**more):
             world = make_point_robot_world(damage, 0.0, 0)
-            return replace(template, world=world, rng=np.random.default_rng(0), **changes, **more)
+            return replace(template, world=world, rng=np.random.default_rng(0), **{**changes, **more})
 
         shared = fresh()
-        assert shared.waypoint_cells is template.waypoint_cells
-        assert run_mission(shared) == run_mission(fresh(waypoint_cells={}))
+        assert shared.grid is changes.get("grid", template.grid)
+        # a grid built field by field starts with an empty table, whatever `replace` copies
+        grid = shared.grid
+        own = PlannerGrid(grid.cell_size, grid.origin, grid.shape, grid.blocked)
+        assert run_mission(shared) == run_mission(fresh(grid=own))
 
 
 # Noisy missions that run to the step cap (the point robot's goal is out of

@@ -119,6 +119,16 @@ class TestPlannerGrid:
         assert grid.cell_of((-0.9, -0.9)) != grid.cell_of((0.0, 0.0))
         assert in_bounds(grid, grid.cell_of((2.9, 2.9)))
 
+    def test_the_waypoint_table_stays_out_of_equality_the_hash_the_repr_and_copies(self):
+        grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
+        empty, before = replace(grid), hash(grid)
+        build_waypoint_reward(grid, (0.0, 0.0), (2.0, 2.0), grid.cell_of((2.0, 2.0)), 2)
+        assert grid.waypoints and not empty.waypoints
+        assert grid == empty and hash(grid) == hash(empty) == before
+        assert repr(grid) == repr(empty) and "waypoints" not in repr(grid)
+        copy = replace(grid)   # a copy of the filled grid starts with an empty table
+        assert copy == grid and copy.waypoints == {}
+
     def test_outside_points_clamp_to_boundary(self):
         grid = free_grid(10)
         assert grid.cell_of((-5.0, 0.05)) == (0, 0)
@@ -356,7 +366,7 @@ class TestSelectWaypoint:
         path = astar(grid, (0, 0), (9, 9))
         pose = np.array([0.05, 0.05])
         assert path[0] == grid.cell_of(pose)
-        reward = build_waypoint_reward(grid, pose, grid.center((9, 9)), (9, 9), 2, {})
+        reward = build_waypoint_reward(grid, pose, grid.center((9, 9)), (9, 9), 2)
         assert score(reward, grid.center(path[2]) - pose) == pytest.approx(0.0, abs=1e-12)
         assert score(reward, grid.center(path[1]) - pose) < -0.05
 
@@ -365,7 +375,7 @@ class TestSelectWaypoint:
         pose = np.array([0.05, 0.05])
         assert astar(grid, grid.cell_of(pose), (1, 0)) == [(0, 0), (1, 0)]
         goal = np.array([0.17, 0.02])   # in cell (1, 0), off its center
-        reward = build_waypoint_reward(grid, pose, goal, grid.cell_of(goal), 10, {})
+        reward = build_waypoint_reward(grid, pose, goal, grid.cell_of(goal), 10)
         assert score(reward, goal - pose) == 0.0
 
     @settings(max_examples=150, deadline=None)
@@ -384,14 +394,14 @@ class TestSelectWaypoint:
         path = astar(grid, start_cell, goal_cell)
         if path is None:
             with pytest.raises(UnreachableGoalError):
-                build_waypoint_reward(grid, pose, goal, goal_cell, lookahead, {})
+                build_waypoint_reward(grid, pose, goal, goal_cell, lookahead)
             return
         assert path[0] == start_cell
         cell = path[min(lookahead, len(path) - 1)]
         expected = goal if cell == goal_cell else grid.center(cell)
         probes = np.array(data.draw(st.lists(points, min_size=1, max_size=8), label="probes"))
         np.testing.assert_array_equal(
-            build_waypoint_reward(grid, pose, goal, goal_cell, lookahead, {})(probes),
+            build_waypoint_reward(grid, pose, goal, goal_cell, lookahead)(probes),
             make_distance_reward(expected, pose)(probes),
         )
 
@@ -461,7 +471,7 @@ class TestBuildWaypointReward:
     def test_free_space_waypoint_sits_on_the_line(self):
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
         goal = (2.0, 2.0)
-        reward = build_waypoint_reward(grid, (0.0, 0.0), goal, grid.cell_of(goal), 2, {})
+        reward = build_waypoint_reward(grid, (0.0, 0.0), goal, grid.cell_of(goal), 2)
         # diagonal goal: the best unit step is the diagonal one
         step = 0.1 / np.sqrt(2.0)
         diagonal, east, north = reward(np.array([[step, step], [0.1, 0.0], [0.0, 0.1]]))
@@ -471,14 +481,14 @@ class TestBuildWaypointReward:
     def test_goal_cell_uses_exact_goal_point(self):
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
         pose, goal = np.array([1.93, 1.93]), (2.0, 2.0)
-        reward = build_waypoint_reward(grid, pose, goal, grid.cell_of(goal), 2, {})
+        reward = build_waypoint_reward(grid, pose, goal, grid.cell_of(goal), 2)
         gap = np.array([2.0, 2.0]) - pose
         assert score(reward, gap) == 0.0
 
     def test_pose_at_goal_cell_rewards_zero_remainder(self):
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
         pose, goal = np.array([1.98, 2.01]), (2.0, 2.0)
-        reward = build_waypoint_reward(grid, pose, goal, grid.cell_of(goal), 2, {})
+        reward = build_waypoint_reward(grid, pose, goal, grid.cell_of(goal), 2)
         assert score(reward, [0.02, -0.01]) == pytest.approx(0.0, abs=1e-12)
 
     def test_blocked_straight_line_detours(self):
@@ -489,8 +499,8 @@ class TestBuildWaypointReward:
         blocked = {(wall_x, y) for y in range(0, start_cell[1] + 6)}
         grid = replace(free_grid, blocked=frozenset(blocked))
         goal = (2.0, 0.0)
-        free = build_waypoint_reward(free_grid, (0.0, 0.0), goal, free_grid.cell_of(goal), 2, {})
-        detour = build_waypoint_reward(grid, (0.0, 0.0), goal, grid.cell_of(goal), 2, {})
+        free = build_waypoint_reward(free_grid, (0.0, 0.0), goal, free_grid.cell_of(goal), 2)
+        detour = build_waypoint_reward(grid, (0.0, 0.0), goal, grid.cell_of(goal), 2)
         straight = [0.1, 0.0]
         climb = [0.0, 0.1]
         assert score(free, straight) > score(free, climb)
@@ -501,7 +511,7 @@ class TestBuildWaypointReward:
         grid = PlannerGrid(0.1, (0.0, 0.0), (20, 20), frozenset(ring))
         goal = grid.center((10, 10))
         with pytest.raises(UnreachableGoalError):
-            build_waypoint_reward(grid, (0.05, 0.05), goal, grid.cell_of(goal), 2, {})
+            build_waypoint_reward(grid, (0.05, 0.05), goal, grid.cell_of(goal), 2)
 
     def test_memoized_waypoint_equals_fresh_for_every_start_cell(self):
         start, goal = (0.0, 0.0), (1.0, 0.6)
@@ -519,26 +529,26 @@ class TestBuildWaypointReward:
         blocked -= {free.cell_of(start), goal_cell}
         grid = replace(free, blocked=frozenset(blocked))
         assert grid.cell_of(goal) == goal_cell
-        # noise keeps the pose inside its cell, so the memo sees new poses
+        # noise keeps the pose inside its cell, so the grid's table sees new poses; each
+        # fresh `replace(grid)` copy starts with an empty table and runs A* again
         rng = np.random.default_rng(2)
         for lookahead in (1, 2, 5):
-            memo = {}
-            for _ in range(2):   # the second pass is served from the memo
+            for _ in range(2):   # the second pass is served from the grid's table
                 for ix in range(grid.shape[0]):
                     for iy in range(grid.shape[1]):
                         if (ix, iy) in grid.blocked:
                             continue
                         pose = grid.center((ix, iy)) + rng.uniform(-0.04, 0.04, size=2)
                         try:
-                            fresh = build_waypoint_reward(grid, pose, goal, goal_cell, lookahead, {})
+                            fresh = build_waypoint_reward(replace(grid), pose, goal, goal_cell, lookahead)
                         except UnreachableGoalError:
                             with pytest.raises(UnreachableGoalError):
-                                build_waypoint_reward(grid, pose, goal, goal_cell, lookahead, memo)
+                                build_waypoint_reward(grid, pose, goal, goal_cell, lookahead)
                             continue
-                        memoized = build_waypoint_reward(grid, pose, goal, goal_cell, lookahead, memo)
+                        memoized = build_waypoint_reward(grid, pose, goal, goal_cell, lookahead)
                         probes = rng.normal(scale=0.1, size=(8, 2))
                         np.testing.assert_array_equal(memoized(probes), fresh(probes))
-        assert memo
+        assert sorted(grid.waypoints) == [(goal_cell, 1), (goal_cell, 2), (goal_cell, 5)]
 
     def test_astar_runs_once_per_start_cell(self, monkeypatch):
         import sela.reward
@@ -552,7 +562,11 @@ class TestBuildWaypointReward:
 
         monkeypatch.setattr(sela.reward, "astar", counting_astar)
         grid = PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0))
-        memo = {}
+        goal_cell = grid.cell_of((2.0, 2.0))
         for pose in ([0.0, 0.0], [0.01, 0.02], [0.0, 0.0], [0.5, 0.5], [0.52, 0.48]):
-            build_waypoint_reward(grid, pose, (2.0, 2.0), grid.cell_of((2.0, 2.0)), 2, memo)
+            build_waypoint_reward(grid, pose, (2.0, 2.0), goal_cell, 2)
         assert calls == [grid.cell_of((0.0, 0.0)), grid.cell_of((0.5, 0.5))]
+        assert list(grid.waypoints) == [(goal_cell, 2)] and list(grid.waypoints[goal_cell, 2]) == calls
+        # a `replace` copy plans on a table of its own
+        build_waypoint_reward(replace(grid), [0.01, 0.02], (2.0, 2.0), goal_cell, 2)
+        assert calls == [grid.cell_of((0.0, 0.0)), grid.cell_of((0.5, 0.5)), grid.cell_of((0.0, 0.0))]

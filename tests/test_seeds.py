@@ -1,12 +1,14 @@
 """The paper's comparison on five base seeds (ROADMAP item 14).
 
-Criteria 7 and 8 of the acceptance suite grade the toy and walker experiments
-at base seed 0 alone. Here the same acceptance configs, 50 replicates each,
-run at five base seeds fixed in advance, and each must show what those
-criteria check: after damage SELA reaches the goal in fewer steps (median
-`total_steps`) than each episodic baseline, and it reaches the goal often
-enough. A change to the experiments' bytes may move the step counts; it must
-not lose this comparison on any of the seeds.
+Criteria 7 and 8 of the acceptance suite (`tests/test_acceptance.py`) grade
+the toy and walker experiments at base seed 0. Here the same acceptance
+configs, 50 replicates each, run at the other four of five base seeds fixed
+in advance, and each must show what those criteria check: after damage SELA
+reaches the goal in fewer steps (median `total_steps`) than each episodic
+baseline, and it reaches the goal often enough. Seed 0 is not run again here,
+since criteria 7 and 8 make the same assertions on the same configs; so all
+five seeds are still checked. A change to the experiments' bytes may move the
+step counts; it must not lose this comparison on any of the seeds.
 """
 
 from dataclasses import replace
@@ -17,7 +19,7 @@ from sela.experiment import build_archive, run_experiment
 from sela.mission import Method
 from test_acceptance import DIRECT_STEPS, TOY, WALKER, medians, success_rate
 
-BASE_SEEDS = (0, 1000, 2000, 3000, 4000)
+BASE_SEEDS = (1000, 2000, 3000, 4000)   # seed 0: criteria 7 and 8
 
 
 @pytest.mark.parametrize("seed", BASE_SEEDS)

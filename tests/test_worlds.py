@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sela.worlds
 from sela.map_elites import illuminate, save_archive
 from sela.worlds import (
     POINT_ROBOT_STEP,
     WALKER_JOINTS,
+    WALKER_SEGMENT_STEP,
     AngleOffsetDamage,
     FrozenJointDamage,
     World,
@@ -371,8 +373,16 @@ class TestDescriptor:
     def test_a_magnitude_rounded_past_the_intact_step_is_clamped(self):
         # four joints at 1e-8: the leg sums round the magnitude up to 0.10000000000000002
         descriptors, performances, _ = segment_walker_evaluator([[1e-8] * WALKER_JOINTS, [0.0] * WALKER_JOINTS])
-        assert performances[0] > POINT_ROBOT_STEP
+        assert performances[0] > WALKER_JOINTS * WALKER_SEGMENT_STEP
         assert descriptors[:, 1].tolist() == [1.0, 1.0]
+
+    def test_the_magnitude_is_scaled_by_the_walkers_own_step(self, monkeypatch):
+        # the descriptor reads the walker's legs, not the point robot's step
+        behaviors = np.random.default_rng(3).uniform(-1.0, 1.0, size=(50, WALKER_JOINTS))
+        expected = segment_walker_evaluator(behaviors)
+        monkeypatch.setattr(sela.worlds, "POINT_ROBOT_STEP", 0.2)
+        for got, want in zip(segment_walker_evaluator(behaviors), expected):
+            assert got.tobytes() == want.tobytes()
 
     def test_evaluator_consistency(self):
         u = np.array([0.2, -0.4, 0.8, 0.0])
