@@ -31,8 +31,7 @@ at a candidate (`mean_at`), and a refit takes a chosen candidate's kernel column
 from it. The drop window keeps one error norm per step; its mean adds fewer than 8 errors
 in Python floats in numpy's order, and runs `np.add.reduce` beyond. It, the error norms and
 the goal test keep numpy's bits without numpy's Python wrappers. The goal's planner cell is
-derived once (`MissionState.goal_cell`); an experiment's missions share one grid, and with it
-its table of A* waypoints (`PlannerGrid.waypoints`).
+derived once (`MissionState.goal_cell`).
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -39,7 +40,8 @@ class PlannerGrid:
     origin: tuple[float, float]
     shape: tuple[int, int]
     blocked: frozenset = field(default_factory=frozenset)
-    # build_waypoint_reward's memo: (goal cell, lookahead_cells) -> {A* start cell: waypoint cell}; a copy starts empty
+    # build_waypoint_reward's memo, shared by every mission planning on this grid (a copy starts empty):
+    # (goal cell, lookahead_cells) -> int32 array by A* start cell id x * height + y: waypoint cell id, or -1
     waypoints: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -193,21 +195,20 @@ def build_waypoint_reward(
     which a mission derives once) and chase the path cell `lookahead_cells` on
     (the last cell if the path is shorter). A waypoint on the goal cell is the
     exact goal point, not the cell center, so the final approach aims at it.
-
-    The path starts at the pose's cell, so the waypoint cell depends only on
-    that start cell once grid, goal cell and lookahead are fixed. `grid.waypoints`
-    memoizes it per start cell for each goal cell and lookahead; the missions of an
-    experiment share one grid, so A* runs once per distinct start cell per experiment.
     """
     if lookahead_cells < 1:
         raise ValueError("lookahead_cells must be at least 1")
-    start_cell = grid.cell_of(pose)
-    cells = grid.waypoints.setdefault((goal_cell, lookahead_cells), {})
-    cell = cells.get(start_cell)
-    if cell is None:
+    start_cell, (width, height) = grid.cell_of(pose), grid.shape
+    start = start_cell[0] * height + start_cell[1]
+    cells = grid.waypoints.get((goal_cell, lookahead_cells))
+    if cells is None:
+        cells = grid.waypoints[goal_cell, lookahead_cells] = array("i", [-1]) * (width * height)
+    if (cell := cells[start]) < 0:
         path = astar(grid, start_cell, goal_cell, lookahead_cells)
         if path is None:
             raise UnreachableGoalError(f"no grid path from cell {start_cell} to cell {goal_cell}")
-        cell = cells[start_cell] = path[min(lookahead_cells, len(path) - 1)]
+        x, y = path[min(lookahead_cells, len(path) - 1)]
+        cell = cells[start] = x * height + y
+    cell = divmod(cell, height)
     waypoint = goal if cell == goal_cell else grid.center(cell)
     return make_distance_reward(waypoint, pose)

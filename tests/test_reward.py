@@ -510,8 +510,16 @@ class TestBuildWaypointReward:
         ring = {(x, y) for x in range(9, 12) for y in range(9, 12)} - {(10, 10)}
         grid = PlannerGrid(0.1, (0.0, 0.0), (20, 20), frozenset(ring))
         goal = grid.center((10, 10))
-        with pytest.raises(UnreachableGoalError):
-            build_waypoint_reward(grid, (0.05, 0.05), goal, grid.cell_of(goal), 2)
+        goal_cell = grid.cell_of(goal)
+        for _ in range(2):   # nothing is memoized for an unreachable start: A* runs, and fails, again
+            with pytest.raises(UnreachableGoalError):
+                build_waypoint_reward(grid, (0.05, 0.05), goal, goal_cell, 2)
+        [table] = grid.waypoints.values()
+        assert set(table) == {-1}
+        # a start on the wall itself is expanded, so it reaches the goal next to it on the same table
+        reward = build_waypoint_reward(grid, grid.center((10, 11)), goal, goal_cell, 2)
+        assert score(reward, [0.0, -0.1]) == pytest.approx(0.0, abs=1e-12)
+        assert {i: cell for i, cell in enumerate(table) if cell != -1} == {10 * 20 + 11: 10 * 20 + 10}
 
     def test_memoized_waypoint_equals_fresh_for_every_start_cell(self):
         start, goal = (0.0, 0.0), (1.0, 0.6)
@@ -566,7 +574,28 @@ class TestBuildWaypointReward:
         for pose in ([0.0, 0.0], [0.01, 0.02], [0.0, 0.0], [0.5, 0.5], [0.52, 0.48]):
             build_waypoint_reward(grid, pose, (2.0, 2.0), goal_cell, 2)
         assert calls == [grid.cell_of((0.0, 0.0)), grid.cell_of((0.5, 0.5))]
-        assert list(grid.waypoints) == [(goal_cell, 2)] and list(grid.waypoints[goal_cell, 2]) == calls
+        # the table holds the planned waypoint's id at each start cell's id, and -1 everywhere else
+        height = grid.shape[1]
+        planned = {x * height + y: real_astar(grid, (x, y), goal_cell)[2] for x, y in calls}
+        assert list(grid.waypoints) == [(goal_cell, 2)]
+        table = grid.waypoints[goal_cell, 2]
+        assert {i: divmod(cell, height) for i, cell in enumerate(table) if cell != -1} == planned
+        assert table.count(-1) == len(table) - 2
         # a `replace` copy plans on a table of its own
         build_waypoint_reward(replace(grid), [0.01, 0.02], (2.0, 2.0), goal_cell, 2)
         assert calls == [grid.cell_of((0.0, 0.0)), grid.cell_of((0.5, 0.5)), grid.cell_of((0.0, 0.0))]
+
+    def test_the_table_stays_one_int32_array_over_the_grid(self):
+        # every start cell of a free grid planned: still one 4-byte entry per grid cell, by cell id
+        grid = PlannerGrid(0.1, (0.0, 0.0), (7, 5))
+        goal_cell = (5, 1)
+        goal = grid.center(goal_cell)
+        for x in range(7):
+            for y in range(5):
+                build_waypoint_reward(grid, grid.center((x, y)), goal, goal_cell, 3)
+        [table] = grid.waypoints.values()
+        assert (table.typecode, table.itemsize, len(table)) == ("i", 4, 7 * 5)
+        for x in range(7):
+            for y in range(5):
+                path = astar(grid, (x, y), goal_cell)
+                assert divmod(table[x * 5 + y], 5) == path[min(3, len(path) - 1)]
