@@ -5,9 +5,9 @@ with their line number so typos fail fast. Each key is declared once, as an
 `ExperimentConfig` field: its type picks the parser and the values that `validate`
 accepts, and the field holds its default, lower bound and choices. A default that
 the class it configures also holds is read from there (`Kernel.sigma`, say); each
-world's facts, its adaptation budget's default among them, are declared once in
-`WORLDS`. Every float must be finite, each damage kind must suit the world
-(`WORLDS` names the one each world takes), no method may be listed twice, the
+world's facts, how it builds its damage and its adaptation budget's default among
+them, are declared once in `WORLDS`. Every float must be finite, each damage kind
+must suit the world (`WORLDS` pairs them), no method may be listed twice, the
 archive budget must cover the archive's initial random batch, the direction grid
 may hold at most `sela.acquisition.MAX_CANDIDATES` points, no method's model may
 grow past `sela.gp.MAX_GP_OBSERVATIONS` observations, and the goal must be near
@@ -26,16 +26,16 @@ from .gp import MAX_GP_OBSERVATIONS, MIN_KERNEL_SIGMA, DistanceKind, Kernel, Ker
 from .map_elites import initial_batch
 from .mission import EPISODIC_DIRECTIONS, DropDetectorConfig, Method, MissionConfig
 from .reward import PlannerGrid
-from .worlds import (WALKER_JOINTS, make_point_robot_world, make_segment_walker_world,
-                     sample_point_robot_behavior, sample_walker_behavior)
+from .worlds import (WALKER_JOINTS, AngleOffsetDamage, FrozenJointDamage, make_point_robot_world,
+                     make_segment_walker_world, sample_point_robot_behavior, sample_walker_behavior)
 
-# Per world: its maker, behavior sampler and kernel distance, the one damage kind
-# it takes, and its default max_adapt_iterations.
+# Per world: its maker, behavior sampler and kernel distance, the one damage kind it
+# takes and how a config builds that damage, and its default max_adapt_iterations.
 WORLDS = {
     "point_robot": (make_point_robot_world, sample_point_robot_behavior, DistanceKind.WRAPPED_ANGULAR,
-                    "angle_offset", 10),
+                    "angle_offset", lambda config: AngleOffsetDamage(config.damage_offset), 10),
     "segment_walker": (make_segment_walker_world, sample_walker_behavior, DistanceKind.EUCLIDEAN,
-                       "frozen_joint", 15),
+                       "frozen_joint", lambda config: FrozenJointDamage(config.damage_joint), 15),
 }
 DAMAGE_KINDS = ("none", *(facts[3] for facts in WORLDS.values()))
 KERNEL_FAMILIES = tuple(family.value for family in KernelFamily)
@@ -89,7 +89,7 @@ class ExperimentConfig:
     def adapt_iterations(self) -> int:
         if self.max_adapt_iterations is not None:
             return self.max_adapt_iterations
-        return WORLDS[self.world][4]
+        return WORLDS[self.world][5]
 
     def planner_grid(self) -> PlannerGrid:
         """The missions' planner grid: from the origin, where every world starts, to the goal."""

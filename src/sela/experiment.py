@@ -1,11 +1,11 @@
 """Replicated experiment harness.
 
-Builds seeded worlds and priors from an ExperimentConfig, runs every
-requested method over the replicate seeds, and persists results as two CSV
-files. Output bytes are a pure function of (config, base_seed): replicate k
-always uses seed base_seed + k, rows are written in (method, seed) order, and
-floats use shortest round-trip formatting. The wall_ms column is therefore a
-placeholder (always 0).
+Builds seeded worlds, damaged as their `sela.config.WORLDS` row builds, and
+priors from an ExperimentConfig, runs every requested method over the replicate
+seeds, and persists results as two CSV files. Output bytes are a pure function
+of (config, base_seed): replicate k always uses seed base_seed + k, rows are
+written in (method, seed) order, and floats use shortest round-trip formatting.
+The wall_ms column is therefore a placeholder (always 0).
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .mission import (
     run_method,
 )
 from .worlds import (
-    AngleOffsetDamage,
-    Damage,
-    FrozenJointDamage,
     WALKER_JOINTS,
     WALKER_LOWER,
     WALKER_SEGMENT_STEP,
@@ -52,14 +49,6 @@ class SummaryRow:
     median: float
     q75: float
     success_rate: float
-
-
-def build_damage(config: ExperimentConfig) -> Damage:
-    if config.damage == "none":
-        return None
-    if config.damage == "angle_offset":
-        return AngleOffsetDamage(offset=config.damage_offset)
-    return FrozenJointDamage(joint=config.damage_joint)
 
 
 def build_archive(config: ExperimentConfig, on_offer=None) -> Archive:
@@ -86,7 +75,8 @@ def load_archive_file(path) -> Archive:
 def _seeded_parts(config: ExperimentConfig, seed: int) -> dict:
     """What a replicate seed sets in a mission: its world, sampler rng and seed."""
     world_seed, sampler_seed = np.random.SeedSequence(seed).spawn(2)
-    world = WORLDS[config.world][0](build_damage(config), config.noise_variance, world_seed)
+    make_world, damage_of = WORLDS[config.world][0], WORLDS[config.world][4]
+    world = make_world(None if config.damage == "none" else damage_of(config), config.noise_variance, world_seed)
     return dict(world=world, rng=np.random.default_rng(sampler_seed), seed=seed)
 
 

@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from sela import experiment
 from sela.cli import main
+from sela.config import parse_config_file
 from sela.experiment import RUNS_HEADER, SUMMARY_HEADER
 from sela.reward import UnreachableGoalError
+from test_acceptance import TOY, WALKER
 
 INTACT_CFG = """\
 world = point_robot
@@ -185,3 +190,28 @@ class TestSummarize:
         bad.write_text("not,a,header\n")
         assert main(["summarize", "--runs", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+
+
+class TestExampleConfigs:
+    """The configs in `experiments/`, which the README's command-line walkthrough runs."""
+
+    def test_they_parse_to_the_acceptance_configs(self):
+        assert parse_config_file(EXPERIMENTS / "toy.cfg") == TOY
+        walker = parse_config_file(EXPERIMENTS / "walker.cfg")
+        assert walker.archive_path == "elites.txt"
+        assert replace(walker, archive_path=None) == WALKER
+
+    def test_the_walkthrough_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)   # the walker config names its archive relative to the working directory
+        config = str(EXPERIMENTS / "walker.cfg")
+        assert main(["build-archive", "--config", config, "--out", "elites.txt"]) == 0
+        assert main(["run", "--config", config, "--out", "results", "--replicates", "1"]) == 0
+        assert main(["summarize", "--runs", "results/runs.csv", "--out", "summary.csv"]) == 0
+        assert (tmp_path / "elites.txt").read_text().startswith("sela-archive v1 ")
+        runs = (tmp_path / "results" / "runs.csv").read_text().splitlines()
+        assert runs[0] == RUNS_HEADER
+        assert [row.split(",")[1] for row in runs[1:]] == ["sela", "uncertainty", "episodic_ite"]
+        assert (tmp_path / "summary.csv").read_text() == (tmp_path / "results" / "summary.csv").read_text()

@@ -66,7 +66,7 @@ class TestDefaults:
     def test_adaptation_budget_depends_on_world(self):
         assert parse_config("world = point_robot").adapt_iterations() == 10
         assert parse_config("world = segment_walker").adapt_iterations() == 15
-        assert {world: facts[4] for world, facts in WORLDS.items()} == {"point_robot": 10, "segment_walker": 15}
+        assert {world: facts[5] for world, facts in WORLDS.items()} == {"point_robot": 10, "segment_walker": 15}
 
     def test_explicit_budget_wins(self):
         text = "world = point_robot\nmax_adapt_iterations = 25"

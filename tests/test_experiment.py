@@ -22,7 +22,6 @@ from sela.experiment import (
     SUMMARY_HEADER,
     SummaryRow,
     build_archive,
-    build_damage,
     build_mission_config,
     compute_summary,
     load_archive_file,
@@ -54,14 +53,18 @@ DAMAGED = ExperimentConfig(
 
 
 class TestBuilders:
-    def test_damage_kinds(self):
-        assert build_damage(INTACT) is None
-        offset = build_damage(ExperimentConfig(world="point_robot", damage="angle_offset"))
-        assert offset == AngleOffsetDamage(offset=0.5)
-        frozen = build_damage(
-            ExperimentConfig(world="segment_walker", damage="frozen_joint", damage_joint=2)
-        )
-        assert frozen == FrozenJointDamage(joint=2)
+    @pytest.mark.parametrize("config, damage", [
+        (INTACT, None),
+        (replace(INTACT, damage="angle_offset"), AngleOffsetDamage(offset=0.5)),
+        (ExperimentConfig(world="segment_walker", damage="frozen_joint", damage_joint=2, noise_variance=0.0),
+         FrozenJointDamage(joint=2)),
+    ], ids=["none", "angle_offset", "frozen_joint"])
+    def test_damage_kinds(self, config, damage, small_walker_archive):
+        # the mission's world performs each behavior as a world with the config's damage does
+        world = build_mission_config(config, seed=0, archive=small_walker_archive).world
+        expected = WORLDS[config.world][0](damage)
+        for behavior in ([0.3], [-0.3], [2.0]) if config.world == "point_robot" else ([0.4, -0.6, 0.9, 0.1],):
+            assert world.execute(behavior).tobytes() == expected.execute(behavior).tobytes()
 
     def test_kernel_distance_follows_world(self, small_walker_archive):
         toy = replace(INTACT, kernel_family="exponential", kernel_sigma=0.3)

@@ -8,9 +8,30 @@ when it is deterministic. The configs cover all four methods on both
 worlds; the step cap is lowered so that capped runs stay cheap but still
 occur. A change that is meant to alter these bytes is a
 behaviour change and must say so, not re-record the digests quietly.
+
+The digests also rest on five facts of numpy, OpenBLAS, scipy and libm. A
+version bump that breaks one fails its guard first, with a named cause:
+
+- `np.vecdot` of a 2-vector with itself gives the bits of
+  `fma(x1, x1, fl(x0²))`: test_reward.py::TestDistanceReward::
+  test_vecdot_of_a_two_vector_is_the_fma_of_its_second_square_onto_its_first;
+- the walker's `math.cos` and `math.sin` agree with `np.cos` and `np.sin`:
+  test_worlds.py::TestScalarWalkerModel::
+  test_frozen_joint_world_matches_the_numpy_formula;
+- numpy's reduce adds fewer than 8 values in order:
+  test_mission.py::TestDropDetector::
+  test_window_mean_of_norms_across_magnitudes_equals_numpy_mean;
+- `vector_length` equals `np.linalg.norm`:
+  test_worlds.py::TestVectorLength::test_equals_numpy_norm_bit_for_bit;
+- the factor's solves are scipy's `dtrtrs`:
+  test_gp.py::TestLapackLoader::test_same_dtrtrs_in_this_process.
+
+`golden_fingerprints.txt` holds a fingerprint per step of each decision
+stream, so a changed stream names the first step it changed at.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,10 +119,10 @@ GOLDEN_DECISIONS = {
 }
 
 
-def decision_digests(monkeypatch, config, archive):
-    """Run `config`'s experiment with its decisions recorded; returns the
-    digest per method, after checking that each run executes exactly its
-    `total_steps` behaviors."""
+def decision_streams(config, archive):
+    """Run `config`'s experiment with its decisions recorded; returns each
+    method's stream, one line per step, after checking that each run executes
+    exactly its `total_steps` behaviors."""
     runs = {method: [] for method in config.methods}
     steps, chosen = [], []   # the current run's steps; a choice not yet executed
     execute, reset_pose = World.execute, World.reset_pose
@@ -135,16 +156,88 @@ def decision_digests(monkeypatch, config, archive):
             runs[method].append(" ".join([str(mission_config.seed), str(number), *step.values()]))
         return record
 
-    monkeypatch.setattr(World, "execute", recording_execute)
-    monkeypatch.setattr(World, "reset_pose", recording_reset_pose)
-    monkeypatch.setattr(mission, "select_next", recording_select_next)
-    monkeypatch.setattr(MissionState, "record_error", recording_record_error)
-    monkeypatch.setattr(experiment, "run_method", recording_run_method)
-    run_experiment(config, archive=archive)
-    return {method.value: sha256("\n".join(stream).encode()) for method, stream in runs.items()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(World, "execute", recording_execute)
+        patch.setattr(World, "reset_pose", recording_reset_pose)
+        patch.setattr(mission, "select_next", recording_select_next)
+        patch.setattr(MissionState, "record_error", recording_record_error)
+        patch.setattr(experiment, "run_method", recording_run_method)
+        run_experiment(config, archive=archive)
+    return {method.value: stream for method, stream in runs.items()}
+
+
+@pytest.fixture(scope="module")
+def streams(walker_archive):
+    """The decision streams of TOY or WALKER, run once per module."""
+    recorded = {}
+
+    def of(config):
+        if config.world not in recorded:
+            archive = walker_archive if config.world == "segment_walker" else None
+            recorded[config.world] = decision_streams(config, archive)
+        return recorded[config.world]
+
+    return of
 
 
 @pytest.mark.parametrize("config", [TOY, WALKER], ids=lambda config: config.world)
-def test_decision_digests(config, walker_archive, monkeypatch):
-    archive = walker_archive if config.world == "segment_walker" else None
-    assert decision_digests(monkeypatch, config, archive) == GOLDEN_DECISIONS[config.world]
+def test_decision_digests(config, streams):
+    digests = {method: sha256("\n".join(stream).encode()) for method, stream in streams(config).items()}
+    assert digests == GOLDEN_DECISIONS[config.world]
+
+
+# Per (world, method), an 8-hex sha256 prefix of each line of the decision
+# stream above, recorded with the digests: where a digest alone says only
+# that a stream changed, these say at which step it first did.
+FINGERPRINTS = Path(__file__).with_name("golden_fingerprints.txt")
+
+
+def fingerprint(line: str) -> str:
+    return sha256(line.encode())[:8]
+
+
+def read_fingerprints(path=FINGERPRINTS) -> dict:
+    """The recorded fingerprints per (world, method): the file holds a `# world method`
+    line before each stream's fingerprints, one per line."""
+    recorded = {}
+    for line in path.read_text(encoding="ascii").splitlines():
+        if line.startswith("# "):
+            recorded[tuple(line[2:].split())] = prints = []
+        else:
+            prints.append(line)
+    return recorded
+
+
+def divergence(stream: list, recorded: list) -> str:
+    """Where `stream` first leaves its `recorded` fingerprints, or '' where it never does."""
+    prints = [fingerprint(line) for line in stream]
+    if prints == recorded:
+        return ""
+    equal = next((i for i, (a, b) in enumerate(zip(prints, recorded)) if a != b), min(len(prints), len(recorded)))
+    where = ("at seed {}, step {}".format(*stream[equal].split()[:2]) if equal < len(stream)
+             else f"where the run ends, after line {equal}")
+    steps = f"; {len(recorded)} -> {len(stream)} steps" if len(stream) != len(recorded) else ""
+    return f"first diverges {where} ({equal} of {len(recorded)} recorded lines equal){steps}"
+
+
+@pytest.mark.parametrize("config", [TOY, WALKER], ids=lambda config: config.world)
+def test_decision_fingerprints(config, streams):
+    recorded = read_fingerprints()
+    diverged = [f"{config.world} {method}: {message}" for method, stream in streams(config).items()
+                if (message := divergence(stream, recorded[config.world, method]))]
+    assert not diverged, "\n".join(diverged)
+
+
+def record_fingerprints(path=FINGERPRINTS) -> None:
+    """Write TOY's and WALKER's fingerprints to `path`. Recording them again
+    is a change to this check, made only with a behaviour change that says so."""
+    archive = build_archive(WALKER)
+    lines = []
+    for config in (TOY, WALKER):
+        for method, stream in decision_streams(config, archive if config is WALKER else None).items():
+            lines += [f"# {config.world} {method}", *map(fingerprint, stream)]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+if __name__ == "__main__":   # PYTHONPATH=src python tests/test_golden.py
+    record_fingerprints()

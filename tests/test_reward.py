@@ -4,6 +4,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -418,6 +419,16 @@ points = st.tuples(finite, finite)
 
 
 class TestDistanceReward:
+    def test_vecdot_of_a_two_vector_is_the_fma_of_its_second_square_onto_its_first(self):
+        # a fact the golden digests rest on: OpenBLAS's ddot of a 2-vector with
+        # itself gives fma(x1, x1, fl(x0²)). float() of a Fraction rounds the
+        # exact sum once, as fma does; the plain x0² + x1² differs on some rows
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(5000, 2)) * np.exp(rng.uniform(-20.0, 20.0, size=(5000, 1)))
+        fused = [float(Fraction(x1) ** 2 + Fraction(x0 * x0)) for x0, x1 in rows.tolist()]
+        plain = [x0 * x0 + x1 * x1 for x0, x1 in rows.tolist()]
+        assert np.vecdot(rows, rows).tolist() == fused != plain
+
     def test_known_values(self):
         reward = make_distance_reward([1.0, 0.0], [0.0, 0.0])
         assert score(reward, [0.9, 0.0]) == pytest.approx(-0.1)

@@ -210,7 +210,9 @@ def frozen_walker_model(u) -> np.ndarray:
 
 def frozen_walker_evaluator(behavior):
     """segment_walker_evaluator as it was with the numpy model: np.linalg.norm
-    for the magnitude, the descriptor from the outcome array's numpy scalars."""
+    for the magnitude, the descriptor from the outcome array's numpy scalars.
+    Both take the direction from `math.atan2`, whose bits `np.arctan2` does not
+    always give (about 7 % of random outcomes differ)."""
     outcome = frozen_walker_model(behavior)
     magnitude = float(np.linalg.norm(outcome))
     direction = (math.atan2(outcome[1], outcome[0]) + math.pi) / (2.0 * math.pi)
