@@ -49,26 +49,15 @@ class CandidateSet:
         return cls(points=thetas[:, None])
 
 
-@dataclass(frozen=True)
-class AcquisitionConfig:
-    """alpha weighs the uncertainty bonus; zero recovers greedy exploitation."""
-
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-
-
 def select_next(
     posterior: CandidatePosterior,
     reward: Callable[[np.ndarray], np.ndarray],
-    config: AcquisitionConfig,
+    alpha: float,
 ) -> tuple[np.ndarray, int]:
-    """Behavior point and index maximizing the UCB score over the points of
-    `posterior`, which scores its model once per size. `reward` scores all posterior
-    means in one call, (n, outcome_dim) -> (n,); a zero alpha adds no bonus."""
+    """Behavior point and index maximizing the UCB score over the points of `posterior`, which
+    scores its model once per size. `reward` scores all posterior means in one call,
+    (n, outcome_dim) -> (n,); `alpha` weighs the uncertainty bonus, and zero adds none."""
     means, sigma_agg = posterior.score()
-    scores = reward(means) + config.alpha * sigma_agg if config.alpha else reward(means)
+    scores = reward(means) + alpha * sigma_agg if alpha else reward(means)
     index = int(scores.argmax())
     return posterior.points[index].copy(), index

@@ -4,9 +4,9 @@ Lines hold one assignment each; `#` starts a comment. Unknown keys are rejected
 with their line number so typos fail fast. Each key is declared once, as an
 `ExperimentConfig` field: its type picks the parser and the values that `validate`
 accepts, and the field holds its default, lower bound and choices. A default that
-the class it configures also holds is read from there (`Kernel.sigma`, say); each
-world's facts, how it builds its damage and its adaptation budget's default among
-them, are declared once in `WORLDS`. Every float must be finite, each damage kind
+the class it configures also holds is read from there (`Kernel.sigma`, say, and
+the mission knobs from `MissionConfig`); each world's facts are the named columns
+of its `WorldFacts` row in `WORLDS`. Every float must be finite, each damage kind
 must suit the world (`WORLDS` pairs them), no method may be listed twice, the
 archive budget must cover the archive's initial random batch, the direction grid
 may hold at most `sela.acquisition.MAX_CANDIDATES` points, no method's model may
@@ -19,25 +19,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .acquisition import MAX_CANDIDATES, AcquisitionConfig
+from .acquisition import MAX_CANDIDATES
 from .gp import MAX_GP_OBSERVATIONS, MIN_KERNEL_SIGMA, DistanceKind, Kernel, KernelFamily, ObservationSet
 from .map_elites import initial_batch
-from .mission import EPISODIC_DIRECTIONS, DropDetectorConfig, Method, MissionConfig
+from .mission import EPISODIC_DIRECTIONS, Method, MissionConfig
 from .reward import PlannerGrid
 from .worlds import (WALKER_JOINTS, AngleOffsetDamage, FrozenJointDamage, make_point_robot_world,
                      make_segment_walker_world, sample_point_robot_behavior, sample_walker_behavior)
 
-# Per world: its maker, behavior sampler and kernel distance, the one damage kind it
-# takes and how a config builds that damage, and its default max_adapt_iterations.
+
+class WorldFacts(NamedTuple):
+    """A world's maker, behavior sampler, kernel distance, damage kind, damage builder and default adaptation budget."""
+    make: Callable
+    sample: Callable
+    distance: DistanceKind
+    damage: str
+    build_damage: Callable
+    adapt_iterations: int
+
+
 WORLDS = {
-    "point_robot": (make_point_robot_world, sample_point_robot_behavior, DistanceKind.WRAPPED_ANGULAR,
-                    "angle_offset", lambda config: AngleOffsetDamage(config.damage_offset), 10),
-    "segment_walker": (make_segment_walker_world, sample_walker_behavior, DistanceKind.EUCLIDEAN,
-                       "frozen_joint", lambda config: FrozenJointDamage(config.damage_joint), 15),
+    "point_robot": WorldFacts(make_point_robot_world, sample_point_robot_behavior, DistanceKind.WRAPPED_ANGULAR,
+                              "angle_offset", lambda config: AngleOffsetDamage(config.damage_offset), 10),
+    "segment_walker": WorldFacts(make_segment_walker_world, sample_walker_behavior, DistanceKind.EUCLIDEAN,
+                                 "frozen_joint", lambda config: FrozenJointDamage(config.damage_joint), 15),
 }
-DAMAGE_KINDS = ("none", *(facts[3] for facts in WORLDS.values()))
+DAMAGE_KINDS = ("none", *(facts.damage for facts in WORLDS.values()))
 KERNEL_FAMILIES = tuple(family.value for family in KernelFamily)
 
 
@@ -64,7 +73,7 @@ class ExperimentConfig:
     goal_x: float = 2.0
     goal_y: float = 2.0
     epsilon_goal: float = _key(0.1, above=0.0)
-    alpha: float = _key(AcquisitionConfig.alpha, at_least=0.0)
+    alpha: float = _key(MissionConfig.alpha, at_least=0.0)
     kernel_family: str = _key(Kernel.family.value, choices=KERNEL_FAMILIES)
     kernel_sigma: float = _key(Kernel.sigma, at_least=MIN_KERNEL_SIGMA)
     gp_noise: float = _key(ObservationSet.noise_variance, at_least=0.0)
@@ -73,8 +82,8 @@ class ExperimentConfig:
     babble_max: int = _key(MissionConfig.babble_max, at_least=1)
     uncertainty_iterations: int = _key(MissionConfig.uncertainty_iterations, at_least=1)
     episodic_success_projection: float = MissionConfig.episodic_success_projection
-    drop_window: int = _key(DropDetectorConfig.window, at_least=1)
-    drop_threshold: float = _key(DropDetectorConfig.threshold, above=0.0)
+    drop_window: int = _key(MissionConfig.drop_window, at_least=1)
+    drop_threshold: float = _key(MissionConfig.drop_threshold, above=0.0)
     lookahead_cells: int = _key(2, at_least=1)
     cell_size: float = _key(0.1, above=0.0)
     planner_margin: float = _key(1.0, at_least=0.0)
@@ -89,7 +98,7 @@ class ExperimentConfig:
     def adapt_iterations(self) -> int:
         if self.max_adapt_iterations is not None:
             return self.max_adapt_iterations
-        return WORLDS[self.world][5]
+        return WORLDS[self.world].adapt_iterations
 
     def planner_grid(self) -> PlannerGrid:
         """The missions' planner grid: from the origin, where every world starts, to the goal."""
@@ -191,7 +200,7 @@ def validate(config: ExperimentConfig, lines: Optional[dict] = None) -> Experime
              f"got {batch}")
     if config.damage_joint >= WALKER_JOINTS:
         fail("damage_joint", f"must be below {WALKER_JOINTS}, got {config.damage_joint}")
-    world = {facts[3]: name for name, facts in WORLDS.items()}.get(config.damage, config.world)
+    world = {facts.damage: name for name, facts in WORLDS.items()}.get(config.damage, config.world)
     if world != config.world:
         fail("damage", f"{config.damage!r} needs world {world!r}, got {config.world!r}")
     try:

@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import AcquisitionConfig, CandidateSet
+from .acquisition import CandidateSet
 from .config import WORLDS, ConfigError, ExperimentConfig, validate
 from .gp import Kernel, KernelFamily
 from .map_elites import Archive, ArchivePrior, illuminate, load_archive
 from .mission import (
-    DropDetectorConfig,
     Method,
     MissionConfig,
     RunRecord,
@@ -75,8 +74,8 @@ def load_archive_file(path) -> Archive:
 def _seeded_parts(config: ExperimentConfig, seed: int) -> dict:
     """What a replicate seed sets in a mission: its world, sampler rng and seed."""
     world_seed, sampler_seed = np.random.SeedSequence(seed).spawn(2)
-    make_world, damage_of = WORLDS[config.world][0], WORLDS[config.world][4]
-    world = make_world(None if config.damage == "none" else damage_of(config), config.noise_variance, world_seed)
+    make_world, build_damage = WORLDS[config.world].make, WORLDS[config.world].build_damage
+    world = make_world(None if config.damage == "none" else build_damage(config), config.noise_variance, world_seed)
     return dict(world=world, rng=np.random.default_rng(sampler_seed), seed=seed)
 
 
@@ -96,19 +95,19 @@ def build_mission_config(
         **_seeded_parts(config, seed),
         candidates=candidates,
         prior=prior,
-        kernel=Kernel(
-            family=KernelFamily(config.kernel_family), sigma=config.kernel_sigma, distance=WORLDS[config.world][2]
-        ),
+        kernel=Kernel(family=KernelFamily(config.kernel_family), sigma=config.kernel_sigma,
+                      distance=WORLDS[config.world].distance),
         gp_noise=config.gp_noise,
         goal=np.array([config.goal_x, config.goal_y]),
         epsilon_goal=config.epsilon_goal,
         grid=config.planner_grid(),
         lookahead_cells=config.lookahead_cells,
-        acquisition=AcquisitionConfig(alpha=config.alpha),
-        drop=DropDetectorConfig(window=config.drop_window, threshold=config.drop_threshold),
         max_adapt_iterations=config.adapt_iterations(),
         step_cap=config.step_cap,
-        behavior_sampler=WORLDS[config.world][1],
+        behavior_sampler=WORLDS[config.world].sample,
+        alpha=config.alpha,
+        drop_window=config.drop_window,
+        drop_threshold=config.drop_threshold,
         babble_max=config.babble_max,
         epsilon_model=config.epsilon_model,
         uncertainty_iterations=config.uncertainty_iterations,

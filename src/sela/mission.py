@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .acquisition import AcquisitionConfig, CandidateSet, select_next
+from .acquisition import CandidateSet, select_next
 from .gp import CandidatePosterior, Kernel, ObservationSet, PriorMean, fit, predict, zero_prior
 from .reward import PlannerGrid, build_waypoint_reward
 from .worlds import World, goal_reached, vector_length
@@ -56,20 +56,6 @@ class Method(Enum):
     BABBLING = "babbling"
     EPISODIC_ITE = "episodic_ite"
     UNCERTAINTY = "uncertainty"
-
-
-@dataclass(frozen=True)
-class DropDetectorConfig:
-    """Sliding-window monitor for performance drops."""
-
-    window: int = 3
-    threshold: float = 0.15
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,17 +88,26 @@ class MissionConfig:
     epsilon_goal: float
     grid: PlannerGrid
     lookahead_cells: int
-    acquisition: AcquisitionConfig
-    drop: DropDetectorConfig
     max_adapt_iterations: int
     step_cap: int
     seed: int
     rng: np.random.Generator
     behavior_sampler: Callable[[np.random.Generator], np.ndarray]
+    alpha: float = 0.05   # select_next's UCB weight wherever a method chases by UCB
+    drop_window: int = 3   # how many of the latest prediction errors the drop window averages
+    drop_threshold: float = 0.15   # a window error above it opens a burst, one below it closes it
     babble_max: int = 15
     epsilon_model: float = 0.01
     uncertainty_iterations: int = 15
     episodic_success_projection: float = 0.09
+
+    def __post_init__(self):
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if self.drop_window < 1:
+            raise ValueError("window must be at least 1")
+        if not self.drop_threshold > 0:
+            raise ValueError("threshold must be positive")
 
 
 @dataclass
@@ -121,7 +116,7 @@ class MissionState:
 
     config: MissionConfig
     step_count: int = field(default=0, init=False)
-    # The drop detector's window: the errors of the last drop.window steps, never more than step_cap
+    # The drop detector's window: the errors of the last drop_window steps, never more than step_cap
     recent: deque = field(init=False)
     # At the candidates, the posterior of the mission's one model, fitted with the config's kernel,
     # prior and gp_noise on the mission's observations; the model and its set are reached through it.
@@ -130,7 +125,7 @@ class MissionState:
 
     def __post_init__(self):
         config = self.config
-        self.recent = deque(maxlen=min(config.drop.window, config.step_cap))
+        self.recent = deque(maxlen=min(config.drop_window, config.step_cap))
         self.goal_cell = config.grid.cell_of(config.goal)
         observations = ObservationSet.empty(config.candidates.points.shape[1], 2, config.gp_noise)
         model = fit(observations, config.kernel, config.prior)
@@ -163,19 +158,17 @@ class MissionState:
         return float(total) / len(self.recent)
 
 
-_GREEDY = AcquisitionConfig(alpha=0.0)
+_GREEDY = 0.0
 
 
-def _chase_waypoint(
-    state: MissionState, acquisition: AcquisitionConfig = _GREEDY
-) -> tuple[np.ndarray, int]:
-    """The candidate that `select_next` picks to approach the next waypoint,
-    greedily by default, and its index."""
+def _chase_waypoint(state: MissionState, alpha: float = _GREEDY) -> tuple[np.ndarray, int]:
+    """The candidate that `select_next` picks at UCB weight `alpha` to approach the
+    next waypoint, greedily by default, and its index."""
     config = state.config
     reward = build_waypoint_reward(
         config.grid, config.world.pose, config.goal, state.goal_cell, config.lookahead_cells
     )
-    return select_next(state.posterior, reward, acquisition)
+    return select_next(state.posterior, reward, alpha)
 
 
 def _record(method: Method, state: MissionState) -> RunRecord:
@@ -209,15 +202,15 @@ def run_mission(config: MissionConfig) -> RunRecord:
     state = MissionState(config)
     burst = 0
     while state.step_count < config.step_cap and not state.at_goal():
-        behavior, index = _chase_waypoint(state, config.acquisition if burst else _GREEDY)
+        behavior, index = _chase_waypoint(state, config.alpha if burst else _GREEDY)
         predicted = state.posterior.mean_at(index)
         observed = state.execute(behavior)
         if burst:
             state.learn(behavior, observed, index)
         error = state.record_error(predicted, observed)
         if burst:   # recovery closes the burst
-            burst = 0 if error < config.drop.threshold else burst - 1
-        elif error > config.drop.threshold:   # a drop opens one; the loop's test keeps it in the step cap
+            burst = 0 if error < config.drop_threshold else burst - 1
+        elif error > config.drop_threshold:   # a drop opens one; the loop's test keeps it in the step cap
             burst = config.max_adapt_iterations
     return _record(Method.SELA, state)
 
@@ -271,9 +264,8 @@ def baseline_episodic_ite(config: MissionConfig) -> RunRecord:
     for direction in EPISODIC_DIRECTIONS:
         trials = []   # (projection, behavior)
         for _ in range(min(config.max_adapt_iterations, config.step_cap - state.step_count)):
-            behavior, index = select_next(   # reward: the projection onto the direction
-                state.posterior, lambda g: np.vecdot(g, direction), config.acquisition
-            )
+            # reward: the projection onto the direction
+            behavior, index = select_next(state.posterior, lambda g: np.vecdot(g, direction), config.alpha)
             trials.append((float(np.dot(_episodic_trial(state, behavior, index), direction)), behavior))
             if trials[-1][0] >= config.episodic_success_projection:
                 break
@@ -298,9 +290,8 @@ def baseline_uncertainty(config: MissionConfig) -> RunRecord:
     Learning trials reset the pose and count as pure cost."""
     state = MissionState(config)
     for _ in range(min(config.uncertainty_iterations, config.step_cap)):
-        behavior, index = select_next(   # a zero reward at unit weight: sigma alone decides, not alpha
-            state.posterior, lambda g: np.zeros(len(g)), AcquisitionConfig(alpha=1.0)
-        )
+        # a zero reward at unit weight: sigma alone decides, not alpha
+        behavior, index = select_next(state.posterior, lambda g: np.zeros(len(g)), 1.0)
         _episodic_trial(state, behavior, index)
     return _drive(Method.UNCERTAINTY, state)
 

@@ -11,7 +11,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from sela.acquisition import AcquisitionConfig, CandidateSet
+from sela.acquisition import CandidateSet
 from sela.config import ExperimentConfig
 from sela.experiment import build_archive, run_experiment, runs_csv_text
 from sela.gp import (
@@ -28,7 +28,6 @@ from sela.gp import (
 )
 from sela.map_elites import OfferResult
 from sela.mission import (
-    DropDetectorConfig,
     Method,
     MissionConfig,
     baseline_babbling,
@@ -159,8 +158,6 @@ def toy_mission_config(damage=None, noise_variance=0.0, seed=0, prior=point_robo
         epsilon_goal=0.1,
         grid=PlannerGrid.for_mission((0.0, 0.0), (2.0, 2.0)),
         lookahead_cells=2,
-        acquisition=AcquisitionConfig(alpha=0.05),
-        drop=DropDetectorConfig(),
         max_adapt_iterations=10,
         step_cap=500,
         seed=seed,

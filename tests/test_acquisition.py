@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sela.acquisition import (
     MAX_CANDIDATES,
-    AcquisitionConfig,
     CandidateSet,
     select_next,
 )
@@ -58,8 +57,8 @@ class TestUcbScore:
         reward_gap = means[0, 0] - means[1, 0]
         sigma_gap = math.sqrt(2.0 * variances[1]) - math.sqrt(2.0 * variances[0])
         reward = lambda means: means[:, 0]
-        below = AcquisitionConfig(alpha=0.99 * reward_gap / sigma_gap)
-        above = AcquisitionConfig(alpha=1.01 * reward_gap / sigma_gap)
+        below = 0.99 * reward_gap / sigma_gap
+        above = 1.01 * reward_gap / sigma_gap
         assert select_next(at(candidates, model), reward, below)[1] == 0
         assert select_next(at(candidates, model), reward, above)[1] == 1
 
@@ -69,12 +68,8 @@ class TestUcbScore:
         model = fitted_model(rng, 5)
         reward = lambda means: means[:, 0]
         means, _ = predict_batch(model, candidates.points)
-        _, index = select_next(at(candidates, model), reward, AcquisitionConfig(alpha=0.0))
+        _, index = select_next(at(candidates, model), reward, 0.0)
         assert index == int(np.argmax(means[:, 0]))
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            AcquisitionConfig(alpha=-0.01)
 
 
 class TestCandidateSet:
@@ -117,8 +112,8 @@ class TestSelectNext:
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(36)
         reward = lambda g: -np.abs(g[:, 0])
-        _, idx_ucb = select_next(at(candidates, model), reward, AcquisitionConfig(0.05))
-        _, idx_greedy = select_next(at(candidates, model), reward, AcquisitionConfig(0.0))
+        _, idx_ucb = select_next(at(candidates, model), reward, 0.05)
+        _, idx_greedy = select_next(at(candidates, model), reward, 0.0)
         assert idx_ucb == idx_greedy
 
     def test_constant_reward_shift_does_not_change_argmax(self):
@@ -127,16 +122,16 @@ class TestSelectNext:
         candidates = grid_candidates(48)
         base = lambda g: g[:, 0] - 0.3 * g[:, 1]
         shifted = lambda g: (g[:, 0] - 0.3 * g[:, 1]) + 11.5
-        config = AcquisitionConfig(0.05)
-        _, idx_a = select_next(at(candidates, model), base, config)
-        _, idx_b = select_next(at(candidates, model), shifted, config)
+        alpha = 0.05
+        _, idx_a = select_next(at(candidates, model), base, alpha)
+        _, idx_b = select_next(at(candidates, model), shifted, alpha)
         assert idx_a == idx_b
 
     def test_ties_break_to_lowest_index(self):
         model = fit(ObservationSet.empty(1, 2, 0.001), Kernel(sigma=0.1), zero_prior(2))
         candidates = grid_candidates(12)
         flat = lambda g: np.zeros(len(g))
-        behavior, index = select_next(at(candidates, model), flat, AcquisitionConfig(0.05))
+        behavior, index = select_next(at(candidates, model), flat, 0.05)
         assert index == 0
         assert behavior[0] == candidates.points[0, 0]
 
@@ -145,8 +140,8 @@ class TestSelectNext:
         model = fitted_model(rng, 8)
         candidates = grid_candidates(90)
         reward = lambda g: g[:, 1]
-        config = AcquisitionConfig(0.05)
-        picks = {select_next(at(candidates, model), reward, config)[1] for _ in range(5)}
+        alpha = 0.05
+        picks = {select_next(at(candidates, model), reward, alpha)[1] for _ in range(5)}
         assert len(picks) == 1
 
     def test_high_alpha_prefers_unexplored_regions(self):
@@ -156,7 +151,7 @@ class TestSelectNext:
         obs = ObservationSet(x_seen[None, :], np.array([[1.0, 1.0]]), 0.001)
         model = fit(obs, Kernel(sigma=0.5), zero_prior(2))
         flat = lambda g: np.zeros(len(g))
-        _, index = select_next(at(candidates, model), flat, AcquisitionConfig(alpha=1.0))
+        _, index = select_next(at(candidates, model), flat, 1.0)
         _, variances = predict_batch(model, candidates.points)
         assert variances[index] == pytest.approx(variances.max())
         assert index != 4
@@ -174,9 +169,8 @@ class TestSelectNext:
         for _ in range(20):
             reward = make_distance_reward(rng.normal(size=2), rng.normal(size=2))
             for alpha in (0.0, 0.05):
-                config = AcquisitionConfig(alpha)
-                fresh = select_next(at(candidates, model), reward, config)
-                reused = select_next(cached, reward, config)
+                fresh = select_next(at(candidates, model), reward, alpha)
+                reused = select_next(cached, reward, alpha)
                 assert reused[1] == fresh[1]
                 np.testing.assert_array_equal(reused[0], fresh[0])
         assert cached.score()[0] is means and cached.score()[1] is sigma
@@ -190,6 +184,6 @@ class TestSelectNext:
         special = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf])
         rewards = np.array(data.draw(st.lists(st.one_of(special, st.floats()), min_size=n, max_size=n)))
         sigma = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
-        behavior, index = select_next(FixedScores(sigma), lambda g: rewards.copy(), AcquisitionConfig(0.0))
+        behavior, index = select_next(FixedScores(sigma), lambda g: rewards.copy(), 0.0)
         assert index == int(np.argmax(rewards + 0.0 * sigma))
         assert behavior.tolist() == [float(index)]

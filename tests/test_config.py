@@ -66,7 +66,7 @@ class TestDefaults:
     def test_adaptation_budget_depends_on_world(self):
         assert parse_config("world = point_robot").adapt_iterations() == 10
         assert parse_config("world = segment_walker").adapt_iterations() == 15
-        assert {world: facts[5] for world, facts in WORLDS.items()} == {"point_robot": 10, "segment_walker": 15}
+        assert {world: facts.adapt_iterations for world, facts in WORLDS.items()} == {"point_robot": 10, "segment_walker": 15}
 
     def test_explicit_budget_wins(self):
         text = "world = point_robot\nmax_adapt_iterations = 25"
@@ -483,6 +483,13 @@ def check_runs_or_fails_cleanly(text, world):
 
 
 class TestParserFuzz:
+    """Hypothesis saves every failing example in `.hypothesis/` and replays it first on every
+    later run in that checkout. Until ROADMAP item 11 lands, `test_accepted_point_robot_configs_run`
+    can fail at random (a wide kernel on the wrapped angle), and from then on it fails on every
+    run, replaying the saved example. To tell that replay from a new failure, run the test again
+    with `--hypothesis-show-statistics`: a replayed example reports its error "during reuse
+    phase", a new one "during generate phase"."""
+
     @settings(max_examples=1000, deadline=None)
     @given(worlds, assignments)
     def test_one_assignment(self, world, line):

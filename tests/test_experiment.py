@@ -62,7 +62,7 @@ class TestBuilders:
     def test_damage_kinds(self, config, damage, small_walker_archive):
         # the mission's world performs each behavior as a world with the config's damage does
         world = build_mission_config(config, seed=0, archive=small_walker_archive).world
-        expected = WORLDS[config.world][0](damage)
+        expected = WORLDS[config.world].make(damage)
         for behavior in ([0.3], [-0.3], [2.0]) if config.world == "point_robot" else ([0.4, -0.6, 0.9, 0.1],):
             assert world.execute(behavior).tobytes() == expected.execute(behavior).tobytes()
 
@@ -115,7 +115,7 @@ class TestBuilders:
     def test_mission_config_carries_experiment_knobs(self):
         config = ExperimentConfig(world="point_robot", alpha=0.2, step_cap=123, cell_size=0.05)
         mission = build_mission_config(config, seed=0)
-        assert mission.acquisition.alpha == 0.2
+        assert mission.alpha == 0.2
         assert mission.step_cap == 123
         assert mission.grid.cell_size == 0.05
         assert mission.max_adapt_iterations == 10  # point-robot default

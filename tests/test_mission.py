@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sela.acquisition import AcquisitionConfig, CandidateSet
+from sela.acquisition import CandidateSet
 from sela import experiment, gp, mission
 from sela.gp import (
     CandidatePosterior,
@@ -26,7 +26,6 @@ from sela.gp import (
     prior_values,
 )
 from sela.mission import (
-    DropDetectorConfig,
     Method,
     MissionConfig,
     MissionState,
@@ -82,8 +81,6 @@ def point_config(
         epsilon_goal=0.1,
         grid=PlannerGrid.for_mission((0.0, 0.0), GOAL),
         lookahead_cells=2,
-        acquisition=AcquisitionConfig(alpha=0.05),
-        drop=DropDetectorConfig(),
         max_adapt_iterations=adapt_iterations,
         step_cap=step_cap,
         seed=seed,
@@ -92,19 +89,19 @@ def point_config(
     )
 
 
-def window_error(errors, config=DropDetectorConfig()):
+def window_error(errors, window=MissionConfig.drop_window):
     """The window error `MissionState.record_error` returns after the
     prediction errors `errors`, one step each."""
-    state = MissionState(replace(point_config(), drop=config))
+    state = MissionState(replace(point_config(), drop_window=window))
     for error in errors:
         window = state.record_error(np.zeros(2), np.array([error, 0.0]))
     return window
 
 
-def drops(errors, config=DropDetectorConfig()):
-    """The mission's drop check: window error strictly above the threshold,
-    over the last `config.window` prediction errors."""
-    return window_error(errors, config) > config.threshold
+def drops(errors, window=MissionConfig.drop_window):
+    """The mission's drop check: window error strictly above the default threshold,
+    over the last `window` prediction errors."""
+    return window_error(errors, window) > MissionConfig.drop_threshold
 
 
 class TestDropDetector:
@@ -119,8 +116,8 @@ class TestDropDetector:
 
     def test_only_last_window_counts(self):
         recent = [1.0, 0.2, 0.0, 0.0]
-        assert not drops(recent, DropDetectorConfig(window=3))
-        assert drops(recent, DropDetectorConfig(window=4))
+        assert not drops(recent, window=3)
+        assert drops(recent, window=4)
 
     def test_single_pair_window(self):
         assert drops([0.2])
@@ -153,15 +150,15 @@ class TestDropDetector:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DropDetectorConfig(window=0)
+            replace(point_config(), drop_window=0)
         with pytest.raises(ValueError):
-            DropDetectorConfig(threshold=0.0)
+            replace(point_config(), drop_threshold=0.0)
 
 
 class TestDirectConstruction:
     @pytest.mark.parametrize("build, message", [
-        (lambda: AcquisitionConfig(alpha=math.nan), "alpha must be non-negative, got nan"),
-        (lambda: DropDetectorConfig(threshold=math.nan), "threshold must be positive"),
+        (lambda: replace(point_config(), alpha=math.nan), "alpha must be non-negative, got nan"),
+        (lambda: replace(point_config(), drop_threshold=math.nan), "threshold must be positive"),
         (lambda: ObservationSet(np.zeros((1, 1)), np.zeros((1, 2)), math.nan), "noise_variance must be non-negative"),
         (lambda: World(point_robot_intact, noise_variance=math.nan), "noise_variance must be non-negative"),
         (lambda: PlannerGrid(math.nan, (0.0, 0.0), (4, 4)), "cell_size must be positive"),
@@ -172,6 +169,10 @@ class TestDirectConstruction:
         with pytest.raises(ValueError) as raised:
             build()
         assert str(raised.value) == message
+
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            replace(point_config(), alpha=-0.01)
 
 
 class TestRunRecord:
@@ -229,16 +230,16 @@ class TestMissionState:
     @pytest.mark.parametrize("window", [1, 3, 7])
     def test_recent_holds_exactly_the_drop_window(self, window):
         # record_error averages all of `recent`, so its bound is the window
-        config = replace(point_config(), drop=DropDetectorConfig(window=window))
+        config = replace(point_config(), drop_window=window)
         state = MissionState(config)
-        assert state.recent.maxlen == config.drop.window
+        assert state.recent.maxlen == config.drop_window
 
     def test_a_window_longer_than_the_mission_holds_every_error(self):
         # no mission makes more than step_cap errors, so a longer window, even
         # one past any deque length, averages them all, as a step_cap window does
         records = [
             run_mission(replace(point_config(AngleOffsetDamage(0.5), 0.01, seed=3, step_cap=30),
-                                drop=DropDetectorConfig(window=window)))
+                                drop_window=window))
             for window in (30, 31, 2**63)
         ]
         assert records[0] == records[1] == records[2]
@@ -485,9 +486,9 @@ class TestCandidateScoring:
         selected = []
         select = mission.select_next
 
-        def recording_select(posterior, reward, acquisition):
+        def recording_select(posterior, reward, alpha):
             selected.append((posterior.model, len(posterior.model.chol)))
-            return select(posterior, reward, acquisition)
+            return select(posterior, reward, alpha)
 
         monkeypatch.setattr(mission, "select_next", recording_select)
         _, posteriors = self.record_scoring(monkeypatch)
@@ -551,11 +552,11 @@ def frozen_sela_adapt(state, max_iterations):
     for _ in range(max_iterations):
         if state.at_goal():
             break
-        behavior, index = mission._chase_waypoint(state, config.acquisition)
+        behavior, index = mission._chase_waypoint(state, config.alpha)
         predicted = state.posterior.mean_at(index)
         observed = state.execute(behavior)
         state.learn(behavior, observed, index)
-        if state.record_error(predicted, observed) < config.drop.threshold:
+        if state.record_error(predicted, observed) < config.drop_threshold:
             break
 
 
@@ -566,21 +567,21 @@ def frozen_run_mission(config):
         behavior, index = mission._chase_waypoint(state)
         predicted = state.posterior.mean_at(index)
         observed = state.execute(behavior)
-        if state.record_error(predicted, observed) > config.drop.threshold:
+        if state.record_error(predicted, observed) > config.drop_threshold:
             frozen_sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
     return mission._record(Method.SELA, state)
 
 
 def sela_steps(config, run=run_mission):
     """Run a SELA mission; return its record and, per step, the chosen
-    candidate's index, the acquisition's alpha, whether the step learned, and
+    candidate's index, the selection's alpha, whether the step learned, and
     the window error."""
     steps = []
     select, learn, record_error = mission.select_next, MissionState.learn, MissionState.record_error
 
-    def recording_select(posterior, reward, acquisition):
-        behavior, index = select(posterior, reward, acquisition)
-        steps.append([index, acquisition.alpha, False, None])
+    def recording_select(posterior, reward, alpha):
+        behavior, index = select(posterior, reward, alpha)
+        steps.append([index, alpha, False, None])
         return behavior, index
 
     def recording_learn(state, *args):
@@ -606,7 +607,7 @@ def adapting_config(threshold=0.03, adapt_iterations=10, step_cap=500, noise_var
     step's error is about 0.05 until the model learns the offset."""
     config = point_config(AngleOffsetDamage(0.5), noise_variance, step_cap=step_cap,
                           adapt_iterations=adapt_iterations)
-    return replace(config, drop=DropDetectorConfig(window, threshold))
+    return replace(config, drop_window=window, drop_threshold=threshold)
 
 
 def phases(steps):
@@ -634,7 +635,7 @@ class TestSelaLoop:
         def config():
             built = point_config(AngleOffsetDamage(offset), noise_variance, seed, step_cap,
                                  adapt_iterations=adapt_iterations)
-            return replace(built, drop=DropDetectorConfig(window, threshold))
+            return replace(built, drop_window=window, drop_threshold=threshold)
 
         one, frozen = config(), config()
         assert sela_steps(one) == sela_steps(frozen, frozen_run_mission)
@@ -807,14 +808,14 @@ class TestBaselineUncertainty:
         # the lowest index would win every trial
         picks, select = [], mission.select_next
 
-        def recording_select(posterior, reward, acquisition):
-            behavior, index = select(posterior, reward, acquisition)
+        def recording_select(posterior, reward, alpha):
+            behavior, index = select(posterior, reward, alpha)
             picks.append((index, int(posterior.score()[1].argmax())))
             return behavior, index
 
         monkeypatch.setattr(mission, "select_next", recording_select)
         config = point_config(damage=AngleOffsetDamage(0.5), noise_variance=0.01, seed=10)
-        record = baseline_uncertainty(replace(config, acquisition=AcquisitionConfig(alpha=alpha)))
+        record = baseline_uncertainty(replace(config, alpha=alpha))
         trials = picks[:config.uncertainty_iterations]   # the drive's greedy chase follows
         assert record.learn_steps == len(trials) == 15
         assert [index for index, _ in trials] == [largest for _, largest in trials]
