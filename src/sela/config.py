@@ -10,9 +10,9 @@ of its `WorldFacts` row in `WORLDS`. Every float must be finite, each damage kin
 must suit the world (`WORLDS` pairs them), no method may be listed twice, the
 archive budget must cover the archive's initial random batch, the direction grid
 may hold at most `sela.acquisition.MAX_CANDIDATES` points, no method's model may
-grow past `sela.gp.MAX_GP_OBSERVATIONS` observations, and the goal must be near
-enough for a planner grid of at most `sela.reward.MAX_PLANNER_CELLS` cells. The
-same checks run on configs built directly or through `with_overrides`.
+grow past `sela.gp.MAX_GP_OBSERVATIONS` observations, and the goal must be near enough
+for a planner grid of at most `sela.reward.MAX_PLANNER_CELLS` cells whose points have
+finite squared lengths. Configs built directly or by `with_overrides` get the same checks.
 """
 
 from __future__ import annotations

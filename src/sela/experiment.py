@@ -11,7 +11,7 @@ The wall_ms column is therefore a placeholder (always 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,8 @@ def _seeded_parts(config: ExperimentConfig, seed: int) -> dict:
 def build_mission_config(
     config: ExperimentConfig, seed: int, archive: Archive | None = None
 ) -> MissionConfig:
-    """Assemble the mission of one replicate seed; `run_experiment`'s template."""
+    """Assemble the mission of one replicate seed; `run_experiment`'s template. Each defaulted
+    `MissionConfig` knob comes from the `ExperimentConfig` key of its name."""
     if config.world == "point_robot":
         candidates = CandidateSet.dense_theta_grid(config.candidate_grid)
         prior = point_robot_prior
@@ -105,13 +106,7 @@ def build_mission_config(
         max_adapt_iterations=config.adapt_iterations(),
         step_cap=config.step_cap,
         behavior_sampler=WORLDS[config.world].sample,
-        alpha=config.alpha,
-        drop_window=config.drop_window,
-        drop_threshold=config.drop_threshold,
-        babble_max=config.babble_max,
-        epsilon_model=config.epsilon_model,
-        uncertainty_iterations=config.uncertainty_iterations,
-        episodic_success_projection=config.episodic_success_projection,
+        **{f.name: getattr(config, f.name) for f in fields(MissionConfig) if f.default is not MISSING},
     )
 
 

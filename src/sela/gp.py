@@ -11,28 +11,30 @@ Predictions follow the prior-correction form
 where P is the prior mean and K carries the modeled sampling noise on its
 diagonal. With a zero prior this is plain GP regression.
 
-A mission's model grows in place; the rows of its factor `chol` are its one record
-of its size t. `append` writes an observation into its set's buffer;
-`fit(..., previous=model)` on that same set then writes one row of the Cholesky
-factor L of K, r = L^-1 k(X, x_i) over the earlier inputs followed by
-sqrt(1 + noise + jitter - r.r), and the prior value P(x_i) into the model's buffers
-in O(t^2), running the kernel and the prior at most at the new input, and returns
-that model. The noise alone sets the jitter: JITTER for a noise variance below it
-and 0 otherwise, so a repeated input factors even without noise. A pivot that is
-not positive raises GpFitError and leaves the model as it was. Buffers double when
-full; rows once written never change, so the read-only views `inputs`, `outputs`,
-`chol` and `prior_at_inputs` stay valid. A fit from scratch grows a new empty model
-and equals it bit for bit. Solves use dtrtrs from `scipy.linalg._flapack` alone.
+A mission's model grows in place, one observation at a time, through its one
+`CandidatePosterior` (below); the rows of its factor `chol` are its one record of its
+size t. `fit` builds a model from scratch: row i of the Cholesky factor L of K is
+r = L^-1 k(X, x_i) over the earlier inputs followed by sqrt(1 + noise + jitter - r.r).
+The noise alone sets the jitter: JITTER for a noise variance below it and 0 otherwise,
+so a repeated input factors even without noise. A pivot that is not positive raises
+GpFitError. Solves use dtrtrs from `scipy.linalg._flapack` alone.
 
-`CandidatePosterior` serves one model at a fixed query set such as a
-mission's candidates: it evaluates the model's prior there once, writes
-k(X, points) and L^-1 k(X, points) one row per observation into a buffer that
-doubles when full, copying the kernel row of an input seen before (the
-variance is 1 - the column sums of squares of the latter), and scores the
-model again only once it has grown. Its `mean_at` gives the mean at one of
-those points with `predict`'s one-row arithmetic, equal to `predict`'s mean
-bit for bit, and keeps each answer until the model grows. Models are bounded
-at `MAX_GP_OBSERVATIONS` inputs by the config check.
+`CandidatePosterior` serves one model at a fixed query set such as a mission's
+candidates: it evaluates the model's prior there once and keeps k(X, points) and
+L^-1 k(X, points) with one row per observation in a buffer that doubles when full
+(the variance is 1 - the column sums of squares of the latter). Its `learn` grows the
+model and those rows by one observation in one pass: the observation row, the factor
+row, the prior value, the prior correction, and the posterior's two rows, copying the
+kernel row of an input seen before. At a candidate it takes the kernel column and the
+prior value from its own rows; at any other behavior it runs the kernel and the prior
+there. It writes every row past t into buffers that double when full, so the read-only
+views `inputs`, `outputs`, `chol` and `prior_at_inputs` taken before stay valid, and it
+equals a fit from scratch bit for bit. A pivot that is not positive raises GpFitError
+and leaves the model and the posterior as they were. `score` forms the means and sigma
+only once the model has grown, and `mean_at` gives the mean at one of the points with
+`predict`'s one-row arithmetic, equal to `predict`'s mean bit for bit, and keeps each
+answer until the model grows. Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the
+config check.
 """
 
 from __future__ import annotations
@@ -130,13 +132,11 @@ def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(r / -kernel.sigma)
 
 
-def _with_room(buffer: np.ndarray, rows: int, axes=(0,), zeroed=False) -> np.ndarray:
-    """`buffer` if it holds `rows` rows along `axes`, else a copy, zeroed past it or not, with room
-    for twice its rows (capped at MAX_GP_OBSERVATIONS), or for `rows` if that is more."""
+def _doubled(buffer: np.ndarray, axes=(0,), zeroed=False) -> np.ndarray:
+    """A copy of `buffer`, zeroed past it or not, with room for twice its rows along `axes`
+    (capped at MAX_GP_OBSERVATIONS), or for one more if that is more."""
     capacity = buffer.shape[axes[0]]
-    if rows <= capacity:
-        return buffer
-    room = max(rows, min(2 * capacity, MAX_GP_OBSERVATIONS))
+    room = max(capacity + 1, min(2 * capacity, MAX_GP_OBSERVATIONS))
     shape = [room if axis in axes else n for axis, n in enumerate(buffer.shape)]
     grown = (np.zeros if zeroed else np.empty)(shape)
     grown[tuple(map(slice, buffer.shape))] = buffer
@@ -155,7 +155,7 @@ class ObservationSet:
     inputs: np.ndarray    # (t, behavior_dim)
     outputs: np.ndarray   # (t, outcome_dim)
     noise_variance: float = 0.001
-    rows: np.ndarray = field(init=False, repr=False)   # [input, outcome] per row; doubles when full
+    rows: np.ndarray = field(init=False, repr=False)   # [input, outcome] per row; `learn` doubles it when full
 
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -176,14 +176,6 @@ class ObservationSet:
             noise_variance=noise_variance,
         )
 
-    def append(self, x, y) -> None:
-        """Write one more (input, outcome) pair past the t rows, in place: views taken before keep theirs."""
-        t, b = len(self), self.inputs.shape[1]
-        rows = self.rows = _with_room(self.rows, t + 1)
-        rows[t, :b], rows[t, b:] = np.asarray(x).reshape(b), np.asarray(y).reshape(rows.shape[1] - b)
-        self.inputs, self.outputs = rows[:t + 1, :b], rows[:t + 1, b:]
-        self.inputs.flags.writeable = self.outputs.flags.writeable = False
-
     def __len__(self) -> int:
         return len(self.inputs)
 
@@ -202,8 +194,9 @@ def zero_prior(outcome_dim: int) -> PriorMean:
 
 @dataclass(eq=False)
 class GpModel:
-    """Fitted posterior state of the first t = len(chol) observations; `fit` grows it in
-    place. K's diagonal follows from the noise variance alone (see JITTER)."""
+    """Fitted posterior state of the first t = len(chol) observations; `fit` builds it and
+    `CandidatePosterior.learn` grows it in place. K's diagonal follows from the noise
+    variance alone (see JITTER)."""
 
     kernel: Kernel
     observations: ObservationSet
@@ -213,82 +206,63 @@ class GpModel:
     prior_at_inputs: np.ndarray = field(init=False)   # (t, outcome_dim) P(X), read-only
     buffers: tuple = field(init=False, repr=False)    # (factor, prior values), viewed above
 
-    def __post_init__(self):   # the empty model, which `fit` grows
+    def __post_init__(self):   # the empty model, which `fit` fills
         factor, values = np.zeros((0, 0)), np.zeros((0, self.observations.outputs.shape[1]))
         self.chol, self.prior_correction, self.prior_at_inputs = factor, values, values
         self.buffers = (factor, values)
 
 
-def fit(
-    observations: ObservationSet,
-    kernel: Kernel,
-    prior: PriorMean,
-    previous: GpModel | None = None,
-    evaluated: tuple | None = None,
-) -> GpModel:
-    """Grow `previous` by one row of the Cholesky factor per new observation, in place,
-    precompute the prior correction and return it; without `previous`, grow a new empty model.
+def _pivot(model: GpModel, r: np.ndarray, t: int) -> float:
+    """The factor's diagonal entry in the row r of the t-th input, sqrt(1 + noise + jitter - r.r)."""
+    noise = model.observations.noise_variance
+    pivot = 1.0 + noise + (JITTER if noise < JITTER else 0.0) - r @ r
+    if not pivot > 0.0:
+        raise GpFitError(f"kernel matrix not positive definite (t={t}, noise_variance={noise}, kernel={model.kernel})")
+    return math.sqrt(pivot)
+
+
+def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpModel:
+    """Build the model of every observation in the set from scratch: the Cholesky factor, one
+    row per input, the prior values at the inputs and the prior correction.
 
     Legal with zero observations: predictions then revert to the prior with
     unit variance. Non-finite inputs or outputs are rejected up front: they
     would spread NaN through the posterior. A pivot that is not positive
-    raises GpFitError and leaves the model as it was.
-
-    `previous` must be fitted with the same kernel and prior on fewer rows of this
-    very set, grown by `append`; only the new rows are checked. The kernel and the
-    prior run only at the new inputs, and not at all given `evaluated` =
-    (k(X, x), P(x)) for the one new input x. It equals a fit from scratch bitwise.
+    raises GpFitError.
     """
-    inputs, outputs, noise = observations.inputs, observations.outputs, observations.noise_variance
-    model = GpModel(kernel, observations, prior) if previous is None else previous
-    t, k = len(observations), len(model.chol)
-    if previous is not None and not (
-        k < t
-        and previous.observations is observations
-        and previous.kernel == kernel
-        and previous.prior is prior
-    ):
-        raise ValueError(
-            "previous model must be fitted with the same kernel and prior "
-            "on a strict prefix of these observations"
-        )
-    # the first k rows were checked; the rest as floats, cheaper than numpy for one row
-    if not all(map(math.isfinite, observations.rows[k:t].ravel().tolist())):
+    inputs, outputs, t = observations.inputs, observations.outputs, len(observations)
+    if not all(map(math.isfinite, observations.rows[:t].ravel().tolist())):   # as floats, cheaper than numpy
         raise GpFitError("observation inputs and outputs must be finite")
-    one = evaluated is not None and t == k + 1 == len(evaluated[0]) + 1
-    rows = [evaluated[0]] if one else kernel_matrix(kernel, inputs[k:], inputs)
-    # a row per new input x_i from k(x_i, X[:i]) past the model's rows; dtrtrs takes the
-    # F-ordered upper factor, no copy
-    factor = _with_room(model.buffers[0], t, axes=(0, 1), zeroed=True)
-    for i, row in enumerate(rows, start=k):
-        r = dtrtrs(factor.T[:, :i], row[:i], lower=0, trans=1)[0] if i else row[:0]
-        pivot = 1.0 + noise + (JITTER if noise < JITTER else 0.0) - r @ r
-        if not pivot > 0.0:
-            raise GpFitError(
-                f"kernel matrix not positive definite (t={t}, "
-                f"noise_variance={noise}, kernel={kernel})"
-            )
-        factor[i, :i], factor[i, i] = r, math.sqrt(pivot)
-    values, correction = _with_room(model.buffers[1], t), outputs[:0]
+    model = GpModel(kernel, observations, prior)
     if t:   # the empty model calls no prior and solves nothing
-        values[k:t] = evaluated[1] if one else prior_values(prior, inputs[k:])
-        # dpotrs's two solves; dpotrs itself would copy the factor, whose lda is its capacity
-        correction = dtrtrs(factor.T[:, :t], outputs - values[:t], lower=0, trans=1)[0]
-        correction = dtrtrs(factor.T[:, :t], correction, lower=0, overwrite_b=1)[0]
-    model.chol, model.prior_at_inputs = factor[:t, :t], values[:t]
-    model.chol.flags.writeable = model.prior_at_inputs.flags.writeable = False
-    model.buffers = (factor, values)
-    model.prior_correction = correction
+        # a row per input x_i from k(x_i, X[:i]); dtrtrs takes the F-ordered upper factor, no copy
+        factor = np.zeros((t, t))
+        for i, row in enumerate(kernel_matrix(kernel, inputs, inputs)):
+            r = dtrtrs(factor.T[:, :i], row[:i], lower=0, trans=1)[0] if i else row[:0]
+            factor[i, :i], factor[i, i] = r, _pivot(model, r, t)
+        values = prior_values(prior, inputs)
+        correction = dtrtrs(factor.T, outputs - values, lower=0, trans=1)[0]   # dpotrs's two solves
+        model.prior_correction = dtrtrs(factor.T, correction, lower=0, overwrite_b=1)[0]
+        # read-only views of the buffers, which `learn` writes past t
+        model.chol, model.prior_at_inputs, model.buffers = factor[:], values[:], (factor, values)
+        model.chol.flags.writeable = model.prior_at_inputs.flags.writeable = False
     return model
 
 
-def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, half, done, sums):
-    """(means, variances) at the query points from the prior and k(X, points) there. Fills the
-    rows of `half` past `done` with L^-1 k(X, points) and adds their squares to the column `sums`."""
-    means = prior_means + np.asfortranarray(cross.T @ model.prior_correction)   # each dimension contiguous
-    for i in range(done, len(cross)):
+def _solve(model: GpModel, cross: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Fill `half` with L^-1 `cross` one row at a time, as `CandidatePosterior.learn` does, and
+    return the column sums of squares of its rows."""
+    sums = np.zeros(cross.shape[1])
+    for i in range(len(cross)):
         row = half[i] = (cross[i] - model.chol[i, :i] @ half[:i]) / model.chol[i, i]
         sums += row * row
+    return sums
+
+
+def _posterior(model: GpModel, prior_means: np.ndarray, cross: np.ndarray, sums: np.ndarray):
+    """(means, variances) at the query points from the prior and k(X, points) there, and the
+    column sums of squares of L^-1 k(X, points)."""
+    means = prior_means + np.asfortranarray(cross.T @ model.prior_correction)   # each dimension contiguous
     return means, np.maximum(1.0 - sums, 0.0)
 
 
@@ -300,51 +274,83 @@ def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = _as_points(points)
     # kernel_matrix also rejects a query of another behavior dimension
-    cross = kernel_matrix(model.kernel, model.observations.inputs[:len(model.chol)], pts)   # (t, n)
+    cross = kernel_matrix(model.kernel, model.observations.inputs, pts)   # (t, n)
     prior_means = prior_values(model.prior, pts)
-    return _posterior(model, prior_means, cross, np.empty(cross.shape), 0, np.zeros(len(pts)))
+    return _posterior(model, prior_means, cross, _solve(model, cross, np.empty(cross.shape)))
 
 
 class CandidatePosterior:
-    """The posterior of one model at a fixed point set: the prior there, the
-    cross kernel k(X, points) and L^-1 k(X, points) with one row per
-    observation scored, the means and aggregated sigma at those rows and the
-    answers of `mean_at`; `score` recomputes them only once the model has grown."""
+    """The posterior of one model at a fixed point set, and the one way that model grows: the
+    prior there, the cross kernel k(X, points) and L^-1 k(X, points) with one row per
+    observation, the means and aggregated sigma and the answers of `mean_at`, which `score`
+    and `mean_at` form only once the model has grown."""
 
     def __init__(self, points, model: GpModel):
         self.points = _as_points(points)
         self.model = model
         self.prior_means = np.asfortranarray(prior_values(model.prior, self.points))   # (n, outcome_dim), by column
-        # k(inputs, points) (t, n) at the t scored last, a view of buffer[0]
-        self.cross = np.zeros((0, len(self)))
-        self.first = {}    # each input's bytes -> its first row: a repeat copies that row of cross
-        self.buffer = np.empty((2, 0, len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
-        self.sums = np.zeros(len(self))   # the column sums of squares of L^-1 cross
-        # the means (n, outcome_dim), sigma (n,) and mean_at's answers by index at the t scored last
-        self.means, self.sigma, self.answers = None, None, {}   # means None before the first score
+        inputs = model.observations.inputs
+        self.buffer = np.empty((2, len(inputs), len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
+        self.cross = self.buffer[0]   # k(inputs, points) (t, n), a view of buffer[0]
+        self.cross[:] = kernel_matrix(model.kernel, inputs, self.points)
+        self.sums = _solve(model, *self.buffer)   # the column sums of squares of L^-1 cross
+        self.seen = {x.tobytes(): i for i, x in enumerate(inputs)}   # each input's bytes -> a row of cross at it
+        # the means (n, outcome_dim), sigma (n,) and mean_at's answers by index; means None until scored
+        self.means, self.sigma, self.answers = None, None, {}
 
     def __len__(self) -> int:
         return len(self.points)
 
+    def learn(self, behavior, observed, index=None) -> None:
+        """Grow the model by one observation in place, and this posterior's rows with it: at
+        candidate `index` from its column of k(X, points) and its prior value, else from the
+        kernel and the prior at `behavior`. The model equals a fit from scratch bit for bit; a
+        pivot that is not positive raises GpFitError and leaves both as they were."""
+        model, t = self.model, len(self.cross)
+        observations, (factor, values) = model.observations, model.buffers
+        if t == len(values):   # the set's, the model's and this posterior's buffers are full together
+            observations.rows = _doubled(observations.rows)   # its rows past t are read once learned
+            factor, values = _doubled(factor, axes=(0, 1), zeroed=True), _doubled(values)
+        rows, b = observations.rows, observations.inputs.shape[1]
+        rows[t, :b], rows[t, b:] = behavior, observed
+        if not all(map(math.isfinite, rows[t].tolist())):
+            raise GpFitError("observation inputs and outputs must be finite")
+        x = rows[t, :b]
+        if index is None:
+            column, value = kernel_matrix(model.kernel, x[None], observations.inputs)[0], None
+        else:
+            column, value = self.cross[:, index], self.prior_means[index]
+        r = dtrtrs(factor.T[:, :t], column, lower=0, trans=1)[0] if t else column
+        pivot = _pivot(model, r, t + 1)
+        factor[t, :t], factor[t, t] = r, pivot
+        values[t] = prior_values(model.prior, x[None]) if value is None else value
+        upper, outputs = factor.T[:, :t + 1], rows[:t + 1, b:]
+        # dpotrs's two solves; dpotrs itself would copy the factor, whose lda is its capacity
+        correction = dtrtrs(upper, outputs - values[:t + 1], lower=0, trans=1)[0]
+        model.prior_correction = dtrtrs(upper, correction, lower=0, overwrite_b=1)[0]
+        model.chol, model.prior_at_inputs, model.buffers = factor[:t + 1, :t + 1], values[:t + 1], (factor, values)
+        observations.inputs, observations.outputs = rows[:t + 1, :b], outputs
+        model.chol.flags.writeable = model.prior_at_inputs.flags.writeable = False
+        observations.inputs.flags.writeable = outputs.flags.writeable = False
+        # the posterior's rows: k(x, points), copied for an input seen before, and L^-1 of it; the
+        # buffer doubles with the model's, but only once their old copies are gone (peak memory)
+        if t == self.buffer.shape[1]:
+            self.buffer = _doubled(self.buffer, axes=(1,))
+        cross, half = self.buffer
+        seen = self.seen.setdefault(x.tobytes(), t)
+        cross[t] = cross[seen] if seen < t else kernel_matrix(model.kernel, x[None], self.points)
+        row = half[t] = (cross[t] - factor[t, :t] @ half[:t]) / pivot
+        self.sums += row * row
+        self.cross, self.means, self.sigma, self.answers = cross[:t + 1], None, None, {}
+
     def score(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means (n, outcome_dim) and the aggregated uncertainty
         sqrt(sum_d var_d) = sqrt(outcome_dim * var) (n,), both read-only."""
-        model, t, k = self.model, len(self.model.chol), len(self.cross)
-        if t == k and self.means is not None:
-            return self.means, self.sigma
-        self.means, self.sigma, self.answers = None, None, {}   # drop the last score before computing the new one
-        # write the new rows, doubling the capacity (at least to t) if full
-        self.buffer = _with_room(self.buffer, t, axes=(1,))
-        cross, inputs = self.buffer[0], model.observations.inputs[:t]
-        for i, x in enumerate(inputs[k:], start=k):   # a repeated input copies its first row
-            j = self.first.setdefault(x.tobytes(), i)
-            cross[i] = cross[j] if j < i else kernel_matrix(model.kernel, x[None], self.points)
-        self.cross = cross[:t]
-        means, variances = _posterior(model, self.prior_means, self.cross, self.buffer[1], k, self.sums)
-        sigma = np.sqrt(means.shape[1] * variances)
-        means.flags.writeable = sigma.flags.writeable = False
-        self.means, self.sigma = means, sigma
-        return means, sigma
+        if self.means is None:
+            means, variances = _posterior(self.model, self.prior_means, self.cross, self.sums)
+            self.means, self.sigma = means, np.sqrt(means.shape[1] * variances)
+            means.flags.writeable = self.sigma.flags.writeable = False
+        return self.means, self.sigma
 
     def mean_at(self, index: int) -> np.ndarray:
         """Mean at points[index] at the t scored last, equal to

@@ -22,16 +22,14 @@ record builder (`_record`), which counts one learning step per observation in th
 The candidate set, planner grid and goal stay fixed for a whole mission, and
 the observations only grow. So a mission holds one `CandidatePosterior`, built with the
 state, and reaches its one model and the model's one observation set through it (babbling's
-from a copy of the config with the zero prior, sharing its world, rng and grid); a
-learning step writes rows into their buffers: `learn` appends the observation and `fit`
-grows the model in place. The posterior keeps its prior, writes a cross-kernel row per
-observation (copied for a candidate learned before), and scores the model again only once
-it has grown: steps that learn nothing reuse the last score and the outcome SELA predicted
-at a candidate (`mean_at`), and a refit takes a chosen candidate's kernel column and prior
-from it. The drop window keeps one error norm per step; its mean adds fewer than 8 errors
-in Python floats in numpy's order, and runs `np.add.reduce` beyond. It, the error norms and
-the goal test keep numpy's bits without numpy's Python wrappers. The goal's planner cell is
-derived once (`MissionState.goal_cell`).
+from a copy of the config with the zero prior, sharing its world, rng and grid). `fit`
+builds the empty model once, and each learning step is one `CandidatePosterior.learn`
+(`sela.gp` says what it writes). Steps that learn nothing reuse the posterior's last score
+and the outcome SELA predicted at a candidate (`mean_at`). The drop window keeps one error
+norm per step; its mean adds fewer than 8 errors in Python floats in numpy's order, and
+runs `np.add.reduce` beyond. It, the error norms and the goal test keep numpy's bits
+without numpy's Python wrappers. The goal's planner cell is derived once
+(`MissionState.goal_cell`).
 """
 
 from __future__ import annotations
@@ -141,13 +139,9 @@ class MissionState:
         return goal_reached(config.world.pose, config.goal, config.epsilon_goal)
 
     def learn(self, behavior, observed, index=None) -> None:
-        """Append one observation to the set of the posterior's model and grow that model in place,
-        with its own kernel and prior; the posterior gives candidate `index`'s column and prior
-        (`fit` takes them only if the posterior scored the model at its t before the new row)."""
-        posterior, model = self.posterior, self.posterior.model
-        evaluated = None if index is None else (posterior.cross[:, index], posterior.prior_means[index])
-        model.observations.append(behavior, observed)
-        fit(model.observations, model.kernel, model.prior, previous=model, evaluated=evaluated)
+        """One learning step: the posterior grows its model and its own rows by the observation,
+        taking candidate `index`'s kernel column and prior from its rows (`CandidatePosterior.learn`)."""
+        self.posterior.learn(behavior, observed, index)
 
     def record_error(self, predicted, observed) -> float:
         """Push |observed - predicted| into the drop window and return the

@@ -62,7 +62,8 @@ class PlannerGrid:
 
         The origin is snapped so cell centers land on integer multiples of
         cell_size; a start or goal on such a multiple sits exactly on a
-        center. Grids of more than MAX_PLANNER_CELLS cells are rejected.
+        center. Grids of more than MAX_PLANNER_CELLS cells are rejected, and so are grids
+        holding a point whose squared length overflows, as the goal test's would.
         Python floats keep the arithmetic free of numpy overflow warnings.
         """
         origin, shape = [], []
@@ -78,6 +79,9 @@ class PlannerGrid:
                 f"planner grid of {shape[0]:g} x {shape[1]:g} cells exceeds the "
                 f"limit of {MAX_PLANNER_CELLS} cells"
             )
+        far = [max(abs(o), abs(o + n * cell_size)) for o, n in zip(origin, shape)]   # the farthest corner
+        if not math.isfinite(far[0] * far[0] + far[1] * far[1]):
+            raise ValueError(f"planner grid reaches ({far[0]:g}, {far[1]:g}), whose squared length overflows")
         return cls(
             cell_size=cell_size,
             origin=(origin[0], origin[1]),

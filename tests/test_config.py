@@ -5,7 +5,7 @@ import hashlib
 import math
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from datetime import timedelta
 from pathlib import Path
 
@@ -180,6 +180,24 @@ class TestErrors:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="'goal_x', 'goal_y', 'cell_size'.*exceeds"):
                 parse_config(f"world = point_robot\n{text}")
+
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_a_grid_whose_squared_length_overflows_rejected(self, world):
+        # goal_x just past sqrt(max float): the grid fits MAX_PLANNER_CELLS, but the goal test's
+        # squared distance overflowed, on the point robot and (found by TestParserFuzz) the walker
+        with pytest.raises(ConfigError, match="^keys 'goal_x', 'goal_y', 'cell_size', 'planner_margin': "
+                                              r"planner grid reaches .* whose squared length overflows$"):
+            parse_config(f"world = {world}\ngoal_x = 1.3407807929942597e+154\ncell_size = 5.363133898244835e+148")
+
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_a_far_goal_just_inside_the_limit_runs(self, world):
+        # accepted, and every method runs with warnings as errors: no distance overflows
+        text = (f"world = {world}\nmethods = {', '.join(m.value for m in Method)}\n"
+                "goal_x = 1.3e154\ncell_size = 5.363133898244835e+148")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse_config(text)
+            check_runs_or_fails_cleanly(text, world)
 
     def test_override_to_a_far_goal_rejected(self):
         with pytest.raises(ConfigError, match="exceeds"):
@@ -409,10 +427,30 @@ KEYS = [f.name for f in fields(ExperimentConfig)]
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+# The README's rendering of each default of None: set by the world, none at all, or a formula
+NONE_DEFAULTS = {"max_adapt_iterations": "world default", "archive_path": "none",
+                 "archive_init_batch": "`max(100, budget // 10)`"}
+
+
+def readme_default(f):
+    """A field's default as the README's Configuration keys table renders it."""
+    if f.default is MISSING:
+        return "required"
+    if f.default is None:
+        return NONE_DEFAULTS[f.name]
+    if f.name == "methods":
+        return "`" + ", ".join(method.value for method in f.default) + "`"
+    return f"`{f.default}`"
+
+
 def test_readme_key_table_lists_the_fields_in_order():
+    # and each row's defaults, one per key of the row, are the fields' defaults
     section = README.read_text(encoding="utf-8").split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
-    assert [key.strip(" `") for row in rows for key in row.split(",")] == KEYS
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    keyed = [(key.strip(" `"), default.strip()) for keys, defaults in rows
+             for key, default in zip(keys.split(","), defaults.split(", ") if "," in keys else [defaults])]
+    assert [key for key, _ in keyed] == KEYS
+    assert keyed == [(f.name, readme_default(f)) for f in fields(ExperimentConfig)]
 WORDS = [*WORLDS, *DAMAGE_KINDS, *KERNEL_FAMILIES, *(m.value for m in Method)]
 
 values = st.one_of(

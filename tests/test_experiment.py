@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sela.mission
 import sela.reward
 from sela import experiment
 from sela.config import WORLDS, ConfigError, ExperimentConfig, parse_config_file, validate
@@ -32,7 +31,7 @@ from sela.experiment import (
     summary_csv_text,
     write_results,
 )
-from sela.gp import MIN_KERNEL_SIGMA, DistanceKind, Kernel, KernelFamily
+from sela.gp import MIN_KERNEL_SIGMA, CandidatePosterior, DistanceKind, Kernel, KernelFamily
 from sela.map_elites import Archive, ArchiveFormatError, Elite, bin_index, load_archive, save_archive
 from sela.mission import Method, RunRecord
 from sela.reward import PlannerGrid
@@ -271,14 +270,13 @@ class TestRunExperiment:
     def test_a_noise_free_sela_runs_every_replicate(self, monkeypatch):
         # UCB tries candidates again as task steps; without noise each repeat
         # factors by the jitter that such a model carries from its first row
-        repeats, real = [], sela.mission.fit
+        repeats, real = [], CandidatePosterior.learn
 
-        def recording_fit(observations, *args, **kwargs):
-            inputs = observations.inputs.tolist()
-            repeats.append(len(set(map(tuple, inputs))) < len(inputs))
-            return real(observations, *args, **kwargs)
+        def recording_learn(posterior, behavior, *args):
+            repeats.append(np.asarray(behavior).tobytes() in posterior.seen)
+            return real(posterior, behavior, *args)
 
-        monkeypatch.setattr(sela.mission, "fit", recording_fit)
+        monkeypatch.setattr(CandidatePosterior, "learn", recording_learn)
         config = ExperimentConfig(world="point_robot", damage="angle_offset", methods=(Method.SELA,),
                                   replicates=10, gp_noise=0.0)
         records, _ = run_experiment(config)

@@ -234,8 +234,8 @@ class TestPosteriorProperties:
         model = fit(obs, SQEXP, prior)
         x = np.array([0.42])
         _, before = predict(model, x)
-        obs.append(x, [0.3])
-        _, after = predict(fit(obs, SQEXP, prior, previous=model), x)
+        CandidatePosterior(x, model).learn(x, [0.3], 0)
+        _, after = predict(model, x)
         assert after < before
 
     def test_interpolates_observations_tightly_without_noise(self):
@@ -286,64 +286,10 @@ class TestCandidatePosterior:
             assert again[0] is first[0] and again[1] is first[1]
         assert len(scored) == 1
 
-    @pytest.mark.parametrize("change", ["kernel", "prior", "noise", "inputs", "fewer_inputs"])
-    def test_model_must_extend_what_was_scored(self, change):
-        # the posterior's model grows only by a refit of its own set with its own
-        # kernel and prior: any other refit raises and leaves the model and the
-        # kept score as they were, and the posterior then scores the model grown
-        rng = np.random.default_rng(6)
-        prior = zero_prior(2)
-        inputs, outputs = rng.normal(size=(4, 1)), rng.normal(size=(4, 2))
-        observations = ObservationSet(inputs[:3], outputs[:3], 0.001)
-        model = fit(observations, SQEXP, prior)
-        points = rng.normal(size=(30, 1))
-        posterior = CandidatePosterior(points, model)
-        means, sigma = posterior.score()
-        observations.append(inputs[3], outputs[3])
-        refit, kernel, refit_prior = {
-            "kernel": (observations, Kernel(sigma=0.3), prior),
-            "prior": (observations, SQEXP, sine_prior),
-            "noise": (ObservationSet(inputs, outputs, 0.0), SQEXP, prior),
-            "inputs": (ObservationSet(inputs + 1.0, outputs, 0.001), SQEXP, prior),
-            "fewer_inputs": (ObservationSet(inputs[:2], outputs[:2], 0.001), SQEXP, prior),
-        }[change]
-        with pytest.raises(ValueError, match="prefix"):
-            fit(refit, kernel, refit_prior, previous=model)
-        assert len(model.chol) == 3 and model.observations is observations
-        assert posterior.score()[0] is means and posterior.score()[1] is sigma
-        assert fit(observations, SQEXP, prior, previous=model) is model
-        means, sigma = posterior.score()
-        want = predict_batch(model, points)
-        assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
-
-    def test_the_model_scored_last_skips_the_prefix_compare_as_it_grows(self, monkeypatch):
-        # neither fit nor score compares a prefix of the model's own set as it
-        # grows, and a refit onto a shorter set raises without one
-        rng = np.random.default_rng(9)
-        prior = zero_prior(2)
-        observations = ObservationSet.empty(1, 2, 0.001)
-        model = fit(observations, SQEXP, prior)
-        points = rng.normal(size=(30, 1))
-        posterior = CandidatePosterior(points, model)
-        posterior.score()
-        compared, real = [], np.array_equal
-        monkeypatch.setattr(np, "array_equal", lambda *args: compared.append(1) or real(*args))
-        for x, y in zip(rng.normal(size=(5, 1)), rng.normal(size=(5, 2))):
-            observations.append(x, y)
-            assert fit(observations, SQEXP, prior, previous=model) is model
-            means, sigma = posterior.score()
-        shorter = ObservationSet(observations.inputs[:4], observations.outputs[:4], 0.001)
-        with pytest.raises(ValueError, match="prefix"):
-            fit(shorter, SQEXP, prior, previous=model)
-        assert compared == []
-        monkeypatch.undo()
-        want = predict_batch(model, points)
-        assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
-
     def test_a_posterior_serves_its_own_model_alone(self):
         # built for one model, it takes the kernel and prior from it and scores
         # no other: score and mean_at take no model, and another model's
-        # growth, even an equal copy's, leaves its score as it was
+        # growth, even an equal copy's through its own posterior, leaves its score as it was
         rng = np.random.default_rng(6)
         kernel = Kernel(sigma=0.3, distance=DistanceKind.WRAPPED_ANGULAR)
         inputs, outputs = rng.uniform(-np.pi, np.pi, size=(4, 1)), rng.normal(size=(4, 2))
@@ -359,8 +305,8 @@ class TestCandidatePosterior:
         with pytest.raises(TypeError):
             posterior.mean_at(other, 0)
         means, sigma = posterior.score()
-        copy.append(inputs[3], outputs[3])
-        fit(copy, kernel, sine_prior, previous=other)
+        CandidatePosterior(points, other).learn(inputs[3], outputs[3])
+        assert len(other.chol) == 4 and len(model.chol) == 3
         assert posterior.score()[0] is means and posterior.score()[1] is sigma
         want = predict_batch(model, points)
         assert bits(means) == bits(want[0]) and bits(sigma) == bits(np.sqrt(2 * want[1]))
@@ -384,8 +330,8 @@ class TestCandidatePosterior:
         assert bits(posterior.mean_at(3)) == bits(predict(model, points[3])[0])
 
     def test_a_grown_model_is_scored_again(self, monkeypatch):
-        # the score is kept per t: a model that grew is scored anew, and
-        # mean_at rejects it until then
+        # the score is kept per t: a model that grew by a learning step is
+        # scored anew, and mean_at rejects it until then
         rng = np.random.default_rng(10)
         prior = zero_prior(2)
         observations = ObservationSet(rng.normal(size=(3, 1)), rng.normal(size=(3, 2)), 0.001)
@@ -396,8 +342,7 @@ class TestCandidatePosterior:
         monkeypatch.setattr(gp, "_posterior", lambda *args: scored.append(1) or real(*args))
         first = posterior.score()
         assert posterior.score()[0] is first[0] and len(scored) == 1
-        observations.append([0.3], [0.1, -0.2])
-        fit(observations, SQEXP, prior, previous=model)
+        posterior.learn([0.3], [0.1, -0.2])
         with pytest.raises(ValueError, match="scored last"):
             posterior.mean_at(0)
         means, sigma = posterior.score()
@@ -445,13 +390,14 @@ class TestOneRowMean:
     def test_equal_to_predict_bit_for_bit(
         self, behavior_dim, family, distance, sigma, prior_kind, noise, t, score_every, seed
     ):
-        # the inputs are partly candidate points, as in a mission, partly
+        # the inputs are partly candidate points, learned at their index as in a mission, partly
         # other points; the posterior scores every model or every third, so
-        # its cross kernel also grows by several rows at once
+        # the model also grows by several rows between two scores
         rng = np.random.default_rng(seed)
         kernel = Kernel(family, sigma, distance)
         points = rng.uniform(-np.pi, np.pi, size=(20, behavior_dim))
-        inputs = np.vstack([points[rng.permutation(20)[: t // 2]],
+        picks = [*rng.permutation(20)[: t // 2], *[None] * (t - t // 2)]
+        inputs = np.vstack([points[picks[: t // 2]],
                             rng.uniform(-np.pi, np.pi, size=(t - t // 2, behavior_dim))])
         prior = {
             "zero": zero_prior(2), "function": sine_prior,
@@ -463,8 +409,7 @@ class TestOneRowMean:
         posterior = CandidatePosterior(points, model)
         for end in range(t + 1):
             if end > 0:
-                observations.append(inputs[end - 1], outputs[end - 1])
-                fit(observations, kernel, prior, previous=model)
+                posterior.learn(inputs[end - 1], outputs[end - 1], picks[end - 1])
             if end % score_every:
                 continue
             posterior.score()
@@ -483,9 +428,7 @@ class TestOneRowMean:
             posterior.mean_at(0)   # nothing scored yet
         posterior.score()
         posterior.mean_at(0)
-        observations.append(inputs[3], outputs[3])
-        posterior.mean_at(0)   # appended, not yet fitted: the model is as it was scored
-        fit(observations, SQEXP, prior, previous=model)
+        posterior.learn(inputs[3], outputs[3])
         with pytest.raises(ValueError, match="scored last"):
             posterior.mean_at(0)   # grown since it was scored
         posterior.score()
@@ -518,8 +461,7 @@ class TestKeptAnswers:
     def test_after_a_learn_mean_at_raises_until_scored_then_answers_for_the_grown_model(self):
         posterior, model = self.scored()
         before = posterior.mean_at(2)
-        model.observations.append(posterior.points[2], before + 1.0)
-        fit(model.observations, model.kernel, model.prior, previous=model)
+        posterior.learn(posterior.points[2], before + 1.0, 2)
         with pytest.raises(ValueError, match="scored last"):
             posterior.mean_at(2)
         posterior.score()
@@ -542,8 +484,7 @@ class TestKeptAnswers:
         posterior.score()   # the model has not grown: the answers stay
         posterior.mean_at(3)
         assert len(columns) == 3
-        model.observations.append(posterior.points[3], np.zeros(2))
-        fit(model.observations, model.kernel, model.prior, previous=model)
+        posterior.learn(posterior.points[3], np.zeros(2), 3)
         posterior.score()
         posterior.mean_at(3)
         posterior.mean_at(3)
@@ -566,17 +507,18 @@ class TestLongAdaptationSizes:
         rng = np.random.default_rng(250 + behavior_dim)
         kernel = Kernel(family, sigma, distance)
         points = rng.uniform(-np.pi, np.pi, size=(360, behavior_dim))
-        # as in a mission, most inputs are candidates, some repeated, and a few are not
-        inputs = np.vstack([points[rng.integers(0, 360, 200)], rng.uniform(-np.pi, np.pi, (50, behavior_dim))])
-        inputs = inputs[rng.permutation(250)]
+        # as in a mission, most inputs are candidates, learned at their index, some repeated, and a few are not
+        picks = [*rng.integers(0, 360, 200), *[None] * 50]
+        inputs = np.vstack([points[picks[:200]], rng.uniform(-np.pi, np.pi, (50, behavior_dim))])
+        order = rng.permutation(250)
+        inputs, picks = inputs[order], [picks[i] for i in order]
         prior = sine_prior if prior_kind == "function" else archive_prior(rng, np.vstack([points, inputs]))
         observations = ObservationSet.empty(behavior_dim, 2, 0.001)
         model = fit(observations, kernel, prior)
         posterior = CandidatePosterior(points, model)
         row_ordered_prior = prior_values(prior, points)
-        for t, (x, y) in enumerate(zip(inputs, rng.normal(scale=0.1, size=(250, 2))), start=1):
-            observations.append(x, y)
-            model = fit(observations, kernel, prior, previous=model)
+        for t, (x, y, pick) in enumerate(zip(inputs, rng.normal(scale=0.1, size=(250, 2)), picks), start=1):
+            posterior.learn(x, y, pick)
             means, _ = posterior.score()
             assert means.flags.f_contiguous
             assert bits(means) == bits(np.asfortranarray(row_ordered_prior + posterior.cross.T @ model.prior_correction))
@@ -603,8 +545,8 @@ def near_twin_inputs(rng, t, behavior_dim, twin):
 
 
 class TestSolve:
-    """`fit` hands LAPACK the F-ordered upper factor chol.T, which f2py takes
-    without a copy; the prior correction equals the old call, cho_solve on
+    """`fit` and `learn` hand LAPACK the F-ordered upper factor chol.T, which f2py
+    takes without a copy; the prior correction equals the old call, cho_solve on
     the lower factor, bit for bit."""
 
     @pytest.mark.parametrize("family", list(KernelFamily))
@@ -615,19 +557,19 @@ class TestSolve:
         inputs = near_twin_inputs(rng, t, 4, twin)
         outputs = rng.normal(size=(t, 2))
         observations = ObservationSet.empty(4, 2, noise)
-        model = fit(observations, kernel, sine_prior)
-        ends, capacities = (1, 2, 3, 5, 6, 7, 8, 9, 60, 61, 400, 401, t), []
-        for end in ends:   # the rows since the last end are appended, then fitted at once
+        posterior = CandidatePosterior(inputs[:3], fit(observations, kernel, sine_prior))
+        model, ends, capacities = posterior.model, (1, 2, 3, 5, 6, 7, 8, 9, 60, 61, 400, 401, t), []
+        for end in ends:   # learned one row at a time, checked at each end
             for x, y in zip(inputs[len(observations):end], outputs[len(observations):end]):
-                observations.append(x, y)
-            fit(observations, kernel, sine_prior, previous=model)
-            assert_diagonal(model, JITTER if twin else 0.0)
-            residuals = model.observations.outputs - model.prior_at_inputs
-            assert bits(model.prior_correction) == bits(cho_solve((model.chol, True), residuals))
+                posterior.learn(x, y)
+            for grown in (model, fit(ObservationSet(inputs[:end], outputs[:end], noise), kernel, sine_prior)):
+                assert_diagonal(grown, JITTER if twin else 0.0)
+                residuals = grown.observations.outputs - grown.prior_at_inputs
+                assert bits(grown.prior_correction) == bits(cho_solve((grown.chol, True), residuals))
             capacities.append(model.chol.strides[0] // model.chol.itemsize)   # LAPACK's lda
         # spare rows (lda > t) before a doubling (at 6 and 7) and just after one (at 61 and 401),
-        # with the near twin as without it
-        assert capacities == [1, 2, 4, 8, 8, 8, 8, 16, 60, 120, 400, 800, MAX_GP_OBSERVATIONS]
+        # with the near twin as without it; a fit from scratch has lda = t
+        assert capacities == [1, 2, 4, 8, 8, 8, 8, 16, 64, 64, 512, 512, MAX_GP_OBSERVATIONS]
 
 
 SOURCE = str(Path(gp.__file__).resolve().parents[1])
@@ -711,11 +653,11 @@ class TestPosteriorBuffers:
         posterior = CandidatePosterior(points, model)
         scored, capacities = [], [0]   # (returned array, its copy); capacities seen
         for end in (0, 1, 2, 3, 5, 6, 9, 10, 11, 17, 18, 30, 33, 40):
-            for step in range(len(observations), end):   # fitted one observation at a time, scored only at some
-                observations.append(inputs[step], outputs[step])
-                fit(observations, kernel, sine_prior, previous=model)
+            for step in range(len(observations), end):   # learned one observation at a time, scored only at some
+                posterior.learn(inputs[step], outputs[step])
             means, sigma = posterior.score()
-            want_means, want_variances = predict_batch(model, points)
+            scratch = fit(ObservationSet(inputs[:end], outputs[:end], 0.0), kernel, sine_prior)
+            want_means, want_variances = predict_batch(scratch, points)
             assert bits(means) == bits(want_means)
             assert bits(sigma) == bits(np.sqrt(2 * want_variances))
             assert bits(posterior.cross) == bits(kernel_matrix(kernel, inputs[:end], points))
@@ -738,59 +680,56 @@ def views(model):
 
 
 class TestGrowInPlace:
-    """`append` and `fit(..., previous=model)` write their rows past the
-    set's and the model's in place, into buffers that double when full; rows
-    once written never change, so no view taken earlier changes."""
+    """`learn` writes its rows past the set's, the model's and the posterior's in
+    place, into buffers that double when full; rows once written never change,
+    so no view taken earlier changes."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         family=st.sampled_from(list(KernelFamily)),
         noise=st.sampled_from([0.0, 0.001]),
-        steps=st.lists(st.tuples(st.integers(1, 3), st.booleans(), st.booleans()), min_size=1, max_size=14),
+        steps=st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=14),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_views_taken_before_growth_and_doublings_stay_intact(self, family, noise, steps, seed):
-        # each step grows the one model by 1-3 new rows, appended to its set
-        # one at a time and fitted after each or once after the last; `twin`
-        # makes the first a near copy of the last input, which factors by the
-        # jitter without noise
+        # each step grows the one model by 1-3 new rows, learned one at a time;
+        # `twin` makes the first a near copy of the last input, which factors by
+        # the jitter without noise
         rng = np.random.default_rng(seed)
         kernel = Kernel(family, 0.45)
         observations = ObservationSet.empty(2, 2, noise)
-        model = fit(observations, kernel, sine_prior)
+        posterior = CandidatePosterior(rng.uniform(-np.pi, np.pi, size=(9, 2)), fit(observations, kernel, sine_prior))
+        model = posterior.model
         taken = []   # (view, its copy) of every step
-        for count, twin, one_by_one in steps:
+        for count, twin in steps:
             inputs = rng.uniform(-np.pi, np.pi, size=(count, 2))
             if twin and len(model.chol):
                 inputs[0] = observations.inputs[-1] + 1e-12
-            outputs = rng.normal(size=(count, 2))
-            for row, (x, y) in enumerate(zip(inputs, outputs), start=1):
-                observations.append(x, y)
-                if one_by_one or row == count:
-                    assert fit(observations, kernel, sine_prior, previous=model) is model
+            for x, y in zip(inputs, rng.normal(size=(count, 2))):
+                posterior.learn(x, y)
             caller = (np.array(observations.inputs), np.array(observations.outputs))
             scratch = fit(ObservationSet(*caller, noise), kernel, sine_prior)
             assert_same_model(model, scratch)
             assert bits(model.prior_correction) == bits(scratch.prior_correction)
-            taken += [(view, np.array(view)) for view in views(model)]
+            taken += [(view, np.array(view)) for view in views(model) + [posterior.cross]]
             for view, copy in taken:
                 assert bits(view) == bits(copy)
 
     def test_a_near_twin_without_noise_extends_in_place(self):
-        # the twin's row goes into the model's buffers like any other, in
-        # the room that the doubling at t = 3 left
+        # the twin's row goes into the set's, the model's and the posterior's
+        # buffers like any other, in the room that the doubling at t = 5 left
         rng = np.random.default_rng(6)
         inputs, outputs = rng.uniform(-np.pi, np.pi, size=(5, 1)), rng.normal(size=(6, 2))
         observations = ObservationSet.empty(1, 2, 0.0)
-        model = fit(observations, SQEXP, sine_prior)
-        for x, y in zip(inputs, outputs):
-            observations.append(x, y)
-            fit(observations, SQEXP, sine_prior, previous=model)
-        buffers, rows = model.buffers, observations.rows
-        observations.append(inputs[-1] + 1e-12, outputs[5])
-        assert fit(observations, SQEXP, sine_prior, previous=model) is model
+        posterior = CandidatePosterior(inputs, fit(observations, SQEXP, sine_prior))
+        model = posterior.model
+        for index, (x, y) in enumerate(zip(inputs, outputs)):
+            posterior.learn(x, y, index)
+        buffers, rows, rooms = model.buffers, observations.rows, posterior.buffer
+        posterior.learn(inputs[-1] + 1e-12, outputs[5])
         assert_diagonal(model, JITTER)
         assert all(mine is theirs for mine, theirs in zip(model.buffers, buffers)) and observations.rows is rows
+        assert posterior.buffer is rooms and len(rooms[0]) == 8
         twin = ObservationSet(np.vstack([inputs, inputs[-1:] + 1e-12]), outputs, 0.0)
         assert_same_model(model, fit(twin, SQEXP, sine_prior))
 
@@ -800,8 +739,7 @@ class TestGrowInPlace:
         observations = ObservationSet(inputs, outputs, 0.001)
         model = fit(observations, SQEXP, sine_prior)
         before = [model.chol, model.prior_at_inputs, observations.inputs, observations.outputs]
-        observations.append([0.5], [1.0, 2.0])
-        fit(observations, SQEXP, sine_prior, previous=model)
+        CandidatePosterior(inputs, model).learn([0.5], [1.0, 2.0])
         for array in before + [model.chol, model.prior_at_inputs, observations.inputs, observations.outputs]:
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
@@ -809,53 +747,51 @@ class TestGrowInPlace:
         assert not np.shares_memory(observations.rows, inputs) and not np.shares_memory(observations.rows, outputs)
         assert inputs.flags.writeable and outputs.flags.writeable
 
-    def test_a_refit_of_the_models_own_set_checks_only_the_new_rows(self, monkeypatch):
+    def test_learn_checks_only_the_new_row(self, monkeypatch):
         rng = np.random.default_rng(4)
         observations = ObservationSet(rng.normal(size=(5, 1)), rng.normal(size=(5, 2)), 0.001)
-        model = fit(observations, SQEXP, sine_prior)
-        observations.append([0.1], [0.0, 0.0])
-        fit(observations, SQEXP, sine_prior, previous=model)
+        posterior = CandidatePosterior([[0.0]], fit(observations, SQEXP, sine_prior))
+        posterior.learn([0.1], [0.0, 0.0])
         checked, real = [], math.isfinite   # the values checked
         monkeypatch.setattr(math, "isfinite", lambda value: checked.append(value) or real(value))
-        observations.append([0.2], [0.0, 0.0])
-        fit(observations, SQEXP, sine_prior, previous=model)
+        posterior.learn([0.2], [0.0, 0.0])
         assert checked == [0.2, 0.0, 0.0]   # the new row: input and outcome
         checked.clear()
         fit(ObservationSet(observations.inputs, observations.outputs), SQEXP, sine_prior)
         assert checked == observations.rows[:7].ravel().tolist()   # a fit from scratch checks every row
-        observations.append([np.nan], [0.0, 0.0])
-        with pytest.raises(GpFitError, match="finite"):
-            fit(observations, SQEXP, sine_prior, previous=model)
-        assert len(model.chol) == 7
+        for bad in ([[np.nan], [0.0, 0.0]], [[0.3], [0.0, np.inf]]):
+            with pytest.raises(GpFitError, match="finite"):
+                posterior.learn(*bad)
+            assert len(posterior.model.chol) == len(observations) == len(posterior.cross) == 7
+        # the rejected row stays in the set's buffer past t, where a fit from scratch does not look
+        assert not np.isfinite(observations.rows[7]).all()
+        assert_same_model(posterior.model, fit(observations, SQEXP, sine_prior))
         # the buffer is the set's own: a caller cannot hand one in past the checks
         with pytest.raises(TypeError):
             ObservationSet(observations.inputs, observations.outputs, 0.001, np.zeros((7, 3)))
 
     def test_a_fit_from_scratch_has_exactly_t_rows_and_growth_doubles(self):
-        # a set and a fit from the caller's arrays hold t rows; growth doubles
-        # them, but never past MAX_GP_OBSERVATIONS rows
+        # a set, a fit from the caller's arrays and a posterior of it hold t rows;
+        # growth doubles them, but never past MAX_GP_OBSERVATIONS rows
         rng = np.random.default_rng(5)
         inputs = rng.uniform(-np.pi, np.pi, size=(MAX_GP_OBSERVATIONS, 1))
         outputs = rng.normal(size=(MAX_GP_OBSERVATIONS, 2))
 
-        def capacities(observations, model):
-            factor, values = model.buffers
-            assert factor.shape == (len(values), len(values))
-            return len(observations.rows), len(values)
+        def capacities(posterior):
+            factor, values = posterior.model.buffers
+            assert factor.shape == (len(values), len(values)) and posterior.buffer.shape[1] == len(values)
+            return len(posterior.model.observations.rows), len(values)
 
-        observations = ObservationSet(inputs[:5], outputs[:5], 0.001)
-        model = fit(observations, SQEXP, sine_prior)
-        assert capacities(observations, model) == (5, 5)
+        posterior = CandidatePosterior([[0.0]], fit(ObservationSet(inputs[:5], outputs[:5], 0.001), SQEXP, sine_prior))
+        assert capacities(posterior) == (5, 5)
         for t in (6, 7, 8):
-            observations.append(inputs[t - 1], outputs[t - 1])
-            fit(observations, SQEXP, sine_prior, previous=model)
-            assert capacities(observations, model) == (10, 10)
-        observations = ObservationSet(inputs[:-1], outputs[:-1], 0.001)
-        model = fit(observations, SQEXP, sine_prior)
-        assert capacities(observations, model) == (MAX_GP_OBSERVATIONS - 1,) * 2
-        observations.append(inputs[-1], outputs[-1])
-        fit(observations, SQEXP, sine_prior, previous=model)
-        assert capacities(observations, model) == (MAX_GP_OBSERVATIONS,) * 2
+            posterior.learn(inputs[t - 1], outputs[t - 1])
+            assert capacities(posterior) == (10, 10)
+        model = fit(ObservationSet(inputs[:-1], outputs[:-1], 0.001), SQEXP, sine_prior)
+        posterior = CandidatePosterior([[0.0]], model)
+        assert capacities(posterior) == (MAX_GP_OBSERVATIONS - 1,) * 2
+        posterior.learn(inputs[-1], outputs[-1])
+        assert capacities(posterior) == (MAX_GP_OBSERVATIONS,) * 2
 
 
 class TestFitErrors:
@@ -868,30 +804,42 @@ class TestFitErrors:
         # the two observations average out
         assert predict(model, obs.inputs[0])[0][0] == pytest.approx(1.5, rel=1e-9)
 
-    def test_a_pivot_that_is_not_positive_raises_and_leaves_previous_intact(self):
-        # a kernel column no kernel gives, k(x, X) = 2 > k(x, x); `previous` has
-        # room for the new row in its buffers, so a written row would land there.
-        # Its t, arrays and predictions keep their bits.
+    @pytest.mark.parametrize("at", ["candidate", "behavior"])
+    def test_a_pivot_that_is_not_positive_raises_and_leaves_model_and_posterior_intact(self, monkeypatch, at):
+        # a kernel column no kernel gives, k(x, X) = 2 > k(x, x): candidate 0's column in
+        # the posterior's rows, or the kernel's at a behavior. The buffers have room for the
+        # new row, so a written row would land there. The model's and the posterior's t,
+        # arrays, score and predictions keep their bits.
         rng = np.random.default_rng(15)
-        observations = ObservationSet(rng.uniform(-np.pi, np.pi, size=(4, 1)), rng.normal(size=(4, 2)), 0.001)
-        head = ObservationSet(observations.inputs[:3], observations.outputs[:3], 0.001)
-        *_, previous = grow(head, SQEXP, sine_prior)
-        assert len(previous.buffers[0]) == 4
-        grown = previous.observations
+        inputs, outputs = rng.uniform(-np.pi, np.pi, size=(4, 1)), rng.normal(size=(4, 2))
+        points = np.vstack([inputs[3:], rng.uniform(-np.pi, np.pi, size=(5, 1))])
+        *_, posterior = grow(ObservationSet(inputs[:3], outputs[:3], 0.001), SQEXP, sine_prior, points)
+        model = posterior.model
+        assert len(model.buffers[0]) == len(posterior.buffer[0]) == len(model.observations.rows) == 4
+        means, sigma = posterior.score()
 
-        def state(model):
+        def state():
             mean, variance = predict(model, [0.7])
-            return len(model.chol), [bits(array) for array in (*views(model)[:3], mean, variance)]
+            arrays = (*views(model), posterior.cross, posterior.buffer[:, :3], posterior.sums, mean, variance)
+            return len(model.chol), dict(posterior.seen), [bits(array) for array in arrays]
 
-        before = state(previous)
-        grown.append(observations.inputs[3], observations.outputs[3])
-        with pytest.raises(GpFitError) as raised:
-            fit(grown, SQEXP, sine_prior, previous, evaluated=(np.full(3, 2.0), np.zeros(2)))
+        column = posterior.buffer[0, :3, 0].copy()
+        posterior.buffer[0, :3, 0] = 2.0 if at == "candidate" else column
+        before = state()
+        with monkeypatch.context() as patch:
+            if at == "behavior":
+                patch.setattr(gp, "kernel_matrix", lambda kernel, a, b: np.full((len(a), len(b)), 2.0))
+            with pytest.raises(GpFitError) as raised:
+                posterior.learn(inputs[3], outputs[3], 0 if at == "candidate" else None)
         assert str(raised.value) == f"kernel matrix not positive definite (t=4, noise_variance=0.001, kernel={SQEXP})"
-        assert state(previous) == before
-        model, scratch = fit(grown, SQEXP, sine_prior, previous), fit(observations, SQEXP, sine_prior)
+        assert state() == before
+        assert posterior.score()[0] is means and posterior.score()[1] is sigma
+        posterior.buffer[0, :3, 0] = column
+        posterior.learn(inputs[3], outputs[3], 0 if at == "candidate" else None)
+        scratch = fit(ObservationSet(inputs, outputs, 0.001), SQEXP, sine_prior)
         assert_same_model(model, scratch)
         assert bits(model.prior_correction) == bits(scratch.prior_correction)
+        assert bits(posterior.score()[0]) == bits(predict_batch(scratch, points)[0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["inputs", "outputs"])
@@ -924,14 +872,15 @@ def sine_prior(x):
     return np.array([np.sin(x).sum(), np.cos(2.0 * x).sum()])
 
 
-def grow(observations, kernel, prior):
-    """Fits one model one observation at a time, each appended to the model's
-    own set, which starts empty; yields the model after each fit."""
+def grow(observations, kernel, prior, points=None):
+    """The posterior at `points` (by default the first input) of one model, grown from its
+    empty set by learning the observations one at a time at no candidate index; yields
+    the posterior after each learning step."""
     grown = ObservationSet.empty(observations.inputs.shape[1], 2, observations.noise_variance)
-    model = fit(grown, kernel, prior)
+    posterior = CandidatePosterior(observations.inputs[:1] if points is None else points, fit(grown, kernel, prior))
     for x, y in zip(observations.inputs, observations.outputs):
-        grown.append(x, y)
-        yield fit(grown, kernel, prior, previous=model)
+        posterior.learn(x, y)
+        yield posterior
 
 
 def assert_same_model(grown, scratch):
@@ -941,53 +890,64 @@ def assert_same_model(grown, scratch):
         assert_diagonal(grown, JITTER if grown.observations.noise_variance < JITTER else 0.0)
 
 
-class TestIncrementalFit:
-    """`fit(..., previous=model)` extends the previous factor and prior
-    values; every array must equal a fit from scratch bit for bit."""
+# Twins of a candidate that has a zero coordinate: an exact repeat, its sign-flipped zero, and a
+# near twin 1e-12 away. Each gives k = 1 exactly, so without noise each factors by the jitter alone.
+TWINS = {"repeat": lambda x: x.copy(), "signed_zero": lambda x: np.where(x == 0.0, -x, x), "near": lambda x: x + 1e-12}
 
-    @settings(max_examples=80, deadline=None)
+
+class TestLearn:
+    """`CandidatePosterior.learn` grows its model and its own rows by one
+    observation, at a candidate index or at any other behavior; the model, the
+    score and `mean_at` equal a fit from scratch on the same rows bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
     @given(
         behavior_dim=st.sampled_from([1, 4]),
         family=st.sampled_from(list(KernelFamily)),
         distance=st.sampled_from(list(DistanceKind)),
         sigma=st.sampled_from([0.1, 0.45]),
-        with_prior=st.booleans(),
-        noise=st.sampled_from([0.001, 0.05, 0.0]),
-        t=st.integers(1, 14),
-        twin=st.sampled_from([None, 0.0, 1e-12]),
+        prior_kind=st.sampled_from(["zero", "function", "archive"]),
+        noise=st.sampled_from([0.0, 0.001, 0.05]),
+        twin=st.sampled_from([None, *TWINS]),
+        picks=st.lists(st.integers(0, 15), min_size=1, max_size=20),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_growing_one_observation_at_a_time_matches_scratch(
-        self, behavior_dim, family, distance, sigma, with_prior, noise, t, twin, seed
+    def test_equals_a_fit_from_scratch_bit_for_bit(
+        self, behavior_dim, family, distance, sigma, prior_kind, noise, twin, picks, seed
     ):
-        # `twin` appends a copy or a near copy of the first input, which
-        # factors by the jitter without noise
+        # a pick below 8 learns that candidate at its index, as UCB's steps do; 8-15 learn one
+        # of 8 other behaviors at no index, as babbling does. Picks may repeat, and `twin` makes
+        # candidate 1 a twin of candidate 0. Up to 20 rows pass the doublings at 1, 2, 4, 8 and 16.
         rng = np.random.default_rng(seed)
         kernel = Kernel(family, sigma, distance)
-        prior = sine_prior if with_prior else zero_prior(2)
-        inputs = rng.uniform(-np.pi, np.pi, size=(t, behavior_dim))
+        points, others = rng.uniform(-np.pi, np.pi, size=(2, 8, behavior_dim))
+        points[0, 0] = 0.0
         if twin is not None:
-            inputs = np.vstack([inputs, inputs[0] + twin])
-        observations = ObservationSet(inputs, rng.normal(size=(len(inputs), 2)), noise)
-        points = rng.uniform(-np.pi, np.pi, size=(30, behavior_dim))
-        grown = ObservationSet.empty(behavior_dim, 2, noise)
-        model = fit(grown, kernel, prior)
-        # two posteriors of the model: one scores it at every t, the other at
-        # every third, so its cross kernel grows by several rows at once
-        every, sparse = (CandidatePosterior(points, model) for _ in range(2))
-        for end in range(1, len(inputs) + 1):
-            grown.append(inputs[end - 1], observations.outputs[end - 1])
-            scratch = fit(ObservationSet(inputs[:end], observations.outputs[:end], noise), kernel, prior)
-            assert fit(grown, kernel, prior, previous=model) is model
+            points[1] = TWINS[twin](points[0])
+        prior = {
+            "zero": zero_prior(2), "function": sine_prior, "archive": archive_prior(rng, np.vstack([points, others])),
+        }[prior_kind]
+        posterior = CandidatePosterior(points, fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, prior))
+        model, taken = posterior.model, []
+        for pick in picks:
+            if pick < 8:
+                posterior.learn(points[pick], rng.normal(size=2), pick)
+            else:
+                posterior.learn(others[pick - 8], rng.normal(size=2))
+            caller = ObservationSet(np.array(model.observations.inputs), np.array(model.observations.outputs), noise)
+            scratch = fit(caller, kernel, prior)
             assert_same_model(model, scratch)
-            want = predict_batch(scratch, points)
-            got = predict_batch(model, points)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-            for posterior in (every, sparse) if end % 3 == 0 else (every,):
-                means, sigma = posterior.score()
-                np.testing.assert_array_equal(means, want[0])
-                np.testing.assert_array_equal(sigma, np.sqrt(2 * want[1]))
+            for name in ("chol", "prior_at_inputs", "prior_correction"):
+                assert bits(getattr(model, name)) == bits(getattr(scratch, name)), name
+            means, sigma = posterior.score()
+            want_means, want_variances = predict_batch(scratch, points)
+            assert bits(means) == bits(want_means)
+            assert bits(sigma) == bits(np.sqrt(2 * want_variances))
+            assert bits(posterior.cross) == bits(kernel_matrix(kernel, caller.inputs, points))
+            for index in range(len(points)):
+                assert bits(posterior.mean_at(index)) == bits(predict(scratch, points[index])[0])
+            taken += [(view, np.array(view)) for view in views(model) + [posterior.cross, means, sigma]]
+            assert all(bits(view) == bits(copy) for view, copy in taken)
 
     @pytest.mark.parametrize("behavior_dim", [1, 4])
     def test_jitter_path_matches_scratch(self, behavior_dim):
@@ -1002,23 +962,22 @@ class TestIncrementalFit:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(gram)
         np.linalg.cholesky(gram + JITTER * np.eye(5))
-        assert_diagonal(grown, JITTER)
-        assert_same_model(grown, fit(observations, SQEXP, sine_prior))
+        assert_diagonal(grown.model, JITTER)
+        assert_same_model(grown.model, fit(observations, SQEXP, sine_prior))
 
     def test_the_jitter_rides_on_every_row_without_noise(self):
         # the near twin at row 3 extends the factor like any other input: the
         # rows before it keep their bits, and the model, equal to a fit from
-        # scratch at every t, carries the jitter. A posterior that scored the
-        # model before it goes on from the rows it solved.
+        # scratch at every t, carries the jitter. The posterior, scored first
+        # at t = 3, goes on from the rows it learned.
         rng = np.random.default_rng(11)
         inputs = rng.uniform(-1, 1, size=(7, 1))
         inputs = np.vstack([inputs[:3], inputs[1] + 1e-12, inputs[3:]])
         observations = ObservationSet(inputs, rng.normal(size=(8, 2)), 0.0)
         points = rng.uniform(-1, 1, size=(40, 1))
         factors = []
-        for t, model in enumerate(grow(observations, SQEXP, sine_prior), start=1):
-            if t == 1:   # the posterior of the one model that grow grows
-                posterior = CandidatePosterior(points, model)
+        for t, posterior in enumerate(grow(observations, SQEXP, sine_prior, points), start=1):
+            model = posterior.model
             factors.append(model.chol)
             assert_diagonal(model, JITTER)
             assert_same_model(model, fit(ObservationSet(inputs[:t], observations.outputs[:t], 0.0), SQEXP, sine_prior))
@@ -1030,25 +989,22 @@ class TestIncrementalFit:
             assert bits(sigma) == bits(np.sqrt(2 * want_variances))
         assert bits(factors[3][:3, :3]) == bits(factors[2])
 
-    def test_one_row_refit_evaluates_the_kernel_only_in_the_new_row(self, monkeypatch):
+    def test_learning_a_behavior_evaluates_the_kernel_only_at_it(self, monkeypatch):
+        # its kernel column over the earlier inputs, then its row over the points
         rng = np.random.default_rng(12)
-        inputs, outputs = rng.normal(size=(6, 1)), rng.normal(size=(6, 2))
-        observations = ObservationSet(inputs[:5], outputs[:5], 0.001)
-        previous = fit(observations, SQEXP, sine_prior)
-        observations.append(inputs[5], outputs[5])
+        inputs, outputs, points = rng.normal(size=(6, 1)), rng.normal(size=(6, 2)), rng.normal(size=(9, 1))
+        posterior = CandidatePosterior(points, fit(ObservationSet(inputs[:5], outputs[:5], 0.001), SQEXP, sine_prior))
         evaluated, real = [], gp.kernel_matrix
 
         def recording_kernel_matrix(kernel, a, b):
-            evaluated.append((np.copy(a), np.copy(b)))
+            evaluated.append((bits(a), bits(b)))
             return real(kernel, a, b)
 
         monkeypatch.setattr(gp, "kernel_matrix", recording_kernel_matrix)
-        model = fit(observations, SQEXP, sine_prior, previous=previous)
-        assert len(evaluated) == 1
-        np.testing.assert_array_equal(evaluated[0][0], observations.inputs[5:])
-        np.testing.assert_array_equal(evaluated[0][1], observations.inputs)
+        posterior.learn(inputs[5], outputs[5])
+        assert evaluated == [(bits(inputs[5:]), bits(inputs[:5])), (bits(inputs[5:]), bits(points))]
         monkeypatch.undo()
-        assert_same_model(model, fit(observations, SQEXP, sine_prior))
+        assert_same_model(posterior.model, fit(ObservationSet(inputs, outputs, 0.001), SQEXP, sine_prior))
 
     def test_prior_evaluated_only_at_the_new_input(self):
         seen = []
@@ -1060,28 +1016,8 @@ class TestIncrementalFit:
         rng = np.random.default_rng(4)
         observations = ObservationSet(rng.normal(size=(6, 1)), rng.normal(size=(6, 2)), 0.001)
         list(grow(observations, SQEXP, counting_prior))
-        np.testing.assert_array_equal(np.array(seen), observations.inputs)
-
-    @pytest.mark.parametrize("change", ["kernel", "prior", "inputs", "equal_copy", "same_length"])
-    def test_previous_must_be_a_prefix_fit(self, change):
-        # `previous` must be fitted with this kernel and prior on fewer rows of
-        # this very set: a refit onto another set raises, even onto an equal copy
-        rng = np.random.default_rng(8)
-        inputs, outputs = rng.normal(size=(4, 1)), rng.normal(size=(4, 2))
-        prior, observations = zero_prior(2), ObservationSet(inputs[:3], outputs[:3], 0.001)
-        previous = fit(observations, Kernel(sigma=0.3) if change == "kernel" else SQEXP,
-                       sine_prior if change == "prior" else prior)
-        observations.append(inputs[3], outputs[3])
-        if change == "same_length":
-            fit(observations, SQEXP, prior, previous=previous)
-        refit = {
-            "inputs": ObservationSet(inputs + 1.0, outputs, 0.001),
-            "equal_copy": ObservationSet(inputs, outputs, 0.001),
-        }.get(change, observations)
-        t = len(previous.chol)
-        with pytest.raises(ValueError, match="prefix"):
-            fit(refit, SQEXP, prior, previous=previous)
-        assert len(previous.chol) == t
+        # once at the posterior's one point, the first input, then at each input learned
+        np.testing.assert_array_equal(np.array(seen), np.vstack([observations.inputs[:1], observations.inputs]))
 
 
 def recording_kernel_matrix(monkeypatch):
@@ -1105,34 +1041,30 @@ class TestZeroNoise:
     def test_the_noise_alone_sets_the_jitter(self, noise, jitter):
         rng = np.random.default_rng(13)
         observations = ObservationSet(rng.normal(size=(3, 1)), rng.normal(size=(3, 2)), noise)
-        for model in grow(observations, SQEXP, sine_prior):
-            assert_diagonal(model, jitter)
+        for posterior in grow(observations, SQEXP, sine_prior):
+            assert_diagonal(posterior.model, jitter)
 
-    # an exact repeat of candidate 2, its sign-flipped zero coordinate, and a near twin 1e-12 away
-    @pytest.mark.parametrize("twin", [
-        lambda x: x.copy(), lambda x: np.where(x == 0.0, -x, x), lambda x: x + 1e-12,
-    ], ids=["repeat", "signed_zero", "near"])
+    @pytest.mark.parametrize("twin", list(TWINS.values()), ids=list(TWINS))
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_a_chain_with_a_twin_equals_a_fit_from_scratch(self, family, twin, monkeypatch):
-        # a mission's chain: each step learns a candidate from the posterior
-        # that scored the model before; the twin and the repeats learned
-        # after it evaluate no kernel
+        # a mission's chain: each step learns a candidate at its index, taking
+        # the factor's column from the posterior's rows; the kernel runs only
+        # for the posterior's row of an input not learned before, so neither
+        # for the exact repeat of candidate 2 nor for any candidate learned again
         rng = np.random.default_rng(14)
         kernel = Kernel(family, 0.45)
         points = rng.uniform(-np.pi, np.pi, size=(7, 2))
         points[2, 1] = 0.0
         points[6] = twin(points[2])
         observations = ObservationSet.empty(2, 2, 0.0)
-        model = fit(observations, kernel, sine_prior)
-        posterior = CandidatePosterior(points, model)
+        posterior = CandidatePosterior(points, fit(observations, kernel, sine_prior))
+        model, learned = posterior.model, set()
         calls = recording_kernel_matrix(monkeypatch)
         for index in (2, 0, 2, 6, 5, 6, 2, 2, 6, 1):
-            posterior.score()
             calls.clear()
-            evaluated = (posterior.cross[:, index], posterior.prior_means[index])
-            observations.append(points[index], rng.normal(size=2))
-            assert fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated) is model
-            assert calls == []
+            posterior.learn(points[index], rng.normal(size=2), index)
+            assert calls == ([] if points[index].tobytes() in learned else [(1, 7)])
+            learned.add(points[index].tobytes())
             assert_diagonal(model, JITTER)
             caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.0)
             assert_same_model(model, fit(caller, kernel, sine_prior))
@@ -1142,108 +1074,43 @@ class TestZeroNoise:
             assert bits(sigma) == bits(np.sqrt(2 * want_variances))
 
 
-class TestRefitFromThePosterior:
-    """A refit that learns a candidate takes k(X, x) and P(x) from a posterior
-    that scored `previous` (`fit(..., evaluated=...)`), and `score` copies the
-    kernel row of an input it has seen. Both give the evaluations' bits."""
+class TestLearnAtACandidate:
+    """A learning step at a candidate takes k(X, x) and P(x) from the posterior's
+    rows, and copies the kernel row of an input it has seen. Both give the
+    evaluations' bits (`TestLearn`)."""
 
-    @settings(max_examples=120, deadline=None)
-    @given(
-        family=st.sampled_from(list(KernelFamily)),
-        space=st.sampled_from([(1, DistanceKind.WRAPPED_ANGULAR), (4, DistanceKind.EUCLIDEAN)]),
-        noise=st.sampled_from([0.0, 0.001]),
-        twin=st.booleans(),
-        picks=st.lists(st.integers(0, 7), min_size=1, max_size=16),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_a_chain_fed_by_the_posterior_equals_a_fit_from_scratch(self, family, space, noise, twin, picks, seed):
-        # `picks` may repeat a candidate; `twin` makes candidate 1 a near copy
-        # of candidate 0. Without noise both factor by the jitter.
-        rng = np.random.default_rng(seed)
-        behavior_dim, distance = space
-        kernel = Kernel(family, 0.45, distance)
-        points = rng.uniform(-np.pi, np.pi, size=(8, behavior_dim))
-        if twin:
-            points[1] = points[0] + 1e-12
-        observations = ObservationSet.empty(behavior_dim, 2, noise)
-        model = fit(observations, kernel, sine_prior)
-        posterior = CandidatePosterior(points, model)
-        for index in picks:
-            posterior.score()
-            evaluated = (posterior.cross[:, index], posterior.prior_means[index])
-            observations.append(points[index], rng.normal(size=2))
-            caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), noise)
-            scratch = fit(caller, kernel, sine_prior)
-            assert fit(observations, kernel, sine_prior, previous=model, evaluated=evaluated) is model
-            assert_same_model(model, scratch)
-            assert bits(model.prior_correction) == bits(scratch.prior_correction)
-            means, sigma = posterior.score()   # a repeated pick copies its kernel row
-            want_means, want_variances = predict_batch(model, points)
-            assert bits(means) == bits(want_means)
-            assert bits(sigma) == bits(np.sqrt(2 * want_variances))
-            assert bits(posterior.cross) == bits(kernel_matrix(kernel, caller.inputs, points))
-
-    def test_learning_a_candidate_evaluates_neither_kernel_nor_prior(self, monkeypatch):
-        # the kernel runs once per candidate, in the scoring after its first
-        # learning step; a repeat and every refit run neither it nor the prior
+    def test_learning_a_candidate_evaluates_no_prior_and_the_kernel_once(self, monkeypatch):
+        # the kernel runs once per candidate, for its row over the points when it is
+        # first learned; a repeat and the scoring run neither it nor the prior
         calls = recording_kernel_matrix(monkeypatch)
         priors = []
         rng = np.random.default_rng(2)
         points = rng.uniform(-np.pi, np.pi, size=(9, 1))
         prior = lambda x: priors.append(1) or sine_prior(x)
         observations, learned = ObservationSet.empty(1, 2, 0.001), set()
-        model = fit(observations, WRAPPED, prior)
-        posterior = CandidatePosterior(points, model)
+        posterior = CandidatePosterior(points, fit(observations, WRAPPED, prior))
         assert len(priors) == 9
         for index in (3, 5, 3, 3, 8, 5):
-            posterior.score()
             calls.clear()
-            evaluated = (posterior.cross[:, index], posterior.prior_means[index])
-            observations.append(points[index], rng.normal(size=2))
-            fit(observations, WRAPPED, prior, previous=model, evaluated=evaluated)
-            assert calls == [] and len(priors) == 9
+            posterior.learn(points[index], rng.normal(size=2), index)
+            assert calls == ([] if index in learned else [(1, 9)]) and len(priors) == 9
             posterior.score()
             assert calls == ([] if index in learned else [(1, 9)])
             learned.add(index)
-        caller = ObservationSet(np.array(model.observations.inputs), np.array(model.observations.outputs), 0.001)
-        assert_same_model(model, fit(caller, WRAPPED, prior))
+        caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.001)
+        assert_same_model(posterior.model, fit(caller, WRAPPED, prior))
 
-    def test_a_near_twin_without_noise_evaluates_no_kernel(self, monkeypatch):
-        # the near twin's row takes the posterior's column like any other
+    def test_a_near_twin_without_noise_takes_the_posteriors_column(self, monkeypatch):
+        # the near twin's factor row takes the posterior's column like any other;
+        # the kernel runs only for each new input's row over the points
         calls = recording_kernel_matrix(monkeypatch)
         points = np.array([[0.3], [1.2], [0.3 + 1e-12]])
         observations = ObservationSet.empty(1, 2, 0.0)
-        model = fit(observations, SQEXP, sine_prior)
-        posterior = CandidatePosterior(points, model)
+        posterior = CandidatePosterior(points, fit(observations, SQEXP, sine_prior))
         for index in range(3):
-            posterior.score()
             calls.clear()
-            evaluated = (posterior.cross[:, index], posterior.prior_means[index])
-            observations.append(points[index], [0.1 * index, 0.2])
-            fit(observations, SQEXP, sine_prior, previous=model, evaluated=evaluated)
-            assert calls == []
-        assert_diagonal(model, JITTER)
-        assert_same_model(model, fit(ObservationSet(points, [[0.0, 0.2], [0.1, 0.2], [0.2, 0.2]], 0.0), SQEXP, sine_prior))
-
-    @pytest.mark.parametrize("case", ["two_new_inputs", "short_column", "long_column", "no_previous"])
-    def test_evaluated_is_used_only_for_one_new_input_past_previous(self, monkeypatch, case):
-        # otherwise fit evaluates the kernel and the prior itself, and the
-        # result is a fit from scratch whatever `evaluated` holds
-        rng = np.random.default_rng(3)
-        inputs, outputs = rng.uniform(-np.pi, np.pi, size=(5, 1)), rng.normal(size=(5, 2))
-        observations = ObservationSet(inputs[:3], outputs[:3], 0.001)
-        previous = fit(observations, SQEXP, sine_prior)
-        column = kernel_matrix(SQEXP, inputs[:3], inputs[3:4])[:, 0]
-        end, previous, column = {
-            "two_new_inputs": (5, previous, column),
-            "short_column": (4, previous, column[:2]),
-            "long_column": (4, previous, np.append(column, 0.5)),
-            "no_previous": (4, None, column),
-        }[case]
-        for x, y in zip(inputs[3:end], outputs[3:end]):   # a fit from scratch, too, reads the grown set
-            observations.append(x, y)
-        calls = recording_kernel_matrix(monkeypatch)
-        model = fit(observations, SQEXP, sine_prior, previous, evaluated=(column, np.array([9.0, 9.0])))
-        assert len(calls) == 1
-        monkeypatch.undo()
-        assert_same_model(model, fit(observations, SQEXP, sine_prior))
+            posterior.learn(points[index], [0.1 * index, 0.2], index)
+            assert calls == [(1, 3)]
+        assert_diagonal(posterior.model, JITTER)
+        scratch = fit(ObservationSet(points, [[0.0, 0.2], [0.1, 0.2], [0.2, 0.2]], 0.0), SQEXP, sine_prior)
+        assert_same_model(posterior.model, scratch)

@@ -374,7 +374,7 @@ NOISY_MISSIONS = {
 
 class TestLearningFromTheScore:
     """A learning step takes its new kernel column and prior value from the
-    posterior's score of the current model; the posterior evaluates a
+    posterior's rows of the current model; the posterior evaluates a
     candidate's kernel row only the first time the mission learns it."""
 
     @pytest.mark.parametrize("world, method", [
@@ -385,7 +385,7 @@ class TestLearningFromTheScore:
     ])
     def test_one_kernel_row_per_new_candidate_and_no_prior(self, monkeypatch, world, method):
         # per learning step: (candidate learned before, kernel_matrix calls in
-        # the refit and in the scoring of its model, prior calls in the refit)
+        # the learning step and the scoring after it, prior calls in both)
         config = NOISY_MISSIONS[world]
         archive = build_archive(config) if world == "segment_walker" else None
         config = build_mission_config(config, seed=0, archive=archive)
@@ -409,9 +409,10 @@ class TestLearningFromTheScore:
             assert {repeat for repeat, _, _ in steps} == {False, True}
 
     @pytest.mark.parametrize("scored", ["an_older_model", "no_model"])
-    def test_a_posterior_that_did_not_score_the_model_leaves_the_refit_to_the_kernel(self, monkeypatch, scored):
-        # learn takes the column and prior only from a score of the model at the
-        # t it refits: here the posterior scored the model one row ago, or never
+    def test_learn_takes_the_column_from_the_posterior_whether_or_not_it_scored(self, monkeypatch, scored):
+        # the posterior's rows grow with every learn, so a learning step at a candidate
+        # runs the kernel only for that candidate's row over the candidates, also when
+        # the posterior scored the model one row ago, or never
         state = MissionState(point_config())
         points, model = state.posterior.points, state.posterior.model
         kernel = model.kernel
@@ -421,7 +422,7 @@ class TestLearningFromTheScore:
         calls, kernel_matrix = [], gp.kernel_matrix
         monkeypatch.setattr(gp, "kernel_matrix", lambda k, a, b: calls.append((len(a), len(b))) or kernel_matrix(k, a, b))
         state.learn(points[20], np.array([0.0, 0.1]), 20)
-        assert calls == [(1, 2)]
+        assert calls == [(1, 360)]
         monkeypatch.undo()
         inputs = model.observations.inputs
         scratch = fit(ObservationSet(np.array(inputs), [[0.1, 0.0], [0.0, 0.1]], 0.001), kernel, point_robot_prior)
