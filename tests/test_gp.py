@@ -679,6 +679,15 @@ def views(model):
             model.observations.inputs, model.observations.outputs]
 
 
+def state(posterior):
+    """What a failed learning step must leave as it was: the model's t, the bits of its
+    arrays, of the posterior's rows and sums and of a prediction, and the inputs seen."""
+    model = posterior.model
+    t, (mean, variance) = len(model.chol), predict(model, [0.7])
+    arrays = (*views(model), posterior.cross, posterior.buffer[:, :t], posterior.sums, mean, variance)
+    return t, dict(posterior.seen), [bits(array) for array in arrays]
+
+
 class TestGrowInPlace:
     """`learn` writes its rows past the set's, the model's and the posterior's in
     place, into buffers that double when full; rows once written never change,
@@ -817,25 +826,45 @@ class TestFitErrors:
         model = posterior.model
         assert len(model.buffers[0]) == len(posterior.buffer[0]) == len(model.observations.rows) == 4
         means, sigma = posterior.score()
-
-        def state():
-            mean, variance = predict(model, [0.7])
-            arrays = (*views(model), posterior.cross, posterior.buffer[:, :3], posterior.sums, mean, variance)
-            return len(model.chol), dict(posterior.seen), [bits(array) for array in arrays]
-
         column = posterior.buffer[0, :3, 0].copy()
         posterior.buffer[0, :3, 0] = 2.0 if at == "candidate" else column
-        before = state()
+        before = state(posterior)
         with monkeypatch.context() as patch:
             if at == "behavior":
                 patch.setattr(gp, "kernel_matrix", lambda kernel, a, b: np.full((len(a), len(b)), 2.0))
             with pytest.raises(GpFitError) as raised:
                 posterior.learn(inputs[3], outputs[3], 0 if at == "candidate" else None)
         assert str(raised.value) == f"kernel matrix not positive definite (t=4, noise_variance=0.001, kernel={SQEXP})"
-        assert state() == before
+        assert state(posterior) == before
         assert posterior.score()[0] is means and posterior.score()[1] is sigma
         posterior.buffer[0, :3, 0] = column
         posterior.learn(inputs[3], outputs[3], 0 if at == "candidate" else None)
+        scratch = fit(ObservationSet(inputs, outputs, 0.001), SQEXP, sine_prior)
+        assert_same_model(model, scratch)
+        assert bits(model.prior_correction) == bits(scratch.prior_correction)
+        assert bits(posterior.score()[0]) == bits(predict_batch(scratch, points)[0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["behavior", "observed"])
+    def test_a_non_finite_row_learned_raises_and_leaves_model_and_posterior_intact(self, where, bad):
+        # the buffers are full at t = 4, so the step reaches its check past a doubling;
+        # the model's and the posterior's t, arrays, score and predictions keep their
+        # bits, and the next finite row is learned as if the rejected one never came
+        rng = np.random.default_rng(16)
+        inputs, outputs = rng.uniform(-np.pi, np.pi, size=(5, 1)), rng.normal(size=(5, 2))
+        points = rng.uniform(-np.pi, np.pi, size=(6, 1))
+        *_, posterior = grow(ObservationSet(inputs[:4], outputs[:4], 0.001), SQEXP, sine_prior, points)
+        model = posterior.model
+        assert len(model.chol) == len(model.buffers[0]) == len(posterior.buffer[0]) == 4
+        means, sigma = posterior.score()
+        before = state(posterior)
+        behavior, observed = inputs[4].copy(), outputs[4].copy()
+        {"behavior": behavior, "observed": observed}[where][0] = bad
+        with pytest.raises(GpFitError, match="must be finite"):
+            posterior.learn(behavior, observed)
+        assert state(posterior) == before
+        assert posterior.score()[0] is means and posterior.score()[1] is sigma
+        posterior.learn(inputs[4], outputs[4])
         scratch = fit(ObservationSet(inputs, outputs, 0.001), SQEXP, sine_prior)
         assert_same_model(model, scratch)
         assert bits(model.prior_correction) == bits(scratch.prior_correction)
@@ -890,6 +919,26 @@ def assert_same_model(grown, scratch):
         assert_diagonal(grown, JITTER if grown.observations.noise_variance < JITTER else 0.0)
 
 
+def assert_equals_a_fit_from_scratch(posterior):
+    """The posterior's model, score, kernel rows and `mean_at` equal, bit for bit, those of a
+    model fitted from scratch on copies of its set's rows; returns the score."""
+    model, points = posterior.model, posterior.points
+    observations = model.observations
+    caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), observations.noise_variance)
+    scratch = fit(caller, model.kernel, model.prior)
+    assert_same_model(model, scratch)
+    for name in ("chol", "prior_at_inputs", "prior_correction"):
+        assert bits(getattr(model, name)) == bits(getattr(scratch, name)), name
+    means, sigma = posterior.score()
+    want_means, want_variances = predict_batch(scratch, points)
+    assert bits(means) == bits(want_means)
+    assert bits(sigma) == bits(np.sqrt(2 * want_variances))
+    assert bits(posterior.cross) == bits(kernel_matrix(model.kernel, caller.inputs, points))
+    for index in range(len(points)):
+        assert bits(posterior.mean_at(index)) == bits(predict(scratch, points[index])[0])
+    return means, sigma
+
+
 # Twins of a candidate that has a zero coordinate: an exact repeat, its sign-flipped zero, and a
 # near twin 1e-12 away. Each gives k = 1 exactly, so without noise each factors by the jitter alone.
 TWINS = {"repeat": lambda x: x.copy(), "signed_zero": lambda x: np.where(x == 0.0, -x, x), "near": lambda x: x + 1e-12}
@@ -928,26 +977,37 @@ class TestLearn:
             "zero": zero_prior(2), "function": sine_prior, "archive": archive_prior(rng, np.vstack([points, others])),
         }[prior_kind]
         posterior = CandidatePosterior(points, fit(ObservationSet.empty(behavior_dim, 2, noise), kernel, prior))
-        model, taken = posterior.model, []
+        taken = []
         for pick in picks:
             if pick < 8:
                 posterior.learn(points[pick], rng.normal(size=2), pick)
             else:
                 posterior.learn(others[pick - 8], rng.normal(size=2))
-            caller = ObservationSet(np.array(model.observations.inputs), np.array(model.observations.outputs), noise)
-            scratch = fit(caller, kernel, prior)
-            assert_same_model(model, scratch)
-            for name in ("chol", "prior_at_inputs", "prior_correction"):
-                assert bits(getattr(model, name)) == bits(getattr(scratch, name)), name
-            means, sigma = posterior.score()
-            want_means, want_variances = predict_batch(scratch, points)
-            assert bits(means) == bits(want_means)
-            assert bits(sigma) == bits(np.sqrt(2 * want_variances))
-            assert bits(posterior.cross) == bits(kernel_matrix(kernel, caller.inputs, points))
-            for index in range(len(points)):
-                assert bits(posterior.mean_at(index)) == bits(predict(scratch, points[index])[0])
-            taken += [(view, np.array(view)) for view in views(model) + [posterior.cross, means, sigma]]
+            means, sigma = assert_equals_a_fit_from_scratch(posterior)
+            taken += [(view, np.array(view)) for view in views(posterior.model) + [posterior.cross, means, sigma]]
             assert all(bits(view) == bits(copy) for view, copy in taken)
+
+    @pytest.mark.parametrize("t", [0, 1, 5, 8])
+    def test_a_posterior_of_a_fitted_model_learns_like_a_fit_from_scratch(self, t):
+        # the posterior solves the t rows of a model fitted from scratch at once, then
+        # learns a row per step, at a candidate or at another behavior, through the
+        # doubling of the buffers that the fit sized to t; the second behavior is the
+        # fitted model's first input, whose kernel row the posterior copies
+        rng = np.random.default_rng(20 + t)
+        kernel = Kernel(KernelFamily.EXPONENTIAL, 0.45, DistanceKind.WRAPPED_ANGULAR)
+        points, others = rng.uniform(-np.pi, np.pi, size=(2, 6, 2))
+        observations = ObservationSet(rng.uniform(-np.pi, np.pi, size=(t, 2)), rng.normal(size=(t, 2)), 0.001)
+        if t:
+            others[5] = observations.inputs[0]
+        posterior = CandidatePosterior(points, fit(observations, kernel, sine_prior))
+        assert_equals_a_fit_from_scratch(posterior)
+        for step, index in enumerate((0, 3, None, 0, 5, None, 3, None, 1, 2)):
+            if index is None:
+                posterior.learn(others[step % 6], rng.normal(size=2))
+            else:
+                posterior.learn(points[index], rng.normal(size=2), index)
+            assert len(posterior.model.chol) == t + step + 1
+            assert_equals_a_fit_from_scratch(posterior)
 
     @pytest.mark.parametrize("behavior_dim", [1, 4])
     def test_jitter_path_matches_scratch(self, behavior_dim):
@@ -1114,3 +1174,27 @@ class TestLearnAtACandidate:
         assert_diagonal(posterior.model, JITTER)
         scratch = fit(ObservationSet(points, [[0.0, 0.2], [0.1, 0.2], [0.2, 0.2]], 0.0), SQEXP, sine_prior)
         assert_same_model(posterior.model, scratch)
+
+    @pytest.mark.parametrize("twin", list(TWINS.values()), ids=list(TWINS))
+    def test_learning_at_the_index_equals_learning_at_the_behavior(self, twin):
+        # two posteriors learn the same steps without noise, one at the candidates'
+        # indices and one at their behaviors alone; candidate 1 is a twin of candidate 0,
+        # and picks repeat. Every array, the score and each mean_at keep the same bits.
+        rng = np.random.default_rng(17)
+        kernel = Kernel(KernelFamily.SQUARED_EXPONENTIAL, 0.45)
+        points = rng.uniform(-np.pi, np.pi, size=(5, 2))
+        points[0, 1] = 0.0
+        points[1] = twin(points[0])
+        by_index, by_behavior = (
+            CandidatePosterior(points, fit(ObservationSet.empty(2, 2, 0.0), kernel, sine_prior)) for _ in range(2)
+        )
+        for index in (0, 1, 3, 0, 4, 1, 2, 2):
+            y = rng.normal(size=2)
+            by_index.learn(points[index], y, index)
+            by_behavior.learn(points[index], y)
+            mine, theirs = ([*views(p.model), p.cross, *p.score()] for p in (by_index, by_behavior))
+            assert [bits(array) for array in mine] == [bits(array) for array in theirs]
+            for i in range(len(points)):
+                assert bits(by_index.mean_at(i)) == bits(by_behavior.mean_at(i))
+        assert_diagonal(by_index.model, JITTER)
+        assert_equals_a_fit_from_scratch(by_index)
