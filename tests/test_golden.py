@@ -6,7 +6,8 @@ so a change that alters any step count, summary figure, archive byte or
 decision of a step (what it picks, predicts and observes) fails here even
 when it is deterministic. The configs cover all four methods on both
 worlds; the step cap is lowered so that capped runs stay cheap but still
-occur. A change that is meant to alter these bytes is a
+occur. One more decision stream, perfbench's long-adaptation config, covers
+models of about 220 inputs. A change that is meant to alter these bytes is a
 behaviour change and must say so, not re-record the digests quietly.
 
 The digests also rest on five facts of numpy, OpenBLAS, scipy and libm. A
@@ -59,6 +60,22 @@ WALKER = ExperimentConfig(
     step_cap=120,
 )
 
+# perfbench's long-adaptation config: the goal is never reached, so every mission runs
+# 250 steps and its model grows to about 220 inputs, which no other golden reaches.
+LONG = ExperimentConfig(
+    world="point_robot",
+    damage="angle_offset",
+    replicates=3,
+    step_cap=250,
+    goal_x=6.0,
+    goal_y=6.0,
+    noise_variance=0.05,
+    epsilon_goal=1e-9,
+)
+
+# The decision streams' configs by the name their digests and fingerprints are recorded under.
+STREAMS = {"point_robot": TOY, "segment_walker": WALKER, "long_adaptation": LONG}
+
 # sha256 of (runs.csv, summary.csv) per world.
 GOLDEN_RESULTS = {
     "point_robot": (
@@ -97,8 +114,8 @@ def test_result_bytes(config, walker_archive, tmp_path):
     assert (runs, summary) == GOLDEN_RESULTS[config.world]
 
 
-# sha256 of each (world, method)'s decision stream over TOY's and WALKER's
-# replicates: per step, in order, the seed and step number, the chosen
+# sha256 of each (stream, method)'s decision stream over the replicates of its
+# config in STREAMS: per step, in order, the seed and step number, the chosen
 # candidate's index or else the executed behavior's bytes, the predicted mean's
 # bytes where the step forms one, the observed outcome's bytes and whether the
 # pose was reset. A change to what a mission predicts or picks moves these even
@@ -115,6 +132,9 @@ GOLDEN_DECISIONS = {
         "babbling": "dd530f18019c785cc0d531e946c6f986f26bdd7a157dfb4ba149544da005a97d",
         "episodic_ite": "2fb93df9da4baccfa831f02317fe2a5fd444743fcdc9d9d16f710b7e8489e466",
         "uncertainty": "f9e5fb11afe0d0e275873155cc6152f8cb395374c0bf02f56eb21f489f355c7a",
+    },
+    "long_adaptation": {
+        "sela": "2239f84a19083a727d3095f1735a9213a401b6d08c1b84114a2af3fb0e5e3945",
     },
 }
 
@@ -168,25 +188,25 @@ def decision_streams(config, archive):
 
 @pytest.fixture(scope="module")
 def streams(walker_archive):
-    """The decision streams of TOY or WALKER, run once per module."""
+    """The decision streams of a config in STREAMS by its name, run once per module."""
     recorded = {}
 
-    def of(config):
-        if config.world not in recorded:
-            archive = walker_archive if config.world == "segment_walker" else None
-            recorded[config.world] = decision_streams(config, archive)
-        return recorded[config.world]
+    def of(name):
+        if name not in recorded:
+            archive = walker_archive if STREAMS[name] is WALKER else None
+            recorded[name] = decision_streams(STREAMS[name], archive)
+        return recorded[name]
 
     return of
 
 
-@pytest.mark.parametrize("config", [TOY, WALKER], ids=lambda config: config.world)
-def test_decision_digests(config, streams):
-    digests = {method: sha256("\n".join(stream).encode()) for method, stream in streams(config).items()}
-    assert digests == GOLDEN_DECISIONS[config.world]
+@pytest.mark.parametrize("name", STREAMS)
+def test_decision_digests(name, streams):
+    digests = {method: sha256("\n".join(stream).encode()) for method, stream in streams(name).items()}
+    assert digests == GOLDEN_DECISIONS[name]
 
 
-# Per (world, method), an 8-hex sha256 prefix of each line of the decision
+# Per (stream, method), an 8-hex sha256 prefix of each line of the decision
 # stream above, recorded with the digests: where a digest alone says only
 # that a stream changed, these say at which step it first did.
 FINGERPRINTS = Path(__file__).with_name("golden_fingerprints.txt")
@@ -197,7 +217,7 @@ def fingerprint(line: str) -> str:
 
 
 def read_fingerprints(path=FINGERPRINTS) -> dict:
-    """The recorded fingerprints per (world, method): the file holds a `# world method`
+    """The recorded fingerprints per (stream, method): the file holds a `# stream method`
     line before each stream's fingerprints, one per line."""
     recorded = {}
     for line in path.read_text(encoding="ascii").splitlines():
@@ -220,22 +240,22 @@ def divergence(stream: list, recorded: list) -> str:
     return f"first diverges {where} ({equal} of {len(recorded)} recorded lines equal){steps}"
 
 
-@pytest.mark.parametrize("config", [TOY, WALKER], ids=lambda config: config.world)
-def test_decision_fingerprints(config, streams):
+@pytest.mark.parametrize("name", STREAMS)
+def test_decision_fingerprints(name, streams):
     recorded = read_fingerprints()
-    diverged = [f"{config.world} {method}: {message}" for method, stream in streams(config).items()
-                if (message := divergence(stream, recorded[config.world, method]))]
+    diverged = [f"{name} {method}: {message}" for method, stream in streams(name).items()
+                if (message := divergence(stream, recorded[name, method]))]
     assert not diverged, "\n".join(diverged)
 
 
 def record_fingerprints(path=FINGERPRINTS) -> None:
-    """Write TOY's and WALKER's fingerprints to `path`. Recording them again
+    """Write the fingerprints of every config in STREAMS to `path`. Recording them again
     is a change to this check, made only with a behaviour change that says so."""
     archive = build_archive(WALKER)
     lines = []
-    for config in (TOY, WALKER):
+    for name, config in STREAMS.items():
         for method, stream in decision_streams(config, archive if config is WALKER else None).items():
-            lines += [f"# {config.world} {method}", *map(fingerprint, stream)]
+            lines += [f"# {name} {method}", *map(fingerprint, stream)]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
