@@ -22,7 +22,6 @@ from sela.gp import (
     fit,
     kernel_matrix,
     predict,
-    predict_batch,
     prior_values,
 )
 from sela.mission import (
@@ -49,6 +48,7 @@ from sela.worlds import (
     point_robot_prior,
     sample_point_robot_behavior,
 )
+from test_gp import assert_near_predict_batch, counting_scores
 
 GOAL = (2.0, 2.0)
 # on GOAL's point-robot grid, a wall across y = 1 from the left edge to x = 2.5
@@ -431,8 +431,8 @@ class TestLearningFromTheScore:
 
 
 class TestCandidateScoring:
-    """The mission's CandidatePosterior scores each fitted model once, and
-    exactly."""
+    """The mission's CandidatePosterior scores each model size once, as a posterior
+    of a fit from scratch does, and within MEAN_BOUND of a fresh prediction."""
 
     def test_posterior_equals_a_fresh_prediction_after_every_learn(self, monkeypatch):
         checked = []
@@ -440,11 +440,14 @@ class TestCandidateScoring:
 
         def checking_learn(state, *args):   # SELA passes the candidate index, babbling does not
             learn(state, *args)
-            means, sigma = state.posterior.score()
-            want_means, want_variances = predict_batch(state.posterior.model, state.posterior.points)
-            np.testing.assert_array_equal(means, want_means)
-            np.testing.assert_array_equal(sigma, np.sqrt(2 * want_variances))
-            checked.append(len(state.posterior.model.observations))
+            posterior = state.posterior
+            model, observations = posterior.model, posterior.model.observations
+            means, sigma = posterior.score()
+            caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), observations.noise_variance)
+            want_means, want_sigma = CandidatePosterior(posterior.points, fit(caller, model.kernel, model.prior)).score()
+            assert means.tobytes() == want_means.tobytes() and sigma.tobytes() == want_sigma.tobytes()
+            assert_near_predict_batch(posterior)
+            checked.append(len(observations))
 
         monkeypatch.setattr(MissionState, "learn", checking_learn)
         sela = run_mission(point_config(AngleOffsetDamage(0.5), noise_variance=0.01, seed=3))
@@ -453,22 +456,16 @@ class TestCandidateScoring:
         assert len(checked) == sela.learn_steps + babbling.learn_steps
 
     def record_scoring(self, monkeypatch):
-        """Wrap predict_batch and the posterior arithmetic; returns the
-        query sizes of predict_batch and ((model, its t), size) per posterior."""
-        batches, posteriors = [], []
-        predict_batch, posterior = gp.predict_batch, gp._posterior
+        """Wrap predict_batch and CandidatePosterior.score; returns the query sizes of
+        predict_batch and ((model, its t), size) per score that computes."""
+        batches, predict_batch = [], gp.predict_batch
 
         def counting_predict_batch(model, points):
             batches.append(len(points))
             return predict_batch(model, points)
 
-        def counting_posterior(model, prior_means, *args):
-            posteriors.append(((model, len(model.chol)), len(prior_means)))
-            return posterior(model, prior_means, *args)
-
         monkeypatch.setattr(gp, "predict_batch", counting_predict_batch)
-        monkeypatch.setattr(gp, "_posterior", counting_posterior)
-        return batches, posteriors
+        return batches, counting_scores(monkeypatch)
 
     def test_nominal_steps_with_an_unchanged_model_are_not_scored_again(self, monkeypatch):
         # the intact robot never adapts, so its model stays the empty one:
