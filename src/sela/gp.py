@@ -29,8 +29,8 @@ over the t rows. `learn` grows the model and those rows in one pass, writing pas
 buffers that double together when full, so read-only views taken before stay valid; the
 model equals a fit from scratch bit for bit, and the score equals that of a posterior built
 on one. With a noise variance of 1e-3 or more the means lie within about 1e-12 of
-`predict_batch`'s product. Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the
-config check.
+`predict_batch`'s product; `mean_at` gives `predict`'s mean at one of the points bit for
+bit. Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ class CandidatePosterior:
         upper, outputs = factor.T[:, :t + 1], rows[:t + 1, b:]
         # dpotrs's two solves; dpotrs itself would copy the factor, whose lda is its capacity
         correction = dtrtrs(upper, outputs - values[:t + 1], lower=0, trans=1)[0]
-        model.prior_correction = dtrtrs(upper, correction, lower=0)[0]   # a copy: correction[t] weighs the means' row
+        model.prior_correction = dtrtrs(upper, correction, lower=0)[0]   # a copy: correction[t] weighs the new term
         model.chol, model.prior_at_inputs, model.buffers = factor[:t + 1, :t + 1], values[:t + 1], (factor, values)
         observations.rows, observations.inputs, observations.outputs = rows, rows[:t + 1, :b], outputs
         model.chol.flags.writeable = model.prior_at_inputs.flags.writeable = False
@@ -346,7 +346,7 @@ class CandidatePosterior:
         sqrt(sum_d var_d) = sqrt(outcome_dim * var) (n,), both read-only, from the two sums."""
         if self.means is None:
             self.means = (self.prior_means.T + self.shift).T   # by column, as the prior means are
-            self.sigma = np.sqrt(len(self.shift) * np.maximum(1.0 - self.sums, 0.0))
+            self.sigma = np.sqrt(self.means.shape[1] * np.maximum(1.0 - self.sums, 0.0))
             self.means.flags.writeable = self.sigma.flags.writeable = False
         return self.means, self.sigma
 

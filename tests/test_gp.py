@@ -577,7 +577,7 @@ class TestLongAdaptationSizes:
                 for index in rng.choice(360, 12, replace=False):
                     assert bits(posterior.mean_at(index)) == bits(predict(model, points[index])[0])
             if t in (1, 2, 3, 250):
-                caller = ObservationSet(np.array(model.observations.inputs), np.array(model.observations.outputs), 0.001)
+                caller = ObservationSet(inputs[:t], np.array(model.observations.outputs), 0.001)
                 assert bits(means) == bits(CandidatePosterior(points, fit(caller, kernel, prior)).score()[0])
 
 

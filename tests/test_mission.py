@@ -443,8 +443,9 @@ class TestCandidateScoring:
             posterior = state.posterior
             model, observations = posterior.model, posterior.model.observations
             means, sigma = posterior.score()
-            caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), observations.noise_variance)
-            want_means, want_sigma = CandidatePosterior(posterior.points, fit(caller, model.kernel, model.prior)).score()
+            scratch = fit(ObservationSet(observations.inputs, observations.outputs, observations.noise_variance),
+                          model.kernel, model.prior)
+            want_means, want_sigma = CandidatePosterior(posterior.points, scratch).score()
             assert means.tobytes() == want_means.tobytes() and sigma.tobytes() == want_sigma.tobytes()
             assert_near_predict_batch(posterior)
             checked.append(len(observations))
