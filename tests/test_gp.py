@@ -304,8 +304,7 @@ class TestCandidatePosterior:
         CandidatePosterior(points, other).learn(inputs[3], outputs[3])
         assert len(other.chol) == 4 and len(model.chol) == 3
         assert posterior.score()[0] is means and posterior.score()[1] is sigma
-        want = CandidatePosterior(points, model).score()
-        assert bits(means) == bits(want[0]) and bits(sigma) == bits(want[1])
+        assert_scores_as_a_posterior_of(posterior, model)
         assert bits(posterior.mean_at(3)) == bits(predict(model, points[3])[0])
 
     def test_score_reads_no_row_of_the_cross_kernel(self):
@@ -397,6 +396,12 @@ def assert_near_predict_batch(posterior):
     assert bits(sigma) == bits(np.sqrt(means.shape[1] * want_variances))
     if posterior.model.observations.noise_variance >= 1e-3:
         np.testing.assert_allclose(means, want_means, rtol=0, atol=MEAN_BOUND)
+
+
+def assert_scores_as_a_posterior_of(posterior, model):
+    """The posterior's score equals, bit for bit, that of a new posterior of `model` at its points."""
+    want = CandidatePosterior(posterior.points, model).score()
+    assert [bits(array) for array in posterior.score()] == [bits(array) for array in want]
 
 
 def counting_scores(monkeypatch):
@@ -706,8 +711,7 @@ class TestPosteriorBuffers:
                 posterior.learn(inputs[step], outputs[step])
             means, sigma = posterior.score()
             scratch = fit(ObservationSet(inputs[:end], outputs[:end], 0.0), kernel, sine_prior)
-            want_means, want_sigma = CandidatePosterior(points, scratch).score()
-            assert bits(means) == bits(want_means) and bits(sigma) == bits(want_sigma)
+            assert_scores_as_a_posterior_of(posterior, scratch)
             assert bits(sigma) == bits(np.sqrt(2 * predict_batch(scratch, points)[1]))
             assert bits(posterior.cross) == bits(kernel_matrix(kernel, inputs[:end], points))
             assert np.isnan(posterior.buffer[:, end:]).all()   # never written
@@ -891,7 +895,7 @@ class TestFitErrors:
         scratch = fit(ObservationSet(inputs, outputs, 0.001), SQEXP, sine_prior)
         assert_same_model(model, scratch)
         assert bits(model.prior_correction) == bits(scratch.prior_correction)
-        assert bits(posterior.score()[0]) == bits(CandidatePosterior(points, scratch).score()[0])
+        assert_scores_as_a_posterior_of(posterior, scratch)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["behavior", "observed"])
@@ -917,7 +921,7 @@ class TestFitErrors:
         scratch = fit(ObservationSet(inputs, outputs, 0.001), SQEXP, sine_prior)
         assert_same_model(model, scratch)
         assert bits(model.prior_correction) == bits(scratch.prior_correction)
-        assert bits(posterior.score()[0]) == bits(CandidatePosterior(points, scratch).score()[0])
+        assert_scores_as_a_posterior_of(posterior, scratch)
 
     def test_rows_rejected_at_full_buffers_leave_one_capacity(self, monkeypatch):
         # at t = 4 the set's, the model's and the posterior's buffers are full; rows rejected
@@ -1008,14 +1012,12 @@ def assert_equals_a_fit_from_scratch(posterior):
     assert_same_model(model, scratch)
     for name in ("chol", "prior_at_inputs", "prior_correction"):
         assert bits(getattr(model, name)) == bits(getattr(scratch, name)), name
-    means, sigma = posterior.score()
-    want_means, want_sigma = CandidatePosterior(points, scratch).score()
-    assert bits(means) == bits(want_means) and bits(sigma) == bits(want_sigma)
+    assert_scores_as_a_posterior_of(posterior, scratch)
     assert_near_predict_batch(posterior)
     assert bits(posterior.cross) == bits(kernel_matrix(model.kernel, caller.inputs, points))
     for index in range(len(points)):
         assert bits(posterior.mean_at(index)) == bits(predict(scratch, points[index])[0])
-    return means, sigma
+    return posterior.score()
 
 
 # Twins of a candidate that has a zero coordinate: an exact repeat, its sign-flipped zero, and a
@@ -1124,9 +1126,7 @@ class TestLearn:
             assert_same_model(model, scratch)
             if t < 3:
                 continue
-            means, sigma = posterior.score()
-            want_means, want_sigma = CandidatePosterior(points, scratch).score()
-            assert bits(means) == bits(want_means) and bits(sigma) == bits(want_sigma)
+            assert_scores_as_a_posterior_of(posterior, scratch)
             assert_near_predict_batch(posterior)
         assert bits(factors[3][:3, :3]) == bits(factors[2])
 
@@ -1210,9 +1210,7 @@ class TestZeroNoise:
             caller = ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.0)
             scratch = fit(caller, kernel, sine_prior)
             assert_same_model(model, scratch)
-            means, sigma = posterior.score()
-            want_means, want_sigma = CandidatePosterior(points, scratch).score()
-            assert bits(means) == bits(want_means) and bits(sigma) == bits(want_sigma)
+            assert_scores_as_a_posterior_of(posterior, scratch)
             assert_near_predict_batch(posterior)
 
 

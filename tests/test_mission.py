@@ -48,7 +48,7 @@ from sela.worlds import (
     point_robot_prior,
     sample_point_robot_behavior,
 )
-from test_gp import assert_near_predict_batch, counting_scores
+from test_gp import assert_near_predict_batch, assert_scores_as_a_posterior_of, counting_scores
 
 GOAL = (2.0, 2.0)
 # on GOAL's point-robot grid, a wall across y = 1 from the left edge to x = 2.5
@@ -442,11 +442,9 @@ class TestCandidateScoring:
             learn(state, *args)
             posterior = state.posterior
             model, observations = posterior.model, posterior.model.observations
-            means, sigma = posterior.score()
             scratch = fit(ObservationSet(observations.inputs, observations.outputs, observations.noise_variance),
                           model.kernel, model.prior)
-            want_means, want_sigma = CandidatePosterior(posterior.points, scratch).score()
-            assert means.tobytes() == want_means.tobytes() and sigma.tobytes() == want_sigma.tobytes()
+            assert_scores_as_a_posterior_of(posterior, scratch)
             assert_near_predict_batch(posterior)
             checked.append(len(observations))
 
