@@ -28,7 +28,7 @@ so each learned row adds one rank-1 term to both sums, and a score multiplies no
 over the t rows. `learn` grows the model and those rows in one pass, writing past t into
 buffers that double together when full, so read-only views taken before stay valid; the
 model equals a fit from scratch bit for bit, and the score equals that of a posterior built
-on one. With a noise variance of 1e-3 or more the means lie within about 1e-12 of
+on one. With a noise variance of 1e-3 or more the means lie within a few 1e-12 of
 `predict_batch`'s product; `mean_at` gives `predict`'s mean at one of the points bit for
 bit. Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
 """
@@ -284,8 +284,8 @@ class CandidatePosterior:
         self.cross = self.buffer[0]   # k(inputs, points) (t, n), a view of buffer[0]
         self.cross[:] = kernel_matrix(model.kernel, inputs, self.points)
         self.sums = _solve(model, *self.buffer)   # the column sums of squares of L^-1 cross
-        # (outcome_dim, n), the means less the prior: each row i of L^-1 cross times z_i, the last
-        # entry of the forward solve over rows <= i, as `learn` takes it
+        # (outcome_dim, n), the means less the prior: each row i of L^-1 cross times z_i, the last entry
+        # of the forward solve over rows <= i, as `learn` takes it (t solves; a mission's model is empty)
         residuals = model.observations.outputs - model.prior_at_inputs
         self.shift = np.zeros((residuals.shape[1], len(self)))
         for i, row in enumerate(self.buffer[1]):
