@@ -5,61 +5,53 @@ vectors: the inputs and kernel are shared, so a single factorization of the
 kernel matrix is reused and only the residual targets differ per dimension.
 Predictions follow the prior-correction form
 
-    mean(x) = P(x) + k(x, X) K^-1 (Y - P(X))
-    var(x)  = k(x, x) - k(x, X) K^-1 k(X, x)
+    mean(x) = P(x) + k(x, X) K^-1 (Y - P(X)) = P(x) + (L^-1 k(X, x)) . z
+    var(x)  = k(x, x) - k(x, X) K^-1 k(X, x) = 1 - |L^-1 k(X, x)|^2
 
-where P is the prior mean and K carries the modeled sampling noise on its
-diagonal. With a zero prior this is plain GP regression.
+where P is the prior mean, K = L L^T carries the modeled sampling noise on its
+diagonal and z = L^-1 (Y - P(X)). With a zero prior this is plain GP regression
+(Rasmussen & Williams 2006, Algorithm 2.1, split row by row).
 
-A mission's model grows in place, one observation at a time, through its one
-`CandidatePosterior` (below); the rows of its factor `chol` are its one record of its
-size t. `fit` builds a model from scratch: row i of the Cholesky factor L of K is
-r = L^-1 k(X, x_i) over the earlier inputs followed by sqrt(1 + noise + jitter - r.r).
-The noise alone sets the jitter: JITTER for a noise variance below it and 0 otherwise,
-so a repeated input factors even without noise. A pivot that is not positive raises
-GpFitError. Solves use dtrtrs from `scipy.linalg._flapack` alone.
+A model grows one observation at a time through a `CandidatePosterior` (below); the rows
+of its factor `chol` are its one record of its size t. Row t of L is r = L^-1 k(X, x_t)
+over the earlier inputs followed by L_tt = sqrt(1 + noise + jitter - r.r), and z grows by
+z_t = (y_t - P(x_t) - r.z) / L_tt, one O(t) dot: no triangular solve is left. The noise
+alone sets the jitter: JITTER for a noise variance below it and 0 otherwise, so a repeated
+input factors even without noise. A pivot that is not positive raises GpFitError. `fit`
+builds a model from scratch by learning each input at its index of a posterior at the inputs.
 
 `CandidatePosterior` serves one model at a fixed query set such as a mission's
 candidates. It evaluates the prior P there once and keeps, one row per observation,
-k(X, points) and h = L^-1 k(X, points). With z = L^-1 (Y - P(X)) the means are
-P + sum_i z_i h_i and the variance 1 - sum_i h_i^2. A new input leaves z's earlier entries
-as they were, and its own entry is the last of the forward solve of the prior correction,
-so each learned row adds one rank-1 term to both sums, and a score multiplies nothing
-over the t rows. `learn` grows the model and those rows in one pass, writing past t into
-buffers that double together when full, so read-only views taken before stay valid; the
-model equals a fit from scratch bit for bit, and the score equals that of a posterior built
-on one. With a noise variance of 1e-3 or more the means lie within a few 1e-12 of
-`predict_batch`'s product; `mean_at` gives `predict`'s mean at one of the points bit for
-bit. Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
+k(X, points) and h = L^-1 k(X, points), which it fills by forward substitution. Its
+means are P + sum_i z_i h_i and its variance 1 - sum_i h_i^2, so each learned row adds one
+rank-1 term to both sums, and a score multiplies nothing over the t rows. At a candidate,
+r is that candidate's column of h; elsewhere (only babbling learns there) it is the forward
+substitution of the one kernel column. `learn` grows the model and those rows in one pass,
+writing past t into buffers that double together when full, so read-only views taken before
+stay valid. The same rows learned at the same indices of the same points give the same bits,
+and a posterior of a fitted model scores the bits of one that learned its rows. numpy's
+products round by a column's position and the row width, so learning at other points gives
+other bits: with a noise variance of 1e-3 or more, the factor lies within 1e-12 and z within
+1e-9 of a textbook fit.
+Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib.machinery import PathFinder
-from importlib.util import find_spec, module_from_spec
 from typing import Callable
 
 import numpy as np
-
-_FLAPACK = "scipy.linalg._flapack"   # loaded alone: all of scipy.linalg costs a process ~0.3 s and 28 MB
-if _FLAPACK not in sys.modules:
-    _dirs = [f"{root}/linalg" for root in getattr(find_spec("scipy"), "submodule_search_locations", None) or ()]
-    if (_spec := PathFinder.find_spec(_FLAPACK, _dirs)) is None:
-        raise ImportError(f"{_FLAPACK} not found in {_dirs}", name=_FLAPACK)
-    _spec.loader.exec_module(sys.modules.setdefault(_FLAPACK, module_from_spec(_spec)))
-dtrtrs = sys.modules[_FLAPACK].dtrtrs
 
 TWO_PI = 2.0 * np.pi
 
 # On K's diagonal, from the first row on, of every model whose noise variance is below it.
 JITTER = 1e-10
 
-# Largest model a config may grow: at 1,000 inputs a learning step takes about 1.5 ms, a fit from
-# scratch 0.12 s (2-vCPU x86-64, one OpenBLAS thread); no buffer doubles past it: the factor is 8 MB.
+# Largest model a config may grow: at 1,000 inputs a learning step at 360 candidates takes about
+# 0.2 ms, a fit from scratch 0.2 s (2-vCPU x86-64, one OpenBLAS thread); no buffer doubles past it.
 MAX_GP_OBSERVATIONS = 1_000
 
 # Smallest kernel sigma. Below about 1e-154, 2 sigma^2 leaves the normal floats, and the
@@ -197,15 +189,13 @@ class GpModel:
     kernel: Kernel
     observations: ObservationSet
     prior: PriorMean
-    chol: np.ndarray = field(init=False)              # (t, t) lower Cholesky factor of K, read-only
-    prior_correction: np.ndarray = field(init=False)  # (t, outcome_dim), equals K^-1 (Y - P(X))
-    prior_at_inputs: np.ndarray = field(init=False)   # (t, outcome_dim) P(X), read-only
-    buffers: tuple = field(init=False, repr=False)    # (factor, prior values), viewed above
+    chol: np.ndarray = field(init=False)            # (t, t) lower Cholesky factor L of K, read-only
+    z: np.ndarray = field(init=False)               # (t, outcome_dim) L^-1 (Y - P(X)), read-only
+    buffers: tuple = field(init=False, repr=False)  # (factor, z), viewed above
 
     def __post_init__(self):   # the empty model, which `fit` fills
-        factor, values = np.zeros((0, 0)), np.zeros((0, self.observations.outputs.shape[1]))
-        self.chol, self.prior_correction, self.prior_at_inputs = factor, values, values
-        self.buffers = (factor, values)
+        factor, z = np.zeros((0, 0)), np.zeros((0, self.observations.outputs.shape[1]))
+        self.chol, self.z, self.buffers = factor, z, (factor, z)
 
 
 def _pivot(model: GpModel, r: np.ndarray, t: int) -> float:
@@ -218,30 +208,24 @@ def _pivot(model: GpModel, r: np.ndarray, t: int) -> float:
 
 
 def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpModel:
-    """Build the model of every observation in the set from scratch: the Cholesky factor, one
-    row per input, the prior values at the inputs and the prior correction.
+    """Build the model of every observation in the set from scratch: each input is learned
+    at its index of a posterior at the inputs, into buffers of t rows.
 
-    Legal with zero observations: predictions then revert to the prior with
-    unit variance. Non-finite inputs or outputs are rejected up front: they
-    would spread NaN through the posterior. A pivot that is not positive
-    raises GpFitError.
+    Legal with zero observations: predictions then revert to the prior with unit
+    variance. Non-finite inputs or outputs are rejected up front: they would spread
+    NaN through the posterior. A pivot that is not positive raises GpFitError and
+    leaves the set holding the rows learned before it.
     """
     inputs, outputs, t = observations.inputs, observations.outputs, len(observations)
     if not all(map(math.isfinite, observations.rows[:t].ravel().tolist())):   # as floats, cheaper than numpy
         raise GpFitError("observation inputs and outputs must be finite")
     model = GpModel(kernel, observations, prior)
-    if t:   # the empty model calls no prior and solves nothing
-        # a row per input x_i from k(x_i, X[:i]); dtrtrs takes the F-ordered upper factor, no copy
-        factor = np.zeros((t, t))
-        for i, row in enumerate(kernel_matrix(kernel, inputs, inputs)):
-            r = dtrtrs(factor.T[:, :i], row[:i], lower=0, trans=1)[0] if i else row[:0]
-            factor[i, :i], factor[i, i] = r, _pivot(model, r, t)
-        values = prior_values(prior, inputs)
-        correction = dtrtrs(factor.T, outputs - values, lower=0, trans=1)[0]   # dpotrs's two solves
-        model.prior_correction = dtrtrs(factor.T, correction, lower=0, overwrite_b=1)[0]
-        # read-only views of the buffers, which `learn` writes past t
-        model.chol, model.prior_at_inputs, model.buffers = factor[:], values[:], (factor, values)
-        model.chol.flags.writeable = model.prior_at_inputs.flags.writeable = False
+    if t:   # the empty model calls no prior
+        model.buffers = np.zeros((t, t)), np.empty(outputs.shape)
+        observations.inputs, observations.outputs = inputs[:0], outputs[:0]   # learned back row by row
+        posterior = CandidatePosterior(inputs, model)
+        for index, (x, y) in enumerate(zip(inputs, outputs)):
+            posterior.learn(x, y, index)
     return model
 
 
@@ -264,16 +248,17 @@ def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     pts = _as_points(points)
     # kernel_matrix also rejects a query of another behavior dimension
     cross = kernel_matrix(model.kernel, model.observations.inputs, pts)   # (t, n)
-    sums = _solve(model, cross, np.empty(cross.shape))
-    means = prior_values(model.prior, pts) + np.asfortranarray(cross.T @ model.prior_correction)
+    half = np.empty(cross.shape)
+    sums = _solve(model, cross, half)
+    means = prior_values(model.prior, pts) + np.asfortranarray(half.T @ model.z)
     return means, np.maximum(1.0 - sums, 0.0)
 
 
 class CandidatePosterior:
     """The posterior of one model at a fixed point set, and the one way that model grows: the
     prior there, k(X, points) and L^-1 k(X, points) with one row per observation, the two
-    sums that each row adds a term to, and the score and the answers of `mean_at`, which
-    `score` and `mean_at` form only once the model has grown."""
+    sums that each row adds a term to, and the score, which `score` forms only once the
+    model has grown."""
 
     def __init__(self, points, model: GpModel):
         self.points = _as_points(points)
@@ -284,51 +269,45 @@ class CandidatePosterior:
         self.cross = self.buffer[0]   # k(inputs, points) (t, n), a view of buffer[0]
         self.cross[:] = kernel_matrix(model.kernel, inputs, self.points)
         self.sums = _solve(model, *self.buffer)   # the column sums of squares of L^-1 cross
-        # (outcome_dim, n), the means less the prior: each row i of L^-1 cross times z_i, the last entry
-        # of the forward solve over rows <= i, as `learn` takes it (t solves; a mission's model is empty)
-        residuals = model.observations.outputs - model.prior_at_inputs
-        self.shift = np.zeros((residuals.shape[1], len(self)))
-        for i, row in enumerate(self.buffer[1]):
-            self.shift += dtrtrs(model.chol.T[:, :i + 1], residuals[:i + 1], lower=0, trans=1)[0][i, :, None] * row
+        # (outcome_dim, n), the means less the prior: z_i times row i of L^-1 cross, summed as `learn` sums
+        self.shift = np.zeros((model.z.shape[1], len(self)))
+        for z, row in zip(model.z, self.buffer[1]):
+            self.shift += z[:, None] * row
         self.seen = {x.tobytes(): i for i, x in enumerate(inputs)}   # each input's bytes -> a row of cross at it
-        # the means (n, outcome_dim), sigma (n,) and mean_at's answers by index; means None until scored
-        self.means, self.sigma, self.answers = None, None, {}
+        self.means, self.sigma = None, None   # the means (n, outcome_dim) and sigma (n,); None until scored
 
     def __len__(self) -> int:
         return len(self.points)
 
     def learn(self, behavior, observed, index=None) -> None:
         """Grow the model by one observation in place, and this posterior's rows with it: at
-        candidate `index` from its column of k(X, points) and its prior value, else from the
-        kernel and the prior at `behavior`. The model equals a fit from scratch bit for bit; a
+        candidate `index` from its column of L^-1 k(X, points) and its prior value, else from
+        the forward substitution of the kernel column at `behavior` and the prior there. A
         non-finite row or a pivot that is not positive raises GpFitError and leaves both as
         they were."""
         model, t = self.model, len(self.cross)
-        observations, (factor, values) = model.observations, model.buffers
+        observations, (factor, z) = model.observations, model.buffers
         rows, b = observations.rows, observations.inputs.shape[1]
-        if t == len(values):   # the set's, the model's and this posterior's buffers are full together;
+        if t == len(z):   # the set's, the model's and this posterior's buffers are full together;
             # the set and the model take theirs doubled once the row passes its checks
-            rows, factor, values = _doubled(rows), _doubled(factor, axes=(0, 1), zeroed=True), _doubled(values)
+            rows, factor, z = _doubled(rows), _doubled(factor, axes=(0, 1), zeroed=True), _doubled(z)
         rows[t, :b], rows[t, b:] = behavior, observed
         if not all(map(math.isfinite, rows[t].tolist())):
             raise GpFitError("observation inputs and outputs must be finite")
         x = rows[t, :b]
         if index is None:
-            column, value = kernel_matrix(model.kernel, x[None], observations.inputs)[0], None
+            column = kernel_matrix(model.kernel, x[None], observations.inputs).T   # (t, 1)
+            _solve(model, column, half := np.empty(column.shape))
+            r, value = half[:, 0], prior_values(model.prior, x[None])[0]
         else:
-            column, value = self.cross[:, index], self.prior_means[index]
-        r = dtrtrs(factor.T[:, :t], column, lower=0, trans=1)[0] if t else column
+            r, value = self.buffer[1, :t, index], self.prior_means[index]
         pivot = _pivot(model, r, t + 1)
         factor[t, :t], factor[t, t] = r, pivot
-        values[t] = prior_values(model.prior, x[None]) if value is None else value
-        upper, outputs = factor.T[:, :t + 1], rows[:t + 1, b:]
-        # dpotrs's two solves; dpotrs itself would copy the factor, whose lda is its capacity
-        correction = dtrtrs(upper, outputs - values[:t + 1], lower=0, trans=1)[0]
-        model.prior_correction = dtrtrs(upper, correction, lower=0)[0]   # a copy: correction[t] weighs the new term
-        model.chol, model.prior_at_inputs, model.buffers = factor[:t + 1, :t + 1], values[:t + 1], (factor, values)
-        observations.rows, observations.inputs, observations.outputs = rows, rows[:t + 1, :b], outputs
-        model.chol.flags.writeable = model.prior_at_inputs.flags.writeable = False
-        observations.inputs.flags.writeable = outputs.flags.writeable = False
+        z[t] = (rows[t, b:] - value - r @ z[:t]) / pivot
+        model.chol, model.z, model.buffers = factor[:t + 1, :t + 1], z[:t + 1], (factor, z)
+        observations.rows, observations.inputs, observations.outputs = rows, rows[:t + 1, :b], rows[:t + 1, b:]
+        model.chol.flags.writeable = model.z.flags.writeable = False
+        observations.inputs.flags.writeable = observations.outputs.flags.writeable = False
         # the posterior's rows: k(x, points), copied for an input seen before, and L^-1 of it; the
         # buffer doubles with the model's, but only once their old copies are gone (peak memory)
         if t == self.buffer.shape[1]:
@@ -338,8 +317,8 @@ class CandidatePosterior:
         cross[t] = cross[seen] if seen < t else kernel_matrix(model.kernel, x[None], self.points)
         row = half[t] = (cross[t] - factor[t, :t] @ half[:t]) / pivot
         self.sums += row * row
-        self.shift += correction[t, :, None] * row
-        self.cross, self.means, self.sigma, self.answers = cross[:t + 1], None, None, {}
+        self.shift += z[t, :, None] * row
+        self.cross, self.means, self.sigma = cross[:t + 1], None, None
 
     def score(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means (n, outcome_dim) and the aggregated uncertainty
@@ -349,17 +328,6 @@ class CandidatePosterior:
             self.sigma = np.sqrt(self.means.shape[1] * np.maximum(1.0 - self.sums, 0.0))
             self.means.flags.writeable = self.sigma.flags.writeable = False
         return self.means, self.sigma
-
-    def mean_at(self, index: int) -> np.ndarray:
-        """Mean at points[index] at the t scored last, equal to
-        predict(model, points[index])[0] bit for bit, as a new array; computed once per index
-        and t. A row of `means` sums the rank-1 terms instead and may differ in the last bits."""
-        if self.means is None or len(self.model.chol) != len(self.cross):
-            raise ValueError("mean_at needs the model as it was scored last")
-        if index not in self.answers:   # from a contiguous (t, 1) column, laid out as predict's own
-            column = np.ascontiguousarray(self.cross[:, index:index + 1])
-            self.answers[index] = (self.prior_means[index:index + 1] + column.T @ self.model.prior_correction)[0]
-        return self.answers[index].copy()
 
 
 def predict(model: GpModel, x) -> tuple[np.ndarray, float]:

@@ -24,8 +24,9 @@ the observations only grow. So a mission holds one `CandidatePosterior`, built w
 state, and reaches its one model and the model's one observation set through it (babbling's
 from a copy of the config with the zero prior, sharing its world, rng and grid). `fit`
 builds the empty model once, and each learning step is one `CandidatePosterior.learn`
-(`sela.gp` says what it writes). Steps that learn nothing reuse the posterior's last score
-and the outcome SELA predicted at a candidate (`mean_at`). The drop window keeps one error
+(`sela.gp` says what it writes). Steps that learn nothing reuse the posterior's last score.
+SELA predicts the outcome at the chosen candidate from that score, its row of the means
+(`means[index]`), as the selection saw it. The drop window keeps one error
 norm per step; its mean adds fewer than 8 errors in Python floats in numpy's order, and
 runs `np.add.reduce` beyond. It, the error norms and the goal test keep numpy's bits
 without numpy's Python wrappers. The goal's planner cell is derived once
@@ -197,7 +198,7 @@ def run_mission(config: MissionConfig) -> RunRecord:
     burst = 0
     while state.step_count < config.step_cap and not state.at_goal():
         behavior, index = _chase_waypoint(state, config.alpha if burst else _GREEDY)
-        predicted = state.posterior.mean_at(index)
+        predicted = state.posterior.means[index]
         observed = state.execute(behavior)
         if burst:
             state.learn(behavior, observed, index)

@@ -10,8 +10,8 @@ occur. One more decision stream, perfbench's long-adaptation config, covers
 models of about 220 inputs. A change that is meant to alter these bytes is a
 behaviour change and must say so, not re-record the digests quietly.
 
-The digests also rest on five facts of numpy, OpenBLAS, scipy and libm. A
-version bump that breaks one fails its guard first, with a named cause:
+The digests also rest on four facts of numpy, OpenBLAS and libm. A version
+bump that breaks one fails its guard first, with a named cause:
 
 - `np.vecdot` of a 2-vector with itself gives the bits of
   `fma(x1, x1, fl(x0²))`: test_reward.py::TestDistanceReward::
@@ -23,9 +23,7 @@ version bump that breaks one fails its guard first, with a named cause:
   test_mission.py::TestDropDetector::
   test_window_mean_of_norms_across_magnitudes_equals_numpy_mean;
 - `vector_length` equals `np.linalg.norm`:
-  test_worlds.py::TestVectorLength::test_equals_numpy_norm_bit_for_bit;
-- the factor's solves are scipy's `dtrtrs`:
-  test_gp.py::TestLapackLoader::test_same_dtrtrs_in_this_process.
+  test_worlds.py::TestVectorLength::test_equals_numpy_norm_bit_for_bit.
 
 `golden_fingerprints.txt` holds a fingerprint per step of each decision
 stream, so a changed stream names the first step it changed at.
@@ -122,19 +120,19 @@ def test_result_bytes(config, walker_archive, tmp_path):
 # where the step counts above stay the same.
 GOLDEN_DECISIONS = {
     "point_robot": {
-        "sela": "d44958ba10c42215cbe755ac34baad52697e7468ed140c086d11fa0b1d6d3cda",
-        "babbling": "c664450d1556ae016e6b484908aa19170d14e06dc6916353fb886c844414aa9a",
+        "sela": "a95db6b6a1c9f9cd27fe5062ef78a65735429f5432a49374b06cfb1e3521599a",
+        "babbling": "bcdf1eb4ff263b2ff6ebdf569204ba0258e4bec91655a19a0034edb1e497cb18",
         "episodic_ite": "eacc1df1f9d0ed84bf376e843ff1f1c83a26baf9bd97beae35f8f4bcdc299634",
         "uncertainty": "355f516e3be390acbea5ed1cbdd96ddc19e2c2b58c25d4fcce52609e4ece5cd4",
     },
     "segment_walker": {
-        "sela": "0bb2168c05ca5c07a237c08403ffc5f96f33bf3a3549568fd3bd88ce97da245b",
-        "babbling": "dd530f18019c785cc0d531e946c6f986f26bdd7a157dfb4ba149544da005a97d",
+        "sela": "91c9a4c0862b81b8fabfe482aeb4b3dd1930836aefb89b5164483c2a167e67ed",
+        "babbling": "4ed92fb5ce1f95352f231e118e64c325d4d32b838d3e36f37e2283ae800374ad",
         "episodic_ite": "2fb93df9da4baccfa831f02317fe2a5fd444743fcdc9d9d16f710b7e8489e466",
         "uncertainty": "f9e5fb11afe0d0e275873155cc6152f8cb395374c0bf02f56eb21f489f355c7a",
     },
     "long_adaptation": {
-        "sela": "2239f84a19083a727d3095f1735a9213a401b6d08c1b84114a2af3fb0e5e3945",
+        "sela": "9034d74a18bcc8bffeff3e00e44ce91b6b7b3a5a10831e92e6fb699f6d9100b2",
     },
 }
 

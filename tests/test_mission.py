@@ -48,7 +48,14 @@ from sela.worlds import (
     point_robot_prior,
     sample_point_robot_behavior,
 )
-from test_gp import assert_near_predict_batch, assert_scores_as_a_posterior_of, counting_scores
+from test_gp import (
+    MEAN_BOUND,
+    assert_near_predict_batch,
+    assert_near_textbook,
+    assert_same_posterior,
+    assert_scores_as_a_posterior_of,
+    counting_scores,
+)
 
 GOAL = (2.0, 2.0)
 # on GOAL's point-robot grid, a wall across y = 1 from the left edge to x = 2.5
@@ -198,23 +205,24 @@ class TestRunRecord:
 class TestMissionState:
     def test_a_learning_step_grows_the_missions_model_in_place(self):
         # the model, its observation set and the posterior stay the mission's
-        # objects; each learning step adds one row to them
+        # objects; each learning step adds one row to them, with the bits of a new
+        # posterior at the candidates that learns the same rows at the same indices
         config = point_config(AngleOffsetDamage(0.5))
         state = MissionState(config)
         posterior = state.posterior
         model, observations = posterior.model, posterior.model.observations
         assert model.kernel is config.kernel and model.prior is config.prior
         assert observations.noise_variance == config.gp_noise and len(observations) == 0
+        twin = CandidatePosterior(config.candidates.points, fit(ObservationSet.empty(1, 2, 0.001), model.kernel, model.prior))
         for step, index in enumerate((10, 200, 10), start=1):
             posterior.score()   # as the step's selection does
             state.learn(config.candidates.points[index], np.array([0.1, -0.05 * step]), index)
+            twin.learn(config.candidates.points[index], np.array([0.1, -0.05 * step]), index)
             assert state.posterior is posterior and posterior.model is model
             assert model.observations is observations
             assert len(model.chol) == len(observations) == step
-        scratch = fit(ObservationSet(np.array(observations.inputs), np.array(observations.outputs), 0.001),
-                      model.kernel, model.prior)
-        np.testing.assert_array_equal(model.chol, scratch.chol)
-        np.testing.assert_array_equal(model.prior_correction, scratch.prior_correction)
+        assert_same_posterior(posterior, twin)
+        assert_near_textbook(model)
 
     def test_learn_refits_with_the_models_kernel_and_prior(self):
         kernel = Kernel(KernelFamily.EXPONENTIAL, 0.3, DistanceKind.WRAPPED_ANGULAR)
@@ -225,7 +233,7 @@ class TestMissionState:
         assert model.kernel is kernel
         assert model.prior is damaged_prior
         want = fit(model.observations, kernel, damaged_prior)
-        np.testing.assert_array_equal(model.prior_correction, want.prior_correction)
+        np.testing.assert_array_equal(model.z, want.z)
 
     @pytest.mark.parametrize("window", [1, 3, 7])
     def test_recent_holds_exactly_the_drop_window(self, window):
@@ -247,9 +255,9 @@ class TestMissionState:
 
     def test_per_mission_caches_match_a_fresh_computation(self, monkeypatch):
         # after a SELA run and a babbling run, the posterior's cross-kernel
-        # and prior at the candidates, and the model's Cholesky factor and
-        # prior values, grown one observation at a time, equal the ones
-        # computed from the final inputs
+        # and prior at the candidates equal the ones computed from the final
+        # inputs, and the model's Cholesky factor and z, grown one observation
+        # at a time, lie near a textbook fit of them
         states, post_init = [], MissionState.__post_init__
 
         def recording_post_init(state):
@@ -268,9 +276,7 @@ class TestMissionState:
             inputs, kernel, prior = model.observations.inputs, model.kernel, model.prior
             posterior.score()   # catch up with the last learn
             np.testing.assert_array_equal(posterior.cross, kernel_matrix(kernel, inputs, points))
-            scratch = fit(model.observations, kernel, prior)
-            np.testing.assert_array_equal(model.chol, scratch.chol)
-            np.testing.assert_array_equal(model.prior_at_inputs, prior_values(prior, inputs))
+            assert_near_textbook(model)
             np.testing.assert_array_equal(posterior.prior_means, prior_values(prior, points))
 
     def test_babbling_alone_learns_on_the_zero_prior_and_every_mission_shares_the_astar_table(
@@ -373,8 +379,8 @@ NOISY_MISSIONS = {
 
 
 class TestLearningFromTheScore:
-    """A learning step takes its new kernel column and prior value from the
-    posterior's rows of the current model; the posterior evaluates a
+    """A learning step takes its new factor row, L^-1 of the kernel column, and its prior
+    value from the posterior's rows of the current model; the posterior evaluates a
     candidate's kernel row only the first time the mission learns it."""
 
     @pytest.mark.parametrize("world, method", [
@@ -424,15 +430,16 @@ class TestLearningFromTheScore:
         state.learn(points[20], np.array([0.0, 0.1]), 20)
         assert calls == [(1, 360)]
         monkeypatch.undo()
-        inputs = model.observations.inputs
-        scratch = fit(ObservationSet(np.array(inputs), [[0.1, 0.0], [0.0, 0.1]], 0.001), kernel, point_robot_prior)
-        np.testing.assert_array_equal(model.chol, scratch.chol)
-        np.testing.assert_array_equal(model.prior_correction, scratch.prior_correction)
+        twin = CandidatePosterior(points, fit(ObservationSet.empty(1, 2, 0.001), kernel, point_robot_prior))
+        twin.learn(points[10], np.array([0.1, 0.0]), 10)
+        twin.learn(points[20], np.array([0.0, 0.1]), 20)
+        assert_same_posterior(state.posterior, twin)
+        assert_near_textbook(model)
 
 
 class TestCandidateScoring:
-    """The mission's CandidatePosterior scores each model size once, as a posterior
-    of a fit from scratch does, and within MEAN_BOUND of a fresh prediction."""
+    """The mission's CandidatePosterior scores each model size once, as a new posterior
+    of its model does, and within MEAN_BOUND of a fresh prediction."""
 
     def test_posterior_equals_a_fresh_prediction_after_every_learn(self, monkeypatch):
         checked = []
@@ -442,10 +449,9 @@ class TestCandidateScoring:
             learn(state, *args)
             posterior = state.posterior
             model, observations = posterior.model, posterior.model.observations
-            scratch = fit(ObservationSet(observations.inputs, observations.outputs, observations.noise_variance),
-                          model.kernel, model.prior)
-            assert_scores_as_a_posterior_of(posterior, scratch)
+            assert_scores_as_a_posterior_of(posterior, model)
             assert_near_predict_batch(posterior)
+            assert_near_textbook(model)
             checked.append(len(observations))
 
         monkeypatch.setattr(MissionState, "learn", checking_learn)
@@ -497,21 +503,22 @@ class TestCandidateScoring:
 
 
 class TestPredictedOutcomes:
-    def test_every_prediction_equals_predict(self, monkeypatch):
-        # SELA's steps predict from the scored posterior (mean_at), babbling
-        # and the episodic repertoire with predict; each prediction equals
-        # predict's mean bit for bit, when it is made (the model grows later).
-        # Each prediction is recorded where the drop detector forms its error,
-        # and that error is |observed - predicted|.
-        made, formed = {}, []   # id(predicted) -> predicted
-        mean_at, predict_outcome = CandidatePosterior.mean_at, mission.predict
+    def test_sela_predicts_the_scores_row_and_the_baselines_predict(self, monkeypatch):
+        # SELA's steps predict from the score: the chosen candidate's row of the means,
+        # bit for bit, which lies within MEAN_BOUND of predict's mean when it is made (the
+        # model grows later); babbling and the episodic repertoire predict with predict.
+        # Each prediction is recorded where the drop detector forms its error, and that
+        # error is |observed - predicted|.
+        made, formed, rows = {}, [], []   # id(predicted) -> predicted; errors' predictions; chosen rows
+        select, predict_outcome = mission.select_next, mission.predict
         record_error = MissionState.record_error
 
-        def recording_mean_at(posterior, index):
-            predicted = mean_at(posterior, index)
-            assert predicted.tobytes() == predict(posterior.model, posterior.points[index])[0].tobytes()
-            made[id(predicted)] = predicted
-            return predicted
+        def recording_select(posterior, reward, alpha):
+            behavior, index = select(posterior, reward, alpha)
+            row = posterior.score()[0][index]
+            np.testing.assert_allclose(row, predict(posterior.model, behavior)[0], rtol=0, atol=MEAN_BOUND)
+            rows.append(row.tobytes())
+            return behavior, index
 
         def recording_predict(model, behavior):
             predicted, variance = predict_outcome(model, behavior)
@@ -526,31 +533,36 @@ class TestPredictedOutcomes:
             assert error == float(np.mean(state.recent))
             return error
 
-        monkeypatch.setattr(CandidatePosterior, "mean_at", recording_mean_at)
+        monkeypatch.setattr(mission, "select_next", recording_select)
         monkeypatch.setattr(mission, "predict", recording_predict)
         monkeypatch.setattr(MissionState, "record_error", recording_record_error)
         damage = AngleOffsetDamage(0.5)
         sela = run_mission(point_config(damage, noise_variance=0.01, seed=3))
+        # one selection and one error per SELA step, no predict
+        assert sela.learn_steps > 1 and made == {}
+        assert [predicted.tobytes() for predicted in formed] == rows and len(rows) == sela.total_steps
+        formed.clear()
         babbling = baseline_babbling(point_config(damage, seed=3))
         episodic = baseline_episodic_ite(point_config(damage, seed=3))
-        assert sela.learn_steps > 1 and babbling.learn_steps > 1 and episodic.learn_steps > 4
-        # one error per SELA step and per babble, and one repertoire entry per
-        # direction; the baselines' greedy drives predict nothing
-        assert len(formed) == sela.total_steps + babbling.learn_steps
-        assert len(made) == sela.total_steps + babbling.learn_steps + 4
+        assert babbling.learn_steps > 1 and episodic.learn_steps > 4
+        # one error per babble, and one repertoire entry per direction; the baselines'
+        # greedy drives predict nothing
+        assert len(formed) == babbling.learn_steps
+        assert len(made) == babbling.learn_steps + 4
         for predicted in formed:
             assert made[id(predicted)] is predicted
 
 
 def frozen_sela_adapt(state, max_iterations):
     """A frozen copy of the adaptation burst as its own loop, from before
-    `run_mission` held the burst as a step budget."""
+    `run_mission` held the burst as a step budget (predicting from the score's row
+    since `mean_at` went)."""
     config = state.config
     for _ in range(max_iterations):
         if state.at_goal():
             break
         behavior, index = mission._chase_waypoint(state, config.alpha)
-        predicted = state.posterior.mean_at(index)
+        predicted = state.posterior.means[index]
         observed = state.execute(behavior)
         state.learn(behavior, observed, index)
         if state.record_error(predicted, observed) < config.drop_threshold:
@@ -562,7 +574,7 @@ def frozen_run_mission(config):
     state = MissionState(config)
     while state.step_count < config.step_cap and not state.at_goal():
         behavior, index = mission._chase_waypoint(state)
-        predicted = state.posterior.mean_at(index)
+        predicted = state.posterior.means[index]
         observed = state.execute(behavior)
         if state.record_error(predicted, observed) > config.drop_threshold:
             frozen_sela_adapt(state, min(config.max_adapt_iterations, config.step_cap - state.step_count))
