@@ -15,7 +15,7 @@ diagonal and z = L^-1 (Y - P(X)). With a zero prior this is plain GP regression
 A model grows one observation at a time through a `CandidatePosterior` (below); the rows
 of its factor `chol` are its one record of its size t. Row t of L is r = L^-1 k(X, x_t)
 over the earlier inputs followed by L_tt = sqrt(1 + noise + jitter - r.r), and z grows by
-z_t = (y_t - P(x_t) - r.z) / L_tt, one O(t) dot: no triangular solve is left. The noise
+z_t = (y_t - P(x_t) - r.z) / L_tt, one O(t) dot, with no triangular solve. The noise
 alone sets the jitter: JITTER for a noise variance below it and 0 otherwise, so a repeated
 input factors even without noise. A pivot that is not positive raises GpFitError. `fit`
 builds a model from scratch by learning each input at its index of a posterior at the inputs.
@@ -32,8 +32,7 @@ stay valid. The same rows learned at the same indices of the same points give th
 and a posterior of a fitted model scores the bits of one that learned its rows. numpy's
 products round by a column's position and the row width, so learning at other points gives
 other bits: with a noise variance of 1e-3 or more, the factor lies within 1e-12 and z within
-1e-9 of a textbook fit.
-Models are bounded at `MAX_GP_OBSERVATIONS` inputs by the config check.
+1e-9 of a textbook fit. The config check bounds models at `MAX_GP_OBSERVATIONS` inputs.
 """
 
 from __future__ import annotations

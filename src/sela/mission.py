@@ -24,9 +24,8 @@ the observations only grow. So a mission holds one `CandidatePosterior`, built w
 state, and reaches its one model and the model's one observation set through it (babbling's
 from a copy of the config with the zero prior, sharing its world, rng and grid). `fit`
 builds the empty model once, and each learning step is one `CandidatePosterior.learn`
-(`sela.gp` says what it writes). Steps that learn nothing reuse the posterior's last score.
-SELA predicts the outcome at the chosen candidate from that score, its row of the means
-(`means[index]`), as the selection saw it. The drop window keeps one error
+(`sela.gp` says what it writes). Steps that learn nothing reuse the posterior's last score,
+and SELA's prediction is that score's row, `means[index]`. The drop window keeps one error
 norm per step; its mean adds fewer than 8 errors in Python floats in numpy's order, and
 runs `np.add.reduce` beyond. It, the error norms and the goal test keep numpy's bits
 without numpy's Python wrappers. The goal's planner cell is derived once

@@ -555,8 +555,7 @@ class TestPredictedOutcomes:
 
 def frozen_sela_adapt(state, max_iterations):
     """A frozen copy of the adaptation burst as its own loop, from before
-    `run_mission` held the burst as a step budget (predicting from the score's row
-    since `mean_at` went)."""
+    `run_mission` held the burst as a step budget."""
     config = state.config
     for _ in range(max_iterations):
         if state.at_goal():
