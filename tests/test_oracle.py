@@ -220,12 +220,14 @@ LONG = ExperimentConfig(world="point_robot", damage="angle_offset", step_cap=250
                         noise_variance=0.05, epsilon_goal=1e-9)
 
 
-@pytest.mark.parametrize("config, seeds", [
-    (TOY, range(8)), (WALKER, range(3)), (LONG, range(1)),
-], ids=["point_robot", "segment_walker", "long_adaptation"])
-def test_every_choice_is_the_textbook_oracles(config, seeds, monkeypatch, capsys):
+STREAMS = {"point_robot": (TOY, range(8)), "segment_walker": (WALKER, range(3)), "long_adaptation": (LONG, range(1))}
+
+
+@pytest.mark.parametrize("name", STREAMS)
+def test_every_choice_is_the_textbook_oracles(name, monkeypatch, capsys):
+    config, seeds = STREAMS[name]
     archive = build_archive(config) if config.world == "segment_walker" else None
     compared, ties = check_against_the_oracle(config, config.methods, seeds, monkeypatch, archive)
     with capsys.disabled():
-        print(f"\n{config.world}: {compared} choices compared with the oracle, {ties} skipped as ties")
+        print(f"\n{name}: {compared} choices compared with the oracle, {ties} skipped as ties")
     assert compared > 0 and ties <= compared // 20   # a run where many choices tie checks little
