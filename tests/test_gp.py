@@ -615,7 +615,8 @@ class TestPosteriorBuffers:
 
     @pytest.mark.parametrize("family", list(KernelFamily))
     def test_scoring_through_doublings_without_noise(self, family, monkeypatch):
-        # fresh capacity is NaN, so a read past row t would spoil the scores
+        # fresh capacity is NaN, so a read past row t would spoil the scores: they stay finite
+        # and equal those of a new posterior of the model, whose buffers have no spare rows
         empty = np.empty
 
         def nan_empty(shape, *args, **kwargs):
@@ -637,9 +638,9 @@ class TestPosteriorBuffers:
             for step in range(len(observations), end):   # learned one observation at a time, scored only at some
                 posterior.learn(inputs[step], outputs[step])
             means, sigma = posterior.score()
-            scratch = fit(ObservationSet(inputs[:end], outputs[:end], 0.0), kernel, sine_prior)
-            assert_scores_as_a_posterior_of(posterior, scratch)
-            assert bits(sigma) == bits(np.sqrt(2 * predict_batch(scratch, points)[1]))
+            assert np.isfinite(means).all() and np.isfinite(sigma).all()
+            assert_scores_as_a_posterior_of(posterior, model)
+            assert bits(sigma) == bits(np.sqrt(2 * predict_batch(model, points)[1]))
             assert bits(posterior.cross) == bits(kernel_matrix(kernel, inputs[:end], points))
             assert np.isnan(posterior.buffer[:, end:]).all()   # never written
             capacity = posterior.buffer.shape[1]
