@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -608,6 +609,12 @@ class TestNoScipy:
         result = run_fresh(SELA_ALONE)
         assert result.returncode == 0, result.stderr
 
+    def test_scipy_is_declared_for_the_tests_alone(self):
+        with open(Path(SOURCE).parent / "pyproject.toml", "rb") as file:
+            project = tomllib.load(file)["project"]
+        assert not [need for need in project["dependencies"] if need.startswith("scipy")]
+        assert [need for need in project["optional-dependencies"]["test"] if need.startswith("scipy")]
+
 
 class TestPosteriorBuffers:
     """`CandidatePosterior` keeps k(X, points) and L^-1 k(X, points) in the
@@ -784,6 +791,17 @@ class TestGrowInPlace:
         assert capacities(posterior) == (MAX_GP_OBSERVATIONS - 1,) * 2
         posterior.learn(inputs[-1], outputs[-1])
         assert capacities(posterior) == (MAX_GP_OBSERVATIONS,) * 2
+
+    def test_a_fit_from_scratch_solves_only_its_empty_start(self, monkeypatch):
+        # `fit` learns each input at its index of a posterior at the inputs: the posterior of
+        # the empty model solves no row, and no step after it solves one
+        solved = recording_solves(monkeypatch)
+        rng = np.random.default_rng(9)
+        observations = ObservationSet(rng.normal(size=(7, 2)), rng.normal(size=(7, 3)), 0.001)
+        model = fit(observations, SQEXP, zero_prior(3))
+        assert solved == [(0, 7)] and len(model.chol) == len(model.z) == 7
+        monkeypatch.undo()
+        assert_near_textbook(model)
 
 
 class TestFitErrors:
@@ -1116,6 +1134,18 @@ class TestLearn:
         np.testing.assert_array_equal(np.array(seen), np.vstack([observations.inputs[:1], observations.inputs]))
 
 
+def recording_solves(monkeypatch):
+    """Patches gp._solve; returns the list of the shapes of the columns it solves per call."""
+    calls, real = [], gp._solve
+
+    def recording(model, cross, half):
+        calls.append(cross.shape)
+        return real(model, cross, half)
+
+    monkeypatch.setattr(gp, "_solve", recording)
+    return calls
+
+
 def recording_kernel_matrix(monkeypatch):
     """Patches gp.kernel_matrix; returns the list of (rows of a, rows of b) per call."""
     calls, real = [], gp.kernel_matrix
@@ -1205,6 +1235,24 @@ class TestLearnAtACandidate:
         assert_diagonal(posterior.model, JITTER)
         scratch = fit(ObservationSet(points, [[0.0, 0.2], [0.1, 0.2], [0.2, 0.2]], 0.0), SQEXP, sine_prior)
         assert_same_model(posterior.model, scratch)
+
+    def test_a_step_at_a_candidate_solves_nothing_and_one_elsewhere_solves_its_column(self, monkeypatch):
+        # at a candidate the factor row is the posterior's column and z_t one dot; only a
+        # behavior off the candidates forward-substitutes its one kernel column, and a score
+        # solves nothing
+        solved = recording_solves(monkeypatch)
+        rng = np.random.default_rng(4)
+        points = rng.uniform(-np.pi, np.pi, size=(9, 1))
+        posterior = CandidatePosterior(points, fit(ObservationSet.empty(1, 2, 0.001), WRAPPED, sine_prior))
+        assert solved == [(0, 9)]
+        for t, index in enumerate((3, None, 5, 3, None, 8)):
+            solved.clear()
+            behavior = points[index] if index is not None else rng.uniform(-np.pi, np.pi, size=1)
+            posterior.learn(behavior, rng.normal(size=2), index)
+            posterior.score()
+            assert solved == ([] if index is not None else [(t, 1)])
+        monkeypatch.undo()
+        assert_consistent(posterior)
 
     @pytest.mark.parametrize("noise", [0.0, 0.001])
     @pytest.mark.parametrize("twin", list(TWINS.values()), ids=list(TWINS))
