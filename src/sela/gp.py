@@ -213,7 +213,7 @@ def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpMod
     Legal with zero observations: predictions then revert to the prior with unit
     variance. Non-finite inputs or outputs are rejected up front: they would spread
     NaN through the posterior. A pivot that is not positive raises GpFitError and
-    leaves the set holding the rows learned before it.
+    leaves the set as it was.
     """
     inputs, outputs, t = observations.inputs, observations.outputs, len(observations)
     if not all(map(math.isfinite, observations.rows[:t].ravel().tolist())):   # as floats, cheaper than numpy
@@ -223,8 +223,11 @@ def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpMod
         model.buffers = np.zeros((t, t)), np.empty(outputs.shape)
         observations.inputs, observations.outputs = inputs[:0], outputs[:0]   # learned back row by row
         posterior = CandidatePosterior(inputs, model)
-        for index, (x, y) in enumerate(zip(inputs, outputs)):
-            posterior.learn(x, y, index)
+        try:
+            for index, (x, y) in enumerate(zip(inputs, outputs)):
+                posterior.learn(x, y, index)
+        finally:   # the set's own views again, all t rows, also where a pivot failed
+            observations.inputs, observations.outputs = inputs, outputs
     return model
 
 

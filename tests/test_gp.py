@@ -566,9 +566,7 @@ class TestSolve:
         for end in ends:   # learned one row at a time, checked at each end
             for x, y in zip(inputs[len(observations):end], outputs[len(observations):end]):
                 posterior.learn(x, y)
-            # a fit from scratch up to 401 rows: `TestGrowInPlace` fits 999
-            scratch = [fit(ObservationSet(inputs[:end], outputs[:end], noise), kernel, sine_prior)] if end < t else []
-            for grown in (model, *scratch):
+            for grown in (model, fit(ObservationSet(inputs[:end], outputs[:end], noise), kernel, sine_prior)):
                 assert_diagonal(grown, JITTER if twin else 0.0)
                 residuals = grown.observations.outputs - prior_values(sine_prior, grown.observations.inputs)
                 want = solve_triangular(grown.chol, residuals, lower=True)
@@ -911,6 +909,22 @@ class TestFitErrors:
         {"inputs": inputs, "outputs": outputs}[where][1, 0] = bad
         with pytest.raises(GpFitError, match="finite"):
             fit(ObservationSet(inputs, outputs, 0.001), Kernel(sigma=0.5), zero_prior(2))
+
+    def test_a_failed_fit_leaves_the_set_as_it_was(self, monkeypatch):
+        # the second pivot fails after one row is learned; the set keeps all three rows,
+        # and a retry fits them to the bits of a fit of a fresh set
+        inputs = np.array([[0.1], [0.5], [0.9]])
+        outputs = np.array([[0.1, 0.0], [0.0, 0.1], [0.1, 0.1]])
+        observations = ObservationSet(inputs, outputs, 0.001)
+        views = observations.inputs, observations.outputs
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "kernel_matrix", lambda kernel, a, b: np.full((len(a), len(b)), 2.0))
+            with pytest.raises(GpFitError, match=r"not positive definite \(t=2,"):
+                fit(observations, SQEXP, zero_prior(2))
+        assert len(observations) == 3
+        assert observations.inputs is views[0] and observations.outputs is views[1]
+        assert bits(observations.inputs) == bits(inputs) and bits(observations.outputs) == bits(outputs)
+        assert_same_model(fit(observations, SQEXP, zero_prior(2)), fit(ObservationSet(inputs, outputs, 0.001), SQEXP, zero_prior(2)))
 
     def test_duplicates_fine_with_noise(self):
         obs = ObservationSet(np.array([[0.5], [0.5]]), np.array([[1.0], [2.0]]), 0.001)
