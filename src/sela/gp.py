@@ -20,19 +20,20 @@ alone sets the jitter: JITTER for a noise variance below it and 0 otherwise, so 
 input factors even without noise. A pivot that is not positive raises GpFitError. `fit`
 builds a model from scratch by learning each input at its index of a posterior at the inputs.
 
-`CandidatePosterior` serves one model at a fixed query set such as a mission's
-candidates. It evaluates the prior P there once and keeps, one row per observation,
-k(X, points) and h = L^-1 k(X, points), which it fills by forward substitution. Its
-means are P + sum_i z_i h_i and its variance 1 - sum_i h_i^2, so each learned row adds one
-rank-1 term to both sums, and a score multiplies nothing over the t rows. At a candidate,
-r is that candidate's column of h; elsewhere (only babbling learns there) it is the forward
-substitution of the one kernel column. `learn` grows the model and those rows in one pass,
-writing past t into buffers that double together when full, so read-only views taken before
-stay valid. The same rows learned at the same indices of the same points give the same bits,
-and a posterior of a fitted model scores the bits of one that learned its rows. numpy's
-products round by a column's position and the row width, so learning at other points gives
-other bits: with a noise variance of 1e-3 or more, the factor lies within 1e-12 and z within
-1e-9 of a textbook fit. The config check bounds models at `MAX_GP_OBSERVATIONS` inputs.
+`CandidatePosterior` serves one model at a fixed query set such as a mission's candidates,
+and is the one place that forms h = L^-1 k(X, points) and the means. It evaluates the prior
+P there once and keeps, one row per observation, k(X, points) and h, whose row i is
+(k(x_i, points) - L[i, :i] h[:i]) / L_ii, as `learn` fills a new row. Its means are
+P + sum_i z_i h_i and its variance 1 - sum_i h_i^2, so each row adds one rank-1 term to both
+sums, and a score multiplies nothing over the t rows. `learn` takes r and P(x_t) from column
+`index` of the posterior, or elsewhere (only babbling learns there) from a new posterior at
+x_t, both of the model before the row. It grows the model and its rows in one pass, writing
+past t into buffers that double together when full, so read-only views taken before stay
+valid. `predict_batch` is a new posterior's score: the bits of any posterior of the model at
+its points. The same rows learned at the same indices of the same points give the same model;
+numpy's products round by a column's position and the row width, so learning at other points
+gives other bits: with a noise variance of 1e-3 or more, the factor lies within 1e-12 and z
+within 1e-9 of a textbook fit. The config check bounds models at `MAX_GP_OBSERVATIONS` inputs.
 """
 
 from __future__ import annotations
@@ -231,29 +232,15 @@ def fit(observations: ObservationSet, kernel: Kernel, prior: PriorMean) -> GpMod
     return model
 
 
-def _solve(model: GpModel, cross: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Fill `half` with L^-1 `cross` one row at a time, as `CandidatePosterior.learn` does, and
-    return the column sums of squares of its rows."""
-    sums = np.zeros(cross.shape[1])
-    for i in range(len(cross)):
-        row = half[i] = (cross[i] - model.chol[i, :i] @ half[:i]) / model.chol[i, i]
-        sums += row * row
-    return sums
-
-
 def predict_batch(model: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means (n, outcome_dim) and the per-point variance (n,).
+    """Posterior means (n, outcome_dim), read-only, and the per-point variance (n,): the score
+    of a new posterior at the points, with the bits of any posterior of the model there.
 
     The variance is shared across output dimensions since they use the same
     inputs and kernel.
     """
-    pts = _as_points(points)
-    # kernel_matrix also rejects a query of another behavior dimension
-    cross = kernel_matrix(model.kernel, model.observations.inputs, pts)   # (t, n)
-    half = np.empty(cross.shape)
-    sums = _solve(model, cross, half)
-    means = prior_values(model.prior, pts) + np.asfortranarray(half.T @ model.z)
-    return means, np.maximum(1.0 - sums, 0.0)
+    posterior = CandidatePosterior(points, model)
+    return posterior.score()[0], np.maximum(1.0 - posterior.sums, 0.0)
 
 
 class CandidatePosterior:
@@ -268,12 +255,13 @@ class CandidatePosterior:
         self.prior_means = np.asfortranarray(prior_values(model.prior, self.points))   # (n, outcome_dim), by column
         inputs = model.observations.inputs
         self.buffer = np.empty((2, len(inputs), len(self)))   # [0] cross, [1] L^-1 cross; doubles when full
-        self.cross = self.buffer[0]   # k(inputs, points) (t, n), a view of buffer[0]
+        self.cross, half = self.buffer   # k(inputs, points) (t, n) and L^-1 of it, views of the buffer
         self.cross[:] = kernel_matrix(model.kernel, inputs, self.points)
-        self.sums = _solve(model, *self.buffer)   # the column sums of squares of L^-1 cross
-        # (outcome_dim, n), the means less the prior: z_i times row i of L^-1 cross, summed as `learn` sums
-        self.shift = np.zeros((model.z.shape[1], len(self)))
-        for z, row in zip(model.z, self.buffer[1]):
+        self.sums = np.zeros(len(self))   # the column sums of squares of L^-1 cross
+        self.shift = np.zeros((model.z.shape[1], len(self)))   # (outcome_dim, n), the means less the prior
+        for i, z in enumerate(model.z):   # row by row, as `learn` adds each row
+            row = half[i] = (self.cross[i] - model.chol[i, :i] @ half[:i]) / model.chol[i, i]
+            self.sums += row * row
             self.shift += z[:, None] * row
         self.seen = {x.tobytes(): i for i, x in enumerate(inputs)}   # each input's bytes -> a row of cross at it
         self.means, self.sigma = None, None   # the means (n, outcome_dim) and sigma (n,); None until scored
@@ -282,9 +270,9 @@ class CandidatePosterior:
         return len(self.points)
 
     def learn(self, behavior, observed, index=None) -> None:
-        """Grow the model by one observation in place, and this posterior's rows with it: at
-        candidate `index` from its column of L^-1 k(X, points) and its prior value, else from
-        the forward substitution of the kernel column at `behavior` and the prior there. A
+        """Grow the model by one observation in place, and this posterior's rows with it, taking
+        L^-1 k(X, x) and P(x) from a column of a posterior of the model before the row: this
+        one's column at candidate `index`, else a new one-point posterior's at `behavior`. A
         non-finite row or a pivot that is not positive raises GpFitError and leaves both as
         they were."""
         model, t = self.model, len(self.cross)
@@ -297,12 +285,8 @@ class CandidatePosterior:
         if not all(map(math.isfinite, rows[t].tolist())):
             raise GpFitError("observation inputs and outputs must be finite")
         x = rows[t, :b]
-        if index is None:
-            column = kernel_matrix(model.kernel, x[None], observations.inputs).T   # (t, 1)
-            _solve(model, column, half := np.empty(column.shape))
-            r, value = half[:, 0], prior_values(model.prior, x[None])[0]
-        else:
-            r, value = self.buffer[1, :t, index], self.prior_means[index]
+        at, column = (self, index) if index is not None else (CandidatePosterior(x[None], model), 0)
+        r, value = at.buffer[1, :t, column], at.prior_means[column]
         pivot = _pivot(model, r, t + 1)
         factor[t, :t], factor[t, t] = r, pivot
         z[t] = (rows[t, b:] - value - r @ z[:t]) / pivot

@@ -16,7 +16,7 @@ with what it learned (`_drive`). Alpha weighs the UCB bonus of SELA's bursts and
 episodic trials, not uncertainty sampling's. A mission passes one `MissionState` around:
 the posterior and the step count it mutates, and the `MissionConfig` it reads. All four
 methods share its one step (`MissionState.execute`: execute a behavior, count it), its
-learning step (`MissionState.learn`), its goal test (`MissionState.at_goal`) and the
+learning step (`state.posterior.learn`), its goal test (`MissionState.at_goal`) and the
 record builder (`_record`), which counts one learning step per observation in the model.
 
 The candidate set, planner grid and goal stay fixed for a whole mission, and
@@ -138,11 +138,6 @@ class MissionState:
         config = self.config
         return goal_reached(config.world.pose, config.goal, config.epsilon_goal)
 
-    def learn(self, behavior, observed, index=None) -> None:
-        """One learning step: the posterior grows its model and its own rows by the observation,
-        taking candidate `index`'s kernel column and prior from its rows (`CandidatePosterior.learn`)."""
-        self.posterior.learn(behavior, observed, index)
-
     def record_error(self, predicted, observed) -> float:
         """Push |observed - predicted| into the drop window and return the
         window error, its mean; a drop is detected when it exceeds the threshold."""
@@ -200,7 +195,7 @@ def run_mission(config: MissionConfig) -> RunRecord:
         predicted = state.posterior.means[index]
         observed = state.execute(behavior)
         if burst:
-            state.learn(behavior, observed, index)
+            state.posterior.learn(behavior, observed, index)
         error = state.record_error(predicted, observed)
         if burst:   # recovery closes the burst
             burst = 0 if error < config.drop_threshold else burst - 1
@@ -216,7 +211,7 @@ def _episodic_trial(state: MissionState, behavior, index=None) -> np.ndarray:
     start_pose = world.pose
     observed = state.execute(behavior)
     world.reset_pose(start_pose)
-    state.learn(behavior, observed, index)
+    state.posterior.learn(behavior, observed, index)
     return observed
 
 

@@ -121,13 +121,13 @@ def test_result_bytes(config, walker_archive, tmp_path):
 GOLDEN_DECISIONS = {
     "point_robot": {
         "sela": "a95db6b6a1c9f9cd27fe5062ef78a65735429f5432a49374b06cfb1e3521599a",
-        "babbling": "bcdf1eb4ff263b2ff6ebdf569204ba0258e4bec91655a19a0034edb1e497cb18",
+        "babbling": "1e637a8bc445dec65e1013f5d0c70667948dea71a9e0866621a1b38a0826987d",
         "episodic_ite": "eacc1df1f9d0ed84bf376e843ff1f1c83a26baf9bd97beae35f8f4bcdc299634",
         "uncertainty": "355f516e3be390acbea5ed1cbdd96ddc19e2c2b58c25d4fcce52609e4ece5cd4",
     },
     "segment_walker": {
         "sela": "91c9a4c0862b81b8fabfe482aeb4b3dd1930836aefb89b5164483c2a167e67ed",
-        "babbling": "4ed92fb5ce1f95352f231e118e64c325d4d32b838d3e36f37e2283ae800374ad",
+        "babbling": "bd1729931067eb97b8aa2f916de2cbd2823bdb96c528ddd780beb47d5e7a8f76",
         "episodic_ite": "2fb93df9da4baccfa831f02317fe2a5fd444743fcdc9d9d16f710b7e8489e466",
         "uncertainty": "f9e5fb11afe0d0e275873155cc6152f8cb395374c0bf02f56eb21f489f355c7a",
     },

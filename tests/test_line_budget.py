@@ -1,5 +1,5 @@
 """`src/sela` stays within its line budget (ROADMAP item 6): the lines of
-`src/sela/*.py`, counted as `wc -l` counts them, total at most 2,047.
+`src/sela/*.py`, counted as `wc -l` counts them, total at most 2,026.
 
 The bar only falls. The one change that may raise it is ROADMAP item 1 (the
 mission trace), once, by at most 90 lines, and that change must say so in
@@ -9,7 +9,7 @@ from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "sela"
 
-LINE_BAR = 2_047
+LINE_BAR = 2_026
 
 
 def test_src_sela_is_within_the_line_bar():

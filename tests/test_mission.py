@@ -50,7 +50,6 @@ from sela.worlds import (
 )
 from test_gp import (
     MEAN_BOUND,
-    assert_near_predict_batch,
     assert_near_textbook,
     assert_same_posterior,
     assert_scores_as_a_posterior_of,
@@ -216,7 +215,7 @@ class TestMissionState:
         twin = CandidatePosterior(config.candidates.points, fit(ObservationSet.empty(1, 2, 0.001), model.kernel, model.prior))
         for step, index in enumerate((10, 200, 10), start=1):
             posterior.score()   # as the step's selection does
-            state.learn(config.candidates.points[index], np.array([0.1, -0.05 * step]), index)
+            state.posterior.learn(config.candidates.points[index], np.array([0.1, -0.05 * step]), index)
             twin.learn(config.candidates.points[index], np.array([0.1, -0.05 * step]), index)
             assert state.posterior is posterior and posterior.model is model
             assert model.observations is observations
@@ -227,7 +226,7 @@ class TestMissionState:
     def test_learn_refits_with_the_models_kernel_and_prior(self):
         kernel = Kernel(KernelFamily.EXPONENTIAL, 0.3, DistanceKind.WRAPPED_ANGULAR)
         state = MissionState(replace(point_config(), kernel=kernel, prior=damaged_prior))
-        state.learn([0.5], [0.0, 0.1])
+        state.posterior.learn([0.5], [0.0, 0.1])
         model = state.posterior.model
         assert len(model.observations) == 1
         assert model.kernel is kernel
@@ -396,18 +395,18 @@ class TestLearningFromTheScore:
         archive = build_archive(config) if world == "segment_walker" else None
         config = build_mission_config(config, seed=0, archive=archive)
         calls, priors, steps = [], [], []
-        kernel, learn, prior = gp.kernel_matrix, MissionState.learn, config.prior
+        kernel, learn, prior = gp.kernel_matrix, CandidatePosterior.learn, config.prior
         monkeypatch.setattr(gp, "kernel_matrix", lambda *args: calls.append(1) or kernel(*args))
 
-        def counting_learn(state, behavior, observed, index=None):
-            repeat = np.asarray(behavior).tobytes() in {x.tobytes() for x in state.posterior.model.observations.inputs}
+        def counting_learn(posterior, behavior, observed, index=None):
+            repeat = np.asarray(behavior).tobytes() in {x.tobytes() for x in posterior.model.observations.inputs}
             calls.clear()
             priors.clear()
-            learn(state, behavior, observed, index)
-            state.posterior.score()   # as the next selection would
+            learn(posterior, behavior, observed, index)
+            posterior.score()   # as the next selection would
             steps.append((repeat, len(calls), len(priors)))
 
-        monkeypatch.setattr(MissionState, "learn", counting_learn)
+        monkeypatch.setattr(CandidatePosterior, "learn", counting_learn)
         record = run_method(method, replace(config, prior=lambda x: priors.append(1) or prior(x)))
         assert len(steps) == record.learn_steps > 0
         assert steps == [(repeat, 0 if repeat else 1, 0) for repeat, _, _ in steps]
@@ -424,10 +423,10 @@ class TestLearningFromTheScore:
         kernel = model.kernel
         if scored == "an_older_model":
             state.posterior.score()
-        state.learn(points[10], np.array([0.1, 0.0]), 10)
+        state.posterior.learn(points[10], np.array([0.1, 0.0]), 10)
         calls, kernel_matrix = [], gp.kernel_matrix
         monkeypatch.setattr(gp, "kernel_matrix", lambda k, a, b: calls.append((len(a), len(b))) or kernel_matrix(k, a, b))
-        state.learn(points[20], np.array([0.0, 0.1]), 20)
+        state.posterior.learn(points[20], np.array([0.0, 0.1]), 20)
         assert calls == [(1, 360)]
         monkeypatch.undo()
         twin = CandidatePosterior(points, fit(ObservationSet.empty(1, 2, 0.001), kernel, point_robot_prior))
@@ -438,23 +437,21 @@ class TestLearningFromTheScore:
 
 
 class TestCandidateScoring:
-    """The mission's CandidatePosterior scores each model size once, as a new posterior
-    of its model does, and within MEAN_BOUND of a fresh prediction."""
+    """The mission's CandidatePosterior scores each model size once, with the bits of
+    predict_batch of its model at the candidates, a new posterior's score."""
 
     def test_posterior_equals_a_fresh_prediction_after_every_learn(self, monkeypatch):
         checked = []
-        learn = MissionState.learn
+        learn = CandidatePosterior.learn
 
-        def checking_learn(state, *args):   # SELA passes the candidate index, babbling does not
-            learn(state, *args)
-            posterior = state.posterior
+        def checking_learn(posterior, *args):   # SELA passes the candidate index, babbling does not
+            learn(posterior, *args)
             model, observations = posterior.model, posterior.model.observations
             assert_scores_as_a_posterior_of(posterior, model)
-            assert_near_predict_batch(posterior)
             assert_near_textbook(model)
             checked.append(len(observations))
 
-        monkeypatch.setattr(MissionState, "learn", checking_learn)
+        monkeypatch.setattr(CandidatePosterior, "learn", checking_learn)
         sela = run_mission(point_config(AngleOffsetDamage(0.5), noise_variance=0.01, seed=3))
         babbling = baseline_babbling(point_config(AngleOffsetDamage(0.5), seed=3))
         assert sela.learn_steps > 1 and babbling.learn_steps > 1
@@ -563,7 +560,7 @@ def frozen_sela_adapt(state, max_iterations):
         behavior, index = mission._chase_waypoint(state, config.alpha)
         predicted = state.posterior.means[index]
         observed = state.execute(behavior)
-        state.learn(behavior, observed, index)
+        state.posterior.learn(behavior, observed, index)
         if state.record_error(predicted, observed) < config.drop_threshold:
             break
 
@@ -585,16 +582,16 @@ def sela_steps(config, run=run_mission):
     candidate's index, the selection's alpha, whether the step learned, and
     the window error."""
     steps = []
-    select, learn, record_error = mission.select_next, MissionState.learn, MissionState.record_error
+    select, learn, record_error = mission.select_next, CandidatePosterior.learn, MissionState.record_error
 
     def recording_select(posterior, reward, alpha):
         behavior, index = select(posterior, reward, alpha)
         steps.append([index, alpha, False, None])
         return behavior, index
 
-    def recording_learn(state, *args):
+    def recording_learn(posterior, *args):
         steps[-1][2] = True
-        return learn(state, *args)
+        return learn(posterior, *args)
 
     def recording_record_error(state, predicted, observed):
         steps[-1][3] = record_error(state, predicted, observed)
@@ -602,7 +599,7 @@ def sela_steps(config, run=run_mission):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mission, "select_next", recording_select)
-        patch.setattr(MissionState, "learn", recording_learn)
+        patch.setattr(CandidatePosterior, "learn", recording_learn)
         patch.setattr(MissionState, "record_error", recording_record_error)
         record = run(config)
     assert len(steps) == record.total_steps
